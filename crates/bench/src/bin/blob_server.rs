@@ -35,7 +35,7 @@
 //! fabric at all — it just holds state and answers frames.
 
 use bff_blobseer::{BlobConfig, BlobTopology, Placement, ServerState};
-use bff_net::transport::{FrameHandler, FrameServer, Role, RouteKey};
+use bff_net::transport::Role;
 use bff_net::NodeId;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
@@ -150,25 +150,13 @@ fn main() {
     };
     let state = Arc::new(state);
 
+    let servers = state.serve(&args.roles).expect("bind loopback listener");
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    let mut servers = Vec::with_capacity(args.roles.len());
-    for &role in &args.roles {
-        let route = match role {
-            Role::Vm => RouteKey::Vm,
-            Role::Pm => RouteKey::Pm,
-            Role::Board => RouteKey::Board,
-            Role::Cluster => RouteKey::Cluster,
-            Role::Meta => RouteKey::Meta(0),
-            Role::Provider => RouteKey::Provider(topo.providers[0]),
-        };
-        let state = Arc::clone(&state);
-        let handler: FrameHandler = Arc::new(move |route, frame| state.handle_frame(route, frame));
-        let server = FrameServer::start(route, handler).expect("bind loopback listener");
+    for (role, server) in &servers {
         if writeln!(out, "{} {}", role.name(), server.addr()).is_err() {
             announce_failed("role announcement");
         }
-        servers.push(server);
     }
     if writeln!(out, "READY").is_err() || out.flush().is_err() {
         announce_failed("READY");

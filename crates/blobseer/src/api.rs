@@ -48,18 +48,21 @@ pub enum ReplicationMode {
     Sequential,
 }
 
-/// How typed requests reach the server roles (see `bff_net::Transport`
-/// and the `bff-wire` crate docs).
+/// Which hop, if any, sits between a [`crate::BlobStore`] and the
+/// [`crate::ServerState`] it deploys (see `bff_net::Transport` and the
+/// `bff-wire` crate docs).
 ///
-/// All three modes produce **identical logical outcomes** — every
+/// There is one request path: every client call is a typed
+/// `bff_wire::Req` served by `ServerState::dispatch`, which does all
+/// locking and journaling. The mode only selects how the request gets
+/// there, so all three produce **identical logical outcomes** (every
 /// modelled cost is charged to the fabric by the client before the
-/// message moves, so the carrying mechanism is orthogonal to the
-/// simulated economics. They differ only in mechanism (and real CPU
-/// cost):
+/// message moves), any of them can be durable, and they differ only in
+/// real CPU cost:
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportMode {
-    /// In-process zero-copy dispatch against locally held server state —
-    /// the historical behaviour and the equivalence baseline.
+    /// No hop: the typed request is handed to the in-process
+    /// `dispatch` unencoded. No frame ever exists.
     Direct,
     /// In-process, but every request/response round-trips through the
     /// full `bff-wire` binary codec. Anything that could not cross a

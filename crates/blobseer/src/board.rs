@@ -70,10 +70,7 @@ struct BoardEntry {
     last_merge: u64,
 }
 
-/// A peer access sequence with its cohort-confirmation mask (`None` =
-/// the confidence filter is inactive), as returned by
-/// [`PatternBoard::sequence_with_confidence`].
-pub type ConfidentSequence = (Arc<Vec<u64>>, Option<Vec<bool>>);
+pub use bff_wire::msg::ConfidentSequence;
 
 /// The board state (one logical instance per deployed service; see
 /// module docs).

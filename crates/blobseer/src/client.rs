@@ -400,7 +400,7 @@ impl Client {
             .filter(|r| r.start < r.end && r.end <= meta.size)
             .flat_map(|r| chunk_cover(r, meta.chunk_size));
         if let Some(batch) = self.ctx.note_accesses((blob, version), indices) {
-            self.publish_pattern(blob, version, &batch);
+            self.publish_pattern(blob, version, batch);
         }
     }
 
@@ -411,7 +411,7 @@ impl Client {
     /// [`BlobConfig::prefetch_min_publishers`] distinct publishers are
     /// not re-published, so once the access pattern converges and is
     /// cohort-confirmed the control plane goes quiet.
-    fn publish_pattern(&self, blob: BlobId, version: Version, batch: &[u64]) {
+    fn publish_pattern(&self, blob: BlobId, version: Version, batch: Vec<u64>) {
         let min_pub = self.cfg().prefetch_min_publishers;
         let batch = self.store.board_novel_of((blob, version), batch, min_pub);
         if batch.is_empty() {
@@ -421,7 +421,7 @@ impl Client {
         if !self.charge_host_publish(summary_bytes) {
             return; // board unreachable: drop the batch, keep booting
         }
-        self.store.board_merge((blob, version), self.node, &batch);
+        self.store.board_merge((blob, version), self.node, batch);
     }
 
     /// Pay the control round that carries a `summary_bytes`-sized
@@ -874,7 +874,7 @@ impl Client {
         // chunks it carries.
         if !cluster_misses.is_empty() {
             let keys: Vec<ContentKey> = cluster_misses.iter().map(|&(_, key)| key).collect();
-            let hits = self.store.cluster_get(&keys);
+            let hits = self.store.cluster_get(keys);
             for ((u, key), hit) in cluster_misses.into_iter().zip(hits) {
                 if let Some(desc) = hit {
                     candidates.push((u, key, desc));
@@ -1152,7 +1152,7 @@ impl Client {
             })
             .collect();
         let keys: Vec<ContentKey> = entries.iter().map(|&(k, _)| k).collect();
-        let novel: FastSet<ContentKey> = self.store.cluster_novel_of(&keys).into_iter().collect();
+        let novel: FastSet<ContentKey> = self.store.cluster_novel_of(keys).into_iter().collect();
         if novel.is_empty() {
             return;
         }

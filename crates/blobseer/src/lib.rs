@@ -20,10 +20,12 @@
 //! Architecture: a [`server::ServerState`] owns the passive server state
 //! machines (version manager, provider manager, metadata shards, chunk
 //! providers, pattern board, cluster index) behind a typed message
-//! boundary ([`bff_wire`]); a [`service::BlobStore`] is the client-side
-//! handle that reaches them through a [`bff_net::transport::Transport`]
-//! — direct (zero-copy, in-process), codec (every message round-trips
-//! encode/decode), or socket (framed TCP, optionally to other
+//! boundary ([`bff_wire`]) with one entry point,
+//! [`server::ServerState::dispatch`]; a [`service::BlobStore`] is the
+//! client-side handle that sends every request there — handing the typed
+//! value over in-process (direct), or through a
+//! [`bff_net::transport::Transport`] hop: codec (every message
+//! round-trips encode/decode) or socket (framed TCP, optionally to other
 //! processes). [`client::Client`] executes the protocol and charges
 //! every message/disk access to a [`bff_net::Fabric`], so the identical
 //! code runs in-process (real bytes) and on the simulator (virtual

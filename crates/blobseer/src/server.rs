@@ -5,16 +5,17 @@
 //! the protocol — version manager, provider manager, metadata shards,
 //! chunk providers, the pattern board and the cluster dedup index — and
 //! answers [`bff_wire::Req`] values with [`bff_wire::Resp`] values.
-//! Every request maps to exactly the lock-acquisition pattern the direct
-//! in-process path uses: a batch request takes its state machine's lock
-//! once for the whole batch, a per-item request once per message. That
-//! keeps the `coarse_*` contention ablations meaningful regardless of
-//! which transport carried the frame.
-//!
-//! [`ServerState::handle_frame`] is the `bff_net::FrameHandler` entry
-//! point: decode → dispatch → encode, never panicking on input. Both the
-//! in-process transports and the standalone `blob_server` processes (see
-//! the `bff-bench` crate) serve frames through it.
+//! [`ServerState::dispatch`] is the **only** way into that state: an
+//! in-process [`crate::BlobStore`] without a transport hop calls it with
+//! the typed value, and every framed transport reaches it through
+//! [`ServerState::handle_frame`] (decode → dispatch → encode, never
+//! panicking on input), which [`ServerState::serve`] puts behind
+//! loopback listeners for socket deployments and the standalone
+//! `blob_server` processes (see the `bff-bench` crate). Locking and
+//! journaling are therefore decided here, once: a batch request takes
+//! its state machine's lock once for the whole batch, a per-item request
+//! once per message, and a mutation is journaled under the lock that
+//! serialized it whichever way the request arrived.
 
 use crate::api::{BlobConfig, BlobTopology};
 use crate::board::BoardService;
@@ -29,7 +30,8 @@ use crate::pmanager::{PManager, Placement};
 use crate::provider::ProviderStore;
 use crate::vmanager::VManager;
 use bff_data::FastSet;
-use bff_net::transport::{RouteKey, WireError};
+use bff_net::transport::{FrameHandler, FrameServer, Role, RouteKey, WireError};
+use bff_net::NodeId;
 use bff_wire::msg::{
     BoardReq, BoardResp, ClusterReq, ClusterResp, DeleteOutcome, MetaReq, MetaResp, PmReq, PmResp,
     ProviderReq, ProviderResp, Req, Resp, VersionInfo, VmReq, VmResp,
@@ -85,23 +87,24 @@ impl JournalHandle {
     }
 }
 
-/// The server half of a deployment: every passive state machine, guarded
-/// exactly as in the historical in-process layout.
+/// The server half of a deployment: every passive state machine, each
+/// behind its own lock and reachable only through
+/// [`ServerState::dispatch`] (plus the read-only diagnostics accessors).
 pub struct ServerState {
-    pub(crate) vmanager: Mutex<VManager>,
-    pub(crate) pmanager: Mutex<PManager>,
-    pub(crate) meta: Vec<Mutex<MetaPartition>>,
+    vmanager: Mutex<VManager>,
+    pmanager: Mutex<PManager>,
+    meta: Vec<Mutex<MetaPartition>>,
     /// Sharded one lock per provider: data-plane requests on distinct
     /// providers never contend (see [`ProviderStore`]).
-    pub(crate) providers: ProviderStore,
+    providers: ProviderStore,
     /// The cluster access-pattern board (see [`crate::board`]). The
     /// service does its own sharded read/write locking.
-    pub(crate) pattern_board: BoardService,
+    pattern_board: BoardService,
     /// The cluster-wide content-addressed dedup index. Read-mostly after
     /// deployment convergence, so a read/write lock; hot-path
     /// acquisitions go through [`ServerState::cluster_read`] /
     /// [`ServerState::cluster_write`] and are contention-counted.
-    pub(crate) cluster_index: RwLock<ClusterIndex>,
+    cluster_index: RwLock<ClusterIndex>,
     cluster_probe: LockProbe,
     /// The mutation journal, present only on durable deployments (see
     /// [`ServerState::recover`]). A leaf lock: always acquired *while
@@ -199,25 +202,7 @@ impl ServerState {
         let mut pm = state.pmanager.lock();
         for rec in records {
             match rec {
-                // Replay applies the op directly: it was journaled only
-                // after succeeding, so errors here mean the record is
-                // obsolete (e.g. delete of an already-deleted version
-                // whose first delete was also replayed) — never fatal.
-                JournalRecord::VmOp(op) => match op {
-                    VmReq::CreateBlob { size, chunk_size } => {
-                        let _ = vm.create_blob(size, chunk_size);
-                    }
-                    VmReq::CloneBlob { src, version } => {
-                        let _ = vm.clone_blob(src, version);
-                    }
-                    VmReq::Publish { blob, base, root } => {
-                        let _ = vm.publish(blob, base, root);
-                    }
-                    VmReq::DeleteSnapshots { blob, versions } => {
-                        let _ = vm.delete_snapshots(blob, &versions);
-                    }
-                    _ => {}
-                },
+                JournalRecord::VmOp(op) => replay_vm(&mut vm, &op),
                 JournalRecord::MetaNodes { shard, nodes } => {
                     if let Some(part) = state.meta.get(shard as usize) {
                         part.lock().put(nodes);
@@ -282,18 +267,69 @@ impl ServerState {
 
     /// Shared read access to the cluster dedup index, contention-counted
     /// (the commit-probe hot path).
-    pub(crate) fn cluster_read(&self) -> RwLockReadGuard<'_, ClusterIndex> {
+    fn cluster_read(&self) -> RwLockReadGuard<'_, ClusterIndex> {
         probed_read(&self.cluster_probe, &self.cluster_index)
     }
 
     /// Exclusive access to the cluster dedup index, contention-counted.
-    pub(crate) fn cluster_write(&self) -> RwLockWriteGuard<'_, ClusterIndex> {
+    fn cluster_write(&self) -> RwLockWriteGuard<'_, ClusterIndex> {
         probed_write(&self.cluster_probe, &self.cluster_index)
     }
 
     /// Contention counters of the cluster-index lock.
     pub fn cluster_contention(&self) -> LockContention {
         self.cluster_probe.snapshot()
+    }
+
+    /// The chunk provider set (diagnostics: stored bytes, refcounts,
+    /// loads, page-cache ablations).
+    pub fn providers(&self) -> &ProviderStore {
+        &self.providers
+    }
+
+    /// The cluster access-pattern board (diagnostics).
+    pub fn pattern_board(&self) -> &BoardService {
+        &self.pattern_board
+    }
+
+    /// The cluster-wide dedup index (diagnostics).
+    pub fn cluster_index(&self) -> &RwLock<ClusterIndex> {
+        &self.cluster_index
+    }
+
+    /// Total metadata tree nodes stored across all shards.
+    pub fn total_metadata_nodes(&self) -> usize {
+        self.meta.iter().map(|m| m.lock().node_count()).sum()
+    }
+
+    /// Bind one loopback listener per role in `roles`, each feeding its
+    /// frames to [`ServerState::handle_frame`]. Dropping a returned
+    /// [`FrameServer`] stops its listener.
+    pub fn serve(self: &Arc<Self>, roles: &[Role]) -> std::io::Result<Vec<(Role, FrameServer)>> {
+        roles
+            .iter()
+            .map(|&role| {
+                // A listener serves a role class: shard and provider
+                // addressing travel in the request, so the index inside
+                // the key is never looked at.
+                let route = match role {
+                    Role::Vm => RouteKey::Vm,
+                    Role::Pm => RouteKey::Pm,
+                    Role::Board => RouteKey::Board,
+                    Role::Cluster => RouteKey::Cluster,
+                    Role::Meta => RouteKey::Meta(0),
+                    Role::Provider => RouteKey::Provider(NodeId(0)),
+                };
+                Ok((role, FrameServer::start(route, self.frame_handler())?))
+            })
+            .collect()
+    }
+
+    /// [`ServerState::handle_frame`] as a shareable
+    /// `bff_net::FrameHandler`.
+    pub(crate) fn frame_handler(self: &Arc<Self>) -> FrameHandler {
+        let state = Arc::clone(self);
+        Arc::new(move |route, frame| state.handle_frame(route, frame))
     }
 
     /// The `bff_net::FrameHandler` entry point: decode one request
@@ -309,13 +345,13 @@ impl ServerState {
         Ok(bff_wire::encode(&resp))
     }
 
-    /// Serve one typed request against the passive state machines.
+    /// Serve one typed request against the passive state machines — the
+    /// single entry point every client call arrives at, framed or not.
     ///
-    /// Addressing errors that the direct path cannot express (a shard
-    /// index beyond the deployment) are wire errors; a request for an
-    /// *unknown provider node* answers exactly like the direct path's
-    /// `ProviderStore` (absent chunk / rejected op), so per-chunk
-    /// failover semantics survive the transport unchanged.
+    /// A shard index beyond the deployment is an addressing error
+    /// ([`WireError::BadFrame`]); a request for an *unknown provider
+    /// node* is answered by `ProviderStore` as an absent chunk / rejected
+    /// op, which is what the clients' per-chunk failover expects.
     pub fn dispatch(&self, req: Req) -> Result<Resp, WireError> {
         Ok(match req {
             Req::Vm(q) => Resp::Vm(self.dispatch_vm(q)),
@@ -334,112 +370,25 @@ impl ServerState {
     }
 
     fn dispatch_vm(&self, q: VmReq) -> VmResp {
-        match q {
-            VmReq::CreateBlob { size, chunk_size } => {
-                let (res, ticket) = {
-                    let mut vm = self.vmanager.lock();
-                    let res = vm.create_blob(size, chunk_size);
-                    let ticket = res
-                        .is_ok()
-                        .then(|| self.journal_append_vm(&VmReq::CreateBlob { size, chunk_size }))
-                        .flatten();
-                    (res, ticket)
-                };
-                self.journal_commit(ticket);
-                VmResp::Created(res)
-            }
-            VmReq::CloneBlob { src, version } => {
-                let (res, ticket) = {
-                    let mut vm = self.vmanager.lock();
-                    let res = vm.clone_blob(src, version);
-                    let ticket = res
-                        .is_ok()
-                        .then(|| self.journal_append_vm(&VmReq::CloneBlob { src, version }))
-                        .flatten();
-                    (res, ticket)
-                };
-                self.journal_commit(ticket);
-                VmResp::Cloned(res)
-            }
-            VmReq::Latest(blob) => {
-                VmResp::Latest(self.vmanager.lock().meta(blob).map(|m| m.latest()))
-            }
-            VmReq::Size(blob) => VmResp::Size(self.vmanager.lock().meta(blob).map(|m| m.size)),
-            VmReq::LiveSnapshots(blob) => {
-                VmResp::LiveSnapshots(self.vmanager.lock().live_snapshots(blob))
-            }
-            VmReq::VersionMeta(blob, version) => {
-                let vm = self.vmanager.lock();
-                VmResp::VersionMeta(vm.meta(blob).and_then(|meta| {
-                    let root = meta
-                        .root(version)
-                        .ok_or(BlobError::NoSuchVersion(blob, version))?;
-                    Ok(VersionInfo {
-                        root,
-                        size: meta.size,
-                        chunk_size: meta.chunk_size,
-                        span: meta.span,
-                    })
-                }))
-            }
-            VmReq::Publish { blob, base, root } => {
-                // The paper's hot mutation: append under the vmanager
-                // lock, park on the sync ticket after dropping it —
-                // concurrent publishes share one fsync under group
-                // commit instead of serializing N barriers behind the
-                // state machine.
-                let (res, ticket) = {
-                    let mut vm = self.vmanager.lock();
-                    let res = vm.publish(blob, base, root);
-                    let ticket = res
-                        .is_ok()
-                        .then(|| self.journal_append_vm(&VmReq::Publish { blob, base, root }))
-                        .flatten();
-                    (res, ticket)
-                };
-                self.journal_commit(ticket);
-                VmResp::Published(res)
-            }
-            VmReq::DeleteSnapshots { blob, versions } => {
-                // Compound under ONE lock: the delete and the live-root
-                // frontier snapshot must be atomic, exactly as in the
-                // direct path's critical section. Only the sync barrier
-                // moves outside it.
-                let mut ticket = None;
-                let res = {
-                    let mut vm = self.vmanager.lock();
-                    (|| {
-                        let dead_roots = vm.delete_snapshots(blob, &versions)?;
-                        ticket = self.journal_append_vm(&VmReq::DeleteSnapshots {
-                            blob,
-                            versions: versions.clone(),
-                        });
-                        let live_roots = vm.family_live_roots(blob)?;
-                        let span = vm.meta(blob)?.span;
-                        Ok(DeleteOutcome {
-                            dead_roots,
-                            live_roots,
-                            span,
-                        })
-                    })()
-                };
-                self.journal_commit(ticket);
-                VmResp::Deleted(res)
-            }
-            VmReq::ReserveKeys(n) => {
-                let (range, ticket) = {
-                    let mut vm = self.vmanager.lock();
-                    let range = vm.reserve_keys(n);
-                    // Durable via high-water mark, not per-reservation
-                    // records: the barrier fires only when the allocator
-                    // crosses the last persisted mark.
-                    let ticket = self.journal_note_key(vm.next_key());
-                    (range, ticket)
-                };
-                self.journal_commit(ticket);
-                VmResp::Reserved(range)
-            }
-        }
+        // One shape for every request: apply and journal under the
+        // vmanager lock, park on the sync ticket only after dropping it —
+        // concurrent publishes share one fsync under group commit
+        // instead of serializing N barriers behind the state machine.
+        let (resp, ticket) = {
+            let mut vm = self.vmanager.lock();
+            let resp = apply_vm(&mut vm, &q);
+            let ticket = match &q {
+                // Durable via high-water mark, not per-reservation
+                // records: the barrier fires only when the allocator
+                // crosses the last persisted mark.
+                VmReq::ReserveKeys(_) => self.journal_note_key(vm.next_key()),
+                _ if vm_mutated(&resp) => self.journal_append_vm(&q),
+                _ => None,
+            };
+            (resp, ticket)
+        };
+        self.journal_commit(ticket);
+        resp
     }
 
     fn dispatch_pm(&self, q: PmReq) -> PmResp {
@@ -492,7 +441,7 @@ impl ServerState {
         }
     }
 
-    fn dispatch_provider(&self, node: bff_net::NodeId, q: ProviderReq) -> ProviderResp {
+    fn dispatch_provider(&self, node: NodeId, q: ProviderReq) -> ProviderResp {
         match q {
             ProviderReq::Put(items) => ProviderResp::Put(self.providers.put_batch(node, items)),
             ProviderReq::Fetch(ids) => {
@@ -536,8 +485,7 @@ impl ServerState {
                 min_publishers,
             } => BoardResp::Sequence(
                 self.pattern_board
-                    .sequence_with_confidence(key, min_publishers)
-                    .map(|(seq, conf)| ((*seq).clone(), conf)),
+                    .sequence_with_confidence(key, min_publishers),
             ),
             BoardReq::Purge { keys, freed } => {
                 // Snapshot-GC hygiene for both services hosted beside the
@@ -566,7 +514,7 @@ impl ServerState {
             }
             ClusterReq::GetExclusive(key) => {
                 // The coarse-probe ablation: one exclusive acquisition
-                // per key, exactly as the direct path models it.
+                // per key.
                 ClusterResp::GotOne(self.cluster_write().get(&key))
             }
             ClusterReq::NovelOf(keys) => {
@@ -588,10 +536,91 @@ impl ServerState {
     }
 }
 
+/// What each version-manager request does to the state machine. Live
+/// dispatch and journal replay both come through here, so a replayed
+/// record cannot drift from the request that produced it.
+fn apply_vm(vm: &mut VManager, q: &VmReq) -> VmResp {
+    match *q {
+        VmReq::CreateBlob { size, chunk_size } => VmResp::Created(vm.create_blob(size, chunk_size)),
+        VmReq::CloneBlob { src, version } => VmResp::Cloned(vm.clone_blob(src, version)),
+        VmReq::Latest(blob) => VmResp::Latest(vm.meta(blob).map(|m| m.latest())),
+        VmReq::Size(blob) => VmResp::Size(vm.meta(blob).map(|m| m.size)),
+        VmReq::LiveSnapshots(blob) => VmResp::LiveSnapshots(vm.live_snapshots(blob)),
+        VmReq::VersionMeta(blob, version) => VmResp::VersionMeta(vm.meta(blob).and_then(|meta| {
+            let root = meta
+                .root(version)
+                .ok_or(BlobError::NoSuchVersion(blob, version))?;
+            Ok(VersionInfo {
+                root,
+                size: meta.size,
+                chunk_size: meta.chunk_size,
+                span: meta.span,
+            })
+        })),
+        VmReq::Publish { blob, base, root } => VmResp::Published(vm.publish(blob, base, root)),
+        // Compound: the caller holds ONE lock across the delete and the
+        // live-root frontier snapshot, so the pair is atomic.
+        VmReq::DeleteSnapshots { blob, ref versions } => VmResp::Deleted((|| {
+            let dead_roots = vm.delete_snapshots(blob, versions)?;
+            let live_roots = vm.family_live_roots(blob)?;
+            let span = vm.meta(blob)?.span;
+            Ok(DeleteOutcome {
+                dead_roots,
+                live_roots,
+                span,
+            })
+        })()),
+        VmReq::ReserveKeys(n) => VmResp::Reserved(vm.reserve_keys(n)),
+    }
+}
+
+/// Re-apply one journaled mutation through the function that served it.
+/// The op was journaled only after succeeding, so an error here means
+/// the record is obsolete (e.g. delete of an already-deleted version
+/// whose first delete was also replayed) — never fatal. Exhaustive on
+/// purpose: a new `VmReq` variant does not compile until it is
+/// classified here, so replay can never silently drop one.
+fn replay_vm(vm: &mut VManager, op: &VmReq) {
+    match op {
+        VmReq::CreateBlob { .. } | VmReq::CloneBlob { .. } | VmReq::Publish { .. } => {
+            let _ = apply_vm(vm, op);
+        }
+        // Only the mutation: a delete's reply carries the family's
+        // live-root frontier, an O(blobs) read per record that replay
+        // would throw away.
+        VmReq::DeleteSnapshots { blob, versions } => {
+            let _ = vm.delete_snapshots(*blob, versions);
+        }
+        // Never journaled: read-only, or durable through
+        // `JournalRecord::KeyMark` high-water marks.
+        VmReq::Latest(_)
+        | VmReq::Size(_)
+        | VmReq::LiveSnapshots(_)
+        | VmReq::VersionMeta(..)
+        | VmReq::ReserveKeys(_) => {}
+    }
+}
+
+/// Whether `resp` reports a version-manager mutation that was applied
+/// and must therefore be journaled (and handed to [`replay_vm`] on
+/// recovery). Exhaustive for the same reason as [`replay_vm`].
+fn vm_mutated(resp: &VmResp) -> bool {
+    match resp {
+        VmResp::Created(r) | VmResp::Cloned(r) => r.is_ok(),
+        VmResp::Published(r) => r.is_ok(),
+        VmResp::Deleted(r) => r.is_ok(),
+        // Read-only, or durable through `JournalRecord::KeyMark`.
+        VmResp::Latest(_)
+        | VmResp::Size(_)
+        | VmResp::LiveSnapshots(_)
+        | VmResp::VersionMeta(_)
+        | VmResp::Reserved(_) => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bff_net::NodeId;
     use bff_wire::types::{BlobId, ChunkId, NodeKey};
 
     fn state() -> ServerState {

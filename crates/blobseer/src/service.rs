@@ -1,6 +1,6 @@
 //! The assembled storage service: the client-side handle that binds a
 //! deployment's configuration, topology and [`Fabric`] to the server
-//! roles behind a message [`Transport`].
+//! roles.
 //!
 //! All server components are passive state machines guarded by mutexes
 //! (see [`crate::server::ServerState`]); *clients* execute the protocol
@@ -11,20 +11,23 @@
 //!
 //! The typed accessor methods here (`vm_*`, `pm_*`, `meta_*`,
 //! `provider_*`, `board_*`, `cluster_*`) are the *entire* client→server
-//! surface. Each has two paths:
+//! surface, and there is **one request path**: each accessor builds a
+//! [`bff_wire::Req`], hands it to `BlobStore::call` and unpacks the
+//! [`bff_wire::Resp`]. Every request is served by
+//! [`ServerState::dispatch`]; the only thing a deployment chooses is
+//! whether a hop sits in front of it:
 //!
-//! * **direct** — the transport is [`DirectTransport`] and the server
-//!   state lives in this process: the method runs today's exact
-//!   zero-copy code against the state machines (no message exists);
-//! * **wire** — the request is encoded as a [`bff_wire::Req`] frame,
-//!   carried by the transport (in-process codec round-trip or real TCP),
-//!   dispatched by [`ServerState::dispatch`] on the serving side, and
-//!   the decoded [`bff_wire::Resp`] is unpacked.
+//! * no hop ([`TransportMode::Direct`]) — the typed value is handed to
+//!   the in-process `dispatch` as is; no frame ever exists;
+//! * a [`Transport`] hop (codec round trip, loopback sockets, or the
+//!   external processes behind [`BlobStore::remote`]) — the request is
+//!   encoded, carried, decoded by [`ServerState::handle_frame`] on the
+//!   serving side, dispatched, and the reply travels back the same way.
 //!
-//! Both paths acquire server-side locks with identical granularity, and
-//! every *modelled* cost was already charged to the fabric by the caller
-//! — so logical outcomes are transport-invariant (the
-//! `cross_stack_equivalence` suite pins this).
+//! Lock granularity, journaling and replies are therefore the same by
+//! construction, and every *modelled* cost was already charged to the
+//! fabric by the caller — so logical outcomes are transport-invariant
+//! (the `cross_stack_equivalence` suite pins this).
 
 use crate::api::{BlobConfig, BlobId, BlobTopology, ChunkDesc, ChunkId, TransportMode, Version};
 use crate::api::{BlobResult, NodeKey, TreeNode};
@@ -37,8 +40,7 @@ use crate::provider::ProviderStore;
 use crate::server::ServerState;
 use bff_data::{ContentKey, FastMap, FastSet, Payload};
 use bff_net::transport::{
-    CodecTransport, DirectTransport, FrameHandler, FrameServer, RouteKey, RouteTable,
-    SocketTransport, Transport, WireStats,
+    CodecTransport, FrameServer, Role, RouteTable, SocketTransport, Transport, WireStats,
 };
 use bff_net::{Fabric, NodeId};
 use bff_wire::msg::{
@@ -46,6 +48,8 @@ use bff_wire::msg::{
     MetaResp, PmReq, PmResp, ProviderReq, ProviderResp, Req, Resp, VersionInfo, VmReq, VmResp,
 };
 use parking_lot::{Mutex, RwLock};
+use std::collections::HashMap;
+use std::net::SocketAddr;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -65,16 +69,17 @@ pub struct BlobStore {
     /// The server half, when it lives in this process (`None` for a
     /// [`BlobStore::remote`] handle talking to external processes).
     srv: Option<Arc<ServerState>>,
-    /// How typed requests reach the server roles.
-    transport: Arc<dyn Transport>,
+    /// The hop in front of `dispatch`; `None` hands typed requests to
+    /// the in-process `srv` unencoded. At least one of the two is set.
+    transport: Option<Arc<dyn Transport>>,
     /// In-process socket mode: the listener threads serving `srv`
     /// (dropping the store stops them).
-    _listeners: Vec<FrameServer>,
+    _listeners: Vec<(Role, FrameServer)>,
 }
 
 impl BlobStore {
     /// Deploy the service with the given configuration and placement.
-    /// `cfg.transport` selects how requests reach the server roles (all
+    /// `cfg.transport` selects the hop in front of the server roles (all
     /// three modes host the server state in this process).
     pub fn new(cfg: BlobConfig, topo: BlobTopology, fabric: Arc<dyn Fabric>) -> Arc<Self> {
         Self::with_placement(cfg, topo, fabric, Placement::RoundRobin)
@@ -95,13 +100,9 @@ impl BlobStore {
     /// providers (one directory per provider node) plus the mutation
     /// journal, both replayed before the handle is returned — the
     /// in-process twin of attaching to `blob_server --data-dir`
-    /// processes via [`BlobStore::remote`].
-    ///
-    /// Requires a message transport ([`TransportMode::Codec`] or
-    /// [`TransportMode::Socket`]): journaling lives in
-    /// [`ServerState::dispatch`], which the direct zero-copy accessors
-    /// bypass — a direct-transport durable deployment would ack
-    /// mutations without ever journaling them.
+    /// processes via [`BlobStore::remote`]. Any [`TransportMode`] works:
+    /// journaling happens in [`ServerState::dispatch`], which every
+    /// request goes through.
     pub fn durable(
         cfg: BlobConfig,
         topo: BlobTopology,
@@ -109,74 +110,37 @@ impl BlobStore {
         placement: Placement,
         data_dir: &std::path::Path,
     ) -> std::io::Result<(Arc<Self>, crate::durable::RecoveryReport)> {
-        assert!(
-            cfg.transport != TransportMode::Direct,
-            "durable deployments need a message transport (codec/socket): \
-             the direct accessors bypass dispatch and would skip the journal"
-        );
         let (srv, report) = ServerState::recover(&cfg, &topo, placement, data_dir)?;
         Ok((Self::attach(cfg, topo, fabric, Arc::new(srv)), report))
     }
 
-    /// Bind an in-process server state behind the configured transport.
+    /// Bind an in-process server state behind the configured hop.
     fn attach(
         cfg: BlobConfig,
         topo: BlobTopology,
         fabric: Arc<dyn Fabric>,
         srv: Arc<ServerState>,
     ) -> Arc<Self> {
-        let (transport, listeners): (Arc<dyn Transport>, Vec<FrameServer>) = match cfg.transport {
-            TransportMode::Direct => (Arc::new(DirectTransport), Vec::new()),
-            TransportMode::Codec => {
-                let state = Arc::clone(&srv);
-                let handler: FrameHandler =
-                    Arc::new(move |route, frame| state.handle_frame(route, frame));
-                (Arc::new(CodecTransport::new(handler)), Vec::new())
-            }
+        let mut listeners = Vec::new();
+        let transport: Option<Arc<dyn Transport>> = match cfg.transport {
+            TransportMode::Direct => None,
+            TransportMode::Codec => Some(Arc::new(CodecTransport::new(srv.frame_handler()))),
             TransportMode::Socket => {
                 // One loopback listener per role, all serving the same
                 // in-process state — the full framed-TCP path without
                 // separate processes. (Multi-process deployments run
                 // `blob_server` binaries and connect via
                 // [`BlobStore::remote`].)
-                let routes = [
-                    RouteKey::Vm,
-                    RouteKey::Pm,
-                    RouteKey::Board,
-                    RouteKey::Cluster,
-                    RouteKey::Meta(0),
-                    RouteKey::Provider(topo.providers[0]),
-                ];
-                let listeners: Vec<FrameServer> = routes
-                    .into_iter()
-                    .map(|route| {
-                        let state = Arc::clone(&srv);
-                        let handler: FrameHandler =
-                            Arc::new(move |route, frame| state.handle_frame(route, frame));
-                        FrameServer::start(route, handler).expect("bind loopback listener")
-                    })
+                listeners = srv.serve(&Role::ALL).expect("bind loopback listener");
+                let addrs: HashMap<Role, SocketAddr> = listeners
+                    .iter()
+                    .map(|(role, s)| (*role, s.addr()))
                     .collect();
-                let table = RouteTable {
-                    vm: listeners[0].addr(),
-                    pm: listeners[1].addr(),
-                    board: listeners[2].addr(),
-                    cluster: listeners[3].addr(),
-                    meta: listeners[4].addr(),
-                    provider: listeners[5].addr(),
-                };
-                (Arc::new(SocketTransport::new(table)), listeners)
+                let table = RouteTable::from_roles(&addrs).expect("every role is served");
+                Some(Arc::new(SocketTransport::new(table)))
             }
         };
-        Arc::new(Self {
-            provider_set: topo.providers.iter().copied().collect(),
-            contexts: Mutex::new(FastMap::default()),
-            srv: Some(srv),
-            transport,
-            _listeners: listeners,
-            cfg,
-            topo,
-            fabric,
-        })
+        Self::assemble(cfg, topo, fabric, Some(srv), transport, listeners)
     }
 
     /// Attach to a cluster whose server roles run in *other* processes,
@@ -191,54 +155,54 @@ impl BlobStore {
         fabric: Arc<dyn Fabric>,
         transport: Arc<dyn Transport>,
     ) -> Arc<Self> {
-        assert!(
-            !transport.is_direct(),
-            "a direct transport needs in-process server state; use BlobStore::new"
-        );
+        Self::assemble(cfg, topo, fabric, None, Some(transport), Vec::new())
+    }
+
+    fn assemble(
+        cfg: BlobConfig,
+        topo: BlobTopology,
+        fabric: Arc<dyn Fabric>,
+        srv: Option<Arc<ServerState>>,
+        transport: Option<Arc<dyn Transport>>,
+        listeners: Vec<(Role, FrameServer)>,
+    ) -> Arc<Self> {
         Arc::new(Self {
             provider_set: topo.providers.iter().copied().collect(),
             contexts: Mutex::new(FastMap::default()),
-            srv: None,
+            srv,
             transport,
-            _listeners: Vec::new(),
+            _listeners: listeners,
             cfg,
             topo,
             fabric,
         })
     }
 
-    /// The in-process server state when the transport dispatches typed
-    /// values directly — the zero-copy fast path every accessor below
-    /// takes first.
-    #[inline]
-    fn direct(&self) -> Option<&ServerState> {
-        if self.transport.is_direct() {
-            self.srv.as_deref()
-        } else {
-            None
-        }
-    }
-
-    /// The in-process server state regardless of transport (codec and
-    /// in-process socket modes still host it here). `None` only for
-    /// [`BlobStore::remote`] handles.
+    /// The in-process server state (every [`TransportMode`] hosts it
+    /// here). Absent only on [`BlobStore::remote`] handles.
     fn local(&self) -> &ServerState {
         self.srv
             .as_deref()
             .expect("server state lives in another process (remote BlobStore handle)")
     }
 
-    /// One encoded round trip over the transport.
+    /// The one request path: serve `req` with [`ServerState::dispatch`],
+    /// behind the transport hop when the deployment has one.
     fn call(&self, req: Req) -> BlobResult<Resp> {
+        let Some(transport) = &self.transport else {
+            return Ok(self.local().dispatch(req)?);
+        };
         let frame = bff_wire::encode(&req);
-        let reply = self.transport.call(req.route(), &frame)?;
+        let reply = transport.call(req.route(), &frame)?;
         Ok(bff_wire::decode::<Resp>(&reply)?)
     }
 
-    /// Real serialized bytes the transport has moved (all zeros under
-    /// the direct transport — no frame ever exists).
+    /// Real serialized bytes the transport has moved (all zeros without
+    /// a transport hop — no frame ever exists).
     pub fn wire_stats(&self) -> WireStats {
-        self.transport.wire_stats()
+        self.transport
+            .as_ref()
+            .map_or_else(WireStats::default, |t| t.wire_stats())
     }
 
     /// Whether `node` hosts a chunk provider in this deployment.
@@ -258,9 +222,6 @@ impl BlobStore {
     // -----------------------------------------------------------------
 
     pub(crate) fn vm_create_blob(&self, size: u64, chunk_size: u64) -> BlobResult<BlobId> {
-        if let Some(srv) = self.direct() {
-            return srv.vmanager.lock().create_blob(size, chunk_size);
-        }
         match self.call(Req::Vm(VmReq::CreateBlob { size, chunk_size }))? {
             Resp::Vm(VmResp::Created(r)) => r,
             _ => Err(unexpected_resp()),
@@ -268,9 +229,6 @@ impl BlobStore {
     }
 
     pub(crate) fn vm_clone_blob(&self, src: BlobId, version: Version) -> BlobResult<BlobId> {
-        if let Some(srv) = self.direct() {
-            return srv.vmanager.lock().clone_blob(src, version);
-        }
         match self.call(Req::Vm(VmReq::CloneBlob { src, version }))? {
             Resp::Vm(VmResp::Cloned(r)) => r,
             _ => Err(unexpected_resp()),
@@ -278,9 +236,6 @@ impl BlobStore {
     }
 
     pub(crate) fn vm_latest(&self, blob: BlobId) -> BlobResult<Version> {
-        if let Some(srv) = self.direct() {
-            return Ok(srv.vmanager.lock().meta(blob)?.latest());
-        }
         match self.call(Req::Vm(VmReq::Latest(blob)))? {
             Resp::Vm(VmResp::Latest(r)) => r,
             _ => Err(unexpected_resp()),
@@ -288,9 +243,6 @@ impl BlobStore {
     }
 
     pub(crate) fn vm_size(&self, blob: BlobId) -> BlobResult<u64> {
-        if let Some(srv) = self.direct() {
-            return Ok(srv.vmanager.lock().meta(blob)?.size);
-        }
         match self.call(Req::Vm(VmReq::Size(blob)))? {
             Resp::Vm(VmResp::Size(r)) => r,
             _ => Err(unexpected_resp()),
@@ -298,9 +250,6 @@ impl BlobStore {
     }
 
     pub(crate) fn vm_live_snapshots(&self, blob: BlobId) -> BlobResult<Vec<Version>> {
-        if let Some(srv) = self.direct() {
-            return srv.vmanager.lock().live_snapshots(blob);
-        }
         match self.call(Req::Vm(VmReq::LiveSnapshots(blob)))? {
             Resp::Vm(VmResp::LiveSnapshots(r)) => r,
             _ => Err(unexpected_resp()),
@@ -312,19 +261,6 @@ impl BlobStore {
         blob: BlobId,
         version: Version,
     ) -> BlobResult<VersionInfo> {
-        if let Some(srv) = self.direct() {
-            let vm = srv.vmanager.lock();
-            let meta = vm.meta(blob)?;
-            let root = meta
-                .root(version)
-                .ok_or(crate::api::BlobError::NoSuchVersion(blob, version))?;
-            return Ok(VersionInfo {
-                root,
-                size: meta.size,
-                chunk_size: meta.chunk_size,
-                span: meta.span,
-            });
-        }
         match self.call(Req::Vm(VmReq::VersionMeta(blob, version)))? {
             Resp::Vm(VmResp::VersionMeta(r)) => r,
             _ => Err(unexpected_resp()),
@@ -337,9 +273,6 @@ impl BlobStore {
         base: Version,
         root: NodeKey,
     ) -> BlobResult<Version> {
-        if let Some(srv) = self.direct() {
-            return srv.vmanager.lock().publish(blob, base, root);
-        }
         match self.call(Req::Vm(VmReq::Publish { blob, base, root }))? {
             Resp::Vm(VmResp::Published(r)) => r,
             _ => Err(unexpected_resp()),
@@ -351,19 +284,6 @@ impl BlobStore {
         blob: BlobId,
         versions: &[Version],
     ) -> BlobResult<DeleteOutcome> {
-        if let Some(srv) = self.direct() {
-            // Compound under ONE lock: the delete and the live-root
-            // frontier snapshot are one atomic critical section.
-            let mut vm = srv.vmanager.lock();
-            let dead_roots = vm.delete_snapshots(blob, versions)?;
-            let live_roots = vm.family_live_roots(blob)?;
-            let span = vm.meta(blob)?.span;
-            return Ok(DeleteOutcome {
-                dead_roots,
-                live_roots,
-                span,
-            });
-        }
         match self.call(Req::Vm(VmReq::DeleteSnapshots {
             blob,
             versions: versions.to_vec(),
@@ -374,9 +294,6 @@ impl BlobStore {
     }
 
     pub(crate) fn vm_reserve_keys(&self, n: u64) -> BlobResult<Range<u64>> {
-        if let Some(srv) = self.direct() {
-            return Ok(srv.vmanager.lock().reserve_keys(n));
-        }
         match self.call(Req::Vm(VmReq::ReserveKeys(n)))? {
             Resp::Vm(VmResp::Reserved(r)) => Ok(r),
             _ => Err(unexpected_resp()),
@@ -394,12 +311,6 @@ impl BlobStore {
         replication: usize,
         down: Vec<bool>,
     ) -> BlobResult<Vec<ChunkDesc>> {
-        if let Some(srv) = self.direct() {
-            return srv
-                .pmanager
-                .lock()
-                .allocate_avoiding(n, chunk_bytes, replication, &down);
-        }
         match self.call(Req::Pm(PmReq::Allocate {
             n,
             chunk_bytes,
@@ -421,10 +332,6 @@ impl BlobStore {
         shard: usize,
         keys: Vec<NodeKey>,
     ) -> BlobResult<Vec<TreeNode>> {
-        if let Some(srv) = self.direct() {
-            let part = srv.meta[shard].lock();
-            return keys.into_iter().map(|k| part.get(k)).collect();
-        }
         match self.call(Req::Meta {
             shard: shard as u32,
             req: MetaReq::ReadNodes(keys),
@@ -439,10 +346,6 @@ impl BlobStore {
         shard: usize,
         nodes: Vec<(NodeKey, TreeNode)>,
     ) -> BlobResult<()> {
-        if let Some(srv) = self.direct() {
-            srv.meta[shard].lock().put(nodes);
-            return Ok(());
-        }
         match self.call(Req::Meta {
             shard: shard as u32,
             req: MetaReq::WriteNodes(nodes),
@@ -462,9 +365,6 @@ impl BlobStore {
         prov: NodeId,
         items: Vec<(ChunkId, Payload)>,
     ) -> BlobResult<bool> {
-        if let Some(srv) = self.direct() {
-            return Ok(srv.providers.put_batch(prov, items));
-        }
         match self.call(Req::Provider {
             node: prov,
             req: ProviderReq::Put(items),
@@ -479,12 +379,6 @@ impl BlobStore {
         prov: NodeId,
         ids: Vec<ChunkId>,
     ) -> BlobResult<Vec<Option<(Payload, bool)>>> {
-        if let Some(srv) = self.direct() {
-            return Ok(match srv.providers.lock(prov) {
-                Some(mut p) => ids.into_iter().map(|id| p.get(id)).collect(),
-                None => vec![None; ids.len()],
-            });
-        }
         match self.call(Req::Provider {
             node: prov,
             req: ProviderReq::Fetch(ids),
@@ -498,9 +392,6 @@ impl BlobStore {
     /// failure reads as "absent", which the dedup validation path treats
     /// as a stale hit — conservative and safe.
     pub(crate) fn provider_peek(&self, prov: NodeId, id: ChunkId) -> Option<Payload> {
-        if let Some(srv) = self.direct() {
-            return srv.providers.lock(prov).and_then(|p| p.peek(id));
-        }
         match self.call(Req::Provider {
             node: prov,
             req: ProviderReq::Peek(id),
@@ -514,9 +405,6 @@ impl BlobStore {
     /// retained" — the commit then pushes fresh bytes instead of
     /// committing by reference, which is always safe.
     pub(crate) fn provider_retain(&self, prov: NodeId, id: ChunkId) -> bool {
-        if let Some(srv) = self.direct() {
-            return srv.providers.retain(prov, id);
-        }
         matches!(
             self.call(Req::Provider {
                 node: prov,
@@ -529,9 +417,6 @@ impl BlobStore {
     /// Drop one reference (rollback path). A transport failure is a
     /// bounded leak — identical to skipping a down provider.
     pub(crate) fn provider_release(&self, prov: NodeId, id: ChunkId) -> bool {
-        if let Some(srv) = self.direct() {
-            return srv.providers.release(prov, id);
-        }
         matches!(
             self.call(Req::Provider {
                 node: prov,
@@ -550,9 +435,6 @@ impl BlobStore {
         id: ChunkId,
         n: u64,
     ) -> (u64, bool, bool) {
-        if let Some(srv) = self.direct() {
-            return srv.providers.release_counted(prov, id, n);
-        }
         match self.call(Req::Provider {
             node: prov,
             req: ProviderReq::ReleaseCounted(id, n),
@@ -570,15 +452,12 @@ impl BlobStore {
     pub(crate) fn board_novel_of(
         &self,
         key: (BlobId, Version),
-        batch: &[u64],
+        batch: Vec<u64>,
         min_publishers: usize,
     ) -> Vec<u64> {
-        if let Some(srv) = self.direct() {
-            return srv.pattern_board.novel_of(key, batch, min_publishers);
-        }
         match self.call(Req::Board(BoardReq::NovelOf {
             key,
-            batch: batch.to_vec(),
+            batch,
             min_publishers,
         })) {
             Ok(Resp::Board(BoardResp::Novel(r))) => r,
@@ -590,15 +469,12 @@ impl BlobStore {
         &self,
         key: (BlobId, Version),
         publisher: NodeId,
-        batch: &[u64],
+        batch: Vec<u64>,
     ) -> usize {
-        if let Some(srv) = self.direct() {
-            return srv.pattern_board.merge(key, publisher, batch);
-        }
         match self.call(Req::Board(BoardReq::Merge {
             key,
             publisher,
-            batch: batch.to_vec(),
+            batch,
         })) {
             Ok(Resp::Board(BoardResp::Merged(n))) => n,
             _ => 0,
@@ -606,9 +482,6 @@ impl BlobStore {
     }
 
     pub(crate) fn board_sequence_len(&self, key: (BlobId, Version)) -> usize {
-        if let Some(srv) = self.direct() {
-            return srv.pattern_board.sequence_len(key);
-        }
         match self.call(Req::Board(BoardReq::SequenceLen(key))) {
             Ok(Resp::Board(BoardResp::SequenceLen(n))) => n,
             _ => 0,
@@ -620,17 +493,11 @@ impl BlobStore {
         key: (BlobId, Version),
         min_publishers: usize,
     ) -> Option<ConfidentSequence> {
-        if let Some(srv) = self.direct() {
-            // Zero-copy: the merged sequence stays shared by refcount.
-            return srv
-                .pattern_board
-                .sequence_with_confidence(key, min_publishers);
-        }
         match self.call(Req::Board(BoardReq::Sequence {
             key,
             min_publishers,
         })) {
-            Ok(Resp::Board(BoardResp::Sequence(Some((seq, conf))))) => Some((Arc::new(seq), conf)),
+            Ok(Resp::Board(BoardResp::Sequence(r))) => r,
             _ => None,
         }
     }
@@ -644,15 +511,6 @@ impl BlobStore {
         versions: &[(BlobId, Version)],
         freed: &FastSet<ChunkId>,
     ) -> usize {
-        if let Some(srv) = self.direct() {
-            for &key in versions {
-                srv.pattern_board.drop_pattern(key);
-            }
-            if freed.is_empty() {
-                return 0;
-            }
-            return srv.cluster_write().evict_chunks(freed);
-        }
         let mut freed: Vec<ChunkId> = freed.iter().copied().collect();
         freed.sort_unstable(); // deterministic frame bytes
         match self.call(Req::Board(BoardReq::Purge {
@@ -671,22 +529,16 @@ impl BlobStore {
 
     /// Batch probe: one shared-lock acquisition for all keys. Transport
     /// failure → all misses.
-    pub(crate) fn cluster_get(&self, keys: &[ContentKey]) -> Vec<Option<ChunkDesc>> {
-        if let Some(srv) = self.direct() {
-            let index = srv.cluster_read();
-            return keys.iter().map(|k| index.get(k)).collect();
-        }
-        match self.call(Req::Cluster(ClusterReq::Get(keys.to_vec()))) {
-            Ok(Resp::Cluster(ClusterResp::Got(r))) if r.len() == keys.len() => r,
-            _ => vec![None; keys.len()],
+    pub(crate) fn cluster_get(&self, keys: Vec<ContentKey>) -> Vec<Option<ChunkDesc>> {
+        let n = keys.len();
+        match self.call(Req::Cluster(ClusterReq::Get(keys))) {
+            Ok(Resp::Cluster(ClusterResp::Got(r))) if r.len() == n => r,
+            _ => vec![None; n],
         }
     }
 
     /// Coarse-ablation probe: one *exclusive* acquisition for one key.
     pub(crate) fn cluster_get_exclusive(&self, key: &ContentKey) -> Option<ChunkDesc> {
-        if let Some(srv) = self.direct() {
-            return srv.cluster_write().get(key);
-        }
         match self.call(Req::Cluster(ClusterReq::GetExclusive(*key))) {
             Ok(Resp::Cluster(ClusterResp::GotOne(r))) => r,
             _ => None,
@@ -695,11 +547,8 @@ impl BlobStore {
 
     /// Which keys the index does not yet hold. Transport failure → no
     /// keys are novel (the publish is skipped, content stays node-local).
-    pub(crate) fn cluster_novel_of(&self, keys: &[ContentKey]) -> Vec<ContentKey> {
-        if let Some(srv) = self.direct() {
-            return srv.cluster_read().novel_of(keys.iter());
-        }
-        match self.call(Req::Cluster(ClusterReq::NovelOf(keys.to_vec()))) {
+    pub(crate) fn cluster_novel_of(&self, keys: Vec<ContentKey>) -> Vec<ContentKey> {
+        match self.call(Req::Cluster(ClusterReq::NovelOf(keys))) {
             Ok(Resp::Cluster(ClusterResp::Novel(r))) => r,
             _ => Vec::new(),
         }
@@ -707,22 +556,11 @@ impl BlobStore {
 
     /// Record novel entries: one exclusive acquisition for the batch.
     pub(crate) fn cluster_record(&self, entries: Vec<(ContentKey, ChunkDesc)>) {
-        if let Some(srv) = self.direct() {
-            let mut index = srv.cluster_write();
-            for (key, desc) in entries {
-                index.record(key, desc);
-            }
-            return;
-        }
         let _ = self.call(Req::Cluster(ClusterReq::Record(entries)));
     }
 
     /// Drop a stale entry wherever it lives.
     pub(crate) fn cluster_forget(&self, key: &ContentKey) {
-        if let Some(srv) = self.direct() {
-            srv.cluster_write().forget(key);
-            return;
-        }
         let _ = self.call(Req::Cluster(ClusterReq::Forget(*key)));
     }
 
@@ -745,14 +583,14 @@ impl BlobStore {
     /// The cluster access-pattern board (diagnostics; the data plane
     /// goes through [`crate::Client`]). Requires in-process server state.
     pub fn pattern_board(&self) -> &BoardService {
-        &self.local().pattern_board
+        self.local().pattern_board()
     }
 
     /// The cluster-wide dedup index (diagnostics; the data plane goes
     /// through [`crate::Client::write_chunks`]). Requires in-process
     /// server state.
     pub fn cluster_index(&self) -> &RwLock<ClusterIndex> {
-        &self.local().cluster_index
+        self.local().cluster_index()
     }
 
     /// Contention counters of the cluster-index lock.
@@ -799,7 +637,7 @@ impl BlobStore {
     /// The deployed provider set (chunk stores, refcounts, loads).
     /// Requires in-process server state.
     pub fn providers(&self) -> &ProviderStore {
-        &self.local().providers
+        self.local().providers()
     }
 
     /// Durability counters for this deployment: fsyncs issued, acks
@@ -815,32 +653,28 @@ impl BlobStore {
     /// metric: snapshots that share content do not multiply it.
     /// Lock-free: maintained by the sharded store's atomic counters.
     pub fn total_stored_bytes(&self) -> u64 {
-        self.local().providers.total_stored_bytes()
+        self.providers().total_stored_bytes()
     }
 
     /// Total chunks stored across all providers (lock-free).
     pub fn total_chunks(&self) -> usize {
-        self.local().providers.total_chunks()
+        self.providers().total_chunks()
     }
 
     /// Total metadata tree nodes stored.
     pub fn total_metadata_nodes(&self) -> usize {
-        self.local()
-            .meta
-            .iter()
-            .map(|m| m.lock().node_count())
-            .sum()
+        self.local().total_metadata_nodes()
     }
 
     /// Per-provider stored bytes, in `topology().providers` order
     /// (balance diagnostics).
     pub fn provider_loads(&self) -> Vec<u64> {
-        self.local().providers.loads()
+        self.providers().loads()
     }
 
     /// Drop all simulated page caches (ablations).
     pub fn drop_provider_caches(&self) {
-        self.local().providers.drop_caches();
+        self.providers().drop_caches();
     }
 }
 
@@ -885,6 +719,39 @@ mod tests {
             providers: vec![],
         };
         BlobStore::new(BlobConfig::default(), topo, fabric);
+    }
+
+    /// Error-path calls answer the same with and without a transport
+    /// hop: addressing errors are `Err`, unknown providers degrade.
+    #[test]
+    fn error_paths_agree_across_transports() {
+        let outcomes = |transport| {
+            let fabric = LocalFabric::new(3);
+            let nodes: Vec<NodeId> = (0..2).map(NodeId).collect();
+            let topo = BlobTopology::colocated(&nodes, NodeId(2));
+            let cfg = BlobConfig {
+                transport,
+                ..Default::default()
+            };
+            let store = BlobStore::new(cfg, topo, fabric);
+            let stranger = NodeId(99);
+            (
+                store.meta_read_nodes(99, vec![NodeKey(1)]),
+                store.meta_write_nodes(99, Vec::new()),
+                store.provider_fetch(stranger, vec![ChunkId(1), ChunkId(2)]),
+                store.provider_retain(stranger, ChunkId(1)),
+                store.provider_release(stranger, ChunkId(1)),
+                store.provider_peek(stranger, ChunkId(1)),
+                store.vm_latest(BlobId(7)),
+            )
+        };
+        let direct = outcomes(TransportMode::Direct);
+        assert_eq!(direct, outcomes(TransportMode::Codec));
+        let (read, write, fetched, retained, released, peeked, latest) = direct;
+        assert!(read.is_err() && write.is_err(), "out-of-range shard");
+        assert_eq!(fetched, Ok(vec![None, None]), "unknown provider: absent");
+        assert!(!retained && !released && peeked.is_none());
+        assert_eq!(latest, Err(crate::api::BlobError::NoSuchBlob(BlobId(7))));
     }
 
     #[test]

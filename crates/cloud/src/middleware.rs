@@ -310,7 +310,7 @@ pub struct ClusterMetrics {
     /// Chunk replica instances stored across all providers.
     pub stored_chunks: usize,
     /// Serialized request/response bytes the transport moved (all zero
-    /// under the direct transport — no frame ever exists).
+    /// under `TransportMode::Direct` — no frame ever exists).
     pub wire: bff_net::transport::WireStats,
     /// Durability counters: fsyncs issued, acks covered by them, the
     /// acks-per-fsync batching ratio and the worst group-commit ticket

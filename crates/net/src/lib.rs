@@ -26,8 +26,8 @@ pub mod transport;
 pub use stats::{NodeTraffic, TrafficStats};
 pub use thread_fabric::{ThreadDiskParams, ThreadFabric, ThreadParams};
 pub use transport::{
-    CodecTransport, DirectTransport, FrameHandler, FrameServer, Role, RouteKey, RouteTable,
-    SocketTransport, Transport, WireError, WireStats,
+    CodecTransport, FrameHandler, FrameServer, Role, RouteKey, RouteTable, SocketTransport,
+    Transport, WireError, WireStats,
 };
 
 use std::fmt;

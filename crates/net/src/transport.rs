@@ -1,21 +1,20 @@
-//! Message transports: how a typed request reaches the server role that
-//! owns the state it targets.
+//! Message transports: the optional hop that carries an *encoded*
+//! request to the server role that owns the state it targets.
 //!
 //! The protocol logic upstack (clients in `bff-blobseer`) charges every
 //! *modelled* cost — RPC rounds, bulk transfers, disk time — to a
 //! [`crate::Fabric`] before touching server state, so the mechanism that
 //! actually carries the message is orthogonal to the modelled economics.
-//! That mechanism is this module's [`Transport`]:
+//! A deployment whose server state lives in the client's process needs
+//! no hop at all (the typed request is handed straight to the server's
+//! dispatcher; nothing in this module runs). Every other deployment puts
+//! a [`Transport`] in front of that same dispatcher:
 //!
-//! * [`DirectTransport`] — the in-process baseline: typed requests are
-//!   dispatched as plain values (zero copies, no serialization). This is
-//!   the behaviour every simulation result was produced under, kept as
-//!   the equivalence anchor.
 //! * [`CodecTransport`] — in-process, but every message round-trips
 //!   through the full binary codec (encode → decode → handle → encode →
 //!   decode). Anything that cannot cross a process boundary — a stowaway
 //!   pointer, a non-serializable field — fails loudly here, and the
-//!   encode/decode cost is measurable against the direct baseline.
+//!   encode/decode cost is measurable against the hop-free deployment.
 //! * [`SocketTransport`] — real TCP over loopback (or any address):
 //!   length-prefixed frames, blocking I/O, one pooled connection set per
 //!   server address. With [`FrameServer`] listeners on the other side
@@ -207,39 +206,16 @@ pub type FrameHandler = Arc<dyn Fn(RouteKey, &[u8]) -> Result<Vec<u8>, WireError
 /// shutdown handle paired with its serving thread.
 type ConnRegistry = Arc<Mutex<Vec<(TcpStream, std::thread::JoinHandle<()>)>>>;
 
-/// How request messages reach the server roles. See the module docs for
-/// the three implementations.
+/// How encoded request frames reach the server roles. See the module
+/// docs for the implementations.
 pub trait Transport: Send + Sync {
-    /// Whether this transport dispatches typed values without encoding
-    /// (the caller must then hold the server state locally and skip
-    /// [`Transport::call`] entirely).
-    fn is_direct(&self) -> bool {
-        false
-    }
-
     /// Carry one encoded request frame to the role behind `route` and
     /// return the encoded response frame.
     fn call(&self, route: RouteKey, frame: &[u8]) -> Result<Vec<u8>, WireError>;
 
-    /// Real serialized bytes moved so far (zero for direct transports).
+    /// Real serialized bytes moved so far.
     fn wire_stats(&self) -> WireStats {
         WireStats::default()
-    }
-}
-
-/// The zero-copy in-process baseline: requests are dispatched as typed
-/// values by the caller; no frame ever exists.
-#[derive(Debug, Default)]
-pub struct DirectTransport;
-
-impl Transport for DirectTransport {
-    fn is_direct(&self) -> bool {
-        true
-    }
-
-    fn call(&self, _route: RouteKey, _frame: &[u8]) -> Result<Vec<u8>, WireError> {
-        debug_assert!(false, "direct transports dispatch typed values");
-        Err(WireError::Closed)
     }
 }
 

@@ -22,6 +22,7 @@ use bff_wire::types::{
 use bff_wire::WireError;
 use proptest::prelude::*;
 use proptest::strategy::TestRng;
+use std::sync::Arc;
 
 /// Adapter: any `fn(&mut TestRng) -> T` is a strategy.
 struct Gen<T>(fn(&mut TestRng) -> T);
@@ -326,7 +327,7 @@ fn arb_board_resp(rng: &mut TestRng) -> BoardResp {
                 let n = seq.len();
                 Some((0..n).map(|_| rng.below(2) == 0).collect())
             };
-            Some((seq, conf))
+            Some((Arc::new(seq), conf))
         }),
         _ => BoardResp::Purged(arb_usize(rng)),
     }
@@ -611,7 +612,7 @@ fn every_variant_roundtrips_once() {
         Resp::Board(BoardResp::Merged(2)),
         Resp::Board(BoardResp::SequenceLen(3)),
         Resp::Board(BoardResp::Sequence(Some((
-            vec![1, 2],
+            Arc::new(vec![1, 2]),
             Some(vec![true, false]),
         )))),
         Resp::Board(BoardResp::Purged(4)),

@@ -266,7 +266,7 @@ fn direct_codec_and_socket_transports_agree_on_all_logical_outcomes() {
     // moved every request over the wire — and because the codec is
     // deterministic and the workload schedule is identical, the two
     // framed transports serialized byte-for-byte the same traffic.
-    assert_eq!(direct_wire.calls, 0, "direct transports never frame");
+    assert_eq!(direct_wire.calls, 0, "direct wire calls == 0: no frame");
     assert!(codec_wire.calls > 0, "codec transport frames every request");
     assert_eq!(
         codec_wire, socket_wire,

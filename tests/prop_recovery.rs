@@ -11,11 +11,17 @@
 //! Three layers are attacked independently: the raw [`RecordLog`]
 //! framing, the provider's log-structured [`SegmentStore`] (including
 //! rotation and compaction, via a tiny segment size), and the manager
-//! [`Journal`].
+//! [`Journal`]. One whole-deployment case closes the file: a durable
+//! [`BlobStore`] without a transport hop journals like one behind the
+//! codec, and recovers byte-identically.
 
 use bff::blobseer::durable::{Journal, SegmentStore};
-use bff::blobseer::{ChunkId, DurabilityStats, GroupCommit};
+use bff::blobseer::{
+    BlobConfig, BlobId, BlobStore, BlobTopology, ChunkId, Client, DurabilityStats, GroupCommit,
+    Placement, RecoveryReport, TransportMode, Version,
+};
 use bff::data::{Payload, RecordLog};
+use bff::net::{Fabric, LocalFabric, NodeId};
 use bff::wire::msg::VmReq;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -320,4 +326,89 @@ proptest! {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+const CHUNK: u64 = 4096;
+
+fn durable_store(
+    dir: &std::path::Path,
+    transport: TransportMode,
+) -> (Arc<BlobStore>, RecoveryReport) {
+    let compute: Vec<NodeId> = (0..3).map(NodeId).collect();
+    let cfg = BlobConfig {
+        chunk_size: CHUNK,
+        transport,
+        ..BlobConfig::default()
+    };
+    BlobStore::durable(
+        cfg,
+        BlobTopology::colocated(&compute, NodeId(3)),
+        LocalFabric::new(4) as Arc<dyn Fabric>,
+        Placement::RoundRobin,
+        dir,
+    )
+    .expect("durable deployment")
+}
+
+fn pattern(seed: u8, len: u64) -> Vec<u8> {
+    (0..len).map(|i| seed.wrapping_add((i / 7) as u8)).collect()
+}
+
+/// upload → clone → write → snapshot → delete-snapshot on a fresh
+/// durable deployment over `transport`, then drop it. Returns the
+/// expected bytes of every snapshot that survives.
+fn run_durable_workload(
+    dir: &std::path::Path,
+    transport: TransportMode,
+) -> Vec<(BlobId, Version, Vec<u8>)> {
+    let (store, report) = durable_store(dir, transport);
+    assert_eq!(report.journal_records, 0, "cold start");
+    let client = Client::new(store, NodeId(0));
+    let image = pattern(1, 8 * CHUNK);
+    let (base, v1) = client.upload(Payload::from_bytes(image.clone())).unwrap();
+    let clone = client.clone_blob(base, v1).unwrap();
+    let patch = |mut bytes: Vec<u8>, at: u64, seed: u8| {
+        let fill = pattern(seed, CHUNK);
+        bytes[at as usize..(at + CHUNK) as usize].copy_from_slice(&fill);
+        (bytes, Payload::from_bytes(fill))
+    };
+    let (doomed, fill) = patch(image.clone(), 2 * CHUNK, 50);
+    let v2 = client.write(clone, Version(1), 2 * CHUNK, fill).unwrap();
+    let (kept, fill) = patch(doomed, 5 * CHUNK, 90);
+    let v3 = client.write(clone, v2, 5 * CHUNK, fill).unwrap();
+    client.delete_snapshot(clone, v2).unwrap();
+    vec![
+        (base, v1, image.clone()),
+        (clone, Version(1), image),
+        (clone, v3, kept),
+    ]
+}
+
+/// A durable deployment needs no transport hop to be durable: every
+/// request is served — and journaled — by `ServerState::dispatch`, so
+/// `TransportMode::Direct` leaves the same journal as the codec round
+/// trip and recovers every surviving snapshot byte-identically.
+#[test]
+fn durable_direct_deployment_journals_and_recovers() {
+    let direct_dir = scratch("durable-direct");
+    let codec_dir = scratch("durable-codec");
+    let survivors = run_durable_workload(&direct_dir, TransportMode::Direct);
+    run_durable_workload(&codec_dir, TransportMode::Codec);
+
+    let (store, report) = durable_store(&direct_dir, TransportMode::Direct);
+    let (_, codec_report) = durable_store(&codec_dir, TransportMode::Codec);
+    assert!(!report.journal_torn);
+    assert!(report.journal_records > 0, "the direct path journals");
+    assert_eq!(
+        report.journal_records, codec_report.journal_records,
+        "same workload, same journal, whichever way requests arrived"
+    );
+
+    let client = Client::new(store, NodeId(1));
+    for (blob, version, want) in survivors {
+        let got = client.read(blob, version, 0..want.len() as u64).unwrap();
+        assert_eq!(got.materialize(), want, "{blob:?} {version:?} diverged");
+    }
+    let _ = std::fs::remove_dir_all(&direct_dir);
+    let _ = std::fs::remove_dir_all(&codec_dir);
 }
