@@ -12,7 +12,8 @@
 //!     [--loadgen-results target/paper/load_summary.json --loadgen-baseline BENCH_6.json] \
 //!     [--transport-results target/paper/transport_summary.json --transport-baseline BENCH_7.json] \
 //!     [--recovery-results target/paper/recovery_summary.json --recovery-baseline BENCH_8.json] \
-//!     [--durable-results target/paper/durable_summary.json --durable-baseline BENCH_9.json]
+//!     [--durable-results target/paper/durable_summary.json --durable-baseline BENCH_9.json] \
+//!     [--gc-results target/paper/gc_cost_summary.json --gc-baseline BENCH_13.json]
 //! ```
 //!
 //! On failure the gate ends with a `FAILED METRICS` block naming, for
@@ -225,6 +226,25 @@ const DURABLE_CHECKS: &[(&str, &str, &str)] = &[
     ),
 ];
 
+/// Measured-value keys checked between the `dedup_sweep` GC-cost
+/// summary and `BENCH_13.json`: what one single-version delete reads to
+/// find its dead leaves, per-root full walks ÷ the joint pruned descent,
+/// as metadata rounds and as tree nodes asked of the `NodeIo`. Both are
+/// counts on a fixed in-memory fixture, so they repeat exactly and the
+/// baseline's tolerance is zero.
+const GC_COST_CHECKS: &[(&str, &str, &str)] = &[
+    (
+        "snapshot GC: metadata rounds per delete, per-root walks ÷ joint descent",
+        "gc_fetch_rounds_reduction",
+        "gc_fetch_rounds_reduction_floor",
+    ),
+    (
+        "snapshot GC: tree nodes fetched per delete, per-root walks ÷ joint descent",
+        "gc_nodes_fetched_reduction",
+        "gc_nodes_fetched_reduction_floor",
+    ),
+];
+
 /// Measured-value keys checked between a prefetch summary and
 /// `BENCH_4.json`.
 const PREFETCH_CHECKS: &[(&str, &str, &str)] = &[
@@ -359,6 +379,8 @@ fn main() -> ExitCode {
     let mut recovery_baseline = String::from("BENCH_8.json");
     let mut durable_results: Option<String> = None;
     let mut durable_baseline = String::from("BENCH_9.json");
+    let mut gc_results: Option<String> = None;
+    let mut gc_baseline = String::from("BENCH_13.json");
     while let Some(a) = args.next() {
         match a.as_str() {
             "--results" => {
@@ -431,6 +453,13 @@ fn main() -> ExitCode {
             "--durable-baseline" => {
                 durable_baseline = args.next().expect("--durable-baseline needs a path")
             }
+            "--gc-results" => {
+                let path = args.next().expect("--gc-results needs a path");
+                gc_results = Some(
+                    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}")),
+                );
+            }
+            "--gc-baseline" => gc_baseline = args.next().expect("--gc-baseline needs a path"),
             other => panic!("unknown argument {other}"),
         }
     }
@@ -442,10 +471,11 @@ fn main() -> ExitCode {
             || loadgen_results.is_some()
             || transport_results.is_some()
             || recovery_results.is_some()
-            || durable_results.is_some(),
+            || durable_results.is_some()
+            || gc_results.is_some(),
         "no --results, --dedup-results, --prefetch-results, --cluster-results, \
-         --loadgen-results, --transport-results, --recovery-results or \
-         --durable-results provided"
+         --loadgen-results, --transport-results, --recovery-results, \
+         --durable-results or --gc-results provided"
     );
     let mut failures: Vec<Failure> = Vec::new();
     if let Some(summary) = &dedup_results {
@@ -535,6 +565,17 @@ fn main() -> ExitCode {
             summary,
             &baseline,
             &durable_baseline,
+        ));
+    }
+    if let Some(summary) = &gc_results {
+        let baseline = std::fs::read_to_string(&gc_baseline)
+            .unwrap_or_else(|e| panic!("read baseline {gc_baseline}: {e}"));
+        failures.extend(check_summary(
+            "gc-cost",
+            GC_COST_CHECKS,
+            summary,
+            &baseline,
+            &gc_baseline,
         ));
     }
     if !results.is_empty() {

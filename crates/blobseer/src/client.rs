@@ -104,7 +104,7 @@ use bff_data::{chunk_cover, chunk_range, intersect, ByteRange, ContentKey, Paylo
 use bff_data::{FastMap, FastSet};
 use bff_net::{NetError, NodeId};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -1188,18 +1188,19 @@ impl Client {
     ///
     /// The version manager marks the versions dead (one control RPC,
     /// all-or-nothing) and hands back every live root of the blob's
-    /// *clone family* — the only trees that can share metadata leaf
-    /// nodes with the deleted ones. The collector then walks the dead
-    /// trees and the live trees ([`segtree::collect_leaf_keys`],
-    /// served through the client's metadata node cache) and diffs them
-    /// by **leaf node key**: a leaf reachable only from dead roots holds
-    /// exactly one provider-side reference per acked replica in its
-    /// descriptor — the write path's refcount invariant — so releasing
-    /// those references (batched per provider, one control RPC each,
-    /// down providers skipped) frees precisely the chunks no surviving
-    /// snapshot can reach, and never a shared one. Zero-ref chunks are
-    /// removed by the providers with the aggregate storage counters
-    /// maintained exactly.
+    /// *clone family*, each once — the only trees that can share
+    /// metadata nodes with the deleted ones. The collector descends the
+    /// dead and the live trees together, one metadata round per level,
+    /// abandoning every subtree a live tree shares
+    /// ([`segtree::collect_dead_leaves`]): it reads the paths on which
+    /// the deleted versions differ from their family, not the family's
+    /// trees. A leaf only dead roots reach holds exactly one
+    /// provider-side reference per acked replica in its descriptor — the
+    /// write path's refcount invariant — so releasing those references
+    /// (one batched RPC per provider, down providers skipped) frees
+    /// precisely the chunks no surviving snapshot can reach, and never a
+    /// shared one. Zero-ref chunks are removed by the providers with the
+    /// aggregate storage counters maintained exactly.
     ///
     /// Freed chunks are evicted from the cluster dedup index, every
     /// node's digest index and chunk cache, and the deleted versions'
@@ -1211,9 +1212,10 @@ impl Client {
     ///
     /// Errors after the marking RPC leave the versions deleted with
     /// their references unreleased — a bounded leak, never a wrong
-    /// free; re-deleting is not possible (the versions no longer
-    /// resolve), so the leak is the crash-consistency cost of not
-    /// running a write-ahead log.
+    /// free. The mark is journaled on a durable deployment, so a crash
+    /// at that point recovers to the same state: re-deleting is not
+    /// possible (the versions no longer resolve), and nothing records
+    /// which releases were still owed.
     pub fn delete_snapshots(&self, blob: BlobId, versions: &[Version]) -> BlobResult<GcReport> {
         if versions.is_empty() {
             return Ok(GcReport::default());
@@ -1222,31 +1224,18 @@ impl Client {
         //    the family's live-root frontier under the same lock.
         self.control_rpc(self.store.topology().vmanager)?;
         let outcome = self.store.vm_delete_snapshots(blob, versions)?;
-        let (dead_roots, live_roots, span) = (outcome.dead_roots, outcome.live_roots, outcome.span);
         for &v in versions {
             self.version_cache.lock().remove(&(blob, v));
         }
 
         // 2. Reachability diff by leaf node key: dead = reachable from a
         //    deleted root and from no live one.
-        let mut dead: FastMap<NodeKey, ChunkDesc> = FastMap::default();
-        {
-            let mut io = ClientNodeIo { client: self };
-            for &root in &dead_roots {
-                for (_, key, desc) in segtree::collect_leaf_keys(&mut io, root, span)? {
-                    dead.insert(key, desc);
-                }
-            }
-            let live_roots: FastSet<NodeKey> = live_roots.into_iter().collect();
-            for &root in &live_roots {
-                if dead.is_empty() {
-                    break;
-                }
-                for (_, key, _) in segtree::collect_leaf_keys(&mut io, root, span)? {
-                    dead.remove(&key);
-                }
-            }
-        }
+        let dead = segtree::collect_dead_leaves(
+            &mut ClientNodeIo { client: self },
+            &outcome.dead_roots,
+            &outcome.live_roots,
+            outcome.span,
+        )?;
         let mut report = GcReport {
             deleted_versions: versions.len(),
             dead_leaves: dead.len() as u64,
@@ -1254,22 +1243,21 @@ impl Client {
         };
 
         // 3. Release the dead leaves' references on every acked replica,
-        //    batched per provider. A down or unreachable provider is
-        //    skipped — its copy is gone with it (or will resurface as an
-        //    orphan a future stale-hit validation cleans up); the storm
-        //    must not fail because one node died mid-release.
-        let mut by_prov: HashMap<NodeId, Vec<ChunkId>> = HashMap::new();
-        for desc in dead.values() {
+        //    one batch per provider. A down or unreachable provider is
+        //    skipped with its whole batch — its copy is gone with it (or
+        //    will resurface as an orphan a future stale-hit validation
+        //    cleans up); the storm must not fail because one node died
+        //    mid-release.
+        // Ascending provider order: deterministic RPCs.
+        let mut by_prov: BTreeMap<NodeId, Vec<ChunkId>> = BTreeMap::new();
+        for (_, desc) in &dead {
             for &prov in desc.replicas.iter() {
                 by_prov.entry(prov).or_default().push(desc.id);
             }
         }
-        let mut providers: Vec<NodeId> = by_prov.keys().copied().collect();
-        providers.sort_unstable(); // deterministic RPC order
         let c = self.cfg().control_bytes;
         let mut freed_ids: FastSet<ChunkId> = FastSet::default();
-        for prov in providers {
-            let ids = &by_prov[&prov];
+        for (prov, ids) in by_prov {
             if self.store.fabric.is_down(prov) {
                 continue;
             }
@@ -1277,8 +1265,8 @@ impl Client {
             if self.store.fabric.rpc(self.node, prov, req, c).is_err() {
                 continue;
             }
-            for &id in ids {
-                let (bytes, removed, dropped) = self.store.provider_release_counted(prov, id, 1);
+            let released = self.store.provider_release_counted(prov, &ids);
+            for (id, (bytes, removed, dropped)) in ids.into_iter().zip(released) {
                 report.released_refs += dropped as u64;
                 if removed {
                     report.freed_chunks += 1;

@@ -20,7 +20,14 @@
 //! its still-live `Put` records are re-appended to the active segment,
 //! its tombstones for ids absent from the index are carried forward
 //! (they may shadow `Put`s in *other* segments), and the file is
-//! deleted.
+//! deleted. Compaction runs inside the `free` that tipped the segment,
+//! under the provider's lock, so it reads only what it moves: the live
+//! records are found through the index and read one by one, the
+//! tombstones come from the segment's in-memory id list — the file is
+//! never re-scanned. A segment is mostly dead by then (a snapshot
+//! rotation frees nearly everything it wrote), and re-reading all of it
+//! stalled every client of the provider for the time it takes to read
+//! and checksum `segment_bytes`.
 //!
 //! ## Refcount log (`refs.log`)
 //!
@@ -428,6 +435,21 @@ struct Segment {
     total: u64,
     /// Framed bytes of `Put` records still in the index.
     live: u64,
+    /// Ids of this segment's `Free` tombstones, in append order — what
+    /// compaction has to consider carrying forward, kept here so that it
+    /// need not re-read the file.
+    frees: Vec<ChunkId>,
+}
+
+impl Segment {
+    fn new(log: RecordLog) -> Self {
+        Segment {
+            total: log.len(),
+            log,
+            live: 0,
+            frees: Vec::new(),
+        }
+    }
 }
 
 /// What a [`SegmentStore::open`] recovered.
@@ -499,12 +521,7 @@ impl SegmentStore {
         for &n in &seg_nos {
             let (records, log, torn) = RecordLog::open(&seg_path(dir, n))?;
             stats.torn_files += torn as usize;
-            let total = log.len();
-            let mut seg = Segment {
-                log,
-                total,
-                live: 0,
-            };
+            let mut seg = Segment::new(log);
             for (off, payload) in records {
                 match bff_wire::decode::<ChunkRecord>(&payload) {
                     Ok(ChunkRecord::Put { id, data }) => {
@@ -530,6 +547,7 @@ impl SegmentStore {
                         seg.live += framed;
                     }
                     Ok(ChunkRecord::Free { id }) => {
+                        seg.frees.push(id);
                         if let Some(prev) = index.remove(&id) {
                             let framed = RecordLog::framed_len(prev.enc_len as usize);
                             if prev.seg == n {
@@ -551,14 +569,7 @@ impl SegmentStore {
         let active = seg_nos.last().copied().unwrap_or(0);
         if segments.is_empty() {
             let (_, log, _) = RecordLog::open(&seg_path(dir, 0))?;
-            segments.insert(
-                0,
-                Segment {
-                    log,
-                    total: 0,
-                    live: 0,
-                },
-            );
+            segments.insert(0, Segment::new(log));
         }
 
         // Replay the refcount log against the recovered index.
@@ -659,14 +670,7 @@ impl SegmentStore {
         self.active_seg().log.sync_force()?;
         let next = self.active + 1;
         let (_, log, _) = RecordLog::open(&seg_path(&self.dir, next))?;
-        self.segments.insert(
-            next,
-            Segment {
-                log,
-                total: 0,
-                live: 0,
-            },
-        );
+        self.segments.insert(next, Segment::new(log));
         self.active = next;
         Ok(())
     }
@@ -707,10 +711,7 @@ impl SegmentStore {
         let Some(loc) = self.index.remove(&id) else {
             return Ok(());
         };
-        let payload = bff_wire::encode(&ChunkRecord::Free { id });
-        let s = self.active_seg();
-        s.log.append(&payload)?;
-        s.total += RecordLog::framed_len(payload.len());
+        self.append_free(id)?;
         let framed = RecordLog::framed_len(loc.enc_len as usize);
         if let Some(seg) = self.segments.get_mut(&loc.seg) {
             seg.live -= framed.min(seg.live);
@@ -789,59 +790,57 @@ impl SegmentStore {
         self.compact(seg_no)
     }
 
+    /// Append a `Free` tombstone for `id` to the active segment.
+    fn append_free(&mut self, id: ChunkId) -> io::Result<()> {
+        let payload = bff_wire::encode(&ChunkRecord::Free { id });
+        let s = self.active_seg();
+        s.log.append(&payload)?;
+        s.total += RecordLog::framed_len(payload.len());
+        s.frees.push(id);
+        Ok(())
+    }
+
     /// Rewrite sealed segment `seg_no`: carry live puts and still-needed
-    /// tombstones into the active segment, then delete the file.
+    /// tombstones into the active segment, then delete the file. Reads
+    /// the live records only (see the module header).
     fn compact(&mut self, seg_no: u64) -> io::Result<()> {
-        let path = seg_path(&self.dir, seg_no);
-        // Re-scan the file: the in-memory state only holds per-chunk
-        // locations, not the record sequence.
-        let (records, _, _) = RecordLog::open(&path)?;
-        for (off, payload) in records {
-            match bff_wire::decode::<ChunkRecord>(&payload) {
-                Ok(ChunkRecord::Put { id, .. }) => {
-                    let live_here = self
-                        .index
-                        .get(&id)
-                        .is_some_and(|l| l.seg == seg_no && l.off == off);
-                    if !live_here {
-                        continue;
-                    }
-                    let seg = self.active;
-                    let s = self.active_seg();
-                    let new_off = s.log.append(&payload)?;
-                    let framed = RecordLog::framed_len(payload.len());
-                    s.total += framed;
-                    s.live += framed;
-                    if let Some(loc) = self.index.get_mut(&id) {
-                        loc.seg = seg;
-                        loc.off = new_off;
-                    }
-                    // Compaction moves committed data, so the copy must
-                    // be durable before the source is deleted.
-                    if self.active_seg().log.len() >= self.segment_bytes {
-                        self.rotate_if_full()?;
-                    }
-                }
-                Ok(ChunkRecord::Free { id }) => {
-                    // A tombstone for a chunk still absent from the
-                    // index may be shadowing a Put in an *older*
-                    // segment; carry it forward.
-                    if self.index.contains_key(&id) {
-                        continue;
-                    }
-                    let s = self.active_seg();
-                    s.log.append(&payload)?;
-                    s.total += RecordLog::framed_len(payload.len());
-                }
-                Err(_) => {}
+        let Some(old) = self.segments.remove(&seg_no) else {
+            return Ok(());
+        };
+        // The index knows what is live here; file order keeps the
+        // rewrite deterministic.
+        let mut live: Vec<(ChunkId, Loc)> = (self.index.iter())
+            .filter(|(_, loc)| loc.seg == seg_no)
+            .map(|(&id, &loc)| (id, loc))
+            .collect();
+        live.sort_unstable_by_key(|(_, loc)| loc.off);
+        for (id, loc) in live {
+            // A record that fails its checksum cannot be moved; it reads
+            // as absent from now on, like any chunk `read` cannot verify.
+            let Some(payload) = old.log.read_record(loc.off, loc.enc_len)? else {
+                continue;
+            };
+            let seg = self.active;
+            let s = self.active_seg();
+            let off = s.log.append(&payload)?;
+            let framed = RecordLog::framed_len(payload.len());
+            s.total += framed;
+            s.live += framed;
+            self.index.insert(id, Loc { seg, off, ..loc });
+            self.rotate_if_full()?;
+        }
+        // A tombstone for a chunk still absent from the index may be
+        // shadowing a Put in an *older* segment; carry it forward.
+        for id in old.frees {
+            if !self.index.contains_key(&id) {
+                self.append_free(id)?;
             }
         }
-        // Forced for the same reason as rotation's seal: the moved
-        // copies must be durable before the source file disappears,
-        // regardless of in-flight group-commit claims.
+        // Compaction moves committed data, so the copies must be durable
+        // before the source file disappears. Forced for the same reason
+        // as rotation's seal: regardless of in-flight group-commit claims.
         self.active_seg().log.sync_force()?;
-        self.segments.remove(&seg_no);
-        std::fs::remove_file(&path)?;
+        std::fs::remove_file(seg_path(&self.dir, seg_no))?;
         Ok(())
     }
 
@@ -1096,6 +1095,54 @@ mod tests {
         assert_eq!(s.disk_bytes(), disk);
         for i in 56..64u64 {
             assert!(s.read(ChunkId(i + 1)).unwrap().content_eq(&blob(i)));
+        }
+    }
+
+    #[test]
+    fn compaction_carries_tombstones_it_learned_from_replay() {
+        let dir = scratch("carry");
+        let seg_bytes = 4 * 1024;
+        let blob = |i: u64| {
+            Payload::from_bytes((0..512).map(|b| (b as u8) ^ i as u8).collect::<Vec<u8>>())
+        };
+        // Put fresh ids until the active segment seals; the ids it got.
+        let fill = |s: &mut SegmentStore, next: &mut u64| {
+            let (sealing, mut ids) = (s.active, Vec::new());
+            while s.active == sealing {
+                s.put(ChunkId(*next), &blob(*next)).unwrap();
+                ids.push(*next);
+                *next += 1;
+            }
+            ids
+        };
+        let (mut s, _, _) = SegmentStore::open(&dir, seg_bytes).unwrap();
+        let mut next = 1u64;
+        let first = fill(&mut s, &mut next);
+        // The tombstone of a chunk of segment 0 lands in segment 1 …
+        s.free(ChunkId(first[0])).unwrap();
+        let second = fill(&mut s, &mut next);
+        assert_eq!((s.active, s.segments.len()), (2, 3));
+        s.sync().unwrap();
+        drop(s);
+        // … and is known again after a restart, from replay alone.
+        let (mut s, _, _) = SegmentStore::open(&dir, seg_bytes).unwrap();
+        assert_eq!(s.segments[&1].frees, vec![ChunkId(first[0])]);
+        // Free most of segment 1: it compacts away, segment 0 stays, and
+        // the tombstone that shadows segment 0's Put moves on.
+        let (doomed, kept) = second.split_at(second.len() / 2 + 1);
+        for &id in doomed {
+            s.free(ChunkId(id)).unwrap();
+        }
+        assert!(s.segments.contains_key(&0) && !s.segments.contains_key(&1));
+        assert!(!seg_path(&dir, 1).exists());
+        assert!(s.segments[&2].frees.contains(&ChunkId(first[0])));
+        s.sync().unwrap();
+        drop(s);
+        let (s, _, stats) = SegmentStore::open(&dir, seg_bytes).unwrap();
+        assert_eq!(stats.chunks, first.len() - 1 + kept.len());
+        assert!(s.read(ChunkId(first[0])).is_none(), "no resurrection");
+        for &id in first[1..].iter().chain(kept) {
+            assert!(s.read(ChunkId(id)).unwrap().content_eq(&blob(id)));
         }
     }
 

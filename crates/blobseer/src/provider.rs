@@ -490,26 +490,27 @@ impl ProviderStore {
     /// aggregate counters (see [`Provider::release`]). Never underflows;
     /// returns `true` only when a reference was actually dropped.
     pub fn release(&self, node: NodeId, id: ChunkId) -> bool {
-        self.release_n(node, id, 1)
+        self.release_counted(node, &[id])[0].2
     }
 
-    /// Drop up to `n` dedup references under one shard acquisition (see
-    /// [`Provider::release_n`]), maintaining the aggregate counters.
-    pub fn release_n(&self, node: NodeId, id: ChunkId, n: u64) -> bool {
-        self.release_counted(node, id, n).2
-    }
-
-    /// [`ProviderStore::release_n`] with the garbage collector's view:
-    /// `(bytes freed, chunk removed, reference dropped)`. The aggregate
-    /// counters stay exact — a release that removes the chunk
-    /// decrements them in the same call.
-    pub fn release_counted(&self, node: NodeId, id: ChunkId, n: u64) -> (u64, bool, bool) {
+    /// Drop one dedup reference per entry of `ids` under one shard
+    /// acquisition, with the garbage collector's view of each: `(bytes
+    /// freed, chunk removed, reference dropped)`, in order. An id listed
+    /// twice loses two references. The aggregate counters stay exact —
+    /// releases that remove chunks decrement them in the same call. A
+    /// node that hosts no provider drops nothing.
+    pub fn release_counted(&self, node: NodeId, ids: &[ChunkId]) -> Vec<(u64, bool, bool)> {
         let Some(&slot) = self.slot_of.get(&node) else {
-            return (0, false, false);
+            return vec![(0, false, false); ids.len()];
         };
-        let (freed, removed, dropped) = self.shards[slot].lock().release_n(id, n);
+        let outcomes: Vec<(u64, bool, bool)> = {
+            let mut shard = self.shards[slot].lock();
+            ids.iter().map(|&id| shard.release(id)).collect()
+        };
+        let freed: u64 = outcomes.iter().map(|o| o.0).sum();
+        let removed = outcomes.iter().filter(|o| o.1).count();
         self.apply_delta(-(freed as i64), -(removed as i64));
-        (freed, removed, dropped)
+        outcomes
     }
 
     /// Dedup reference count of `id` at `node` (`None` if either is

@@ -13,7 +13,7 @@
 //! way BlobSeer parallelizes its distributed segment trees).
 
 use crate::api::{BlobError, BlobResult, ChunkDesc, NodeKey, TreeNode};
-use bff_data::FastMap;
+use bff_data::{FastMap, FastSet};
 use std::ops::Range;
 
 /// Batched metadata node I/O.
@@ -119,20 +119,89 @@ pub fn collect_leaves_multi(
     Ok(out)
 }
 
-/// Walk the whole tree of `root` and collect every leaf with its
-/// metadata **node key**: `(chunk index, leaf key, descriptor)`, in
-/// index order, one metadata round per level like
-/// [`collect_leaves_multi`].
+/// The garbage collector's reachability diff: the leaves `(node key,
+/// descriptor)` reachable from a root in `dead_roots` and from none in
+/// `live_roots`, found in one level-synchronous descent over all the
+/// trees at once — one [`NodeIo::fetch`] per level.
 ///
-/// This is the garbage collector's view of a snapshot. Chunk-level
-/// identity cannot drive deletion — two snapshots can reference one
-/// chunk either through a *shared* leaf node (shadowing/CLONE: one
-/// provider-side reference between them) or through *distinct* leaves
-/// (dedup by reference: one reference each) — but leaf-node identity
-/// can: every leaf node holds exactly one reference per replica in its
-/// descriptor, so a leaf reachable only from deleted roots releases
-/// exactly its own references and never a survivor's.
-pub fn collect_leaf_keys(
+/// The diff is by leaf *node*, not by chunk: two snapshots can share a
+/// chunk through one shared leaf (shadowing/CLONE: one provider-side
+/// reference between them) or through distinct leaves (dedup by
+/// reference: one each), and every leaf node holds exactly one
+/// reference per replica in its descriptor — so a leaf only deleted
+/// roots reach releases exactly its own references, never a survivor's.
+///
+/// All roots must come from one clone family, where a node key sits at
+/// exactly one tree position (see `crate::vmanager`). Per level: a dead
+/// candidate whose key is in the live frontier heads a subtree shared
+/// whole with a live tree and is dropped unfetched; a live node at a
+/// position no remaining dead candidate occupies can reach nothing
+/// below one and is dropped too; live leaves are never fetched. The
+/// descent stops when no dead candidate is left, so it reads the paths
+/// on which the deleted trees *differ* from the live ones.
+pub fn collect_dead_leaves(
+    io: &mut dyn NodeIo,
+    dead_roots: &[NodeKey],
+    live_roots: &[NodeKey],
+    span: u64,
+) -> BlobResult<Vec<(NodeKey, ChunkDesc)>> {
+    // Frontiers of (key, first chunk index of the node's range), each
+    // key once; every node of a level spans `width` chunks.
+    fn frontier(keys: impl IntoIterator<Item = (NodeKey, u64)>) -> Vec<(NodeKey, u64)> {
+        let mut seen = FastSet::default();
+        keys.into_iter()
+            .filter(|&(k, _)| !k.is_null() && seen.insert(k))
+            .collect()
+    }
+    let mut out = Vec::new();
+    let mut dead = frontier(dead_roots.iter().map(|&k| (k, 0)));
+    let mut live = frontier(live_roots.iter().map(|&k| (k, 0)));
+    let mut width = span;
+    loop {
+        let live_keys: FastSet<NodeKey> = live.iter().map(|&(k, _)| k).collect();
+        dead.retain(|(k, _)| !live_keys.contains(k));
+        if dead.is_empty() {
+            return Ok(out);
+        }
+        if width == 1 {
+            live.clear();
+        } else {
+            let contested: FastSet<u64> = dead.iter().map(|&(_, at)| at).collect();
+            live.retain(|(_, at)| contested.contains(at));
+        }
+        let keys: Vec<NodeKey> = dead.iter().chain(&live).map(|&(k, _)| k).collect();
+        let nodes = io.fetch(&keys)?;
+        let half = width / 2;
+        let (mut next_dead, mut next_live) = (Vec::new(), Vec::new());
+        for (i, (&(key, at), node)) in dead.iter().chain(&live).zip(nodes).enumerate() {
+            let is_dead = i < dead.len();
+            match node {
+                TreeNode::Leaf { chunk } => {
+                    debug_assert_eq!(width, 1, "leaf must cover one chunk");
+                    if is_dead {
+                        out.push((key, chunk));
+                    }
+                }
+                TreeNode::Inner { left, right } => {
+                    let next = if is_dead {
+                        &mut next_dead
+                    } else {
+                        &mut next_live
+                    };
+                    next.extend([(left, at), (right, at + half)]);
+                }
+            }
+        }
+        (dead, live) = (frontier(next_dead), frontier(next_live));
+        width = half;
+    }
+}
+
+/// The pre-joint-descent collector, kept as the test oracle: walk the
+/// whole tree of `root` and collect every leaf as `(chunk index, leaf
+/// key, descriptor)`, one metadata round per level per root.
+#[cfg(test)]
+pub(crate) fn collect_leaf_keys(
     io: &mut dyn NodeIo,
     root: NodeKey,
     span: u64,
@@ -148,10 +217,7 @@ pub fn collect_leaf_keys(
         let mut next = Vec::new();
         for ((key, range), node) in frontier.into_iter().zip(nodes) {
             match node {
-                TreeNode::Leaf { chunk } => {
-                    debug_assert_eq!(range.end - range.start, 1, "leaf must cover one chunk");
-                    out.push((range.start, key, chunk));
-                }
+                TreeNode::Leaf { chunk } => out.push((range.start, key, chunk)),
                 TreeNode::Inner { left, right } => {
                     let mid = range.start + (range.end - range.start) / 2;
                     if !left.is_null() {
@@ -300,6 +366,7 @@ mod tests {
         nodes: FastMap<NodeKey, TreeNode>,
         next: u64,
         fetch_rounds: usize,
+        fetched_nodes: usize,
         stored: usize,
     }
 
@@ -315,6 +382,7 @@ mod tests {
     impl NodeIo for MemIo {
         fn fetch(&mut self, keys: &[NodeKey]) -> BlobResult<Vec<TreeNode>> {
             self.fetch_rounds += 1;
+            self.fetched_nodes += keys.len();
             keys.iter()
                 .map(|k| {
                     self.nodes
@@ -543,6 +611,183 @@ mod tests {
         assert!(collect_leaf_keys(&mut io, NodeKey::NULL, 8)
             .unwrap()
             .is_empty());
+    }
+
+    /// The old collector's answer: every leaf the full walks of the
+    /// dead roots reach, minus every leaf the full walks of the live
+    /// roots reach. Sorted by leaf key.
+    fn dead_leaves_by_full_walks(
+        io: &mut MemIo,
+        dead_roots: &[NodeKey],
+        live_roots: &[NodeKey],
+        span: u64,
+    ) -> Vec<(NodeKey, ChunkDesc)> {
+        let mut dead: FastMap<NodeKey, ChunkDesc> = FastMap::default();
+        for &root in dead_roots {
+            for (_, key, desc) in collect_leaf_keys(io, root, span).unwrap() {
+                dead.insert(key, desc);
+            }
+        }
+        for &root in live_roots {
+            for (_, key, _) in collect_leaf_keys(io, root, span).unwrap() {
+                dead.remove(&key);
+            }
+        }
+        let mut dead: Vec<_> = dead.into_iter().collect();
+        dead.sort_by_key(|&(key, _)| key);
+        dead
+    }
+
+    fn sorted_dead_leaves(
+        io: &mut MemIo,
+        dead_roots: &[NodeKey],
+        live_roots: &[NodeKey],
+        span: u64,
+    ) -> Vec<(NodeKey, ChunkDesc)> {
+        let mut dead = collect_dead_leaves(io, dead_roots, live_roots, span).unwrap();
+        dead.sort_by_key(|&(key, _)| key);
+        dead
+    }
+
+    #[test]
+    fn joint_descent_matches_full_walk_oracle_on_random_histories() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut rand = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for case in 0..200 {
+            let span = 1u64 << rand(6); // 1..=32 chunks
+            let mut io = MemIo::new();
+            // A family's trees: each new root shadows a random earlier
+            // one (NULL = a fresh lineage start) with random updates.
+            let mut roots: Vec<NodeKey> = Vec::new();
+            for _ in 0..2 + rand(10) {
+                let base = match rand(roots.len() as u64 + 1) as usize {
+                    0 => NodeKey::NULL,
+                    i => roots[i - 1],
+                };
+                let touched: Vec<u64> = (0..1 + rand(4)).map(|_| rand(span)).collect();
+                let mut up = updates(&touched);
+                for desc in up.values_mut() {
+                    desc.id = ChunkId(rand(1 << 40)); // fresh content per write
+                }
+                roots.push(build_new_tree(&mut io, base, span, &up).unwrap());
+                if rand(4) == 0 {
+                    roots.push(*roots.last().unwrap()); // a clone's alias
+                }
+            }
+            // A random split into deleted and surviving roots; aliases
+            // may land on both sides.
+            let (mut dead, mut live) = (Vec::new(), Vec::new());
+            for &root in &roots {
+                if rand(3) == 0 {
+                    dead.push(root);
+                } else {
+                    live.push(root);
+                }
+            }
+            let want = dead_leaves_by_full_walks(&mut io, &dead, &live, span);
+            io.fetch_rounds = 0;
+            let got = sorted_dead_leaves(&mut io, &dead, &live, span);
+            assert_eq!(got, want, "case {case}: dead {dead:?} live {live:?}");
+            assert!(
+                io.fetch_rounds <= span.ilog2() as usize + 1,
+                "case {case}: {} rounds for depth {}",
+                io.fetch_rounds,
+                span.ilog2() + 1
+            );
+        }
+    }
+
+    #[test]
+    fn joint_descent_cost_follows_the_diff_not_the_family() {
+        // A 64-chunk base image, K lineage heads that each rewrote two
+        // chunks of it, and a victim that rewrote three. The full walks
+        // read (2 + K) × 127 nodes in (2 + K) × 7 rounds; the joint
+        // descent takes one round per level and reads, below the roots,
+        // only what sits at the positions along the victim's 3 paths.
+        let span = 64u64;
+        let depth = span.ilog2() as usize + 1;
+        type HeadWrites = fn(u64) -> [u64; 2];
+        // Heads rewrote the right half, the victim the left: nothing of
+        // theirs is contested, so the cost below the roots is constant —
+        // per level and path, the victim's node and the base's.
+        let apart: HeadWrites = |i| [32 + (5 * i + 1) % 32, 32 + (11 * i + 7) % 32];
+        // Heads rewrote chunks all over the image: per level, at most
+        // the 2 shadow nodes each head has there are contested as well.
+        let mixed: HeadWrites = |i| [(5 * i + 1) % 64, (11 * i + 7) % 64];
+        let mut apart_costs = Vec::new();
+        for (head_writes, heads_contested) in [(apart, 0usize), (mixed, 2)] {
+            for k in [1u64, 8, 32] {
+                let mut io = MemIo::new();
+                let all: Vec<u64> = (0..span).collect();
+                let base = build_new_tree(&mut io, NodeKey::NULL, span, &updates(&all)).unwrap();
+                let mut live = vec![base];
+                for i in 0..k {
+                    let up = updates(&head_writes(i));
+                    live.push(build_new_tree(&mut io, base, span, &up).unwrap());
+                }
+                let victim = build_new_tree(&mut io, base, span, &updates(&[3, 9, 30])).unwrap();
+
+                (io.fetch_rounds, io.fetched_nodes) = (0, 0);
+                let want = dead_leaves_by_full_walks(&mut io, &[victim], &live, span);
+                let (old_rounds, old_nodes) = (io.fetch_rounds, io.fetched_nodes);
+                assert_eq!(want.len(), 3);
+                assert_eq!(old_rounds, (1 + live.len()) * depth);
+                assert_eq!(old_nodes, (1 + live.len()) * (2 * span as usize - 1));
+
+                (io.fetch_rounds, io.fetched_nodes) = (0, 0);
+                let got = sorted_dead_leaves(&mut io, &[victim], &live, span);
+                assert_eq!(got, want);
+                assert_eq!(io.fetch_rounds, depth, "one round per level");
+                let below_roots = io.fetched_nodes - (1 + live.len());
+                let bound = (depth - 1) * (3 + 3 + heads_contested * k as usize);
+                assert!(
+                    below_roots <= bound,
+                    "K={k}: {below_roots} nodes below the roots, bound {bound} \
+                     (full walks: {old_nodes})"
+                );
+                if heads_contested == 0 {
+                    apart_costs.push(below_roots);
+                }
+            }
+        }
+        assert!(
+            apart_costs.windows(2).all(|w| w[0] == w[1]),
+            "cost below the roots must not depend on K: {apart_costs:?}"
+        );
+    }
+
+    #[test]
+    fn never_diverged_lineage_prunes_at_the_root_without_a_fetch() {
+        // Terminating a clone that never wrote: its only version aliases
+        // a live root, so the descent ends at level 0, fetching nothing.
+        let mut io = MemIo::new();
+        let all: Vec<u64> = (0..16).collect();
+        let source = build_new_tree(&mut io, NodeKey::NULL, 16, &updates(&all)).unwrap();
+        let head = build_new_tree(&mut io, source, 16, &updates(&[4])).unwrap();
+        io.fetch_rounds = 0;
+        let dead = collect_dead_leaves(&mut io, &[source], &[source, head], 16).unwrap();
+        assert!(dead.is_empty());
+        assert_eq!(io.fetch_rounds, 0);
+        // Empty and NULL inputs cost nothing either.
+        assert!(collect_dead_leaves(&mut io, &[], &[head], 16)
+            .unwrap()
+            .is_empty());
+        assert!(collect_dead_leaves(&mut io, &[NodeKey::NULL], &[], 16)
+            .unwrap()
+            .is_empty());
+        assert_eq!(io.fetch_rounds, 0);
+        // With no live root at all, the whole tree is dead.
+        assert_eq!(
+            collect_dead_leaves(&mut io, &[source], &[], 16)
+                .unwrap()
+                .len(),
+            16
+        );
     }
 
     #[test]

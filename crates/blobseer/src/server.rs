@@ -459,8 +459,8 @@ impl ServerState {
             }
             ProviderReq::Retain(id) => ProviderResp::Retained(self.providers.retain(node, id)),
             ProviderReq::Release(id) => ProviderResp::Released(self.providers.release(node, id)),
-            ProviderReq::ReleaseCounted(id, n) => {
-                ProviderResp::ReleaseCounted(self.providers.release_counted(node, id, n))
+            ProviderReq::ReleaseCounted(ids) => {
+                ProviderResp::ReleaseCounted(self.providers.release_counted(node, &ids))
             }
         }
     }
@@ -586,8 +586,7 @@ fn replay_vm(vm: &mut VManager, op: &VmReq) {
             let _ = apply_vm(vm, op);
         }
         // Only the mutation: a delete's reply carries the family's
-        // live-root frontier, an O(blobs) read per record that replay
-        // would throw away.
+        // live-root frontier, which replay would build and throw away.
         VmReq::DeleteSnapshots { blob, versions } => {
             let _ = vm.delete_snapshots(*blob, versions);
         }

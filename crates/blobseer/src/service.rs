@@ -426,21 +426,22 @@ impl BlobStore {
         )
     }
 
-    /// Drop `n` references and report `(bytes_freed, removed, dropped)`
-    /// (snapshot GC). Transport failure → `(0, false, false)`, the same
-    /// bounded-leak semantics as an unreachable provider.
+    /// Drop one reference per entry of `ids` at `prov` and report
+    /// `(bytes_freed, removed, dropped)` for each, in order (snapshot
+    /// GC). Transport failure → no outcomes: the whole batch reads as
+    /// skipped, the same bounded-leak semantics as an unreachable
+    /// provider.
     pub(crate) fn provider_release_counted(
         &self,
         prov: NodeId,
-        id: ChunkId,
-        n: u64,
-    ) -> (u64, bool, bool) {
+        ids: &[ChunkId],
+    ) -> Vec<(u64, bool, bool)> {
         match self.call(Req::Provider {
             node: prov,
-            req: ProviderReq::ReleaseCounted(id, n),
+            req: ProviderReq::ReleaseCounted(ids.to_vec()),
         }) {
             Ok(Resp::Provider(ProviderResp::ReleaseCounted(r))) => r,
-            _ => (0, false, false),
+            _ => Vec::new(),
         }
     }
 

@@ -13,12 +13,39 @@
 //! resolving) and hands the garbage collector the set of roots that can
 //! still reach shared metadata — every live root of the blob's *clone
 //! family* ([`VManager::family_live_roots`]). Trees only ever share
-//! leaf nodes through shadowing within a blob or through CLONE across
+//! nodes through shadowing within a blob or through CLONE across
 //! blobs, so the clone-connected component bounds exactly which trees
 //! the collector must treat as live.
+//!
+//! # The family live-root index
+//!
+//! That frontier is kept, not computed: `live_roots` maps each clone
+//! family to its live root keys, each with the number of live
+//! `(blob, version)` slots that hold it (a clone's `Version(1)` aliases
+//! its source's root, so one key can back many slots). `publish` and
+//! `clone_blob` count a slot in, `delete_snapshots` counts it out and
+//! drops the key — and the family — at zero. Journal replay re-applies
+//! exactly those three calls, so recovery rebuilds the index with no
+//! code of its own. A delete therefore reads O(live roots of the
+//! family), each key once, however many blobs and versions the
+//! repository has ever held.
+//!
+//! # Why the collector may prune by key
+//!
+//! Every family member has the same `span` (a clone copies it), every
+//! node is created by `segtree::build_new_tree` for one fixed chunk
+//! range, and sharing only ever re-links a node at the range it was
+//! built for. A node key therefore sits at exactly **one tree
+//! position** across the whole family: two trees holding the same key
+//! hold it at the same position, with the identical subtree beneath it.
+//! That position invariance is what lets
+//! [`crate::segtree::collect_dead_leaves`] compare a deleted tree with
+//! every live tree level by level, drop a subtree the moment its key
+//! shows up in a live tree, and ignore live nodes at positions no
+//! deleted candidate occupies.
 
 use crate::api::{BlobError, BlobId, BlobResult, NodeKey, Version};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Range;
 
 /// Per-blob metadata kept by the version manager.
@@ -63,6 +90,9 @@ impl BlobMeta {
 #[derive(Debug, Default)]
 pub struct VManager {
     blobs: HashMap<BlobId, BlobMeta>,
+    /// family → live root key → live `(blob, version)` slots holding it
+    /// (see the module header). No entry is NULL or counts zero.
+    live_roots: HashMap<u64, BTreeMap<NodeKey, u64>>,
     next_blob: u64,
     next_node_key: u64,
 }
@@ -72,6 +102,7 @@ impl VManager {
     pub fn new() -> Self {
         Self {
             blobs: HashMap::new(),
+            live_roots: HashMap::new(),
             next_blob: 1,
             next_node_key: 1,
         }
@@ -104,7 +135,44 @@ impl VManager {
             roots.push(root);
         }
         meta.deleted.extend(marking);
+        let family = meta.family;
+        for &root in &roots {
+            self.unindex_root(family, root);
+        }
         Ok(roots)
+    }
+
+    /// Count one live `(blob, version)` slot holding `root` into
+    /// `family`'s index. NULL roots (the empty tree) are never indexed.
+    fn index_root(&mut self, family: u64, root: NodeKey) {
+        if !root.is_null() {
+            *self
+                .live_roots
+                .entry(family)
+                .or_default()
+                .entry(root)
+                .or_insert(0) += 1;
+        }
+    }
+
+    /// Count one slot out again, dropping the key — and the family — at
+    /// zero so terminated lineages leave nothing behind in the index.
+    fn unindex_root(&mut self, family: u64, root: NodeKey) {
+        if root.is_null() {
+            return;
+        }
+        let roots = self
+            .live_roots
+            .get_mut(&family)
+            .expect("a live root's family is indexed");
+        let slots = roots.get_mut(&root).expect("a live root is indexed");
+        *slots -= 1;
+        if *slots == 0 {
+            roots.remove(&root);
+            if roots.is_empty() {
+                self.live_roots.remove(&family);
+            }
+        }
     }
 
     /// The still-live (published, undeleted) snapshot versions of
@@ -120,24 +188,18 @@ impl VManager {
     }
 
     /// Every live (undeleted, non-NULL) root in `blob`'s clone family —
-    /// the reachability frontier a snapshot delete must treat as alive.
-    /// Trees outside the family cannot share metadata nodes with the
-    /// deleted ones (dedup shares *chunks* via separate refcounted
-    /// leaves, never leaf nodes), so the collector need not walk them.
+    /// the reachability frontier a snapshot delete must treat as alive —
+    /// ascending, each key once however many versions alias it. Trees
+    /// outside the family cannot share metadata nodes with the deleted
+    /// ones (dedup shares *chunks* via separate refcounted leaves, never
+    /// leaf nodes), so the collector need not look at them. Read off the
+    /// live-root index: O(live roots of the family), no scan of `blobs`.
     pub fn family_live_roots(&self, blob: BlobId) -> BlobResult<Vec<NodeKey>> {
         let family = self.meta(blob)?.family;
-        let mut out = Vec::new();
-        for meta in self.blobs.values() {
-            if meta.family != family {
-                continue;
-            }
-            for (v, &root) in meta.roots.iter().enumerate() {
-                if !root.is_null() && !meta.deleted.contains(&(v as u64)) {
-                    out.push(root);
-                }
-            }
-        }
-        Ok(out)
+        Ok(self
+            .live_roots
+            .get(&family)
+            .map_or_else(Vec::new, |roots| roots.keys().copied().collect()))
     }
 
     /// Create an empty blob of `size` bytes striped into `chunk_size`
@@ -200,7 +262,9 @@ impl VManager {
             return Err(BlobError::NoSuchVersion(blob, base));
         }
         meta.roots.push(root);
-        Ok(Version(meta.roots.len() as u64 - 1))
+        let (version, family) = (meta.latest(), meta.family);
+        self.index_root(family, root);
+        Ok(version)
     }
 
     /// CLONE: a new blob whose `Version(1)` is `(src, version)`'s tree.
@@ -231,6 +295,7 @@ impl VManager {
                 family,
             },
         );
+        self.index_root(family, root);
         Ok(id)
     }
 
@@ -382,20 +447,142 @@ mod tests {
         vm.publish(b, Version(1), NodeKey(20)).unwrap();
         let unrelated = vm.create_blob(1000, 100).unwrap();
         vm.publish(unrelated, Version(0), NodeKey(99)).unwrap();
-        // The family sees a's root (also b's v1 alias) and b's v2 — not
-        // the unrelated blob's tree.
-        let mut roots = vm.family_live_roots(a).unwrap();
-        roots.sort();
-        assert_eq!(roots, vec![NodeKey(10), NodeKey(10), NodeKey(20)]);
+        // The family sees a's root — once, though b's v1 aliases it —
+        // and b's v2; not the unrelated blob's tree.
+        assert_eq!(
+            vm.family_live_roots(a).unwrap(),
+            vec![NodeKey(10), NodeKey(20)]
+        );
         assert_eq!(
             vm.family_live_roots(a).unwrap(),
             vm.family_live_roots(b).unwrap()
         );
-        // Deleting a's version leaves the clone's alias root live.
+        // Deleting a's version leaves the clone's alias slot, so the
+        // key stays live until that one goes too.
         vm.delete_snapshots(a, &[Version(1)]).unwrap();
-        let mut roots = vm.family_live_roots(a).unwrap();
-        roots.sort();
-        assert_eq!(roots, vec![NodeKey(10), NodeKey(20)]);
+        assert_eq!(
+            vm.family_live_roots(a).unwrap(),
+            vec![NodeKey(10), NodeKey(20)]
+        );
+        vm.delete_snapshots(b, &[Version(1)]).unwrap();
+        assert_eq!(vm.family_live_roots(a).unwrap(), vec![NodeKey(20)]);
+        vm.delete_snapshots(b, &[Version(2)]).unwrap();
+        assert!(vm.family_live_roots(a).unwrap().is_empty());
+        let family = vm.meta(a).unwrap().family;
+        assert!(
+            !vm.live_roots.contains_key(&family),
+            "an emptied family is dropped"
+        );
+    }
+
+    /// The pre-index implementation, kept as the oracle: scan every
+    /// blob ever created for live roots of `blob`'s family.
+    fn scan_family_live_roots(vm: &VManager, blob: BlobId) -> Vec<NodeKey> {
+        let family = vm.meta(blob).unwrap().family;
+        let mut out: Vec<NodeKey> = vm
+            .blobs
+            .values()
+            .filter(|meta| meta.family == family)
+            .flat_map(|meta| {
+                (meta.roots.iter().enumerate())
+                    .filter(|&(v, root)| !root.is_null() && !meta.deleted.contains(&(v as u64)))
+                    .map(|(_, &root)| root)
+            })
+            .collect();
+        out.sort();
+        out.dedup();
+        out
+    }
+
+    #[test]
+    fn index_matches_brute_force_scan_after_every_random_op() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rand = move |n: u64| {
+            // xorshift64: deterministic, dependency-free.
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for _case in 0..64 {
+            let mut vm = VManager::new();
+            let mut blobs = vec![vm.create_blob(1000, 100).unwrap()];
+            for _step in 0..80 {
+                let blob = blobs[rand(blobs.len() as u64) as usize];
+                match rand(6) {
+                    0 => blobs.push(vm.create_blob(1000, 100).unwrap()),
+                    1 | 2 => {
+                        let latest = vm.meta(blob).unwrap().latest();
+                        let root = NodeKey(vm.reserve_keys(1).start);
+                        // May fail on a deleted latest; the index must
+                        // then be untouched.
+                        let _ = vm.publish(blob, latest, root);
+                    }
+                    3 => {
+                        let live = vm.live_snapshots(blob).unwrap();
+                        if !live.is_empty() {
+                            let v = live[rand(live.len() as u64) as usize];
+                            blobs.push(vm.clone_blob(blob, v).unwrap());
+                        }
+                    }
+                    4 => {
+                        let live = vm.live_snapshots(blob).unwrap();
+                        if !live.is_empty() {
+                            let v = live[rand(live.len() as u64) as usize];
+                            vm.delete_snapshots(blob, &[v]).unwrap();
+                            // Rejected batches change nothing.
+                            assert!(vm.delete_snapshots(blob, &[v]).is_err());
+                        }
+                    }
+                    _ => {
+                        let live = vm.live_snapshots(blob).unwrap();
+                        if !live.is_empty() {
+                            vm.delete_snapshots(blob, &live).unwrap();
+                        }
+                    }
+                }
+                for &b in &blobs {
+                    assert_eq!(
+                        vm.family_live_roots(b).unwrap(),
+                        scan_family_live_roots(&vm, b),
+                        "index diverged from the scan for {b:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn delete_cost_ignores_terminated_lineages() {
+        // A base image plus one long-lived lineage, then N lineages that
+        // clone, snapshot and terminate. What a later delete reads is the
+        // family's index entry — the same two keys after 10 terminated
+        // lineages as after 10 000, though `blobs` keeps every one.
+        let entries_after = |terminated: usize| {
+            let mut vm = VManager::new();
+            let base = vm.create_blob(1000, 100).unwrap();
+            vm.publish(base, Version(0), NodeKey(1)).unwrap();
+            vm.ensure_key_floor(2);
+            let keeper = vm.clone_blob(base, Version(1)).unwrap();
+            let root = NodeKey(vm.reserve_keys(1).start);
+            vm.publish(keeper, Version(1), root).unwrap();
+            for _ in 0..terminated {
+                let lineage = vm.clone_blob(base, Version(1)).unwrap();
+                let root = NodeKey(vm.reserve_keys(1).start);
+                vm.publish(lineage, Version(1), root).unwrap();
+                let live = vm.live_snapshots(lineage).unwrap();
+                vm.delete_snapshots(lineage, &live).unwrap();
+            }
+            assert_eq!(vm.blob_count(), 2 + terminated);
+            let family = vm.meta(base).unwrap().family;
+            assert_eq!(vm.live_roots.len(), 1, "one family is live");
+            (
+                vm.live_roots[&family].len(),
+                vm.family_live_roots(keeper).unwrap().len(),
+            )
+        };
+        assert_eq!(entries_after(10), (2, 2));
+        assert_eq!(entries_after(10_000), (2, 2));
     }
 
     #[test]

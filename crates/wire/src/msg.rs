@@ -33,7 +33,8 @@ pub struct VersionInfo {
 pub struct DeleteOutcome {
     /// Roots of the deleted versions (reachability-diff sources).
     pub dead_roots: Vec<NodeKey>,
-    /// Roots of every still-live version in the blob's clone family.
+    /// Root of every still-live version in the blob's clone family,
+    /// ascending, each key once however many versions alias it.
     pub live_roots: Vec<NodeKey>,
     /// Chunk span of the blob's metadata trees.
     pub span: u64,
@@ -166,8 +167,10 @@ pub enum ProviderReq {
     Retain(ChunkId),
     /// Drop one reference (write rollback).
     Release(ChunkId),
-    /// Drop `n` references and report what happened (snapshot GC).
-    ReleaseCounted(ChunkId, u64),
+    /// Drop one reference per listed id — an id listed twice loses two
+    /// — under one provider lock, and report what happened to each
+    /// (snapshot GC: the provider's whole share of a delete).
+    ReleaseCounted(Vec<ChunkId>),
 }
 
 /// Chunk-provider responses.
@@ -184,8 +187,9 @@ pub enum ProviderResp {
     Retained(bool),
     /// Whether the chunk existed (and was released).
     Released(bool),
-    /// `(bytes_freed, removed, dropped_to_zero)` from the counted release.
-    ReleaseCounted((u64, bool, bool)),
+    /// `(bytes_freed, chunk_removed, reference_dropped)` per released
+    /// id, in request order.
+    ReleaseCounted(Vec<(u64, bool, bool)>),
 }
 
 /// Pattern-board requests (prefetch gossip) plus the snapshot-GC purge,
@@ -624,10 +628,9 @@ impl Wire for ProviderReq {
                 out.push(4);
                 id.enc(out);
             }
-            ProviderReq::ReleaseCounted(id, n) => {
+            ProviderReq::ReleaseCounted(ids) => {
                 out.push(5);
-                id.enc(out);
-                put_varint(out, *n);
+                ids.enc(out);
             }
         }
     }
@@ -638,7 +641,7 @@ impl Wire for ProviderReq {
             2 => Ok(ProviderReq::Peek(ChunkId::dec(r)?)),
             3 => Ok(ProviderReq::Retain(ChunkId::dec(r)?)),
             4 => Ok(ProviderReq::Release(ChunkId::dec(r)?)),
-            5 => Ok(ProviderReq::ReleaseCounted(ChunkId::dec(r)?, r.varint()?)),
+            5 => Ok(ProviderReq::ReleaseCounted(Vec::dec(r)?)),
             t => Err(WireError::BadTag("provider request", t)),
         }
     }
@@ -667,9 +670,9 @@ impl Wire for ProviderResp {
                 out.push(4);
                 ok.enc(out);
             }
-            ProviderResp::ReleaseCounted(outcome) => {
+            ProviderResp::ReleaseCounted(outcomes) => {
                 out.push(5);
-                outcome.enc(out);
+                outcomes.enc(out);
             }
         }
     }
@@ -680,7 +683,7 @@ impl Wire for ProviderResp {
             2 => Ok(ProviderResp::Peeked(Wire::dec(r)?)),
             3 => Ok(ProviderResp::Retained(bool::dec(r)?)),
             4 => Ok(ProviderResp::Released(bool::dec(r)?)),
-            5 => Ok(ProviderResp::ReleaseCounted(Wire::dec(r)?)),
+            5 => Ok(ProviderResp::ReleaseCounted(Vec::dec(r)?)),
             t => Err(WireError::BadTag("provider response", t)),
         }
     }

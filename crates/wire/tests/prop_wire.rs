@@ -263,7 +263,7 @@ fn arb_provider_req(rng: &mut TestRng) -> ProviderReq {
         2 => ProviderReq::Peek(ChunkId(arb_u64(rng))),
         3 => ProviderReq::Retain(ChunkId(arb_u64(rng))),
         4 => ProviderReq::Release(ChunkId(arb_u64(rng))),
-        _ => ProviderReq::ReleaseCounted(ChunkId(arb_u64(rng)), arb_u64(rng)),
+        _ => ProviderReq::ReleaseCounted(arb_vec(rng, 8, |r| ChunkId(arb_u64(r)))),
     }
 }
 
@@ -284,7 +284,9 @@ fn arb_provider_resp(rng: &mut TestRng) -> ProviderResp {
         }),
         3 => ProviderResp::Retained(rng.below(2) == 0),
         4 => ProviderResp::Released(rng.below(2) == 0),
-        _ => ProviderResp::ReleaseCounted((arb_u64(rng), rng.below(2) == 0, rng.below(2) == 0)),
+        _ => ProviderResp::ReleaseCounted(arb_vec(rng, 8, |r| {
+            (arb_u64(r), r.below(2) == 0, r.below(2) == 0)
+        })),
     }
 }
 
@@ -538,7 +540,7 @@ fn every_variant_roundtrips_once() {
         },
         Req::Provider {
             node: NodeId(6),
-            req: ProviderReq::ReleaseCounted(ChunkId(6), 2),
+            req: ProviderReq::ReleaseCounted(vec![ChunkId(6), ChunkId(7), ChunkId(6)]),
         },
         Req::Board(BoardReq::NovelOf {
             key: (BlobId(1), Version(1)),
@@ -607,7 +609,11 @@ fn every_variant_roundtrips_once() {
         Resp::Provider(ProviderResp::Peeked(Some(Payload::synth(2, 1, 50)))),
         Resp::Provider(ProviderResp::Retained(false)),
         Resp::Provider(ProviderResp::Released(true)),
-        Resp::Provider(ProviderResp::ReleaseCounted((100, true, false))),
+        Resp::Provider(ProviderResp::ReleaseCounted(vec![
+            (100, true, true),
+            (0, false, true),
+            (0, false, false),
+        ])),
         Resp::Board(BoardResp::Novel(vec![1])),
         Resp::Board(BoardResp::Merged(2)),
         Resp::Board(BoardResp::SequenceLen(3)),
@@ -625,4 +631,47 @@ fn every_variant_roundtrips_once() {
     for resp in &resps {
         roundtrip(resp);
     }
+}
+
+/// The snapshot-GC release carries a provider's whole id batch: the
+/// empty batch and a 10 000-id batch (with its 10 000 outcomes) round
+/// trip, and no cut or bit flip of the big frames panics the decoder.
+#[test]
+fn release_counted_batches_roundtrip_and_never_panic() {
+    for n in [0u64, 1, 10_000] {
+        let req = Req::Provider {
+            node: NodeId(3),
+            // Ids wide enough for multi-byte varints, with repeats.
+            req: ProviderReq::ReleaseCounted((0..n).map(|i| ChunkId((i % 97) << 20)).collect()),
+        };
+        let resp = Resp::Provider(ProviderResp::ReleaseCounted(
+            (0..n).map(|i| (i << 12, i % 3 == 0, i % 2 == 0)).collect(),
+        ));
+        roundtrip(&req);
+        roundtrip(&resp);
+        let (req, resp) = (encode(&req), encode(&resp));
+        for cut in (0..req.len()).step_by(req.len() / 64 + 1) {
+            assert!(decode::<Req>(&req[..cut]).is_err());
+        }
+        for cut in (0..resp.len()).step_by(resp.len() / 64 + 1) {
+            assert!(decode::<Resp>(&resp[..cut]).is_err());
+        }
+        for frame in [&req, &resp] {
+            for pos in (0..frame.len()).step_by(frame.len() / 256 + 1) {
+                let mut flipped = frame.to_vec();
+                flipped[pos] ^= 0x80;
+                let _ = decode::<Req>(&flipped);
+                let _ = decode::<Resp>(&flipped);
+            }
+        }
+    }
+    // A declared count beyond the frame is rejected before allocating.
+    let mut lying = encode(&Req::Provider {
+        node: NodeId(3),
+        req: ProviderReq::ReleaseCounted(vec![ChunkId(1)]),
+    });
+    let count_at = lying.len() - 2;
+    assert_eq!(lying[count_at], 1, "the batch length varint");
+    lying[count_at] = 0x7F;
+    assert!(decode::<Req>(&lying).is_err());
 }

@@ -455,14 +455,25 @@ fn gc_release_storm_survives_provider_loss() {
     let stored_before = client.store().total_stored_bytes();
     // First half of the storm with all providers up.
     for &(b, ver) in &snaps[..8] {
-        client.delete_snapshot(b, ver).expect("pre-loss delete");
+        let report = client.delete_snapshot(b, ver).expect("pre-loss delete");
+        assert_eq!(report.released_refs, 2 * report.dead_leaves);
     }
-    // Fail-stop one provider mid-storm; releases aimed at it are
-    // skipped, everything else proceeds.
+    // Fail-stop one provider mid-storm; the batch of releases aimed at
+    // it is skipped whole — its store is not touched, no reference is
+    // released twice elsewhere to make up for it — and everything else
+    // proceeds.
     fabric.fail_node(NodeId(3));
+    let lost_load = client.store().provider_loads()[3];
+    let mut skipped = 0;
     for &(b, ver) in &snaps[8..] {
-        client.delete_snapshot(b, ver).expect("mid-loss delete");
+        let report = client.delete_snapshot(b, ver).expect("mid-loss delete");
+        assert!(report.dead_leaves > 0);
+        assert!(report.released_refs <= 2 * report.dead_leaves);
+        assert!(report.released_refs >= report.dead_leaves);
+        skipped += 2 * report.dead_leaves - report.released_refs;
     }
+    assert!(skipped > 0, "some replicas sat on the lost provider");
+    assert_eq!(client.store().provider_loads()[3], lost_load);
     assert!(
         client.store().total_stored_bytes() < stored_before,
         "the storm reclaimed storage despite the loss"

@@ -9,12 +9,21 @@
 //! recur in later writes: every delete→rewrite interleaving the ops can
 //! express gets exercised, with the digest indexes (node and cluster)
 //! carrying entries for reclaimed chunks into subsequent commits.
+//!
+//! A second property checks the collector's *answer*, not only its
+//! effect: a model that tracks leaf-node identity per version (the full
+//! reachability walk, done on paper) predicts the exact dead-leaf count
+//! of every delete and the exact number of references left behind. Two
+//! plain tests pin its *cost*: metadata rounds per delete are bounded by
+//! the tree depth however many live roots the family has, and a lineage
+//! that never diverged from its source is dropped without reading a
+//! single tree node.
 
 use bff::blobseer::{BlobStore, BlobTopology, ReplicationMode};
 use bff::core::{MemStore, MirrorConfig, MirroredImage};
 use bff::prelude::*;
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 const IMG: u64 = 1 << 16; // 64 KiB images keep cases fast
@@ -254,4 +263,276 @@ proptest! {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Leaf-identity model: what the collector must find, and what it may cost.
+// ---------------------------------------------------------------------
+
+const MODEL_CHUNKS: u64 = 16;
+
+fn client_stack(dedup: bool) -> BlobClient {
+    let fabric = LocalFabric::new(4);
+    let compute: Vec<NodeId> = (0..3).map(NodeId).collect();
+    let cfg = BlobConfig {
+        chunk_size: CHUNK,
+        replication: 1,
+        dedup,
+        cluster_dedup: dedup,
+        ..Default::default()
+    };
+    let store = BlobStore::new(
+        cfg,
+        BlobTopology::colocated(&compute, NodeId(3)),
+        fabric as Arc<dyn Fabric>,
+    );
+    BlobClient::new(store, NodeId(0))
+}
+
+#[derive(Debug, Clone)]
+enum FamilyOp {
+    /// Overwrite `chunks` whole (content from a 3-seed pool) on top of
+    /// the `nth` writable lineage's latest version.
+    Write {
+        nth: usize,
+        chunks: Vec<u64>,
+        seed: u64,
+    },
+    /// CLONE the `nth` live snapshot into a new lineage.
+    Clone { nth: usize },
+    /// Delete the `nth` live snapshot.
+    DeleteOne { nth: usize },
+    /// Delete every live version of the `nth` lineage.
+    DeleteLineage { nth: usize },
+}
+
+fn arb_family_op() -> impl Strategy<Value = FamilyOp> {
+    prop_oneof![
+        (
+            0..64usize,
+            prop::collection::vec(0..MODEL_CHUNKS, 1..4),
+            0..3u64
+        )
+            .prop_map(|(nth, chunks, seed)| FamilyOp::Write { nth, chunks, seed }),
+        (
+            0..64usize,
+            prop::collection::vec(0..MODEL_CHUNKS, 1..4),
+            0..3u64
+        )
+            .prop_map(|(nth, chunks, seed)| FamilyOp::Write { nth, chunks, seed }),
+        (0..64usize).prop_map(|nth| FamilyOp::Clone { nth }),
+        (0..64usize).prop_map(|nth| FamilyOp::DeleteOne { nth }),
+        (0..64usize).prop_map(|nth| FamilyOp::DeleteLineage { nth }),
+    ]
+}
+
+/// One live snapshot in the model: per chunk index, the identity of
+/// the leaf node that holds it (a fresh id per written chunk per
+/// commit; shadowing and CLONE share ids) and the content seed.
+#[derive(Clone)]
+struct ModelSnap {
+    leaves: Vec<(u64, u64)>,
+}
+
+impl ModelSnap {
+    fn expect(&self) -> Payload {
+        let mut out = Payload::zeros(MODEL_CHUNKS * CHUNK);
+        for (i, &(_, seed)) in self.leaves.iter().enumerate() {
+            out.overwrite_in_place(i as u64 * CHUNK, Payload::synth(seed, 0, CHUNK));
+        }
+        out
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Over random write / clone / delete-one / delete-lineage
+    /// histories, every delete reports exactly the leaves the full
+    /// reachability walk finds dead (reachable from a deleted version,
+    /// from no live one), releases exactly one reference per dead leaf,
+    /// conserves references — with dedup off a provider chunk *is* a
+    /// live leaf, so the stored chunk count must equal the model's live
+    /// leaf count after every step — and leaves every survivor
+    /// byte-identical.
+    #[test]
+    fn deletes_find_exactly_the_unreachable_leaves(
+        ops in prop::collection::vec(arb_family_op(), 1..24)) {
+        for dedup in [false, true] {
+            let client = client_stack(dedup);
+            let mut next_leaf = 0u64;
+            let mut fresh = |seed: u64| {
+                next_leaf += 1;
+                (next_leaf, seed)
+            };
+            let base = ModelSnap {
+                leaves: (0..MODEL_CHUNKS).map(|i| fresh(100 + i)).collect(),
+            };
+            let (blob, v1) = client.upload(base.expect()).unwrap();
+            let mut live: Vec<((BlobId, Version), ModelSnap)> = vec![((blob, v1), base)];
+            // Lineages that can still be written: blob → latest version.
+            // A lineage whose latest version was deleted is sealed (the
+            // version manager rejects commits onto a deleted base).
+            let mut heads: HashMap<BlobId, Version> = HashMap::from([(blob, v1)]);
+
+            for op in &ops {
+                let mut doomed: Vec<(BlobId, Version)> = Vec::new();
+                match op {
+                    FamilyOp::Write { nth, chunks, seed } => {
+                        let mut writable: Vec<BlobId> = heads.keys().copied().collect();
+                        writable.sort();
+                        if writable.is_empty() {
+                            continue;
+                        }
+                        let blob = writable[nth % writable.len()];
+                        let head = heads[&blob];
+                        let mut snap = live
+                            .iter()
+                            .find(|(id, _)| *id == (blob, head))
+                            .expect("a head is live")
+                            .1
+                            .clone();
+                        let chunks: HashSet<u64> = chunks.iter().copied().collect();
+                        let updates = chunks
+                            .iter()
+                            .map(|&i| (i, Payload::synth(1000 + seed, 0, CHUNK)))
+                            .collect();
+                        let v = client.write_chunks(blob, head, updates).unwrap();
+                        for i in chunks {
+                            snap.leaves[i as usize] = fresh(1000 + seed);
+                        }
+                        heads.insert(blob, v);
+                        live.push(((blob, v), snap));
+                    }
+                    FamilyOp::Clone { nth } => {
+                        if live.is_empty() {
+                            continue;
+                        }
+                        let ((src, v), snap) = live[nth % live.len()].clone();
+                        let clone = client.clone_blob(src, v).unwrap();
+                        heads.insert(clone, Version(1));
+                        live.push(((clone, Version(1)), snap));
+                    }
+                    FamilyOp::DeleteOne { nth } => {
+                        if live.is_empty() {
+                            continue;
+                        }
+                        doomed.push(live[nth % live.len()].0);
+                    }
+                    FamilyOp::DeleteLineage { nth } => {
+                        let mut blobs: Vec<BlobId> = live.iter().map(|(id, _)| id.0).collect();
+                        blobs.sort();
+                        blobs.dedup();
+                        if blobs.is_empty() {
+                            continue;
+                        }
+                        let blob = blobs[nth % blobs.len()];
+                        doomed = live.iter().map(|(id, _)| *id).filter(|id| id.0 == blob).collect();
+                    }
+                }
+                if !doomed.is_empty() {
+                    let blob = doomed[0].0;
+                    let versions: Vec<Version> = doomed.iter().map(|id| id.1).collect();
+                    // The oracle: the full walks, on the model.
+                    let (dead, survivors): (Vec<_>, Vec<_>) =
+                        live.drain(..).partition(|(id, _)| doomed.contains(id));
+                    live = survivors;
+                    let reachable = |snaps: &[((BlobId, Version), ModelSnap)]| -> HashSet<u64> {
+                        snaps.iter().flat_map(|(_, s)| s.leaves.iter().map(|l| l.0)).collect()
+                    };
+                    let dead_leaves = reachable(&dead).difference(&reachable(&live)).count() as u64;
+
+                    let report = client.delete_snapshots(blob, &versions).unwrap();
+                    prop_assert_eq!(report.deleted_versions, versions.len());
+                    prop_assert_eq!(report.dead_leaves, dead_leaves, "dedup={}", dedup);
+                    prop_assert_eq!(report.released_refs, dead_leaves, "dedup={}", dedup);
+                    if heads.get(&blob).is_some_and(|h| versions.contains(h)) {
+                        heads.remove(&blob);
+                    }
+                    for (b, v) in doomed {
+                        prop_assert!(client.read(b, v, 0..CHUNK).is_err());
+                    }
+                }
+                if !dedup {
+                    // Reference conservation: one stored chunk per live leaf.
+                    let live_leaves: HashSet<u64> =
+                        live.iter().flat_map(|(_, s)| s.leaves.iter().map(|l| l.0)).collect();
+                    prop_assert_eq!(client.store().total_chunks(), live_leaves.len());
+                }
+            }
+            // A reader with cold caches sees every survivor intact.
+            let reader = BlobClient::new(Arc::clone(client.store()), NodeId(1));
+            for ((b, v), snap) in &live {
+                let got = reader.read(*b, *v, 0..MODEL_CHUNKS * CHUNK).unwrap();
+                prop_assert!(got.content_eq(&snap.expect()), "{:?}/{:?} dedup={}", b, v, dedup);
+            }
+        }
+    }
+}
+
+/// Deleting one version of a 64-chunk blob costs at most tree-depth (7)
+/// metadata rounds whether the family has 1, 8 or 32 other live roots —
+/// the per-root walks cost 7 rounds *each*.
+#[test]
+fn delete_rounds_are_bounded_by_depth_not_by_live_roots() {
+    const CHUNKS: u64 = 64;
+    for k in [1u64, 8, 32] {
+        let client = client_stack(false);
+        let (base, v1) = client.upload(Payload::synth(7, 0, CHUNKS * CHUNK)).unwrap();
+        // K live roots: the base image and K − 1 diverged lineage heads.
+        for i in 1..k {
+            let lineage = client.clone_blob(base, v1).unwrap();
+            let updates = [(3 * i) % CHUNKS, (7 * i + 1) % CHUNKS]
+                .map(|c| (c, Payload::synth(50 + i, 0, CHUNK)))
+                .to_vec();
+            client.write_chunks(lineage, Version(1), updates).unwrap();
+        }
+        let victim = client.clone_blob(base, v1).unwrap();
+        let updates = [5u64, 21, 40]
+            .map(|c| (c, Payload::synth(9, c, CHUNK)))
+            .to_vec();
+        let v2 = client.write_chunks(victim, Version(1), updates).unwrap();
+
+        // A fresh client: nothing of the trees is cached, as in a
+        // middleware that opens a handle per operation.
+        let collector = BlobClient::new(Arc::clone(client.store()), NodeId(2));
+        let report = collector.delete_snapshot(victim, v2).unwrap();
+        assert_eq!(report.dead_leaves, 3, "K={k}");
+        assert!(
+            collector.meta_fetch_calls() <= 7,
+            "K={k}: {} metadata rounds for a depth-7 tree",
+            collector.meta_fetch_calls()
+        );
+        assert!(client
+            .read(base, v1, 0..CHUNKS * CHUNK)
+            .unwrap()
+            .content_eq(&Payload::synth(7, 0, CHUNKS * CHUNK)));
+    }
+}
+
+/// Terminating a lineage that never diverged from its source: its only
+/// version *is* a live root, so the collector stops at level 0 — no
+/// tree node is read, nothing is released, the source is untouched.
+#[test]
+fn never_diverged_lineage_is_dropped_without_reading_a_node() {
+    let client = client_stack(true);
+    let image = Payload::synth(11, 0, MODEL_CHUNKS * CHUNK);
+    let (base, v1) = client.upload(image.clone()).unwrap();
+    let idle = client.clone_blob(base, v1).unwrap();
+    let stored = client.store().total_stored_bytes();
+
+    let collector = BlobClient::new(Arc::clone(client.store()), NodeId(2));
+    let versions = collector.live_snapshots(idle).unwrap();
+    assert_eq!(versions, vec![Version(1)]);
+    let report = collector.delete_snapshots(idle, &versions).unwrap();
+    assert_eq!(collector.meta_fetch_calls(), 0);
+    assert_eq!(
+        (report.dead_leaves, report.released_refs, report.freed_bytes),
+        (0, 0, 0)
+    );
+    assert_eq!(client.store().total_stored_bytes(), stored);
+    assert!(collector
+        .read(base, v1, 0..MODEL_CHUNKS * CHUNK)
+        .unwrap()
+        .content_eq(&image));
 }

@@ -11,20 +11,22 @@
 //! Three layers are attacked independently: the raw [`RecordLog`]
 //! framing, the provider's log-structured [`SegmentStore`] (including
 //! rotation and compaction, via a tiny segment size), and the manager
-//! [`Journal`]. One whole-deployment case closes the file: a durable
-//! [`BlobStore`] without a transport hop journals like one behind the
-//! codec, and recovers byte-identically.
+//! [`Journal`]. Two whole-deployment cases close the file: the version
+//! manager's family live-root index — derived state no journal record
+//! carries — is rebuilt exactly by replay, and a durable [`BlobStore`]
+//! without a transport hop journals like one behind the codec, and
+//! recovers byte-identically.
 
 use bff::blobseer::durable::{Journal, SegmentStore};
 use bff::blobseer::{
     BlobConfig, BlobId, BlobStore, BlobTopology, ChunkId, Client, DurabilityStats, GroupCommit,
-    Placement, RecoveryReport, TransportMode, Version,
+    NodeKey, Placement, RecoveryReport, ServerState, TransportMode, Version,
 };
 use bff::data::{Payload, RecordLog};
 use bff::net::{Fabric, LocalFabric, NodeId};
-use bff::wire::msg::VmReq;
+use bff::wire::msg::{Req, Resp, VmReq, VmResp};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -323,6 +325,180 @@ proptest! {
         }
         if cut >= len {
             prop_assert_eq!(records.len(), ops.len(), "nothing was cut");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// What the test knows about one blob of the version manager.
+struct ModelBlob {
+    id: BlobId,
+    family: u64,
+    /// `roots[v]` is `Version(v)`'s root; `roots[0]` is NULL.
+    roots: Vec<NodeKey>,
+    deleted: HashSet<u64>,
+}
+
+impl ModelBlob {
+    fn live(&self) -> Vec<u64> {
+        (1..self.roots.len() as u64)
+            .filter(|v| !self.deleted.contains(v))
+            .collect()
+    }
+}
+
+/// The brute-force frontier: scan every blob of `family` for live
+/// roots, ascending, each key once.
+fn scan_live_roots(model: &[ModelBlob], family: u64) -> Vec<NodeKey> {
+    let mut out: Vec<NodeKey> = model
+        .iter()
+        .filter(|b| b.family == family)
+        .flat_map(|b| b.live().into_iter().map(|v| b.roots[v as usize]))
+        .collect();
+    out.sort();
+    out.dedup();
+    out
+}
+
+fn vm_state(dir: &std::path::Path) -> ServerState {
+    let compute: Vec<NodeId> = (0..3).map(NodeId).collect();
+    ServerState::recover(
+        &BlobConfig::default(),
+        &BlobTopology::colocated(&compute, NodeId(3)),
+        Placement::RoundRobin,
+        dir,
+    )
+    .expect("durable server state")
+    .0
+}
+
+/// Delete `versions` of `model[at]` and check the reply's live-root
+/// frontier against the brute-force scan of the model.
+fn delete_and_check(state: &ServerState, model: &mut [ModelBlob], at: usize, versions: &[u64]) {
+    let blob = model[at].id;
+    let resp = state
+        .dispatch(Req::Vm(VmReq::DeleteSnapshots {
+            blob,
+            versions: versions.iter().map(|&v| Version(v)).collect(),
+        }))
+        .unwrap();
+    let Resp::Vm(VmResp::Deleted(Ok(outcome))) = resp else {
+        panic!("delete of live versions failed: {resp:?}");
+    };
+    model[at].deleted.extend(versions);
+    let dead: Vec<NodeKey> = versions
+        .iter()
+        .map(|&v| model[at].roots[v as usize])
+        .collect();
+    assert_eq!(outcome.dead_roots, dead);
+    assert_eq!(
+        outcome.live_roots,
+        scan_live_roots(model, model[at].family),
+        "live-root index diverged from the scan (or repeats a key)"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random create / clone / publish / delete traffic into a durable
+    /// `ServerState`, with a restart (journal replay) at a random point:
+    /// after every delete — before the restart and after it, down to the
+    /// last live version — the frontier the version manager serves from
+    /// its live-root index equals a brute-force scan of everything ever
+    /// created, with no key repeated.
+    #[test]
+    fn live_root_index_survives_journal_replay(
+        ops in prop::collection::vec((0u8..8, any::<u64>(), any::<u64>()), 4..40),
+        restart_pct in 0usize..100,
+    ) {
+        let dir = scratch("live-roots");
+        let mut state = vm_state(&dir);
+        let mut model: Vec<ModelBlob> = Vec::new();
+        let mut next_root = 1u64;
+        let restart_at = ops.len() * restart_pct / 100;
+        for (step, &(kind, a, b)) in ops.iter().enumerate() {
+            if step == restart_at {
+                drop(state);
+                state = vm_state(&dir);
+            }
+            if model.is_empty() || kind == 0 {
+                let resp = state
+                    .dispatch(Req::Vm(VmReq::CreateBlob { size: 1 << 20, chunk_size: CHUNK }))
+                    .unwrap();
+                let Resp::Vm(VmResp::Created(Ok(id))) = resp else {
+                    panic!("create failed: {resp:?}");
+                };
+                model.push(ModelBlob {
+                    id,
+                    family: id.0,
+                    roots: vec![NodeKey::NULL],
+                    deleted: HashSet::new(),
+                });
+                continue;
+            }
+            let at = (a % model.len() as u64) as usize;
+            let live = model[at].live();
+            match kind {
+                1..=3 => {
+                    // Publish onto the latest version; refused (and
+                    // unjournaled) when that version was deleted.
+                    let base = model[at].roots.len() as u64 - 1;
+                    let root = NodeKey(next_root);
+                    next_root += 1;
+                    let resp = state
+                        .dispatch(Req::Vm(VmReq::Publish {
+                            blob: model[at].id,
+                            base: Version(base),
+                            root,
+                        }))
+                        .unwrap();
+                    match resp {
+                        Resp::Vm(VmResp::Published(Ok(v))) => {
+                            prop_assert_eq!(v, Version(base + 1));
+                            model[at].roots.push(root);
+                        }
+                        Resp::Vm(VmResp::Published(Err(_))) => {
+                            prop_assert!(model[at].deleted.contains(&base));
+                        }
+                        other => panic!("publish: {other:?}"),
+                    }
+                }
+                4 | 5 if !live.is_empty() => {
+                    let v = live[(b % live.len() as u64) as usize];
+                    let resp = state
+                        .dispatch(Req::Vm(VmReq::CloneBlob {
+                            src: model[at].id,
+                            version: Version(v),
+                        }))
+                        .unwrap();
+                    let Resp::Vm(VmResp::Cloned(Ok(id))) = resp else {
+                        panic!("clone failed: {resp:?}");
+                    };
+                    let (family, root) = (model[at].family, model[at].roots[v as usize]);
+                    model.push(ModelBlob {
+                        id,
+                        family,
+                        roots: vec![NodeKey::NULL, root],
+                        deleted: HashSet::new(),
+                    });
+                }
+                6 if !live.is_empty() => {
+                    let v = live[(b % live.len() as u64) as usize];
+                    delete_and_check(&state, &mut model, at, &[v]);
+                }
+                7 if !live.is_empty() => delete_and_check(&state, &mut model, at, &live),
+                _ => {}
+            }
+        }
+        // One more restart, then drain: every remaining live version
+        // goes, one delete at a time, each reply checked.
+        drop(state);
+        let state = vm_state(&dir);
+        for at in 0..model.len() {
+            for v in model[at].live() {
+                delete_and_check(&state, &mut model, at, &[v]);
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
