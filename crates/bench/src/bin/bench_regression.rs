@@ -13,7 +13,8 @@
 //!     [--transport-results target/paper/transport_summary.json --transport-baseline BENCH_7.json] \
 //!     [--recovery-results target/paper/recovery_summary.json --recovery-baseline BENCH_8.json] \
 //!     [--durable-results target/paper/durable_summary.json --durable-baseline BENCH_9.json] \
-//!     [--gc-results target/paper/gc_cost_summary.json --gc-baseline BENCH_13.json]
+//!     [--gc-results target/paper/gc_cost_summary.json --gc-baseline BENCH_13.json] \
+//!     [--pipeline-results target/paper/pipeline_summary.json --pipeline-baseline BENCH_14.json]
 //! ```
 //!
 //! On failure the gate ends with a `FAILED METRICS` block naming, for
@@ -245,6 +246,25 @@ const GC_COST_CHECKS: &[(&str, &str, &str)] = &[
     ),
 ];
 
+/// Measured-value keys checked between the `load_sweep --transport all`
+/// scatter-gather fixture and `BENCH_14.json`: request frames per wait
+/// on a cold single-client boot, per server role — how many of the
+/// per-destination waits of a protocol step the pipelined exchange
+/// folds into one. Counts on a fixed single-thread schedule, so they
+/// repeat exactly and the baseline's tolerance is zero.
+const PIPELINE_CHECKS: &[(&str, &str, &str)] = &[
+    (
+        "pipeline: provider Fetch frames per round trip (cold boot read plan)",
+        "pipeline_provider_frames_per_round_trip",
+        "pipeline_provider_frames_per_round_trip_floor",
+    ),
+    (
+        "pipeline: metadata ReadNodes frames per round trip (one wait per descent level)",
+        "pipeline_meta_frames_per_round_trip",
+        "pipeline_meta_frames_per_round_trip_floor",
+    ),
+];
+
 /// Measured-value keys checked between a prefetch summary and
 /// `BENCH_4.json`.
 const PREFETCH_CHECKS: &[(&str, &str, &str)] = &[
@@ -381,6 +401,8 @@ fn main() -> ExitCode {
     let mut durable_baseline = String::from("BENCH_9.json");
     let mut gc_results: Option<String> = None;
     let mut gc_baseline = String::from("BENCH_13.json");
+    let mut pipeline_results: Option<String> = None;
+    let mut pipeline_baseline = String::from("BENCH_14.json");
     while let Some(a) = args.next() {
         match a.as_str() {
             "--results" => {
@@ -460,6 +482,15 @@ fn main() -> ExitCode {
                 );
             }
             "--gc-baseline" => gc_baseline = args.next().expect("--gc-baseline needs a path"),
+            "--pipeline-results" => {
+                let path = args.next().expect("--pipeline-results needs a path");
+                pipeline_results = Some(
+                    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}")),
+                );
+            }
+            "--pipeline-baseline" => {
+                pipeline_baseline = args.next().expect("--pipeline-baseline needs a path")
+            }
             other => panic!("unknown argument {other}"),
         }
     }
@@ -472,10 +503,11 @@ fn main() -> ExitCode {
             || transport_results.is_some()
             || recovery_results.is_some()
             || durable_results.is_some()
-            || gc_results.is_some(),
+            || gc_results.is_some()
+            || pipeline_results.is_some(),
         "no --results, --dedup-results, --prefetch-results, --cluster-results, \
          --loadgen-results, --transport-results, --recovery-results, \
-         --durable-results or --gc-results provided"
+         --durable-results, --gc-results or --pipeline-results provided"
     );
     let mut failures: Vec<Failure> = Vec::new();
     if let Some(summary) = &dedup_results {
@@ -576,6 +608,17 @@ fn main() -> ExitCode {
             summary,
             &baseline,
             &gc_baseline,
+        ));
+    }
+    if let Some(summary) = &pipeline_results {
+        let baseline = std::fs::read_to_string(&pipeline_baseline)
+            .unwrap_or_else(|e| panic!("read baseline {pipeline_baseline}: {e}"));
+        failures.extend(check_summary(
+            "pipeline",
+            PIPELINE_CHECKS,
+            summary,
+            &baseline,
+            &pipeline_baseline,
         ));
     }
     if !results.is_empty() {

@@ -43,7 +43,10 @@
 //! floors by `bench_regression --loadgen-results`.
 //!
 //! `--transport direct|codec|socket|all` runs the transport axis
-//! (`transport_summary.json`, gated against `BENCH_7.json`) and
+//! (`transport_summary.json`, gated against `BENCH_7.json`; `all` also
+//! runs the single-client scatter-gather fixture and writes its exact
+//! frames-per-round-trip counts to `pipeline_summary.json`, gated
+//! against `BENCH_14.json`) and
 //! `--durable mem|sync|group|all` the durability axis: the same storm
 //! over the in-process socket transport with in-memory providers,
 //! fsync-per-ack durable providers, and group-commit durable providers
@@ -55,16 +58,23 @@
 
 use bff_bench::procs::ServerSpec;
 use bff_bench::{f1, f3, output_dir, RunScale, Table};
-use bff_blobseer::{BlobId, BlobStore, BlobTopology, LockContention, TransportMode, Version};
+use bff_blobseer::{
+    BlobConfig, BlobId, BlobStore, BlobTopology, Client, LockContention, Placement, ServerState,
+    TransportMode, Version,
+};
 use bff_cloud::backend::ImageBackend;
 use bff_cloud::middleware::Cloud;
 use bff_cloud::params::Calibration;
 use bff_cloud::vm::vm_write_payload;
 use bff_data::Payload;
-use bff_net::transport::{RouteTable, SocketTransport, WireStats};
-use bff_net::{Fabric, NodeId, ThreadFabric, ThreadParams};
+use bff_net::transport::{
+    Role, RouteKey, RouteTable, SocketTransport, Transport, WireError, WireStats,
+};
+use bff_net::{Fabric, LocalFabric, NodeId, ThreadFabric, ThreadParams};
 use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -588,6 +598,148 @@ fn run_transport_sweep(which: &str, workers: usize) {
     summary.push('\n');
     let path = output_dir().join("transport_summary.json");
     std::fs::write(&path, summary).expect("write transport summary");
+    println!("[written {}]", path.display());
+    run_pipeline_fixture();
+}
+
+/// Counts, per server role, the frames a client sends and the exchanges
+/// it waits for, and forwards both call forms untouched.
+struct RoleCounting {
+    inner: SocketTransport,
+    frames: [AtomicU64; Role::ALL.len()],
+    round_trips: [AtomicU64; Role::ALL.len()],
+}
+
+impl RoleCounting {
+    /// `Role::ALL` lists the roles in declaration order.
+    fn slot(role: Role) -> usize {
+        role as usize
+    }
+
+    /// `(frames, round trips)` addressed to `role` so far.
+    fn seen(&self, role: Role) -> (u64, u64) {
+        let at = Self::slot(role);
+        (
+            self.frames[at].load(Ordering::Relaxed),
+            self.round_trips[at].load(Ordering::Relaxed),
+        )
+    }
+}
+
+impl Transport for RoleCounting {
+    fn call(&self, route: RouteKey, frame: &[u8]) -> Result<Vec<u8>, WireError> {
+        let at = Self::slot(route.role());
+        self.frames[at].fetch_add(1, Ordering::Relaxed);
+        self.round_trips[at].fetch_add(1, Ordering::Relaxed);
+        self.inner.call(route, frame)
+    }
+
+    fn call_many(&self, calls: &[(RouteKey, &[u8])]) -> Vec<Result<Vec<u8>, WireError>> {
+        let mut waited = [false; Role::ALL.len()];
+        for (route, _) in calls {
+            let at = Self::slot(route.role());
+            self.frames[at].fetch_add(1, Ordering::Relaxed);
+            if !std::mem::replace(&mut waited[at], true) {
+                self.round_trips[at].fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        self.inner.call_many(calls)
+    }
+
+    fn wire_stats(&self) -> WireStats {
+        self.inner.wire_stats()
+    }
+}
+
+/// The scatter-gather fixture behind `BENCH_14.json`: one client, cold
+/// on its node, boots a 64-chunk image in sixteen 4-chunk reads over an
+/// in-process socket store with 4 providers and 4 metadata shards
+/// (`LocalFabric`, dedup and prefetch off, so every frame is a boot
+/// frame). Round-robin placement puts the four chunks of each read on
+/// four providers, so the sequential path waited four times per read;
+/// frames ÷ round trips is how many of those waits one step now covers.
+/// One thread, fixed schedule: the counts repeat exactly.
+fn run_pipeline_fixture() {
+    const PROVIDERS: u32 = 4;
+    let fabric = LocalFabric::new(PROVIDERS as usize + 1);
+    let compute: Vec<NodeId> = (0..PROVIDERS).map(NodeId).collect();
+    let topo = BlobTopology::colocated(&compute, NodeId(PROVIDERS));
+    let cfg = BlobConfig {
+        chunk_size: CHUNK,
+        dedup: false,
+        cluster_dedup: false,
+        prefetch: false,
+        ..Default::default()
+    };
+    let state = Arc::new(ServerState::new(&cfg, &topo, Placement::RoundRobin));
+    let listeners = state.serve(&Role::ALL).expect("bind loopback listeners");
+    let addrs: HashMap<Role, _> = listeners.iter().map(|(r, s)| (*r, s.addr())).collect();
+    let transport = Arc::new(RoleCounting {
+        inner: SocketTransport::new(RouteTable::from_roles(&addrs).expect("every role served")),
+        frames: Default::default(),
+        round_trips: Default::default(),
+    });
+    let store = BlobStore::remote(
+        cfg,
+        topo,
+        fabric as Arc<dyn Fabric>,
+        transport.clone() as Arc<dyn Transport>,
+    );
+    let image = 64 * CHUNK;
+    let (blob, version) = Client::new(Arc::clone(&store), NodeId(0))
+        .upload(Payload::synth(0xB14, 0, image))
+        .expect("upload");
+
+    let before = (transport.seen(Role::Provider), transport.seen(Role::Meta));
+    let reader = Client::new(store, NodeId(1));
+    for offset in (0..image).step_by(BOOT_STRIDE as usize) {
+        let got = reader
+            .read(blob, version, offset..offset + BOOT_STRIDE)
+            .expect("boot read");
+        assert!(got.content_eq(&Payload::synth(0xB14, offset, BOOT_STRIDE)));
+    }
+    let delta = |role, (frames0, trips0): (u64, u64)| {
+        let (frames, trips) = transport.seen(role);
+        (frames - frames0, trips - trips0)
+    };
+    let (prov_frames, prov_trips) = delta(Role::Provider, before.0);
+    let (meta_frames, meta_trips) = delta(Role::Meta, before.1);
+    let levels = reader.meta_fetch_calls();
+    assert!(
+        meta_trips <= levels,
+        "a descent level waits at most once ({meta_trips} waits, {levels} levels)"
+    );
+    let per_trip = |frames: u64, trips: u64| frames as f64 / trips.max(1) as f64;
+    println!(
+        "\npipeline fixture (cold 64-chunk boot, 16 reads, 4 providers, 4 shards): \
+         provider {prov_frames} frames in {prov_trips} round trips ({:.2} per wait), \
+         metadata {meta_frames} frames in {meta_trips} round trips ({:.2} per wait) \
+         over {levels} descent levels",
+        per_trip(prov_frames, prov_trips),
+        per_trip(meta_frames, meta_trips),
+    );
+    let mut summary = String::from("{\n");
+    let _ = writeln!(
+        summary,
+        "  \"pipeline_provider_frames_per_round_trip\": {:.3},",
+        per_trip(prov_frames, prov_trips)
+    );
+    let _ = writeln!(
+        summary,
+        "  \"pipeline_meta_frames_per_round_trip\": {:.3},",
+        per_trip(meta_frames, meta_trips)
+    );
+    let _ = writeln!(summary, "  \"pipeline_provider_frames\": {prov_frames},");
+    let _ = writeln!(
+        summary,
+        "  \"pipeline_provider_round_trips\": {prov_trips},"
+    );
+    let _ = writeln!(summary, "  \"pipeline_meta_frames\": {meta_frames},");
+    let _ = writeln!(summary, "  \"pipeline_meta_round_trips\": {meta_trips},");
+    let _ = writeln!(summary, "  \"pipeline_meta_descent_levels\": {levels}");
+    summary.push_str("}\n");
+    let path = output_dir().join("pipeline_summary.json");
+    std::fs::write(&path, summary).expect("write pipeline summary");
     println!("[written {}]", path.display());
 }
 

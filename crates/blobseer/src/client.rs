@@ -99,7 +99,7 @@ use crate::board;
 use crate::context::{ChunkOrigin, NodeContext};
 use crate::meta::partition_of;
 use crate::segtree::{self, NodeIo};
-use crate::service::BlobStore;
+use crate::service::{BlobStore, Fetched};
 use bff_data::{chunk_cover, chunk_range, intersect, ByteRange, ContentKey, Payload};
 use bff_data::{FastMap, FastSet};
 use bff_net::{NetError, NodeId};
@@ -627,17 +627,21 @@ impl Client {
 
     /// Fetch `chunks` (index, descriptor, stored length), grouped by
     /// provider: each provider serves its group as one batched disk read +
-    /// one batched transfer, providers in parallel. Chunks whose batch
-    /// fails fall back to per-chunk [`fetch_chunk`] replica failover.
-    /// Returns one result per chunk — the demand path propagates the
-    /// first error, the prefetch path tolerates per-chunk failures.
+    /// one batched transfer, providers in parallel. The read plan is one
+    /// wait: every reachable provider's `Fetch` is in flight before the
+    /// first reply is read, and only then does each group charge the
+    /// fabric. Chunks whose batch fails fall back to per-chunk
+    /// [`fetch_chunk`] replica failover. Returns one result per chunk —
+    /// the demand path propagates the first error, the prefetch path
+    /// tolerates per-chunk failures.
     fn fetch_chunks_results(&self, chunks: &[(u64, ChunkDesc, u64)]) -> ChunkResults {
         if chunks.is_empty() {
             return Vec::new();
         }
         // Preferred replica per chunk, spread like fetch_chunk so batched
-        // and per-chunk paths load the same copies.
-        let mut by_provider: HashMap<NodeId, Vec<(u64, ChunkDesc, u64)>> = HashMap::new();
+        // and per-chunk paths load the same copies. Ascending provider
+        // order: deterministic requests and task order.
+        let mut by_provider: BTreeMap<NodeId, Vec<(u64, ChunkDesc, u64)>> = BTreeMap::new();
         for (idx, desc, len) in chunks {
             let k = desc.replicas.len();
             debug_assert!(k > 0);
@@ -647,19 +651,40 @@ impl Client {
                 .or_default()
                 .push((*idx, desc.clone(), *len));
         }
-        let mut providers: Vec<NodeId> = by_provider.keys().copied().collect();
-        providers.sort_unstable(); // deterministic task order
+        // Scatter. A provider that is down (or is none) is not asked: its
+        // group goes straight to the failover path, as does a group
+        // whose exchange fails. Decided once per provider — replies pair
+        // with groups by position.
+        let store = &self.store;
+        let asked: Vec<bool> = by_provider
+            .keys()
+            .map(|&prov| !store.fabric.is_down(prov) && store.is_provider(prov))
+            .collect();
+        let mut served: Vec<Option<Fetched>> = Vec::with_capacity(asked.len());
+        let requests = by_provider
+            .iter()
+            .zip(&asked)
+            .filter(|(_, &asked)| asked)
+            .map(|((&prov, group), _)| (prov, group.iter().map(|(_, desc, _)| desc.id).collect()));
+        store.provider_fetch_many(requests, |reply| served.push(reply.ok()));
+        let mut served = served.into_iter();
+        // Gather: per provider, the batched charges and any failover.
         let results: Arc<Mutex<ChunkResults>> =
             Arc::new(Mutex::new(Vec::with_capacity(chunks.len())));
-        let tasks: Vec<Box<dyn FnOnce() + Send + 'static>> = providers
+        let tasks: Vec<Box<dyn FnOnce() + Send + 'static>> = by_provider
             .into_iter()
-            .map(|prov| {
-                let group = by_provider.remove(&prov).expect("grouped above");
+            .zip(asked)
+            .map(|((prov, group), asked)| {
+                let served = if asked {
+                    served.next().expect("one reply per request")
+                } else {
+                    None
+                };
                 let store = Arc::clone(&self.store);
                 let results = Arc::clone(&results);
                 let me = self.node;
                 Box::new(move || {
-                    let got = fetch_chunk_batch(&store, me, prov, group);
+                    let got = settle_chunk_batch(&store, me, prov, group, served);
                     results.lock().extend(got);
                 }) as Box<dyn FnOnce() + Send + 'static>
             })
@@ -1257,24 +1282,29 @@ impl Client {
         }
         let c = self.cfg().control_bytes;
         let mut freed_ids: FastSet<ChunkId> = FastSet::default();
-        for (prov, ids) in by_prov {
-            if self.store.fabric.is_down(prov) {
-                continue;
-            }
-            let req = c + 8 * ids.len() as u64;
-            if self.store.fabric.rpc(self.node, prov, req, c).is_err() {
-                continue;
-            }
-            let released = self.store.provider_release_counted(prov, &ids);
-            for (id, (bytes, removed, dropped)) in ids.into_iter().zip(released) {
-                report.released_refs += dropped as u64;
-                if removed {
-                    report.freed_chunks += 1;
-                    report.freed_bytes += bytes;
-                    freed_ids.insert(id);
+        let fabric = &self.store.fabric;
+        by_prov.retain(|&prov, ids| {
+            !fabric.is_down(prov)
+                && fabric
+                    .rpc(self.node, prov, c + 8 * ids.len() as u64, c)
+                    .is_ok()
+        });
+        // All surviving batches in one step: one wait for the release.
+        let mut asked = by_prov.values();
+        self.store.provider_release_counted(
+            by_prov.iter().map(|(&prov, ids)| (prov, ids.clone())),
+            |released| {
+                let ids = asked.next().expect("one outcome per batch");
+                for (&id, (bytes, removed, dropped)) in ids.iter().zip(released) {
+                    report.released_refs += dropped as u64;
+                    if removed {
+                        report.freed_chunks += 1;
+                        report.freed_bytes += bytes;
+                        freed_ids.insert(id);
+                    }
                 }
-            }
-        }
+            },
+        );
 
         // 4. Evict the freed entries cluster-wide: board patterns and
         //    descriptor caches of the dead versions, digest/chunk-cache
@@ -1632,46 +1662,43 @@ fn fetch_chunk(
     Err(last)
 }
 
-/// Serve one provider's slice of a batched read plan: all chunks present
-/// at `prov` are charged as one batched disk read (cold bytes only) and
-/// one batched transfer — the per-message savings behind the vectored
-/// pipeline. Chunks the provider cannot serve (missing, node down, or a
+/// Settle one provider's slice of a batched read plan, given its answer
+/// (`None`: not asked or the exchange failed): all chunks present at
+/// `prov` are charged as one batched disk read (cold bytes only) and one
+/// batched transfer — the per-message savings behind the vectored
+/// pipeline. Chunks the provider did not serve (missing, node down, or a
 /// mid-batch fabric failure) fall back to per-chunk [`fetch_chunk`]
 /// replica failover, preserving availability semantics.
-fn fetch_chunk_batch(
+fn settle_chunk_batch(
     store: &Arc<BlobStore>,
     me: NodeId,
     prov: NodeId,
     group: Vec<(u64, ChunkDesc, u64)>,
+    served: Option<Fetched>,
 ) -> ChunkResults {
     let mut got: Vec<(u64, ChunkDesc, u64, Payload)> = Vec::with_capacity(group.len());
     let mut fallback: Vec<(u64, ChunkDesc, u64)> = Vec::new();
     let (mut total, mut cold) = (0u64, 0u64);
-    if store.fabric.is_down(prov) || !store.is_provider(prov) {
-        fallback = group;
-    } else {
-        let read_cache = store.config().provider_read_cache;
-        let ids: Vec<ChunkId> = group.iter().map(|(_, desc, _)| desc.id).collect();
-        match store.provider_fetch(prov, ids) {
-            Ok(served) => {
-                for ((idx, desc, len), res) in group.into_iter().zip(served) {
-                    match res {
-                        Some((data, hot)) => {
-                            debug_assert_eq!(data.len(), len);
-                            total += len;
-                            if !hot || !read_cache {
-                                cold += len;
-                            }
-                            got.push((idx, desc, len, data));
+    match served {
+        Some(served) => {
+            let read_cache = store.config().provider_read_cache;
+            for ((idx, desc, len), res) in group.into_iter().zip(served) {
+                match res {
+                    Some((data, hot)) => {
+                        debug_assert_eq!(data.len(), len);
+                        total += len;
+                        if !hot || !read_cache {
+                            cold += len;
                         }
-                        None => fallback.push((idx, desc, len)),
+                        got.push((idx, desc, len, data));
                     }
+                    None => fallback.push((idx, desc, len)),
                 }
             }
-            // Transport failure: the whole batch retries through the
-            // per-chunk failover path (it skips unreachable nodes).
-            Err(_) => fallback = group,
         }
+        // The whole batch retries through the per-chunk failover path
+        // (it skips unreachable nodes).
+        None => fallback = group,
     }
     let mut out: ChunkResults = Vec::with_capacity(got.len() + fallback.len());
     if !got.is_empty() {
@@ -1805,23 +1832,37 @@ impl NodeIo for ClientNodeIo<'_> {
         for (i, k) in misses {
             by_shard[partition_of(k, self.shard_count())].push((i, k));
         }
-        for (shard, group) in by_shard.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let server = store.topo.metadata[shard];
-            let cfg = store.config();
+        let groups = || by_shard.iter().enumerate().filter(|(_, g)| !g.is_empty());
+        let cfg = store.config();
+        for (shard, group) in groups() {
             store.fabric.rpc(
                 self.client.node,
-                server,
+                store.topo.metadata[shard],
                 cfg.control_bytes + 8 * group.len() as u64,
                 cfg.node_bytes * group.len() as u64,
             )?;
-            let keys: Vec<NodeKey> = group.iter().map(|&(_, k)| k).collect();
-            let nodes = store.meta_read_nodes(shard, keys)?;
-            for ((i, _), node) in group.into_iter().zip(nodes) {
-                out[i] = Some(node);
-            }
+        }
+        // Every shard of the level in one step: one wait per level.
+        let mut asked = groups();
+        let mut failed = None;
+        store.meta_read_nodes(
+            groups().map(|(shard, group)| (shard, group.iter().map(|&(_, k)| k).collect())),
+            |nodes| {
+                let (_, group) = asked.next().expect("one outcome per shard");
+                match nodes {
+                    Ok(nodes) => {
+                        for (&(i, _), node) in group.iter().zip(nodes) {
+                            out[i] = Some(node);
+                        }
+                    }
+                    Err(e) => {
+                        failed.get_or_insert(e);
+                    }
+                }
+            },
+        );
+        if let Some(e) = failed {
+            return Err(e);
         }
         // Fill cache.
         {
@@ -1860,21 +1901,20 @@ impl NodeIo for ClientNodeIo<'_> {
         for (k, n) in nodes {
             by_shard[partition_of(k, self.shard_count())].push((k, n));
         }
-        for (shard, group) in by_shard.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
+        let cfg = store.config();
+        for (shard, group) in by_shard.iter().enumerate() {
+            if !group.is_empty() {
+                store.fabric.rpc(
+                    self.client.node,
+                    store.topo.metadata[shard],
+                    cfg.node_bytes * group.len() as u64,
+                    cfg.control_bytes,
+                )?;
             }
-            let server = store.topo.metadata[shard];
-            let cfg = store.config();
-            store.fabric.rpc(
-                self.client.node,
-                server,
-                cfg.node_bytes * group.len() as u64,
-                cfg.control_bytes,
-            )?;
-            store.meta_write_nodes(shard, group)?;
         }
-        Ok(())
+        // Every shard of the commit in one step.
+        let groups = by_shard.into_iter().enumerate();
+        store.meta_write_nodes(groups.filter(|(_, g)| !g.is_empty()))
     }
 }
 
@@ -3137,6 +3177,54 @@ mod tests {
             indexed,
             "an already-indexed key is not re-published"
         );
+    }
+
+    /// The scatter-gather request path moves waits, never modelled cost:
+    /// a cold 64-chunk boot (sixteen 4-chunk reads) and a snapshot delete
+    /// charge the fabric exactly what the per-destination calls charged —
+    /// the pinned values were recorded on the commit before the batch
+    /// steps landed — and the same under every transport.
+    #[test]
+    fn batched_steps_charge_the_fabric_what_per_destination_calls_did() {
+        use crate::api::TransportMode::*;
+        for transport in [Direct, Codec, Socket] {
+            let fabric = LocalFabric::new(5);
+            let compute: Vec<NodeId> = (0..4).map(NodeId).collect();
+            let topo = BlobTopology::colocated(&compute, NodeId(4));
+            let cfg = BlobConfig {
+                chunk_size: 128,
+                dedup: false,
+                cluster_dedup: false,
+                prefetch: false,
+                transport,
+                ..Default::default()
+            };
+            let store = BlobStore::new(cfg, topo, fabric.clone() as Arc<dyn Fabric>);
+            let writer = Client::new(Arc::clone(&store), NodeId(0));
+            let (blob, v1) = writer.upload(Payload::synth(7, 0, 64 * 128)).unwrap();
+            let v2 = writer
+                .write(blob, v1, 5 * 128, Payload::synth(8, 0, 4 * 128))
+                .unwrap();
+            let counters = || {
+                let s = fabric.stats();
+                let seen = (s.total_network_bytes(), s.rpc_count(), s.transfer_count());
+                s.reset();
+                seen
+            };
+            counters();
+            // Another node: empty descriptor, node and chunk caches.
+            let reader = Client::new(Arc::clone(&store), NodeId(1));
+            for read in 0..16u64 {
+                let range = read * 512..(read + 1) * 512;
+                reader.read(blob, v2, range).unwrap();
+            }
+            assert_eq!(counters(), (20992, 75, 46), "cold boot under {transport:?}");
+            // A third node: the collector's descent starts cold too.
+            let collector = Client::new(Arc::clone(&store), NodeId(2));
+            let report = collector.delete_snapshot(blob, v2).unwrap();
+            assert_eq!(report.freed_chunks, 4);
+            assert_eq!(counters(), (3928, 18, 3), "delete under {transport:?}");
+        }
     }
 
     #[test]

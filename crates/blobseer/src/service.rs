@@ -53,6 +53,10 @@ use std::net::SocketAddr;
 use std::ops::Range;
 use std::sync::Arc;
 
+/// A provider's answer to a `Fetch`: per requested id, the payload and
+/// whether the provider's read cache held it.
+pub(crate) type Fetched = Vec<Option<(Payload, bool)>>;
+
 /// A deployed BlobSeer-like service, seen from the client side.
 pub struct BlobStore {
     pub(crate) cfg: BlobConfig,
@@ -194,7 +198,33 @@ impl BlobStore {
         };
         let frame = bff_wire::encode(&req);
         let reply = transport.call(req.route(), &frame)?;
-        Ok(bff_wire::decode::<Resp>(&reply)?)
+        Ok(bff_wire::decode_owned::<Resp>(reply)?)
+    }
+
+    /// [`BlobStore::call`] for one protocol step that addresses several
+    /// destinations: behind a transport hop the requests travel as one
+    /// [`Transport::call_many`] batch — one wait for the step, not one
+    /// per destination. `sink` receives one outcome per request, in
+    /// request order. Without a hop there is nothing to wait for, so
+    /// each request is dispatched as `reqs` produces it and no request
+    /// or reply is ever collected.
+    fn call_many(&self, reqs: impl Iterator<Item = Req>, mut sink: impl FnMut(BlobResult<Resp>)) {
+        let Some(transport) = &self.transport else {
+            let srv = self.local();
+            reqs.for_each(|req| sink(srv.dispatch(req).map_err(Into::into)));
+            return;
+        };
+        let frames: Vec<_> = reqs
+            .map(|req| (req.route(), bff_wire::encode(&req)))
+            .collect();
+        let calls: Vec<_> = frames.iter().map(|(r, f)| (*r, f.as_slice())).collect();
+        for reply in transport.call_many(&calls) {
+            sink(
+                reply
+                    .and_then(bff_wire::decode_owned::<Resp>)
+                    .map_err(Into::into),
+            );
+        }
     }
 
     /// Real serialized bytes the transport has moved (all zeros without
@@ -327,32 +357,49 @@ impl BlobStore {
     // whole batch (the "one metadata round per level" pattern).
     // -----------------------------------------------------------------
 
+    /// Read one key group per shard, all shards in one step; `sink`
+    /// gets each shard's nodes in request order.
     pub(crate) fn meta_read_nodes(
         &self,
-        shard: usize,
-        keys: Vec<NodeKey>,
-    ) -> BlobResult<Vec<TreeNode>> {
-        match self.call(Req::Meta {
+        groups: impl Iterator<Item = (usize, Vec<NodeKey>)>,
+        mut sink: impl FnMut(BlobResult<Vec<TreeNode>>),
+    ) {
+        let reqs = groups.map(|(shard, keys)| Req::Meta {
             shard: shard as u32,
             req: MetaReq::ReadNodes(keys),
-        })? {
-            Resp::Meta(MetaResp::Nodes(r)) => r,
-            _ => Err(unexpected_resp()),
-        }
+        });
+        self.call_many(reqs, |resp| {
+            sink(match resp {
+                Ok(Resp::Meta(MetaResp::Nodes(r))) => r,
+                Ok(_) => Err(unexpected_resp()),
+                Err(e) => Err(e),
+            })
+        });
     }
 
+    /// Store one node group per shard, all shards in one step; the first
+    /// failure is returned (the other shards' writes stand — unpublished
+    /// nodes are unreachable either way).
     pub(crate) fn meta_write_nodes(
         &self,
-        shard: usize,
-        nodes: Vec<(NodeKey, TreeNode)>,
+        groups: impl Iterator<Item = (usize, Vec<(NodeKey, TreeNode)>)>,
     ) -> BlobResult<()> {
-        match self.call(Req::Meta {
+        let reqs = groups.map(|(shard, nodes)| Req::Meta {
             shard: shard as u32,
             req: MetaReq::WriteNodes(nodes),
-        })? {
-            Resp::Meta(MetaResp::Written) => Ok(()),
-            _ => Err(unexpected_resp()),
-        }
+        });
+        let mut outcome = Ok(());
+        self.call_many(reqs, |resp| {
+            let written = match resp {
+                Ok(Resp::Meta(MetaResp::Written)) => Ok(()),
+                Ok(_) => Err(unexpected_resp()),
+                Err(e) => Err(e),
+            };
+            if outcome.is_ok() {
+                outcome = written;
+            }
+        });
+        outcome
     }
 
     // -----------------------------------------------------------------
@@ -374,18 +421,31 @@ impl BlobStore {
         }
     }
 
-    pub(crate) fn provider_fetch(
+    /// The per-chunk failover path's fetch: a step of one provider.
+    pub(crate) fn provider_fetch(&self, prov: NodeId, ids: Vec<ChunkId>) -> BlobResult<Fetched> {
+        let mut answer = Err(unexpected_resp());
+        self.provider_fetch_many(std::iter::once((prov, ids)), |fetched| answer = fetched);
+        answer
+    }
+
+    /// Fetch one id group per provider, all providers in one step;
+    /// `sink` gets each provider's answer in request order.
+    pub(crate) fn provider_fetch_many(
         &self,
-        prov: NodeId,
-        ids: Vec<ChunkId>,
-    ) -> BlobResult<Vec<Option<(Payload, bool)>>> {
-        match self.call(Req::Provider {
-            node: prov,
+        groups: impl Iterator<Item = (NodeId, Vec<ChunkId>)>,
+        mut sink: impl FnMut(BlobResult<Fetched>),
+    ) {
+        let reqs = groups.map(|(node, ids)| Req::Provider {
+            node,
             req: ProviderReq::Fetch(ids),
-        })? {
-            Resp::Provider(ProviderResp::Fetched(r)) => Ok(r),
-            _ => Err(unexpected_resp()),
-        }
+        });
+        self.call_many(reqs, |resp| {
+            sink(match resp {
+                Ok(Resp::Provider(ProviderResp::Fetched(r))) => Ok(r),
+                Ok(_) => Err(unexpected_resp()),
+                Err(e) => Err(e),
+            })
+        });
     }
 
     /// Inspect a chunk without touching read-cache state. A transport
@@ -426,23 +486,27 @@ impl BlobStore {
         )
     }
 
-    /// Drop one reference per entry of `ids` at `prov` and report
-    /// `(bytes_freed, removed, dropped)` for each, in order (snapshot
-    /// GC). Transport failure → no outcomes: the whole batch reads as
-    /// skipped, the same bounded-leak semantics as an unreachable
-    /// provider.
+    /// Drop one reference per entry of each provider's id group, all
+    /// providers in one step, and hand `sink` each provider's
+    /// `(bytes_freed, removed, dropped)` outcomes, in id order (snapshot
+    /// GC). Transport failure → no outcomes: that provider's whole batch
+    /// reads as skipped, the same bounded-leak semantics as an
+    /// unreachable provider.
     pub(crate) fn provider_release_counted(
         &self,
-        prov: NodeId,
-        ids: &[ChunkId],
-    ) -> Vec<(u64, bool, bool)> {
-        match self.call(Req::Provider {
-            node: prov,
-            req: ProviderReq::ReleaseCounted(ids.to_vec()),
-        }) {
-            Ok(Resp::Provider(ProviderResp::ReleaseCounted(r))) => r,
-            _ => Vec::new(),
-        }
+        groups: impl Iterator<Item = (NodeId, Vec<ChunkId>)>,
+        mut sink: impl FnMut(Vec<(u64, bool, bool)>),
+    ) {
+        let reqs = groups.map(|(node, ids)| Req::Provider {
+            node,
+            req: ProviderReq::ReleaseCounted(ids),
+        });
+        self.call_many(reqs, |resp| {
+            sink(match resp {
+                Ok(Resp::Provider(ProviderResp::ReleaseCounted(r))) => r,
+                _ => Vec::new(),
+            })
+        });
     }
 
     // -----------------------------------------------------------------
@@ -736,9 +800,11 @@ mod tests {
             };
             let store = BlobStore::new(cfg, topo, fabric);
             let stranger = NodeId(99);
+            let mut read = Vec::new();
+            store.meta_read_nodes([(99, vec![NodeKey(1)])].into_iter(), |r| read.push(r));
             (
-                store.meta_read_nodes(99, vec![NodeKey(1)]),
-                store.meta_write_nodes(99, Vec::new()),
+                read.pop().expect("one outcome per request"),
+                store.meta_write_nodes([(99, Vec::new())].into_iter()),
                 store.provider_fetch(stranger, vec![ChunkId(1), ChunkId(2)]),
                 store.provider_retain(stranger, ChunkId(1)),
                 store.provider_release(stranger, ChunkId(1)),
@@ -753,6 +819,45 @@ mod tests {
         assert_eq!(fetched, Ok(vec![None, None]), "unknown provider: absent");
         assert!(!retained && !released && peeked.is_none());
         assert_eq!(latest, Err(crate::api::BlobError::NoSuchBlob(BlobId(7))));
+    }
+
+    /// A step over several shards is one round trip behind a hop (and no
+    /// frame at all without one), with the same answers either way.
+    #[test]
+    fn a_batch_step_is_one_round_trip() {
+        for (transport, frames, waits) in [
+            (TransportMode::Direct, 0, 0),
+            (TransportMode::Codec, 4, 2),
+            (TransportMode::Socket, 4, 2),
+        ] {
+            let fabric = LocalFabric::new(3);
+            let nodes: Vec<NodeId> = (0..2).map(NodeId).collect();
+            let topo = BlobTopology::colocated(&nodes, NodeId(2));
+            let cfg = BlobConfig {
+                transport,
+                ..Default::default()
+            };
+            let store = BlobStore::new(cfg, topo, fabric);
+            let leaf = |id| TreeNode::Leaf {
+                chunk: ChunkDesc {
+                    id: ChunkId(id),
+                    replicas: vec![NodeId(0)].into(),
+                },
+            };
+            let groups = [
+                (0, vec![(NodeKey(10), leaf(1))]),
+                (1, vec![(NodeKey(11), leaf(2)), (NodeKey(12), leaf(3))]),
+            ];
+            assert_eq!(store.meta_write_nodes(groups.into_iter()), Ok(()));
+            let mut read = Vec::new();
+            store.meta_read_nodes(
+                [(0, vec![NodeKey(10)]), (1, vec![NodeKey(12), NodeKey(11)])].into_iter(),
+                |nodes| read.push(nodes),
+            );
+            assert_eq!(read, [Ok(vec![leaf(1)]), Ok(vec![leaf(3), leaf(2)])]);
+            let stats = store.wire_stats();
+            assert_eq!((stats.calls, stats.round_trips), (frames, waits));
+        }
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! misrouted or version-skewed messages early.
 
 pub use bff_net::transport::WireError;
+use bytes::Bytes;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -27,12 +28,28 @@ use std::sync::Arc;
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// The same frame as a shared buffer, when the decoder owns it:
+    /// [`Reader::take_bytes`] then slices it instead of copying.
+    shared: Option<&'a Bytes>,
 }
 
 impl<'a> Reader<'a> {
     /// Start reading `buf` from the beginning.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self {
+            buf,
+            pos: 0,
+            shared: None,
+        }
+    }
+
+    /// Start reading a frame the decoder owns (see [`decode_owned`]).
+    pub fn shared(frame: &'a Bytes) -> Self {
+        Self {
+            buf: frame,
+            pos: 0,
+            shared: Some(frame),
+        }
     }
 
     /// Bytes not yet consumed.
@@ -57,6 +74,17 @@ impl<'a> Reader<'a> {
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    /// Next `n` raw bytes as a buffer that outlives the reader: a view
+    /// into the shared frame when there is one, a copy otherwise.
+    pub fn take_bytes(&mut self, n: usize) -> Result<Bytes, WireError> {
+        let start = self.pos;
+        let raw = self.take(n)?;
+        Ok(match self.shared {
+            Some(frame) => frame.slice(start..start + n),
+            None => Bytes::copy_from_slice(raw),
+        })
     }
 
     /// Next LEB128 varint.
@@ -118,6 +146,19 @@ pub fn encode<T: Wire>(v: &T) -> Vec<u8> {
 /// Decode a full frame payload; trailing bytes are a framing error.
 pub fn decode<T: Wire>(buf: &[u8]) -> Result<T, WireError> {
     let mut r = Reader::new(buf);
+    let v = T::dec(&mut r)?;
+    r.finish()?;
+    Ok(v)
+}
+
+/// [`decode`] for a frame the caller owns, such as the reply a
+/// transport returned: the frame becomes a shared buffer and literal
+/// payload segments are views into it, so a chunk-sized reply is not
+/// copied again on its way into a `Payload`. The whole frame stays
+/// allocated for as long as any such segment does.
+pub fn decode_owned<T: Wire>(frame: Vec<u8>) -> Result<T, WireError> {
+    let frame = Bytes::from(frame);
+    let mut r = Reader::shared(&frame);
     let v = T::dec(&mut r)?;
     r.finish()?;
     Ok(v)

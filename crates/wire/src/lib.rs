@@ -35,7 +35,7 @@ pub mod codec;
 pub mod msg;
 pub mod types;
 
-pub use codec::{decode, encode, put_varint, Reader, Wire, WireError};
+pub use codec::{decode, decode_owned, encode, put_varint, Reader, Wire, WireError};
 pub use msg::{
     unexpected_resp, BoardReq, BoardResp, ClusterReq, ClusterResp, DeleteOutcome, MetaReq,
     MetaResp, PmReq, PmResp, ProviderReq, ProviderResp, Req, Resp, VersionInfo, VmReq, VmResp,

@@ -314,9 +314,7 @@ impl Wire for Payload {
             match r.byte()? {
                 0 => {
                     let len = usize::dec(r)?;
-                    p.append(Payload::from_bytes(bytes::Bytes::copy_from_slice(
-                        r.take(len)?,
-                    )));
+                    p.append(Payload::from_bytes(r.take_bytes(len)?));
                 }
                 1 => {
                     let (seed, start, len) = (r.varint()?, r.varint()?, r.varint()?);
@@ -582,6 +580,20 @@ mod tests {
             .concat(Payload::synth(5, 3, 100));
         let back = decode::<Payload>(&encode(&mixed)).unwrap();
         assert!(back.content_eq(&mixed));
+    }
+
+    #[test]
+    fn owned_decode_slices_literals_out_of_the_frame() {
+        let chunk = Payload::from(vec![0xC4u8; 4096]).concat(Payload::zeros(64));
+        let frame = encode(&chunk);
+        let held = frame.as_ptr_range();
+        let owned = crate::codec::decode_owned::<Payload>(frame).unwrap();
+        assert!(owned.content_eq(&chunk));
+        for seg in owned.segments() {
+            if let SegView::Bytes(b) = seg {
+                assert!(held.contains(&b.as_ptr()), "a view, not a copy");
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use bff_data::{ContentDigest, ContentKey, Digest, Payload, Sha256Digest};
 use bff_net::{NetError, NodeId};
-use bff_wire::codec::{decode, encode, Wire};
+use bff_wire::codec::{decode, decode_owned, encode, Wire};
 use bff_wire::msg::{
     BoardReq, BoardResp, ClusterReq, ClusterResp, DeleteOutcome, MetaReq, MetaResp, PmReq, PmResp,
     ProviderReq, ProviderResp, Req, Resp, VersionInfo, VmReq, VmResp,
@@ -399,6 +399,13 @@ fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
         Ok(back) => assert_eq!(&back, v, "decode(encode(m)) != m"),
         Err(e) => panic!("decode(encode({v:?})) failed: {e}"),
     }
+    same_either_way::<T>(&frame);
+}
+
+/// The owning decode (literal segments sliced out of the frame) and the
+/// borrowing one (copied out) agree on every input, valid or not.
+fn same_either_way<T: Wire + PartialEq + std::fmt::Debug>(frame: &[u8]) {
+    assert_eq!(decode_owned::<T>(frame.to_vec()), decode::<T>(frame));
 }
 
 proptest! {
@@ -433,6 +440,9 @@ proptest! {
         let back = decode::<Payload>(&encode(&payload)).unwrap();
         prop_assert!(back.content_eq(&payload));
         prop_assert_eq!(back.len(), payload.len());
+        let owned = decode_owned::<Payload>(encode(&payload)).unwrap();
+        prop_assert!(owned.content_eq(&payload));
+        prop_assert_eq!(owned.len(), payload.len());
     }
 
     /// Any strict prefix of a valid frame decodes to a `WireError`
@@ -443,6 +453,7 @@ proptest! {
         let frame = encode(&req);
         let cut = (cut % frame.len() as u64) as usize;
         prop_assert!(decode::<Req>(&frame[..cut]).is_err());
+        same_either_way::<Req>(&frame[..cut]);
     }
 
     /// Random garbage never panics the decoder — every outcome is a
@@ -453,6 +464,10 @@ proptest! {
         let _ = decode::<Resp>(&bytes);
         let _ = decode::<BlobError>(&bytes);
         let _ = decode::<Payload>(&bytes);
+        same_either_way::<Req>(&bytes);
+        same_either_way::<Resp>(&bytes);
+        same_either_way::<BlobError>(&bytes);
+        same_either_way::<Payload>(&bytes);
     }
 
     /// A single flipped byte in a valid frame either still decodes (the
@@ -463,6 +478,7 @@ proptest! {
         let pos = (pos % frame.len() as u64) as usize;
         frame[pos] ^= 1 << bit;
         let _ = decode::<Req>(&frame);
+        same_either_way::<Req>(&frame);
     }
 }
 
