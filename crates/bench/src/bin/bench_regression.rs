@@ -14,7 +14,8 @@
 //!     [--recovery-results target/paper/recovery_summary.json --recovery-baseline BENCH_8.json] \
 //!     [--durable-results target/paper/durable_summary.json --durable-baseline BENCH_9.json] \
 //!     [--gc-results target/paper/gc_cost_summary.json --gc-baseline BENCH_13.json] \
-//!     [--pipeline-results target/paper/pipeline_summary.json --pipeline-baseline BENCH_14.json]
+//!     [--pipeline-results target/paper/pipeline_summary.json --pipeline-baseline BENCH_14.json \
+//!      --diff-boot-baseline BENCH_15.json]
 //! ```
 //!
 //! On failure the gate ends with a `FAILED METRICS` block naming, for
@@ -265,6 +266,18 @@ const PIPELINE_CHECKS: &[(&str, &str, &str)] = &[
     ),
 ];
 
+/// Measured-value keys checked between the same fixture's diff boot and
+/// `BENCH_15.json`: the node that booted the base boots a snapshot three
+/// chunks off it through a fresh handle. The ratio is the cold boot's
+/// `ReadNodes` frames ÷ the diff boot's — exact counts, tolerance zero.
+/// (That the boot sends the version manager at most one frame is
+/// asserted by the sweep itself, like its one-wait-per-level bound.)
+const DIFF_BOOT_CHECKS: &[(&str, &str, &str)] = &[(
+    "diff boot: metadata frames, cold boot ÷ boot of a snapshot of a known base",
+    "diff_boot_meta_reduction",
+    "diff_boot_meta_reduction_floor",
+)];
+
 /// Measured-value keys checked between a prefetch summary and
 /// `BENCH_4.json`.
 const PREFETCH_CHECKS: &[(&str, &str, &str)] = &[
@@ -403,6 +416,7 @@ fn main() -> ExitCode {
     let mut gc_baseline = String::from("BENCH_13.json");
     let mut pipeline_results: Option<String> = None;
     let mut pipeline_baseline = String::from("BENCH_14.json");
+    let mut diff_boot_baseline = String::from("BENCH_15.json");
     while let Some(a) = args.next() {
         match a.as_str() {
             "--results" => {
@@ -490,6 +504,9 @@ fn main() -> ExitCode {
             }
             "--pipeline-baseline" => {
                 pipeline_baseline = args.next().expect("--pipeline-baseline needs a path")
+            }
+            "--diff-boot-baseline" => {
+                diff_boot_baseline = args.next().expect("--diff-boot-baseline needs a path")
             }
             other => panic!("unknown argument {other}"),
         }
@@ -619,6 +636,16 @@ fn main() -> ExitCode {
             summary,
             &baseline,
             &pipeline_baseline,
+        ));
+        // The same fixture's diff boot, against its own baseline.
+        let baseline = std::fs::read_to_string(&diff_boot_baseline)
+            .unwrap_or_else(|e| panic!("read baseline {diff_boot_baseline}: {e}"));
+        failures.extend(check_summary(
+            "diff-boot",
+            DIFF_BOOT_CHECKS,
+            summary,
+            &baseline,
+            &diff_boot_baseline,
         ));
     }
     if !results.is_empty() {

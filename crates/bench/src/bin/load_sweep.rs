@@ -659,6 +659,13 @@ impl Transport for RoleCounting {
 /// four providers, so the sequential path waited four times per read;
 /// frames ÷ round trips is how many of those waits one step now covers.
 /// One thread, fixed schedule: the counts repeat exactly.
+///
+/// The fixture then takes the step behind `BENCH_15.json`: another node
+/// changes chunks 32–34 and snapshots (CLONE + COMMIT), and the node
+/// that just booted the base boots that snapshot through a fresh handle,
+/// in the same sixteen reads. Its tree shares all but ten nodes with
+/// the base's, which the node has, so the boot's metadata frames are
+/// the snapshot's diff — against the 103 of the cold boot.
 fn run_pipeline_fixture() {
     const PROVIDERS: u32 = 4;
     let fabric = LocalFabric::new(PROVIDERS as usize + 1);
@@ -691,13 +698,17 @@ fn run_pipeline_fixture() {
         .expect("upload");
 
     let before = (transport.seen(Role::Provider), transport.seen(Role::Meta));
-    let reader = Client::new(store, NodeId(1));
-    for offset in (0..image).step_by(BOOT_STRIDE as usize) {
-        let got = reader
-            .read(blob, version, offset..offset + BOOT_STRIDE)
-            .expect("boot read");
-        assert!(got.content_eq(&Payload::synth(0xB14, offset, BOOT_STRIDE)));
-    }
+    let base = Payload::synth(0xB14, 0, image);
+    let boot = |reader: &Client, blob, version, want: &Payload| {
+        for offset in (0..image).step_by(BOOT_STRIDE as usize) {
+            let got = reader
+                .read(blob, version, offset..offset + BOOT_STRIDE)
+                .expect("boot read");
+            assert!(got.content_eq(&want.slice(offset, offset + BOOT_STRIDE)));
+        }
+    };
+    let reader = Client::new(Arc::clone(&store), NodeId(1));
+    boot(&reader, blob, version, &base);
     let delta = |role, (frames0, trips0): (u64, u64)| {
         let (frames, trips) = transport.seen(role);
         (frames - frames0, trips - trips0)
@@ -718,7 +729,43 @@ fn run_pipeline_fixture() {
         per_trip(prov_frames, prov_trips),
         per_trip(meta_frames, meta_trips),
     );
+
+    // The diff boot: commit from node 2, boot on node 1 again.
+    let committer = Client::new(Arc::clone(&store), NodeId(2));
+    let snapshot = committer.clone_blob(blob, version).expect("clone");
+    let patch = Payload::synth(0xB15, 0, 3 * CHUNK);
+    let committed = committer
+        .write(snapshot, Version(1), 32 * CHUNK, patch.clone())
+        .expect("commit");
+    let changed = base.overwrite(32 * CHUNK, patch);
+    let reader = Client::new(store, NodeId(1));
+    let before = (transport.seen(Role::Meta), transport.seen(Role::Vm));
+    reader.snapshot_size(blob, version).expect("open base");
+    let (known_vm_frames, _) = delta(Role::Vm, before.1);
+    reader.snapshot_size(snapshot, committed).expect("open");
+    boot(&reader, snapshot, committed, &changed);
+    let (diff_meta_frames, _) = delta(Role::Meta, before.0);
+    let (diff_vm_frames, _) = delta(Role::Vm, before.1);
+    assert_eq!(known_vm_frames, 0, "opening a known version asks nobody");
+    assert!(
+        diff_vm_frames <= 1,
+        "a new version costs one version-manager frame ({diff_vm_frames})"
+    );
+    println!(
+        "diff boot (chunks 32-34 changed on another node, same 16 reads, fresh handle): \
+         metadata {diff_meta_frames} frames against {meta_frames} cold, \
+         version manager {diff_vm_frames} frames ({known_vm_frames} for the known base)"
+    );
+
     let mut summary = String::from("{\n");
+    let _ = writeln!(summary, "  \"cold_boot_meta_frames\": {meta_frames},");
+    let _ = writeln!(summary, "  \"diff_boot_meta_frames\": {diff_meta_frames},");
+    let _ = writeln!(summary, "  \"diff_boot_vm_frames\": {diff_vm_frames},");
+    let _ = writeln!(
+        summary,
+        "  \"diff_boot_meta_reduction\": {:.3},",
+        per_trip(meta_frames, diff_meta_frames)
+    );
     let _ = writeln!(
         summary,
         "  \"pipeline_provider_frames_per_round_trip\": {:.3},",

@@ -1,7 +1,8 @@
 //! The BlobSeer client: the protocol logic executed by compute nodes.
 //!
 //! Reads descend the distributed segment tree (batched per level, cached
-//! locally — tree nodes are immutable, so caching is trivially coherent)
+//! per *node* in the [`NodeContext`] — tree nodes are immutable, so
+//! caching is trivially coherent, and a handle owns no cache of its own)
 //! and then fetch the covered chunks *in parallel* from their providers,
 //! which is what distributes the I/O workload under the multideployment
 //! pattern (§3.1.3). Writes allocate providers round-robin (skipping
@@ -19,7 +20,10 @@
 //!    level-by-level walk of the segment tree
 //!    ([`segtree::collect_leaves_multi`]), so a plan of R runs costs at
 //!    most `tree depth` metadata rounds, not `R × depth` (§3.2: metadata
-//!    is accessed in parallel, grouped per level).
+//!    is accessed in parallel, grouped per level). A level fetches only
+//!    the nodes this *node* has never seen: a snapshot shares all but
+//!    the changed paths with its base, so booting a snapshot of an image
+//!    the node knows reads the diff, not the tree.
 //! 2. **Descriptor cache** — resolved chunk descriptors are cached per
 //!    `(blob, version)` in the *node-shared* [`NodeContext`] (§4.1's
 //!    metadata cache lives in the per-node FUSE process, shared by every
@@ -114,15 +118,14 @@ use std::sync::Arc;
 use bff_wire::msg::VersionInfo as VersionMeta;
 
 /// A client handle bound to one cluster node. All clients on a node
-/// share that node's [`NodeContext`] (descriptor cache + digest index),
-/// exactly as co-located VMs share the paper's per-node FUSE process.
+/// share that node's [`NodeContext`] — every cache lives there, the
+/// handle owns none — exactly as co-located VMs share the paper's
+/// per-node FUSE process.
 #[derive(Clone)]
 pub struct Client {
     store: Arc<BlobStore>,
     node: NodeId,
     ctx: Arc<NodeContext>,
-    version_cache: Arc<Mutex<FastMap<(BlobId, Version), VersionMeta>>>,
-    node_cache: Arc<Mutex<FastMap<NodeKey, TreeNode>>>,
     /// Diagnostic: number of `NodeIo::fetch` rounds issued (tests assert
     /// the single-descent bound; see `read_multi`).
     meta_fetch_calls: Arc<AtomicU64>,
@@ -143,8 +146,6 @@ impl Client {
             store,
             node,
             ctx,
-            version_cache: Arc::new(Mutex::new(FastMap::default())),
-            node_cache: Arc::new(Mutex::new(FastMap::default())),
             meta_fetch_calls: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -213,10 +214,21 @@ impl Client {
         self.store.vm_latest(blob)
     }
 
-    /// Blob logical size.
+    /// Blob logical size, asked of the version manager every time: for
+    /// callers that name no version. With one in hand use
+    /// [`Client::snapshot_size`].
     pub fn blob_size(&self, blob: BlobId) -> BlobResult<u64> {
         self.control_rpc(self.store.topology().vmanager)?;
         self.store.vm_size(blob)
+    }
+
+    /// Logical size of the snapshot `(blob, version)`: what opening it
+    /// needs to know. Served from the node's version facts — the lookup
+    /// every read of the snapshot makes anyway — so it costs one
+    /// version-manager round for a version this node has never seen and
+    /// none after that, where [`Client::blob_size`] always asks.
+    pub fn snapshot_size(&self, blob: BlobId, version: Version) -> BlobResult<u64> {
+        Ok(self.version_meta(blob, version)?.size)
     }
 
     /// The still-live (published, undeleted) snapshot versions of a
@@ -234,12 +246,13 @@ impl Client {
     }
 
     fn version_meta(&self, blob: BlobId, version: Version) -> BlobResult<VersionMeta> {
-        if let Some(m) = self.version_cache.lock().get(&(blob, version)) {
-            return Ok(*m);
-        }
+        let seen = match self.ctx.version_facts((blob, version)) {
+            Ok(m) => return Ok(m),
+            Err(purges) => purges,
+        };
         self.control_rpc(self.store.topology().vmanager)?;
         let m = self.store.vm_version_meta(blob, version)?;
-        self.version_cache.lock().insert((blob, version), m);
+        self.ctx.record_version_facts((blob, version), m, seen);
         Ok(m)
     }
 
@@ -1100,13 +1113,15 @@ impl Client {
 
         // 5. Publish at the version manager (the total-order point).
         self.control_rpc(self.store.topology().vmanager)?;
+        let seen = self.ctx.version_purges();
         let v = self.store.vm_publish(blob, base, new_root)?;
-        self.version_cache.lock().insert(
+        self.ctx.record_version_facts(
             (blob, v),
             VersionMeta {
                 root: new_root,
                 ..meta
             },
+            seen,
         );
         // The commit is durable: record its content for future reuse and
         // account the dedup savings.
@@ -1249,9 +1264,10 @@ impl Client {
         //    the family's live-root frontier under the same lock.
         self.control_rpc(self.store.topology().vmanager)?;
         let outcome = self.store.vm_delete_snapshots(blob, versions)?;
-        for &v in versions {
-            self.version_cache.lock().remove(&(blob, v));
-        }
+        // The versions are dead from here on, whatever happens below:
+        // no handle of this store may resolve them from a cache again.
+        let keys: Vec<(BlobId, Version)> = versions.iter().map(|&v| (blob, v)).collect();
+        self.store.purge_versions(&keys);
 
         // 2. Reachability diff by leaf node key: dead = reachable from a
         //    deleted root and from no live one.
@@ -1306,14 +1322,13 @@ impl Client {
             },
         );
 
-        // 4. Evict the freed entries cluster-wide: board patterns and
-        //    descriptor caches of the dead versions, digest/chunk-cache
-        //    entries of the freed chunks, on the index host and every
-        //    node replica. Charged as one control RPC plus a gossip
-        //    round when the host is reachable; the eviction itself is
-        //    applied regardless (replicas converge eventually — stale
-        //    survivors self-heal at validation).
-        let keys: Vec<(BlobId, Version)> = versions.iter().map(|&v| (blob, v)).collect();
+        // 4. Evict the freed entries cluster-wide: board patterns of
+        //    the dead versions, digest/chunk-cache entries of the freed
+        //    chunks, on the index host and every node replica. Charged
+        //    as one control RPC plus a gossip round when the host is
+        //    reachable; the eviction itself is applied regardless
+        //    (replicas converge eventually — stale survivors self-heal
+        //    at validation).
         let summary_bytes = c + 8 * (keys.len() + freed_ids.len()) as u64;
         self.charge_host_publish(summary_bytes);
         self.store.purge_deleted(&keys, &freed_ids);
@@ -1798,7 +1813,8 @@ fn unwrap_shared(outcome: Arc<Mutex<PushOutcome>>) -> PushOutcome {
         .into_inner()
 }
 
-/// Metadata I/O with client-side caching and per-shard batched RPCs.
+/// Metadata I/O through the node-shared tree-node cache, with per-shard
+/// batched RPCs for what the node has never seen.
 struct ClientNodeIo<'a> {
     client: &'a Client,
 }
@@ -1813,23 +1829,22 @@ impl NodeIo for ClientNodeIo<'_> {
     fn fetch(&mut self, keys: &[NodeKey]) -> BlobResult<Vec<TreeNode>> {
         self.client.meta_fetch_calls.fetch_add(1, Ordering::Relaxed);
         let store = &self.client.store;
-        let mut out: Vec<Option<TreeNode>> = vec![None; keys.len()];
-        // Serve from the client cache first (nodes are immutable).
-        let mut misses: Vec<(usize, NodeKey)> = Vec::new();
-        {
-            let cache = self.client.node_cache.lock();
-            for (i, k) in keys.iter().enumerate() {
-                match cache.get(k) {
-                    Some(n) => out[i] = Some(n.clone()),
-                    None => misses.push((i, *k)),
-                }
-            }
+        // Serve what this node has seen first (nodes are immutable).
+        let mut out = self.client.ctx.tree_nodes_get(keys);
+        let misses: Vec<(usize, NodeKey)> = keys
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(i, _)| out[i].is_none())
+            .collect();
+        if misses.is_empty() {
+            return Ok(out.into_iter().flatten().collect());
         }
         // Group misses by shard (dense buckets, ascending shard order —
         // deterministic RPCs); one RPC per shard (the "one metadata round
         // per level" batching).
         let mut by_shard: Vec<Vec<(usize, NodeKey)>> = vec![Vec::new(); self.shard_count()];
-        for (i, k) in misses {
+        for &(i, k) in &misses {
             by_shard[partition_of(k, self.shard_count())].push((i, k));
         }
         let groups = || by_shard.iter().enumerate().filter(|(_, g)| !g.is_empty());
@@ -1864,15 +1879,10 @@ impl NodeIo for ClientNodeIo<'_> {
         if let Some(e) = failed {
             return Err(e);
         }
-        // Fill cache.
-        {
-            let mut cache = self.client.node_cache.lock();
-            for (i, k) in keys.iter().enumerate() {
-                if let Some(n) = &out[i] {
-                    cache.entry(*k).or_insert_with(|| n.clone());
-                }
-            }
-        }
+        let fetched = misses
+            .iter()
+            .map(|&(i, k)| (k, out[i].clone().expect("filled")));
+        self.client.ctx.tree_nodes_insert(fetched);
         Ok(out.into_iter().map(|o| o.expect("filled")).collect())
     }
 
@@ -1887,14 +1897,9 @@ impl NodeIo for ClientNodeIo<'_> {
 
     fn store(&mut self, nodes: Vec<(NodeKey, TreeNode)>) -> BlobResult<()> {
         let store = &self.client.store;
-        // New nodes are immediately cacheable (cheap clones: inner nodes
+        // Cacheable once the shards hold them (cheap clones: inner nodes
         // are two keys, leaves share their replica set by refcount).
-        {
-            let mut cache = self.client.node_cache.lock();
-            for (k, n) in &nodes {
-                cache.insert(*k, n.clone());
-            }
-        }
+        let stored = nodes.clone();
         // Dense shard buckets, nodes moved (not cloned); ascending shard
         // order keeps RPCs deterministic.
         let mut by_shard: Vec<Vec<(NodeKey, TreeNode)>> = vec![Vec::new(); self.shard_count()];
@@ -1914,7 +1919,11 @@ impl NodeIo for ClientNodeIo<'_> {
         }
         // Every shard of the commit in one step.
         let groups = by_shard.into_iter().enumerate();
-        store.meta_write_nodes(groups.filter(|(_, g)| !g.is_empty()))
+        store.meta_write_nodes(groups.filter(|(_, g)| !g.is_empty()))?;
+        // Only now: the cache is shared, and a commit that failed above
+        // must not plant nodes no shard holds (nor evict useful ones).
+        self.client.ctx.tree_nodes_insert(stored);
+        Ok(())
     }
 }
 
@@ -3224,6 +3233,125 @@ mod tests {
             let report = collector.delete_snapshot(blob, v2).unwrap();
             assert_eq!(report.freed_chunks, 4);
             assert_eq!(counters(), (3928, 18, 3), "delete under {transport:?}");
+        }
+    }
+
+    /// A delete through one handle ends the version for *every* handle
+    /// of the store: what a node knows about a version lives in its
+    /// context, and the delete purges every context the moment the
+    /// version manager has marked the version dead. (The per-handle
+    /// cache this replaced kept answering from the other handle's copy:
+    /// `ChunkUnavailable` once the chunks were freed, or a successful
+    /// read of a deleted snapshot when dedup kept them alive.)
+    #[test]
+    fn a_delete_ends_the_version_for_every_handle_of_the_store() {
+        use crate::api::TransportMode::*;
+        for transport in [Direct, Codec, Socket] {
+            let fabric = LocalFabric::new(5);
+            let compute: Vec<NodeId> = (0..4).map(NodeId).collect();
+            let cfg = BlobConfig {
+                chunk_size: 128,
+                dedup: true,
+                transport,
+                ..Default::default()
+            };
+            let store = BlobStore::new(
+                cfg,
+                BlobTopology::colocated(&compute, NodeId(4)),
+                fabric as Arc<dyn Fabric>,
+            );
+            let deleter = Client::new(Arc::clone(&store), NodeId(0));
+            let neighbour = Client::new(Arc::clone(&store), NodeId(0));
+            let remote = Client::new(Arc::clone(&store), NodeId(1));
+            let image = Payload::synth(60, 0, 1024);
+            let (blob, v1) = deleter.upload(image.clone()).unwrap();
+            // v2: one chunk of its own, one that dedup shares with v1.
+            let updates = vec![(1, Payload::synth(61, 0, 128)), (2, image.slice(0, 128))];
+            let v2 = deleter.write_chunks(blob, v1, updates).unwrap();
+            // Every handle has resolved v2 before it dies.
+            for handle in [&deleter, &neighbour, &remote] {
+                handle.read(blob, v2, 0..1024).unwrap();
+            }
+            deleter.delete_snapshot(blob, v2).unwrap();
+            for (who, handle) in [
+                ("the deleter", &deleter),
+                ("a co-located handle", &neighbour),
+                ("a handle on another node", &remote),
+            ] {
+                for range in [0..1024, 256..384] {
+                    assert_eq!(
+                        handle.read(blob, v2, range).unwrap_err(),
+                        BlobError::NoSuchVersion(blob, v2),
+                        "{who} under {transport:?}"
+                    );
+                }
+                assert_eq!(
+                    handle.snapshot_size(blob, v2).unwrap_err(),
+                    BlobError::NoSuchVersion(blob, v2),
+                    "{who} under {transport:?}"
+                );
+                assert!(handle.read(blob, v1, 0..1024).unwrap().content_eq(&image));
+            }
+        }
+    }
+
+    /// The interleaving a racing read can produce, step by step: a
+    /// reader misses the node's facts and gets the version manager's
+    /// answer, the version is deleted (mark, purge, collection, purge),
+    /// and only then does the reader file the answer. The late answer is
+    /// dropped: every handle of the node keeps getting `NoSuchVersion`.
+    #[test]
+    fn an_answer_older_than_the_delete_is_not_filed() {
+        let (_f, a, b) = setup_cluster(true);
+        let image = Payload::synth(70, 0, 1024);
+        let (blob, v1) = b.upload(image.clone()).unwrap();
+        let v2 = b
+            .write_chunks(blob, v1, vec![(1, Payload::synth(71, 0, 128))])
+            .unwrap();
+        let seen = a.ctx.version_facts((blob, v2)).unwrap_err();
+        let answer = a.store.vm_version_meta(blob, v2).unwrap();
+        b.delete_snapshot(blob, v2).unwrap();
+        a.ctx.record_version_facts((blob, v2), answer, seen);
+        let fresh = Client::new(Arc::clone(a.store()), NodeId(0));
+        for handle in [&a, &fresh] {
+            assert_eq!(
+                handle.read(blob, v2, 0..1024).unwrap_err(),
+                BlobError::NoSuchVersion(blob, v2)
+            );
+            assert!(handle.read(blob, v1, 0..1024).unwrap().content_eq(&image));
+        }
+    }
+
+    /// The tree-node bound is a memory cap, never a correctness input:
+    /// with no cache at all, or one far smaller than a single tree, every
+    /// read, commit and delete answers as the default context does.
+    #[test]
+    fn tiny_tree_node_caches_stay_correct() {
+        for cap in [0usize, 1, 3, 16] {
+            let (_f, seed) = setup(4);
+            let store = Arc::clone(seed.store());
+            let ctx = Arc::new(NodeContext::with_tree_node_capacity(store.config(), cap));
+            let client = Client::with_context(Arc::clone(&store), NodeId(0), Arc::clone(&ctx));
+            let image = Payload::synth(70, 0, 64 * 128);
+            let (blob, v1) = client.upload(image.clone()).unwrap();
+            let patch = Payload::synth(71, 0, 3 * 128);
+            let v2 = client.write(blob, v1, 32 * 128, patch.clone()).unwrap();
+            assert!(ctx.tree_node_entries() <= cap, "cap {cap}");
+            // Cold descriptor caches on both sides: the descents run.
+            let fresh = Arc::new(NodeContext::with_tree_node_capacity(store.config(), cap));
+            let bounded = Client::with_context(Arc::clone(&store), NodeId(1), Arc::clone(&fresh));
+            let reference = Client::new(Arc::clone(&store), NodeId(2));
+            for (v, want) in [(v1, image.clone()), (v2, image.overwrite(32 * 128, patch))] {
+                for range in [0..64 * 128, 31 * 128..36 * 128, 100..200] {
+                    let got = bounded.read(blob, v, range.clone()).unwrap();
+                    assert!(got.content_eq(&want.slice(range.start, range.end)));
+                    let same = reference.read(blob, v, range).unwrap();
+                    assert!(got.content_eq(&same), "cap {cap}");
+                }
+            }
+            assert!(fresh.tree_node_entries() <= cap, "cap {cap}");
+            let report = bounded.delete_snapshot(blob, v2).unwrap();
+            assert_eq!(report.dead_leaves, 3, "cap {cap}");
         }
     }
 

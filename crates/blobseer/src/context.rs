@@ -16,6 +16,33 @@
 //!   so entries are never *stale* — the bound only caps memory. This
 //!   replaces the old per-client cache whose wholesale eviction flushed
 //!   everything once a client had touched too many versions.
+//! * **The tree-node cache** — `NodeKey → TreeNode`, every segment-tree
+//!   node a descent on this node has fetched or a commit from this node
+//!   has stored. A snapshot shares all but the changed paths of its tree
+//!   with the version it was made from, so a handle resolving a version
+//!   the node has never opened fetches the *diff* against what the node
+//!   has seen, not the tree. Sharing is safe because node keys are
+//!   reserved through the version manager's journal before the ack and
+//!   never reused, a stored node is never rewritten, and a node that was
+//!   not stored (a failed commit) is never inserted; a cached node no
+//!   live root reaches is unreachable, not wrong. One lock, taken once
+//!   per descent level for the batch lookup and once for the batch
+//!   insert; bounded by [`TREE_NODE_CACHE_ENTRIES`] and evicted
+//!   least-recently-*used* (the base image's nodes carry the oldest keys
+//!   and are the hottest). Deletes drop nothing here: recency ages dead
+//!   nodes out.
+//! * **The version facts** — `(blob, version) →` root, size, chunk size
+//!   and span, fixed at publish, so opening a version the node knows
+//!   costs no version-manager call. Bounded with the trackers by
+//!   `desc_cache_versions`; [`NodeContext::purge_version`] drops them, so
+//!   a delete through any handle of the store ends every handle's
+//!   ability to resolve the version — an answer a racing reader obtained
+//!   before the purge is not filed after it. (The fan-out is per
+//!   [`crate::BlobStore`]: a second client *process* learns of a delete
+//!   when its entry ages out, exactly like its descriptor cache.)
+//!
+//! These two took over from the per-handle maps `Client` used to own,
+//! which were born empty on every boot and every GC.
 //! * **The content-digest index** — maps `(length, digest)` of committed
 //!   chunk payloads to their live descriptors. `Client::write_chunks`
 //!   consults it before pushing replicas: a chunk whose content already
@@ -35,9 +62,10 @@
 //! Aggregate hit/miss, dedup and prefetch counters are atomics:
 //! experiments read them without stopping the data plane.
 
-use crate::api::{BlobConfig, BlobId, ChunkDesc, ChunkId, Version};
+use crate::api::{BlobConfig, BlobId, ChunkDesc, ChunkId, NodeKey, TreeNode, Version};
 use crate::lockstat::{probed_lock, LockContention, LockProbe};
-use bff_data::{ContentKey, DigestIndex, FastMap, FastSet, Payload, RangeSet, U64Hasher};
+use bff_data::{ContentKey, DigestIndex, FastMap, FastSet, LruMap, Payload, RangeSet, U64Hasher};
+use bff_wire::msg::VersionInfo;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher as _};
@@ -48,6 +76,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// snapshots never contend on one lock; 8 shards cover the per-node VM
 /// counts of the paper's multideployment experiments.
 pub const DESC_SHARDS: usize = 8;
+
+/// Entry bound of the node-shared tree-node cache. A cached node is
+/// ~100 B (key, stamp, two child keys or a descriptor, queue slot), so
+/// the bound is ≈ 6 MiB per node: 200 × the ≈ 300 nodes a rotating
+/// boot/snapshot/GC storm keeps live per node, 10 × a cold deployment of
+/// 48 images of 127 nodes each. A constant, not a [`BlobConfig`] field:
+/// no caller needs a second value, and a miss costs one metadata round.
+pub const TREE_NODE_CACHE_ENTRIES: usize = 1 << 16;
 
 /// First-touch accesses a node accumulates before publishing a summary
 /// batch to the cluster [`crate::board::PatternBoard`]. Batching keeps
@@ -219,6 +255,10 @@ pub struct CacheStats {
     pub dedup_reused_bytes: u64,
     /// `(blob, version)` entries currently cached.
     pub desc_entries: usize,
+    /// Tree nodes a descent found in the node-shared tree-node cache.
+    pub node_hits: u64,
+    /// Tree nodes a descent had to fetch from the metadata shards.
+    pub node_misses: u64,
 }
 
 impl CacheStats {
@@ -230,6 +270,15 @@ impl CacheStats {
         }
         self.desc_hits as f64 / total as f64
     }
+}
+
+/// What the version manager said per `(blob, version)`, and how many
+/// purges the map has seen: an answer obtained before a purge is not
+/// filed after it (see [`NodeContext::record_version_facts`]).
+#[derive(Debug)]
+struct VersionFacts {
+    known: LruMap<(BlobId, Version), VersionInfo>,
+    purges: u64,
 }
 
 /// The node-shared cache module (see module docs).
@@ -248,6 +297,13 @@ pub struct NodeContext {
     dedup_hits: AtomicU64,
     dedup_reused_bytes: AtomicU64,
     digests: Mutex<DigestIndex<ChunkDesc>>,
+    /// Every tree node this node has fetched or stored (see module docs).
+    tree_nodes: Mutex<LruMap<NodeKey, TreeNode>>,
+    node_hits: AtomicU64,
+    node_misses: AtomicU64,
+    /// The version manager's answer per `(blob, version)`, bounded like
+    /// the trackers and dropped by [`NodeContext::purge_version`].
+    versions: Mutex<VersionFacts>,
     /// Per-`(blob, version)` access-pattern trackers (prefetch plane).
     trackers: Mutex<FastMap<(BlobId, Version), AccessTracker>>,
     /// The node-shared chunk-data cache (prefetch plane).
@@ -273,6 +329,12 @@ impl NodeContext {
     /// use fewer shards so every shard keeps a bound ≥ 1 while the
     /// total stays exactly `desc_cache_versions`.
     pub fn new(cfg: &BlobConfig) -> Self {
+        Self::with_tree_node_capacity(cfg, TREE_NODE_CACHE_ENTRIES)
+    }
+
+    /// [`NodeContext::new`] with an explicit tree-node bound (tests of
+    /// the bound itself; 0 disables the cache).
+    pub(crate) fn with_tree_node_capacity(cfg: &BlobConfig, tree_nodes: usize) -> Self {
         let capacity = cfg.desc_cache_versions.max(1);
         let shard_count = DESC_SHARDS.min(capacity);
         Self {
@@ -286,6 +348,13 @@ impl NodeContext {
             dedup_hits: AtomicU64::new(0),
             dedup_reused_bytes: AtomicU64::new(0),
             digests: Mutex::new(DigestIndex::new(cfg.digest_index_chunks)),
+            tree_nodes: Mutex::new(LruMap::new(tree_nodes)),
+            node_hits: AtomicU64::new(0),
+            node_misses: AtomicU64::new(0),
+            versions: Mutex::new(VersionFacts {
+                known: LruMap::new(capacity),
+                purges: 0,
+            }),
             trackers: Mutex::new(FastMap::default()),
             chunks: Mutex::new(ChunkCache::default()),
             chunk_cache_bytes: if cfg.prefetch {
@@ -414,12 +483,85 @@ impl NodeContext {
         self.digests.lock().len()
     }
 
+    // --- Immutable metadata: tree nodes and version facts -------------
+
+    /// Batch lookup for one descent level: one lock acquisition, a hit
+    /// marks the node most-recently used.
+    pub(crate) fn tree_nodes_get(&self, keys: &[NodeKey]) -> Vec<Option<TreeNode>> {
+        let found: Vec<Option<TreeNode>> = {
+            let mut cache = self.tree_nodes.lock();
+            keys.iter().map(|k| cache.get_refresh(k).cloned()).collect()
+        };
+        let hits = found.iter().flatten().count() as u64;
+        self.node_hits.fetch_add(hits, Ordering::Relaxed);
+        self.node_misses
+            .fetch_add(keys.len() as u64 - hits, Ordering::Relaxed);
+        found
+    }
+
+    /// Batch insert, one lock acquisition. Only nodes the metadata
+    /// shards hold may be inserted — fetched ones, or stored ones after
+    /// the write was acknowledged — because every co-located handle
+    /// trusts what it finds here.
+    pub(crate) fn tree_nodes_insert(&self, nodes: impl IntoIterator<Item = (NodeKey, TreeNode)>) {
+        let mut cache = self.tree_nodes.lock();
+        for (key, node) in nodes {
+            cache.insert(key, node);
+        }
+    }
+
+    /// Tree nodes cached right now (never above
+    /// [`TREE_NODE_CACHE_ENTRIES`]).
+    pub fn tree_node_entries(&self) -> usize {
+        self.tree_nodes.lock().len()
+    }
+
+    /// What this node knows about `(blob, version)`; on a miss, the
+    /// purge count to hand back to [`NodeContext::record_version_facts`]
+    /// with the version manager's answer.
+    pub(crate) fn version_facts(&self, key: (BlobId, Version)) -> Result<VersionInfo, u64> {
+        let mut facts = self.versions.lock();
+        facts.known.get_refresh(&key).copied().ok_or(facts.purges)
+    }
+
+    /// Purges applied to the version facts so far: read it *before*
+    /// asking the version manager (a commit does, before it publishes).
+    pub(crate) fn version_purges(&self) -> u64 {
+        self.versions.lock().purges
+    }
+
+    /// Remember the version manager's answer for `key` (or what a
+    /// commit from this node just published) — unless a purge ran since
+    /// the caller saw purge count `seen`: the answer may then predate a
+    /// delete of `key`, and a deleted version must not come back into a
+    /// map every co-located handle trusts. The caller's own operation
+    /// began before that delete and may still use the answer; the next
+    /// one asks again.
+    pub(crate) fn record_version_facts(
+        &self,
+        key: (BlobId, Version),
+        info: VersionInfo,
+        seen: u64,
+    ) {
+        let mut facts = self.versions.lock();
+        if facts.purges == seen {
+            facts.known.insert(key, info);
+        }
+    }
+
     /// Snapshot-delete eviction, version-keyed state: drop the deleted
-    /// `(blob, version)`'s descriptor-cache entry and access tracker.
-    /// Stale entries would not corrupt anything (snapshots are
-    /// immutable and chunk ids are never reused), but they would pin
-    /// memory for a snapshot that can never be read again.
+    /// `(blob, version)`'s facts, descriptor-cache entry and access
+    /// tracker. Without its facts no handle on this node resolves the
+    /// version again — the next attempt asks the version manager and
+    /// gets `NoSuchVersion`. The other two would not corrupt anything
+    /// (snapshots are immutable and chunk ids are never reused), but
+    /// they would pin memory for a snapshot that can never be read again.
     pub fn purge_version(&self, key: (BlobId, Version)) {
+        {
+            let mut facts = self.versions.lock();
+            facts.known.remove(&key);
+            facts.purges += 1;
+        }
         self.take_entry(key);
         self.trackers.lock().remove(&key);
     }
@@ -723,6 +865,8 @@ impl NodeContext {
             dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
             dedup_reused_bytes: self.dedup_reused_bytes.load(Ordering::Relaxed),
             desc_entries: self.desc_entries(),
+            node_hits: self.node_hits.load(Ordering::Relaxed),
+            node_misses: self.node_misses.load(Ordering::Relaxed),
         }
     }
 
@@ -1005,6 +1149,70 @@ mod tests {
             ChunkOrigin::Demand,
         );
         assert!(!off.chunk_cache_contains(ChunkId(1)));
+    }
+
+    fn inner(id: u64) -> TreeNode {
+        TreeNode::Inner {
+            left: NodeKey(id),
+            right: NodeKey::NULL,
+        }
+    }
+
+    #[test]
+    fn tree_node_cache_is_bounded_and_keeps_what_is_used() {
+        const CAP: usize = 64;
+        let c = NodeContext::with_tree_node_capacity(&BlobConfig::default(), CAP);
+        // The base image's nodes: oldest keys, touched by every descent.
+        let hot: Vec<NodeKey> = (1..=8).map(NodeKey).collect();
+        c.tree_nodes_insert(hot.iter().map(|&k| (k, inner(k.0))));
+        // Ten times the bound of nodes nobody asks for again, a descent
+        // over the hot set in between.
+        for batch in 0..(10 * CAP as u64 / 4) {
+            let first = 1000 + 4 * batch;
+            c.tree_nodes_insert((first..first + 4).map(|k| (NodeKey(k), inner(k))));
+            assert!(c.tree_node_entries() <= CAP);
+            let got = c.tree_nodes_get(&hot);
+            assert!(
+                got.iter().all(Option::is_some),
+                "insertion-order eviction would have dropped the hot set by batch {batch}"
+            );
+        }
+        assert_eq!(c.tree_node_entries(), CAP);
+        assert_eq!(c.tree_nodes_get(&hot)[3], Some(inner(4)));
+        // The churn itself is gone except for its newest nodes.
+        assert_eq!(c.tree_nodes_get(&[NodeKey(1000)]), vec![None]);
+        let s = c.stats();
+        assert_eq!(s.node_misses, 1);
+        assert_eq!(s.node_hits, 8 * (10 * CAP as u64 / 4 + 1));
+    }
+
+    #[test]
+    fn version_facts_share_the_version_bound_and_leave_with_the_version() {
+        let c = ctx(4);
+        let facts = |root: u64| VersionInfo {
+            root: NodeKey(root),
+            size: 1 << 20,
+            chunk_size: 1 << 16,
+            span: 16,
+        };
+        for v in 1..=40u64 {
+            c.record_version_facts((BlobId(1), Version(v)), facts(v), 0);
+            // The base image stays known however many snapshots pass.
+            if v > 1 {
+                assert_eq!(c.version_facts((BlobId(1), Version(1))), Ok(facts(1)));
+            }
+        }
+        assert!(c.versions.lock().known.len() <= 4);
+        assert_eq!(c.version_facts((BlobId(1), Version(40))), Ok(facts(40)));
+        assert_eq!(c.version_facts((BlobId(1), Version(20))), Err(0));
+        c.purge_version((BlobId(1), Version(40)));
+        assert_eq!(c.version_facts((BlobId(1), Version(40))), Err(1));
+        // An answer obtained before the purge must not bring it back...
+        c.record_version_facts((BlobId(1), Version(40)), facts(40), 0);
+        assert_eq!(c.version_facts((BlobId(1), Version(40))), Err(1));
+        // ...one obtained after it is as good as any.
+        c.record_version_facts((BlobId(1), Version(41)), facts(41), c.version_purges());
+        assert_eq!(c.version_facts((BlobId(1), Version(41))), Ok(facts(41)));
     }
 
     #[test]

@@ -663,18 +663,35 @@ impl BlobStore {
         self.local().cluster_contention()
     }
 
+    fn contexts(&self) -> Vec<Arc<NodeContext>> {
+        self.contexts.lock().values().cloned().collect()
+    }
+
+    /// The moment versions are marked deleted: every node context drops
+    /// what it knows about them (facts, descriptors, access tracker), so
+    /// no handle of this store resolves them from a cache again — also
+    /// when the collection that follows the mark fails.
+    pub(crate) fn purge_versions(&self, versions: &[(BlobId, Version)]) {
+        for ctx in self.contexts() {
+            for &key in versions {
+                ctx.purge_version(key);
+            }
+        }
+    }
+
     /// Cluster-wide eviction after a snapshot delete: drop the deleted
-    /// versions' pattern/descriptor state and every cached trace of the
-    /// freed chunks from the cluster index and all node contexts. The
-    /// caller (the deleting client) charges the gossip that carries
-    /// these evictions; the state change itself is the replicas
-    /// converging.
+    /// versions' patterns and every cached trace of the freed chunks
+    /// from the cluster index and all node contexts. The caller (the
+    /// deleting client) charges the gossip that carries these evictions;
+    /// the state change itself is the replicas converging.
     pub(crate) fn purge_deleted(&self, versions: &[(BlobId, Version)], freed: &FastSet<ChunkId>) {
         // Server side (board host): patterns + cluster-index entries.
         self.board_purge(versions, freed);
-        // Client side: every local node context drops its cached traces.
-        let contexts: Vec<Arc<NodeContext>> = self.contexts.lock().values().cloned().collect();
-        for ctx in contexts {
+        // Client side: every local node context drops its cached traces —
+        // the versions' once more, for the descriptors and trackers a
+        // reader that resolved them before the mark put back during the
+        // collection.
+        for ctx in self.contexts() {
             for &key in versions {
                 ctx.purge_version(key);
             }

@@ -125,7 +125,7 @@ impl MirrorBackend {
         version: Version,
         cal: &Calibration,
     ) -> Result<Self, BackendError> {
-        let size = client.blob_size(blob)?;
+        let size = client.snapshot_size(blob, version)?;
         let cfg = MirrorConfig {
             fuse_op_overhead_us: cal.fuse_op_us(),
             read_syscall_us: cal.syscall_us,

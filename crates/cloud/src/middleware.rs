@@ -100,8 +100,9 @@ impl Cloud {
 
     /// Repository client for a node. Clients created for the same node
     /// attach to that node's shared [`bff_blobseer::NodeContext`] — the
-    /// paper's per-node FUSE module — so co-located VMs share the
-    /// descriptor cache and the content-digest dedup index.
+    /// paper's per-node FUSE module — which holds every cache: the
+    /// handle itself is stateless, so a client per operation costs
+    /// nothing a long-lived one would have saved.
     pub fn client(&self, node: NodeId) -> BlobClient {
         BlobClient::new(Arc::clone(&self.store), node)
     }
@@ -130,6 +131,8 @@ impl Cloud {
             cache.dedup_hits += s.dedup_hits;
             cache.dedup_reused_bytes += s.dedup_reused_bytes;
             cache.desc_entries += s.desc_entries;
+            cache.node_hits += s.node_hits;
+            cache.node_misses += s.node_misses;
             let p = ctx.prefetch_stats();
             prefetch.prefetched_chunks += p.prefetched_chunks;
             prefetch.prefetched_bytes += p.prefetched_bytes;
@@ -164,7 +167,7 @@ impl Cloud {
     /// standalone raw image.
     pub fn download_image(&self, blob: BlobId, version: Version) -> Result<Payload, BackendError> {
         let client = self.client(self.service);
-        let size = client.blob_size(blob)?;
+        let size = client.snapshot_size(blob, version)?;
         Ok(client.read(blob, version, 0..size)?)
     }
 

@@ -116,7 +116,7 @@ impl MirroredImage {
         store: Box<dyn LocalStore>,
         cfg: MirrorConfig,
     ) -> BlobResult<Self> {
-        let size = client.blob_size(blob)?;
+        let size = client.snapshot_size(blob, version)?;
         assert_eq!(store.len(), size, "local store must match image size");
         let chunk_size = client.store().config().chunk_size;
         let node = client.node();
@@ -871,10 +871,12 @@ mod tests {
         let mut m = mirror(&client, blob);
         m.read(0..IMG / 4).unwrap();
         assert_eq!(m.stats().remote_bytes, IMG / 4);
+        // Nothing but the touched chunks moves, and exactly those: the
+        // node knows the version it uploaded and its tree, so opening and
+        // resolving it cost no control or metadata byte, and of the two
+        // touched chunks the one the co-located provider holds never
+        // crosses the network.
         let net = client.store().fabric().stats().total_network_bytes();
-        assert!(
-            (IMG / 4..IMG / 2).contains(&net),
-            "traffic {net} should be just over the touched bytes"
-        );
+        assert_eq!(net, IMG / 4 - CS);
     }
 }

@@ -120,7 +120,7 @@ impl VirtualFs {
             other => {
                 // Stale or absent local state: start a fresh sparse mirror.
                 drop(other);
-                let size = self.client.blob_size(blob)?;
+                let size = self.client.snapshot_size(blob, version)?;
                 MirroredImage::open(
                     self.client.clone(),
                     blob,

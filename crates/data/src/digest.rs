@@ -1,5 +1,6 @@
 //! Content digests used for cheap equality checks, and the bounded
-//! [`DigestIndex`] behind content-addressed write deduplication.
+//! [`DigestIndex`] (an [`LruMap`] keyed by content) behind
+//! content-addressed write deduplication.
 //!
 //! FNV-1a over 64 bits is sufficient here: digests are never used for
 //! security, only to compare payloads without materializing both sides,
@@ -7,8 +8,7 @@
 //! consumers additionally key by payload *length*, shrinking the
 //! collision scope to equal-sized chunks.
 
-use crate::FastMap;
-use std::collections::VecDeque;
+use crate::LruMap;
 
 /// A 64-bit FNV-1a digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -93,125 +93,11 @@ impl ContentDigest {
 /// equal-sized payloads.
 pub type ContentKey = (u64, ContentDigest);
 
-/// A bounded content-addressed index: maps [`ContentKey`]s to arbitrary
-/// values (e.g. chunk descriptors), evicting the oldest *live* entry
-/// once the capacity is reached (insertion order; re-inserting a key
-/// refreshes its position). Stale queue slots — left behind by
-/// [`DigestIndex::remove`] or by re-inserts — are sequence-stamped so
-/// they can never evict a live entry in their place.
-#[derive(Debug)]
-pub struct DigestIndex<V> {
-    /// Live entries, each stamped with the sequence of the insert that
-    /// produced it.
-    map: FastMap<ContentKey, (u64, V)>,
-    /// Insertion-order queue of `(key, seq)` slots; a slot is live iff
-    /// its seq matches the map's current stamp for that key.
-    order: VecDeque<(ContentKey, u64)>,
-    seq: u64,
-    cap: usize,
-}
-
-impl<V> DigestIndex<V> {
-    /// An index holding at most `cap` entries (`cap == 0` disables it:
-    /// every insert is dropped, every lookup misses).
-    pub fn new(cap: usize) -> Self {
-        Self {
-            map: FastMap::default(),
-            order: VecDeque::new(),
-            seq: 0,
-            cap,
-        }
-    }
-
-    /// Number of entries currently indexed.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the index holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Look up a content key.
-    pub fn get(&self, key: &ContentKey) -> Option<&V> {
-        self.map.get(key).map(|(_, v)| v)
-    }
-
-    /// Whether a queue slot no longer corresponds to a live entry.
-    fn is_stale(map: &FastMap<ContentKey, (u64, V)>, slot: &(ContentKey, u64)) -> bool {
-        map.get(&slot.0).is_none_or(|(cur, _)| *cur != slot.1)
-    }
-
-    /// Insert (or replace) an entry, evicting the oldest live one if the
-    /// index is full.
-    pub fn insert(&mut self, key: ContentKey, value: V) {
-        if self.cap == 0 {
-            return;
-        }
-        self.seq += 1;
-        self.map.insert(key, (self.seq, value));
-        self.order.push_back((key, self.seq));
-        while self.map.len() > self.cap {
-            match self.order.pop_front() {
-                Some(slot) => {
-                    // Stale slots (removed or re-inserted keys) remove
-                    // nothing; keep popping until a live entry leaves.
-                    if !Self::is_stale(&self.map, &slot) {
-                        self.map.remove(&slot.0);
-                    }
-                }
-                None => break,
-            }
-        }
-        // Drain the stale prefix, then compact the whole queue once
-        // stale slots outnumber live entries. The prefix drain alone is
-        // not enough: a live, never-refreshed key parked at the front
-        // (e.g. content committed once, early) would shield an unbounded
-        // tail of stale slots from every future re-insert. Compaction is
-        // O(queue) but runs only after the queue doubles, so inserts
-        // stay amortized O(1) and `order.len() ≤ max(2·len(), 8)`.
-        while self
-            .order
-            .front()
-            .is_some_and(|slot| Self::is_stale(&self.map, slot))
-        {
-            self.order.pop_front();
-        }
-        if self.order.len() > self.map.len().saturating_mul(2).max(8) {
-            self.order.retain(|slot| !Self::is_stale(&self.map, slot));
-        }
-    }
-
-    /// Drop an entry (e.g. after the consumer found it stale). The
-    /// insertion-order queue keeps a stale slot that eviction skips.
-    pub fn remove(&mut self, key: &ContentKey) -> Option<V> {
-        self.map.remove(key).map(|(_, v)| v)
-    }
-
-    /// Drop every entry matching `pred`, returning how many left. This
-    /// is the garbage-collection hook: when stored content is reclaimed
-    /// (its chunk freed), the index entries that point at it must go —
-    /// by *value* predicate, because the collector knows what it freed
-    /// (a chunk id), not the content keys that mapped to it. O(len);
-    /// collectors batch their evictions so the scan runs once per GC
-    /// pass, not once per freed chunk.
-    pub fn remove_matching(&mut self, mut pred: impl FnMut(&ContentKey, &V) -> bool) -> usize {
-        let before = self.map.len();
-        self.map.retain(|k, (_, v)| !pred(k, v));
-        before - self.map.len()
-    }
-
-    /// Iterate the live entries (GC reverse-lookup and diagnostics).
-    pub fn iter(&self) -> impl Iterator<Item = (&ContentKey, &V)> {
-        self.map.iter().map(|(k, (_, v))| (k, v))
-    }
-}
+/// The bounded content-addressed index behind write dedup: maps
+/// [`ContentKey`]s to arbitrary values (e.g. chunk descriptors). Lookups
+/// peek ([`LruMap::get`]), so the oldest *recorded* entry is evicted
+/// once the capacity is reached; re-recording a key refreshes it.
+pub type DigestIndex<V> = LruMap<ContentKey, V>;
 
 #[cfg(test)]
 mod tests {
@@ -309,9 +195,9 @@ mod tests {
         }
         assert_eq!(idx.len(), 2);
         assert!(
-            idx.order.len() <= 8,
+            idx.queue_len() <= 8,
             "queue grew to {} slots for 2 live entries",
-            idx.order.len()
+            idx.queue_len()
         );
         assert_eq!(idx.get(&k(0)), Some(&0));
         assert_eq!(idx.get(&k(1)), Some(&9_999));

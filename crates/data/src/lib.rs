@@ -19,6 +19,7 @@ pub mod digest;
 pub mod extent;
 pub mod hash;
 pub mod log;
+pub mod lru;
 pub mod payload;
 pub mod range;
 pub mod rangeset;
@@ -29,6 +30,7 @@ pub use digest::{ContentDigest, ContentKey, Digest, DigestIndex};
 pub use extent::{ExtentMap, ExtentValue};
 pub use hash::{FastMap, FastSet, U64BuildHasher, U64Hasher};
 pub use log::RecordLog;
+pub use lru::LruMap;
 pub use payload::{Payload, SegView};
 pub use range::{chunk_cover, chunk_range, intersect, ranges_overlap, ByteRange};
 pub use rangeset::RangeSet;

@@ -297,3 +297,123 @@ fn snapshot_through_both_stacks_holds_same_bytes() {
     let b = qc.read(0..IMG).unwrap();
     assert!(a.content_eq(&b));
 }
+
+/// What a boot of a snapshot costs a node that has booted its *base*:
+/// counted per step, on the fabric (transport-independent) and on the
+/// wire (framed transports only).
+#[derive(Debug, PartialEq)]
+struct DiffBoot {
+    image: bff::data::Digest,
+    /// Tree nodes the booting node's descents found / had to fetch.
+    node_hits: u64,
+    node_misses: u64,
+    /// Fabric `(bytes, rpcs, transfers)` of re-opening the known base,
+    /// opening the new snapshot, and reading it whole.
+    open_known: (u64, u64, u64),
+    open_new: (u64, u64, u64),
+    read_new: (u64, u64, u64),
+}
+
+/// Node 1 boots the 64-chunk base; node 2 changes chunks 32–34 and
+/// snapshots; node 1 boots that snapshot through a fresh handle. Also
+/// returns the request frames of the three steps on node 1.
+fn diff_boot_via(transport: bff::blobseer::TransportMode) -> (DiffBoot, [u64; 3]) {
+    const CHUNK: u64 = 4 << 10;
+    const IMG: u64 = 64 * CHUNK;
+    let fabric = LocalFabric::new(5);
+    let compute: Vec<NodeId> = (0..4).map(NodeId).collect();
+    let cloud = Cloud::new(
+        fabric.clone() as Arc<dyn Fabric>,
+        compute,
+        NodeId(4),
+        BlobConfig {
+            chunk_size: CHUNK,
+            dedup: false,
+            cluster_dedup: false,
+            prefetch: false,
+            transport,
+            ..Default::default()
+        },
+        Calibration::default(),
+    );
+    let base = Payload::synth(0xD1FF, 0, IMG);
+    let (blob, v1) = cloud.upload_image(base.clone()).unwrap();
+    let (booter, committer) = (NodeId(1), NodeId(2));
+    let mut vm = cloud.add_instance(blob, v1, booter).unwrap();
+    assert!(vm.backend.read(0..IMG).unwrap().content_eq(&base));
+    drop(vm);
+
+    let patch = Payload::synth(0xD200, 0, 3 * CHUNK);
+    let mut vm = cloud.add_instance(blob, v1, committer).unwrap();
+    vm.backend.write(32 * CHUNK, patch.clone()).unwrap();
+    let (snap, sv) = vm.snapshot().unwrap();
+
+    let step = |before: bff::net::transport::WireStats| {
+        let s = fabric.stats();
+        let seen = (s.total_network_bytes(), s.rpc_count(), s.transfer_count());
+        s.reset();
+        (seen, cloud.store().wire_stats().calls - before.calls)
+    };
+    fabric.stats().reset();
+    let ctx = cloud.node_context(booter);
+    let known = ctx.stats();
+
+    let wire = cloud.store().wire_stats();
+    drop(cloud.add_instance(blob, v1, booter).unwrap());
+    let (open_known, known_frames) = step(wire);
+
+    let wire = cloud.store().wire_stats();
+    let mut vm = cloud.add_instance(snap, sv, booter).unwrap();
+    let (open_new, new_frames) = step(wire);
+
+    let wire = cloud.store().wire_stats();
+    let got = vm.backend.read(0..IMG).unwrap();
+    let (read_new, read_frames) = step(wire);
+    assert!(got.content_eq(&base.overwrite(32 * CHUNK, patch)));
+
+    let seen = ctx.stats();
+    (
+        DiffBoot {
+            image: got.digest(),
+            node_hits: seen.node_hits - known.node_hits,
+            node_misses: seen.node_misses - known.node_misses,
+            open_known,
+            open_new,
+            read_new,
+        },
+        [known_frames, new_frames, read_frames],
+    )
+}
+
+#[test]
+fn a_boot_costs_the_snapshots_diff_under_every_transport() {
+    use bff::blobseer::TransportMode;
+    let (direct, direct_frames) = diff_boot_via(TransportMode::Direct);
+    let (codec, codec_frames) = diff_boot_via(TransportMode::Codec);
+    let (socket, socket_frames) = diff_boot_via(TransportMode::Socket);
+    assert_eq!(direct, codec);
+    assert_eq!(direct, socket);
+    assert_eq!(direct_frames, [0; 3], "direct: no frame ever exists");
+    assert_eq!(codec_frames, socket_frames);
+
+    // Chunks 32–34 of 64 hang off ten new nodes: the root, one node per
+    // level down to the 4-chunk subtree, its two halves, three leaves.
+    // Everything else of the snapshot's tree is the base's, and the
+    // node has that.
+    assert_eq!(direct.node_misses, 10);
+    assert!(direct.node_hits > 0);
+    // Opening a version the node knows asks nobody; a new one asks the
+    // version manager once (open + mirror attach share the answer).
+    assert_eq!(direct.open_known, (0, 0, 0));
+    assert_eq!(direct.open_new.1, 1);
+    let [known_frames, new_frames, read_frames] = socket_frames;
+    assert_eq!((known_frames, new_frames), (0, 1));
+    // The whole-image read: one `Fetch` per provider, the rest are
+    // `ReadNodes` frames — at most one per fetched node.
+    let providers = 4;
+    assert!(
+        read_frames - providers <= direct.node_misses,
+        "{read_frames} frames for {} fetched nodes",
+        direct.node_misses
+    );
+}

@@ -501,3 +501,82 @@ fn gc_release_storm_survives_provider_loss() {
     let got = client.read(blob, v, 0..IMG).unwrap();
     assert!(got.content_eq(&image), "base intact after every storm");
 }
+
+/// Eight chunk indices spread over the 32-chunk image: a commit (or a
+/// collection) of them touches nodes on every metadata shard.
+fn spread_updates(seed: u64) -> Vec<(u64, Payload)> {
+    (0..8)
+        .map(|i| (4 * i, Payload::synth(seed + i, 0, 64 << 10)))
+        .collect()
+}
+
+#[test]
+fn failed_commit_plants_no_tree_nodes_and_the_node_boots_on() {
+    // The tree-node cache is shared by every handle on the node, so a
+    // commit that dies at a metadata shard must leave it exactly as it
+    // was: no node no shard holds, nothing useful evicted.
+    let (fabric, client, blob, v1) = setup(1);
+    let ctx = client.store().node_context(NodeId(0));
+    let known = ctx.tree_node_entries();
+    assert!(known > 0, "the uploader's node knows the tree it stored");
+
+    fabric.fail_node(NodeId(3)); // a metadata shard (and a provider)
+    let failed = client.write_chunks(blob, v1, spread_updates(0xC0));
+    assert!(failed.is_err(), "the commit must surface the lost shard");
+    assert_eq!(
+        ctx.tree_node_entries(),
+        known,
+        "a failed commit is invisible"
+    );
+
+    // The shard comes back, the commit is retried, and the new version
+    // boots on the same node through a fresh handle.
+    fabric.recover_node(NodeId(3));
+    let v2 = client.write_chunks(blob, v1, spread_updates(0xC0)).unwrap();
+    assert!(
+        ctx.tree_node_entries() > known,
+        "acknowledged nodes are shared"
+    );
+    let mut want = Payload::synth(0xFA11, 0, IMG);
+    for (i, data) in spread_updates(0xC0) {
+        want = want.overwrite(i * (64 << 10), data);
+    }
+    let fresh = BlobClient::new(Arc::clone(client.store()), NodeId(0));
+    let mut boot = MirrorBackend::open(fresh, blob, v2, &Calibration::default()).unwrap();
+    assert!(boot.read(0..IMG).unwrap().content_eq(&want));
+    // The same boot from a node that has seen nothing.
+    let cold = BlobClient::new(Arc::clone(client.store()), NodeId(5));
+    let mut boot = MirrorBackend::open(cold, blob, v2, &Calibration::default()).unwrap();
+    assert!(boot.read(0..IMG).unwrap().content_eq(&want));
+    // And the base is what it was.
+    let got = client.read(blob, v1, 0..IMG).unwrap();
+    assert!(got.content_eq(&Payload::synth(0xFA11, 0, IMG)));
+}
+
+#[test]
+fn failed_collection_still_ends_the_version_for_every_handle() {
+    // The version manager marks the versions dead first; the collection
+    // that follows can fail (here: a metadata shard is down, and the
+    // collector's node has never seen the trees). The mark stands, so no
+    // handle may keep resolving the version from what its node cached.
+    let (fabric, client, blob, v1) = setup(1);
+    let v2 = client.write_chunks(blob, v1, spread_updates(0xD0)).unwrap();
+    let reader = BlobClient::new(Arc::clone(client.store()), NodeId(1));
+    reader.read(blob, v2, 0..IMG).unwrap();
+
+    fabric.fail_node(NodeId(3));
+    let collector = BlobClient::new(Arc::clone(client.store()), NodeId(2));
+    assert!(
+        collector.delete_snapshot(blob, v2).is_err(),
+        "the descent needs the lost shard"
+    );
+    fabric.recover_node(NodeId(3));
+    for handle in [&client, &reader, &collector] {
+        assert_eq!(
+            handle.read(blob, v2, 0..IMG).unwrap_err(),
+            BlobError::NoSuchVersion(blob, v2)
+        );
+    }
+    let got = reader.read(blob, v1, 0..IMG).unwrap();
+    assert!(got.content_eq(&Payload::synth(0xFA11, 0, IMG)));
+}

@@ -19,7 +19,7 @@
 //! that never diverged from its source is dropped without reading a
 //! single tree node.
 
-use bff::blobseer::{BlobStore, BlobTopology, ReplicationMode};
+use bff::blobseer::{BlobResult, BlobStore, BlobTopology, ReplicationMode};
 use bff::core::{MemStore, MirrorConfig, MirroredImage};
 use bff::prelude::*;
 use proptest::prelude::*;
@@ -465,6 +465,132 @@ proptest! {
             for ((b, v), snap) in &live {
                 let got = reader.read(*b, *v, 0..MODEL_CHUNKS * CHUNK).unwrap();
                 prop_assert!(got.content_eq(&snap.expect()), "{:?}/{:?} dedup={}", b, v, dedup);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Node-shared metadata caches: sharing must be unobservable.
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum HandleOp {
+    /// Commit `chunks` (pool content) on top of the `nth` snapshot ever
+    /// published — live or deleted, head or not.
+    Commit {
+        node: u32,
+        nth: usize,
+        chunks: Vec<u64>,
+        seed: u64,
+    },
+    /// CLONE the `nth` snapshot.
+    Clone { node: u32, nth: usize },
+    /// Delete the `nth` snapshot (again, if it is already gone).
+    Delete { node: u32, nth: usize },
+    /// Boot the `nth` snapshot: open it and read it whole.
+    Boot { node: u32, nth: usize },
+}
+
+fn arb_handle_op() -> impl Strategy<Value = HandleOp> {
+    let commit = || {
+        (
+            0..2u32,
+            0..64usize,
+            prop::collection::vec(0..MODEL_CHUNKS, 1..4),
+            0..3u64,
+        )
+            .prop_map(|(node, nth, chunks, seed)| HandleOp::Commit {
+                node,
+                nth,
+                chunks,
+                seed,
+            })
+    };
+    prop_oneof![
+        commit(),
+        commit(),
+        (0..2u32, 0..64usize).prop_map(|(node, nth)| HandleOp::Clone { node, nth }),
+        (0..2u32, 0..64usize).prop_map(|(node, nth)| HandleOp::Delete { node, nth }),
+        (0..2u32, 0..64usize).prop_map(|(node, nth)| HandleOp::Boot { node, nth }),
+        (0..2u32, 0..64usize).prop_map(|(node, nth)| HandleOp::Boot { node, nth }),
+    ]
+}
+
+/// What one operation answered, reduced to what a caller can observe.
+#[derive(Debug, PartialEq)]
+enum Answer {
+    Version(BlobResult<Version>),
+    Blob(BlobResult<BlobId>),
+    Dead(BlobResult<(u64, u64)>),
+    Image(BlobResult<bff::data::Digest>),
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Over random commit / clone / delete / boot sequences issued
+    /// through a new handle per operation on two nodes, every answer —
+    /// snapshot identities, images, dead-leaf counts, and every error —
+    /// is the one the same sequence gets when each handle brings a
+    /// context of its own that nobody shares and nothing outlives.
+    #[test]
+    fn node_shared_metadata_is_unobservable(
+        ops in prop::collection::vec(arb_handle_op(), 1..24)) {
+        for dedup in [false, true] {
+            let shared = client_stack(dedup);
+            let alone = client_stack(dedup);
+            let handle = |stack: &BlobClient, node: u32, private: bool| {
+                let store = Arc::clone(stack.store());
+                if private {
+                    let ctx = Arc::new(NodeContext::new(store.config()));
+                    BlobClient::with_context(store, NodeId(node), ctx)
+                } else {
+                    BlobClient::new(store, NodeId(node))
+                }
+            };
+            let image = Payload::synth(77, 0, MODEL_CHUNKS * CHUNK);
+            let mut snaps = vec![shared.upload(image.clone()).unwrap()];
+            prop_assert_eq!(alone.upload(image).unwrap(), snaps[0]);
+
+            for op in &ops {
+                let run = |stack: &BlobClient, private: bool| match op {
+                    HandleOp::Commit { node, nth, chunks, seed } => {
+                        let (blob, base) = snaps[nth % snaps.len()];
+                        let chunks: HashSet<u64> = chunks.iter().copied().collect();
+                        let updates = chunks
+                            .into_iter()
+                            .map(|i| (i, Payload::synth(1000 + seed, 0, CHUNK)))
+                            .collect();
+                        Answer::Version(handle(stack, *node, private).write_chunks(blob, base, updates))
+                    }
+                    HandleOp::Clone { node, nth } => {
+                        let (blob, v) = snaps[nth % snaps.len()];
+                        Answer::Blob(handle(stack, *node, private).clone_blob(blob, v))
+                    }
+                    HandleOp::Delete { node, nth } => {
+                        let (blob, v) = snaps[nth % snaps.len()];
+                        let report = handle(stack, *node, private).delete_snapshot(blob, v);
+                        Answer::Dead(report.map(|r| (r.dead_leaves, r.freed_bytes)))
+                    }
+                    HandleOp::Boot { node, nth } => {
+                        let (blob, v) = snaps[nth % snaps.len()];
+                        let client = handle(stack, *node, private);
+                        Answer::Image(client.snapshot_size(blob, v).and_then(|size| {
+                            Ok(client.read(blob, v, 0..size)?.digest())
+                        }))
+                    }
+                };
+                let got = run(&shared, false);
+                let want = run(&alone, true);
+                prop_assert_eq!(&got, &want, "dedup={}, {:?}", dedup, op);
+                match (op, got) {
+                    (HandleOp::Commit { nth, .. }, Answer::Version(Ok(v))) => {
+                        snaps.push((snaps[nth % snaps.len()].0, v));
+                    }
+                    (_, Answer::Blob(Ok(clone))) => snaps.push((clone, Version(1))),
+                    _ => {}
+                }
             }
         }
     }

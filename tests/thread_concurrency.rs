@@ -326,3 +326,168 @@ fn concurrent_commits_to_one_blob_conflict_cleanly() {
         .filter(|r| r.is_err())
         .all(|r| matches!(r, Err(bff::blobseer::BlobError::Conflict { .. }))));
 }
+
+#[test]
+fn racing_co_located_handles_share_one_tree_node_cache() {
+    // Twelve snapshots staged from another node, each a few chunks off
+    // its predecessor; eight handles on ONE cold node then resolve all of
+    // them at once, each in its own order, through the node's shared
+    // tree-node cache. Every read must equal the same read through a
+    // context nobody else touches, and afterwards the shared cache holds
+    // exactly the nodes those trees consist of — none lost to a racing
+    // insert, none invented.
+    const CS: u64 = 4 << 10;
+    const SIZE: u64 = 64 * CS;
+    const WORKERS: usize = 8;
+    let fabric = LocalFabric::new(5);
+    let compute: Vec<NodeId> = (0..4).map(NodeId).collect();
+    let cfg = BlobConfig {
+        chunk_size: CS,
+        prefetch: false, // every resolve goes through the descent
+        ..Default::default()
+    };
+    let store = BlobStore::new(
+        cfg,
+        BlobTopology::colocated(&compute, NodeId(4)),
+        fabric as Arc<dyn Fabric>,
+    );
+    let stage = BlobClient::new(Arc::clone(&store), NodeId(3));
+    let (blob, v1) = stage.upload(Payload::synth(0x5A, 0, SIZE)).unwrap();
+    let mut versions = vec![v1];
+    for step in 1..12u64 {
+        let at = (step * 7) % 61;
+        let patch = Payload::synth(0x5A00 + step, 0, 3 * CS);
+        let v = stage
+            .write(blob, *versions.last().unwrap(), at * CS, patch)
+            .unwrap();
+        versions.push(v);
+    }
+
+    // The reference: one handle, one private context, no sharing.
+    let alone = Arc::new(NodeContext::new(store.config()));
+    let reference = BlobClient::with_context(Arc::clone(&store), NodeId(0), Arc::clone(&alone));
+    let want: Vec<bff::data::Digest> = versions
+        .iter()
+        .map(|&v| reference.read(blob, v, 0..SIZE).unwrap().digest())
+        .collect();
+
+    let start = std::sync::Barrier::new(WORKERS);
+    std::thread::scope(|s| {
+        for t in 0..WORKERS {
+            let (store, versions, want, start) = (&store, &versions, &want, &start);
+            s.spawn(move || {
+                let client = BlobClient::new(Arc::clone(store), NodeId(0));
+                start.wait();
+                for k in 0..versions.len() {
+                    // Coprime strides: every worker a different order.
+                    let i = (t + k * (2 * t + 1)) % versions.len();
+                    let got = client.read(blob, versions[i], 0..SIZE).unwrap();
+                    assert_eq!(got.digest(), want[i], "worker {t}, version {i}");
+                }
+            });
+        }
+    });
+    let shared = store.node_context(NodeId(0));
+    assert_eq!(
+        shared.tree_node_entries(),
+        alone.tree_node_entries(),
+        "the shared cache must hold exactly the trees' nodes"
+    );
+    // No lost node: with the descriptors dropped, a late handle descends
+    // every tree again and finds all of it on the node.
+    for &v in &versions {
+        shared.purge_version((blob, v));
+    }
+    let before = shared.stats();
+    let late = BlobClient::new(Arc::clone(&store), NodeId(0));
+    for (&v, digest) in versions.iter().zip(&want) {
+        assert_eq!(late.read(blob, v, 0..SIZE).unwrap().digest(), *digest);
+    }
+    let after = shared.stats();
+    assert!(late.meta_fetch_calls() > 0 && after.node_hits > before.node_hits);
+    assert_eq!(after.node_misses, before.node_misses);
+}
+
+#[test]
+fn a_read_racing_a_delete_never_revives_the_version() {
+    // Readers on ONE node resolve a chain of snapshots through fresh
+    // handles while a handle on another node deletes them one by one. A
+    // read that overlaps a delete may still see the snapshot (or lose a
+    // freed chunk); a read that *starts* after the delete returned must
+    // get `NoSuchVersion` — also when an overlapping reader obtained the
+    // version manager's answer before the mark and filed it afterwards.
+    use bff::blobseer::BlobError;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const CS: u64 = 4 << 10;
+    const SIZE: u64 = 16 * CS;
+    const SNAPSHOTS: u64 = 48;
+    const READERS: usize = 6;
+    let fabric = LocalFabric::new(5);
+    let compute: Vec<NodeId> = (0..4).map(NodeId).collect();
+    let cfg = BlobConfig {
+        chunk_size: CS,
+        prefetch: false,
+        ..Default::default()
+    };
+    let store = BlobStore::new(
+        cfg,
+        BlobTopology::colocated(&compute, NodeId(4)),
+        fabric as Arc<dyn Fabric>,
+    );
+    let stage = BlobClient::new(Arc::clone(&store), NodeId(3));
+    let (blob, base) = stage.upload(Payload::synth(0xD0, 0, SIZE)).unwrap();
+    let mut versions = Vec::new();
+    let mut want = Vec::new();
+    let mut last = base;
+    for step in 0..SNAPSHOTS {
+        let patch = Payload::synth(0xD000 + step, 0, CS);
+        last = stage.write(blob, last, (step % 16) * CS, patch).unwrap();
+        versions.push(last);
+        want.push(stage.read(blob, last, 0..SIZE).unwrap().digest());
+    }
+    let gone: Vec<AtomicBool> = versions.iter().map(|_| AtomicBool::new(false)).collect();
+
+    std::thread::scope(|s| {
+        let (store, versions, want, gone) = (&store, &versions, &want, &gone);
+        s.spawn(move || {
+            let deleter = BlobClient::new(Arc::clone(store), NodeId(1));
+            for (i, &v) in versions.iter().enumerate() {
+                deleter.delete_snapshot(blob, v).unwrap();
+                gone[i].store(true, Ordering::SeqCst);
+            }
+        });
+        for t in 0..READERS {
+            s.spawn(move || {
+                for round in 0..4 {
+                    for k in 0..versions.len() {
+                        let i = (t + round + k * (2 * t + 1)) % versions.len();
+                        let was_gone = gone[i].load(Ordering::SeqCst);
+                        let reader = BlobClient::new(Arc::clone(store), NodeId(0));
+                        match reader.read(blob, versions[i], 0..SIZE) {
+                            Err(BlobError::NoSuchVersion(..)) => {}
+                            Ok(got) if !was_gone => assert_eq!(got.digest(), want[i]),
+                            Err(BlobError::ChunkUnavailable(_)) if !was_gone => {}
+                            other => panic!(
+                                "reader {t}, snapshot {i}, deleted before the read: \
+                                 {was_gone}: {:?}",
+                                other.map(|p| p.len())
+                            ),
+                        }
+                    }
+                }
+            });
+        }
+    });
+    let late = BlobClient::new(Arc::clone(&store), NodeId(0));
+    for &v in &versions {
+        assert!(matches!(
+            late.read(blob, v, 0..SIZE),
+            Err(BlobError::NoSuchVersion(..))
+        ));
+    }
+    // The base outlives every snapshot cut from it.
+    assert_eq!(
+        late.read(blob, base, 0..SIZE).unwrap().digest(),
+        Payload::synth(0xD0, 0, SIZE).digest()
+    );
+}
