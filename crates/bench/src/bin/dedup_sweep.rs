@@ -23,34 +23,23 @@
 //! ever ran the survivor) while the survivor and the base image stay
 //! byte-identical — asserted, not sampled.
 //!
-//! **Snapshot-GC metadata cost.** What one single-version delete reads
-//! to find its dead leaves, counted on a 64-chunk image with 8 live
-//! family roots: the collector's joint pruned descent
-//! (`segtree::collect_dead_leaves`) against the per-root full walks it
-//! replaced — rounds and tree nodes, which repeat exactly.
-//!
 //! Emits `target/paper/dedup_sweep.{csv,json}` (the per-mode tables),
 //! `target/paper/dedup_summary.json` (gated against the `BENCH_3.json`
-//! floors), `target/paper/cluster_summary.json` (gated against the
-//! `BENCH_5.json` floors) and `target/paper/gc_cost_summary.json` (gated
-//! against the `BENCH_13.json` floors) for the `bench_regression` CI
-//! gate.
+//! floors) and `target/paper/cluster_summary.json` (gated against the
+//! `BENCH_5.json` floors) for the `bench_regression` CI gate. (What one
+//! snapshot delete reads to find its dead leaves — `BENCH_13.json` — is
+//! an exact count and is asserted by `tests/wire_counts.rs`.)
 //!
 //! The binary is CI-sized by default (seconds); `--mini` is accepted for
 //! symmetry with the figure binaries and changes nothing.
 
-use bff_bench::{f3, output_dir, Table};
-use bff_blobseer::segtree::{self, NodeIo};
-use bff_blobseer::{BlobError, BlobResult, ChunkDesc, ChunkId, NodeKey, TreeNode};
+use bff_bench::{f3, write_summary, Table};
 use bff_cloud::backend::ImageBackend;
 use bff_cloud::middleware::Cloud;
 use bff_cloud::params::Calibration;
 use bff_cloud::vm::vm_write_payload;
 use bff_data::Payload;
 use bff_net::{Fabric, LocalFabric, NodeId};
-use std::collections::{HashMap, HashSet};
-use std::fmt::Write as _;
-use std::ops::Range;
 
 const NODES: u32 = 4;
 const VMS: usize = 8; // two co-located per node
@@ -253,123 +242,6 @@ fn run_cross(cluster: bool, vms: usize, gc: bool) -> CrossOutcome {
     }
 }
 
-/// What a collector read from a [`CountingIo`]: `rounds` is `fetch`
-/// calls (one metadata round trip each), `nodes` the keys it asked for,
-/// `distinct` how many of those were different — what a cold client
-/// node cache would let through to the metadata shards.
-#[derive(Debug, Default, Clone, Copy)]
-struct GcCost {
-    rounds: u64,
-    nodes: u64,
-    distinct: u64,
-}
-
-/// An in-memory metadata store that counts what is read from it.
-#[derive(Default)]
-struct CountingIo {
-    nodes: HashMap<NodeKey, TreeNode>,
-    next_key: u64,
-    seen: HashSet<NodeKey>,
-    cost: GcCost,
-}
-
-impl CountingIo {
-    /// The cost since the last call, with a cold cache from here on.
-    fn take_cost(&mut self) -> GcCost {
-        self.seen.clear();
-        std::mem::take(&mut self.cost)
-    }
-}
-
-impl NodeIo for CountingIo {
-    fn fetch(&mut self, keys: &[NodeKey]) -> BlobResult<Vec<TreeNode>> {
-        self.cost.rounds += 1;
-        self.cost.nodes += keys.len() as u64;
-        keys.iter()
-            .map(|k| {
-                self.cost.distinct += self.seen.insert(*k) as u64;
-                self.nodes
-                    .get(k)
-                    .cloned()
-                    .ok_or(BlobError::MetadataMissing(*k))
-            })
-            .collect()
-    }
-    fn reserve(&mut self, n: u64) -> BlobResult<Range<u64>> {
-        let start = self.next_key + 1; // key 0 is NULL
-        self.next_key += n;
-        Ok(start..start + n)
-    }
-    fn store(&mut self, nodes: Vec<(NodeKey, TreeNode)>) -> BlobResult<()> {
-        self.nodes.extend(nodes);
-        Ok(())
-    }
-}
-
-/// The 64-chunk / 8-live-root fixture: a base image, seven lineage
-/// heads that each rewrote four chunks of it, and an eighth lineage
-/// whose head is deleted. Returns the cost of finding its dead leaves
-/// by the per-root full walks (the deleted tree, then every live tree)
-/// and by the joint descent, after checking both find the same four.
-fn gc_metadata_cost() -> (GcCost, GcCost) {
-    const SPAN: u64 = 64;
-    let mut io = CountingIo::default();
-    let mut next_chunk = 0u64;
-    let mut write = |io: &mut CountingIo, base: NodeKey, chunks: &[u64]| {
-        let updates = chunks
-            .iter()
-            .map(|&i| {
-                next_chunk += 1;
-                let replicas = [NodeId((i % NODES as u64) as u32)].into();
-                (
-                    i,
-                    ChunkDesc {
-                        id: ChunkId(next_chunk),
-                        replicas,
-                    },
-                )
-            })
-            .collect();
-        segtree::build_new_tree(io, base, SPAN, &updates).expect("build tree")
-    };
-    let all: Vec<u64> = (0..SPAN).collect();
-    let base = write(&mut io, NodeKey::NULL, &all);
-    let mut live = vec![base];
-    for i in 0..7u64 {
-        let chunks: Vec<u64> = (0..4).map(|j| (13 * i + 17 * j + 5) % SPAN).collect();
-        live.push(write(&mut io, base, &chunks));
-    }
-    let victim = write(&mut io, base, &[2, 19, 36, 53]);
-
-    io.take_cost();
-    let mut walked: HashMap<u64, ChunkId> =
-        segtree::collect_leaves(&mut io, victim, SPAN, &(0..SPAN))
-            .expect("walk the deleted tree")
-            .into_iter()
-            .map(|(i, desc)| (i, desc.id))
-            .collect();
-    for &root in &live {
-        for (i, desc) in
-            segtree::collect_leaves(&mut io, root, SPAN, &(0..SPAN)).expect("walk a live tree")
-        {
-            if walked.get(&i) == Some(&desc.id) {
-                walked.remove(&i);
-            }
-        }
-    }
-    let full_walks = io.take_cost();
-    let dead = segtree::collect_dead_leaves(&mut io, &[victim], &live, SPAN).expect("descent");
-    let joint = io.take_cost();
-
-    let mut by_walks: Vec<ChunkId> = walked.into_values().collect();
-    let mut by_descent: Vec<ChunkId> = dead.into_iter().map(|(_, desc)| desc.id).collect();
-    by_walks.sort();
-    by_descent.sort();
-    assert_eq!(by_descent.len(), 4, "the victim's four rewritten chunks");
-    assert_eq!(by_descent, by_walks, "both collectors find the same leaves");
-    (full_walks, joint)
-}
-
 fn main() {
     let off = run_mode(false);
     let on = run_mode(true);
@@ -410,23 +282,15 @@ fn main() {
         100.0 * on.hit_rate
     );
 
-    // Flat summary for the CI perf gate (compared against BENCH_3.json).
-    let mut summary = String::from("{\n");
-    let _ = writeln!(
-        summary,
-        "  \"dedup_stored_reduction\": {stored_reduction:.3},"
+    write_summary(
+        "dedup_summary.json",
+        &[
+            ("dedup_stored_reduction", f3(stored_reduction)),
+            ("dedup_network_reduction", f3(network_reduction)),
+            ("desc_hit_rate", f3(on.hit_rate)),
+            ("dedup_reused_mb", f3(on.reused_mb)),
+        ],
     );
-    let _ = writeln!(
-        summary,
-        "  \"dedup_network_reduction\": {network_reduction:.3},"
-    );
-    let _ = writeln!(summary, "  \"desc_hit_rate\": {:.3},", on.hit_rate);
-    let _ = writeln!(summary, "  \"dedup_reused_mb\": {:.3}", on.reused_mb);
-    summary.push('}');
-    summary.push('\n');
-    let path = output_dir().join("dedup_summary.json");
-    std::fs::write(&path, summary).expect("write summary");
-    println!("[written {}]", path.display());
 
     // --- Cross-node contextualization + snapshot GC -----------------
     let node_local = run_cross(false, X_VMS, false);
@@ -478,66 +342,15 @@ fn main() {
         100.0 * gc_reclaimed_fraction,
     );
 
-    // Flat summary for the CI perf gate (compared against BENCH_5.json).
-    let mut summary = String::from("{\n");
-    let _ = writeln!(
-        summary,
-        "  \"cluster_stored_reduction\": {cluster_stored_reduction:.3},"
+    write_summary(
+        "cluster_summary.json",
+        &[
+            ("cluster_stored_reduction", f3(cluster_stored_reduction)),
+            ("cluster_network_reduction", f3(cluster_network_reduction)),
+            ("gc_reclaimed_fraction", f3(gc_reclaimed_fraction)),
+            ("gc_reclaimed_mb", f3(clustered.reclaimed_mb)),
+            ("cluster_stored_mb", f3(clustered.stored_mb)),
+            ("node_local_stored_mb", f3(node_local.stored_mb)),
+        ],
     );
-    let _ = writeln!(
-        summary,
-        "  \"cluster_network_reduction\": {cluster_network_reduction:.3},"
-    );
-    let _ = writeln!(
-        summary,
-        "  \"gc_reclaimed_fraction\": {gc_reclaimed_fraction:.3},"
-    );
-    let _ = writeln!(
-        summary,
-        "  \"gc_reclaimed_mb\": {:.3},",
-        clustered.reclaimed_mb
-    );
-    let _ = writeln!(
-        summary,
-        "  \"cluster_stored_mb\": {:.3},",
-        clustered.stored_mb
-    );
-    let _ = writeln!(
-        summary,
-        "  \"node_local_stored_mb\": {:.3}",
-        node_local.stored_mb
-    );
-    summary.push('}');
-    summary.push('\n');
-    let path = output_dir().join("cluster_summary.json");
-    std::fs::write(&path, summary).expect("write cluster summary");
-    println!("[written {}]", path.display());
-
-    // --- Snapshot-GC metadata cost ----------------------------------
-    let (walks, joint) = gc_metadata_cost();
-    let ratio = |old: u64, new: u64| old as f64 / new as f64;
-    let rounds_reduction = ratio(walks.rounds, joint.rounds);
-    let nodes_reduction = ratio(walks.nodes, joint.nodes);
-    let distinct_reduction = ratio(walks.distinct, joint.distinct);
-    println!(
-        "\nsnapshot-GC metadata per single-version delete (64 chunks, 8 live roots): \
-         per-root walks {walks:?} -> joint descent {joint:?} \
-         (rounds {rounds_reduction:.2}x, nodes {nodes_reduction:.2}x, \
-         distinct nodes {distinct_reduction:.2}x)"
-    );
-    // Flat summary for the CI perf gate (compared against BENCH_13.json).
-    let summary = format!(
-        "{{\n  \"gc_fetch_rounds_reduction\": {rounds_reduction:.3},\n  \
-         \"gc_nodes_fetched_reduction\": {nodes_reduction:.3},\n  \
-         \"gc_distinct_nodes_reduction\": {distinct_reduction:.3},\n  \
-         \"gc_full_walk_rounds\": {},\n  \
-         \"gc_full_walk_nodes\": {},\n  \
-         \"gc_full_walk_distinct_nodes\": {},\n  \
-         \"gc_joint_descent_rounds\": {},\n  \
-         \"gc_joint_descent_nodes\": {}\n}}\n",
-        walks.rounds, walks.nodes, walks.distinct, joint.rounds, joint.nodes
-    );
-    let path = output_dir().join("gc_cost_summary.json");
-    std::fs::write(&path, summary).expect("write gc cost summary");
-    println!("[written {}]", path.display());
 }

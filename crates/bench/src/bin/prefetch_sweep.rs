@@ -33,7 +33,7 @@
 //! CI-sized by default (seconds); `--mini` is accepted for symmetry
 //! with the figure binaries and changes nothing.
 
-use bff_bench::{f3, output_dir, Table};
+use bff_bench::{f3, write_summary, Table};
 use bff_blobseer::{
     BlobConfig, BlobStore, BlobTopology, Client as BlobClient, ReplicationMode, Version,
 };
@@ -47,7 +47,6 @@ use bff_workloads::boottrace::BootProfile;
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 const NODES: u32 = 8;
@@ -340,32 +339,22 @@ fn main() {
         pipe_s,
     );
 
-    // Flat summary for the CI perf gate (compared against BENCH_4.json).
-    let mut summary = String::from("{\n");
     let network_reduction = off.network_mb / on.network_mb.max(1e-9);
-    let _ = writeln!(summary, "  \"prefetch_boot_speedup\": {boot_speedup:.3},");
-    let _ = writeln!(summary, "  \"prefetch_hit_rate\": {hit_rate:.3},");
-    let _ = writeln!(
-        summary,
-        "  \"prefetch_network_reduction\": {network_reduction:.3},"
+    write_summary(
+        "prefetch_summary.json",
+        &[
+            ("prefetch_boot_speedup", f3(boot_speedup)),
+            ("prefetch_hit_rate", f3(hit_rate)),
+            ("prefetch_network_reduction", f3(network_reduction)),
+            ("chain_pipeline_speedup", f3(chain_speedup)),
+            ("prefetch_network_mb", f3(on.network_mb)),
+            ("confidence_waste_saved", waste_saved.to_string()),
+            ("confidence_unused_filtered", unused(&on).to_string()),
+            (
+                "confidence_unused_unfiltered",
+                unused(&on_unfiltered).to_string(),
+            ),
+            ("prefetch_boot_wave_s", f3(on.wave_s)),
+        ],
     );
-    let _ = writeln!(summary, "  \"chain_pipeline_speedup\": {chain_speedup:.3},");
-    let _ = writeln!(summary, "  \"prefetch_network_mb\": {:.3},", on.network_mb);
-    let _ = writeln!(summary, "  \"confidence_waste_saved\": {waste_saved}.0,");
-    let _ = writeln!(
-        summary,
-        "  \"confidence_unused_filtered\": {}.0,",
-        unused(&on)
-    );
-    let _ = writeln!(
-        summary,
-        "  \"confidence_unused_unfiltered\": {}.0,",
-        unused(&on_unfiltered)
-    );
-    let _ = writeln!(summary, "  \"prefetch_boot_wave_s\": {:.3}", on.wave_s);
-    summary.push('}');
-    summary.push('\n');
-    let path = output_dir().join("prefetch_summary.json");
-    std::fs::write(&path, summary).expect("write summary");
-    println!("[written {}]", path.display());
 }

@@ -28,44 +28,28 @@
 //! unreadable snapshot fails the run. A final upload/download proves
 //! the cluster still accepts writes after both restarts.
 //!
-//! Durability features are pinned to the paths under test (local dedup
-//! on, speculative prefetch and the soft-state cluster index off — they
-//! are caches, not durable state, and their background traffic would
-//! only add noise to the dead windows).
+//! Local dedup is pinned on and the cluster dedup index off on both
+//! sides: the index is a soft-state cache the servers do not journal,
+//! and its traffic would only add noise to the dead windows.
 //!
-//! Emits `target/paper/recovery_summary.json`; gated against
-//! `BENCH_8.json` by `bench_regression --recovery-results`. The gated
-//! metrics are survivor identity (floor 1.0 — recovery is correctness,
-//! not a ratio to tune) and the recovery-time margin against
-//! [`BOUND_S`]. `--mini` shrinks the storm for CI smoke runs;
-//! `BFF_RECOVERY_THREADS` pins the client count.
+//! Emits `target/paper/recovery_summary.json`, gated against
+//! `BENCH_8.json` by `bench_regression`. The gated metrics are survivor
+//! identity (floor 1.0 — recovery is correctness, not a ratio to tune)
+//! and the recovery-time margin against [`BOUND_S`]. `--mini` shrinks
+//! the storm for CI smoke runs; `--clients N` pins the client count.
 
-use bff_bench::procs::ServerSpec;
-use bff_bench::{output_dir, RunScale};
-use bff_blobseer::{BlobConfig, BlobId, BlobStore, BlobTopology, TransportMode, Version};
-use bff_cloud::backend::{BackendError, ImageBackend};
+use bff_bench::storm::{self, Rng, Rotation, CHUNK, RECOVERY};
+use bff_bench::{output_dir, write_summary, RunScale};
+use bff_blobseer::{BlobConfig, BlobId, TransportMode, Version};
+use bff_cloud::backend::BackendError;
 use bff_cloud::middleware::Cloud;
-use bff_cloud::params::Calibration;
-use bff_cloud::vm::vm_write_payload;
 use bff_data::{Payload, Sha256Digest};
-use bff_net::transport::{RouteTable, SocketTransport, Transport};
-use bff_net::{Fabric, NodeId, ThreadFabric, ThreadParams};
+use bff_net::transport::{RouteTable, SocketTransport};
+use bff_net::{Fabric, ThreadFabric};
 use parking_lot::Mutex;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-const NODES: u32 = 4;
-const IMG: u64 = 1 << 20;
-const CHUNK: u64 = 64 << 10;
-const BOOT_STRIDE: u64 = 256 << 10;
-const STATE_OFFSET: u64 = 512 << 10;
-const SHARED_BYTES: u64 = 32 << 10;
-const PRIV_BYTES: u64 = 32 << 10;
-
-/// How many recently published snapshots stay bootable.
-const ROTATION: usize = 16;
 
 /// Hard recovery-time bound, seconds: spawn→READY of a respawned
 /// process, including its full replay. Generous on purpose — the gate
@@ -77,24 +61,6 @@ const RETRY_SLEEP: Duration = Duration::from_millis(25);
 
 /// A client failing for this long means the cluster never came back.
 const FAIL_DEADLINE: Duration = Duration::from_secs(30);
-
-/// Deterministic xorshift64* (same generator as `load_sweep`).
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
 
 /// Storm pacing per scale.
 struct Phases {
@@ -126,44 +92,6 @@ fn phases(scale: RunScale) -> Phases {
     }
 }
 
-fn client_threads(scale: RunScale) -> usize {
-    if let Ok(v) = std::env::var("BFF_RECOVERY_THREADS") {
-        return v.parse().expect("BFF_RECOVERY_THREADS must be an integer");
-    }
-    match scale {
-        RunScale::Paper => 12,
-        RunScale::Mini => 6,
-    }
-}
-
-/// The latest published snapshots, bootable by any client. Doomed
-/// (to-be-terminated) lineages are never published here, so a rotation
-/// entry is never deleted.
-struct Rotation {
-    recent: Mutex<Vec<(BlobId, Version)>>,
-}
-
-impl Rotation {
-    fn new(base: (BlobId, Version)) -> Self {
-        Self {
-            recent: Mutex::new(vec![base]),
-        }
-    }
-
-    fn pick(&self, rng: &mut Rng) -> (BlobId, Version) {
-        let recent = self.recent.lock();
-        recent[(rng.next() % recent.len() as u64) as usize]
-    }
-
-    fn publish(&self, snap: (BlobId, Version)) {
-        let mut recent = self.recent.lock();
-        if recent.len() == ROTATION {
-            recent.remove(1); // keep the base at slot 0 forever
-        }
-        recent.push(snap);
-    }
-}
-
 /// Acknowledged snapshots the cluster must still serve byte-identically
 /// after every crash: `(blob, version, sha256 at publish time)`.
 type Registry = Mutex<Vec<(BlobId, Version, Sha256Digest)>>;
@@ -176,48 +104,10 @@ struct Tally {
     retries: usize,
 }
 
-/// One storm round: boot a rotation snapshot, read the full image in
-/// guest-sized strides, commit a partly-shared payload, snapshot, then
-/// publish (recording the survivor digest) or terminate for GC. Any
-/// error aborts the round; the caller retries a fresh one.
-fn run_round(
-    cloud: &Cloud,
-    rotation: &Rotation,
-    registry: &Registry,
-    node: NodeId,
-    rng: &mut Rng,
-    worker: usize,
-    round: usize,
-) -> Result<(bool, bool), BackendError> {
-    let (blob, version) = rotation.pick(rng);
-    let mut handle = cloud.add_instance(blob, version, node)?;
-    let mut off = 0;
-    while off < IMG {
-        handle.backend.read(off..(off + BOOT_STRIDE).min(IMG))?;
-        off += BOOT_STRIDE;
-    }
-    let shared = vm_write_payload(1_000 + round as u64, 0, SHARED_BYTES);
-    handle.backend.write(STATE_OFFSET, shared)?;
-    let private = vm_write_payload(7_919 * worker as u64 + round as u64, 0, PRIV_BYTES);
-    handle.backend.write(STATE_OFFSET + SHARED_BYTES, private)?;
-    let snap = handle.snapshot()?;
-    if round % 4 == 3 {
-        // A doomed lineage: snapshot GC interleaves with the storm and
-        // the recoveries. Never published, never registered.
-        cloud.terminate_instance(handle)?;
-        return Ok((false, true));
-    }
-    // Record the survivor digest *before* exposing the snapshot to other
-    // clients: the round only counts as published once its bytes have
-    // been read back and fingerprinted.
-    let img = cloud.download_image(snap.0, snap.1)?;
-    registry.lock().push((snap.0, snap.1, img.digest_sha256()));
-    rotation.publish(snap);
-    Ok((true, false))
-}
-
 /// One client's storm loop: rounds until `stop`, retrying after any
-/// error (a dead window looks like a burst of retries).
+/// error (a dead window looks like a burst of retries). A snapshot is
+/// exposed to other clients only once its bytes have been read back and
+/// fingerprinted into the survivor registry.
 fn run_client(
     cloud: &Cloud,
     rotation: &Rotation,
@@ -225,19 +115,27 @@ fn run_client(
     stop: &AtomicBool,
     worker: usize,
 ) -> Tally {
-    let node = NodeId(worker as u32 % NODES);
-    let mut rng = Rng::new(0x9E37_79B9_7F4A_7C15 ^ worker as u64);
+    let mut rng = Rng::for_worker(worker);
     let mut tally = Tally::default();
     let mut failing_since: Option<Instant> = None;
     let mut round = 0;
     while !stop.load(Ordering::Relaxed) {
-        match run_round(cloud, rotation, registry, node, &mut rng, worker, round) {
-            Ok((published, terminated)) => {
+        let mut attempt = || -> Result<bool, BackendError> {
+            let source = rotation.pick(&mut rng);
+            let (_, snap) = storm::round(cloud, &RECOVERY, source, worker, round)?;
+            let Some(snap) = snap else { return Ok(false) };
+            let img = cloud.download_image(snap.0, snap.1)?;
+            registry.lock().push((snap.0, snap.1, img.digest_sha256()));
+            rotation.publish(snap);
+            Ok(true)
+        };
+        match attempt() {
+            Ok(published) => {
                 failing_since = None;
                 round += 1;
                 tally.boots += 1;
                 tally.published += published as usize;
-                tally.terminated += terminated as usize;
+                tally.terminated += !published as usize;
             }
             Err(e) => {
                 let since = *failing_since.get_or_insert_with(Instant::now);
@@ -258,6 +156,7 @@ fn blob_cfg() -> BlobConfig {
     BlobConfig {
         chunk_size: CHUNK,
         dedup: true,
+        cluster_dedup: false,
         transport: TransportMode::Socket,
         ..Default::default()
     }
@@ -265,24 +164,22 @@ fn blob_cfg() -> BlobConfig {
 
 fn main() {
     let scale = RunScale::from_args();
-    let workers = client_threads(scale);
+    let workers = storm::clients(scale, 12, 6);
     let ph = phases(scale);
     let data_root = output_dir().join("recovery_data");
     let _ = std::fs::remove_dir_all(&data_root);
     std::fs::create_dir_all(&data_root).expect("create recovery data root");
 
     // Each process owns its directory exclusively; a respawn reuses it.
-    let mut mgr_spec = ServerSpec::new("vm,pm,board,cluster,meta", NODES, CHUNK);
-    mgr_spec.dedup = true;
+    let [mut mgr_spec, mut prov_spec] = storm::server_specs(&RECOVERY, &blob_cfg());
     mgr_spec.data_dir = Some(data_root.join("managers"));
-    let mut prov_spec = ServerSpec::new("provider", NODES, CHUNK);
-    prov_spec.dedup = true;
     prov_spec.data_dir = Some(data_root.join("provider"));
 
     println!(
-        "recovery_sweep: {workers} client threads over {NODES} nodes; \
+        "recovery_sweep: {workers} client threads over {} nodes; \
          kill -9 + restart of the provider and manager processes mid-storm \
-         (bound {BOUND_S}s per recovery)"
+         (bound {BOUND_S}s per recovery)",
+        RECOVERY.nodes
     );
     let (mgr, mut addrs) = mgr_spec.spawn();
     let (prov, prov_addrs) = prov_spec.spawn();
@@ -290,31 +187,19 @@ fn main() {
     let mut mgr_proc = Some(mgr);
     let mut prov_proc = Some(prov);
 
-    let mut params = ThreadParams::serving(NODES as usize + 1);
-    params.coarse_lanes = false;
-    let fabric = ThreadFabric::new(params);
-    let compute: Vec<NodeId> = (0..NODES).map(NodeId).collect();
-    let transport = Arc::new(SocketTransport::new(
-        RouteTable::from_roles(&addrs).expect("every role announced"),
-    ));
-    let store = BlobStore::remote(
-        blob_cfg(),
-        BlobTopology::colocated(&compute, NodeId(NODES)),
-        fabric.clone() as Arc<dyn Fabric>,
-        Arc::clone(&transport) as Arc<dyn Transport>,
-    );
-    let cloud = Cloud::with_store(
-        store,
-        fabric.clone() as Arc<dyn Fabric>,
-        compute.clone(),
-        NodeId(NODES),
-        Calibration::default(),
-    );
+    let fabric = ThreadFabric::new(RECOVERY.params());
+    let connect = |addrs: &_| {
+        let table = RouteTable::from_roles(addrs).expect("every role announced");
+        let transport = Arc::new(SocketTransport::new(table));
+        let cloud = storm::attach(&RECOVERY, fabric.clone(), blob_cfg(), transport.clone());
+        (cloud, transport)
+    };
+    let (cloud, transport) = connect(&addrs);
 
-    let base_image = Payload::synth(0x5EED, 0, IMG);
+    let base_image = RECOVERY.base_image();
     let base = cloud.upload_image(base_image.clone()).expect("upload base");
     let registry: Registry = Mutex::new(vec![(base.0, base.1, base_image.digest_sha256())]);
-    let rotation = Rotation::new(base);
+    let rotation = Rotation::new(base, RECOVERY.rotation);
     let stop = AtomicBool::new(false);
 
     let mut provider_recovery_s = 0.0f64;
@@ -380,7 +265,7 @@ fn main() {
 
     // Post-restart write liveness: the recovered cluster must still
     // accept and serve brand-new data.
-    let live_image = Payload::synth(0xA11CE, 0, IMG);
+    let live_image = Payload::synth(0xA11CE, 0, RECOVERY.image);
     let live = cloud
         .upload_image(live_image.clone())
         .expect("post-recovery upload");
@@ -391,21 +276,7 @@ fn main() {
     // Survivor verification through a *fresh* client stack: new
     // connections, empty descriptor/chunk caches — every byte comes off
     // the recovered processes, not from anything this process cached.
-    let verify_store = BlobStore::remote(
-        blob_cfg(),
-        BlobTopology::colocated(&compute, NodeId(NODES)),
-        fabric.clone() as Arc<dyn Fabric>,
-        Arc::new(SocketTransport::new(
-            RouteTable::from_roles(&addrs).expect("final route table"),
-        )) as Arc<dyn Transport>,
-    );
-    let verify_cloud = Cloud::with_store(
-        verify_store,
-        fabric.clone() as Arc<dyn Fabric>,
-        compute.clone(),
-        NodeId(NODES),
-        Calibration::default(),
-    );
+    let (verify_cloud, _) = connect(&addrs);
     let snapshots = registry.into_inner();
     let mut matched = 0usize;
     for &(blob, version, want) in &snapshots {
@@ -438,28 +309,20 @@ fn main() {
         margin,
     );
 
-    // Flat summary for the CI gate (compared against BENCH_8.json).
-    let mut summary = String::from("{\n");
-    let _ = writeln!(summary, "  \"recovery_survivor_identity\": {identity:.4},");
-    let _ = writeln!(summary, "  \"recovery_snapshots\": {},", snapshots.len());
-    let _ = writeln!(
-        summary,
-        "  \"recovery_provider_s\": {provider_recovery_s:.3},"
+    write_summary(
+        "recovery_summary.json",
+        &[
+            ("recovery_survivor_identity", format!("{identity:.4}")),
+            ("recovery_snapshots", snapshots.len().to_string()),
+            ("recovery_provider_s", format!("{provider_recovery_s:.3}")),
+            ("recovery_manager_s", format!("{manager_recovery_s:.3}")),
+            ("recovery_margin", format!("{margin:.3}")),
+            ("recovery_bound_s", BOUND_S.to_string()),
+            ("recovery_boots", tally.boots.to_string()),
+            ("recovery_retries", tally.retries.to_string()),
+            ("recovery_threads", workers.to_string()),
+        ],
     );
-    let _ = writeln!(
-        summary,
-        "  \"recovery_manager_s\": {manager_recovery_s:.3},"
-    );
-    let _ = writeln!(summary, "  \"recovery_margin\": {margin:.3},");
-    let _ = writeln!(summary, "  \"recovery_bound_s\": {BOUND_S},");
-    let _ = writeln!(summary, "  \"recovery_boots\": {},", tally.boots);
-    let _ = writeln!(summary, "  \"recovery_retries\": {},", tally.retries);
-    let _ = writeln!(summary, "  \"recovery_threads\": {workers}");
-    summary.push('}');
-    summary.push('\n');
-    let path = output_dir().join("recovery_summary.json");
-    std::fs::write(&path, summary).expect("write recovery summary");
-    println!("[written {}]", path.display());
 
     // Hard asserts: recovery is a correctness property, not a trend.
     assert_eq!(

@@ -14,12 +14,19 @@
 //! | `fig8` | Fig. 8: Monte Carlo application |
 //! | `ablations` | Design-choice sweeps from DESIGN.md §3 |
 //! | `paper` | All of the above |
+//! | `dedup_sweep` | Write dedup off/on, cluster dedup index, snapshot GC (`BENCH_3`, `BENCH_5`) |
+//! | `prefetch_sweep` | Cross-VM prefetching and the pipelined chain (`BENCH_4`, `BENCH_5`) |
+//! | `load_sweep` | The wall-clock [`storm`] under a table of deployments: locking disciplines, `--transport`, `--durable` (`BENCH_6`, `BENCH_7`, `BENCH_9`) |
+//! | `recovery_sweep` | The [`storm`] while `blob_server` processes are `kill -9`ed and respawned (`BENCH_8`) |
+//! | `blob_server` | Hosts any subset of the server roles in its own process |
+//! | `bench_regression` | The CI gate: one table of (baseline, summary, key, floor) rows |
 //!
 //! Criterion microbenches (`cargo bench`) cover the hot data structures:
 //! segment-tree shadowing, range sets, payload ropes, the max-min flow
 //! network, chunk maps and the qcow2 mapping path.
 
 pub mod procs;
+pub mod storm;
 
 use std::fmt::Display;
 use std::fs;
@@ -61,6 +68,16 @@ impl RunScale {
             RunScale::Mini => vec![2, 4, 8],
         }
     }
+}
+
+/// The value following `flag` on the command line, if any.
+pub fn arg_value(flag: &str) -> Option<String> {
+    let mut args = std::env::args();
+    args.find(|a| a == flag)?;
+    Some(
+        args.next()
+            .unwrap_or_else(|| panic!("{flag} needs a value")),
+    )
 }
 
 /// Where CSV outputs go.
@@ -157,6 +174,20 @@ impl Table {
             .collect();
         format!("[\n{}\n]\n", rows.join(",\n"))
     }
+}
+
+/// Write `<file>` under [`output_dir`] as one flat JSON object — the
+/// form `bench_regression` reads — and echo it.
+pub fn write_summary(file: &str, fields: &[(&str, String)]) {
+    let body: Vec<String> = fields
+        .iter()
+        .map(|(key, value)| format!("  \"{key}\": {value}"))
+        .collect();
+    let text = format!("{{\n{}\n}}\n", body.join(",\n"));
+    let path = output_dir().join(file);
+    fs::write(&path, &text).expect("write summary");
+    print!("\n{text}");
+    println!("[written {}]", path.display());
 }
 
 /// Format a float with 3 decimals (display helper for tables).

@@ -278,13 +278,10 @@ impl BlobConfig {
     /// | `BFF_DATA_DIR` | durable state directory for `blob_server` processes (same as `--data-dir`): segment files + ref log for providers, mutation journal for managers, replayed on restart | off (volatile) |
     /// | `BFF_GROUP_COMMIT` | group-commit durability ([`BlobConfig::group_commit`]): batch concurrent acks behind one fsync; `0`/`false`/`off`/`no` restores the per-ack fsync baseline | on |
     ///
-    /// The benchmark harness reads four more variables that are *not*
-    /// part of the service configuration: `BFF_LOADGEN_THREADS` (wall
-    /// clock load-generator thread count), `BFF_RECOVERY_THREADS`
-    /// (client count for the `recovery_sweep` crash-recovery storm),
-    /// `BFF_BENCH_FAST` (shrink sweep sizes for CI smoke runs) and
-    /// `BFF_BENCH_JSON` (emit machine-readable results) — see the
-    /// `bff-bench` crate.
+    /// The benchmark harness reads two more variables that are *not*
+    /// part of the service configuration: `BFF_BENCH_FAST` (shrink sweep
+    /// sizes for CI smoke runs) and `BFF_BENCH_JSON` (emit
+    /// machine-readable results) — see the `bff-bench` crate.
     pub fn from_env() -> Self {
         Self::default()
     }

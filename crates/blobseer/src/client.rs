@@ -214,19 +214,11 @@ impl Client {
         self.store.vm_latest(blob)
     }
 
-    /// Blob logical size, asked of the version manager every time: for
-    /// callers that name no version. With one in hand use
-    /// [`Client::snapshot_size`].
-    pub fn blob_size(&self, blob: BlobId) -> BlobResult<u64> {
-        self.control_rpc(self.store.topology().vmanager)?;
-        self.store.vm_size(blob)
-    }
-
     /// Logical size of the snapshot `(blob, version)`: what opening it
     /// needs to know. Served from the node's version facts — the lookup
     /// every read of the snapshot makes anyway — so it costs one
     /// version-manager round for a version this node has never seen and
-    /// none after that, where [`Client::blob_size`] always asks.
+    /// none after that.
     pub fn snapshot_size(&self, blob: BlobId, version: Version) -> BlobResult<u64> {
         Ok(self.version_meta(blob, version)?.size)
     }

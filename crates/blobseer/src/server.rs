@@ -544,7 +544,6 @@ fn apply_vm(vm: &mut VManager, q: &VmReq) -> VmResp {
         VmReq::CreateBlob { size, chunk_size } => VmResp::Created(vm.create_blob(size, chunk_size)),
         VmReq::CloneBlob { src, version } => VmResp::Cloned(vm.clone_blob(src, version)),
         VmReq::Latest(blob) => VmResp::Latest(vm.meta(blob).map(|m| m.latest())),
-        VmReq::Size(blob) => VmResp::Size(vm.meta(blob).map(|m| m.size)),
         VmReq::LiveSnapshots(blob) => VmResp::LiveSnapshots(vm.live_snapshots(blob)),
         VmReq::VersionMeta(blob, version) => VmResp::VersionMeta(vm.meta(blob).and_then(|meta| {
             let root = meta
@@ -593,7 +592,6 @@ fn replay_vm(vm: &mut VManager, op: &VmReq) {
         // Never journaled: read-only, or durable through
         // `JournalRecord::KeyMark` high-water marks.
         VmReq::Latest(_)
-        | VmReq::Size(_)
         | VmReq::LiveSnapshots(_)
         | VmReq::VersionMeta(..)
         | VmReq::ReserveKeys(_) => {}
@@ -610,7 +608,6 @@ fn vm_mutated(resp: &VmResp) -> bool {
         VmResp::Deleted(r) => r.is_ok(),
         // Read-only, or durable through `JournalRecord::KeyMark`.
         VmResp::Latest(_)
-        | VmResp::Size(_)
         | VmResp::LiveSnapshots(_)
         | VmResp::VersionMeta(_)
         | VmResp::Reserved(_) => false,

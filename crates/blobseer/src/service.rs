@@ -272,13 +272,6 @@ impl BlobStore {
         }
     }
 
-    pub(crate) fn vm_size(&self, blob: BlobId) -> BlobResult<u64> {
-        match self.call(Req::Vm(VmReq::Size(blob)))? {
-            Resp::Vm(VmResp::Size(r)) => r,
-            _ => Err(unexpected_resp()),
-        }
-    }
-
     pub(crate) fn vm_live_snapshots(&self, blob: BlobId) -> BlobResult<Vec<Version>> {
         match self.call(Req::Vm(VmReq::LiveSnapshots(blob)))? {
             Resp::Vm(VmResp::LiveSnapshots(r)) => r,
@@ -905,7 +898,7 @@ mod tests {
         };
         let store = BlobStore::new(cfg, topo, fabric);
         let blob = store.vm_create_blob(4096, 512).unwrap();
-        assert_eq!(store.vm_size(blob).unwrap(), 4096);
+        assert_eq!(store.vm_version_meta(blob, Version(0)).unwrap().size, 4096);
         assert!(store.wire_stats().calls == 2);
     }
 }

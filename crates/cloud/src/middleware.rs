@@ -12,7 +12,6 @@ use crate::params::Calibration;
 use bff_blobseer::{BlobConfig, BlobId, BlobStore, BlobTopology, Client as BlobClient, Version};
 use bff_data::Payload;
 use bff_net::{Fabric, NodeId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A deployed VM instance under middleware control.
@@ -272,17 +271,10 @@ impl Cloud {
     /// duplication argument).
     pub fn storage_report(&self, snapshots: &[(BlobId, Version)]) -> StorageReport {
         let stored = self.store.total_stored_bytes();
-        let mut sizes: HashMap<BlobId, u64> = HashMap::new();
         let client = self.client(self.service);
-        for (blob, _) in snapshots {
-            if let Ok(size) = client.blob_size(*blob) {
-                sizes.insert(*blob, size);
-            }
-        }
         let naive: u64 = snapshots
             .iter()
-            .filter_map(|(b, _)| sizes.get(b))
-            .copied()
+            .filter_map(|&(blob, version)| client.snapshot_size(blob, version).ok())
             .sum();
         StorageReport {
             stored_bytes: stored,

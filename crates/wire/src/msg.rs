@@ -59,8 +59,6 @@ pub enum VmReq {
     },
     /// Latest published version of a blob.
     Latest(BlobId),
-    /// Current size of a blob.
-    Size(BlobId),
     /// Live (undeleted) snapshot list.
     LiveSnapshots(BlobId),
     /// Root + geometry of one snapshot.
@@ -95,8 +93,6 @@ pub enum VmResp {
     Cloned(BlobResult<BlobId>),
     /// Latest version.
     Latest(BlobResult<Version>),
-    /// Blob size.
-    Size(BlobResult<u64>),
     /// Live snapshots.
     LiveSnapshots(BlobResult<Vec<Version>>),
     /// Snapshot root + geometry.
@@ -401,10 +397,8 @@ impl Wire for VmReq {
                 out.push(2);
                 b.enc(out);
             }
-            VmReq::Size(b) => {
-                out.push(3);
-                b.enc(out);
-            }
+            // Tag 3 (`Size`) is retired, not reused: journals hold
+            // encoded `VmReq`s, so the surviving tags keep their numbers.
             VmReq::LiveSnapshots(b) => {
                 out.push(4);
                 b.enc(out);
@@ -442,7 +436,6 @@ impl Wire for VmReq {
                 version: Version::dec(r)?,
             }),
             2 => Ok(VmReq::Latest(BlobId::dec(r)?)),
-            3 => Ok(VmReq::Size(BlobId::dec(r)?)),
             4 => Ok(VmReq::LiveSnapshots(BlobId::dec(r)?)),
             5 => Ok(VmReq::VersionMeta(BlobId::dec(r)?, Version::dec(r)?)),
             6 => Ok(VmReq::Publish {
@@ -475,10 +468,7 @@ impl Wire for VmResp {
                 out.push(2);
                 v.enc(out);
             }
-            VmResp::Size(v) => {
-                out.push(3);
-                v.enc(out);
-            }
+            // Tag 3 (`Size`) is retired with its request.
             VmResp::LiveSnapshots(v) => {
                 out.push(4);
                 v.enc(out);
@@ -506,7 +496,6 @@ impl Wire for VmResp {
             0 => Ok(VmResp::Created(Wire::dec(r)?)),
             1 => Ok(VmResp::Cloned(Wire::dec(r)?)),
             2 => Ok(VmResp::Latest(Wire::dec(r)?)),
-            3 => Ok(VmResp::Size(Wire::dec(r)?)),
             4 => Ok(VmResp::LiveSnapshots(Wire::dec(r)?)),
             5 => Ok(VmResp::VersionMeta(Wire::dec(r)?)),
             6 => Ok(VmResp::Published(Wire::dec(r)?)),

@@ -175,7 +175,7 @@ fn arb_board_key(rng: &mut TestRng) -> (BlobId, Version) {
 }
 
 fn arb_vm_req(rng: &mut TestRng) -> VmReq {
-    match rng.below(9) {
+    match rng.below(8) {
         0 => VmReq::CreateBlob {
             size: arb_u64(rng),
             chunk_size: arb_u64(rng),
@@ -185,15 +185,14 @@ fn arb_vm_req(rng: &mut TestRng) -> VmReq {
             version: Version(arb_u64(rng)),
         },
         2 => VmReq::Latest(BlobId(arb_u64(rng))),
-        3 => VmReq::Size(BlobId(arb_u64(rng))),
-        4 => VmReq::LiveSnapshots(BlobId(arb_u64(rng))),
-        5 => VmReq::VersionMeta(BlobId(arb_u64(rng)), Version(arb_u64(rng))),
-        6 => VmReq::Publish {
+        3 => VmReq::LiveSnapshots(BlobId(arb_u64(rng))),
+        4 => VmReq::VersionMeta(BlobId(arb_u64(rng)), Version(arb_u64(rng))),
+        5 => VmReq::Publish {
             blob: BlobId(arb_u64(rng)),
             base: Version(arb_u64(rng)),
             root: NodeKey(arb_u64(rng)),
         },
-        7 => VmReq::DeleteSnapshots {
+        6 => VmReq::DeleteSnapshots {
             blob: BlobId(arb_u64(rng)),
             versions: arb_vec(rng, 6, |r| Version(arb_u64(r))),
         },
@@ -202,20 +201,19 @@ fn arb_vm_req(rng: &mut TestRng) -> VmReq {
 }
 
 fn arb_vm_resp(rng: &mut TestRng) -> VmResp {
-    match rng.below(9) {
+    match rng.below(8) {
         0 => VmResp::Created(arb_result(rng, |r| BlobId(arb_u64(r)))),
         1 => VmResp::Cloned(arb_result(rng, |r| BlobId(arb_u64(r)))),
         2 => VmResp::Latest(arb_result(rng, |r| Version(arb_u64(r)))),
-        3 => VmResp::Size(arb_result(rng, arb_u64)),
-        4 => VmResp::LiveSnapshots(arb_result(rng, |r| arb_vec(r, 6, |q| Version(arb_u64(q))))),
-        5 => VmResp::VersionMeta(arb_result(rng, |r| VersionInfo {
+        3 => VmResp::LiveSnapshots(arb_result(rng, |r| arb_vec(r, 6, |q| Version(arb_u64(q))))),
+        4 => VmResp::VersionMeta(arb_result(rng, |r| VersionInfo {
             root: NodeKey(arb_u64(r)),
             size: arb_u64(r),
             chunk_size: arb_u64(r),
             span: arb_u64(r),
         })),
-        6 => VmResp::Published(arb_result(rng, |r| Version(arb_u64(r)))),
-        7 => VmResp::Deleted(arb_result(rng, |r| DeleteOutcome {
+        5 => VmResp::Published(arb_result(rng, |r| Version(arb_u64(r)))),
+        6 => VmResp::Deleted(arb_result(rng, |r| DeleteOutcome {
             dead_roots: arb_vec(r, 6, |q| NodeKey(arb_u64(q))),
             live_roots: arb_vec(r, 6, |q| NodeKey(arb_u64(q))),
             span: arb_u64(r),
@@ -501,7 +499,6 @@ fn every_variant_roundtrips_once() {
             version: Version(2),
         }),
         Req::Vm(VmReq::Latest(BlobId(3))),
-        Req::Vm(VmReq::Size(BlobId(4))),
         Req::Vm(VmReq::LiveSnapshots(BlobId(5))),
         Req::Vm(VmReq::VersionMeta(BlobId(6), Version(1))),
         Req::Vm(VmReq::Publish {
@@ -602,7 +599,6 @@ fn every_variant_roundtrips_once() {
         Resp::Vm(VmResp::Created(Ok(BlobId(1)))),
         Resp::Vm(VmResp::Cloned(Err(BlobError::NoSuchBlob(BlobId(2))))),
         Resp::Vm(VmResp::Latest(Ok(Version(3)))),
-        Resp::Vm(VmResp::Size(Ok(64))),
         Resp::Vm(VmResp::LiveSnapshots(Ok(vec![Version(1), Version(2)]))),
         Resp::Vm(VmResp::VersionMeta(Ok(info))),
         Resp::Vm(VmResp::Published(Err(BlobError::Conflict {
@@ -647,6 +643,24 @@ fn every_variant_roundtrips_once() {
     for resp in &resps {
         roundtrip(resp);
     }
+}
+
+/// Journals hold encoded `VmReq`s, so retiring `Size` (tag 3) must not
+/// move its neighbours: a journal written before the retirement replays.
+#[test]
+fn retired_vm_size_tag_stays_retired_and_its_neighbours_keep_their_numbers() {
+    assert_eq!(encode(&VmReq::Latest(BlobId(1)))[0], 2);
+    assert_eq!(encode(&VmReq::LiveSnapshots(BlobId(1)))[0], 4);
+    assert_eq!(encode(&VmReq::ReserveKeys(1))[0], 8);
+    assert_eq!(encode(&VmResp::LiveSnapshots(Ok(vec![])))[0], 4);
+    assert_eq!(
+        decode::<VmReq>(&[3, 1]),
+        Err(WireError::BadTag("vm request", 3))
+    );
+    assert_eq!(
+        decode::<VmResp>(&[3, 0, 1]),
+        Err(WireError::BadTag("vm response", 3))
+    );
 }
 
 /// The snapshot-GC release carries a provider's whole id batch: the

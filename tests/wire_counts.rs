@@ -1,0 +1,293 @@
+//! Exact protocol counts on single-threaded fixtures — the numbers
+//! `BENCH_13/14/15.json` record, asserted directly. One thread, fixed
+//! schedule: every count repeats exactly, so any change is a protocol
+//! change and must be made here on purpose.
+
+use bff_blobseer::segtree::{self, NodeIo};
+use bff_blobseer::{
+    BlobConfig, BlobError, BlobResult, BlobStore, BlobTopology, ChunkDesc, ChunkId, Client,
+    NodeKey, Placement, ServerState, TreeNode, Version,
+};
+use bff_data::Payload;
+use bff_net::transport::{
+    Role, RouteKey, RouteTable, SocketTransport, Transport, WireError, WireStats,
+};
+use bff_net::{Fabric, LocalFabric, NodeId};
+use std::collections::{HashMap, HashSet};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+const CHUNK: u64 = 64 << 10;
+/// Boot reads are guest-sized: 4 chunks each.
+const BOOT_STRIDE: u64 = 256 << 10;
+
+/// Counts, per server role, the frames a client sends and the exchanges
+/// it waits for, and forwards both call forms untouched.
+struct RoleCounting {
+    inner: SocketTransport,
+    frames: [AtomicU64; Role::ALL.len()],
+    round_trips: [AtomicU64; Role::ALL.len()],
+}
+
+impl RoleCounting {
+    /// `Role::ALL` lists the roles in declaration order.
+    fn slot(role: Role) -> usize {
+        role as usize
+    }
+
+    /// `(frames, round trips)` addressed to `role` so far.
+    fn seen(&self, role: Role) -> (u64, u64) {
+        let at = Self::slot(role);
+        (
+            self.frames[at].load(Ordering::Relaxed),
+            self.round_trips[at].load(Ordering::Relaxed),
+        )
+    }
+}
+
+impl Transport for RoleCounting {
+    fn call(&self, route: RouteKey, frame: &[u8]) -> Result<Vec<u8>, WireError> {
+        let at = Self::slot(route.role());
+        self.frames[at].fetch_add(1, Ordering::Relaxed);
+        self.round_trips[at].fetch_add(1, Ordering::Relaxed);
+        self.inner.call(route, frame)
+    }
+
+    fn call_many(&self, calls: &[(RouteKey, &[u8])]) -> Vec<Result<Vec<u8>, WireError>> {
+        let mut waited = [false; Role::ALL.len()];
+        for (route, _) in calls {
+            let at = Self::slot(route.role());
+            self.frames[at].fetch_add(1, Ordering::Relaxed);
+            if !std::mem::replace(&mut waited[at], true) {
+                self.round_trips[at].fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        self.inner.call_many(calls)
+    }
+
+    fn wire_stats(&self) -> WireStats {
+        self.inner.wire_stats()
+    }
+}
+
+/// The scatter-gather fixture of `BENCH_14.json`: one client, cold on
+/// its node, boots a 64-chunk image in sixteen 4-chunk reads over an
+/// in-process socket store with 4 providers and 4 metadata shards
+/// (`LocalFabric`, dedup and prefetch off, so every frame is a boot
+/// frame). Round-robin placement puts the four chunks of each read on
+/// four providers, so the sequential path waited four times per read;
+/// frames ÷ round trips is how many of those waits one step now covers.
+///
+/// The fixture then takes the step of `BENCH_15.json`: another node
+/// changes chunks 32–34 and snapshots (CLONE + COMMIT), and the node
+/// that just booted the base boots that snapshot through a fresh handle,
+/// in the same sixteen reads. Its tree shares all but ten nodes with
+/// the base's, which the node has, so the boot's metadata frames are
+/// the snapshot's diff — against the 103 of the cold boot.
+#[test]
+fn cold_boot_pipelines_its_frames_and_a_diff_boot_fetches_the_diff() {
+    const PROVIDERS: u32 = 4;
+    let fabric = LocalFabric::new(PROVIDERS as usize + 1);
+    let compute: Vec<NodeId> = (0..PROVIDERS).map(NodeId).collect();
+    let topo = BlobTopology::colocated(&compute, NodeId(PROVIDERS));
+    let cfg = BlobConfig {
+        chunk_size: CHUNK,
+        dedup: false,
+        cluster_dedup: false,
+        prefetch: false,
+        ..Default::default()
+    };
+    let state = Arc::new(ServerState::new(&cfg, &topo, Placement::RoundRobin));
+    let listeners = state.serve(&Role::ALL).expect("bind loopback listeners");
+    let addrs: HashMap<Role, _> = listeners.iter().map(|(r, s)| (*r, s.addr())).collect();
+    let transport = Arc::new(RoleCounting {
+        inner: SocketTransport::new(RouteTable::from_roles(&addrs).expect("every role served")),
+        frames: Default::default(),
+        round_trips: Default::default(),
+    });
+    let store = BlobStore::remote(
+        cfg,
+        topo,
+        fabric as Arc<dyn Fabric>,
+        transport.clone() as Arc<dyn Transport>,
+    );
+    let image = 64 * CHUNK;
+    let (blob, version) = Client::new(Arc::clone(&store), NodeId(0))
+        .upload(Payload::synth(0xB14, 0, image))
+        .expect("upload");
+
+    let before = (transport.seen(Role::Provider), transport.seen(Role::Meta));
+    let base = Payload::synth(0xB14, 0, image);
+    let boot = |reader: &Client, blob, version, want: &Payload| {
+        for offset in (0..image).step_by(BOOT_STRIDE as usize) {
+            let got = reader
+                .read(blob, version, offset..offset + BOOT_STRIDE)
+                .expect("boot read");
+            assert!(got.content_eq(&want.slice(offset, offset + BOOT_STRIDE)));
+        }
+    };
+    let reader = Client::new(Arc::clone(&store), NodeId(1));
+    boot(&reader, blob, version, &base);
+    let delta = |role, (frames0, trips0): (u64, u64)| {
+        let (frames, trips) = transport.seen(role);
+        (frames - frames0, trips - trips0)
+    };
+    assert_eq!(
+        delta(Role::Provider, before.0),
+        (64, 16),
+        "64 Fetch frames, one wait per read"
+    );
+    let (meta_frames, meta_trips) = delta(Role::Meta, before.1);
+    assert_eq!((meta_frames, meta_trips), (103, 63), "ReadNodes frames");
+    assert!(
+        meta_trips <= reader.meta_fetch_calls(),
+        "a descent level waits at most once"
+    );
+
+    // The diff boot: commit from node 2, boot on node 1 again.
+    let committer = Client::new(Arc::clone(&store), NodeId(2));
+    let snapshot = committer.clone_blob(blob, version).expect("clone");
+    let patch = Payload::synth(0xB15, 0, 3 * CHUNK);
+    let committed = committer
+        .write(snapshot, Version(1), 32 * CHUNK, patch.clone())
+        .expect("commit");
+    let changed = base.overwrite(32 * CHUNK, patch);
+    let reader = Client::new(store, NodeId(1));
+    let before = (transport.seen(Role::Meta), transport.seen(Role::Vm));
+    reader.snapshot_size(blob, version).expect("open base");
+    let (known_vm_frames, _) = delta(Role::Vm, before.1);
+    assert_eq!(known_vm_frames, 0, "opening a known version asks nobody");
+    reader.snapshot_size(snapshot, committed).expect("open");
+    boot(&reader, snapshot, committed, &changed);
+    let (diff_meta_frames, _) = delta(Role::Meta, before.0);
+    let (diff_vm_frames, _) = delta(Role::Vm, before.1);
+    assert_eq!(diff_meta_frames, 9, "the changed paths, not the tree");
+    assert_eq!(diff_vm_frames, 1, "a new version costs one lookup");
+}
+
+/// What a collector read from a [`CountingIo`]: `rounds` is `fetch`
+/// calls (one metadata round trip each), `nodes` the keys it asked for,
+/// `distinct` how many of those were different — what a cold client
+/// node cache would let through to the metadata shards.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct GcCost {
+    rounds: u64,
+    nodes: u64,
+    distinct: u64,
+}
+
+/// An in-memory metadata store that counts what is read from it.
+#[derive(Default)]
+struct CountingIo {
+    nodes: HashMap<NodeKey, TreeNode>,
+    next_key: u64,
+    seen: HashSet<NodeKey>,
+    cost: GcCost,
+}
+
+impl CountingIo {
+    /// The cost since the last call, with a cold cache from here on.
+    fn take_cost(&mut self) -> GcCost {
+        self.seen.clear();
+        std::mem::take(&mut self.cost)
+    }
+}
+
+impl NodeIo for CountingIo {
+    fn fetch(&mut self, keys: &[NodeKey]) -> BlobResult<Vec<TreeNode>> {
+        self.cost.rounds += 1;
+        self.cost.nodes += keys.len() as u64;
+        keys.iter()
+            .map(|k| {
+                self.cost.distinct += self.seen.insert(*k) as u64;
+                self.nodes
+                    .get(k)
+                    .cloned()
+                    .ok_or(BlobError::MetadataMissing(*k))
+            })
+            .collect()
+    }
+    fn reserve(&mut self, n: u64) -> BlobResult<Range<u64>> {
+        let start = self.next_key + 1; // key 0 is NULL
+        self.next_key += n;
+        Ok(start..start + n)
+    }
+    fn store(&mut self, nodes: Vec<(NodeKey, TreeNode)>) -> BlobResult<()> {
+        self.nodes.extend(nodes);
+        Ok(())
+    }
+}
+
+/// The fixture of `BENCH_13.json`, 64 chunks / 8 live roots: a base
+/// image, seven lineage heads that each rewrote four chunks of it, and
+/// an eighth lineage whose head is deleted. Finding its dead leaves by
+/// the per-root full walks the collector replaced (the deleted tree,
+/// then every live tree) against the joint pruned descent, after
+/// checking both find the same four.
+#[test]
+fn single_version_delete_reads_the_diff_not_every_live_tree() {
+    const SPAN: u64 = 64;
+    const NODES: u64 = 4;
+    let mut io = CountingIo::default();
+    let mut next_chunk = 0u64;
+    let mut write = |io: &mut CountingIo, base: NodeKey, chunks: &[u64]| {
+        let updates = chunks
+            .iter()
+            .map(|&i| {
+                next_chunk += 1;
+                let replicas = [NodeId((i % NODES) as u32)].into();
+                (
+                    i,
+                    ChunkDesc {
+                        id: ChunkId(next_chunk),
+                        replicas,
+                    },
+                )
+            })
+            .collect();
+        segtree::build_new_tree(io, base, SPAN, &updates).expect("build tree")
+    };
+    let all: Vec<u64> = (0..SPAN).collect();
+    let base = write(&mut io, NodeKey::NULL, &all);
+    let mut live = vec![base];
+    for i in 0..7u64 {
+        let chunks: Vec<u64> = (0..4).map(|j| (13 * i + 17 * j + 5) % SPAN).collect();
+        live.push(write(&mut io, base, &chunks));
+    }
+    let victim = write(&mut io, base, &[2, 19, 36, 53]);
+
+    io.take_cost();
+    let mut walked: HashMap<u64, ChunkId> =
+        segtree::collect_leaves(&mut io, victim, SPAN, &(0..SPAN))
+            .expect("walk the deleted tree")
+            .into_iter()
+            .map(|(i, desc)| (i, desc.id))
+            .collect();
+    for &root in &live {
+        for (i, desc) in
+            segtree::collect_leaves(&mut io, root, SPAN, &(0..SPAN)).expect("walk a live tree")
+        {
+            if walked.get(&i) == Some(&desc.id) {
+                walked.remove(&i);
+            }
+        }
+    }
+    let full_walks = io.take_cost();
+    let dead = segtree::collect_dead_leaves(&mut io, &[victim], &live, SPAN).expect("descent");
+    let joint = io.take_cost();
+
+    let mut by_walks: Vec<ChunkId> = walked.into_values().collect();
+    let mut by_descent: Vec<ChunkId> = dead.into_iter().map(|(_, desc)| desc.id).collect();
+    by_walks.sort();
+    by_descent.sort();
+    assert_eq!(by_descent.len(), 4, "the victim's four rewritten chunks");
+    assert_eq!(by_descent, by_walks, "both collectors find the same leaves");
+    let cost = |rounds, nodes, distinct| GcCost {
+        rounds,
+        nodes,
+        distinct,
+    };
+    assert_eq!(full_walks, cost(63, 1143, 310), "per-root full walks");
+    assert_eq!(joint, cost(7, 120, 120), "one joint pruned descent");
+}
