@@ -180,10 +180,11 @@ pub struct BlobConfig {
     /// predicted chunk twice.
     pub chunk_cache_bytes: u64,
     /// Use the cryptographic (SHA-256) content digest for the dedup
-    /// index instead of 64-bit FNV. A strong-digest index hit is
-    /// collision-resistant, so the commit-by-reference path skips the
-    /// byte-verification round against a stored replica. Off by default:
-    /// FNV + verify is the reference behaviour.
+    /// index instead of 64-bit FNV: the collision-resistant mode. Either
+    /// way a hit is validated by the provider storing the chunk, which
+    /// compares the key with the length and digest of its stored bytes;
+    /// with this on that proves content equality rather than 64-bit
+    /// digest equality. Off by default: FNV is the reference behaviour.
     pub strong_digest: bool,
     /// Emulate the pre-wall-clock global pattern-board mutex: every
     /// board access — including the per-compute-burst prefetch poll —

@@ -16,9 +16,29 @@
 //! publish costs one small control RPC to that node, and the board then
 //! **gossips** the update to the compute nodes along a k-ary
 //! [`bff_bcast::tree`] — one tiny transfer per tree edge — so reads of
-//! the local replica are free. In this model the replica state itself is
-//! shared memory; the gossip charges make the fabric see the
-//! dissemination traffic and latency that a real deployment would pay.
+//! the local replica are free.
+//!
+//! The replica is real: each node's [`crate::NodeContext`] keeps, per
+//! snapshot, the prefix of the merged sequence it has been sent, with
+//! the confirmation flags of that moment. The publisher's novelty
+//! filter, [`crate::Client::has_prefetch_work`] and the read-ahead
+//! claims read it and nothing else. One request refreshes it,
+//! [`BoardService::sync`], and a frame carries it to the board only
+//!
+//! * to **publish** a first-touch batch the replica calls novel or not
+//!   yet cohort-confirmed — the reply brings back what the replica
+//!   lacks, the publisher's own entries included, in board order; or
+//! * as one empty-batch **poll** when the node's prefetcher has consumed
+//!   its replica *and* the node has not yet touched every chunk of the
+//!   snapshot (a node that has read everything has nothing to learn).
+//!
+//! A reply never repeats an entry the replica holds, so a replica's
+//! flags can lag the board's: a lagging node may publish a batch the
+//! board already has (harmless — one more confirmation) or walk past a
+//! chunk confirmed a moment later (best-effort, like every prefetch
+//! miss). The fabric is charged for publishes (control RPC plus the
+//! gossip fan-out, [`gossip_charge`]); replica reads and polls model
+//! the gossip already paid for and are free.
 //!
 //! The board stores the *union* of all publishers' first-touch orders,
 //! deduplicated in arrival order. That is deliberately coarse: the point
@@ -30,6 +50,7 @@ use crate::api::{BlobId, Version};
 use crate::lockstat::{probed_read, probed_write, LockContention, LockProbe};
 use bff_data::{FastMap, FastSet};
 use bff_net::{Fabric, NodeId, Transfer};
+use bff_wire::msg::BoardSync;
 use parking_lot::RwLock;
 use std::sync::Arc;
 
@@ -60,8 +81,7 @@ struct BoardEntry {
     /// Distinct publishers per chunk index (saturating). Each node
     /// publishes each index at most once (its tracker's `published`
     /// prefix guarantees it), so counting batches counts publishers —
-    /// the confidence signal behind
-    /// [`PatternBoard::sequence_with_confidence`].
+    /// the confidence signal behind [`PatternBoard::tail`].
     confirms: FastMap<u64, u32>,
     /// Publish batches merged so far.
     publishes: u64,
@@ -69,8 +89,6 @@ struct BoardEntry {
     /// [`BOARD_PATTERN_CAP`]).
     last_merge: u64,
 }
-
-pub use bff_wire::msg::ConfidentSequence;
 
 /// The board state (one logical instance per deployed service; see
 /// module docs).
@@ -118,33 +136,6 @@ impl PatternBoard {
         appended
     }
 
-    /// The subset of `batch` still worth publishing to the board: the
-    /// indices the board does not know, plus known indices whose
-    /// distinct-publisher count has not yet reached `min_publishers`
-    /// (an extra confirmation strengthens the confidence signal).
-    /// Publishers consult their gossiped *local replica* with this
-    /// before paying the publish RPC, so once the pattern has both
-    /// converged *and* been cohort-confirmed the control plane goes
-    /// quiet. `min_publishers ≤ 1` reduces to pure novelty filtering.
-    pub fn novel_of(
-        &self,
-        key: (BlobId, Version),
-        batch: &[u64],
-        min_publishers: usize,
-    ) -> Vec<u64> {
-        match self.entries.get(&key) {
-            Some(e) => batch
-                .iter()
-                .copied()
-                .filter(|idx| {
-                    !e.members.contains(idx)
-                        || (e.confirms.get(idx).copied().unwrap_or(0) as usize) < min_publishers
-                })
-                .collect(),
-            None => batch.to_vec(),
-        }
-    }
-
     /// The merged peer sequence for `key`, cheaply shareable (readers
     /// hold the `Arc` while the prefetcher walks it; a concurrent merge
     /// copies-on-write).
@@ -152,29 +143,32 @@ impl PatternBoard {
         self.entries.get(&key).map(|e| Arc::clone(&e.seq))
     }
 
-    /// The merged peer sequence plus its confidence mask: `mask[i]` is
-    /// whether `seq[i]` was reported by at least `min_publishers`
-    /// distinct nodes. The mask is `None` — no filtering — while the
-    /// filter is off (`min_publishers ≤ 1`) or the board has seen fewer
-    /// than `min_publishers` publishers for this snapshot: a lone seed
-    /// VM's pattern is better than nothing, but the moment a cohort
-    /// exists, chunks only one member touched (private divergence) are
-    /// not worth read-ahead.
-    pub fn sequence_with_confidence(
-        &self,
-        key: (BlobId, Version),
-        min_publishers: usize,
-    ) -> Option<ConfidentSequence> {
-        let e = self.entries.get(&key)?;
-        let seq = Arc::clone(&e.seq);
-        if min_publishers <= 1 || e.publishers.len() < min_publishers {
-            return Some((seq, None));
+    /// What a replica holding the first `from` entries of `key`'s
+    /// sequence lacks (see [`BoardSync`]; `appended` is the caller's to
+    /// fill). Each entry's flag is whether at least `min_publishers`
+    /// distinct nodes reported it — with `min_publishers ≤ 1` every
+    /// entry is confirmed. `cohort` tells the reader whether to apply
+    /// the flags at all: a lone seed VM's pattern is better than
+    /// nothing, but the moment a cohort exists, chunks only one member
+    /// touched (private divergence) are not worth read-ahead.
+    pub fn tail(&self, key: (BlobId, Version), from: usize, min_publishers: usize) -> BoardSync {
+        let Some(e) = self.entries.get(&key) else {
+            return BoardSync::default();
+        };
+        let confirmed =
+            |idx: &u64| e.confirms.get(idx).copied().unwrap_or(0) as usize >= min_publishers;
+        BoardSync {
+            appended: 0,
+            len: e.seq.len(),
+            cohort: e.publishers.len() >= min_publishers,
+            tail: e
+                .seq
+                .get(from..)
+                .unwrap_or_default()
+                .iter()
+                .map(|idx| (*idx, confirmed(idx)))
+                .collect(),
         }
-        let mask: Vec<bool> = seq
-            .iter()
-            .map(|idx| e.confirms.get(idx).copied().unwrap_or(0) as usize >= min_publishers)
-            .collect();
-        Some((seq, Some(mask)))
     }
 
     /// Distinct nodes that have published for `key` so far.
@@ -189,8 +183,7 @@ impl PatternBoard {
         self.entries.remove(&key);
     }
 
-    /// Length of the merged sequence for `key` (0 when absent) — the
-    /// cheap pre-check the prefetcher uses before cloning the sequence.
+    /// Length of the merged sequence for `key` (0 when absent).
     pub fn sequence_len(&self, key: (BlobId, Version)) -> usize {
         self.entries.get(&key).map_or(0, |e| e.seq.len())
     }
@@ -218,16 +211,11 @@ pub const BOARD_SHARDS: usize = 16;
 /// The board behind its own locking: sharded `RwLock`s over
 /// [`PatternBoard`] state.
 ///
-/// The board replica is the hottest shared structure in the serving
-/// path: every VM polls [`BoardService::sequence_len`] before every
-/// guest compute burst ([`crate::Client::has_prefetch_work`]), and every
-/// node publishes batches concurrently. Behind a single `Mutex` (the
-/// pre-wall-clock design) those polls serialize the whole cohort. Here
-/// reads (`sequence_len`, `novel_of`, `sequence_with_confidence`) take a
-/// shard read lock and run concurrently; writes (`merge`,
-/// `drop_pattern`) exclude only their own shard. Sequence payloads are
-/// `Arc` copy-on-write, so read guards are held only for the map lookup,
-/// never while a caller walks the sequence.
+/// Every node of a cohort publishes batches and polls concurrently
+/// ([`BoardService::sync`]). Behind a single `Mutex` (the pre-wall-clock
+/// design) those serialize the whole cohort. Here a poll takes a shard
+/// read lock and polls run concurrently; a publish (and `drop_pattern`)
+/// excludes only its own shard.
 ///
 /// With `coarse` set the service emulates the old design — every key on
 /// shard 0, every access exclusive — which is how `load_sweep` measures
@@ -280,28 +268,30 @@ impl BoardService {
         self.with_write(key, |b| b.merge(key, publisher, batch))
     }
 
-    /// See [`PatternBoard::novel_of`].
-    pub fn novel_of(
+    /// The one request a node's board replica makes (see the module
+    /// docs): merge `publisher`'s `batch` if there is one, and answer
+    /// with what a replica of `from` entries lacks. An empty batch is a
+    /// poll: a read, it creates no pattern and counts as no publish.
+    pub fn sync(
         &self,
         key: (BlobId, Version),
+        publisher: NodeId,
         batch: &[u64],
+        from: usize,
         min_publishers: usize,
-    ) -> Vec<u64> {
-        self.with_read(key, |b| b.novel_of(key, batch, min_publishers))
+    ) -> BoardSync {
+        if batch.is_empty() {
+            return self.with_read(key, |b| b.tail(key, from, min_publishers));
+        }
+        self.with_write(key, |b| BoardSync {
+            appended: b.merge(key, publisher, batch),
+            ..b.tail(key, from, min_publishers)
+        })
     }
 
     /// See [`PatternBoard::sequence`].
     pub fn sequence(&self, key: (BlobId, Version)) -> Option<Arc<Vec<u64>>> {
         self.with_read(key, |b| b.sequence(key))
-    }
-
-    /// See [`PatternBoard::sequence_with_confidence`].
-    pub fn sequence_with_confidence(
-        &self,
-        key: (BlobId, Version),
-        min_publishers: usize,
-    ) -> Option<ConfidentSequence> {
-        self.with_read(key, |b| b.sequence_with_confidence(key, min_publishers))
     }
 
     /// See [`PatternBoard::sequence_len`].
@@ -396,34 +386,39 @@ mod tests {
     }
 
     #[test]
-    fn confidence_mask_confirms_cohort_chunks_only() {
+    fn confirmation_flags_mark_cohort_chunks_only() {
         let mut b = PatternBoard::default();
         b.merge(KEY, NodeId(0), &[1, 2, 3]);
-        // One publisher so far: the filter stays off (mask is None).
-        let (seq, mask) = b.sequence_with_confidence(KEY, 2).unwrap();
-        assert_eq!(*seq, vec![1, 2, 3]);
-        assert!(mask.is_none(), "a lone seed's pattern is unfiltered");
+        // One publisher so far: no cohort, so a reader ignores the flags
+        // (a lone seed's pattern is unfiltered).
+        let sync = b.tail(KEY, 0, 2);
+        assert_eq!(sync.tail, [(1, false), (2, false), (3, false)]);
+        assert_eq!((sync.len, sync.cohort), (3, false));
         // A second publisher confirms 2 and 3 and adds a private 4.
         b.merge(KEY, NodeId(1), &[2, 3, 4]);
-        let (seq, mask) = b.sequence_with_confidence(KEY, 2).unwrap();
-        assert_eq!(*seq, vec![1, 2, 3, 4]);
-        assert_eq!(mask.unwrap(), vec![false, true, true, false]);
-        // min_publishers 1 disables the filter outright.
-        let (_, mask) = b.sequence_with_confidence(KEY, 1).unwrap();
-        assert!(mask.is_none());
+        let sync = b.tail(KEY, 0, 2);
+        assert_eq!(sync.tail, [(1, false), (2, true), (3, true), (4, false)]);
+        assert_eq!((sync.len, sync.cohort), (4, true));
+        // min_publishers 1 confirms everything outright.
+        let sync = b.tail(KEY, 0, 1);
+        assert!(sync.cohort && sync.tail.iter().all(|&(_, confirmed)| confirmed));
     }
 
     #[test]
-    fn novelty_filter_admits_confirmations_up_to_threshold() {
+    fn a_tail_starts_where_the_replica_ends() {
         let mut b = PatternBoard::default();
         b.merge(KEY, NodeId(0), &[1, 2]);
-        // With the confidence filter on, a second publisher's overlap is
-        // still worth publishing (it confirms), a third's is not.
-        assert_eq!(b.novel_of(KEY, &[1, 2, 5], 2), vec![1, 2, 5]);
         b.merge(KEY, NodeId(1), &[1, 2, 5]);
-        assert_eq!(b.novel_of(KEY, &[1, 2], 2), Vec::<u64>::new());
-        // Pure novelty mode drops known indices after one publisher.
-        assert_eq!(b.novel_of(KEY, &[1, 2, 7], 1), vec![7]);
+        // A replica that holds two entries is sent the third only.
+        let sync = b.tail(KEY, 2, 2);
+        assert_eq!((sync.tail, sync.len), (vec![(5, false)], 3));
+        // One that holds everything — or more than the board has, after
+        // the board lost the pattern — is sent nothing but the length.
+        assert_eq!(b.tail(KEY, 3, 2).tail, []);
+        let ahead = b.tail(KEY, 9, 2);
+        assert_eq!((ahead.tail, ahead.len), (vec![], 3));
+        b.drop_pattern(KEY);
+        assert_eq!(b.tail(KEY, 3, 2), BoardSync::default());
     }
 
     #[test]
@@ -490,10 +485,15 @@ mod tests {
             assert_eq!(s.sequence_len(KEY), 4);
             assert_eq!(s.publishes(KEY), 2);
             assert_eq!(s.publisher_count(KEY), 2);
-            assert_eq!(s.novel_of(KEY, &[1, 2, 7], 1), vec![7]);
-            let (seq, mask) = s.sequence_with_confidence(KEY, 2).unwrap();
-            assert_eq!(seq.len(), 4);
-            assert_eq!(mask.unwrap(), vec![false, true, true, false]);
+            // A poll reads: no publish, no publisher, nothing merged.
+            let poll = s.sync(KEY, NodeId(7), &[], 1, 2);
+            assert_eq!(poll.tail, [(1, true), (2, true), (9, false)]);
+            assert_eq!((poll.appended, poll.len, poll.cohort), (0, 4, true));
+            assert_eq!((s.publishes(KEY), s.publisher_count(KEY)), (2, 2));
+            // A publish merges, then answers from the caller's length.
+            let published = s.sync(KEY, NodeId(2), &[9, 7], 4, 2);
+            assert_eq!((published.appended, published.len), (1, 5));
+            assert_eq!(published.tail, [(7, false)]);
             assert_eq!(s.len(), 1);
             s.drop_pattern(KEY);
             assert!(s.is_empty(), "coarse={coarse}");

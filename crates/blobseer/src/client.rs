@@ -69,8 +69,10 @@
 //! [`crate::board::PatternBoard`] (hosted beside the provider manager,
 //! gossiped to the compute nodes via a `bff_bcast` tree). A node running
 //! behind its cohort — a VM that booted later, or was co-deployed with a
-//! skew — computes the predicted next-chunk window off the board and
-//! issues [`Client::prefetch_chunks`]: an asynchronous batched
+//! skew — computes the predicted next-chunk window off the node's
+//! replica of the board's sequence (see [`crate::board`] for when a
+//! frame actually goes to the board) and issues
+//! [`Client::prefetch_chunks`]: an asynchronous batched
 //! read-ahead, bounded by [`BlobConfig::prefetch_window`] chunks per
 //! step, that lands fetched chunks in the node-shared chunk cache.
 //! `read_multi` consults that cache *before* touching providers, so a
@@ -89,11 +91,12 @@
 //! payloads whose `(length, digest)` already map to live replicas in the
 //! node's [`NodeContext`] digest index are committed **by reference** —
 //! the published leaf reuses the existing descriptor and bumps a
-//! provider-side refcount instead of re-replicating the bytes. Snapshot
-//! storage therefore grows with dirty *unique* bytes, not dirty bytes
-//! (the write-side half of §3.1.3's dedup claim). A commit that fails to
-//! publish (conflict, network) releases every reference it took;
-//! releases never underflow.
+//! provider-side refcount instead of re-replicating the bytes — once
+//! the provider has found its *stored* chunk to have that length and
+//! digest (`Client::dedup_probe`). Snapshot storage therefore grows with
+//! dirty *unique* bytes, not dirty bytes (the write-side half of
+//! §3.1.3's dedup claim). A commit that fails to publish (conflict,
+//! network) releases every reference it took; releases never underflow.
 
 use crate::api::{
     BlobConfig, BlobError, BlobId, BlobResult, ChunkDesc, ChunkId, NodeKey, ReplicationMode,
@@ -107,6 +110,7 @@ use crate::service::{BlobStore, Fetched};
 use bff_data::{chunk_cover, chunk_range, intersect, ByteRange, ContentKey, Payload};
 use bff_data::{FastMap, FastSet};
 use bff_net::{NetError, NodeId};
+use bff_wire::msg::RetainOutcome;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
@@ -200,8 +204,13 @@ impl Client {
     pub fn clone_blob(&self, src: BlobId, version: Version) -> BlobResult<BlobId> {
         self.control_rpc(self.store.topology().vmanager)?;
         let id = self.store.vm_clone_blob(src, version)?;
-        // The clone's Version(1) *is* the source tree, so the descriptor
-        // cache carries over verbatim.
+        // The clone's Version(1) *is* the source tree: what the node
+        // knows about the source — its facts (root, size, chunk size and
+        // span are the clone's too, so the COMMIT that follows asks the
+        // version manager nothing) and its descriptor cache — carries
+        // over verbatim.
+        self.ctx
+            .alias_version_facts((src, version), (id, Version(1)));
         if let Some(entry) = self.ctx.entry_snapshot((src, version)) {
             self.ctx.insert_entry((id, Version(1)), entry);
         }
@@ -411,14 +420,15 @@ impl Client {
 
     /// Publish a first-touch batch to the cluster board and gossip the
     /// update to the other compute nodes (see [`crate::board`]). The
-    /// batch is first filtered against the node's gossiped board
-    /// replica: indices the cohort already knows *and* has confirmed to
+    /// batch is first filtered against the node's board replica: indices
+    /// the replica holds *and* has seen confirmed by
     /// [`BlobConfig::prefetch_min_publishers`] distinct publishers are
     /// not re-published, so once the access pattern converges and is
-    /// cohort-confirmed the control plane goes quiet.
+    /// cohort-confirmed the control plane goes quiet — no frame, no
+    /// charge. The publish's reply refreshes the replica.
     fn publish_pattern(&self, blob: BlobId, version: Version, batch: Vec<u64>) {
-        let min_pub = self.cfg().prefetch_min_publishers;
-        let batch = self.store.board_novel_of((blob, version), batch, min_pub);
+        let key = (blob, version);
+        let (batch, from) = self.ctx.unconfirmed_of(key, batch);
         if batch.is_empty() {
             return;
         }
@@ -426,7 +436,20 @@ impl Client {
         if !self.charge_host_publish(summary_bytes) {
             return; // board unreachable: drop the batch, keep booting
         }
-        self.store.board_merge((blob, version), self.node, batch);
+        self.sync_board_replica(key, batch, from);
+    }
+
+    /// One exchange with the board on behalf of the node's replica of
+    /// `key`'s peer sequence, which holds `from` entries: publish `batch`
+    /// (empty = a poll) and file the answer. Returns whether the replica
+    /// now extends past the prefetch cursor. Best-effort: a transport
+    /// failure reads as "the board has nothing new", which only costs
+    /// prefetch opportunity.
+    fn sync_board_replica(&self, key: (BlobId, Version), batch: Vec<u64>, from: usize) -> bool {
+        let min_pub = self.cfg().prefetch_min_publishers;
+        self.store
+            .board_sync(key, self.node, batch, from, min_pub)
+            .is_some_and(|sync| self.ctx.board_synced(key, from, sync))
     }
 
     /// Pay the control round that carries a `summary_bytes`-sized
@@ -462,16 +485,28 @@ impl Client {
     }
 
     /// Whether an asynchronous read-ahead step for `(blob, version)`
-    /// could make progress: prefetching is on and the board's peer
-    /// sequence extends past this node's prefetch cursor. Pure local
-    /// state — no fabric charges — so the hypervisor can poll it before
-    /// every guest compute burst.
+    /// could make progress: prefetching is on and the node's replica of
+    /// the board's peer sequence extends past this node's prefetch
+    /// cursor. Local state, and never a fabric charge, so the hypervisor
+    /// can poll it before every guest compute burst — unless the replica
+    /// is consumed *and* the node has not yet touched every chunk of the
+    /// snapshot: then, and only then, it asks the board whether the
+    /// cohort has moved on (one poll; a node that has read the whole
+    /// image has nothing left to read ahead and asks nothing).
     pub fn has_prefetch_work(&self, blob: BlobId, version: Version) -> bool {
         if !self.prefetch_enabled() {
             return false;
         }
-        let len = self.store.board_sequence_len((blob, version));
-        len > 0 && self.ctx.prefetch_cursor_behind((blob, version), len)
+        let key = (blob, version);
+        let (behind, replica_len, touched) = self.ctx.prefetch_progress(key);
+        if behind {
+            return true;
+        }
+        let read_it_all = self
+            .ctx
+            .version_facts(key)
+            .is_ok_and(|m| touched as u64 >= m.size.div_ceil(m.chunk_size));
+        !read_it_all && self.sync_board_replica(key, Vec::new(), replica_len)
     }
 
     /// Asynchronous batched read-ahead: claim up to `max_chunks` chunks
@@ -495,20 +530,12 @@ impl Client {
         version: Version,
         max_chunks: usize,
     ) -> BlobResult<usize> {
-        if !self.prefetch_enabled() || max_chunks == 0 {
+        // Refreshes a consumed replica first (see `has_prefetch_work`);
+        // a step the hypervisor's poll already vouched for asks nothing.
+        if max_chunks == 0 || !self.has_prefetch_work(blob, version) {
             return Ok(0);
         }
-        let key = (blob, version);
-        // The cohort-confirmation mask implements the confidence filter:
-        // chunks only one cohort member reported (private divergence)
-        // are walked past instead of prefetched, once a cohort exists.
-        let min_pub = self.cfg().prefetch_min_publishers;
-        let Some((seq, mask)) = self.store.board_sequence(key, min_pub) else {
-            return Ok(0);
-        };
-        let candidates = self
-            .ctx
-            .claim_prefetch(key, &seq, mask.as_deref(), max_chunks);
+        let candidates = self.ctx.claim_prefetch((blob, version), max_chunks);
         if candidates.is_empty() {
             return Ok(0);
         }
@@ -796,7 +823,7 @@ impl Client {
         // so a failed publish can roll all of them back.
         let mut retained: Vec<(NodeId, ChunkId)> = Vec::new();
         if self.cfg().dedup {
-            self.dedup_probe(&updates, &mut uniques, &mut retained);
+            self.dedup_probe(&mut uniques, &mut retained);
         }
         let mut reused_bytes = 0u64;
         let result = self.publish_planned(
@@ -810,12 +837,18 @@ impl Client {
             &mut reused_bytes,
         );
         if result.is_err() {
-            // Roll back: drop every reference taken above. `release`
-            // never underflows, so a partial rollback racing other
-            // commits stays safe.
-            for (prov, id) in retained.drain(..) {
-                self.store.provider_release(prov, id);
+            // Roll back: drop every reference taken above, one batch per
+            // provider, all in one step. A release never underflows, so
+            // a partial rollback racing other commits stays safe; a
+            // provider that cannot be reached keeps its share (a bounded
+            // leak, like skipping a down provider) and costs the others
+            // nothing.
+            let mut by_prov: BTreeMap<NodeId, Vec<ChunkId>> = BTreeMap::new();
+            for (prov, id) in retained {
+                by_prov.entry(prov).or_default().push(id);
             }
+            self.store
+                .provider_release_counted(by_prov.into_iter(), |_| {});
         }
         result.map(|v| (v, reused_bytes))
     }
@@ -859,27 +892,24 @@ impl Client {
     /// Probe the node's digest index — then, on a miss, the node's
     /// gossiped replica of the cluster-wide
     /// [`crate::cluster::ClusterIndex`] — for each unique payload and
-    /// validate hits against the providers: one control RPC per distinct
-    /// reachable provider (the batched refcount bump + verification
-    /// round), a **byte comparison** of the candidate payload against a
-    /// stored replica (a 64-bit digest alone is not collision-proof, and
-    /// a collision here would silently publish wrong content — in a real
-    /// deployment the provider performs this check while handling the
-    /// bump), then a `retain` per replica that still holds the chunk.
+    /// validate the hits where the bytes are: every reachable provider
+    /// holding a candidate gets **one** batch of `(chunk id, content
+    /// key)` entries, all providers in one step (one control RPC charged
+    /// per provider, as for any batched round). The provider compares
+    /// each key with the length and digest of the chunk *it stores* and
+    /// takes the reference iff they are equal — so what a hit guarantees
+    /// is digest equality against the stored bytes, never just against
+    /// an index entry: 64 bits of it by default,
+    /// [`BlobConfig::strong_digest`] for the collision-resistant mode;
+    /// one path for both, and no chunk travels to be compared.
     /// Replicas that are down, unreachable or no longer hold the chunk
     /// drop out — exactly the push pipeline's per-replica failover
     /// semantics. A hit whose chunk is gone everywhere is forgotten in
-    /// both indexes; a content mismatch (digest collision) keeps the
-    /// index entry — it is still correct for the *other* payload — and
-    /// pushes fresh. Cluster hits ride the identical validation and
-    /// rollback path as node-local ones: probing the replica costs no
-    /// RPC, only the retains do.
-    fn dedup_probe(
-        &self,
-        updates: &[(u64, Payload)],
-        uniques: &mut [UniqueChunk],
-        retained: &mut Vec<(NodeId, ChunkId)>,
-    ) {
+    /// both indexes; a mismatch (the index entry points at other
+    /// content) keeps the entry — it is still correct for the *other*
+    /// payload — and pushes fresh. Cluster hits ride the identical
+    /// validation and rollback path as node-local ones.
+    fn dedup_probe(&self, uniques: &mut [UniqueChunk], retained: &mut Vec<(NodeId, ChunkId)>) {
         let cluster_on = self.cfg().cluster_dedup;
         let mut candidates: Vec<(usize, ContentKey, ChunkDesc)> = Vec::new();
         let mut cluster_misses: Vec<(usize, ContentKey)> = Vec::new();
@@ -914,71 +944,55 @@ impl Client {
         if candidates.is_empty() {
             return;
         }
-        let mut provs: Vec<NodeId> = candidates
-            .iter()
-            .flat_map(|(_, _, d)| d.replicas.iter().copied())
-            .collect();
-        provs.sort_unstable();
-        provs.dedup();
-        let c = self.cfg().control_bytes;
-        let mut reachable: FastSet<NodeId> = FastSet::default();
-        for prov in provs {
-            if !self.store.fabric.is_down(prov)
-                && self.store.fabric.rpc(self.node, prov, c, c).is_ok()
-            {
-                reachable.insert(prov);
+        // Each provider's share of the candidates — `(candidate, chunk
+        // id, key)` per replica it holds — in ascending provider order
+        // (deterministic RPCs).
+        let mut batches: BTreeMap<NodeId, Vec<(usize, ChunkId, ContentKey)>> = BTreeMap::new();
+        for (c, (_, key, desc)) in candidates.iter().enumerate() {
+            for &prov in desc.replicas.iter() {
+                batches.entry(prov).or_default().push((c, desc.id, *key));
             }
         }
-        for (u, key, desc) in candidates {
-            // Verify the bytes against whichever replica still stores
-            // the chunk. `None` = gone everywhere (stale entry),
-            // `Some(false)` = digest collision. The stored payload is
-            // cloned out (rope segments are refcounted — no byte copy)
-            // so the O(chunk_size) comparison runs *outside* the shard
-            // lock and never stalls concurrent traffic to that provider.
-            //
-            // A collision-resistant (SHA-256) key skips this round
-            // entirely — the whole point of `BlobConfig::strong_digest`:
-            // the hash alone is proof of content equality, so the hit
-            // costs only the refcount bump. Stale entries (chunk gone
-            // everywhere) are still caught below when no replica
-            // retains.
-            let payload = &updates[uniques[u].first_slot].1;
-            let mut verdict: Option<bool> = if key.1.is_collision_resistant() {
-                Some(true)
-            } else {
-                None
-            };
-            for &prov in desc.replicas.iter() {
-                if verdict.is_some() {
-                    break;
-                }
-                if let Some(stored) = self.store.provider_peek(prov, desc.id) {
-                    verdict = Some(stored.content_eq(payload));
+        let c = self.cfg().control_bytes;
+        let fabric = &self.store.fabric;
+        batches
+            .retain(|&prov, _| !fabric.is_down(prov) && fabric.rpc(self.node, prov, c, c).is_ok());
+        // Per candidate: the replicas that took the reference, and
+        // whether any replica found other content under the id.
+        let mut took: Vec<Vec<NodeId>> = vec![Vec::new(); candidates.len()];
+        let mut mismatched = vec![false; candidates.len()];
+        let mut asked = batches.iter();
+        let requests = batches.iter().map(|(&prov, entries)| {
+            let entries = entries.iter().map(|&(_, id, key)| (id, key)).collect();
+            (prov, entries)
+        });
+        self.store.provider_retain(requests, |outcomes| {
+            let (&prov, entries) = asked.next().expect("one answer per batch");
+            for (&(c, id, _), outcome) in entries.iter().zip(outcomes) {
+                match outcome {
+                    RetainOutcome::Retained => {
+                        took[c].push(prov);
+                        retained.push((prov, id));
+                    }
+                    RetainOutcome::Mismatch => mismatched[c] = true,
+                    RetainOutcome::Gone => {}
                 }
             }
-            match verdict {
-                Some(true) => {}
-                Some(false) => continue,
-                None => {
-                    self.forget_stale_hit(&key);
-                    continue;
-                }
-            }
-            let mut survivors: Vec<NodeId> = Vec::with_capacity(desc.replicas.len());
-            for &prov in desc.replicas.iter() {
-                if reachable.contains(&prov) && self.store.provider_retain(prov, desc.id) {
-                    survivors.push(prov);
-                    retained.push((prov, desc.id));
-                }
-            }
-            if survivors.is_empty() {
-                self.forget_stale_hit(&key);
-            } else {
+        });
+        for (c, (u, key, desc)) in candidates.into_iter().enumerate() {
+            let survivors: Vec<NodeId> = desc
+                .replicas
+                .iter()
+                .copied()
+                .filter(|prov| took[c].contains(prov))
+                .collect();
+            if !survivors.is_empty() {
                 uniques[u].reused = Some(ChunkDesc {
                     id: desc.id,
                     replicas: survivors.into(),
                 });
+            } else if !mismatched[c] {
+                self.forget_stale_hit(&key);
             }
         }
     }
@@ -1065,16 +1079,18 @@ impl Client {
 
         // 3. Extra intra-commit uses take one more provider-side
         //    reference each (a fresh put starts at refcount 1 — its
-        //    first use; a validated reuse already retained once).
+        //    first use; a validated reuse already retained once): one
+        //    batch per provider, all in one step, the id listed once per
+        //    extra use.
         let mut dedup_chunks = 0u64;
         let mut dedup_bytes = 0u64;
+        let mut extra: BTreeMap<NodeId, Vec<(ChunkId, ContentKey)>> = BTreeMap::new();
         for (u, unique) in uniques.iter().enumerate() {
             let desc = unique_descs[u].as_ref().expect("filled above");
             for _ in 1..unique.uses {
+                let key = unique.key.expect("only a dedup plan collapses slots");
                 for &prov in desc.replicas.iter() {
-                    if self.store.provider_retain(prov, desc.id) {
-                        retained.push((prov, desc.id));
-                    }
+                    extra.entry(prov).or_default().push((desc.id, key));
                 }
             }
             let len = updates[unique.first_slot].1.len();
@@ -1086,6 +1102,16 @@ impl Client {
                 dedup_bytes += len * (unique.uses - 1);
             }
         }
+        let mut asked = extra.iter();
+        let requests = extra.iter().map(|(&prov, entries)| (prov, entries.clone()));
+        self.store.provider_retain(requests, |outcomes| {
+            let (&prov, entries) = asked.next().expect("one answer per batch");
+            for (&(id, _), outcome) in entries.iter().zip(outcomes) {
+                if outcome == RetainOutcome::Retained {
+                    retained.push((prov, id));
+                }
+            }
+        });
 
         // 4. Shadow the metadata tree with one descriptor per slot.
         let update_map: FastMap<u64, ChunkDesc> = updates
@@ -1163,17 +1189,18 @@ impl Client {
         Ok(v)
     }
 
-    /// Push a durable commit's novel content keys to the cluster-wide
-    /// dedup index: the batch is filtered against the node's gossiped
-    /// replica first (content the cluster already indexes — the common
-    /// converged boot path — costs nothing), then one control RPC
-    /// carries the survivors to the index host beside the provider
-    /// manager, and the update gossips to the other compute nodes along
-    /// the broadcast tree. Best-effort like every index update: an
-    /// unreachable host just drops the batch.
+    /// Push a durable commit's content keys to the cluster-wide dedup
+    /// index: one request carries them to the index host beside the
+    /// provider manager, which files the keys it does not already hold
+    /// and answers how many that was. Only those are charged — one
+    /// control RPC plus the gossip that carries the update to the other
+    /// compute nodes along the broadcast tree; content the cluster
+    /// already indexes (the common converged boot path) costs nothing.
+    /// Best-effort like every index update: an unreachable host just
+    /// drops the batch.
     fn publish_cluster_entries(&self, uniques: &[UniqueChunk], unique_descs: &[Option<ChunkDesc>]) {
-        if !self.cfg().cluster_dedup {
-            return;
+        if !self.cfg().cluster_dedup || self.store.fabric.is_down(self.store.topo.pmanager) {
+            return; // index host unreachable: skip, the content stays node-local
         }
         let entries: Vec<(ContentKey, ChunkDesc)> = uniques
             .iter()
@@ -1183,22 +1210,12 @@ impl Client {
                 Some((key, unique_descs[u].clone().expect("filled above")))
             })
             .collect();
-        let keys: Vec<ContentKey> = entries.iter().map(|&(k, _)| k).collect();
-        let novel: FastSet<ContentKey> = self.store.cluster_novel_of(keys).into_iter().collect();
-        if novel.is_empty() {
-            return;
+        let novel = self.store.cluster_record(entries);
+        if novel > 0 {
+            // One control round per commit: key + descriptor summaries
+            // are ~48 bytes each (length, digest, chunk id, replica set).
+            self.charge_host_publish(self.cfg().control_bytes + 48 * novel as u64);
         }
-        // One control round per commit: key + descriptor summaries are
-        // ~48 bytes each (length, digest, chunk id, replica set).
-        let summary_bytes = self.cfg().control_bytes + 48 * novel.len() as u64;
-        if !self.charge_host_publish(summary_bytes) {
-            return; // index host unreachable: skip, the content stays node-local
-        }
-        let records: Vec<(ContentKey, ChunkDesc)> = entries
-            .into_iter()
-            .filter(|(key, _)| novel.contains(key))
-            .collect();
-        self.store.cluster_record(records);
     }
 
     /// Convenience: create a blob and publish `data` as `Version(1)` — the

@@ -16,18 +16,20 @@
 //!   content already indexed, or all content fresh) never pays an extra
 //!   control round for the cluster probe.
 //! * **Publishes are batched and novelty-filtered.** After a commit
-//!   becomes durable, its content keys that the replica does not
-//!   already hold are pushed to the host in **one** control RPC and
-//!   gossiped onward ([`gossip_charge`](crate::board::gossip_charge)
-//!   charges the dissemination). Once a cohort's content has converged,
-//!   commits publish nothing and the control plane is quiet.
+//!   becomes durable, its content keys go to the host in **one**
+//!   request ([`ClusterIndex::record_novel`]): the index files the keys
+//!   it does not already hold and says how many there were, and only
+//!   those are charged — one control RPC, gossiped onward
+//!   ([`gossip_charge`](crate::board::gossip_charge) charges the
+//!   dissemination). Once a cohort's content has converged, commits
+//!   publish nothing and the control plane is quiet.
 //! * **Hits commit by reference.** A cluster hit is validated and
-//!   retained through exactly the machinery of a node-local hit
-//!   (byte-verify unless the digest is collision-resistant, then
-//!   [`crate::provider::Provider::retain`] per live replica), so the
-//!   rollback-exact failure semantics of the write path carry over
-//!   unchanged. The node-local index stays as the first-level filter —
-//!   the cluster replica is only probed on a node-local miss.
+//!   retained through exactly the machinery of a node-local hit (one
+//!   [`crate::provider::ProviderStore::retain_matching`] batch per live
+//!   replica's provider: the provider compares the key with the bytes it
+//!   stores), so the rollback-exact failure semantics of the write path
+//!   carry over unchanged. The node-local index stays as the first-level
+//!   filter — the cluster replica is only probed on a node-local miss.
 //!
 //! The index also keeps a reverse chunk-id map so snapshot garbage
 //! collection ([`crate::Client::delete_snapshot`]) can evict the entries
@@ -65,14 +67,31 @@ impl ClusterIndex {
         self.entries.get(key).cloned()
     }
 
-    /// The subset of `keys` the index does not hold yet — the publisher
-    /// consults its replica with this *before* paying the publish RPC,
-    /// so converged cohorts publish nothing.
-    pub fn novel_of<'a>(&self, keys: impl IntoIterator<Item = &'a ContentKey>) -> Vec<ContentKey> {
-        keys.into_iter()
-            .filter(|k| self.entries.get(k).is_none())
-            .copied()
-            .collect()
+    /// Whether the index holds `key`.
+    pub fn holds(&self, key: &ContentKey) -> bool {
+        self.entries.get(key).is_some()
+    }
+
+    /// Record the entries whose key the index does not hold yet and
+    /// return how many there were — what the publisher is charged for,
+    /// so converged cohorts publish nothing. A held key is left alone,
+    /// descriptor and recency: its entry is either right or found stale
+    /// (and forgotten) by whoever validates it next.
+    pub fn record_novel(
+        &mut self,
+        entries: impl IntoIterator<Item = (ContentKey, ChunkDesc)>,
+    ) -> usize {
+        if self.entries.capacity() == 0 {
+            return 0;
+        }
+        let mut novel = 0;
+        for (key, desc) in entries {
+            if !self.holds(&key) {
+                self.record(key, desc);
+                novel += 1;
+            }
+        }
+        novel
     }
 
     /// Record (or refresh) the descriptor holding `key`'s content,
@@ -185,13 +204,16 @@ mod tests {
     }
 
     #[test]
-    fn novel_of_filters_known_keys() {
+    fn record_novel_files_and_counts_unknown_keys_only() {
         let mut idx = ClusterIndex::new(16);
         idx.record(key(1), desc(7));
-        let keys = [key(1), key(2)];
-        assert_eq!(idx.novel_of(keys.iter()), vec![key(2)]);
-        idx.record(key(2), desc(8));
-        assert!(idx.novel_of(keys.iter()).is_empty());
+        let entries = [(key(1), desc(9)), (key(2), desc(8))];
+        assert_eq!(idx.record_novel(entries.iter().cloned()), 1);
+        assert_eq!(idx.get(&key(1)), Some(desc(7)), "a held key is left alone");
+        assert_eq!(idx.get(&key(2)), Some(desc(8)));
+        assert_eq!(idx.record_novel(entries.iter().cloned()), 0);
+        // A disabled index files nothing and charges nothing.
+        assert_eq!(ClusterIndex::new(0).record_novel(entries), 0);
     }
 
     #[test]

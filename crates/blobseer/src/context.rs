@@ -53,11 +53,13 @@
 //! * **The access trackers and chunk-data cache** — the node half of the
 //!   adaptive prefetching pipeline. Trackers record each snapshot's
 //!   first-touch chunk order (batched into
-//!   [`crate::board::PatternBoard`] publishes) and the prefetcher's
-//!   claim/cursor state; the chunk cache holds prefetched (and, while
-//!   prefetching is on, demand-fetched) chunk payloads that
-//!   `Client::read_multi` serves without touching providers — which is
-//!   also how co-located VMs share each other's fetched data.
+//!   [`crate::board::PatternBoard`] publishes), the node's *replica* of
+//!   the board's merged peer sequence (see [`crate::board`]) and the
+//!   prefetcher's claim/cursor state over it; the chunk cache holds
+//!   prefetched (and, while prefetching is on, demand-fetched) chunk
+//!   payloads that `Client::read_multi` serves without touching
+//!   providers — which is also how co-located VMs share each other's
+//!   fetched data.
 //!
 //! Aggregate hit/miss, dedup and prefetch counters are atomics:
 //! experiments read them without stopping the data plane.
@@ -65,7 +67,7 @@
 use crate::api::{BlobConfig, BlobId, ChunkDesc, ChunkId, NodeKey, TreeNode, Version};
 use crate::lockstat::{probed_lock, LockContention, LockProbe};
 use bff_data::{ContentKey, DigestIndex, FastMap, FastSet, LruMap, Payload, RangeSet, U64Hasher};
-use bff_wire::msg::VersionInfo;
+use bff_wire::msg::{BoardSync, VersionInfo};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher as _};
@@ -110,8 +112,9 @@ pub enum ChunkOrigin {
 
 /// Per-`(blob, version)` access-pattern state: what this node has
 /// touched (and in which first-touch order), how much of that order has
-/// been published to the cluster board, and how far into the board's
-/// peer sequence the node's prefetcher has advanced.
+/// been published to the cluster board, what the board has sent back
+/// (the node's replica of the merged peer sequence), and how far into it
+/// the node's prefetcher has advanced.
 #[derive(Debug, Default)]
 struct AccessTracker {
     /// Chunk indices this node has accessed (demand reads).
@@ -124,8 +127,17 @@ struct AccessTracker {
     /// in flight) — never re-claimed, so a chunk is prefetched at most
     /// once per node.
     claimed: FastSet<u64>,
-    /// Position in the board's peer sequence up to which candidates have
-    /// been consumed.
+    /// The replica: the prefix of the board's merged peer sequence this
+    /// node has been sent, in board order (the board only appends).
+    peer_seq: Vec<u64>,
+    /// Whether each replica entry was cohort-confirmed when it was sent
+    /// (membership of `peer_seq` by chunk index). A reply never repeats
+    /// an entry, so a flag can lag the board's.
+    peer_confirmed: FastMap<u64, bool>,
+    /// Whether the snapshot had a cohort (enough distinct publishers for
+    /// the confidence filter to apply) at the last sync.
+    cohort: bool,
+    /// Position in `peer_seq` up to which candidates have been consumed.
     cursor: usize,
     /// LRU stamp (trackers are bounded like the descriptor cache).
     last_used: u64,
@@ -549,6 +561,19 @@ impl NodeContext {
         }
     }
 
+    /// CLONE made `alias` a second name for the tree `key` names: if the
+    /// node knows `key`, it knows `alias` — same root, size, chunk size
+    /// and span. One lock, so the copy cannot straddle a purge: either
+    /// `key` is still known (the version manager just cloned it, so it
+    /// was live, and nobody can have deleted a clone this call has not
+    /// returned yet) or nothing is filed and the next lookup asks.
+    pub(crate) fn alias_version_facts(&self, key: (BlobId, Version), alias: (BlobId, Version)) {
+        let mut facts = self.versions.lock();
+        if let Some(info) = facts.known.get_refresh(&key).copied() {
+            facts.known.insert(alias, info);
+        }
+    }
+
     /// Snapshot-delete eviction, version-keyed state: drop the deleted
     /// `(blob, version)`'s facts, descriptor-cache entry and access
     /// tracker. Without its facts no handle on this node resolves the
@@ -653,36 +678,72 @@ impl NodeContext {
         })
     }
 
-    /// Claim the next up-to-`max` prefetch candidates for `key` out of
-    /// the board's peer access sequence `peer_seq`: chunks this node has
-    /// neither accessed nor already claimed. Claimed chunks are never
-    /// handed out twice, so each chunk is prefetched at most once per
-    /// node; the per-key cursor makes repeated calls walk the peer
-    /// sequence incrementally.
+    /// The subset of a first-touch `batch` still worth publishing, judged
+    /// by the node's board replica: the indices the replica does not
+    /// hold, plus held ones it has not seen cohort-confirmed (an extra
+    /// confirmation strengthens the confidence signal). Once the pattern
+    /// has both converged *and* been confirmed the control plane goes
+    /// quiet. Also returns the replica's length — where the publish's
+    /// reply should start.
+    pub fn unconfirmed_of(&self, key: (BlobId, Version), batch: Vec<u64>) -> (Vec<u64>, usize) {
+        self.with_tracker(key, |t| {
+            let novel = batch
+                .into_iter()
+                .filter(|idx| !t.peer_confirmed.get(idx).copied().unwrap_or(false))
+                .collect();
+            (novel, t.peer_seq.len())
+        })
+    }
+
+    /// File the board's answer to a sync this node sent with its replica
+    /// at `from` entries. Returns whether the replica now extends past
+    /// the prefetch cursor.
     ///
-    /// `confident` is the board's cohort-confirmation mask (aligned
-    /// with `peer_seq`; `None` = no filtering): positions it marks
-    /// `false` — chunks only one cohort member reported — are walked
+    /// Entries a co-located handle's sync filed in the meantime are
+    /// skipped; an answer that starts past the replica's end (the
+    /// tracker was evicted and rebuilt since) is dropped — the next sync
+    /// asks from the right place. A board whose sequence is *shorter*
+    /// than `from` has lost the pattern (eviction, restart): the replica
+    /// describes a sequence that no longer exists and starts over.
+    pub fn board_synced(&self, key: (BlobId, Version), from: usize, sync: BoardSync) -> bool {
+        self.with_tracker(key, |t| {
+            if sync.len < from {
+                t.peer_seq.clear();
+                t.peer_confirmed.clear();
+                t.cursor = 0;
+            } else if let Some(known) = t.peer_seq.len().checked_sub(from) {
+                for (idx, confirmed) in sync.tail.into_iter().skip(known) {
+                    t.peer_seq.push(idx);
+                    t.peer_confirmed.insert(idx, confirmed);
+                }
+            }
+            t.cohort = sync.cohort;
+            t.cursor < t.peer_seq.len()
+        })
+    }
+
+    /// Claim the next up-to-`max` prefetch candidates for `key` out of
+    /// the node's replica of the peer access sequence: chunks this node
+    /// has neither accessed nor already claimed. Claimed chunks are never
+    /// handed out twice, so each chunk is prefetched at most once per
+    /// node; the per-key cursor makes repeated calls walk the replica
+    /// incrementally.
+    ///
+    /// Once the snapshot has a cohort, entries the replica has not seen
+    /// confirmed — chunks only one cohort member reported — are walked
     /// past *without* claiming. They stay on demand; skipping them is
     /// the waste the confidence filter trades for. A chunk confirmed
     /// only after the cursor passed it is simply never prefetched —
     /// best-effort, like every other prefetch miss.
-    pub fn claim_prefetch(
-        &self,
-        key: (BlobId, Version),
-        peer_seq: &[u64],
-        confident: Option<&[bool]>,
-        max: usize,
-    ) -> Vec<u64> {
+    pub fn claim_prefetch(&self, key: (BlobId, Version), max: usize) -> Vec<u64> {
         if max == 0 {
             return Vec::new();
         }
-        debug_assert!(confident.is_none_or(|m| m.len() == peer_seq.len()));
         self.with_tracker(key, |t| {
             let mut out = Vec::new();
-            while t.cursor < peer_seq.len() && out.len() < max {
-                let idx = peer_seq[t.cursor];
-                let ok = confident.is_none_or(|m| m[t.cursor]);
+            while t.cursor < t.peer_seq.len() && out.len() < max {
+                let idx = t.peer_seq[t.cursor];
+                let ok = !t.cohort || t.peer_confirmed[&idx];
                 t.cursor += 1;
                 if ok && !t.seen.contains(&idx) && t.claimed.insert(idx) {
                     out.push(idx);
@@ -692,15 +753,15 @@ impl NodeContext {
         })
     }
 
-    /// Whether the peer sequence for `key` extends past this node's
-    /// prefetch cursor (cheap pre-check before spawning an async
-    /// read-ahead step; may be a false positive when the remainder is
-    /// already seen — [`NodeContext::claim_prefetch`] settles that).
-    pub fn prefetch_cursor_behind(&self, key: (BlobId, Version), peer_seq_len: usize) -> bool {
-        self.trackers
-            .lock()
-            .get(&key)
-            .map_or(peer_seq_len > 0, |t| t.cursor < peer_seq_len)
+    /// Where the prefetcher stands on `key`: whether the replica extends
+    /// past the cursor (may be a false positive when the remainder is
+    /// already seen — [`NodeContext::claim_prefetch`] settles that), the
+    /// replica's length, and how many distinct chunks of the snapshot
+    /// this node has touched.
+    pub fn prefetch_progress(&self, key: (BlobId, Version)) -> (bool, usize, usize) {
+        self.trackers.lock().get(&key).map_or((false, 0, 0), |t| {
+            (t.cursor < t.peer_seq.len(), t.peer_seq.len(), t.seen.len())
+        })
     }
 
     // --- The node-shared chunk-data cache ---------------------------
@@ -1003,32 +1064,90 @@ mod tests {
         assert!(c.note_accesses(key, 0..2 * PUBLISH_BATCH as u64).is_none());
     }
 
+    /// A board answer carrying `tail` (entry, confirmed) from `from` on.
+    fn answer(from: usize, tail: &[(u64, bool)], cohort: bool) -> BoardSync {
+        BoardSync {
+            appended: 0,
+            len: from + tail.len(),
+            cohort,
+            tail: tail.to_vec(),
+        }
+    }
+
     #[test]
     fn claim_prefetch_walks_peer_sequence_once() {
         let c = ctx(8);
         let key = (BlobId(2), Version(1));
         c.note_accesses(key, [3u64, 4]);
-        let seq: Vec<u64> = (0..10).collect();
-        assert!(c.prefetch_cursor_behind(key, seq.len()));
+        assert_eq!(c.prefetch_progress(key), (false, 0, 2));
+        let seq: Vec<(u64, bool)> = (0..10).map(|i| (i, false)).collect();
+        assert!(c.board_synced(key, 0, answer(0, &seq, false)));
+        assert_eq!(c.prefetch_progress(key), (true, 10, 2));
         // Seen chunks (3, 4) are skipped; claims are bounded.
-        assert_eq!(c.claim_prefetch(key, &seq, None, 4), vec![0, 1, 2, 5]);
-        assert_eq!(c.claim_prefetch(key, &seq, None, 100), vec![6, 7, 8, 9]);
-        assert!(!c.prefetch_cursor_behind(key, seq.len()));
+        assert_eq!(c.claim_prefetch(key, 4), vec![0, 1, 2, 5]);
+        assert_eq!(c.claim_prefetch(key, 100), vec![6, 7, 8, 9]);
+        assert_eq!(c.prefetch_progress(key), (false, 10, 2));
         // Nothing is ever claimed twice.
-        assert!(c.claim_prefetch(key, &seq, None, 100).is_empty());
+        assert!(c.claim_prefetch(key, 100).is_empty());
     }
 
     #[test]
     fn claim_prefetch_skips_unconfident_chunks_without_claiming() {
         let c = ctx(8);
         let key = (BlobId(3), Version(1));
-        let seq: Vec<u64> = vec![10, 11, 12, 13];
-        let mask = vec![true, false, true, false];
-        assert_eq!(c.claim_prefetch(key, &seq, Some(&mask), 10), vec![10, 12]);
+        let seq = [(10, true), (11, false), (12, true), (13, false)];
+        c.board_synced(key, 0, answer(0, &seq, true));
+        assert_eq!(c.claim_prefetch(key, 10), vec![10, 12]);
         // The cursor consumed the whole sequence: unconfident chunks are
         // walked past, not queued for later.
-        assert!(!c.prefetch_cursor_behind(key, seq.len()));
-        assert!(c.claim_prefetch(key, &seq, None, 10).is_empty());
+        assert_eq!(c.prefetch_progress(key), (false, 4, 0));
+        assert!(c.claim_prefetch(key, 10).is_empty());
+        // Without a cohort the same flags filter nothing.
+        let lone = (BlobId(3), Version(2));
+        c.board_synced(lone, 0, answer(0, &seq, false));
+        assert_eq!(c.claim_prefetch(lone, 10), vec![10, 11, 12, 13]);
+    }
+
+    #[test]
+    fn the_replica_filters_publishes_until_the_cohort_confirms() {
+        let c = ctx(8);
+        let key = (BlobId(4), Version(1));
+        // An empty replica calls everything novel.
+        assert_eq!(c.unconfirmed_of(key, vec![1, 2, 5]), (vec![1, 2, 5], 0));
+        // Held but unconfirmed entries are still worth a confirmation;
+        // confirmed ones are not, unknown ones always are.
+        c.board_synced(key, 0, answer(0, &[(1, true), (2, false)], true));
+        assert_eq!(c.unconfirmed_of(key, vec![1, 2, 7]), (vec![2, 7], 2));
+        assert_eq!(c.unconfirmed_of(key, vec![1]), (vec![], 2));
+    }
+
+    #[test]
+    fn a_sync_answer_extends_the_replica_exactly_once() {
+        let c = ctx(8);
+        let key = (BlobId(5), Version(1));
+        c.board_synced(key, 0, answer(0, &[(1, true), (2, true)], true));
+        // Two co-located handles asked from 2; the second answer repeats
+        // what the first filed and adds one entry.
+        c.board_synced(key, 2, answer(2, &[(3, true)], true));
+        c.board_synced(key, 2, answer(2, &[(3, true), (4, true)], true));
+        assert_eq!(c.prefetch_progress(key), (true, 4, 0));
+        // An answer that starts past the replica's end is dropped.
+        c.board_synced(key, 9, answer(9, &[(99, true)], true));
+        assert_eq!(c.claim_prefetch(key, 10), vec![1, 2, 3, 4]);
+        // A board that has less than the replica lost the pattern: the
+        // replica starts over, the claims made stay made.
+        let lost = BoardSync {
+            len: 1,
+            ..answer(4, &[], false)
+        };
+        assert!(!c.board_synced(key, 4, lost));
+        assert_eq!(c.prefetch_progress(key), (false, 0, 0));
+        c.board_synced(key, 0, answer(0, &[(4, false), (5, false)], false));
+        assert_eq!(c.claim_prefetch(key, 10), vec![5]);
+        // It leaves with the version.
+        c.purge_version(key);
+        assert_eq!(c.prefetch_progress(key), (false, 0, 0));
+        assert_eq!(c.unconfirmed_of(key, vec![1]), (vec![1], 0));
     }
 
     fn chunk_ctx(cache_bytes: u64) -> NodeContext {
@@ -1118,10 +1237,12 @@ mod tests {
         let held = c.trackers.lock().len();
         assert!(held <= 8, "trackers grew to {held} for bound 8");
         // The most recent tracker survived with its state.
-        assert!(!c.prefetch_cursor_behind((BlobId(1), Version(100)), 0));
-        let seq: Vec<u64> = (0..6).collect();
+        let recent = (BlobId(1), Version(100));
+        assert_eq!(c.prefetch_progress(recent), (false, 0, 3));
+        let seq: Vec<(u64, bool)> = (0..6).map(|i| (i, false)).collect();
+        c.board_synced(recent, 0, answer(0, &seq, false));
         assert_eq!(
-            c.claim_prefetch((BlobId(1), Version(100)), &seq, None, 10),
+            c.claim_prefetch(recent, 10),
             vec![3, 4, 5],
             "recent tracker kept its seen set through churn"
         );
@@ -1213,6 +1334,11 @@ mod tests {
         // ...one obtained after it is as good as any.
         c.record_version_facts((BlobId(1), Version(41)), facts(41), c.version_purges());
         assert_eq!(c.version_facts((BlobId(1), Version(41))), Ok(facts(41)));
+        // A clone is known as soon as its source is, and only then.
+        c.alias_version_facts((BlobId(1), Version(41)), (BlobId(2), Version(1)));
+        assert_eq!(c.version_facts((BlobId(2), Version(1))), Ok(facts(41)));
+        c.alias_version_facts((BlobId(1), Version(40)), (BlobId(3), Version(1)));
+        assert_eq!(c.version_facts((BlobId(3), Version(1))), Err(1));
     }
 
     #[test]

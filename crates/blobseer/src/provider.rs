@@ -20,8 +20,9 @@ use crate::durable::{
     CommitPolicy, DurabilityStats, GroupCommit, SegmentRecovery, SegmentStore,
     DEFAULT_SEGMENT_BYTES,
 };
-use bff_data::{FastMap, FastSet, Payload};
+use bff_data::{ContentDigest, ContentKey, FastMap, FastSet, Payload};
 use bff_net::NodeId;
+use bff_wire::msg::RetainOutcome;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::fs::File;
@@ -63,6 +64,22 @@ pub struct Provider {
     /// so a release can never underflow (releasing an absent chunk is a
     /// no-op, and a count that reaches 0 removes both together).
     refs: FastMap<ChunkId, u64>,
+    /// `(length, digest)` of the *stored* bytes of the chunks a commit
+    /// has asked to reference, computed on first use (in the digest
+    /// strength the commit asked in) and dropped with the chunk. A chunk
+    /// id's bytes never change, so an entry is never stale.
+    keys: FastMap<ChunkId, ContentKey>,
+}
+
+/// Stored chunks a [`Provider::retain_matching`] batch needs digested
+/// before it can be judged: `(id, stored bytes, strong digest wanted)`.
+type Undigested = Vec<(ChunkId, Payload, bool)>;
+
+/// Whether `key` carries the strong (SHA-256) digest. Keys of different
+/// strengths never compare equal, so a stored chunk is digested in the
+/// strength the commit asks in.
+fn is_strong(key: &ContentKey) -> bool {
+    matches!(key.1, ContentDigest::Strong(_))
 }
 
 impl Provider {
@@ -83,6 +100,7 @@ impl Provider {
                 hot: FastSet::default(),
                 stored_bytes: stats.chunk_bytes,
                 refs,
+                keys: FastMap::default(),
             },
             stats,
         ))
@@ -142,6 +160,58 @@ impl Provider {
         true
     }
 
+    /// Commit by reference, verified where the bytes are: per entry, add
+    /// one dedup reference iff the *stored* chunk has the entry's length
+    /// and digest (an id listed twice gains two). All-or-nothing on what
+    /// the provider knows: if a stored chunk named by the batch has not
+    /// been digested yet (in the strength the entry asks in), nothing is
+    /// retained and those chunks come back as `Err` — the caller digests
+    /// them *outside* the shard lock, files the keys with
+    /// [`Provider::note_keys`] and asks again. Once the keys are filed a
+    /// batch costs a map lookup per entry, never O(chunk) work.
+    pub fn retain_matching(
+        &mut self,
+        entries: &[(ChunkId, ContentKey)],
+    ) -> Result<Vec<RetainOutcome>, Undigested> {
+        let mut undigested = Undigested::new();
+        let mut asked: FastSet<ChunkId> = FastSet::default();
+        for (id, key) in entries {
+            let known = self
+                .keys
+                .get(id)
+                .is_some_and(|stored| is_strong(stored) == is_strong(key));
+            if !known && asked.insert(*id) {
+                if let Some(data) = self.peek(*id) {
+                    undigested.push((*id, data, is_strong(key)));
+                }
+            }
+        }
+        if !undigested.is_empty() {
+            return Err(undigested);
+        }
+        Ok(entries
+            .iter()
+            .map(|(id, key)| match self.keys.get(id).copied() {
+                Some(stored) if stored != *key => RetainOutcome::Mismatch,
+                Some(_) if self.retain(*id) => RetainOutcome::Retained,
+                // Not stored here (or unreadable: a record that fails
+                // its checksum reads as absent): a stale index entry.
+                _ => RetainOutcome::Gone,
+            })
+            .collect())
+    }
+
+    /// File the content keys of stored chunks (see
+    /// [`Provider::retain_matching`]). A chunk freed while its key was
+    /// being computed is skipped: keys live and die with their chunk.
+    pub fn note_keys(&mut self, keys: impl IntoIterator<Item = (ChunkId, ContentKey)>) {
+        for (id, key) in keys {
+            if self.has(id) {
+                self.keys.insert(id, key);
+            }
+        }
+    }
+
     /// Drop one dedup reference. When the count reaches zero the chunk
     /// (and its page-cache entry) is removed and its bytes freed.
     /// Releasing an absent chunk — including a double release after the
@@ -166,6 +236,7 @@ impl Provider {
         if emptied {
             self.refs.remove(&id);
             self.hot.remove(&id);
+            self.keys.remove(&id);
         }
         let freed = match &mut self.chunks {
             ChunkStore::Mem(chunks) => {
@@ -483,6 +554,44 @@ impl ProviderStore {
                 (ok, ok)
             }),
             None => false,
+        }
+    }
+
+    /// Commit by reference: judge and retain `entries` at `node` under
+    /// one shard acquisition and one durability barrier (see
+    /// [`Provider::retain_matching`]; a commit-by-reference ack is a
+    /// durability promise for the reference, exactly like a put's for
+    /// the bytes). The first batch to name a chunk pays a second
+    /// acquisition: the stored bytes are digested in between, with no
+    /// lock held. A node that hosts no provider stores nothing.
+    pub fn retain_matching(
+        &self,
+        node: NodeId,
+        entries: &[(ChunkId, ContentKey)],
+    ) -> Vec<RetainOutcome> {
+        let Some(&slot) = self.slot_of.get(&node) else {
+            return vec![RetainOutcome::Gone; entries.len()];
+        };
+        let mut digested: Vec<(ChunkId, ContentKey)> = Vec::new();
+        loop {
+            let judged = self.committed(slot, |shard| {
+                shard.note_keys(digested.drain(..));
+                let judged = shard.retain_matching(entries);
+                // A batch that retained nothing appended nothing and
+                // promises nothing: no barrier.
+                let barrier = judged
+                    .as_ref()
+                    .is_ok_and(|outcomes| outcomes.contains(&RetainOutcome::Retained));
+                (judged, barrier)
+            });
+            match judged {
+                Ok(outcomes) => return outcomes,
+                Err(undigested) => digested.extend(
+                    undigested
+                        .into_iter()
+                        .map(|(id, data, strong)| (id, (data.len(), data.content_digest(strong)))),
+                ),
+            }
         }
     }
 

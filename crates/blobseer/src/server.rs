@@ -454,39 +454,30 @@ impl ServerState {
                 };
                 ProviderResp::Fetched(fetched)
             }
-            ProviderReq::Peek(id) => {
-                ProviderResp::Peeked(self.providers.lock(node).and_then(|p| p.peek(id)))
-            }
-            ProviderReq::Retain(id) => ProviderResp::Retained(self.providers.retain(node, id)),
-            ProviderReq::Release(id) => ProviderResp::Released(self.providers.release(node, id)),
             ProviderReq::ReleaseCounted(ids) => {
                 ProviderResp::ReleaseCounted(self.providers.release_counted(node, &ids))
+            }
+            ProviderReq::Retain(entries) => {
+                ProviderResp::Retained(self.providers.retain_matching(node, &entries))
             }
         }
     }
 
     fn dispatch_board(&self, q: BoardReq) -> BoardResp {
         match q {
-            BoardReq::NovelOf {
-                key,
-                batch,
-                min_publishers,
-            } => BoardResp::Novel(self.pattern_board.novel_of(key, &batch, min_publishers)),
-            BoardReq::Merge {
+            BoardReq::Sync {
                 key,
                 publisher,
                 batch,
-            } => BoardResp::Merged(self.pattern_board.merge(key, publisher, &batch)),
-            BoardReq::SequenceLen(key) => {
-                BoardResp::SequenceLen(self.pattern_board.sequence_len(key))
-            }
-            BoardReq::Sequence {
-                key,
+                from,
                 min_publishers,
-            } => BoardResp::Sequence(
-                self.pattern_board
-                    .sequence_with_confidence(key, min_publishers),
-            ),
+            } => BoardResp::Synced(self.pattern_board.sync(
+                key,
+                publisher,
+                &batch,
+                from,
+                min_publishers,
+            )),
             BoardReq::Purge { keys, freed } => {
                 // Snapshot-GC hygiene for both services hosted beside the
                 // provider manager, in one message: board patterns and
@@ -517,16 +508,19 @@ impl ServerState {
                 // per key.
                 ClusterResp::GotOne(self.cluster_write().get(&key))
             }
-            ClusterReq::NovelOf(keys) => {
-                ClusterResp::Novel(self.cluster_read().novel_of(keys.iter()))
-            }
             ClusterReq::Record(entries) => {
-                // One exclusive acquisition for the whole commit batch.
-                let mut index = self.cluster_write();
-                for (key, desc) in entries {
-                    index.record(key, desc);
-                }
-                ClusterResp::Recorded
+                // A converged commit (every key held) shares the lock
+                // with the probes; a novel one pays one exclusive
+                // acquisition for its whole batch.
+                let converged = {
+                    let index = self.cluster_read();
+                    entries.iter().all(|(key, _)| index.holds(key))
+                };
+                ClusterResp::Recorded(if converged {
+                    0
+                } else {
+                    self.cluster_write().record_novel(entries)
+                })
             }
             ClusterReq::Forget(key) => {
                 self.cluster_write().forget(&key);
@@ -655,13 +649,15 @@ mod tests {
             resp,
             Resp::Provider(ProviderResp::Fetched(vec![None, None]))
         );
+        let key = (64, bff_data::ContentDigest::Weak(bff_data::Digest(1)));
         let resp = s
             .dispatch(Req::Provider {
                 node: stranger,
-                req: ProviderReq::Retain(ChunkId(1)),
+                req: ProviderReq::Retain(vec![(ChunkId(1), key)]),
             })
             .unwrap();
-        assert_eq!(resp, Resp::Provider(ProviderResp::Retained(false)));
+        let gone = vec![bff_wire::msg::RetainOutcome::Gone];
+        assert_eq!(resp, Resp::Provider(ProviderResp::Retained(gone)));
     }
 
     #[test]

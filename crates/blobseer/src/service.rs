@@ -31,7 +31,7 @@
 
 use crate::api::{BlobConfig, BlobId, BlobTopology, ChunkDesc, ChunkId, TransportMode, Version};
 use crate::api::{BlobResult, NodeKey, TreeNode};
-use crate::board::{BoardService, ConfidentSequence};
+use crate::board::BoardService;
 use crate::cluster::ClusterIndex;
 use crate::context::NodeContext;
 use crate::lockstat::LockContention;
@@ -44,8 +44,9 @@ use bff_net::transport::{
 };
 use bff_net::{Fabric, NodeId};
 use bff_wire::msg::{
-    unexpected_resp, BoardReq, BoardResp, ClusterReq, ClusterResp, DeleteOutcome, MetaReq,
-    MetaResp, PmReq, PmResp, ProviderReq, ProviderResp, Req, Resp, VersionInfo, VmReq, VmResp,
+    unexpected_resp, BoardReq, BoardResp, BoardSync, ClusterReq, ClusterResp, DeleteOutcome,
+    MetaReq, MetaResp, PmReq, PmResp, ProviderReq, ProviderResp, Req, Resp, RetainOutcome,
+    VersionInfo, VmReq, VmResp,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -441,50 +442,35 @@ impl BlobStore {
         });
     }
 
-    /// Inspect a chunk without touching read-cache state. A transport
-    /// failure reads as "absent", which the dedup validation path treats
-    /// as a stale hit — conservative and safe.
-    pub(crate) fn provider_peek(&self, prov: NodeId, id: ChunkId) -> Option<Payload> {
-        match self.call(Req::Provider {
-            node: prov,
-            req: ProviderReq::Peek(id),
-        }) {
-            Ok(Resp::Provider(ProviderResp::Peeked(r))) => r,
-            _ => None,
-        }
-    }
-
-    /// Bump a chunk's refcount. A transport failure reads as "not
-    /// retained" — the commit then pushes fresh bytes instead of
-    /// committing by reference, which is always safe.
-    pub(crate) fn provider_retain(&self, prov: NodeId, id: ChunkId) -> bool {
-        matches!(
-            self.call(Req::Provider {
-                node: prov,
-                req: ProviderReq::Retain(id),
-            }),
-            Ok(Resp::Provider(ProviderResp::Retained(true)))
-        )
-    }
-
-    /// Drop one reference (rollback path). A transport failure is a
-    /// bounded leak — identical to skipping a down provider.
-    pub(crate) fn provider_release(&self, prov: NodeId, id: ChunkId) -> bool {
-        matches!(
-            self.call(Req::Provider {
-                node: prov,
-                req: ProviderReq::Release(id),
-            }),
-            Ok(Resp::Provider(ProviderResp::Released(true)))
-        )
+    /// Commit by reference: one `(id, content key)` group per provider,
+    /// all providers in one step; each provider retains the entries its
+    /// stored bytes match and `sink` gets its verdicts, in entry order.
+    /// Transport failure → no verdicts: nothing of that provider's group
+    /// reads as retained, and the commit pushes fresh bytes instead —
+    /// always safe (a reference the lost reply hid is a bounded leak).
+    pub(crate) fn provider_retain(
+        &self,
+        groups: impl Iterator<Item = (NodeId, Vec<(ChunkId, ContentKey)>)>,
+        mut sink: impl FnMut(Vec<RetainOutcome>),
+    ) {
+        let reqs = groups.map(|(node, entries)| Req::Provider {
+            node,
+            req: ProviderReq::Retain(entries),
+        });
+        self.call_many(reqs, |resp| {
+            sink(match resp {
+                Ok(Resp::Provider(ProviderResp::Retained(r))) => r,
+                _ => Vec::new(),
+            })
+        });
     }
 
     /// Drop one reference per entry of each provider's id group, all
     /// providers in one step, and hand `sink` each provider's
     /// `(bytes_freed, removed, dropped)` outcomes, in id order (snapshot
-    /// GC). Transport failure → no outcomes: that provider's whole batch
-    /// reads as skipped, the same bounded-leak semantics as an
-    /// unreachable provider.
+    /// GC, write rollback). Transport failure → no outcomes: that
+    /// provider's whole batch reads as skipped, the same bounded-leak
+    /// semantics as an unreachable provider.
     pub(crate) fn provider_release_counted(
         &self,
         groups: impl Iterator<Item = (NodeId, Vec<ChunkId>)>,
@@ -507,55 +493,24 @@ impl BlobStore {
     // board knows nothing", which only costs prefetch opportunity.
     // -----------------------------------------------------------------
 
-    pub(crate) fn board_novel_of(
-        &self,
-        key: (BlobId, Version),
-        batch: Vec<u64>,
-        min_publishers: usize,
-    ) -> Vec<u64> {
-        match self.call(Req::Board(BoardReq::NovelOf {
-            key,
-            batch,
-            min_publishers,
-        })) {
-            Ok(Resp::Board(BoardResp::Novel(r))) => r,
-            _ => Vec::new(),
-        }
-    }
-
-    pub(crate) fn board_merge(
+    /// The node's board replica asks for what it lacks, publishing
+    /// `batch` on the way (empty = a poll). `None` on transport failure.
+    pub(crate) fn board_sync(
         &self,
         key: (BlobId, Version),
         publisher: NodeId,
         batch: Vec<u64>,
-    ) -> usize {
-        match self.call(Req::Board(BoardReq::Merge {
+        from: usize,
+        min_publishers: usize,
+    ) -> Option<BoardSync> {
+        match self.call(Req::Board(BoardReq::Sync {
             key,
             publisher,
             batch,
-        })) {
-            Ok(Resp::Board(BoardResp::Merged(n))) => n,
-            _ => 0,
-        }
-    }
-
-    pub(crate) fn board_sequence_len(&self, key: (BlobId, Version)) -> usize {
-        match self.call(Req::Board(BoardReq::SequenceLen(key))) {
-            Ok(Resp::Board(BoardResp::SequenceLen(n))) => n,
-            _ => 0,
-        }
-    }
-
-    pub(crate) fn board_sequence(
-        &self,
-        key: (BlobId, Version),
-        min_publishers: usize,
-    ) -> Option<ConfidentSequence> {
-        match self.call(Req::Board(BoardReq::Sequence {
-            key,
+            from,
             min_publishers,
         })) {
-            Ok(Resp::Board(BoardResp::Sequence(r))) => r,
+            Ok(Resp::Board(BoardResp::Synced(sync))) => Some(sync),
             _ => None,
         }
     }
@@ -603,18 +558,14 @@ impl BlobStore {
         }
     }
 
-    /// Which keys the index does not yet hold. Transport failure → no
-    /// keys are novel (the publish is skipped, content stays node-local).
-    pub(crate) fn cluster_novel_of(&self, keys: Vec<ContentKey>) -> Vec<ContentKey> {
-        match self.call(Req::Cluster(ClusterReq::NovelOf(keys))) {
-            Ok(Resp::Cluster(ClusterResp::Novel(r))) => r,
-            _ => Vec::new(),
+    /// Record the entries the index does not hold yet; returns how many
+    /// that was. Transport failure → 0 (nothing to charge; the content
+    /// stays node-local).
+    pub(crate) fn cluster_record(&self, entries: Vec<(ContentKey, ChunkDesc)>) -> usize {
+        match self.call(Req::Cluster(ClusterReq::Record(entries))) {
+            Ok(Resp::Cluster(ClusterResp::Recorded(n))) => n,
+            _ => 0,
         }
-    }
-
-    /// Record novel entries: one exclusive acquisition for the batch.
-    pub(crate) fn cluster_record(&self, entries: Vec<(ContentKey, ChunkDesc)>) {
-        let _ = self.call(Req::Cluster(ClusterReq::Record(entries)));
     }
 
     /// Drop a stale entry wherever it lives.
@@ -816,18 +767,32 @@ mod tests {
                 read.pop().expect("one outcome per request"),
                 store.meta_write_nodes([(99, Vec::new())].into_iter()),
                 store.provider_fetch(stranger, vec![ChunkId(1), ChunkId(2)]),
-                store.provider_retain(stranger, ChunkId(1)),
-                store.provider_release(stranger, ChunkId(1)),
-                store.provider_peek(stranger, ChunkId(1)),
+                {
+                    let key = (64, bff_data::ContentDigest::Weak(bff_data::Digest(1)));
+                    let mut retained = Vec::new();
+                    store.provider_retain([(stranger, vec![(ChunkId(1), key)])].into_iter(), |r| {
+                        retained = r
+                    });
+                    retained
+                },
+                {
+                    let mut released = Vec::new();
+                    store.provider_release_counted(
+                        [(stranger, vec![ChunkId(1)])].into_iter(),
+                        |r| released = r,
+                    );
+                    released
+                },
                 store.vm_latest(BlobId(7)),
             )
         };
         let direct = outcomes(TransportMode::Direct);
         assert_eq!(direct, outcomes(TransportMode::Codec));
-        let (read, write, fetched, retained, released, peeked, latest) = direct;
+        let (read, write, fetched, retained, released, latest) = direct;
         assert!(read.is_err() && write.is_err(), "out-of-range shard");
         assert_eq!(fetched, Ok(vec![None, None]), "unknown provider: absent");
-        assert!(!retained && !released && peeked.is_none());
+        assert_eq!(retained, [RetainOutcome::Gone]);
+        assert_eq!(released, [(0, false, false)]);
         assert_eq!(latest, Err(crate::api::BlobError::NoSuchBlob(BlobId(7))));
     }
 

@@ -64,28 +64,21 @@ impl Digest {
 /// The digest half of a [`ContentKey`]: which hash identified the
 /// content, and its value.
 ///
-/// The two variants correspond to the dedup pipeline's two trust levels.
-/// A [`ContentDigest::Weak`] (64-bit FNV-1a) hit is *advisory*: the
-/// consumer must byte-verify the stored replica before reusing it,
-/// because 64 bits are not collision-proof. A [`ContentDigest::Strong`]
-/// (SHA-256) hit is collision-resistant, so the verification round can
-/// be skipped — the trade a real deployment makes when the digest cost
-/// is cheaper than the verify round trip. The variants never compare
-/// equal, so a deployment switching modes mid-life simply re-indexes.
+/// The two variants are the dedup pipeline's two strengths, validated
+/// the same way: a hit counts only once the provider storing the chunk
+/// has compared the key with the length and digest of the bytes it
+/// holds. With [`ContentDigest::Weak`] (64-bit FNV-1a) that proves
+/// 64-bit digest equality — cheap, and not collision-proof; with
+/// [`ContentDigest::Strong`] (SHA-256) it proves content equality, for
+/// the price of the stronger hash on every commit. The variants never
+/// compare equal, so a deployment switching modes mid-life simply
+/// re-indexes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ContentDigest {
-    /// 64-bit FNV-1a: cheap, advisory, requires byte verification.
+    /// 64-bit FNV-1a: cheap, not collision-resistant.
     Weak(Digest),
-    /// SHA-256: collision-resistant, trusted without verification.
+    /// SHA-256: collision-resistant.
     Strong(crate::sha256::Sha256Digest),
-}
-
-impl ContentDigest {
-    /// Whether a hit on this digest can be trusted without a byte
-    /// comparison against a stored replica.
-    pub fn is_collision_resistant(&self) -> bool {
-        matches!(self, ContentDigest::Strong(_))
-    }
 }
 
 /// Content key of a payload for dedup purposes: `(length, digest)`.

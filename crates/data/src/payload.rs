@@ -71,6 +71,56 @@ impl Seg {
         }
     }
 
+    /// The bytes `at..at + buf.len()` of this segment: borrowed from a
+    /// literal segment, generated into `buf` otherwise.
+    fn window<'a>(&'a self, at: u64, buf: &'a mut [u8]) -> &'a [u8] {
+        match self {
+            Seg::Bytes(b) => &b[at as usize..at as usize + buf.len()],
+            _ => {
+                self.slice(at, at + buf.len() as u64).write_into(buf);
+                buf
+            }
+        }
+    }
+
+    /// Whether `n` bytes of `self` from `at` equal `n` bytes of `other`
+    /// from `other_at`.
+    fn piece_eq(&self, at: u64, other: &Seg, other_at: u64, n: u64) -> bool {
+        match (self, other) {
+            (Seg::Zero { .. }, Seg::Zero { .. }) => true,
+            (
+                Seg::Synth {
+                    seed: s1,
+                    start: t1,
+                    ..
+                },
+                Seg::Synth {
+                    seed: s2,
+                    start: t2,
+                    ..
+                },
+            ) if s1 == s2 && t1 + at == t2 + other_at => true,
+            (Seg::Bytes(x), Seg::Bytes(y)) => {
+                let (at, other_at, n) = (at as usize, other_at as usize, n as usize);
+                x[at..at + n] == y[other_at..other_at + n]
+            }
+            _ => {
+                let (mut buf, mut other_buf) = ([0u8; 4096], [0u8; 4096]);
+                let mut done = 0u64;
+                while done < n {
+                    let m = (n - done).min(buf.len() as u64) as usize;
+                    let mine = self.window(at + done, &mut buf[..m]);
+                    let theirs = other.window(other_at + done, &mut other_buf[..m]);
+                    if mine != theirs {
+                        return false;
+                    }
+                    done += m as u64;
+                }
+                true
+            }
+        }
+    }
+
     /// Attempt to extend `self` with `other` if they are contiguous parts of
     /// the same underlying stream. Keeps rope length bounded under repeated
     /// appends of adjacent synthetic/zero extents.
@@ -350,8 +400,7 @@ impl Payload {
     }
 
     /// The digest half of this payload's dedup [`crate::ContentKey`]:
-    /// weak (FNV-64, consumer must byte-verify hits) or strong (SHA-256,
-    /// hits trusted outright).
+    /// weak (FNV-64) or strong (SHA-256, collision-resistant).
     pub fn content_digest(&self, strong: bool) -> crate::ContentDigest {
         if strong {
             crate::ContentDigest::Strong(self.digest_sha256())
@@ -360,43 +409,35 @@ impl Payload {
         }
     }
 
-    /// Whether the contents equal `other` byte-for-byte. Fast paths on
-    /// structural equality of synthetic descriptors.
+    /// Whether the contents equal `other` byte-for-byte, whatever the two
+    /// ropes' segmentation. The ropes are walked in lockstep and compared
+    /// piece by piece: zero against zero and aligned pieces of one
+    /// synthetic stream are equal by structure, literal against literal
+    /// is a slice comparison, and anything else streams the non-literal
+    /// side through a small buffer. Nothing is hashed.
     pub fn content_eq(&self, other: &Payload) -> bool {
         if self.len != other.len {
             return false;
         }
-        if self.len == 0 {
-            return true;
-        }
-        // Structural fast path: identical single-segment descriptors.
-        if let (Some(a), Some(b)) = (self.single_seg(), other.single_seg()) {
-            match (a, b) {
-                (Seg::Zero { .. }, Seg::Zero { .. }) => return true,
-                (
-                    Seg::Synth {
-                        seed: s1,
-                        start: t1,
-                        ..
-                    },
-                    Seg::Synth {
-                        seed: s2,
-                        start: t2,
-                        ..
-                    },
-                ) if s1 == s2 && t1 == t2 => return true,
-                _ => {}
+        let (mut a, mut b) = (self.segs.iter(), other.segs.iter());
+        // The current segment of each rope and how much of it is done.
+        let (mut seg_a, mut seg_b) = (a.next(), b.next());
+        let (mut at_a, mut at_b) = (0u64, 0u64);
+        while let (Some(x), Some(y)) = (seg_a, seg_b) {
+            let n = (x.len() - at_a).min(y.len() - at_b);
+            if !x.piece_eq(at_a, y, at_b, n) {
+                return false;
+            }
+            at_a += n;
+            at_b += n;
+            if at_a == x.len() {
+                (seg_a, at_a) = (a.next(), 0);
+            }
+            if at_b == y.len() {
+                (seg_b, at_b) = (b.next(), 0);
             }
         }
-        self.digest() == other.digest()
-    }
-
-    fn single_seg(&self) -> Option<&Seg> {
-        if self.segs.len() == 1 {
-            self.segs.first()
-        } else {
-            None
-        }
+        true
     }
 
     /// Overwrite the region `at..at + patch.len()` with `patch`, returning

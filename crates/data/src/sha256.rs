@@ -5,8 +5,8 @@
 //! carry the ~100 lines of the compression function ourselves. It exists
 //! for the *strong* content-addressing mode of the dedup pipeline
 //! ([`crate::digest::ContentDigest::Strong`]): with a collision-resistant
-//! digest, an index hit can be trusted without the byte-verification
-//! round the 64-bit FNV key requires.
+//! digest, a provider-validated index hit proves content equality, where
+//! the 64-bit FNV key proves only digest equality.
 //!
 //! The implementation is the straightforward streaming one — incremental
 //! `update` over a 64-byte block buffer — validated against the FIPS

@@ -93,6 +93,65 @@ proptest! {
         prop_assert_eq!(patched.materialize(), model2);
     }
 
+    /// `content_eq` (and the `==` built on it) is `materialize() ==
+    /// materialize()` whatever the two ropes' shapes: the same bytes
+    /// re-cut at arbitrary points with every piece either literal or in
+    /// its structural form compare equal, and one differing byte at
+    /// either end of any segment of either rope is seen.
+    #[test]
+    fn payload_content_eq_is_byte_equality(seed in any::<u64>(),
+                                           segs in prop::collection::vec((0..3u8, 1..40u64), 1..6),
+                                           cuts in prop::collection::vec(0..240u64, 0..8),
+                                           literal in any::<u64>()) {
+        let mut a = Payload::empty();
+        for (i, (kind, l)) in segs.iter().enumerate() {
+            match kind {
+                0 => a.append(Payload::synth(seed, i as u64 * 1000, *l)),
+                1 => a.append(Payload::zeros(*l)),
+                _ => a.append(Payload::from(SynthSource::new(!seed).materialize(i as u64 * 50, *l as usize))),
+            }
+        }
+        let len = a.len();
+        let mut sorted: Vec<u64> = cuts.iter().map(|c| c % (len + 1)).collect();
+        sorted.push(0); sorted.push(len);
+        sorted.sort_unstable(); sorted.dedup();
+        let mut b = Payload::empty();
+        for (i, w) in sorted.windows(2).enumerate() {
+            let piece = a.slice(w[0], w[1]);
+            if literal >> (i % 64) & 1 == 1 {
+                b.append(Payload::from(piece.materialize()));
+            } else {
+                b.append(piece);
+            }
+        }
+        prop_assert_eq!(a.materialize(), b.materialize());
+        prop_assert!(a.content_eq(&b) && b.content_eq(&a) && a == b);
+
+        let edges = |p: &Payload| {
+            let mut at = 0u64;
+            let mut out = Vec::new();
+            for seg in p.segments() {
+                let l = match seg {
+                    bff_data::payload::SegView::Bytes(s) => s.len() as u64,
+                    bff_data::payload::SegView::Synth { len, .. }
+                    | bff_data::payload::SegView::Zero { len } => len,
+                };
+                out.extend([at, at + l - 1]);
+                at += l;
+            }
+            out
+        };
+        for pos in edges(&a).into_iter().chain(edges(&b)) {
+            let flipped = b.overwrite(pos, Payload::from(vec![!b.byte_at(pos)]));
+            prop_assert!(a.materialize() != flipped.materialize());
+            prop_assert!(!a.content_eq(&flipped) && !flipped.content_eq(&a), "byte {}", pos);
+        }
+        // Unequal lengths, and equal-length ropes of other content.
+        prop_assert!(!a.content_eq(&a.slice(0, len - 1)));
+        let other = Payload::synth(seed ^ 1, 0, len);
+        prop_assert_eq!(a.content_eq(&other), a.materialize() == other.materialize());
+    }
+
     /// byte_at agrees with materialize for mixed ropes.
     #[test]
     fn payload_byte_at(seed in any::<u64>(), lens in prop::collection::vec(1..20u64, 1..6)) {

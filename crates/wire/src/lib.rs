@@ -37,7 +37,8 @@ pub mod types;
 
 pub use codec::{decode, decode_owned, encode, put_varint, Reader, Wire, WireError};
 pub use msg::{
-    unexpected_resp, BoardReq, BoardResp, ClusterReq, ClusterResp, DeleteOutcome, MetaReq,
-    MetaResp, PmReq, PmResp, ProviderReq, ProviderResp, Req, Resp, VersionInfo, VmReq, VmResp,
+    unexpected_resp, BoardReq, BoardResp, BoardSync, ClusterReq, ClusterResp, DeleteOutcome,
+    MetaReq, MetaResp, PmReq, PmResp, ProviderReq, ProviderResp, Req, Resp, RetainOutcome,
+    VersionInfo, VmReq, VmResp,
 };
 pub use types::{BlobError, BlobId, BlobResult, ChunkDesc, ChunkId, NodeKey, TreeNode, Version};

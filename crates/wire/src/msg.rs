@@ -11,7 +11,6 @@ use crate::types::{BlobError, BlobId, BlobResult, ChunkDesc, ChunkId, NodeKey, T
 use bff_data::{ContentKey, Payload};
 use bff_net::{NodeId, RouteKey};
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Per-blob bookkeeping snapshot served by the version manager.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,17 +155,16 @@ pub enum ProviderReq {
     /// Fetch chunks for a read plan (one provider lock for the batch);
     /// marks hits hot in the provider's read cache.
     Fetch(Vec<ChunkId>),
-    /// Inspect a chunk *without* touching read-cache state (dedup
-    /// byte-verification path).
-    Peek(ChunkId),
-    /// Bump a chunk's refcount (commit-by-reference).
-    Retain(ChunkId),
-    /// Drop one reference (write rollback).
-    Release(ChunkId),
     /// Drop one reference per listed id — an id listed twice loses two
     /// — under one provider lock, and report what happened to each
-    /// (snapshot GC: the provider's whole share of a delete).
+    /// (snapshot GC and write rollback: the provider's whole share).
     ReleaseCounted(Vec<ChunkId>),
+    /// Commit by reference: per entry, take one reference on the chunk
+    /// iff the provider's *stored* bytes have the given length and
+    /// digest — an id listed twice gains two — under one provider lock
+    /// and one durability barrier (the provider's whole share of a
+    /// commit's dedup hits).
+    Retain(Vec<(ChunkId, ContentKey)>),
 }
 
 /// Chunk-provider responses.
@@ -177,48 +175,30 @@ pub enum ProviderResp {
     /// Per-chunk `(payload, was_cached)` in request order; `None` where
     /// the chunk is absent.
     Fetched(Vec<Option<(Payload, bool)>>),
-    /// The chunk's bytes, if present.
-    Peeked(Option<Payload>),
-    /// Whether the chunk existed (and was retained).
-    Retained(bool),
-    /// Whether the chunk existed (and was released).
-    Released(bool),
     /// `(bytes_freed, chunk_removed, reference_dropped)` per released
     /// id, in request order.
     ReleaseCounted(Vec<(u64, bool, bool)>),
+    /// What happened to each [`ProviderReq::Retain`] entry, in request
+    /// order.
+    Retained(Vec<RetainOutcome>),
+}
+
+/// A provider's verdict on one [`ProviderReq::Retain`] entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RetainOutcome {
+    /// The stored chunk matches the key; one reference was taken.
+    Retained,
+    /// The chunk is stored but its length or digest differs from the
+    /// key (a digest-index collision); nothing was taken.
+    Mismatch,
+    /// The provider does not store the chunk (a stale index entry).
+    Gone,
 }
 
 /// Pattern-board requests (prefetch gossip) plus the snapshot-GC purge,
 /// which cleans board *and* cluster-index state in one message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BoardReq {
-    /// Which of `batch` the board does not yet consider cohort-confirmed.
-    NovelOf {
-        /// Snapshot the pattern belongs to.
-        key: (BlobId, Version),
-        /// First-touch chunk indices.
-        batch: Vec<u64>,
-        /// Confidence threshold.
-        min_publishers: usize,
-    },
-    /// Merge a publisher's first-touch batch.
-    Merge {
-        /// Snapshot the pattern belongs to.
-        key: (BlobId, Version),
-        /// Publishing node.
-        publisher: NodeId,
-        /// First-touch chunk indices.
-        batch: Vec<u64>,
-    },
-    /// Length of the merged sequence.
-    SequenceLen((BlobId, Version)),
-    /// The merged sequence with per-chunk confidence flags.
-    Sequence {
-        /// Snapshot the pattern belongs to.
-        key: (BlobId, Version),
-        /// Confidence threshold.
-        min_publishers: usize,
-    },
     /// Snapshot-GC cleanup: drop dead patterns and evict freed chunks
     /// from the cluster dedup index.
     Purge {
@@ -227,27 +207,50 @@ pub enum BoardReq {
         /// Chunk ids whose last replica was freed.
         freed: Vec<ChunkId>,
     },
+    /// The one exchange between a node's board replica and the board:
+    /// merge `batch` (a publish; empty = a poll, which changes nothing)
+    /// and send back what the replica lacks.
+    Sync {
+        /// Snapshot the pattern belongs to.
+        key: (BlobId, Version),
+        /// The asking node (the publisher of `batch`).
+        publisher: NodeId,
+        /// First-touch chunk indices to merge.
+        batch: Vec<u64>,
+        /// Length of the caller's replica: the reply starts here.
+        from: usize,
+        /// Confidence threshold the reply's flags are computed for.
+        min_publishers: usize,
+    },
 }
 
-/// A peer access sequence with its cohort-confirmation mask (`None` =
-/// the confidence filter is inactive). The sequence (up to
-/// `BOARD_SEQ_CAP` entries, fetched once per read-ahead step) is shared
-/// with the board by refcount, not copied into the reply.
-pub type ConfidentSequence = (Arc<Vec<u64>>, Option<Vec<bool>>);
+/// What the board answers a [`BoardReq::Sync`] with.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BoardSync {
+    /// Batch indices that were new to the board.
+    pub appended: usize,
+    /// Length of the merged sequence after the merge. Shorter than the
+    /// caller's `from` when the board lost the pattern (eviction,
+    /// restart): the replica is then ahead of a sequence that no longer
+    /// exists.
+    pub len: usize,
+    /// Whether at least `min_publishers` distinct nodes have published
+    /// for the snapshot — until then the prefetch confidence filter is
+    /// off and every entry is worth reading ahead.
+    pub cohort: bool,
+    /// The sequence from the caller's `from` on — never an entry the
+    /// caller holds — each with whether at least `min_publishers`
+    /// distinct nodes reported it.
+    pub tail: Vec<(u64, bool)>,
+}
 
 /// Pattern-board responses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BoardResp {
-    /// The novel subset.
-    Novel(Vec<u64>),
-    /// Indices new to the board.
-    Merged(usize),
-    /// Sequence length.
-    SequenceLen(usize),
-    /// Merged sequence + optional per-chunk confidence flags.
-    Sequence(Option<ConfidentSequence>),
     /// Cluster-index entries evicted by the purge.
     Purged(usize),
+    /// The merge outcome and the replica refresh.
+    Synced(BoardSync),
 }
 
 /// Cluster-dedup-index requests.
@@ -257,9 +260,8 @@ pub enum ClusterReq {
     Get(Vec<ContentKey>),
     /// Coarse-ablation lookup: one *exclusive* acquisition for one key.
     GetExclusive(ContentKey),
-    /// Which keys the index does not yet hold.
-    NovelOf(Vec<ContentKey>),
-    /// Record novel entries (one exclusive acquisition for the batch).
+    /// Record the entries whose key the index does not hold yet (one
+    /// exclusive acquisition for the batch); known keys are left alone.
     Record(Vec<(ContentKey, ChunkDesc)>),
     /// Drop a stale entry.
     Forget(ContentKey),
@@ -272,10 +274,8 @@ pub enum ClusterResp {
     Got(Vec<Option<ChunkDesc>>),
     /// Single-key descriptor.
     GotOne(Option<ChunkDesc>),
-    /// The novel subset.
-    Novel(Vec<ContentKey>),
-    /// Record acknowledged.
-    Recorded,
+    /// How many of the recorded entries were new to the index.
+    Recorded(usize),
     /// Forget acknowledged.
     Forgotten,
 }
@@ -605,21 +605,15 @@ impl Wire for ProviderReq {
                 out.push(1);
                 ids.enc(out);
             }
-            ProviderReq::Peek(id) => {
-                out.push(2);
-                id.enc(out);
-            }
-            ProviderReq::Retain(id) => {
-                out.push(3);
-                id.enc(out);
-            }
-            ProviderReq::Release(id) => {
-                out.push(4);
-                id.enc(out);
-            }
+            // Tags 2–4 (`Peek`, single-id `Retain`, `Release`) are
+            // retired, not reused.
             ProviderReq::ReleaseCounted(ids) => {
                 out.push(5);
                 ids.enc(out);
+            }
+            ProviderReq::Retain(entries) => {
+                out.push(6);
+                entries.enc(out);
             }
         }
     }
@@ -627,10 +621,8 @@ impl Wire for ProviderReq {
         match r.byte()? {
             0 => Ok(ProviderReq::Put(Vec::dec(r)?)),
             1 => Ok(ProviderReq::Fetch(Vec::dec(r)?)),
-            2 => Ok(ProviderReq::Peek(ChunkId::dec(r)?)),
-            3 => Ok(ProviderReq::Retain(ChunkId::dec(r)?)),
-            4 => Ok(ProviderReq::Release(ChunkId::dec(r)?)),
             5 => Ok(ProviderReq::ReleaseCounted(Vec::dec(r)?)),
+            6 => Ok(ProviderReq::Retain(Vec::dec(r)?)),
             t => Err(WireError::BadTag("provider request", t)),
         }
     }
@@ -647,20 +639,13 @@ impl Wire for ProviderResp {
                 out.push(1);
                 chunks.enc(out);
             }
-            ProviderResp::Peeked(data) => {
-                out.push(2);
-                data.enc(out);
-            }
-            ProviderResp::Retained(ok) => {
-                out.push(3);
-                ok.enc(out);
-            }
-            ProviderResp::Released(ok) => {
-                out.push(4);
-                ok.enc(out);
-            }
+            // Tags 2–4 are retired with their requests.
             ProviderResp::ReleaseCounted(outcomes) => {
                 out.push(5);
+                outcomes.enc(out);
+            }
+            ProviderResp::Retained(outcomes) => {
+                out.push(6);
                 outcomes.enc(out);
             }
         }
@@ -669,11 +654,27 @@ impl Wire for ProviderResp {
         match r.byte()? {
             0 => Ok(ProviderResp::Put(bool::dec(r)?)),
             1 => Ok(ProviderResp::Fetched(Vec::dec(r)?)),
-            2 => Ok(ProviderResp::Peeked(Wire::dec(r)?)),
-            3 => Ok(ProviderResp::Retained(bool::dec(r)?)),
-            4 => Ok(ProviderResp::Released(bool::dec(r)?)),
             5 => Ok(ProviderResp::ReleaseCounted(Vec::dec(r)?)),
+            6 => Ok(ProviderResp::Retained(Vec::dec(r)?)),
             t => Err(WireError::BadTag("provider response", t)),
+        }
+    }
+}
+
+impl Wire for RetainOutcome {
+    fn enc(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            RetainOutcome::Retained => 0,
+            RetainOutcome::Mismatch => 1,
+            RetainOutcome::Gone => 2,
+        });
+    }
+    fn dec(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.byte()? {
+            0 => Ok(RetainOutcome::Retained),
+            1 => Ok(RetainOutcome::Mismatch),
+            2 => Ok(RetainOutcome::Gone),
+            t => Err(WireError::BadTag("retain outcome", t)),
         }
     }
 }
@@ -681,103 +682,82 @@ impl Wire for ProviderResp {
 impl Wire for BoardReq {
     fn enc(&self, out: &mut Vec<u8>) {
         match self {
-            BoardReq::NovelOf {
-                key,
-                batch,
-                min_publishers,
-            } => {
-                out.push(0);
-                key.enc(out);
-                batch.enc(out);
-                min_publishers.enc(out);
-            }
-            BoardReq::Merge {
-                key,
-                publisher,
-                batch,
-            } => {
-                out.push(1);
-                key.enc(out);
-                publisher.enc(out);
-                batch.enc(out);
-            }
-            BoardReq::SequenceLen(key) => {
-                out.push(2);
-                key.enc(out);
-            }
-            BoardReq::Sequence {
-                key,
-                min_publishers,
-            } => {
-                out.push(3);
-                key.enc(out);
-                min_publishers.enc(out);
-            }
+            // Tags 0–3 (`NovelOf`, `Merge`, `SequenceLen`, `Sequence`)
+            // are retired, not reused.
             BoardReq::Purge { keys, freed } => {
                 out.push(4);
                 keys.enc(out);
                 freed.enc(out);
             }
+            BoardReq::Sync {
+                key,
+                publisher,
+                batch,
+                from,
+                min_publishers,
+            } => {
+                out.push(5);
+                key.enc(out);
+                publisher.enc(out);
+                batch.enc(out);
+                from.enc(out);
+                min_publishers.enc(out);
+            }
         }
     }
     fn dec(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.byte()? {
-            0 => Ok(BoardReq::NovelOf {
-                key: Wire::dec(r)?,
-                batch: Vec::dec(r)?,
-                min_publishers: usize::dec(r)?,
-            }),
-            1 => Ok(BoardReq::Merge {
-                key: Wire::dec(r)?,
-                publisher: NodeId::dec(r)?,
-                batch: Vec::dec(r)?,
-            }),
-            2 => Ok(BoardReq::SequenceLen(Wire::dec(r)?)),
-            3 => Ok(BoardReq::Sequence {
-                key: Wire::dec(r)?,
-                min_publishers: usize::dec(r)?,
-            }),
             4 => Ok(BoardReq::Purge {
                 keys: Vec::dec(r)?,
                 freed: Vec::dec(r)?,
+            }),
+            5 => Ok(BoardReq::Sync {
+                key: Wire::dec(r)?,
+                publisher: NodeId::dec(r)?,
+                batch: Vec::dec(r)?,
+                from: usize::dec(r)?,
+                min_publishers: usize::dec(r)?,
             }),
             t => Err(WireError::BadTag("board request", t)),
         }
     }
 }
 
+impl Wire for BoardSync {
+    fn enc(&self, out: &mut Vec<u8>) {
+        self.appended.enc(out);
+        self.len.enc(out);
+        self.cohort.enc(out);
+        self.tail.enc(out);
+    }
+    fn dec(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(BoardSync {
+            appended: usize::dec(r)?,
+            len: usize::dec(r)?,
+            cohort: bool::dec(r)?,
+            tail: Vec::dec(r)?,
+        })
+    }
+}
+
 impl Wire for BoardResp {
     fn enc(&self, out: &mut Vec<u8>) {
         match self {
-            BoardResp::Novel(v) => {
-                out.push(0);
-                v.enc(out);
-            }
-            BoardResp::Merged(n) => {
-                out.push(1);
-                n.enc(out);
-            }
-            BoardResp::SequenceLen(n) => {
-                out.push(2);
-                n.enc(out);
-            }
-            BoardResp::Sequence(v) => {
-                out.push(3);
-                v.enc(out);
-            }
+            // Tags 0–3 are retired with their requests.
             BoardResp::Purged(n) => {
                 out.push(4);
                 n.enc(out);
+            }
+            BoardResp::Synced(sync) => {
+                out.push(5);
+                sync.enc(out);
             }
         }
     }
     fn dec(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.byte()? {
-            0 => Ok(BoardResp::Novel(Vec::dec(r)?)),
-            1 => Ok(BoardResp::Merged(usize::dec(r)?)),
-            2 => Ok(BoardResp::SequenceLen(usize::dec(r)?)),
-            3 => Ok(BoardResp::Sequence(Wire::dec(r)?)),
             4 => Ok(BoardResp::Purged(usize::dec(r)?)),
+            5 => Ok(BoardResp::Synced(BoardSync::dec(r)?)),
             t => Err(WireError::BadTag("board response", t)),
         }
     }
@@ -794,10 +774,7 @@ impl Wire for ClusterReq {
                 out.push(1);
                 key.enc(out);
             }
-            ClusterReq::NovelOf(keys) => {
-                out.push(2);
-                keys.enc(out);
-            }
+            // Tag 2 (`NovelOf`) is retired, not reused.
             ClusterReq::Record(entries) => {
                 out.push(3);
                 entries.enc(out);
@@ -812,7 +789,6 @@ impl Wire for ClusterReq {
         match r.byte()? {
             0 => Ok(ClusterReq::Get(Vec::dec(r)?)),
             1 => Ok(ClusterReq::GetExclusive(Wire::dec(r)?)),
-            2 => Ok(ClusterReq::NovelOf(Vec::dec(r)?)),
             3 => Ok(ClusterReq::Record(Vec::dec(r)?)),
             4 => Ok(ClusterReq::Forget(Wire::dec(r)?)),
             t => Err(WireError::BadTag("cluster request", t)),
@@ -831,11 +807,11 @@ impl Wire for ClusterResp {
                 out.push(1);
                 v.enc(out);
             }
-            ClusterResp::Novel(v) => {
-                out.push(2);
-                v.enc(out);
+            // Tag 2 (`Novel`) is retired with its request.
+            ClusterResp::Recorded(n) => {
+                out.push(3);
+                n.enc(out);
             }
-            ClusterResp::Recorded => out.push(3),
             ClusterResp::Forgotten => out.push(4),
         }
     }
@@ -843,8 +819,7 @@ impl Wire for ClusterResp {
         match r.byte()? {
             0 => Ok(ClusterResp::Got(Vec::dec(r)?)),
             1 => Ok(ClusterResp::GotOne(Wire::dec(r)?)),
-            2 => Ok(ClusterResp::Novel(Vec::dec(r)?)),
-            3 => Ok(ClusterResp::Recorded),
+            3 => Ok(ClusterResp::Recorded(usize::dec(r)?)),
             4 => Ok(ClusterResp::Forgotten),
             t => Err(WireError::BadTag("cluster response", t)),
         }
@@ -983,7 +958,13 @@ mod tests {
                 RouteKey::Provider(NodeId(2)),
             ),
             (
-                Req::Board(BoardReq::SequenceLen((BlobId(1), Version(1)))),
+                Req::Board(BoardReq::Sync {
+                    key: (BlobId(1), Version(1)),
+                    publisher: NodeId(2),
+                    batch: vec![3, 4],
+                    from: 5,
+                    min_publishers: 2,
+                }),
                 RouteKey::Board,
             ),
             (

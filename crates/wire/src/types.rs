@@ -360,6 +360,7 @@ const BAD_TAG_CONTEXTS: &[&str] = &[
     "chunk record",
     "ref record",
     "journal record",
+    "retain outcome",
 ];
 
 /// Every `&'static str` a [`BlobError::BadInput`] may carry. Slot 0 is

@@ -3,11 +3,13 @@
 //! availability and fault tolerance) — including losses of *deduped*
 //! chunks whose refcounted replicas are shared by several blobs.
 
-use bff::blobseer::{BlobStore, BlobTopology, ChunkId};
+use bff::blobseer::{BlobStore, BlobTopology, ChunkId, Placement, ServerState};
 use bff::cloud::backend::{BackendError, ImageBackend, MirrorBackend};
 use bff::cloud::params::Calibration;
+use bff::net::transport::{CodecTransport, RouteKey, Transport, WireError};
 use bff::prelude::*;
-use std::sync::Arc;
+use bff::wire::msg::{ProviderReq, ProviderResp, Req, Resp, RetainOutcome};
+use std::sync::{Arc, Mutex};
 
 const IMG: u64 = 2 << 20;
 
@@ -579,4 +581,201 @@ fn failed_collection_still_ends_the_version_for_every_handle() {
     }
     let got = reader.read(blob, v1, 0..IMG).unwrap();
     assert!(got.content_eq(&Payload::synth(0xFA11, 0, IMG)));
+}
+
+// ---------------------------------------------------------------------
+// Faults between the steps of one commit, injected where a client
+// process meets the server roles: the transport.
+// ---------------------------------------------------------------------
+
+/// A client process's view of the server roles that can lose one
+/// provider: once `lose_after_retain` names a node, the reply to that
+/// node's next `Retain` is the last thing it ever says. Also keeps every
+/// `Retain` verdict it carried.
+struct LossyTransport {
+    inner: CodecTransport,
+    lose_after_retain: Mutex<Option<NodeId>>,
+    lost: Mutex<Option<NodeId>>,
+    verdicts: Mutex<Vec<RetainOutcome>>,
+}
+
+impl Transport for LossyTransport {
+    fn call(&self, route: RouteKey, frame: &[u8]) -> Result<Vec<u8>, WireError> {
+        if let RouteKey::Provider(node) = route {
+            if *self.lost.lock().unwrap() == Some(node) {
+                return Err(WireError::Closed);
+            }
+        }
+        let reply = self.inner.call(route, frame)?;
+        if let Ok(Req::Provider {
+            node,
+            req: ProviderReq::Retain(_),
+        }) = bff::wire::decode::<Req>(frame)
+        {
+            if let Ok(Resp::Provider(ProviderResp::Retained(outcomes))) =
+                bff::wire::decode::<Resp>(&reply)
+            {
+                self.verdicts.lock().unwrap().extend(outcomes);
+            }
+            let mut armed = self.lose_after_retain.lock().unwrap();
+            if *armed == Some(node) {
+                *self.lost.lock().unwrap() = armed.take();
+            }
+        }
+        Ok(reply)
+    }
+}
+
+/// The deployment the client processes below attach to.
+fn process_deployment(cluster_dedup: bool) -> (BlobConfig, BlobTopology) {
+    let compute: Vec<NodeId> = (0..6).map(NodeId).collect();
+    let cfg = BlobConfig {
+        chunk_size: 64 << 10,
+        replication: 2,
+        dedup: true,
+        cluster_dedup,
+        ..Default::default()
+    };
+    (cfg, BlobTopology::colocated(&compute, NodeId(6)))
+}
+
+/// A client process attached to `state`: its own [`LossyTransport`], its
+/// own node contexts.
+fn attach_process(
+    state: &Arc<ServerState>,
+    cluster_dedup: bool,
+) -> (Arc<LossyTransport>, Arc<BlobStore>) {
+    let (cfg, topo) = process_deployment(cluster_dedup);
+    let served = Arc::clone(state);
+    let transport = Arc::new(LossyTransport {
+        inner: CodecTransport::new(Arc::new(move |route, frame| {
+            served.handle_frame(route, frame)
+        })),
+        lose_after_retain: Mutex::new(None),
+        lost: Mutex::new(None),
+        verdicts: Mutex::new(Vec::new()),
+    });
+    let store = BlobStore::remote(
+        cfg,
+        topo,
+        LocalFabric::new(7) as Arc<dyn Fabric>,
+        Arc::clone(&transport) as Arc<dyn Transport>,
+    );
+    (transport, store)
+}
+
+fn serve_processes(cluster_dedup: bool) -> Arc<ServerState> {
+    let (cfg, topo) = process_deployment(cluster_dedup);
+    Arc::new(ServerState::new(&cfg, &topo, Placement::RoundRobin))
+}
+
+#[test]
+fn provider_lost_between_retain_and_publish_rolls_back_on_the_survivors() {
+    // A commit dedups onto a chunk with two replicas; one of the two
+    // providers answers the `Retain` and is never heard from again; the
+    // publish then fails (a stale base). The rollback is one batch per
+    // provider in one step: the lost provider's batch fails, which must
+    // cost the surviving one nothing.
+    const CS: u64 = 64 << 10;
+    let state = serve_processes(false);
+    let (transport, store) = attach_process(&state, false);
+    let client = BlobClient::new(store, NodeId(0));
+    let (a, va) = client.upload(Payload::synth(0x10E, 0, 4 * CS)).unwrap(); // ids 1..=4
+    let x = Payload::synth(0x10F, 0, CS);
+    let va2 = client.write_chunks(a, va, vec![(0, x.clone())]).unwrap(); // id 5
+    let shared = ChunkId(5);
+    let refs = |node: NodeId| state.providers().refcount(node, shared);
+    let holders: Vec<NodeId> = (0..6).map(NodeId).filter(|&n| refs(n).is_some()).collect();
+    let (lost, survivor) = (holders[0], holders[1]);
+    assert_eq!(
+        (holders.len(), refs(lost), refs(survivor)),
+        (2, Some(1), Some(1))
+    );
+    let stored = state.providers().total_stored_bytes();
+
+    *transport.lose_after_retain.lock().unwrap() = Some(lost);
+    let fresh = Payload::synth(0x110, 0, CS);
+    let updates = vec![(1, x.clone()), (2, fresh.clone())];
+    let err = client.write_chunks(a, va, updates.clone()).unwrap_err();
+    assert!(matches!(err, BlobError::Conflict { .. }), "{err:?}");
+    assert_eq!(
+        *transport.lost.lock().unwrap(),
+        Some(lost),
+        "the fault fired"
+    );
+    assert_eq!(refs(survivor), Some(1), "the survivor's count is exact");
+    assert_eq!(
+        refs(lost),
+        Some(2),
+        "the reference the lost provider took is the bounded leak"
+    );
+    assert_eq!(
+        state.providers().total_stored_bytes(),
+        stored,
+        "the fresh chunk the failed commit pushed is gone again"
+    );
+
+    // Retried from the right base, provider still lost: the reuse counts
+    // on the survivor only, the fresh chunk lands where it can.
+    let vb = client.write_chunks(a, va2, updates).unwrap();
+    assert_eq!((refs(survivor), refs(lost)), (Some(2), Some(2)));
+    let reader = BlobClient::new(Arc::clone(client.store()), NodeId(survivor.0));
+    let got = reader.read(a, vb, 0..3 * CS).unwrap();
+    assert!(got.content_eq(&x.clone().concat(x).concat(fresh)));
+}
+
+#[test]
+fn a_chunk_collected_between_the_index_hit_and_the_retain_reads_gone_and_is_pushed_fresh() {
+    // Two client processes on one cluster. The first commits X and so
+    // indexes it — on its node and in the cluster index. The second
+    // deletes that snapshot, which frees X's chunk and tells the cluster
+    // index; the first process's node index is never told. When it
+    // commits X again its index hit is stale: the provider answers
+    // `Gone`, both indexes forget the entry, the bytes are pushed fresh.
+    const CS: u64 = 64 << 10;
+    let state = serve_processes(true);
+    let (transport, store) = attach_process(&state, true);
+    let writer = BlobClient::new(store, NodeId(0));
+    let collector = BlobClient::new(attach_process(&state, true).1, NodeId(1));
+    let x = Payload::synth(0x60E, 0, CS);
+    let a = writer.create_blob(4 * CS).unwrap();
+    let va = writer
+        .write_chunks(a, Version(0), vec![(0, x.clone())])
+        .unwrap(); // id 1
+    assert_eq!(state.cluster_index().read().len(), 1);
+    let report = collector.delete_snapshot(a, va).unwrap();
+    assert_eq!(report.freed_chunks, 2, "both replicas of X's chunk");
+    assert_eq!(state.providers().total_stored_bytes(), 0);
+    assert_eq!(state.cluster_index().read().len(), 0);
+    assert_eq!(writer.context().digest_entries(), 1, "the stale entry");
+
+    transport.verdicts.lock().unwrap().clear();
+    let b = writer.create_blob(4 * CS).unwrap();
+    let vb = writer
+        .write_chunks(b, Version(0), vec![(3, x.clone())])
+        .unwrap();
+    assert_eq!(
+        *transport.verdicts.lock().unwrap(),
+        [RetainOutcome::Gone, RetainOutcome::Gone],
+        "one verdict per replica of the stale descriptor"
+    );
+    assert_eq!(
+        state.providers().total_stored_bytes(),
+        2 * CS,
+        "pushed fresh, both replicas"
+    );
+    let fresh_id = ChunkId(2);
+    let held: Vec<u64> = (0..6)
+        .filter_map(|n| state.providers().refcount(NodeId(n), fresh_id))
+        .collect();
+    assert_eq!(held, [1, 1], "a new chunk, one reference per replica");
+    // Both indexes now name the new chunk: the next commit of X, from
+    // either process, is by reference again.
+    let again = collector.create_blob(4 * CS).unwrap();
+    collector
+        .write_chunks(again, Version(0), vec![(1, x.clone())])
+        .unwrap();
+    assert_eq!(state.providers().total_stored_bytes(), 2 * CS);
+    let got = collector.read(b, vb, 3 * CS..4 * CS).unwrap();
+    assert!(got.content_eq(&x));
 }

@@ -1,5 +1,6 @@
 //! Exact protocol counts on single-threaded fixtures — the numbers
-//! `BENCH_13/14/15.json` record, asserted directly. One thread, fixed
+//! `BENCH_13/14/15.json` record and the control plane's frames per boot
+//! and per snapshot, asserted directly. One thread, fixed
 //! schedule: every count repeats exactly, so any change is a protocol
 //! change and must be made here on purpose.
 
@@ -8,6 +9,8 @@ use bff_blobseer::{
     BlobConfig, BlobError, BlobResult, BlobStore, BlobTopology, ChunkDesc, ChunkId, Client,
     NodeKey, Placement, ServerState, TreeNode, Version,
 };
+use bff_cloud::backend::ImageBackend;
+use bff_cloud::{Calibration, Cloud};
 use bff_data::Payload;
 use bff_net::transport::{
     Role, RouteKey, RouteTable, SocketTransport, Transport, WireError, WireStats,
@@ -164,6 +167,144 @@ fn cold_boot_pipelines_its_frames_and_a_diff_boot_fetches_the_diff() {
     let (diff_vm_frames, _) = delta(Role::Vm, before.1);
     assert_eq!(diff_meta_frames, 9, "the changed paths, not the tree");
     assert_eq!(diff_vm_frames, 1, "a new version costs one lookup");
+}
+
+/// The control plane of the benchmark's deployment (`bffbench`'s
+/// `BlobConfig`: dedup, cluster dedup and prefetch on, two publishers
+/// confirm a chunk, replication 1) on its smallest fixture: a 64-chunk
+/// image, four compute nodes, one thread.
+///
+/// **Boots.** Each node in turn attaches an instance and reads the whole
+/// image in sixteen 256 KiB reads, as a benchmark boot does. The board
+/// is asked only by a node's replica of the snapshot's peer sequence:
+/// once when the image is attached and the replica is empty (a poll),
+/// and once per first-touch batch the replica cannot call
+/// cohort-confirmed (a publish, eight chunks each). Nodes 0 and 1 are
+/// the two publishers that confirm the pattern; nodes 2 and 3 learn from
+/// their one poll that there is nothing left to say; a second boot on a
+/// node that has read the image asks nothing at all.
+///
+/// **Snapshots.** An instance on node 0 dirties four chunks — two whose
+/// content the base image already stores (on two providers), two new —
+/// and snapshots (CLONE + COMMIT), then does it again elsewhere
+/// (COMMIT). A reused chunk is verified and retained where it is stored,
+/// in the one `Retain` batch its provider gets, so the commit's provider
+/// frames are two `Retain`s in one wait and two `Put`s, and no chunk
+/// travels back; the cluster index is asked once and told once; the
+/// version manager hears CLONE, the key reservation and the publish.
+#[test]
+fn a_boot_with_nothing_to_learn_asks_the_board_nothing_and_a_dedup_hit_is_one_provider_round_trip()
+{
+    const PROVIDERS: u32 = 4;
+    let fabric = LocalFabric::new(PROVIDERS as usize + 1);
+    let compute: Vec<NodeId> = (0..PROVIDERS).map(NodeId).collect();
+    let service = NodeId(PROVIDERS);
+    let topo = BlobTopology::colocated(&compute, service);
+    let cfg = BlobConfig {
+        chunk_size: CHUNK,
+        replication: 1,
+        dedup: true,
+        cluster_dedup: true,
+        strong_digest: false,
+        prefetch: true,
+        prefetch_window: 8,
+        prefetch_min_publishers: 2,
+        chunk_cache_bytes: 64 << 20,
+        desc_cache_versions: 64,
+        ..Default::default()
+    };
+    let state = Arc::new(ServerState::new(&cfg, &topo, Placement::RoundRobin));
+    let listeners = state.serve(&Role::ALL).expect("bind loopback listeners");
+    let addrs: HashMap<Role, _> = listeners.iter().map(|(r, s)| (*r, s.addr())).collect();
+    let transport = Arc::new(RoleCounting {
+        inner: SocketTransport::new(RouteTable::from_roles(&addrs).expect("every role served")),
+        frames: Default::default(),
+        round_trips: Default::default(),
+    });
+    let store = BlobStore::remote(
+        cfg,
+        topo,
+        Arc::clone(&fabric) as Arc<dyn Fabric>,
+        transport.clone() as Arc<dyn Transport>,
+    );
+    let cloud = Cloud::with_store(
+        store,
+        fabric as Arc<dyn Fabric>,
+        compute.clone(),
+        service,
+        Calibration::default(),
+    );
+    let image = 64 * CHUNK;
+    // Literal bytes, as a real image is: a chunk that travels costs its
+    // length on the wire.
+    let base = Payload::from(Payload::synth(0xB17, 0, image).materialize());
+    let (blob, version) = cloud.upload_image(base.clone()).expect("upload");
+
+    let boot = |node: NodeId| {
+        let before = transport.seen(Role::Board).0;
+        let mut vm = cloud.add_instance(blob, version, node).expect("attach");
+        for offset in (0..image).step_by(BOOT_STRIDE as usize) {
+            let got = vm
+                .backend
+                .read(offset..offset + BOOT_STRIDE)
+                .expect("boot read");
+            assert!(got.content_eq(&base.slice(offset, offset + BOOT_STRIDE)));
+        }
+        (vm, transport.seen(Role::Board).0 - before)
+    };
+    let first_boots: Vec<u64> = compute.iter().map(|&node| boot(node).1).collect();
+    let (mut vm, repeat_boot) = boot(NodeId(0));
+    // 17, 18, 10, 10 and 2 before the replica: a `NovelOf` and a `Merge`
+    // per batch and a `SequenceLen` per poll, whatever the node knew.
+    assert_eq!(first_boots, [9, 9, 1, 1], "board frames per first boot");
+    assert_eq!(repeat_boot, 0, "a boot with nothing to learn or to say");
+
+    // (frames, round trips) per role and bytes received, since `mark`.
+    let mark = || {
+        (
+            [Role::Provider, Role::Cluster, Role::Vm].map(|role| transport.seen(role)),
+            transport.wire_stats().bytes_received,
+        )
+    };
+    let since = |(roles, bytes): ([(u64, u64); 3], u64)| {
+        let (now, now_bytes) = mark();
+        let delta: Vec<(u64, u64)> = now
+            .iter()
+            .zip(roles)
+            .map(|(n, o)| (n.0 - o.0, n.1 - o.1))
+            .collect();
+        (delta, now_bytes - bytes)
+    };
+    // Two chunks the base image stores elsewhere, two nobody stores.
+    let mut snapshot = |at: u64, shared_from: u64, seed: u64| {
+        let writes = [
+            (
+                at,
+                base.slice(shared_from * CHUNK, (shared_from + 2) * CHUNK),
+            ),
+            (at + 2 * CHUNK, Payload::synth(seed, 0, 2 * CHUNK)),
+        ];
+        for (offset, data) in &writes {
+            vm.backend.write(*offset, data.clone()).expect("dirty");
+        }
+        let before = mark();
+        let snap = vm.snapshot().expect("snapshot");
+        let cost = since(before);
+        let got = cloud.download_image(snap.0, snap.1).expect("read back");
+        for (offset, data) in writes {
+            assert!(got.slice(offset, offset + data.len()).content_eq(&data));
+        }
+        cost
+    };
+    // Per role (frames, round trips): provider, cluster index, version
+    // manager; then the bytes the client received during the snapshot.
+    // Before: provider (6, 6) — a `Peek` and a `Retain` per reused chunk
+    // — cluster (3, 3), version manager (4, 4) then (2, 2), and 131 189
+    // bytes: the two reused chunks, downloaded to be compared.
+    let first = snapshot(0, 32, 0xD1);
+    let second = snapshot(8 * CHUNK, 40, 0xD2);
+    assert_eq!(first, (vec![(4, 3), (2, 2), (3, 3)], 62), "CLONE + COMMIT");
+    assert_eq!(second, (vec![(4, 3), (2, 2), (2, 2)], 58), "COMMIT");
 }
 
 /// What a collector read from a [`CountingIo`]: `rounds` is `fetch`
