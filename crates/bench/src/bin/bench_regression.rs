@@ -73,9 +73,6 @@ const GATES: &[Gate] = &[
     gate("BENCH_5.json", "cluster_summary.json", "cluster dedup: network bytes, node-local ÷ cluster index", "cluster_network_reduction", "cluster_network_floor"),
     gate("BENCH_5.json", "cluster_summary.json", "snapshot GC: fraction of deleted-unique bytes reclaimed", "gc_reclaimed_fraction", "gc_reclaimed_floor"),
     gate("BENCH_5.json", "prefetch_summary.json", "prefetch confidence: unused read-aheads saved vs unfiltered", "confidence_waste_saved", "confidence_waste_saved_floor"),
-    gate("BENCH_6.json", "load_summary.json", "loadgen: wall-clock boot throughput, all-fixes ÷ naive fabric", "loadgen_boot_speedup", "loadgen_boot_speedup_floor"),
-    gate("BENCH_6.json", "load_summary.json", "loadgen: wall-clock boot throughput, lane fix alone ÷ naive fabric", "loadgen_lane_fix_speedup", "loadgen_lane_fix_speedup_floor"),
-    gate("BENCH_6.json", "load_summary.json", "loadgen: p99 boot latency, naive ÷ all-fixes", "loadgen_p99_speedup", "loadgen_p99_speedup_floor"),
     gate("BENCH_7.json", "transport_summary.json", "transport: codec boots/s retention vs direct", "transport_codec_retention", "transport_codec_retention_floor"),
     gate("BENCH_8.json", "recovery_summary.json", "recovery: acknowledged snapshots byte-identical after kill -9", "recovery_survivor_identity", "recovery_survivor_identity_floor"),
     gate("BENCH_8.json", "recovery_summary.json", "recovery: restart-time margin under the bound", "recovery_margin", "recovery_margin_floor"),

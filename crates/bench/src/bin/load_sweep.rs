@@ -4,29 +4,12 @@
 //! network/disk costs compressed 20× (`ThreadParams::serving`).
 //!
 //! The workload is [`bff_bench::storm`], replayed identically under
-//! every row of one of three tables of deployments:
-//!
-//! **Locking disciplines** (default; `load_summary.json`, `BENCH_6`),
-//! cumulatively enabling the contention fixes, worst first:
-//!
-//! | row | fabric lanes | pattern board | chunk-cache consult | cluster probe |
-//! |---|---|---|---|---|
-//! | `naive-fabric` | one global lock held *across* every modelled delay | one exclusive mutex | one lock per chunk | write lock per key |
-//! | `lane-fix`     | per-node lanes, waits outside the locks | one exclusive mutex | one lock per chunk | write lock per key |
-//! | `board-fix`    | per-node lanes | 16 rwlock shards | one lock per chunk | write lock per key |
-//! | `+cache-fix`   | per-node lanes | 16 rwlock shards | one lock per read | write lock per key |
-//! | `all-fixes`    | per-node lanes | 16 rwlock shards | one lock per read | one read lock per batch |
-//!
-//! Every row is logically identical — the coarse modes are the pre-fix
-//! code paths kept behind `ThreadParams::coarse_lanes` and the
-//! `BlobConfig::coarse_*` toggles — so throughput differences are pure
-//! locking discipline. The fabric lane fix dominates (don't hold the
-//! lane lock across the modelled delay); the store-lock fixes show up
-//! as lock-handoff latency and in the contention counters on a
-//! single-core runner, as throughput on many cores.
+//! every row of one of two tables of deployments. The table is named on
+//! the command line; with neither flag the binary exits with an error
+//! naming both (there is no default axis).
 //!
 //! **`--transport all`** (`transport_summary.json`, `BENCH_7`): the
-//! all-fixes storm over `direct`, `codec`, and `socket` — the last as
+//! storm over `direct`, `codec`, and `socket` — the last as
 //! two real `blob_server` children over loopback TCP, whose server-side
 //! counters live in those processes, so only wall clock and wire
 //! traffic are comparable.
@@ -43,9 +26,8 @@
 
 use bff_bench::storm::{self, Hosting, Outcome, CHUNK, SERVING};
 use bff_bench::{arg_value, f1, f3, write_summary, RunScale, Table};
-use bff_blobseer::{BlobConfig, DurabilityCounters, LockContention, TransportMode};
+use bff_blobseer::{BlobConfig, DurabilityCounters, TransportMode};
 use bff_net::transport::WireStats;
-use bff_net::ThreadParams;
 
 /// Boots per client thread.
 const BOOTS: usize = 6;
@@ -53,7 +35,6 @@ const BOOTS: usize = 6;
 /// One deployment the storm runs under.
 struct Row {
     label: &'static str,
-    params: ThreadParams,
     cfg: BlobConfig,
     hosting: Hosting,
 }
@@ -71,33 +52,6 @@ fn full_pipeline() -> BlobConfig {
     }
 }
 
-fn discipline_rows() -> Vec<Row> {
-    // (label, coarse lanes, coarse board, coarse cache, coarse cluster)
-    [
-        ("naive-fabric", true, true, true, true),
-        ("lane-fix", false, true, true, true),
-        ("board-fix", false, false, true, true),
-        ("+cache-fix", false, false, false, true),
-        ("all-fixes", false, false, false, false),
-    ]
-    .into_iter()
-    .map(|(label, lanes, board, cache, cluster)| Row {
-        label,
-        params: ThreadParams {
-            coarse_lanes: lanes,
-            ..SERVING.params()
-        },
-        cfg: BlobConfig {
-            coarse_board_lock: board,
-            coarse_cache_locks: cache,
-            coarse_cluster_probe: cluster,
-            ..full_pipeline()
-        },
-        hosting: Hosting::InProcess,
-    })
-    .collect()
-}
-
 fn transport_rows() -> Vec<Row> {
     [
         ("direct", TransportMode::Direct, Hosting::InProcess),
@@ -107,7 +61,6 @@ fn transport_rows() -> Vec<Row> {
     .into_iter()
     .map(|(label, transport, hosting)| Row {
         label,
-        params: SERVING.params(),
         cfg: BlobConfig {
             transport,
             ..full_pipeline()
@@ -126,7 +79,6 @@ fn durable_rows() -> Vec<Row> {
     .into_iter()
     .map(|(label, hosting, group_commit)| Row {
         label,
-        params: SERVING.params(),
         cfg: BlobConfig {
             transport: TransportMode::Socket,
             group_commit,
@@ -141,9 +93,6 @@ fn durable_rows() -> Vec<Row> {
 struct Measured {
     label: &'static str,
     storm: Outcome,
-    board: LockContention,
-    cluster: LockContention,
-    cache: LockContention,
     wire: WireStats,
     durability: DurabilityCounters,
 }
@@ -155,7 +104,7 @@ impl Measured {
 }
 
 fn measure(row: Row, clients: usize) -> Measured {
-    let deployment = storm::deploy(&SERVING, row.params, row.cfg, row.hosting);
+    let deployment = storm::deploy(&SERVING, row.cfg, row.hosting);
     let cloud = &deployment.cloud;
     let out = storm::run(cloud, &SERVING, clients, BOOTS);
     println!(
@@ -170,29 +119,14 @@ fn measure(row: Row, clients: usize) -> Measured {
     // With `blob_server` children the server-side counters live in
     // those processes; this side only has its wire traffic.
     let store = cloud.store();
-    let (board, cluster, durability) = match row.hosting {
+    let durability = match row.hosting {
         Hosting::Children => Default::default(),
-        Hosting::InProcess | Hosting::Durable => (
-            store.pattern_board().contention(),
-            store.cluster_contention(),
-            store.durability(),
-        ),
+        Hosting::InProcess | Hosting::Durable => store.durability(),
     };
-    let cache = cloud
-        .compute_nodes()
-        .iter()
-        .map(|&n| cloud.node_context(n).chunk_cache_contention())
-        .fold(LockContention::default(), |acc, c| LockContention {
-            acquires: acc.acquires + c.acquires,
-            contended: acc.contended + c.contended,
-        });
     Measured {
         label: row.label,
         wire: store.wire_stats(),
         storm: out,
-        board,
-        cluster,
-        cache,
         durability,
     }
 }
@@ -218,48 +152,6 @@ const COMMON: &[Column] = &[
     ("p50_ms", |m| f3(m.storm.percentile_ms(50.0))),
     ("p99_ms", |m| f3(m.storm.percentile_ms(99.0))),
 ];
-
-const DISCIPLINE: Axis = Axis {
-    table: "load_sweep",
-    rows: discipline_rows,
-    extra: &[
-        ("board_contended", |m| m.board.contended.to_string()),
-        ("board_frac", |m| f3(m.board.contended_frac())),
-        ("cluster_contended", |m| m.cluster.contended.to_string()),
-        ("cluster_frac", |m| f3(m.cluster.contended_frac())),
-        ("cache_contended", |m| m.cache.contended.to_string()),
-        ("cache_frac", |m| f3(m.cache.contended_frac())),
-    ],
-    summary_file: "load_summary.json",
-    // Every gated key is a ratio between rows replaying the identical
-    // workload, never an absolute time.
-    summary: |rows, clients| {
-        let bps = |i: usize| rows[i].storm.boots_per_s().max(1e-9);
-        let [naive, lane, board, cache, tuned] = [0, 1, 2, 3, 4];
-        let p99 = |i: usize| rows[i].storm.percentile_ms(99.0).max(1e-9);
-        let t = &rows[tuned];
-        let f4 = |v: f64| format!("{v:.4}");
-        vec![
-            ("loadgen_boot_speedup", f3(bps(tuned) / bps(naive))),
-            ("loadgen_p99_speedup", f3(p99(naive) / p99(tuned))),
-            ("loadgen_lane_fix_speedup", f3(bps(lane) / bps(naive))),
-            ("loadgen_board_fix_speedup", f3(bps(board) / bps(lane))),
-            ("loadgen_cache_fix_speedup", f3(bps(cache) / bps(board))),
-            ("loadgen_cluster_fix_speedup", f3(bps(tuned) / bps(cache))),
-            ("loadgen_boots_per_s", f3(bps(tuned))),
-            ("loadgen_p50_ms", f3(t.storm.percentile_ms(50.0))),
-            ("loadgen_p99_ms", f3(p99(tuned))),
-            ("loadgen_board_contended_frac", f4(t.board.contended_frac())),
-            ("loadgen_cache_contended_frac", f4(t.cache.contended_frac())),
-            (
-                "loadgen_cluster_contended_frac",
-                f4(t.cluster.contended_frac()),
-            ),
-            ("loadgen_threads", clients.to_string()),
-            ("loadgen_boots", t.storm.boot_us.len().to_string()),
-        ]
-    },
-};
 
 const TRANSPORT: Axis = Axis {
     table: "transport_sweep",
@@ -349,7 +241,8 @@ fn main() {
     } else if let Some(which) = arg_value("--durable") {
         (DURABLE, which)
     } else {
-        (DISCIPLINE, String::from("all"))
+        eprintln!("load_sweep: name an axis: --transport <row|all> or --durable <row|all>");
+        std::process::exit(2);
     };
     let mut rows = (axis.rows)();
     let all = rows.len();

@@ -16,7 +16,7 @@
 //! | `paper` | All of the above |
 //! | `dedup_sweep` | Write dedup off/on, cluster dedup index, snapshot GC (`BENCH_3`, `BENCH_5`) |
 //! | `prefetch_sweep` | Cross-VM prefetching and the pipelined chain (`BENCH_4`, `BENCH_5`) |
-//! | `load_sweep` | The wall-clock [`storm`] under a table of deployments: locking disciplines, `--transport`, `--durable` (`BENCH_6`, `BENCH_7`, `BENCH_9`) |
+//! | `load_sweep` | The wall-clock [`storm`] under a table of deployments: `--transport` or `--durable` (`BENCH_7`, `BENCH_9`) |
 //! | `recovery_sweep` | The [`storm`] while `blob_server` processes are `kill -9`ed and respawned (`BENCH_8`) |
 //! | `blob_server` | Hosts any subset of the server roles in its own process |
 //! | `bench_regression` | The CI gate: one table of (baseline, summary, key, floor) rows |

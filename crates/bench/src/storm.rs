@@ -359,14 +359,10 @@ pub fn attach(
     Cloud::with_store(store, fabric, compute, service, Calibration::default())
 }
 
-/// Stand up one deployment of `shape` on a fresh [`ThreadFabric`].
-pub fn deploy(
-    shape: &Shape,
-    params: ThreadParams,
-    cfg: BlobConfig,
-    hosting: Hosting,
-) -> Deployment {
-    let fabric = ThreadFabric::new(params);
+/// Stand up one deployment of `shape` on a fresh [`ThreadFabric`] with
+/// the shape's parameters.
+pub fn deploy(shape: &Shape, cfg: BlobConfig, hosting: Hosting) -> Deployment {
+    let fabric = ThreadFabric::new(shape.params());
     let compute = shape.compute();
     let service = NodeId(shape.nodes);
     let mut servers = Vec::new();
@@ -467,7 +463,7 @@ mod tests {
             transport: bff_blobseer::TransportMode::Direct,
             ..Default::default()
         };
-        let deployment = deploy(shape, shape.params(), cfg, Hosting::InProcess);
+        let deployment = deploy(shape, cfg, Hosting::InProcess);
         let out = run(&deployment.cloud, shape, 4, 2);
         assert_eq!(out.boot_us.len(), 8);
         assert!(out.boot_us.windows(2).all(|w| w[0] <= w[1]));

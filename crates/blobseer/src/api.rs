@@ -186,21 +186,14 @@ pub struct BlobConfig {
     /// with this on that proves content equality rather than 64-bit
     /// digest equality. Off by default: FNV is the reference behaviour.
     pub strong_digest: bool,
-    /// Emulate the pre-wall-clock global pattern-board mutex: every
-    /// board access — including the per-compute-burst prefetch poll —
-    /// takes one exclusive lock instead of a sharded read lock. Identical
-    /// logical behaviour, pure lock-granularity ablation; `load_sweep`
-    /// runs this as its contention baseline. Off by default.
+    /// Ignored; kept only for the benchmark's struct literal (ROADMAP
+    /// 1(c)).
     pub coarse_board_lock: bool,
-    /// Emulate per-chunk acquisition of the node-shared chunk-cache lock
-    /// in batched reads (one lock round trip per chunk instead of one
-    /// per read plan). Identical logical behaviour; `load_sweep`
-    /// baseline ablation. Off by default.
+    /// Ignored; kept only for the benchmark's struct literal (ROADMAP
+    /// 1(c)).
     pub coarse_cache_locks: bool,
-    /// Emulate per-key exclusive locking of the cluster dedup index
-    /// during commit probes (one exclusive acquisition per missed chunk
-    /// instead of one shared acquisition per commit). Identical logical
-    /// behaviour; `load_sweep` baseline ablation. Off by default.
+    /// Ignored; kept only for the benchmark's struct literal (ROADMAP
+    /// 1(c)).
     pub coarse_cluster_probe: bool,
     /// How typed requests reach the server roles (see [`TransportMode`]).
     /// Defaults to the `BFF_TRANSPORT` environment variable (unset or
@@ -350,12 +343,6 @@ impl BlobConfigBuilder {
         chunk_cache_bytes: u64,
         /// See [`BlobConfig::strong_digest`].
         strong_digest: bool,
-        /// See [`BlobConfig::coarse_board_lock`].
-        coarse_board_lock: bool,
-        /// See [`BlobConfig::coarse_cache_locks`].
-        coarse_cache_locks: bool,
-        /// See [`BlobConfig::coarse_cluster_probe`].
-        coarse_cluster_probe: bool,
         /// See [`BlobConfig::transport`].
         transport: TransportMode,
         /// See [`BlobConfig::group_commit`].

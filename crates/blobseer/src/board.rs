@@ -47,7 +47,6 @@
 //! why a bounded sequence ([`BOARD_SEQ_CAP`]) suffices.
 
 use crate::api::{BlobId, Version};
-use crate::lockstat::{probed_read, probed_write, LockContention, LockProbe};
 use bff_data::{FastMap, FastSet};
 use bff_net::{Fabric, NodeId, Transfer};
 use bff_wire::msg::BoardSync;
@@ -144,8 +143,7 @@ impl PatternBoard {
     }
 
     /// What a replica holding the first `from` entries of `key`'s
-    /// sequence lacks (see [`BoardSync`]; `appended` is the caller's to
-    /// fill). Each entry's flag is whether at least `min_publishers`
+    /// sequence lacks (see [`BoardSync`]). Each entry's flag is whether at least `min_publishers`
     /// distinct nodes reported it — with `min_publishers ≤ 1` every
     /// entry is confirmed. `cohort` tells the reader whether to apply
     /// the flags at all: a lone seed VM's pattern is better than
@@ -158,7 +156,6 @@ impl PatternBoard {
         let confirmed =
             |idx: &u64| e.confirms.get(idx).copied().unwrap_or(0) as usize >= min_publishers;
         BoardSync {
-            appended: 0,
             len: e.seq.len(),
             cohort: e.publishers.len() >= min_publishers,
             tail: e
@@ -212,55 +209,39 @@ pub const BOARD_SHARDS: usize = 16;
 /// [`PatternBoard`] state.
 ///
 /// Every node of a cohort publishes batches and polls concurrently
-/// ([`BoardService::sync`]). Behind a single `Mutex` (the pre-wall-clock
-/// design) those serialize the whole cohort. Here a poll takes a shard
-/// read lock and polls run concurrently; a publish (and `drop_pattern`)
-/// excludes only its own shard.
-///
-/// With `coarse` set the service emulates the old design — every key on
-/// shard 0, every access exclusive — which is how `load_sweep` measures
-/// what the sharding is worth. All acquisitions are counted through a
-/// [`LockProbe`].
+/// ([`BoardService::sync`]): a poll takes a shard read lock and polls run
+/// concurrently; a publish (and `drop_pattern`) excludes only its own
+/// shard.
 #[derive(Debug)]
 pub struct BoardService {
     shards: Vec<RwLock<PatternBoard>>,
-    coarse: bool,
-    probe: LockProbe,
+}
+
+impl Default for BoardService {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl BoardService {
-    /// A fresh board; `coarse` emulates the single-mutex design.
-    pub fn new(coarse: bool) -> Self {
+    /// A fresh, empty board.
+    pub fn new() -> Self {
         Self {
             shards: (0..BOARD_SHARDS).map(|_| RwLock::default()).collect(),
-            coarse,
-            probe: LockProbe::default(),
         }
     }
 
     fn shard_of(&self, key: (BlobId, Version)) -> usize {
-        if self.coarse {
-            return 0;
-        }
         let h = (key.0 .0 ^ key.1 .0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         (h >> 32) as usize % self.shards.len()
     }
 
     fn with_read<R>(&self, key: (BlobId, Version), f: impl FnOnce(&PatternBoard) -> R) -> R {
-        let shard = &self.shards[self.shard_of(key)];
-        if self.coarse {
-            // The old Mutex was exclusive even for reads.
-            f(&probed_write(&self.probe, shard))
-        } else {
-            f(&probed_read(&self.probe, shard))
-        }
+        f(&self.shards[self.shard_of(key)].read())
     }
 
     fn with_write<R>(&self, key: (BlobId, Version), f: impl FnOnce(&mut PatternBoard) -> R) -> R {
-        f(&mut probed_write(
-            &self.probe,
-            &self.shards[self.shard_of(key)],
-        ))
+        f(&mut self.shards[self.shard_of(key)].write())
     }
 
     /// See [`PatternBoard::merge`].
@@ -283,9 +264,9 @@ impl BoardService {
         if batch.is_empty() {
             return self.with_read(key, |b| b.tail(key, from, min_publishers));
         }
-        self.with_write(key, |b| BoardSync {
-            appended: b.merge(key, publisher, batch),
-            ..b.tail(key, from, min_publishers)
+        self.with_write(key, |b| {
+            b.merge(key, publisher, batch);
+            b.tail(key, from, min_publishers)
         })
     }
 
@@ -316,22 +297,12 @@ impl BoardService {
 
     /// Patterns tracked across all shards.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| probed_read(&self.probe, s).len())
-            .sum()
+        self.shards.iter().map(|s| s.read().len()).sum()
     }
 
     /// Whether no shard tracks any pattern.
     pub fn is_empty(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|s| probed_read(&self.probe, s).is_empty())
-    }
-
-    /// Contention counters of the board locks.
-    pub fn contention(&self) -> LockContention {
-        self.probe.snapshot()
+        self.shards.iter().all(|s| s.read().is_empty())
     }
 }
 
@@ -476,55 +447,38 @@ mod tests {
 
     #[test]
     fn board_service_mirrors_the_plain_board() {
-        for coarse in [false, true] {
-            let s = BoardService::new(coarse);
-            assert!(s.is_empty(), "coarse={coarse}");
-            assert_eq!(s.merge(KEY, NodeId(0), &[3, 1, 2]), 3);
-            assert_eq!(s.merge(KEY, NodeId(1), &[1, 2, 9]), 1);
-            assert_eq!(*s.sequence(KEY).unwrap(), vec![3, 1, 2, 9]);
-            assert_eq!(s.sequence_len(KEY), 4);
-            assert_eq!(s.publishes(KEY), 2);
-            assert_eq!(s.publisher_count(KEY), 2);
-            // A poll reads: no publish, no publisher, nothing merged.
-            let poll = s.sync(KEY, NodeId(7), &[], 1, 2);
-            assert_eq!(poll.tail, [(1, true), (2, true), (9, false)]);
-            assert_eq!((poll.appended, poll.len, poll.cohort), (0, 4, true));
-            assert_eq!((s.publishes(KEY), s.publisher_count(KEY)), (2, 2));
-            // A publish merges, then answers from the caller's length.
-            let published = s.sync(KEY, NodeId(2), &[9, 7], 4, 2);
-            assert_eq!((published.appended, published.len), (1, 5));
-            assert_eq!(published.tail, [(7, false)]);
-            assert_eq!(s.len(), 1);
-            s.drop_pattern(KEY);
-            assert!(s.is_empty(), "coarse={coarse}");
-            let c = s.contention();
-            assert!(c.acquires > 0, "every access is counted");
-        }
+        let s = BoardService::new();
+        assert!(s.is_empty());
+        assert_eq!(s.merge(KEY, NodeId(0), &[3, 1, 2]), 3);
+        assert_eq!(s.merge(KEY, NodeId(1), &[1, 2, 9]), 1);
+        assert_eq!(*s.sequence(KEY).unwrap(), vec![3, 1, 2, 9]);
+        assert_eq!(s.sequence_len(KEY), 4);
+        assert_eq!(s.publishes(KEY), 2);
+        assert_eq!(s.publisher_count(KEY), 2);
+        // A poll reads: no publish, no publisher, nothing merged.
+        let poll = s.sync(KEY, NodeId(7), &[], 1, 2);
+        assert_eq!(poll.tail, [(1, true), (2, true), (9, false)]);
+        assert_eq!((poll.len, poll.cohort), (4, true));
+        assert_eq!((s.publishes(KEY), s.publisher_count(KEY)), (2, 2));
+        // A publish merges, then answers from the caller's length.
+        let published = s.sync(KEY, NodeId(2), &[9, 7], 4, 2);
+        assert_eq!(published.len, 5);
+        assert_eq!(published.tail, [(7, false)]);
+        assert_eq!(*s.sequence(KEY).unwrap(), vec![3, 1, 2, 9, 7]);
+        assert_eq!(s.len(), 1);
+        s.drop_pattern(KEY);
+        assert!(s.is_empty());
     }
 
     #[test]
     fn board_service_spreads_keys_over_shards() {
-        let sharded = BoardService::new(false);
-        let coarse = BoardService::new(true);
+        let s = BoardService::new();
         for v in 1..=64u64 {
-            let key = (BlobId(7), Version(v));
-            sharded.merge(key, NodeId(0), &[v]);
-            coarse.merge(key, NodeId(0), &[v]);
+            s.merge((BlobId(7), Version(v)), NodeId(0), &[v]);
         }
-        assert_eq!(sharded.len(), 64);
-        assert_eq!(coarse.len(), 64);
-        let spread = sharded
-            .shards
-            .iter()
-            .filter(|s| !s.read().is_empty())
-            .count();
+        assert_eq!(s.len(), 64);
+        let spread = s.shards.iter().filter(|s| !s.read().is_empty()).count();
         assert!(spread > 1, "64 keys must land on more than one shard");
-        let packed = coarse
-            .shards
-            .iter()
-            .filter(|s| !s.read().is_empty())
-            .count();
-        assert_eq!(packed, 1, "coarse mode pins everything to shard 0");
     }
 
     #[test]

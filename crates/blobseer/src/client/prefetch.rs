@@ -1,0 +1,357 @@
+//! Adaptive cross-VM prefetching ([`crate::BlobConfig::prefetch`]):
+//! image layers hint their read misses ([`Client::hint_access`]), the
+//! node publishes its first-touch order to the cluster
+//! [`crate::board::PatternBoard`], and a node running behind its cohort
+//! reads ahead the window the board's sequence predicts
+//! ([`Client::prefetch_chunks`]) into the node-shared chunk cache, which
+//! `read_multi` consults before touching providers. The hypervisor
+//! model overlaps read-ahead steps with guest compute bursts. Strictly
+//! best-effort: snapshot content is byte-identical with prefetch on or
+//! off.
+
+use super::Client;
+use crate::api::{BlobId, BlobResult, ChunkDesc, Version};
+use crate::context::ChunkOrigin;
+use bff_data::{chunk_cover, chunk_range, coalesce_runs, ByteRange};
+
+impl Client {
+    /// Access hint from the image layer: the guest on this node demanded
+    /// `ranges` of `(blob, version)`. The node's [`crate::NodeContext`]
+    /// records the first-touch chunk order; once
+    /// [`crate::context::PUBLISH_BATCH`] new chunks accumulate, the batch
+    /// is published to the cluster
+    /// [`PatternBoard`](crate::board::PatternBoard) (one control RPC to
+    /// the provider-manager node, then a gossip round to the compute
+    /// nodes). No-op when prefetching is off.
+    ///
+    /// Hints are *advisory*: they never move data and never fail — a
+    /// publish that cannot reach the board (manager down) is dropped.
+    pub fn hint_access(&self, blob: BlobId, version: Version, ranges: &[ByteRange]) {
+        if !self.prefetch_enabled() {
+            return;
+        }
+        let Ok(meta) = self.version_meta(blob, version) else {
+            return;
+        };
+        let indices = ranges
+            .iter()
+            .filter(|r| r.start < r.end && r.end <= meta.size)
+            .flat_map(|r| chunk_cover(r, meta.chunk_size));
+        if let Some(batch) = self.ctx.note_accesses((blob, version), indices) {
+            self.publish_pattern(blob, version, batch);
+        }
+    }
+
+    /// Publish a first-touch batch to the cluster board and gossip the
+    /// update to the other compute nodes (see [`crate::board`]). The
+    /// batch is first filtered against the node's board replica: indices
+    /// the replica holds *and* has seen confirmed by
+    /// [`crate::BlobConfig::prefetch_min_publishers`] distinct publishers
+    /// are not re-published, so once the access pattern converges and is
+    /// cohort-confirmed the control plane goes quiet — no frame, no
+    /// charge. The publish's reply refreshes the replica.
+    fn publish_pattern(&self, blob: BlobId, version: Version, batch: Vec<u64>) {
+        let key = (blob, version);
+        let (batch, from) = self.ctx.unconfirmed_of(key, batch);
+        if batch.is_empty() {
+            return;
+        }
+        let summary_bytes = self.cfg().control_bytes + 8 * batch.len() as u64;
+        if !self.charge_host_publish(summary_bytes) {
+            return; // board unreachable: drop the batch, keep booting
+        }
+        self.sync_board_replica(key, batch, from);
+    }
+
+    /// One exchange with the board on behalf of the node's replica of
+    /// `key`'s peer sequence, which holds `from` entries: publish `batch`
+    /// (empty = a poll) and file the answer. Returns whether the replica
+    /// now extends past the prefetch cursor. Best-effort: a transport
+    /// failure reads as "the board has nothing new", which only costs
+    /// prefetch opportunity.
+    fn sync_board_replica(&self, key: (BlobId, Version), batch: Vec<u64>, from: usize) -> bool {
+        let min_pub = self.cfg().prefetch_min_publishers;
+        self.store
+            .board_sync(key, self.node, batch, from, min_pub)
+            .is_some_and(|sync| self.ctx.board_synced(key, from, sync))
+    }
+
+    /// Whether an asynchronous read-ahead step for `(blob, version)`
+    /// could make progress: prefetching is on and the node's replica of
+    /// the board's peer sequence extends past this node's prefetch
+    /// cursor. Local state, and never a fabric charge, so the hypervisor
+    /// can poll it before every guest compute burst — unless the replica
+    /// is consumed *and* the node has not yet touched every chunk of the
+    /// snapshot: then, and only then, it asks the board whether the
+    /// cohort has moved on (one poll; a node that has read the whole
+    /// image has nothing left to read ahead and asks nothing).
+    pub fn has_prefetch_work(&self, blob: BlobId, version: Version) -> bool {
+        if !self.prefetch_enabled() {
+            return false;
+        }
+        let key = (blob, version);
+        let (behind, replica_len, touched) = self.ctx.prefetch_progress(key);
+        if behind {
+            return true;
+        }
+        let read_it_all = self
+            .ctx
+            .version_facts(key)
+            .is_ok_and(|m| touched as u64 >= m.size.div_ceil(m.chunk_size));
+        !read_it_all && self.sync_board_replica(key, Vec::new(), replica_len)
+    }
+
+    /// Asynchronous batched read-ahead: claim up to `max_chunks` chunks
+    /// the cohort touched but this node has not (the predicted
+    /// next-chunk window off the [`PatternBoard`](crate::board::PatternBoard)
+    /// sequence), resolve their descriptors, fetch them through the
+    /// batched per-provider pipeline and land them in the node-shared
+    /// chunk cache, where [`Client::read_multi`] serves them without
+    /// touching the providers again.
+    ///
+    /// Best-effort semantics: chunks whose every replica is down are
+    /// skipped (per-chunk failover first, like the demand path — a
+    /// provider lost mid-prefetch costs nothing but that chunk), and the
+    /// call returns how many chunks actually landed. Claimed chunks are
+    /// never re-claimed, so a chunk is prefetched at most once per node
+    /// and a later demand read is the only retry path. Returns `Ok(0)`
+    /// immediately when prefetching is off or nothing is predicted.
+    pub fn prefetch_chunks(
+        &self,
+        blob: BlobId,
+        version: Version,
+        max_chunks: usize,
+    ) -> BlobResult<usize> {
+        // Refreshes a consumed replica first (see `has_prefetch_work`);
+        // a step the hypervisor's poll already vouched for asks nothing.
+        if max_chunks == 0 || !self.has_prefetch_work(blob, version) {
+            return Ok(0);
+        }
+        let candidates = self.ctx.claim_prefetch((blob, version), max_chunks);
+        if candidates.is_empty() {
+            return Ok(0);
+        }
+        let meta = self.version_meta(blob, version)?;
+        // The claimed indices as maximal runs for the single descent
+        // (claims come board-ordered, not index-ordered).
+        let runs = coalesce_runs(
+            candidates
+                .iter()
+                .filter(|&&i| i < meta.span)
+                .map(|&i| i..i + 1),
+        );
+        if runs.is_empty() {
+            return Ok(0);
+        }
+        let descs = self.resolve_descs(blob, version, &meta, &runs)?;
+        // Fetch in *peer-access order* (the order the guests will
+        // demand), not index order — read-ahead must stay ahead of the
+        // stream it predicts.
+        let fetch: Vec<(u64, ChunkDesc, u64)> = candidates
+            .iter()
+            .filter_map(|&idx| {
+                let desc = descs.get(&idx)?; // unwritten chunks: nothing to move
+                if self.ctx.chunk_cache_contains(desc.id) {
+                    return None; // a co-located client already landed it
+                }
+                let cr = chunk_range(idx, meta.chunk_size, meta.size);
+                Some((idx, desc.clone(), cr.end - cr.start))
+            })
+            .collect();
+        // Land the window in small batched sub-fetches so early chunks
+        // become servable while later ones are still on the wire — a
+        // wide in-flight budget must not turn the whole window into one
+        // all-or-nothing arrival that demand reads race past. Each
+        // sub-batch is re-filtered against the cache right before its
+        // fetch: a chunk a demand read landed mid-step is not fetched a
+        // second time.
+        const SUB_BATCH: usize = 8;
+        let (mut landed, mut bytes) = (0u64, 0u64);
+        for group in fetch.chunks(SUB_BATCH) {
+            let group: Vec<(u64, ChunkDesc, u64)> = group
+                .iter()
+                .filter(|(_, desc, _)| !self.ctx.chunk_cache_contains(desc.id))
+                .cloned()
+                .collect();
+            for (idx, res) in self.fetch_chunks_results(&group) {
+                if let Ok(data) = res {
+                    bytes += data.len();
+                    landed += 1;
+                    let id = descs.get(&idx).expect("fetched chunks have descs").id;
+                    self.ctx.chunk_cache_insert(id, data, ChunkOrigin::Prefetch);
+                }
+            }
+        }
+        if landed > 0 {
+            self.ctx.note_prefetched(landed, bytes);
+        }
+        Ok(landed as usize)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::client::testkit::*;
+
+    /// Setup with prefetch explicitly on and a second node's client, so
+    /// the cross-node pattern flow (hint → board → prefetch) is
+    /// observable regardless of the `BFF_PREFETCH` environment.
+    fn setup_prefetch(chunk_size: u64) -> (Arc<LocalFabric>, Client, Client) {
+        let cfg = BlobConfig {
+            chunk_size,
+            prefetch: true,
+            // These tests pin the unfiltered read-ahead mechanics; the
+            // confidence filter has its own tests below.
+            prefetch_min_publishers: 1,
+            ..Default::default()
+        };
+        let (fabric, store) = deploy(4, cfg);
+        let a = Client::new(Arc::clone(&store), NodeId(0));
+        let b = Client::new(store, NodeId(1));
+        (fabric, a, b)
+    }
+
+    #[test]
+    fn hints_publish_peer_pattern_and_prefetch_lands_in_cache() {
+        let (_f, a, b) = setup_prefetch(128);
+        let data = Payload::synth(120, 0, 4096); // 32 chunks
+        let (blob, v) = a.upload(data.clone()).unwrap();
+        // Node 0's VM faults in a boot-like window: the hint publishes
+        // its first-touch order to the board.
+        a.hint_access(blob, v, std::slice::from_ref(&(0..2048)));
+        let seq = a
+            .store()
+            .pattern_board()
+            .sequence((blob, v))
+            .expect("pattern published");
+        assert_eq!(*seq, (0..16).collect::<Vec<u64>>());
+
+        // Node 1 has touched nothing: a prefetch step pulls the peer
+        // window into ITS node-shared chunk cache.
+        assert!(b.has_prefetch_work(blob, v));
+        let landed = b.prefetch_chunks(blob, v, 8).unwrap();
+        assert_eq!(landed, 8);
+        let stats = b.context().prefetch_stats();
+        assert_eq!(stats.prefetched_chunks, 8);
+        assert_eq!(stats.prefetched_bytes, 8 * 128);
+        assert_eq!(stats.cached_chunks, 8);
+
+        // The demand read of the prefetched window is served from the
+        // cache: zero provider traffic, byte-identical content.
+        let transfers_before = _f.stats().transfer_count();
+        let got = b.read(blob, v, 0..1024).unwrap();
+        assert!(got.content_eq(&data.slice(0, 1024)));
+        assert_eq!(
+            _f.stats().transfer_count(),
+            transfers_before,
+            "prefetched chunks must not be re-fetched from providers"
+        );
+        let stats = b.context().prefetch_stats();
+        assert_eq!(stats.hits, 8, "every prefetched chunk served a read");
+        assert_eq!(stats.wasted_chunks, 0);
+    }
+
+    #[test]
+    fn prefetch_is_incremental_and_never_refetches() {
+        let (_f, a, b) = setup_prefetch(128);
+        let (blob, v) = a.upload(Payload::synth(121, 0, 4096)).unwrap();
+        a.hint_access(blob, v, std::slice::from_ref(&(0..4096)));
+        // Two bounded steps walk the peer sequence incrementally.
+        assert_eq!(b.prefetch_chunks(blob, v, 10).unwrap(), 10);
+        assert_eq!(b.prefetch_chunks(blob, v, 10).unwrap(), 10);
+        // A chunk is claimed at most once per node: replaying the
+        // sequence fetches only the remainder, then nothing.
+        assert_eq!(b.prefetch_chunks(blob, v, 100).unwrap(), 12);
+        assert!(!b.has_prefetch_work(blob, v));
+        assert_eq!(b.prefetch_chunks(blob, v, 100).unwrap(), 0);
+        assert_eq!(b.context().prefetch_stats().prefetched_chunks, 32);
+    }
+
+    #[test]
+    fn prefetch_skips_chunks_this_node_already_read() {
+        let (_f, a, b) = setup_prefetch(128);
+        let (blob, v) = a.upload(Payload::synth(122, 0, 2048)).unwrap();
+        a.hint_access(blob, v, std::slice::from_ref(&(0..2048)));
+        // Node 1 demand-reads half the window first.
+        b.read(blob, v, 0..1024).unwrap();
+        b.hint_access(blob, v, std::slice::from_ref(&(0..1024)));
+        let landed = b.prefetch_chunks(blob, v, 100).unwrap();
+        assert_eq!(landed, 8, "only the unseen half is prefetched");
+    }
+
+    #[test]
+    fn prefetch_disabled_is_inert() {
+        let cfg = BlobConfig {
+            chunk_size: 128,
+            prefetch: false,
+            ..Default::default()
+        };
+        let (_, off_store) = deploy(4, cfg);
+        let off = Client::new(off_store, NodeId(0));
+        let (blob, v) = off.upload(Payload::synth(123, 0, 1024)).unwrap();
+        off.hint_access(blob, v, std::slice::from_ref(&(0..1024)));
+        assert!(off.store().pattern_board().is_empty());
+        assert!(!off.has_prefetch_work(blob, v));
+        assert_eq!(off.prefetch_chunks(blob, v, 8).unwrap(), 0);
+        assert_eq!(off.context().prefetch_stats(), Default::default());
+
+        // A chunk cache that cannot hold one chunk — zero, or bounded
+        // below the chunk size so every insert would self-evict —
+        // disables the pipeline too, even with the flag on: read-ahead
+        // with nowhere to land the data would fetch every predicted
+        // chunk twice.
+        for cache_bytes in [0u64, 64] {
+            let cfg = BlobConfig {
+                chunk_size: 128,
+                prefetch: true,
+                chunk_cache_bytes: cache_bytes,
+                ..Default::default()
+            };
+            let (fabric, store) = deploy(4, cfg);
+            let capless = Client::new(store, NodeId(0));
+            let (blob, v) = capless.upload(Payload::synth(124, 0, 4096)).unwrap();
+            capless.hint_access(blob, v, std::slice::from_ref(&(0..4096)));
+            assert!(capless.store().pattern_board().is_empty());
+            assert!(!capless.has_prefetch_work(blob, v));
+            let transfers = fabric.stats().transfer_count();
+            assert_eq!(capless.prefetch_chunks(blob, v, 8).unwrap(), 0);
+            assert_eq!(
+                fabric.stats().transfer_count(),
+                transfers,
+                "cache bound {cache_bytes}: capless prefetch must move nothing"
+            );
+            assert_eq!(capless.context().prefetch_stats(), Default::default());
+        }
+    }
+
+    #[test]
+    fn prefetch_confidence_skips_single_publisher_chunks() {
+        let cfg = BlobConfig {
+            chunk_size: 128,
+            prefetch: true,
+            prefetch_min_publishers: 2, // explicit: tests must not drift
+            ..Default::default()
+        };
+        let (_, store) = deploy(4, cfg);
+        let a = Client::new(Arc::clone(&store), NodeId(0));
+        let c = Client::new(Arc::clone(&store), NodeId(2));
+        let (blob, v) = a.upload(Payload::synth(280, 0, 4096)).unwrap(); // 32 chunks
+        let key = (blob, v);
+        // One publisher so far: everything it reports is prefetchable.
+        store
+            .pattern_board()
+            .merge(key, NodeId(0), &(0..16).collect::<Vec<u64>>());
+        // A second cohort member confirms only the first half; the tail
+        // 8..16 stays single-publisher (private divergence).
+        store
+            .pattern_board()
+            .merge(key, NodeId(1), &(0..8).collect::<Vec<u64>>());
+        let landed = c.prefetch_chunks(blob, v, 100).unwrap();
+        assert_eq!(landed, 8, "only cohort-confirmed chunks are prefetched");
+        let stats = c.context().prefetch_stats();
+        assert_eq!(stats.prefetched_chunks, 8);
+        // The unconfirmed tail was consumed, not deferred: nothing more
+        // to do until new pattern data arrives.
+        assert_eq!(c.prefetch_chunks(blob, v, 100).unwrap(), 0);
+    }
+}

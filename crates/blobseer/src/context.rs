@@ -65,7 +65,6 @@
 //! experiments read them without stopping the data plane.
 
 use crate::api::{BlobConfig, BlobId, ChunkDesc, ChunkId, NodeKey, TreeNode, Version};
-use crate::lockstat::{probed_lock, LockContention, LockProbe};
 use bff_data::{ContentKey, DigestIndex, FastMap, FastSet, LruMap, Payload, RangeSet, U64Hasher};
 use bff_wire::msg::{BoardSync, VersionInfo};
 use parking_lot::Mutex;
@@ -332,8 +331,6 @@ pub struct NodeContext {
     prefetch_hit_bytes: AtomicU64,
     prefetch_wasted: AtomicU64,
     chunk_cache_hits: AtomicU64,
-    /// Contention counters of the `chunks` lock (serving diagnostics).
-    chunks_probe: LockProbe,
 }
 
 impl NodeContext {
@@ -381,7 +378,6 @@ impl NodeContext {
             prefetch_hit_bytes: AtomicU64::new(0),
             prefetch_wasted: AtomicU64::new(0),
             chunk_cache_hits: AtomicU64::new(0),
-            chunks_probe: LockProbe::default(),
         }
     }
 
@@ -796,7 +792,7 @@ impl NodeContext {
         if self.chunk_cache_bytes == 0 {
             return None;
         }
-        let mut cache = probed_lock(&self.chunks_probe, &self.chunks);
+        let mut cache = self.chunks.lock();
         self.chunk_cache_get_locked(&mut cache, id)
     }
 
@@ -811,7 +807,7 @@ impl NodeContext {
         if self.chunk_cache_bytes == 0 || ids.is_empty() {
             return vec![None; ids.len()];
         }
-        let mut cache = probed_lock(&self.chunks_probe, &self.chunks);
+        let mut cache = self.chunks.lock();
         ids.iter()
             .map(|&id| self.chunk_cache_get_locked(&mut cache, id))
             .collect()
@@ -821,10 +817,7 @@ impl NodeContext {
     /// without touching hit statistics or LRU order (prefetch-side
     /// dedup check, not a demand read).
     pub fn chunk_cache_contains(&self, id: ChunkId) -> bool {
-        self.chunk_cache_bytes != 0
-            && probed_lock(&self.chunks_probe, &self.chunks)
-                .entries
-                .contains_key(&id)
+        self.chunk_cache_bytes != 0 && self.chunks.lock().entries.contains_key(&id)
     }
 
     /// Insert a fetched chunk into the node-shared cache, evicting LRU
@@ -836,7 +829,7 @@ impl NodeContext {
             return;
         }
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut cache = probed_lock(&self.chunks_probe, &self.chunks);
+        let mut cache = self.chunks.lock();
         if let Some(entry) = cache.entries.get_mut(&id) {
             entry.last_used = tick;
             cache.queue.push_back((id, tick));
@@ -929,12 +922,6 @@ impl NodeContext {
             node_hits: self.node_hits.load(Ordering::Relaxed),
             node_misses: self.node_misses.load(Ordering::Relaxed),
         }
-    }
-
-    /// Contention counters of the node-shared chunk-cache lock (serving
-    /// diagnostics; see [`crate::lockstat`]).
-    pub fn chunk_cache_contention(&self) -> LockContention {
-        self.chunks_probe.snapshot()
     }
 }
 
@@ -1067,7 +1054,6 @@ mod tests {
     /// A board answer carrying `tail` (entry, confirmed) from `from` on.
     fn answer(from: usize, tail: &[(u64, bool)], cohort: bool) -> BoardSync {
         BoardSync {
-            appended: 0,
             len: from + tail.len(),
             cohort,
             tail: tail.to_vec(),

@@ -37,7 +37,6 @@ pub mod client;
 pub mod cluster;
 pub mod context;
 pub mod durable;
-pub mod lockstat;
 pub mod meta;
 pub mod pmanager;
 pub mod provider;
@@ -55,7 +54,6 @@ pub use client::{Client, GcReport};
 pub use cluster::ClusterIndex;
 pub use context::{CacheStats, NodeContext, PrefetchStats};
 pub use durable::{CommitPolicy, DurabilityCounters, DurabilityStats, GroupCommit, RecoveryReport};
-pub use lockstat::LockContention;
 pub use pmanager::Placement;
 pub use provider::ProviderStore;
 pub use server::ServerState;

@@ -24,7 +24,6 @@ use crate::durable::{
     CommitPolicy, DurabilityCounters, DurabilityStats, GroupCommit, Journal, JournalRecord,
     RecoveryReport,
 };
-use crate::lockstat::{probed_read, probed_write, LockContention, LockProbe};
 use crate::meta::MetaPartition;
 use crate::pmanager::{PManager, Placement};
 use crate::provider::ProviderStore;
@@ -37,7 +36,7 @@ use bff_wire::msg::{
     ProviderReq, ProviderResp, Req, Resp, VersionInfo, VmReq, VmResp,
 };
 use bff_wire::types::BlobError;
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Mutex, RwLock};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -101,11 +100,8 @@ pub struct ServerState {
     /// service does its own sharded read/write locking.
     pattern_board: BoardService,
     /// The cluster-wide content-addressed dedup index. Read-mostly after
-    /// deployment convergence, so a read/write lock; hot-path
-    /// acquisitions go through [`ServerState::cluster_read`] /
-    /// [`ServerState::cluster_write`] and are contention-counted.
+    /// deployment convergence, so a read/write lock.
     cluster_index: RwLock<ClusterIndex>,
-    cluster_probe: LockProbe,
     /// The mutation journal, present only on durable deployments (see
     /// [`ServerState::recover`]). A leaf lock: always acquired *while
     /// holding* the state-machine lock whose mutation is being
@@ -158,9 +154,8 @@ impl ServerState {
                 .map(|_| Mutex::new(MetaPartition::new()))
                 .collect(),
             providers,
-            pattern_board: BoardService::new(cfg.coarse_board_lock),
+            pattern_board: BoardService::new(),
             cluster_index: RwLock::new(ClusterIndex::new(cluster_cap)),
-            cluster_probe: LockProbe::default(),
             journal,
             durability,
         }
@@ -263,22 +258,6 @@ impl ServerState {
     /// worst ticket wait) across the journal and every provider shard.
     pub fn durability(&self) -> DurabilityCounters {
         self.durability.snapshot()
-    }
-
-    /// Shared read access to the cluster dedup index, contention-counted
-    /// (the commit-probe hot path).
-    fn cluster_read(&self) -> RwLockReadGuard<'_, ClusterIndex> {
-        probed_read(&self.cluster_probe, &self.cluster_index)
-    }
-
-    /// Exclusive access to the cluster dedup index, contention-counted.
-    fn cluster_write(&self) -> RwLockWriteGuard<'_, ClusterIndex> {
-        probed_write(&self.cluster_probe, &self.cluster_index)
-    }
-
-    /// Contention counters of the cluster-index lock.
-    pub fn cluster_contention(&self) -> LockContention {
-        self.cluster_probe.snapshot()
     }
 
     /// The chunk provider set (diagnostics: stored bytes, refcounts,
@@ -489,7 +468,7 @@ impl ServerState {
                     0
                 } else {
                     let freed: FastSet<_> = freed.into_iter().collect();
-                    self.cluster_write().evict_chunks(&freed)
+                    self.cluster_index.write().evict_chunks(&freed)
                 };
                 BoardResp::Purged(evicted)
             }
@@ -500,30 +479,25 @@ impl ServerState {
         match q {
             ClusterReq::Get(keys) => {
                 // One shared acquisition for the whole probe batch.
-                let index = self.cluster_read();
+                let index = self.cluster_index.read();
                 ClusterResp::Got(keys.iter().map(|k| index.get(k)).collect())
-            }
-            ClusterReq::GetExclusive(key) => {
-                // The coarse-probe ablation: one exclusive acquisition
-                // per key.
-                ClusterResp::GotOne(self.cluster_write().get(&key))
             }
             ClusterReq::Record(entries) => {
                 // A converged commit (every key held) shares the lock
                 // with the probes; a novel one pays one exclusive
                 // acquisition for its whole batch.
                 let converged = {
-                    let index = self.cluster_read();
+                    let index = self.cluster_index.read();
                     entries.iter().all(|(key, _)| index.holds(key))
                 };
                 ClusterResp::Recorded(if converged {
                     0
                 } else {
-                    self.cluster_write().record_novel(entries)
+                    self.cluster_index.write().record_novel(entries)
                 })
             }
             ClusterReq::Forget(key) => {
-                self.cluster_write().forget(&key);
+                self.cluster_index.write().forget(&key);
                 ClusterResp::Forgotten
             }
         }

@@ -9,11 +9,13 @@
 //! the same `BlobStore` works under real thread concurrency (in-process
 //! mode) and under simulated concurrency (coroutine processes).
 //!
-//! The typed accessor methods here (`vm_*`, `pm_*`, `meta_*`,
-//! `provider_*`, `board_*`, `cluster_*`) are the *entire* client→server
-//! surface, and there is **one request path**: each accessor builds a
-//! [`bff_wire::Req`], hands it to `BlobStore::call` and unpacks the
-//! [`bff_wire::Resp`]. Every request is served by
+//! There is **one request path**: a single-destination request goes
+//! through a typed accessor here (`vm_*`, `pm_*`, `provider_*`,
+//! `board_*`, `cluster_*`), which builds a [`bff_wire::Req`], hands it to
+//! `BlobStore::call` and unpacks the [`bff_wire::Resp`]; a protocol step
+//! that addresses several destinations goes through
+//! `BlobStore::call_many`, driven by the client's one step helper
+//! (`client/step.rs`). Every request is served by
 //! [`ServerState::dispatch`]; the only thing a deployment chooses is
 //! whether a hop sits in front of it:
 //!
@@ -30,23 +32,21 @@
 //! (the `cross_stack_equivalence` suite pins this).
 
 use crate::api::{BlobConfig, BlobId, BlobTopology, ChunkDesc, ChunkId, TransportMode, Version};
-use crate::api::{BlobResult, NodeKey, TreeNode};
+use crate::api::{BlobResult, NodeKey};
 use crate::board::BoardService;
 use crate::cluster::ClusterIndex;
 use crate::context::NodeContext;
-use crate::lockstat::LockContention;
 use crate::pmanager::Placement;
 use crate::provider::ProviderStore;
 use crate::server::ServerState;
 use bff_data::{ContentKey, FastMap, FastSet, Payload};
 use bff_net::transport::{
-    CodecTransport, FrameServer, Role, RouteTable, SocketTransport, Transport, WireStats,
+    CodecTransport, FrameServer, Role, RouteTable, SocketTransport, Transport, WireError, WireStats,
 };
 use bff_net::{Fabric, NodeId};
 use bff_wire::msg::{
-    unexpected_resp, BoardReq, BoardResp, BoardSync, ClusterReq, ClusterResp, DeleteOutcome,
-    MetaReq, MetaResp, PmReq, PmResp, ProviderReq, ProviderResp, Req, Resp, RetainOutcome,
-    VersionInfo, VmReq, VmResp,
+    unexpected_resp, BoardReq, BoardResp, BoardSync, ClusterReq, ClusterResp, DeleteOutcome, PmReq,
+    PmResp, ProviderReq, ProviderResp, Req, Resp, VersionInfo, VmReq, VmResp,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -203,28 +203,44 @@ impl BlobStore {
     }
 
     /// [`BlobStore::call`] for one protocol step that addresses several
-    /// destinations: behind a transport hop the requests travel as one
-    /// [`Transport::call_many`] batch — one wait for the step, not one
-    /// per destination. `sink` receives one outcome per request, in
-    /// request order. Without a hop there is nothing to wait for, so
-    /// each request is dispatched as `reqs` produces it and no request
+    /// destinations. `steps` yields each destination's tag with its
+    /// request — `None` for a destination the step does not ask — and
+    /// `sink` gets every tag back, in order, with its outcome (`None`
+    /// when not asked). Behind a transport hop the requests travel as
+    /// one [`Transport::call_many`] batch: one wait for the step, not one
+    /// per destination. Without a hop there is nothing to wait for, so
+    /// each request is dispatched as `steps` produces it and no request
     /// or reply is ever collected.
-    fn call_many(&self, reqs: impl Iterator<Item = Req>, mut sink: impl FnMut(BlobResult<Resp>)) {
+    pub(crate) fn call_many<T>(
+        &self,
+        steps: impl Iterator<Item = (T, Option<Req>)>,
+        mut sink: impl FnMut(T, Option<BlobResult<Resp>>),
+    ) {
         let Some(transport) = &self.transport else {
             let srv = self.local();
-            reqs.for_each(|req| sink(srv.dispatch(req).map_err(Into::into)));
+            steps.for_each(|(tag, req)| {
+                sink(tag, req.map(|req| srv.dispatch(req).map_err(Into::into)))
+            });
             return;
         };
-        let frames: Vec<_> = reqs
-            .map(|req| (req.route(), bff_wire::encode(&req)))
+        let steps: Vec<_> = steps
+            .map(|(tag, req)| (tag, req.map(|req| (req.route(), bff_wire::encode(&req)))))
             .collect();
-        let calls: Vec<_> = frames.iter().map(|(r, f)| (*r, f.as_slice())).collect();
-        for reply in transport.call_many(&calls) {
-            sink(
-                reply
+        let calls: Vec<_> = steps
+            .iter()
+            .filter_map(|(_, frame)| frame.as_ref())
+            .map(|(route, frame)| (*route, frame.as_slice()))
+            .collect();
+        let mut replies = transport.call_many(&calls).into_iter();
+        for (tag, frame) in steps {
+            let reply = frame.map(|_| {
+                replies
+                    .next()
+                    .unwrap_or(Err(WireError::Closed))
                     .and_then(bff_wire::decode_owned::<Resp>)
-                    .map_err(Into::into),
-            );
+                    .map_err(Into::into)
+            });
+            sink(tag, reply);
         }
     }
 
@@ -347,58 +363,9 @@ impl BlobStore {
     }
 
     // -----------------------------------------------------------------
-    // Metadata shards. One message = one shard-lock acquisition for the
-    // whole batch (the "one metadata round per level" pattern).
-    // -----------------------------------------------------------------
-
-    /// Read one key group per shard, all shards in one step; `sink`
-    /// gets each shard's nodes in request order.
-    pub(crate) fn meta_read_nodes(
-        &self,
-        groups: impl Iterator<Item = (usize, Vec<NodeKey>)>,
-        mut sink: impl FnMut(BlobResult<Vec<TreeNode>>),
-    ) {
-        let reqs = groups.map(|(shard, keys)| Req::Meta {
-            shard: shard as u32,
-            req: MetaReq::ReadNodes(keys),
-        });
-        self.call_many(reqs, |resp| {
-            sink(match resp {
-                Ok(Resp::Meta(MetaResp::Nodes(r))) => r,
-                Ok(_) => Err(unexpected_resp()),
-                Err(e) => Err(e),
-            })
-        });
-    }
-
-    /// Store one node group per shard, all shards in one step; the first
-    /// failure is returned (the other shards' writes stand — unpublished
-    /// nodes are unreachable either way).
-    pub(crate) fn meta_write_nodes(
-        &self,
-        groups: impl Iterator<Item = (usize, Vec<(NodeKey, TreeNode)>)>,
-    ) -> BlobResult<()> {
-        let reqs = groups.map(|(shard, nodes)| Req::Meta {
-            shard: shard as u32,
-            req: MetaReq::WriteNodes(nodes),
-        });
-        let mut outcome = Ok(());
-        self.call_many(reqs, |resp| {
-            let written = match resp {
-                Ok(Resp::Meta(MetaResp::Written)) => Ok(()),
-                Ok(_) => Err(unexpected_resp()),
-                Err(e) => Err(e),
-            };
-            if outcome.is_ok() {
-                outcome = written;
-            }
-        });
-        outcome
-    }
-
-    // -----------------------------------------------------------------
-    // Chunk providers. Batched messages hold the provider's shard lock
-    // once; per-item messages once per message.
+    // Chunk providers. A batched message holds the provider's shard lock
+    // once; the per-destination batches of a step go through
+    // `call_many`.
     // -----------------------------------------------------------------
 
     pub(crate) fn provider_put(
@@ -415,77 +382,15 @@ impl BlobStore {
         }
     }
 
-    /// The per-chunk failover path's fetch: a step of one provider.
+    /// The per-chunk failover path's fetch: one provider, one round.
     pub(crate) fn provider_fetch(&self, prov: NodeId, ids: Vec<ChunkId>) -> BlobResult<Fetched> {
-        let mut answer = Err(unexpected_resp());
-        self.provider_fetch_many(std::iter::once((prov, ids)), |fetched| answer = fetched);
-        answer
-    }
-
-    /// Fetch one id group per provider, all providers in one step;
-    /// `sink` gets each provider's answer in request order.
-    pub(crate) fn provider_fetch_many(
-        &self,
-        groups: impl Iterator<Item = (NodeId, Vec<ChunkId>)>,
-        mut sink: impl FnMut(BlobResult<Fetched>),
-    ) {
-        let reqs = groups.map(|(node, ids)| Req::Provider {
-            node,
+        match self.call(Req::Provider {
+            node: prov,
             req: ProviderReq::Fetch(ids),
-        });
-        self.call_many(reqs, |resp| {
-            sink(match resp {
-                Ok(Resp::Provider(ProviderResp::Fetched(r))) => Ok(r),
-                Ok(_) => Err(unexpected_resp()),
-                Err(e) => Err(e),
-            })
-        });
-    }
-
-    /// Commit by reference: one `(id, content key)` group per provider,
-    /// all providers in one step; each provider retains the entries its
-    /// stored bytes match and `sink` gets its verdicts, in entry order.
-    /// Transport failure → no verdicts: nothing of that provider's group
-    /// reads as retained, and the commit pushes fresh bytes instead —
-    /// always safe (a reference the lost reply hid is a bounded leak).
-    pub(crate) fn provider_retain(
-        &self,
-        groups: impl Iterator<Item = (NodeId, Vec<(ChunkId, ContentKey)>)>,
-        mut sink: impl FnMut(Vec<RetainOutcome>),
-    ) {
-        let reqs = groups.map(|(node, entries)| Req::Provider {
-            node,
-            req: ProviderReq::Retain(entries),
-        });
-        self.call_many(reqs, |resp| {
-            sink(match resp {
-                Ok(Resp::Provider(ProviderResp::Retained(r))) => r,
-                _ => Vec::new(),
-            })
-        });
-    }
-
-    /// Drop one reference per entry of each provider's id group, all
-    /// providers in one step, and hand `sink` each provider's
-    /// `(bytes_freed, removed, dropped)` outcomes, in id order (snapshot
-    /// GC, write rollback). Transport failure → no outcomes: that
-    /// provider's whole batch reads as skipped, the same bounded-leak
-    /// semantics as an unreachable provider.
-    pub(crate) fn provider_release_counted(
-        &self,
-        groups: impl Iterator<Item = (NodeId, Vec<ChunkId>)>,
-        mut sink: impl FnMut(Vec<(u64, bool, bool)>),
-    ) {
-        let reqs = groups.map(|(node, ids)| Req::Provider {
-            node,
-            req: ProviderReq::ReleaseCounted(ids),
-        });
-        self.call_many(reqs, |resp| {
-            sink(match resp {
-                Ok(Resp::Provider(ProviderResp::ReleaseCounted(r))) => r,
-                _ => Vec::new(),
-            })
-        });
+        })? {
+            Resp::Provider(ProviderResp::Fetched(r)) => Ok(r),
+            _ => Err(unexpected_resp()),
+        }
     }
 
     // -----------------------------------------------------------------
@@ -550,14 +455,6 @@ impl BlobStore {
         }
     }
 
-    /// Coarse-ablation probe: one *exclusive* acquisition for one key.
-    pub(crate) fn cluster_get_exclusive(&self, key: &ContentKey) -> Option<ChunkDesc> {
-        match self.call(Req::Cluster(ClusterReq::GetExclusive(*key))) {
-            Ok(Resp::Cluster(ClusterResp::GotOne(r))) => r,
-            _ => None,
-        }
-    }
-
     /// Record the entries the index does not hold yet; returns how many
     /// that was. Transport failure → 0 (nothing to charge; the content
     /// stays node-local).
@@ -600,11 +497,6 @@ impl BlobStore {
     /// server state.
     pub fn cluster_index(&self) -> &RwLock<ClusterIndex> {
         self.local().cluster_index()
-    }
-
-    /// Contention counters of the cluster-index lock.
-    pub fn cluster_contention(&self) -> LockContention {
-        self.local().cluster_contention()
     }
 
     fn contexts(&self) -> Vec<Arc<NodeContext>> {
@@ -707,7 +599,9 @@ impl BlobStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::TreeNode;
     use bff_net::{LocalFabric, NodeId};
+    use bff_wire::msg::{MetaReq, MetaResp, RetainOutcome};
 
     #[test]
     fn deploy_shapes_match_topology() {
@@ -747,6 +641,25 @@ mod tests {
         BlobStore::new(BlobConfig::default(), topo, fabric);
     }
 
+    /// One step through `call_many`: every tag comes back in order, an
+    /// unasked destination with no outcome.
+    fn step(store: &BlobStore, reqs: Vec<Option<Req>>) -> Vec<Option<BlobResult<Resp>>> {
+        let mut out = Vec::new();
+        store.call_many(reqs.into_iter().enumerate(), |i, resp| {
+            assert_eq!(i, out.len(), "tags come back in request order");
+            out.push(resp);
+        });
+        out
+    }
+
+    fn meta(shard: u32, req: MetaReq) -> Option<Req> {
+        Some(Req::Meta { shard, req })
+    }
+
+    fn provider(node: NodeId, req: ProviderReq) -> Option<Req> {
+        Some(Req::Provider { node, req })
+    }
+
     /// Error-path calls answer the same with and without a transport
     /// hop: addressing errors are `Err`, unknown providers degrade.
     #[test]
@@ -761,43 +674,49 @@ mod tests {
             };
             let store = BlobStore::new(cfg, topo, fabric);
             let stranger = NodeId(99);
-            let mut read = Vec::new();
-            store.meta_read_nodes([(99, vec![NodeKey(1)])].into_iter(), |r| read.push(r));
+            let key = (64, bff_data::ContentDigest::Weak(bff_data::Digest(1)));
             (
-                read.pop().expect("one outcome per request"),
-                store.meta_write_nodes([(99, Vec::new())].into_iter()),
+                step(
+                    &store,
+                    vec![
+                        meta(99, MetaReq::ReadNodes(vec![NodeKey(1)])),
+                        meta(99, MetaReq::WriteNodes(Vec::new())),
+                        provider(stranger, ProviderReq::Retain(vec![(ChunkId(1), key)])),
+                        provider(stranger, ProviderReq::ReleaseCounted(vec![ChunkId(1)])),
+                    ],
+                ),
                 store.provider_fetch(stranger, vec![ChunkId(1), ChunkId(2)]),
-                {
-                    let key = (64, bff_data::ContentDigest::Weak(bff_data::Digest(1)));
-                    let mut retained = Vec::new();
-                    store.provider_retain([(stranger, vec![(ChunkId(1), key)])].into_iter(), |r| {
-                        retained = r
-                    });
-                    retained
-                },
-                {
-                    let mut released = Vec::new();
-                    store.provider_release_counted(
-                        [(stranger, vec![ChunkId(1)])].into_iter(),
-                        |r| released = r,
-                    );
-                    released
-                },
                 store.vm_latest(BlobId(7)),
             )
         };
         let direct = outcomes(TransportMode::Direct);
         assert_eq!(direct, outcomes(TransportMode::Codec));
-        let (read, write, fetched, retained, released, latest) = direct;
-        assert!(read.is_err() && write.is_err(), "out-of-range shard");
+        let (answers, fetched, latest) = direct;
+        let [read, write, retained, released] = answers.try_into().expect("four outcomes");
+        assert!(matches!(read, Some(Err(_))), "out-of-range shard: {read:?}");
+        assert!(
+            matches!(write, Some(Err(_))),
+            "out-of-range shard: {write:?}"
+        );
+        assert_eq!(
+            retained,
+            Some(Ok(Resp::Provider(ProviderResp::Retained(vec![
+                RetainOutcome::Gone
+            ]))))
+        );
+        assert_eq!(
+            released,
+            Some(Ok(Resp::Provider(ProviderResp::ReleaseCounted(vec![(
+                0, false, false
+            )]))))
+        );
         assert_eq!(fetched, Ok(vec![None, None]), "unknown provider: absent");
-        assert_eq!(retained, [RetainOutcome::Gone]);
-        assert_eq!(released, [(0, false, false)]);
         assert_eq!(latest, Err(crate::api::BlobError::NoSuchBlob(BlobId(7))));
     }
 
     /// A step over several shards is one round trip behind a hop (and no
-    /// frame at all without one), with the same answers either way.
+    /// frame at all without one), with the same answers either way; a
+    /// destination the step does not ask sends nothing and gets nothing.
     #[test]
     fn a_batch_step_is_one_round_trip() {
         for (transport, frames, waits) in [
@@ -819,17 +738,28 @@ mod tests {
                     replicas: vec![NodeId(0)].into(),
                 },
             };
-            let groups = [
-                (0, vec![(NodeKey(10), leaf(1))]),
-                (1, vec![(NodeKey(11), leaf(2)), (NodeKey(12), leaf(3))]),
-            ];
-            assert_eq!(store.meta_write_nodes(groups.into_iter()), Ok(()));
-            let mut read = Vec::new();
-            store.meta_read_nodes(
-                [(0, vec![NodeKey(10)]), (1, vec![NodeKey(12), NodeKey(11)])].into_iter(),
-                |nodes| read.push(nodes),
+            let written = step(
+                &store,
+                vec![
+                    meta(0, MetaReq::WriteNodes(vec![(NodeKey(10), leaf(1))])),
+                    None,
+                    meta(
+                        1,
+                        MetaReq::WriteNodes(vec![(NodeKey(11), leaf(2)), (NodeKey(12), leaf(3))]),
+                    ),
+                ],
             );
-            assert_eq!(read, [Ok(vec![leaf(1)]), Ok(vec![leaf(3), leaf(2)])]);
+            let ack = || Some(Ok(Resp::Meta(MetaResp::Written)));
+            assert_eq!(written, [ack(), None, ack()]);
+            let read = step(
+                &store,
+                vec![
+                    meta(0, MetaReq::ReadNodes(vec![NodeKey(10)])),
+                    meta(1, MetaReq::ReadNodes(vec![NodeKey(12), NodeKey(11)])),
+                ],
+            );
+            let nodes = |n| Some(Ok(Resp::Meta(MetaResp::Nodes(Ok(n)))));
+            assert_eq!(read, [nodes(vec![leaf(1)]), nodes(vec![leaf(3), leaf(2)])]);
             let stats = store.wire_stats();
             assert_eq!((stats.calls, stats.round_trips), (frames, waits));
         }

@@ -65,7 +65,7 @@ impl Cloud {
     /// e.g. a [`BlobStore::remote`] attached over sockets to
     /// `blob_server` processes hosting the server roles. Note that on a
     /// remote handle the local-diagnostic parts of [`Cloud::metrics`]
-    /// (contention, storage totals) are unavailable.
+    /// (storage totals) are unavailable.
     pub fn with_store(
         store: Arc<BlobStore>,
         fabric: Arc<dyn Fabric>,
@@ -113,11 +113,10 @@ impl Cloud {
 
     /// One coherent snapshot of every cluster-level counter: cache/dedup
     /// totals, prefetch effectiveness (aggregate and per compute node),
-    /// lock contention of the shared services, storage totals and the
-    /// transport's real bytes-on-wire. Supersedes the old accessor
-    /// sprawl (`cache_stats`, `prefetch_stats`, `node_prefetch_stats`,
-    /// per-lock getters) — one call, one struct, diffable before/after
-    /// a workload.
+    /// storage totals and the transport's real bytes-on-wire. Supersedes
+    /// the old accessor sprawl (`cache_stats`, `prefetch_stats`,
+    /// `node_prefetch_stats`, per-lock getters) — one call, one struct,
+    /// diffable before/after a workload.
     pub fn metrics(&self) -> ClusterMetrics {
         let mut cache = bff_blobseer::CacheStats::default();
         let mut prefetch = bff_blobseer::PrefetchStats::default();
@@ -147,8 +146,6 @@ impl Cloud {
             cache,
             prefetch,
             per_node_prefetch,
-            board_contention: self.store.pattern_board().contention(),
-            cluster_contention: self.store.cluster_contention(),
             stored_bytes: self.store.total_stored_bytes(),
             stored_chunks: self.store.total_chunks(),
             wire: self.store.wire_stats(),
@@ -296,10 +293,6 @@ pub struct ClusterMetrics {
     /// a node's chunk cache, not of the cluster), in `compute` order
     /// with the service node last.
     pub per_node_prefetch: Vec<(NodeId, bff_blobseer::PrefetchStats)>,
-    /// Contention counters of the pattern-board lock.
-    pub board_contention: bff_blobseer::LockContention,
-    /// Contention counters of the cluster dedup-index lock.
-    pub cluster_contention: bff_blobseer::LockContention,
     /// Bytes stored across all providers (shared content counted once).
     pub stored_bytes: u64,
     /// Chunk replica instances stored across all providers.

@@ -32,7 +32,7 @@ pub use hash::{FastMap, FastSet, U64BuildHasher, U64Hasher};
 pub use log::RecordLog;
 pub use lru::LruMap;
 pub use payload::{Payload, SegView};
-pub use range::{chunk_cover, chunk_range, intersect, ranges_overlap, ByteRange};
+pub use range::{chunk_cover, chunk_range, coalesce_runs, intersect, ranges_overlap, ByteRange};
 pub use rangeset::RangeSet;
 pub use sha256::{Sha256, Sha256Digest};
 pub use synth::{synth_byte, SynthSource};

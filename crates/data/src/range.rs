@@ -42,6 +42,23 @@ pub fn chunk_cover(range: &ByteRange, chunk_size: u64) -> Range<u64> {
     first..last + 1
 }
 
+/// Coalesce index runs — any order, overlapping, adjacent or empty, a
+/// single index `i` as `i..i + 1` — into the maximal runs covering the
+/// same indices: sorted, disjoint and non-adjacent. A plan of many
+/// chunks then costs one range operation per run, not one per chunk.
+pub fn coalesce_runs(runs: impl IntoIterator<Item = Range<u64>>) -> Vec<Range<u64>> {
+    let mut runs: Vec<Range<u64>> = runs.into_iter().filter(|r| r.start < r.end).collect();
+    runs.sort_unstable_by_key(|r| r.start);
+    runs.dedup_by(|next, prev| {
+        let joins = next.start <= prev.end;
+        if joins {
+            prev.end = prev.end.max(next.end);
+        }
+        joins
+    });
+    runs
+}
+
 /// The byte range covered by chunk `index`, clamped to an image of
 /// `image_len` bytes.
 #[inline]
@@ -121,6 +138,14 @@ mod tests {
         assert_eq!(chunk_count(256, 256), 1);
         assert_eq!(chunk_count(257, 256), 2);
         assert_eq!(chunk_count(2 << 30, 256 << 10), 8192);
+    }
+
+    #[test]
+    fn coalesce_joins_overlapping_and_adjacent_runs() {
+        let runs = coalesce_runs([7..9, 0..2, 2..3, 5..5, 1..2, 8..12, 4..5]);
+        assert_eq!(runs, [0..3, 4..5, 7..12]);
+        assert_eq!(coalesce_runs([3, 1, 2, 9].map(|i| i..i + 1)), [1..4, 9..10]);
+        assert!(coalesce_runs(std::iter::empty()).is_empty());
     }
 
     #[test]

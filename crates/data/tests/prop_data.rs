@@ -5,7 +5,7 @@
 use bff_data::payload::Payload;
 use bff_data::rangeset::RangeSet;
 use bff_data::synth::SynthSource;
-use bff_data::{chunk_cover, chunk_range, intersect, ExtentMap};
+use bff_data::{chunk_cover, chunk_range, coalesce_runs, intersect, ExtentMap};
 use proptest::prelude::*;
 
 const UNIVERSE: u64 = 256;
@@ -224,5 +224,25 @@ proptest! {
         let last = chunk_range(cover.end - 1, cs, image_len);
         prop_assert!(first.start < e && s < first.end, "first chunk must intersect");
         prop_assert!(last.start < e && s < last.end, "last chunk must intersect");
+    }
+
+    /// Coalesced runs are sorted, disjoint and non-adjacent, and cover
+    /// exactly the indices of the input runs.
+    #[test]
+    fn coalesce_runs_are_maximal_and_exact(runs in prop::collection::vec(arb_range(), 0..20)) {
+        let out = coalesce_runs(runs.clone());
+        for pair in out.windows(2) {
+            prop_assert!(pair[0].end < pair[1].start, "sorted, disjoint, non-adjacent: {:?}", pair);
+        }
+        let mut model = vec![false; UNIVERSE as usize];
+        for r in &runs {
+            for i in r.clone() { model[i as usize] = true; }
+        }
+        let mut covered = vec![false; UNIVERSE as usize];
+        for r in &out {
+            prop_assert!(r.start < r.end, "no empty run");
+            for i in r.clone() { covered[i as usize] = true; }
+        }
+        prop_assert_eq!(covered, model);
     }
 }

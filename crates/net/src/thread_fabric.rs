@@ -78,13 +78,6 @@ pub struct ThreadParams {
     pub time_scale: f64,
     /// Worker threads backing [`Fabric::spawn_detached`].
     pub pool_threads: usize,
-    /// Emulate the first, unoptimized fabric: one global lane mutex
-    /// held across every modelled network/disk delay, so concurrent
-    /// operations serialize in *real* time instead of overlapping
-    /// their sleeps. Modelled costs and stats are identical — only
-    /// wall-clock concurrency differs. `load_sweep` uses this as its
-    /// unoptimized baseline; leave it off everywhere else.
-    pub coarse_lanes: bool,
 }
 
 impl ThreadParams {
@@ -100,7 +93,6 @@ impl ThreadParams {
             disk: ThreadDiskParams::default(),
             time_scale: 1.0,
             pool_threads: 2,
-            coarse_lanes: false,
         }
     }
 
@@ -123,7 +115,6 @@ impl ThreadParams {
             },
             time_scale: 1e4,
             pool_threads: 2,
-            coarse_lanes: false,
         }
     }
 
@@ -301,10 +292,6 @@ pub struct ThreadFabric {
     egress: Vec<parking_lot::Mutex<u64>>,
     ingress: Vec<parking_lot::Mutex<u64>>,
     disks: Vec<parking_lot::Mutex<DiskLane>>,
-    /// The [`ThreadParams::coarse_lanes`] global lock. Only acquired in
-    /// coarse mode, where it is deliberately held across the modelled
-    /// delay — the contention bug the tuned fabric exists to avoid.
-    naive_gate: parking_lot::Mutex<()>,
     pool: WorkPool,
 }
 
@@ -327,7 +314,6 @@ impl ThreadFabric {
             disks: (0..params.nodes)
                 .map(|_| parking_lot::Mutex::new(DiskLane::new(params.disk)))
                 .collect(),
-            naive_gate: parking_lot::Mutex::new(()),
             pool: WorkPool::new(params.pool_threads),
         })
     }
@@ -371,16 +357,6 @@ impl ThreadFabric {
         }
     }
 
-    /// In coarse-lanes mode, the global lock every operation holds
-    /// across its delay; `None` (free) otherwise.
-    fn lane_gate(&self) -> Option<parking_lot::MutexGuard<'_, ()>> {
-        if self.params.coarse_lanes {
-            Some(self.naive_gate.lock())
-        } else {
-            None
-        }
-    }
-
     fn xfer_cost(&self, bytes: u64) -> u64 {
         ((bytes + self.params.msg_overhead_bytes) as f64 / self.params.nic_bw).ceil() as u64
     }
@@ -412,7 +388,6 @@ impl Fabric for ThreadFabric {
             return Ok(());
         }
         self.stats.record_transfer(src, dst, bytes);
-        let _gate = self.lane_gate();
         let finish = self.reserve(src, dst, self.xfer_cost(bytes));
         self.sleep_until_model(finish + self.params.link_latency_us);
         Ok(())
@@ -425,7 +400,6 @@ impl Fabric for ThreadFabric {
         }
         // Reserve every lane pair up front (the transfers are in flight
         // concurrently and contend), then wait out the slowest.
-        let _gate = self.lane_gate();
         let mut deadline = 0u64;
         for x in xfers {
             if x.src == x.dst {
@@ -462,7 +436,6 @@ impl Fabric for ThreadFabric {
         let cost = 2 * self.params.link_latency_us
             + self.params.rpc_overhead_us
             + (wire as f64 / self.params.nic_bw).ceil() as u64;
-        let _gate = self.lane_gate();
         self.sleep_until_model(self.now_model() + cost);
         Ok(())
     }
@@ -470,7 +443,6 @@ impl Fabric for ThreadFabric {
     fn disk_read(&self, node: NodeId, bytes: u64) -> Result<(), NetError> {
         self.check(node)?;
         self.stats.record_disk_read(node, bytes);
-        let _gate = self.lane_gate();
         let done = self.disks[node.index()]
             .lock()
             .fifo(self.now_model(), bytes);
@@ -481,7 +453,6 @@ impl Fabric for ThreadFabric {
     fn disk_write(&self, node: NodeId, bytes: u64) -> Result<(), NetError> {
         self.check(node)?;
         self.stats.record_disk_write(node, bytes);
-        let _gate = self.lane_gate();
         let done = self.disks[node.index()]
             .lock()
             .fifo(self.now_model(), bytes);
@@ -492,7 +463,6 @@ impl Fabric for ThreadFabric {
     fn disk_write_cached(&self, node: NodeId, bytes: u64) -> Result<(), NetError> {
         self.check(node)?;
         self.stats.record_disk_write(node, bytes);
-        let _gate = self.lane_gate();
         let done = self.disks[node.index()]
             .lock()
             .write_back(self.now_model(), bytes);
@@ -502,7 +472,6 @@ impl Fabric for ThreadFabric {
 
     fn disk_sync(&self, node: NodeId) -> Result<(), NetError> {
         self.check(node)?;
-        let _gate = self.lane_gate();
         let done = self.disks[node.index()].lock().sync_done(self.now_model());
         self.sleep_until_model(done);
         Ok(())
@@ -569,7 +538,6 @@ mod tests {
             },
             time_scale: 1000.0,
             pool_threads: 2,
-            coarse_lanes: false,
         }
     }
 
@@ -649,32 +617,35 @@ mod tests {
     }
 
     #[test]
-    fn coarse_lanes_serialize_real_time_but_not_modelled_accounting() {
-        // Two transfers on disjoint lane pairs, issued concurrently.
-        // The tuned fabric overlaps their real sleeps; the coarse
-        // fabric's global gate is held across each delay, so real wall
-        // time roughly doubles. Stats are identical either way.
-        fn run(coarse: bool) -> (Duration, u64) {
-            let mut p = params(4);
-            // ~20 ms real per transfer: long enough that scheduler
-            // noise cannot blur serialized vs overlapped.
-            p.coarse_lanes = coarse;
-            let f = ThreadFabric::new(p);
-            let bytes = 20_000_000_000; // 20e6 modelled us / 1000 scale
+    fn disjoint_lanes_overlap_in_real_time_with_exact_accounting() {
+        // Two transfers on disjoint lane pairs: no lane lock is held
+        // across a modelled delay, so issued concurrently their real
+        // sleeps overlap, where issued one after the other they add up.
+        // ~20 ms real per transfer: long enough that scheduler noise
+        // cannot blur serialized vs overlapped.
+        let bytes = 20_000_000_000; // 20e6 modelled us / 1000 scale
+        let run = |concurrent: bool| {
+            let f = ThreadFabric::new(params(4));
             let started = Instant::now();
             thread::scope(|s| {
                 let fa = Arc::clone(&f);
-                s.spawn(move || fa.transfer(NodeId(0), NodeId(1), bytes).unwrap());
+                let other = move || fa.transfer(NodeId(0), NodeId(1), bytes).unwrap();
+                if concurrent {
+                    s.spawn(other);
+                } else {
+                    other();
+                }
                 f.transfer(NodeId(2), NodeId(3), bytes).unwrap();
             });
-            (started.elapsed(), f.stats().total_network_bytes())
-        }
-        let (tuned, tuned_bytes) = run(false);
-        let (coarse, coarse_bytes) = run(true);
-        assert_eq!(tuned_bytes, coarse_bytes, "accounting must not differ");
+            assert_eq!(f.stats().total_network_bytes(), 2 * bytes);
+            assert_eq!(f.stats().transfer_count(), 2);
+            started.elapsed()
+        };
+        let serial = run(false);
+        let overlapped = run(true);
         assert!(
-            coarse.as_secs_f64() > tuned.as_secs_f64() * 1.5,
-            "global gate must serialize: coarse {coarse:?} vs tuned {tuned:?}"
+            overlapped.as_secs_f64() * 1.5 < serial.as_secs_f64(),
+            "disjoint lanes must overlap: {overlapped:?} vs serial {serial:?}"
         );
     }
 

@@ -3,8 +3,7 @@
 //! against the passive state machines. The messages preserve today's
 //! *lock-acquisition granularity*: a batch message corresponds to one
 //! lock acquisition server-side, a per-item message to one acquisition
-//! per item. That keeps the contention ablations (`coarse_*` config
-//! flags) meaningful under every transport.
+//! per item, under every transport.
 
 use crate::codec::{put_varint, Reader, Wire, WireError};
 use crate::types::{BlobError, BlobId, BlobResult, ChunkDesc, ChunkId, NodeKey, TreeNode, Version};
@@ -227,8 +226,6 @@ pub enum BoardReq {
 /// What the board answers a [`BoardReq::Sync`] with.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BoardSync {
-    /// Batch indices that were new to the board.
-    pub appended: usize,
     /// Length of the merged sequence after the merge. Shorter than the
     /// caller's `from` when the board lost the pattern (eviction,
     /// restart): the replica is then ahead of a sequence that no longer
@@ -258,8 +255,6 @@ pub enum BoardResp {
 pub enum ClusterReq {
     /// Look up descriptors (one shared-lock acquisition for the batch).
     Get(Vec<ContentKey>),
-    /// Coarse-ablation lookup: one *exclusive* acquisition for one key.
-    GetExclusive(ContentKey),
     /// Record the entries whose key the index does not hold yet (one
     /// exclusive acquisition for the batch); known keys are left alone.
     Record(Vec<(ContentKey, ChunkDesc)>),
@@ -272,8 +267,6 @@ pub enum ClusterReq {
 pub enum ClusterResp {
     /// Per-key descriptors in request order.
     Got(Vec<Option<ChunkDesc>>),
-    /// Single-key descriptor.
-    GotOne(Option<ChunkDesc>),
     /// How many of the recorded entries were new to the index.
     Recorded(usize),
     /// Forget acknowledged.
@@ -725,14 +718,12 @@ impl Wire for BoardReq {
 
 impl Wire for BoardSync {
     fn enc(&self, out: &mut Vec<u8>) {
-        self.appended.enc(out);
         self.len.enc(out);
         self.cohort.enc(out);
         self.tail.enc(out);
     }
     fn dec(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(BoardSync {
-            appended: usize::dec(r)?,
             len: usize::dec(r)?,
             cohort: bool::dec(r)?,
             tail: Vec::dec(r)?,
@@ -770,11 +761,8 @@ impl Wire for ClusterReq {
                 out.push(0);
                 keys.enc(out);
             }
-            ClusterReq::GetExclusive(key) => {
-                out.push(1);
-                key.enc(out);
-            }
-            // Tag 2 (`NovelOf`) is retired, not reused.
+            // Tags 1 (`GetExclusive`) and 2 (`NovelOf`) are retired,
+            // not reused.
             ClusterReq::Record(entries) => {
                 out.push(3);
                 entries.enc(out);
@@ -788,7 +776,6 @@ impl Wire for ClusterReq {
     fn dec(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.byte()? {
             0 => Ok(ClusterReq::Get(Vec::dec(r)?)),
-            1 => Ok(ClusterReq::GetExclusive(Wire::dec(r)?)),
             3 => Ok(ClusterReq::Record(Vec::dec(r)?)),
             4 => Ok(ClusterReq::Forget(Wire::dec(r)?)),
             t => Err(WireError::BadTag("cluster request", t)),
@@ -803,11 +790,8 @@ impl Wire for ClusterResp {
                 out.push(0);
                 v.enc(out);
             }
-            ClusterResp::GotOne(v) => {
-                out.push(1);
-                v.enc(out);
-            }
-            // Tag 2 (`Novel`) is retired with its request.
+            // Tags 1 (`GotOne`) and 2 (`Novel`) are retired with their
+            // requests.
             ClusterResp::Recorded(n) => {
                 out.push(3);
                 n.enc(out);
@@ -818,7 +802,6 @@ impl Wire for ClusterResp {
     fn dec(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.byte()? {
             0 => Ok(ClusterResp::Got(Vec::dec(r)?)),
-            1 => Ok(ClusterResp::GotOne(Wire::dec(r)?)),
             3 => Ok(ClusterResp::Recorded(usize::dec(r)?)),
             4 => Ok(ClusterResp::Forgotten),
             t => Err(WireError::BadTag("cluster response", t)),

@@ -311,7 +311,6 @@ fn arb_board_resp(rng: &mut TestRng) -> BoardResp {
         BoardResp::Purged(arb_usize(rng))
     } else {
         BoardResp::Synced(BoardSync {
-            appended: arb_usize(rng),
             len: arb_usize(rng),
             cohort: rng.below(2) == 0,
             tail: arb_vec(rng, 8, |r| (arb_u64(r), r.below(2) == 0)),
@@ -320,16 +319,15 @@ fn arb_board_resp(rng: &mut TestRng) -> BoardResp {
 }
 
 fn arb_cluster_req(rng: &mut TestRng) -> ClusterReq {
-    match rng.below(4) {
+    match rng.below(3) {
         0 => ClusterReq::Get(arb_vec(rng, 6, arb_content_key)),
-        1 => ClusterReq::GetExclusive(arb_content_key(rng)),
-        2 => ClusterReq::Record(arb_vec(rng, 6, |r| (arb_content_key(r), arb_desc(r)))),
+        1 => ClusterReq::Record(arb_vec(rng, 6, |r| (arb_content_key(r), arb_desc(r)))),
         _ => ClusterReq::Forget(arb_content_key(rng)),
     }
 }
 
 fn arb_cluster_resp(rng: &mut TestRng) -> ClusterResp {
-    match rng.below(4) {
+    match rng.below(3) {
         0 => ClusterResp::Got(arb_vec(rng, 6, |r| {
             if r.below(3) == 0 {
                 None
@@ -337,12 +335,7 @@ fn arb_cluster_resp(rng: &mut TestRng) -> ClusterResp {
                 Some(arb_desc(r))
             }
         })),
-        1 => ClusterResp::GotOne(if rng.below(3) == 0 {
-            None
-        } else {
-            Some(arb_desc(rng))
-        }),
-        2 => ClusterResp::Recorded(arb_usize(rng)),
+        1 => ClusterResp::Recorded(arb_usize(rng)),
         _ => ClusterResp::Forgotten,
     }
 }
@@ -543,7 +536,6 @@ fn every_variant_roundtrips_once() {
             min_publishers: 2,
         }),
         Req::Cluster(ClusterReq::Get(vec![key])),
-        Req::Cluster(ClusterReq::GetExclusive(key)),
         Req::Cluster(ClusterReq::Record(vec![(key, desc.clone())])),
         Req::Cluster(ClusterReq::Forget(key)),
     ];
@@ -597,13 +589,11 @@ fn every_variant_roundtrips_once() {
         ])),
         Resp::Board(BoardResp::Purged(4)),
         Resp::Board(BoardResp::Synced(BoardSync {
-            appended: 1,
             len: 9,
             cohort: true,
             tail: vec![(1, true), (2, false)],
         })),
         Resp::Cluster(ClusterResp::Got(vec![Some(desc.clone()), None])),
-        Resp::Cluster(ClusterResp::GotOne(None)),
         Resp::Cluster(ClusterResp::Recorded(2)),
         Resp::Cluster(ClusterResp::Forgotten),
     ];
@@ -631,7 +621,8 @@ fn retired_vm_size_tag_stays_retired_and_its_neighbours_keep_their_numbers() {
 }
 
 /// The control-plane collapse retired twelve tags (board requests and
-/// responses 0–3, provider 2–4, cluster 2). None is reused: the
+/// responses 0–3, provider 2–4, cluster 2), the coarse-probe ablation
+/// two more (cluster 1). None is reused: the
 /// survivors keep their numbers, the replacements take fresh ones, and a
 /// frame from before the retirement is a `BadTag`, not a misreading.
 #[test]
@@ -663,11 +654,11 @@ fn retired_control_plane_tags_stay_retired_and_their_neighbours_keep_their_numbe
     assert_eq!(tag(encode(&sync)), 5);
     assert_eq!(tag(encode(&BoardResp::Purged(0))), 4);
     assert_eq!(tag(encode(&BoardResp::Synced(BoardSync::default()))), 5);
-    // Cluster: Get 0, GetExclusive 1, Record 3, Forget 4.
-    assert_eq!(tag(encode(&ClusterReq::GetExclusive(key))), 1);
+    // Cluster: Get 0, Record 3, Forget 4.
+    assert_eq!(tag(encode(&ClusterReq::Get(vec![key]))), 0);
     assert_eq!(tag(encode(&ClusterReq::Record(vec![]))), 3);
     assert_eq!(tag(encode(&ClusterReq::Forget(key))), 4);
-    assert_eq!(tag(encode(&ClusterResp::GotOne(None))), 1);
+    assert_eq!(tag(encode(&ClusterResp::Got(vec![]))), 0);
     assert_eq!(tag(encode(&ClusterResp::Recorded(0))), 3);
     assert_eq!(tag(encode(&ClusterResp::Forgotten)), 4);
     // What the retired requests and responses looked like on the wire.
@@ -691,14 +682,16 @@ fn retired_control_plane_tags_stay_retired_and_their_neighbours_keep_their_numbe
             Err(WireError::BadTag("board response", retired))
         );
     }
-    assert_eq!(
-        decode::<ClusterReq>(&[2, 0]),
-        Err(WireError::BadTag("cluster request", 2))
-    );
-    assert_eq!(
-        decode::<ClusterResp>(&[2, 0]),
-        Err(WireError::BadTag("cluster response", 2))
-    );
+    for retired in 1..=2u8 {
+        assert_eq!(
+            decode::<ClusterReq>(&[retired, 0]),
+            Err(WireError::BadTag("cluster request", retired))
+        );
+        assert_eq!(
+            decode::<ClusterResp>(&[retired, 0]),
+            Err(WireError::BadTag("cluster response", retired))
+        );
+    }
     // A pre-count `Recorded` (a bare tag) is truncated, not zero.
     assert_eq!(decode::<ClusterResp>(&[3]), Err(WireError::Truncated));
     assert_eq!(
@@ -761,7 +754,6 @@ fn sync_retain_and_record_batches_roundtrip_and_never_panic() {
                 min_publishers: 2,
             }),
             &Resp::Board(BoardResp::Synced(BoardSync {
-                appended: n as usize,
                 len: 2 * n as usize,
                 cohort: n % 2 == 0,
                 tail: (0..n).map(|i| (i << 7, i % 3 == 0)).collect(),

@@ -8,7 +8,7 @@ use bff::cloud::backend::{BackendError, ImageBackend, MirrorBackend};
 use bff::cloud::params::Calibration;
 use bff::net::transport::{CodecTransport, RouteKey, Transport, WireError};
 use bff::prelude::*;
-use bff::wire::msg::{ProviderReq, ProviderResp, Req, Resp, RetainOutcome};
+use bff::wire::msg::{MetaResp, ProviderReq, ProviderResp, Req, Resp, RetainOutcome};
 use std::sync::{Arc, Mutex};
 
 const IMG: u64 = 2 << 20;
@@ -778,4 +778,128 @@ fn a_chunk_collected_between_the_index_hit_and_the_retain_reads_gone_and_is_push
     assert_eq!(state.providers().total_stored_bytes(), 2 * CS);
     let got = collector.read(b, vb, 3 * CS..4 * CS).unwrap();
     assert!(got.content_eq(&x));
+}
+
+// ---------------------------------------------------------------------
+// Malformed replies: a reply of the wrong arity is its destination
+// failing, a chunk of the wrong length is its replica failing.
+// ---------------------------------------------------------------------
+
+/// A provider's answer to `Fetch`: per id, the chunk and whether its
+/// read cache held it.
+type Fetched = Vec<Option<(Payload, bool)>>;
+
+/// What a garbling transport does to a provider's `Fetched` reply.
+type Spoil = fn(&mut Fetched);
+
+/// A client process's transport that hands back malformed replies: every
+/// `Fetched` reply of one provider goes through `spoil`, and the next
+/// `Nodes` reply of any metadata shard loses its last entry.
+struct GarblingTransport {
+    inner: CodecTransport,
+    fetched: Option<(NodeId, Spoil)>,
+    nodes_once: Mutex<bool>,
+}
+
+impl Transport for GarblingTransport {
+    fn call(&self, route: RouteKey, frame: &[u8]) -> Result<Vec<u8>, WireError> {
+        let reply = self.inner.call(route, frame)?;
+        let garbled = match (bff::wire::decode::<Resp>(&reply), self.fetched) {
+            (Ok(Resp::Provider(ProviderResp::Fetched(mut chunks))), Some((node, spoil)))
+                if route == RouteKey::Provider(node) =>
+            {
+                spoil(&mut chunks);
+                Resp::Provider(ProviderResp::Fetched(chunks))
+            }
+            (Ok(Resp::Meta(MetaResp::Nodes(Ok(mut nodes)))), _)
+                if std::mem::take(&mut *self.nodes_once.lock().unwrap()) =>
+            {
+                nodes.pop();
+                Resp::Meta(MetaResp::Nodes(Ok(nodes)))
+            }
+            _ => return Ok(reply),
+        };
+        Ok(bff::wire::encode(&garbled))
+    }
+}
+
+/// A cluster holding the test image at `replication`, and a reader on
+/// node 5 — a process of its own, cold caches — behind a garbling
+/// transport.
+fn garbled_reader(
+    replication: usize,
+    fetched: Option<(NodeId, Spoil)>,
+    nodes_once: bool,
+) -> (BlobClient, BlobId, Version) {
+    let compute: Vec<NodeId> = (0..6).map(NodeId).collect();
+    let cfg = BlobConfig {
+        chunk_size: 64 << 10,
+        replication,
+        ..Default::default()
+    };
+    let topo = BlobTopology::colocated(&compute, NodeId(6));
+    let state = Arc::new(ServerState::new(&cfg, &topo, Placement::RoundRobin));
+    let process = |transport: Arc<dyn Transport>| {
+        BlobStore::remote(cfg, topo.clone(), LocalFabric::new(7), transport)
+    };
+    let served = Arc::clone(&state);
+    let codec = move || {
+        let served = Arc::clone(&served);
+        CodecTransport::new(Arc::new(move |route, frame| {
+            served.handle_frame(route, frame)
+        }))
+    };
+    let writer = BlobClient::new(process(Arc::new(codec())), NodeId(0));
+    let (blob, v) = writer.upload(Payload::synth(0xFA11, 0, IMG)).unwrap();
+    let garbling = GarblingTransport {
+        inner: codec(),
+        fetched,
+        nodes_once: Mutex::new(nodes_once),
+    };
+    let reader = BlobClient::new(process(Arc::new(garbling)), NodeId(5));
+    (reader, blob, v)
+}
+
+#[test]
+fn a_short_reply_or_chunk_fails_that_replica_never_reads_zeros() {
+    let image = Payload::synth(0xFA11, 0, IMG);
+    let short_reply: Spoil = |chunks| drop(chunks.pop());
+    let short_chunk: Spoil = |chunks| {
+        if let Some(Some((data, _))) = chunks.first_mut() {
+            *data = data.slice(0, data.len() - 1);
+        }
+    };
+    for (what, spoil) in [
+        ("a short reply", short_reply),
+        ("a short chunk", short_chunk),
+    ] {
+        // A second replica serves what the garbling provider spoils.
+        let (reader, blob, v) = garbled_reader(2, Some((NodeId(2), spoil)), false);
+        let got = reader.read(blob, v, 0..IMG).unwrap();
+        assert!(got.content_eq(&image), "{what}: byte-identical");
+        // With no second replica, the spoiled chunks are unavailable.
+        let (reader, blob, v) = garbled_reader(1, Some((NodeId(2), spoil)), false);
+        let err = reader.read(blob, v, 0..IMG).unwrap_err();
+        assert!(
+            matches!(err, BlobError::ChunkUnavailable(_)),
+            "{what}: {err:?}"
+        );
+    }
+}
+
+#[test]
+fn a_short_nodes_reply_is_a_typed_error_and_poisons_nothing() {
+    let image = Payload::synth(0xFA11, 0, IMG);
+    for replication in [1, 2] {
+        let (reader, blob, v) = garbled_reader(replication, None, true);
+        assert_eq!(
+            reader.read(blob, v, 0..IMG).unwrap_err(),
+            BlobError::Net(bff::net::NetError::Wire(WireError::BadFrame)),
+            "replication {replication}"
+        );
+        // Nothing of the spoiled level was cached: the retry descends
+        // again and reads the image.
+        let got = reader.read(blob, v, 0..IMG).unwrap();
+        assert!(got.content_eq(&image), "replication {replication}");
+    }
 }
