@@ -1,14 +1,14 @@
 //! The write-pipeline benches behind the perf trajectory (`BENCH_*.json`):
 //! a cold-write sweep through the commit path, comparing the sequential
-//! per-chunk replica-push reference against the batched fan-out and chain
-//! replication pipelines.
+//! per-chunk replica-push reference against the batched fan-out
+//! replication pipeline.
 //!
 //! The sweep models what multisnapshotting does at COMMIT time (§3.2):
 //! a full set of dirty chunks published as one snapshot, every chunk
 //! replicated. Sequentially, every `(chunk, replica)` pair is its own
-//! transfer + provider put + disk write; batched, each provider (fan-out)
-//! or chain hop receives its whole group as one transfer, one shard
-//! acquisition and one disk write.
+//! transfer + provider put + disk write; batched, each provider receives
+//! its whole group as one transfer, one shard acquisition and one disk
+//! write.
 
 use bff_blobseer::{BlobConfig, BlobStore, BlobTopology, Client, ReplicationMode, Version};
 use bff_data::Payload;
@@ -55,12 +55,6 @@ fn bench_cold_write_sweep(c: &mut Criterion) {
     for (name, mode) in [
         ("sequential_push", ReplicationMode::Sequential),
         ("fanout_batched", ReplicationMode::Fanout),
-        ("chain_batched", ReplicationMode::Chain),
-        // Wall-clock tracking only: pipelining trades messages for
-        // latency, so its *win* is virtual-time commit latency on the
-        // simulated fabric — measured and gated by `prefetch_sweep` /
-        // BENCH_4.json, not here.
-        ("chain_pipelined", ReplicationMode::ChainPipelined),
     ] {
         let client = deploy(cs, 16, 3, mode);
         group.bench_function(name, |b| {

@@ -61,14 +61,12 @@ const CRITERION: &str = "bench-results.jsonl";
 const GATES: &[Gate] = &[
     gate("BENCH_2.json", CRITERION, "read: vectored read_multi vs per-run reads", "cold_boot_sweep_speedup", "cold_boot_sweep_floor"),
     gate("BENCH_2.json", CRITERION, "write: fan-out batched vs sequential pushes", "cold_write_sweep_speedup_fanout", "cold_write_sweep_floor"),
-    gate("BENCH_2.json", CRITERION, "write: chain batched vs sequential pushes", "cold_write_sweep_speedup_chain", "cold_write_sweep_floor"),
     gate("BENCH_3.json", "dedup_summary.json", "dedup: provider bytes written, off ÷ on", "dedup_stored_reduction", "dedup_stored_floor"),
     gate("BENCH_3.json", "dedup_summary.json", "dedup: network bytes, off ÷ on", "dedup_network_reduction", "dedup_network_floor"),
     gate("BENCH_3.json", "dedup_summary.json", "node cache: descriptor hit rate", "desc_hit_rate", "desc_hit_rate_floor"),
     gate("BENCH_4.json", "prefetch_summary.json", "prefetch: cold concurrent boot throughput, on ÷ off", "prefetch_boot_speedup", "prefetch_boot_floor"),
     gate("BENCH_4.json", "prefetch_summary.json", "prefetch: read-ahead hit rate", "prefetch_hit_rate", "prefetch_hit_rate_floor"),
     gate("BENCH_4.json", "prefetch_summary.json", "prefetch: boot network bytes, off ÷ on", "prefetch_network_reduction", "prefetch_network_floor"),
-    gate("BENCH_4.json", "prefetch_summary.json", "chain: batched ÷ pipelined commit latency", "chain_pipeline_speedup", "chain_pipeline_floor"),
     gate("BENCH_5.json", "cluster_summary.json", "cluster dedup: provider bytes, node-local ÷ cluster index", "cluster_stored_reduction", "cluster_stored_floor"),
     gate("BENCH_5.json", "cluster_summary.json", "cluster dedup: network bytes, node-local ÷ cluster index", "cluster_network_reduction", "cluster_network_floor"),
     gate("BENCH_5.json", "cluster_summary.json", "snapshot GC: fraction of deleted-unique bytes reclaimed", "gc_reclaimed_fraction", "gc_reclaimed_floor"),
@@ -91,11 +89,6 @@ const CRITERION_RATIOS: &[(&str, &str, &str)] = &[
         "cold_write_sweep_speedup_fanout",
         "cold_write_sweep/sequential_push",
         "cold_write_sweep/fanout_batched",
-    ),
-    (
-        "cold_write_sweep_speedup_chain",
-        "cold_write_sweep/sequential_push",
-        "cold_write_sweep/chain_batched",
     ),
 ];
 
@@ -335,10 +328,11 @@ mod tests {
             json_number(&summary, "cold_write_sweep_speedup_fanout"),
             Some(2.0)
         );
-        // No chain bench in the results: the key is absent, so the
-        // loop reports it missing.
+        // A ratio with a bench missing from the results is absent, so
+        // the loop reports it missing.
+        let summary = criterion_summary(&line("cold_write_sweep/sequential_push", 300.0));
         assert_eq!(
-            json_number(&summary, "cold_write_sweep_speedup_chain"),
+            json_number(&summary, "cold_write_sweep_speedup_fanout"),
             None
         );
     }

@@ -16,9 +16,8 @@
 //!
 //! **`--durable all`** (`durable_summary.json`, `BENCH_9`): the storm
 //! over the in-process socket transport with in-memory providers
-//! (`mem`), fsync-per-ack durable providers (`sync`) and group-commit
-//! durable providers (`group`), so the only variable is what happens
-//! between an append and its ack.
+//! (`mem`) and group-commit durable providers (`group`), so the only
+//! variable is what happens between an append and its ack.
 //!
 //! Naming one row instead of `all` runs just that row and writes no
 //! summary. `--mini` and `--clients N` size the storm (CI pins the
@@ -71,22 +70,17 @@ fn transport_rows() -> Vec<Row> {
 }
 
 fn durable_rows() -> Vec<Row> {
-    [
-        ("mem", Hosting::InProcess, false),
-        ("sync", Hosting::Durable, false),
-        ("group", Hosting::Durable, true),
-    ]
-    .into_iter()
-    .map(|(label, hosting, group_commit)| Row {
-        label,
-        cfg: BlobConfig {
-            transport: TransportMode::Socket,
-            group_commit,
-            ..full_pipeline()
-        },
-        hosting,
-    })
-    .collect()
+    [("mem", Hosting::InProcess), ("group", Hosting::Durable)]
+        .into_iter()
+        .map(|(label, hosting)| Row {
+            label,
+            cfg: BlobConfig {
+                transport: TransportMode::Socket,
+                ..full_pipeline()
+            },
+            hosting,
+        })
+        .collect()
 }
 
 /// A row's storm outcome plus every counter any axis reports.
@@ -205,27 +199,18 @@ const DURABLE: Axis = Axis {
     // cost from runner speed) and acks_per_fsync (> 1.0 is the batching
     // claim itself).
     summary: |rows, clients| {
-        let [mem, sync, group] = [&rows[0], &rows[1], &rows[2]];
+        let [mem, group] = [&rows[0], &rows[1]];
         let bps = |m: &Measured| m.storm.boots_per_s();
         vec![
             ("durable_retention", f3(bps(group) / bps(mem).max(1e-9))),
             ("acks_per_fsync", f3(group.durability.acks_per_fsync)),
             ("durable_group_boots_per_s", f3(bps(group))),
-            ("durable_sync_boots_per_s", f3(bps(sync))),
             ("durable_mem_boots_per_s", f3(bps(mem))),
-            (
-                "durable_group_speedup_vs_sync",
-                f3(bps(group) / bps(sync).max(1e-9)),
-            ),
             ("durable_group_fsyncs", group.durability.fsyncs.to_string()),
             ("durable_group_acks", group.durability.acks.to_string()),
             (
                 "durable_group_max_wait_us",
                 group.durability.max_wait_us.to_string(),
-            ),
-            (
-                "durable_sync_acks_per_fsync",
-                f3(sync.durability.acks_per_fsync),
             ),
             ("durable_group_p50_ms", f3(group.storm.percentile_ms(50.0))),
             ("durable_group_p99_ms", f3(group.storm.percentile_ms(99.0))),

@@ -1,10 +1,9 @@
 //! Prefetch sweep: cold concurrent multideployment boot with the
-//! adaptive cross-VM prefetching pipeline off vs on, plus the pipelined
-//! chain-replication latency comparison — the two perf artifacts of the
-//! anticipatory-I/O PR, gated by `bench_regression` against
-//! `BENCH_4.json`.
+//! adaptive cross-VM prefetching pipeline off vs on (± the confidence
+//! filter), gated by `bench_regression` against `BENCH_4.json` and
+//! `BENCH_5.json`.
 //!
-//! **Boot sweep.** The §3.2 "dynamically adding compute nodes" shape: a
+//! The §3.2 "dynamically adding compute nodes" shape: a
 //! small seed wave boots the image first (cold, on demand — with
 //! prefetching on it also publishes its first-touch chunk order to the
 //! cluster `PatternBoard`); then the main wave — two co-located VMs per
@@ -21,11 +20,6 @@
 //! private cold reads) that a makespan would max over. Target ≥ 1.5×
 //! over on-demand; the wave makespan is reported alongside.
 //!
-//! **Chain pipeline.** A full-image commit with 3 replicas through
-//! batched chain replication (whole batch store-and-forwarded hop by
-//! hop) vs the chunk-granular pipelined chain (hop n+1 streams while
-//! hop n transfers). Virtual-time commit latency, same bytes moved.
-//!
 //! Emits `target/paper/prefetch_sweep.{csv,json}` and
 //! `target/paper/prefetch_summary.json` — the flat file the CI gate
 //! compares against the `BENCH_4.json` floors.
@@ -34,9 +28,7 @@
 //! with the figure binaries and changes nothing.
 
 use bff_bench::{f3, write_summary, Table};
-use bff_blobseer::{
-    BlobConfig, BlobStore, BlobTopology, Client as BlobClient, ReplicationMode, Version,
-};
+use bff_blobseer::{BlobConfig, BlobStore, BlobTopology, Client as BlobClient};
 use bff_cloud::backend::MirrorBackend;
 use bff_cloud::params::Calibration;
 use bff_cloud::vm::run_vm_trace;
@@ -219,42 +211,6 @@ fn run_boot(prefetch: bool, min_publishers: usize) -> BootOutcome {
     }
 }
 
-/// Virtual-time latency of one full-image commit (3 replicas) through a
-/// replication mode on the simulated fabric.
-fn chain_commit_latency_s(mode: ReplicationMode) -> f64 {
-    let cal = Calibration::default();
-    let n = NODES as usize;
-    let cluster = SimCluster::new(cal.cluster(n));
-    let fabric: Arc<dyn Fabric> = cluster.fabric();
-    let compute: Vec<NodeId> = (0..NODES).map(NodeId).collect();
-    let service = NodeId(NODES);
-    let cfg = BlobConfig {
-        chunk_size: CHUNK,
-        replication: 3,
-        replication_mode: mode,
-        dedup: false, // measure the push pipeline, not the digest probe
-        ..Default::default()
-    };
-    let store = BlobStore::new(cfg, BlobTopology::colocated(&compute, service), fabric);
-    let updates: Vec<(u64, Payload)> = (0..IMG / CHUNK)
-        .map(|i| (i, Payload::synth(0xC0117 + i, 0, CHUNK)))
-        .collect();
-    let done = Arc::new(Mutex::new(0u64));
-    let done2 = Arc::clone(&done);
-    cluster.sim().spawn("committer", move |env| {
-        let client = BlobClient::new(store, service);
-        let blob = client.create_blob(IMG).expect("create");
-        let t0 = env.now_us();
-        client
-            .write_chunks(blob, Version(0), updates)
-            .expect("commit");
-        *done2.lock() = env.now_us() - t0;
-    });
-    cluster.run();
-    let us = *done.lock();
-    us as f64 / 1e6
-}
-
 fn main() {
     let off = run_boot(false, 1);
     // The shipping default: cohort-confirmed chunks only (min 2
@@ -297,23 +253,6 @@ fn main() {
         on.hits as f64 / on.prefetched as f64
     };
 
-    let seq_s = chain_commit_latency_s(ReplicationMode::Sequential);
-    let chain_s = chain_commit_latency_s(ReplicationMode::Chain);
-    let pipe_s = chain_commit_latency_s(ReplicationMode::ChainPipelined);
-    let chain_speedup = chain_s / pipe_s.max(1e-9);
-    let mut t = Table::new(
-        "chain_pipeline",
-        &["mode", "commit_latency_s", "vs_sequential"],
-    );
-    for (label, s) in [
-        ("sequential", seq_s),
-        ("chain", chain_s),
-        ("chain_pipelined", pipe_s),
-    ] {
-        t.row(&[&label, &f3(s), &f3(seq_s / s.max(1e-9))]);
-    }
-    t.emit();
-
     // Waste = read-ahead transfers no demand read ever consumed
     // (`prefetched − hits`; the evicted-unused counter alone misses
     // unused chunks still parked in the cache). The confidence filter's
@@ -325,8 +264,7 @@ fn main() {
         "\ncold concurrent boot wave: {:.2}s -> {:.2}s ({boot_speedup:.2}x throughput); \
          prefetch hit rate {:.0}% ({} hits / {} wasted of {} prefetched); \
          confidence filter saved {waste_saved} unused read-aheads \
-         ({} unfiltered -> {}); \
-         chain commit latency {:.3}s -> {:.3}s pipelined ({chain_speedup:.2}x)",
+         ({} unfiltered -> {})",
         off.wave_s,
         on.wave_s,
         100.0 * hit_rate,
@@ -335,8 +273,6 @@ fn main() {
         on.prefetched,
         unused(&on_unfiltered),
         unused(&on),
-        chain_s,
-        pipe_s,
     );
 
     let network_reduction = off.network_mb / on.network_mb.max(1e-9);
@@ -346,7 +282,6 @@ fn main() {
             ("prefetch_boot_speedup", f3(boot_speedup)),
             ("prefetch_hit_rate", f3(hit_rate)),
             ("prefetch_network_reduction", f3(network_reduction)),
-            ("chain_pipeline_speedup", f3(chain_speedup)),
             ("prefetch_network_mb", f3(on.network_mb)),
             ("confidence_waste_saved", waste_saved.to_string()),
             ("confidence_unused_filtered", unused(&on).to_string()),

@@ -14,37 +14,18 @@ pub use bff_wire::types::{
 
 /// How chunk replicas are pushed to their providers on write.
 ///
-/// All modes move the same payload bytes and leave byte-identical
+/// Both modes move the same payload bytes and leave byte-identical
 /// provider state; they differ in how the transfers are shaped, which is
-/// what the fabric's per-message and per-link costs see.
+/// what the fabric's per-message costs see.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplicationMode {
     /// The client pushes every replica itself, with all pushes grouped by
-    /// destination provider into one batched transfer each. Highest
-    /// client egress (`k×` the payload), lowest replication latency depth.
+    /// destination provider into one batched transfer each (client
+    /// egress `k×` the payload). What every deployment runs.
     Fanout,
-    /// The client pushes each chunk group to its first replica only; each
-    /// replica forwards the batch to the next one in the descriptor's
-    /// replica order. Client egress is `1×` the payload; the forwarding
-    /// load rides the providers' links. The *whole batch* moves hop by
-    /// hop, so on a fabric with non-zero transfer time the chain's
-    /// latency is `hops × batch time`.
-    Chain,
-    /// Chain replication with chunk-granular pipelining: each chunk walks
-    /// the replica chain independently, so hop `n+1` starts streaming
-    /// chunk `i` while hop `n` is already receiving chunk `i+1` — on the
-    /// simulated fabric the chain's latency collapses towards
-    /// `batch time + hops × chunk time` (the Frisbee-style overlap the
-    /// broadcast ablations show, applied to replication). Client egress
-    /// is still `1×` the payload; the cost is one message per
-    /// `(chunk, hop)` instead of one per hop, which is what the fabric's
-    /// per-message overhead sees. Failover semantics are identical to
-    /// [`ReplicationMode::Chain`]: a dead hop is skipped per chunk and
-    /// the next hop is fed from the last live holder.
-    ChainPipelined,
     /// The pre-batching reference path: one push per chunk, replicas in
     /// sequence. Kept for equivalence tests and as the perf baseline the
-    /// `bench-regression` CI gate measures the batched modes against.
+    /// `bench-regression` CI gate measures fan-out against.
     Sequential,
 }
 
@@ -56,9 +37,10 @@ pub enum ReplicationMode {
 /// `bff_wire::Req` served by `ServerState::dispatch`, which does all
 /// locking and journaling. The mode only selects how the request gets
 /// there, so all three produce **identical logical outcomes** (every
-/// modelled cost is charged to the fabric by the client before the
-/// message moves), any of them can be durable, and they differ only in
-/// real CPU cost:
+/// modelled cost is charged to the fabric by the client, at the same
+/// point of the protocol whichever way the message moves — before a
+/// request is sent, or, for a read's data, after its replies arrive),
+/// any of them can be durable, and they differ only in real CPU cost:
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportMode {
     /// No hop: the typed request is handed to the in-process
@@ -116,8 +98,9 @@ pub struct BlobConfig {
     /// (§5.3: "BlobSeer uses an asynchronous write strategy that returns
     /// to the client before data was committed to disk").
     pub async_writes: bool,
-    /// Whether providers serve repeat chunk reads from memory (the host
-    /// page cache) rather than re-reading the disk.
+    /// Ignored: providers always serve repeat chunk reads from memory
+    /// (the host page cache). Kept only for the benchmark's struct
+    /// literal (ROADMAP 1(c)).
     pub provider_read_cache: bool,
     /// Serialized size of one metadata tree node, for RPC costing.
     pub node_bytes: u64,
@@ -200,16 +183,9 @@ pub struct BlobConfig {
     /// unrecognized → [`TransportMode::Direct`]), which is how CI runs
     /// the whole test suite over the codec transport.
     pub transport: TransportMode,
-    /// Group-commit durability on disk-backed deployments: concurrent
-    /// acked puts/retains/publishes append under the log lock, then
-    /// park on a sync ticket; one leader issues a single `sync_data`
-    /// covering every append at-or-before its high-water mark, so N
-    /// concurrent acks cost ~1 fsync instead of N. Fsync-before-ack is
-    /// preserved — a ticket only acks after a sync covering its append
-    /// *completed*. Off restores the measurable per-ack baseline (one
-    /// fsync per acknowledged op). Defaults to the `BFF_GROUP_COMMIT`
-    /// environment variable (unset → on), which is how CI runs the
-    /// recovery smoke in both disciplines.
+    /// Ignored: disk-backed deployments always group-commit (see
+    /// [`crate::durable::GroupCommit`]). Kept only for the benchmark's
+    /// struct literal (ROADMAP 1(c)).
     pub group_commit: bool,
     /// Upper bound, in microseconds, on how long a group-commit
     /// follower parks for a leader's sync before re-checking (and, with
@@ -252,7 +228,7 @@ impl Default for BlobConfig {
             coarse_cache_locks: false,
             coarse_cluster_probe: false,
             transport: TransportMode::from_env(),
-            group_commit: env_default_on("BFF_GROUP_COMMIT"),
+            group_commit: true,
             flush_interval_us: 500,
         }
     }
@@ -270,7 +246,6 @@ impl BlobConfig {
     /// | `BFF_PREFETCH` | adaptive cross-VM prefetching ([`BlobConfig::prefetch`]); same disable spellings | on |
     /// | `BFF_TRANSPORT` | request transport ([`BlobConfig::transport`]): `direct`, `codec` or `socket` | `direct` |
     /// | `BFF_DATA_DIR` | durable state directory for `blob_server` processes (same as `--data-dir`): segment files + ref log for providers, mutation journal for managers, replayed on restart | off (volatile) |
-    /// | `BFF_GROUP_COMMIT` | group-commit durability ([`BlobConfig::group_commit`]): batch concurrent acks behind one fsync; `0`/`false`/`off`/`no` restores the per-ack fsync baseline | on |
     ///
     /// The benchmark harness reads two more variables that are *not*
     /// part of the service configuration: `BFF_BENCH_FAST` (shrink sweep
@@ -317,8 +292,6 @@ impl BlobConfigBuilder {
         replication_mode: ReplicationMode,
         /// See [`BlobConfig::async_writes`].
         async_writes: bool,
-        /// See [`BlobConfig::provider_read_cache`].
-        provider_read_cache: bool,
         /// See [`BlobConfig::node_bytes`].
         node_bytes: u64,
         /// See [`BlobConfig::control_bytes`].
@@ -345,8 +318,6 @@ impl BlobConfigBuilder {
         strong_digest: bool,
         /// See [`BlobConfig::transport`].
         transport: TransportMode,
-        /// See [`BlobConfig::group_commit`].
-        group_commit: bool,
         /// See [`BlobConfig::flush_interval_us`].
         flush_interval_us: u64,
     }

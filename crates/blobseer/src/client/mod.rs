@@ -19,8 +19,8 @@
 //! * `prefetch` — access hints, the board replica, read-ahead steps;
 //! * `commit` — COMMIT: content plan, dedup probe, allocation, extra
 //!   retains, shadowing, publish, rollback;
-//! * `replicate` — the replication push (fan-out, chain, pipelined
-//!   chain, sequential reference);
+//! * `replicate` — the replication push (fan-out, sequential
+//!   reference);
 //! * `gc` — snapshot deletion and chunk garbage collection;
 //! * `node_io` — segment-tree node reads and writes on the metadata
 //!   shards;

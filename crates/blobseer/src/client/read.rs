@@ -294,7 +294,7 @@ fn fetch_chunk(
             continue;
         };
         let serve = || -> Result<(), NetError> {
-            if !hot || !store.config().provider_read_cache {
+            if !hot {
                 store.fabric.disk_read(prov, len)?;
             }
             store.fabric.transfer(prov, me, len)
@@ -328,12 +328,11 @@ fn settle_chunk_batch(
     match served {
         // One answer per chunk: the step checked the reply's arity.
         Some(served) => {
-            let read_cache = store.config().provider_read_cache;
             for ((idx, desc, len), res) in group.into_iter().zip(served) {
                 match res {
                     Some((data, hot)) if data.len() == len => {
                         total += len;
-                        if !hot || !read_cache {
+                        if !hot {
                             cold += len;
                         }
                         got.push((idx, desc, len, data));

@@ -1,10 +1,9 @@
 //! The replication push: the update set of a commit reaches its
 //! replicas according to [`ReplicationMode`] — fan-out (one batched
-//! push per destination provider), chain (one per replica chain,
-//! forwarded hop by hop), pipelined chain (chunk by chunk, in waves) or
-//! the sequential reference (one push per chunk and replica).
+//! push per destination provider) or the sequential reference (one push
+//! per chunk and replica).
 //!
-//! All modes have *per-replica failover*: a replica that cannot take its
+//! Both modes have *per-replica failover*: a replica that cannot take its
 //! batch (down node, mid-transfer failure) is dropped from the published
 //! chunk descriptor rather than failing the write; the write only errors
 //! if a chunk retains no replica at all. The push is deliberately not a
@@ -38,8 +37,8 @@ impl Client {
         use ReplicationMode::*;
         let mode = self.cfg().replication_mode;
         // What one task pushes, in a deterministic task order: each
-        // destination provider's slots (fan-out), each replica chain's
-        // (chain modes), each chunk on its own (sequential).
+        // destination provider's slots (fan-out), each chunk on its own
+        // (sequential).
         let groups: Vec<(Arc<[NodeId]>, Vec<usize>)> = match mode {
             Fanout => {
                 let mut by_prov: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
@@ -52,16 +51,6 @@ impl Client {
                     .into_iter()
                     .map(|(prov, slots)| (Arc::from([prov]), slots))
                     .collect()
-            }
-            Chain | ChainPipelined => {
-                let mut by_chain: BTreeMap<Arc<[NodeId]>, Vec<usize>> = BTreeMap::new();
-                for (slot, desc) in descs.iter().enumerate() {
-                    by_chain
-                        .entry(Arc::clone(&desc.replicas))
-                        .or_default()
-                        .push(slot);
-                }
-                by_chain.into_iter().collect()
             }
             Sequential => descs
                 .iter()
@@ -81,11 +70,8 @@ impl Client {
             .into_iter()
             .map(|(route, slots)| {
                 let push = Arc::clone(&push);
-                Box::new(move || match mode {
-                    Fanout | Sequential => push.each(me, &route, &slots),
-                    Chain => push.chain(me, &route, &slots),
-                    ChainPipelined => push.waves(me, &route, &slots),
-                }) as Box<dyn FnOnce() + Send + 'static>
+                Box::new(move || push.each(me, &route, &slots))
+                    as Box<dyn FnOnce() + Send + 'static>
             })
             .collect();
         self.store.fabric.par_join(tasks);
@@ -112,9 +98,6 @@ impl Client {
         Ok(out)
     }
 }
-
-/// One pipelined-chain wave's outcomes: `(chain slot, hop, result)`.
-type WaveResults = Arc<Mutex<Vec<(usize, NodeId, BlobResult<()>)>>>;
 
 /// One commit's push: what every push task shares.
 struct Push {
@@ -186,65 +169,6 @@ impl Push {
     fn each(&self, me: NodeId, route: &[NodeId], slots: &[usize]) {
         for &prov in route {
             self.record(prov, slots, self.to(me, prov, slots));
-        }
-    }
-
-    /// Chain: the slots are pushed once to the first replica; each live
-    /// hop forwards the batch to the next. A dead hop is skipped and the
-    /// next hop is fed from the last live holder.
-    fn chain(&self, me: NodeId, chain: &[NodeId], slots: &[usize]) {
-        let mut src = me;
-        for &prov in chain {
-            let res = self.to(src, prov, slots);
-            if res.is_ok() {
-                src = prov;
-            }
-            self.record(prov, slots, res);
-        }
-    }
-
-    /// Pipelined chain: chunks stream down the chain in *waves* — in
-    /// wave `w`, chunk `j` moves over hop `w − j`, so hop `n+1` forwards
-    /// chunk `j` while hop `n` is already receiving chunk `j+1`. Each
-    /// link therefore carries one chunk at a time (streaming on an
-    /// established connection), and the chain's completion latency
-    /// collapses from `hops × batch time` (the store-and-forward
-    /// [`Push::chain`]) towards `batch time + hops × chunk time` — the
-    /// Frisbee-style pipelining the broadcast ablations show, applied to
-    /// replication. Client egress stays `1×` the payload; the price is
-    /// one message per `(chunk, hop)` instead of one per hop.
-    ///
-    /// Failover is chunk-granular with [`Push::chain`]'s semantics: a
-    /// dead hop is skipped for that chunk and the next hop is fed from
-    /// the chunk's last live holder.
-    fn waves(self: &Arc<Self>, me: NodeId, chain: &[NodeId], slots: &[usize]) {
-        let (m, k) = (slots.len(), chain.len());
-        // Last live holder of each chunk (starts at the client); advanced
-        // as hops acknowledge.
-        let mut src_of: Vec<NodeId> = vec![me; m];
-        for wave in 0..m + k - 1 {
-            // Transfers of one wave ride distinct links (chunk j on hop
-            // w−j), so they run concurrently; the wave barrier is what
-            // serializes consecutive chunks on each link.
-            let active = wave.saturating_sub(k - 1)..=wave.min(m - 1);
-            let done: WaveResults = Arc::default();
-            let tasks: Vec<Box<dyn FnOnce() + Send + 'static>> = active
-                .map(|j| {
-                    let (push, done) = (Arc::clone(self), Arc::clone(&done));
-                    let (hop, src, slot) = (chain[wave - j], src_of[j], slots[j]);
-                    Box::new(move || {
-                        let res = push.to(src, hop, &[slot]);
-                        done.lock().push((j, hop, res));
-                    }) as Box<dyn FnOnce() + Send + 'static>
-                })
-                .collect();
-            self.store.fabric.par_join(tasks);
-            for (j, hop, res) in done.lock().drain(..) {
-                if res.is_ok() {
-                    src_of[j] = hop;
-                }
-                self.record(hop, &[slots[j]], res);
-            }
         }
     }
 }
@@ -343,8 +267,8 @@ mod tests {
 
     #[test]
     fn replication_modes_equivalent_to_sequential_reference() {
-        // Chain and fan-out must produce byte-identical blob contents and
-        // identical replica sets vs the sequential-push reference.
+        // Fan-out must produce byte-identical blob contents and identical
+        // replica sets vs the sequential-push reference.
         use crate::api::ReplicationMode::*;
         let image = Payload::synth(70, 0, 2048); // 16 chunks of 128
         let patch: Vec<(u64, Payload)> = vec![
@@ -353,7 +277,7 @@ mod tests {
             (15, Payload::synth(73, 0, 128)),
         ];
         let mut results = Vec::new();
-        for mode in [Sequential, Fanout, Chain, ChainPipelined] {
+        for mode in [Sequential, Fanout] {
             let (_f, client) = setup_mode(4, 3, mode);
             let (blob, v1) = client.upload(image.clone()).unwrap();
             let v2 = client.write_chunks(blob, v1, patch.clone()).unwrap();
@@ -395,43 +319,11 @@ mod tests {
         };
         let sequential = count_transfers(Sequential);
         let fanout = count_transfers(Fanout);
-        let chain = count_transfers(Chain);
-        // Sequential: one transfer per (chunk, replica) = 32. Batched
-        // modes: one per provider group / chain hop — bounded by
-        // providers × replication = 8, not by the chunk count.
+        // Sequential: one transfer per (chunk, replica) = 32. Fan-out:
+        // one per provider group — bounded by the 4 providers, not by
+        // the chunk count.
         assert_eq!(sequential, 32);
-        assert!(fanout <= 8, "fanout used {fanout} transfers");
-        assert!(chain <= 8, "chain used {chain} transfers");
-    }
-
-    #[test]
-    fn chain_offloads_client_egress_to_providers() {
-        use crate::api::ReplicationMode::*;
-        let updates: Vec<(u64, Payload)> = (0..8)
-            .map(|i| (i, Payload::synth(90 + i, 0, 128)))
-            .collect();
-        let egress = |mode| {
-            // Service-node writer: all pushes cross the network.
-            let (f, client) = setup_mode(4, 2, mode);
-            let client = Client::new(Arc::clone(client.store()), NodeId(4));
-            let blob = client.create_blob(1024).unwrap();
-            f.stats().reset();
-            client
-                .write_chunks(blob, Version(0), updates.clone())
-                .unwrap();
-            (
-                f.stats().node(NodeId(4)).sent,
-                f.stats().total_network_bytes(),
-            )
-        };
-        let (fan_sent, fan_total) = egress(Fanout);
-        let (chain_sent, chain_total) = egress(Chain);
-        // Both move the same payload volume in total...
-        assert_eq!(fan_total, chain_total);
-        // ...but the chain client sends each byte once, the fan-out
-        // client once per replica. (Client egress also carries the
-        // metadata/control bytes, identical in both.)
-        assert_eq!(fan_sent - chain_sent, 8 * 128);
+        assert!(fanout <= 4, "fanout used {fanout} transfers");
     }
 
     /// Providers on `0..providers`, managers *and metadata* on the
@@ -479,8 +371,6 @@ mod tests {
         for mode in [
             crate::api::ReplicationMode::Sequential,
             crate::api::ReplicationMode::Fanout,
-            crate::api::ReplicationMode::Chain,
-            crate::api::ReplicationMode::ChainPipelined,
         ] {
             let inner = LocalFabric::new(4);
             let fabric: Arc<dyn Fabric> = Arc::new(StaleViewFabric {
@@ -528,34 +418,5 @@ mod tests {
             .write_chunks(blob, Version(0), vec![(0, Payload::zeros(128))])
             .unwrap_err();
         assert!(matches!(err, BlobError::Net(NetError::NodeDown(_))));
-    }
-
-    #[test]
-    fn chain_pipelined_keeps_client_egress_at_one_x() {
-        use crate::api::ReplicationMode::*;
-        let updates: Vec<(u64, Payload)> = (0..8)
-            .map(|i| (i, Payload::synth(110 + i, 0, 128)))
-            .collect();
-        let egress = |mode| {
-            let (f, client) = setup_mode(4, 2, mode);
-            let client = Client::new(Arc::clone(client.store()), NodeId(4));
-            let blob = client.create_blob(1024).unwrap();
-            f.stats().reset();
-            client
-                .write_chunks(blob, Version(0), updates.clone())
-                .unwrap();
-            (
-                f.stats().node(NodeId(4)).sent,
-                f.stats().total_network_bytes(),
-            )
-        };
-        let (chain_sent, chain_total) = egress(Chain);
-        let (pipe_sent, pipe_total) = egress(ChainPipelined);
-        // Same payload volume end to end, and the pipelined client also
-        // sends each byte exactly once — pipelining reshapes the
-        // transfers (one per (chunk, hop) instead of one per hop), it
-        // does not move more data.
-        assert_eq!(chain_total, pipe_total);
-        assert_eq!(chain_sent, pipe_sent);
     }
 }

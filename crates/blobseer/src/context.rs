@@ -61,6 +61,10 @@
 //!   providers — which is also how co-located VMs share each other's
 //!   fetched data.
 //!
+//! Every one of these is bounded by one [`LruMap`] (the descriptor
+//! cache by one per shard): an entry bound for the version-keyed state
+//! and the two indexes, a byte bound for the chunk cache, whose evicted
+//! entries come back so unused read-ahead still counts as waste.
 //! Aggregate hit/miss, dedup and prefetch counters are atomics:
 //! experiments read them without stopping the data plane.
 
@@ -68,7 +72,6 @@ use crate::api::{BlobConfig, BlobId, ChunkDesc, ChunkId, NodeKey, TreeNode, Vers
 use bff_data::{ContentKey, DigestIndex, FastMap, FastSet, LruMap, Payload, RangeSet, U64Hasher};
 use bff_wire::msg::{BoardSync, VersionInfo};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::hash::{Hash, Hasher as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -138,57 +141,26 @@ struct AccessTracker {
     cohort: bool,
     /// Position in `peer_seq` up to which candidates have been consumed.
     cursor: usize,
-    /// LRU stamp (trackers are bounded like the descriptor cache).
-    last_used: u64,
 }
 
-/// One cached chunk payload plus its bookkeeping.
+/// One payload in the node-shared chunk-data cache (prefetched and
+/// demand-fetched chunks, keyed by [`ChunkId`], weighed in bytes). Chunk
+/// ids are never reused and a chunk's bytes are immutable while any
+/// descriptor references it, so entries can never go stale — the bound
+/// only caps memory.
 #[derive(Debug)]
 struct CachedChunk {
     data: Payload,
     origin: ChunkOrigin,
     /// Whether a demand read ever consumed this entry.
     used: bool,
-    last_used: u64,
 }
 
-/// The node-shared chunk-data cache: prefetched (and demand-fetched)
-/// chunk payloads, keyed by [`ChunkId`], bounded by bytes, LRU-evicted.
-/// Chunk ids are never reused and a chunk's bytes are immutable while
-/// any descriptor references it, so entries can never go stale — the
-/// bound only caps memory.
-#[derive(Debug, Default)]
-struct ChunkCache {
-    entries: FastMap<ChunkId, CachedChunk>,
-    bytes: u64,
-    /// LRU queue of `(id, stamp)`; a slot is live iff the stamp matches
-    /// the entry's `last_used` (same lazy-invalidation scheme as
-    /// [`DigestIndex`]).
-    queue: VecDeque<(ChunkId, u64)>,
-}
-
-impl ChunkCache {
-    /// Bound the stale queue slots that hits and refreshes leave
-    /// behind: drain the stale prefix, then compact the whole queue
-    /// once stale slots outnumber live entries (amortized O(1) per
-    /// operation, `queue.len() ≤ max(2·entries, 8)` — same policy as
-    /// [`DigestIndex`]). Without this, every cache *hit* would park a
-    /// slot that only an over-capacity eviction ever pops.
-    fn compact_queue(&mut self) {
-        let is_stale = |entries: &FastMap<ChunkId, CachedChunk>, slot: &(ChunkId, u64)| {
-            entries.get(&slot.0).is_none_or(|e| e.last_used != slot.1)
-        };
-        while self
-            .queue
-            .front()
-            .is_some_and(|slot| is_stale(&self.entries, slot))
-        {
-            self.queue.pop_front();
-        }
-        if self.queue.len() > self.entries.len().saturating_mul(2).max(8) {
-            let entries = &self.entries;
-            self.queue.retain(|slot| !is_stale(entries, slot));
-        }
+impl CachedChunk {
+    /// Read ahead and not yet consumed by a demand read: its first hit
+    /// is a prefetch hit, its eviction prefetch waste.
+    fn unused_prefetch(&self) -> bool {
+        self.origin == ChunkOrigin::Prefetch && !self.used
     }
 }
 
@@ -239,18 +211,6 @@ pub struct DescCache {
     pub(crate) descs: FastMap<u64, ChunkDesc>,
 }
 
-/// One cached snapshot entry plus its LRU stamp.
-#[derive(Debug, Default)]
-struct Entry {
-    cache: DescCache,
-    last_used: u64,
-}
-
-#[derive(Debug, Default)]
-struct DescShard {
-    entries: FastMap<(BlobId, Version), Entry>,
-}
-
 /// Snapshot of a context's aggregate counters (see
 /// [`NodeContext::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -295,14 +255,12 @@ struct VersionFacts {
 /// The node-shared cache module (see module docs).
 #[derive(Debug)]
 pub struct NodeContext {
-    shards: Vec<Mutex<DescShard>>,
-    /// Node-wide entry bound, distributed exactly over the shards
-    /// (shard `i` holds `capacity/n + (i < capacity % n)` entries), so
-    /// the configured `desc_cache_versions` is honored to the entry —
-    /// never rounded up per shard.
+    /// The descriptor cache. The node-wide entry bound is distributed
+    /// exactly over the shards (shard `i` holds `capacity/n + (i <
+    /// capacity % n)` entries), so the configured `desc_cache_versions`
+    /// is honored to the entry — never rounded up per shard.
+    shards: Vec<Mutex<LruMap<(BlobId, Version), DescCache>>>,
     capacity: usize,
-    /// Monotone use stamp shared by all shards.
-    tick: AtomicU64,
     desc_hits: AtomicU64,
     desc_misses: AtomicU64,
     dedup_hits: AtomicU64,
@@ -315,12 +273,15 @@ pub struct NodeContext {
     /// The version manager's answer per `(blob, version)`, bounded like
     /// the trackers and dropped by [`NodeContext::purge_version`].
     versions: Mutex<VersionFacts>,
-    /// Per-`(blob, version)` access-pattern trackers (prefetch plane).
-    trackers: Mutex<FastMap<(BlobId, Version), AccessTracker>>,
-    /// The node-shared chunk-data cache (prefetch plane).
-    chunks: Mutex<ChunkCache>,
-    /// Byte bound of `chunks`; 0 disables the cache (prefetch off).
-    chunk_cache_bytes: u64,
+    /// Per-`(blob, version)` access-pattern trackers (prefetch plane),
+    /// bounded like the descriptor cache.
+    trackers: Mutex<LruMap<(BlobId, Version), AccessTracker>>,
+    /// The node-shared chunk-data cache (prefetch plane), bounded in
+    /// bytes.
+    chunks: Mutex<LruMap<ChunkId, CachedChunk>>,
+    /// Whether `chunks` can hold anything (prefetch on, non-zero
+    /// bound): a disabled cache answers without taking its lock.
+    chunk_cache_on: bool,
     /// Whether a background read-ahead step is currently in flight for
     /// this node (one at a time: the in-flight budget is one
     /// `prefetch_window`-sized step).
@@ -346,12 +307,17 @@ impl NodeContext {
     pub(crate) fn with_tree_node_capacity(cfg: &BlobConfig, tree_nodes: usize) -> Self {
         let capacity = cfg.desc_cache_versions.max(1);
         let shard_count = DESC_SHARDS.min(capacity);
+        let chunk_cache_bytes = if cfg.prefetch {
+            cfg.chunk_cache_bytes
+        } else {
+            0
+        };
         Self {
             shards: (0..shard_count)
-                .map(|_| Mutex::new(DescShard::default()))
+                .map(|i| capacity / shard_count + usize::from(i < capacity % shard_count))
+                .map(|bound| Mutex::new(LruMap::new(bound)))
                 .collect(),
             capacity,
-            tick: AtomicU64::new(0),
             desc_hits: AtomicU64::new(0),
             desc_misses: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
@@ -364,13 +330,11 @@ impl NodeContext {
                 known: LruMap::new(capacity),
                 purges: 0,
             }),
-            trackers: Mutex::new(FastMap::default()),
-            chunks: Mutex::new(ChunkCache::default()),
-            chunk_cache_bytes: if cfg.prefetch {
-                cfg.chunk_cache_bytes
-            } else {
-                0
-            },
+            trackers: Mutex::new(LruMap::new(capacity)),
+            chunks: Mutex::new(LruMap::new(
+                usize::try_from(chunk_cache_bytes).unwrap_or(usize::MAX),
+            )),
+            chunk_cache_on: chunk_cache_bytes > 0,
             prefetch_inflight: std::sync::atomic::AtomicBool::new(false),
             prefetched_chunks: AtomicU64::new(0),
             prefetched_bytes: AtomicU64::new(0),
@@ -387,65 +351,42 @@ impl NodeContext {
         (h.finish() as usize) % self.shards.len()
     }
 
-    /// Entry bound of shard `i` (the node-wide bound distributed with
-    /// the remainder spread over the first shards).
-    fn shard_capacity(&self, i: usize) -> usize {
-        let n = self.shards.len();
-        self.capacity / n + usize::from(i < self.capacity % n)
-    }
-
     /// Run `f` over the entry for `key`, creating it empty if absent and
     /// marking it most-recently used. Inserting into a full shard evicts
     /// that shard's least-recently-used entry — and only that entry; the
     /// rest of the cache is untouched (unlike the old wholesale clear).
     pub fn with_entry<R>(&self, key: (BlobId, Version), f: impl FnOnce(&mut DescCache) -> R) -> R {
-        let shard_idx = self.shard_of(&key);
-        let mut shard = self.shards[shard_idx].lock();
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        if shard.entries.len() >= self.shard_capacity(shard_idx)
-            && !shard.entries.contains_key(&key)
-        {
-            if let Some(victim) = shard
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-            {
-                shard.entries.remove(&victim);
-            }
-        }
-        let entry = shard.entries.entry(key).or_default();
-        entry.last_used = tick;
-        f(&mut entry.cache)
+        let mut shard = self.shards[self.shard_of(&key)].lock();
+        f(shard
+            .get_or_insert_with(key, DescCache::default)
+            .expect("every shard holds at least one entry"))
     }
 
     /// Clone the entry for `key` if cached (marks it used). The CLONE
     /// carryover path: a clone's `Version(1)` *is* the source tree.
     pub fn entry_snapshot(&self, key: (BlobId, Version)) -> Option<DescCache> {
-        let mut shard = self.shards[self.shard_of(&key)].lock();
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let entry = shard.entries.get_mut(&key)?;
-        entry.last_used = tick;
-        Some(entry.cache.clone())
+        self.shards[self.shard_of(&key)]
+            .lock()
+            .get_refresh(&key)
+            .cloned()
     }
 
     /// Remove and return the entry for `key`. The COMMIT seeding path
     /// *moves* the base version's entry onto the new snapshot — cloning
     /// would copy O(resolved chunks) per commit along a commit chain.
     pub fn take_entry(&self, key: (BlobId, Version)) -> Option<DescCache> {
-        let mut shard = self.shards[self.shard_of(&key)].lock();
-        shard.entries.remove(&key).map(|e| e.cache)
+        self.shards[self.shard_of(&key)].lock().remove(&key)
     }
 
     /// Insert (or replace) the entry for `key`, marking it
     /// most-recently used and evicting the shard's LRU entry if needed.
     pub fn insert_entry(&self, key: (BlobId, Version), cache: DescCache) {
-        self.with_entry(key, |slot| *slot = cache);
+        self.shards[self.shard_of(&key)].lock().insert(key, cache);
     }
 
     /// Total `(blob, version)` entries cached right now.
     pub fn desc_entries(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().entries.len()).sum()
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     /// The node-wide entry bound (`desc_entries` never exceeds it);
@@ -598,15 +539,11 @@ impl NodeContext {
             .lock()
             .remove_matching(|_, desc| freed.contains(&desc.id));
         let mut cache = self.chunks.lock();
-        for &id in freed {
-            if let Some(e) = cache.entries.remove(&id) {
-                cache.bytes -= e.data.len();
-                if e.origin == ChunkOrigin::Prefetch && !e.used {
-                    self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
-                }
+        for id in freed {
+            if cache.remove(id).is_some_and(|e| e.unused_prefetch()) {
+                self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
             }
         }
-        cache.compact_queue();
     }
 
     /// Payload bytes committed by reference so far, node-wide across
@@ -631,20 +568,10 @@ impl NodeContext {
         key: (BlobId, Version),
         f: impl FnOnce(&mut AccessTracker) -> R,
     ) -> R {
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let mut trackers = self.trackers.lock();
-        if trackers.len() >= self.capacity && !trackers.contains_key(&key) {
-            if let Some(victim) = trackers
-                .iter()
-                .min_by_key(|(_, t)| t.last_used)
-                .map(|(k, _)| *k)
-            {
-                trackers.remove(&victim);
-            }
-        }
-        let t = trackers.entry(key).or_default();
-        t.last_used = tick;
-        f(t)
+        f(trackers
+            .get_or_insert_with(key, AccessTracker::default)
+            .expect("the tracker bound is at least one"))
     }
 
     /// Record demand accesses to chunk `indices` of `key`, in access
@@ -762,54 +689,27 @@ impl NodeContext {
 
     // --- The node-shared chunk-data cache ---------------------------
 
-    /// One cache lookup under an already-held lock: the common body of
-    /// [`NodeContext::chunk_cache_get`] and
-    /// [`NodeContext::chunk_cache_get_batch`], so the two are
-    /// hit-for-hit and stat-for-stat identical.
-    fn chunk_cache_get_locked(&self, cache: &mut ChunkCache, id: ChunkId) -> Option<Payload> {
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let data = {
-            let entry = cache.entries.get_mut(&id)?;
-            if entry.origin == ChunkOrigin::Prefetch && !entry.used {
-                self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-                self.prefetch_hit_bytes
-                    .fetch_add(entry.data.len(), Ordering::Relaxed);
-            }
-            entry.used = true;
-            entry.last_used = tick;
-            entry.data.clone()
-        };
-        cache.queue.push_back((id, tick));
-        cache.compact_queue();
-        self.chunk_cache_hits.fetch_add(1, Ordering::Relaxed);
-        Some(data)
-    }
-
-    /// Look up a chunk payload in the node-shared chunk cache. A hit
-    /// marks the entry used (a prefetched entry's first use counts
-    /// toward the prefetch hit statistics) and refreshes its LRU stamp.
-    pub fn chunk_cache_get(&self, id: ChunkId) -> Option<Payload> {
-        if self.chunk_cache_bytes == 0 {
-            return None;
-        }
-        let mut cache = self.chunks.lock();
-        self.chunk_cache_get_locked(&mut cache, id)
-    }
-
-    /// Batched [`NodeContext::chunk_cache_get`]: one lock acquisition
-    /// covers the whole lookup plan of a read, instead of one round trip
-    /// per chunk. Exactly equivalent per id — same hit marking, same LRU
-    /// stamps, same statistics — this is purely a lock-traffic fix: on
-    /// the wall-clock serving path the per-chunk acquisitions of a
-    /// 100-chunk read are ~100 contended futex round trips that the
-    /// batch turns into one.
+    /// Look up a read's chunk payloads in the node-shared chunk cache,
+    /// under one lock acquisition for the whole lookup plan. A hit marks
+    /// the entry used (a prefetched entry's first use counts toward the
+    /// prefetch hit statistics) and most-recently used.
     pub fn chunk_cache_get_batch(&self, ids: &[ChunkId]) -> Vec<Option<Payload>> {
-        if self.chunk_cache_bytes == 0 || ids.is_empty() {
+        if !self.chunk_cache_on || ids.is_empty() {
             return vec![None; ids.len()];
         }
         let mut cache = self.chunks.lock();
         ids.iter()
-            .map(|&id| self.chunk_cache_get_locked(&mut cache, id))
+            .map(|id| {
+                let entry = cache.get_refresh_mut(id)?;
+                if entry.unused_prefetch() {
+                    self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
+                    self.prefetch_hit_bytes
+                        .fetch_add(entry.data.len(), Ordering::Relaxed);
+                }
+                entry.used = true;
+                self.chunk_cache_hits.fetch_add(1, Ordering::Relaxed);
+                Some(entry.data.clone())
+            })
             .collect()
     }
 
@@ -817,7 +717,7 @@ impl NodeContext {
     /// without touching hit statistics or LRU order (prefetch-side
     /// dedup check, not a demand read).
     pub fn chunk_cache_contains(&self, id: ChunkId) -> bool {
-        self.chunk_cache_bytes != 0 && self.chunks.lock().entries.contains_key(&id)
+        self.chunk_cache_on && self.chunks.lock().get(&id).is_some()
     }
 
     /// Insert a fetched chunk into the node-shared cache, evicting LRU
@@ -825,47 +725,24 @@ impl NodeContext {
     /// refreshed (chunk ids are immutable content — re-inserting the
     /// same bytes is a no-op).
     pub fn chunk_cache_insert(&self, id: ChunkId, data: Payload, origin: ChunkOrigin) {
-        if self.chunk_cache_bytes == 0 {
+        if !self.chunk_cache_on {
             return;
         }
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let mut cache = self.chunks.lock();
-        if let Some(entry) = cache.entries.get_mut(&id) {
-            entry.last_used = tick;
-            cache.queue.push_back((id, tick));
-            cache.compact_queue();
+        if cache.get_refresh(&id).is_some() {
             return;
         }
-        cache.bytes += data.len();
-        cache.entries.insert(
-            id,
-            CachedChunk {
-                data,
-                origin,
-                used: false,
-                last_used: tick,
-            },
-        );
-        cache.queue.push_back((id, tick));
-        while cache.bytes > self.chunk_cache_bytes {
-            let Some((victim, stamp)) = cache.queue.pop_front() else {
-                break;
-            };
-            // Stale slots (refreshed entries) evict nothing.
-            let live = cache
-                .entries
-                .get(&victim)
-                .is_some_and(|e| e.last_used == stamp);
-            if !live {
-                continue;
-            }
-            let e = cache.entries.remove(&victim).expect("live entry");
-            cache.bytes -= e.data.len();
-            if e.origin == ChunkOrigin::Prefetch && !e.used {
+        let bytes = data.len();
+        let entry = CachedChunk {
+            data,
+            origin,
+            used: false,
+        };
+        for (_, evicted) in cache.insert_weighted(id, entry, bytes) {
+            if evicted.unused_prefetch() {
                 self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
             }
         }
-        cache.compact_queue();
     }
 
     /// Try to claim the node's single background read-ahead slot.
@@ -897,7 +774,7 @@ impl NodeContext {
     pub fn prefetch_stats(&self) -> PrefetchStats {
         let (cached_chunks, cached_bytes) = {
             let cache = self.chunks.lock();
-            (cache.entries.len(), cache.bytes)
+            (cache.len(), cache.weight())
         };
         PrefetchStats {
             prefetched_chunks: self.prefetched_chunks.load(Ordering::Relaxed),
@@ -1144,20 +1021,25 @@ mod tests {
         })
     }
 
+    /// A one-chunk demand lookup.
+    fn cached(c: &NodeContext, id: u64) -> Option<Payload> {
+        c.chunk_cache_get_batch(&[ChunkId(id)]).remove(0)
+    }
+
     #[test]
     fn chunk_cache_roundtrip_counts_hits() {
         let c = chunk_ctx(1 << 20);
         let p = bff_data::Payload::synth(9, 0, 100);
-        assert!(c.chunk_cache_get(ChunkId(1)).is_none());
+        assert!(cached(&c, 1).is_none());
         c.chunk_cache_insert(ChunkId(1), p.clone(), ChunkOrigin::Prefetch);
         assert!(c.chunk_cache_contains(ChunkId(1)));
-        let got = c.chunk_cache_get(ChunkId(1)).expect("cached");
+        let got = cached(&c, 1).expect("cached");
         assert!(got.content_eq(&p));
         let s = c.prefetch_stats();
         // First use of a prefetched entry counts as a prefetch hit ...
         assert_eq!((s.hits, s.hit_bytes), (1, 100));
         // ... later uses only as plain cache hits.
-        c.chunk_cache_get(ChunkId(1)).expect("still cached");
+        cached(&c, 1).expect("still cached");
         let s = c.prefetch_stats();
         assert_eq!((s.hits, s.cache_hits), (1, 2));
         assert_eq!((s.cached_chunks, s.cached_bytes), (1, 100));
@@ -1174,7 +1056,7 @@ mod tests {
             );
         }
         // Touch 1 so 2 is the LRU victim when 4 arrives.
-        c.chunk_cache_get(ChunkId(1)).unwrap();
+        cached(&c, 1).unwrap();
         c.chunk_cache_insert(
             ChunkId(4),
             bff_data::Payload::zeros(100),
@@ -1188,26 +1070,6 @@ mod tests {
             s.wasted_chunks, 1,
             "an unused prefetched entry evicted counts as waste"
         );
-    }
-
-    #[test]
-    fn chunk_cache_queue_stays_bounded_under_hit_churn() {
-        // Every hit refreshes the LRU stamp and parks a queue slot;
-        // with a working set under the byte bound, eviction never runs,
-        // so the queue must self-compact instead of growing per hit.
-        let c = chunk_ctx(1 << 20);
-        for i in 1..=4u64 {
-            c.chunk_cache_insert(
-                ChunkId(i),
-                bff_data::Payload::zeros(64),
-                ChunkOrigin::Demand,
-            );
-        }
-        for round in 0..10_000u64 {
-            c.chunk_cache_get(ChunkId(1 + round % 4)).expect("resident");
-        }
-        let q = c.chunks.lock().queue.len();
-        assert!(q <= 8, "queue grew to {q} slots for 4 live entries");
     }
 
     #[test]
@@ -1243,7 +1105,7 @@ mod tests {
             ChunkOrigin::Demand,
         );
         assert!(!c.chunk_cache_contains(ChunkId(1)));
-        assert!(c.chunk_cache_get(ChunkId(1)).is_none());
+        assert!(cached(&c, 1).is_none());
         // Prefetch off disables the cache regardless of the byte bound.
         let off = NodeContext::new(&BlobConfig {
             prefetch: false,

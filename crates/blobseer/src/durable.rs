@@ -285,9 +285,6 @@ pub struct DurabilityCounters {
 /// `stats` arc is shared by every coordinator built from it.
 #[derive(Debug, Clone)]
 pub struct CommitPolicy {
-    /// Batch concurrent acks behind one fsync (leader/follower) instead
-    /// of one fsync per ack.
-    pub group_commit: bool,
     /// Upper bound on a follower's wait for a leader's sync; a lone
     /// writer never waits longer than this before taking over.
     pub flush_interval: Duration,
@@ -296,25 +293,20 @@ pub struct CommitPolicy {
 }
 
 impl CommitPolicy {
-    /// The policy a [`BlobConfig`] asks for
-    /// (`group_commit`/`flush_interval_us` knobs).
+    /// The policy a [`BlobConfig`] asks for (its `flush_interval_us`).
     pub fn from_config(cfg: &BlobConfig) -> Self {
         CommitPolicy {
-            group_commit: cfg.group_commit,
             flush_interval: Duration::from_micros(cfg.flush_interval_us.max(1)),
             stats: Arc::new(DurabilityStats::default()),
         }
     }
 
-    /// A coordinator for one durable log under this policy, or `None`
-    /// when the per-ack baseline discipline is configured.
-    pub fn coordinator(&self) -> Option<Arc<GroupCommit>> {
-        self.group_commit.then(|| {
-            Arc::new(GroupCommit::new(
-                self.flush_interval,
-                Arc::clone(&self.stats),
-            ))
-        })
+    /// A coordinator for one durable log under this policy.
+    pub fn coordinator(&self) -> Arc<GroupCommit> {
+        Arc::new(GroupCommit::new(
+            self.flush_interval,
+            Arc::clone(&self.stats),
+        ))
     }
 }
 
@@ -734,7 +726,8 @@ impl SegmentStore {
         }
     }
 
-    /// Append a refcount delta (durable at the next [`SegmentStore::sync`]).
+    /// Append a refcount delta (durable once a sync claims it, see
+    /// [`SegmentStore::sync_handles`]).
     pub fn log_retain(&mut self, id: ChunkId, n: u64) -> io::Result<()> {
         self.append_ref(&RefRecord::Retain { id, n })
     }
@@ -767,7 +760,7 @@ impl SegmentStore {
         let _ = std::fs::remove_file(&tmp);
         let (_, mut fresh, _) = RecordLog::open(&tmp)?;
         fresh.append(&bff_wire::encode(&RefRecord::Snapshot(non_unit)))?;
-        fresh.sync()?;
+        fresh.sync_force()?;
         drop(fresh);
         let live = self.dir.join("refs.log");
         std::fs::rename(&tmp, &live)?;
@@ -844,24 +837,14 @@ impl SegmentStore {
         Ok(())
     }
 
-    /// Fsync the active segment and the refcount log — the commit-ack
-    /// barrier. Returns whether any fdatasync was actually issued.
-    /// Sealed segments need no fsync here: rotation and compaction force
-    /// one before sealing, so every append at-or-before the current
-    /// high-water mark is covered by these two files alone.
-    pub fn sync(&mut self) -> io::Result<bool> {
-        let handles = self.sync_handles()?;
-        for f in &handles {
-            f.sync_data()?;
-        }
-        Ok(!handles.is_empty())
-    }
-
-    /// Claim the pending appends for an out-of-lock fsync: handles for
+    /// Claim the pending appends for the commit-ack barrier: handles for
     /// the active segment and the refcount log (empty when clean). The
     /// group-commit leader grabs these under the store's owning lock,
     /// drops it, then `sync_data`s the handles while appenders keep
     /// going — see [`RecordLog::sync_handle`] for the claim semantics.
+    /// Sealed segments need no fsync here: rotation and compaction force
+    /// one before sealing, so every append at-or-before the current
+    /// high-water mark is covered by these two files alone.
     pub fn sync_handles(&mut self) -> io::Result<Vec<File>> {
         let mut out = Vec::with_capacity(2);
         if let Some(f) = self.active_seg().log.sync_handle()? {
@@ -925,9 +908,9 @@ impl Journal {
 
     /// Journal a successful version-manager mutation. Append-only: the
     /// fsync-before-ack barrier is crossed by the caller *after* the
-    /// state-machine lock is released (via [`Journal::sync`] or a
-    /// [`GroupCommit`] ticket), so concurrent mutations interleave
-    /// their appends and share one `sync_data`.
+    /// state-machine lock is released (via a [`GroupCommit`] ticket), so
+    /// concurrent mutations interleave their appends and share one
+    /// `sync_data`.
     pub fn append_vm(&mut self, op: &VmReq) -> io::Result<()> {
         self.log
             .append(&bff_wire::encode(&JournalRecord::VmOp(op.clone())))?;
@@ -974,14 +957,6 @@ impl Journal {
         Ok(true)
     }
 
-    /// Fsync the journal — the per-ack barrier (holds the log across
-    /// the `sync_data`, so a no-op return means a completed sync
-    /// already covered everything appended). Returns whether an
-    /// fdatasync was actually issued.
-    pub fn sync(&mut self) -> io::Result<bool> {
-        self.log.sync()
-    }
-
     /// Claim the pending appends for an out-of-lock fsync (the
     /// group-commit leader path) — see [`RecordLog::sync_handle`].
     pub fn sync_handle(&mut self) -> io::Result<Option<File>> {
@@ -1020,6 +995,14 @@ mod tests {
         Payload::synth(seed, 0, len)
     }
 
+    /// Cross the commit-ack barrier the way a group-commit leader does:
+    /// claim the pending appends, then `sync_data` them.
+    fn sync(s: &mut SegmentStore) {
+        for f in s.sync_handles().unwrap() {
+            f.sync_data().unwrap();
+        }
+    }
+
     #[test]
     fn segment_store_roundtrip_and_recovery() {
         let dir = scratch("roundtrip");
@@ -1031,7 +1014,7 @@ mod tests {
             assert!(!s.put(ChunkId(1), &payload(7, 1000)).unwrap(), "idempotent");
             assert!(s.put(ChunkId(2), &payload(9, 500)).unwrap());
             s.log_retain(ChunkId(1), 2).unwrap();
-            s.sync().unwrap();
+            sync(&mut s);
             assert!(s.read(ChunkId(1)).unwrap().content_eq(&payload(7, 1000)));
         }
         let (s, refs, stats) = SegmentStore::open(&dir, 1 << 20).unwrap();
@@ -1052,7 +1035,7 @@ mod tests {
             s.put(ChunkId(1), &payload(1, 100)).unwrap();
             s.put(ChunkId(2), &payload(2, 100)).unwrap();
             s.free(ChunkId(1)).unwrap();
-            s.sync().unwrap();
+            sync(&mut s);
         }
         let (s, refs, stats) = SegmentStore::open(&dir, 1 << 20).unwrap();
         assert_eq!(stats.chunks, 1);
@@ -1080,7 +1063,7 @@ mod tests {
         for i in 0..56u64 {
             s.free(ChunkId(i + 1)).unwrap();
         }
-        s.sync().unwrap();
+        sync(&mut s);
         for i in 56..64u64 {
             assert!(
                 s.read(ChunkId(i + 1)).unwrap().content_eq(&blob(i)),
@@ -1122,7 +1105,7 @@ mod tests {
         s.free(ChunkId(first[0])).unwrap();
         let second = fill(&mut s, &mut next);
         assert_eq!((s.active, s.segments.len()), (2, 3));
-        s.sync().unwrap();
+        sync(&mut s);
         drop(s);
         // … and is known again after a restart, from replay alone.
         let (mut s, _, _) = SegmentStore::open(&dir, seg_bytes).unwrap();
@@ -1136,7 +1119,7 @@ mod tests {
         assert!(s.segments.contains_key(&0) && !s.segments.contains_key(&1));
         assert!(!seg_path(&dir, 1).exists());
         assert!(s.segments[&2].frees.contains(&ChunkId(first[0])));
-        s.sync().unwrap();
+        sync(&mut s);
         drop(s);
         let (s, _, stats) = SegmentStore::open(&dir, seg_bytes).unwrap();
         assert_eq!(stats.chunks, first.len() - 1 + kept.len());
@@ -1158,7 +1141,7 @@ mod tests {
         counts.insert(ChunkId(1), 5u64);
         counts.insert(ChunkId(2), 1u64);
         s.maybe_rewrite_refs(&counts).unwrap();
-        s.sync().unwrap();
+        sync(&mut s);
         drop(s);
         let (_, refs, _) = SegmentStore::open(&dir, 1 << 20).unwrap();
         assert_eq!(refs.get(&ChunkId(1)), Some(&5));

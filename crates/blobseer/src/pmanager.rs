@@ -2,10 +2,10 @@
 //! store each new chunk (§3.1.3: chunks "evenly distributed among the
 //! local disks participating in the shared pool").
 //!
-//! The default strategy is round-robin with a per-provider load counter,
-//! which is what gives multideployment its even distribution of the I/O
-//! workload. Replicas of one chunk are placed on consecutive distinct
-//! providers.
+//! The strategy is round-robin, which is what gives multideployment its
+//! even distribution of the I/O workload; a per-provider load counter
+//! records the result. Replicas of one chunk are placed on consecutive
+//! distinct providers.
 
 use crate::api::{BlobError, BlobResult, ChunkDesc, ChunkId};
 use bff_net::NodeId;
@@ -15,9 +15,6 @@ use bff_net::NodeId;
 pub enum Placement {
     /// Strict rotation over the provider list.
     RoundRobin,
-    /// Pick the least-loaded provider (by bytes allocated), breaking ties
-    /// by index. Still spreads replicas over distinct providers.
-    LeastLoaded,
 }
 
 /// Provider-manager state (one logical instance per service).
@@ -111,14 +108,6 @@ impl PManager {
                         break c;
                     }
                 },
-                Placement::LeastLoaded => self
-                    .load_bytes
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| !(skip_down && is_down(*i)))
-                    .min_by_key(|(i, &l)| (l, *i))
-                    .map(|(i, _)| i)
-                    .expect("up set is non-empty"),
             };
             // Replicas on consecutive distinct (up, where possible)
             // providers starting at `first`.
@@ -191,15 +180,6 @@ mod tests {
             loads.iter().all(|&l| l == loads[0]),
             "perfectly even: {loads:?}"
         );
-    }
-
-    #[test]
-    fn least_loaded_fills_gaps() {
-        let mut pm = PManager::new(nodes(3), Placement::LeastLoaded);
-        // Pre-load provider 0 and 1 via allocations.
-        pm.allocate(2, 1000, 1).unwrap(); // goes to 0 then... least-loaded: 0 then 1
-        let d = pm.allocate(1, 1000, 1).unwrap().remove(0);
-        assert_eq!(d.replicas[0], NodeId(2), "least loaded gets the next chunk");
     }
 
     #[test]

@@ -17,8 +17,7 @@
 
 use crate::api::ChunkId;
 use crate::durable::{
-    CommitPolicy, DurabilityStats, GroupCommit, SegmentRecovery, SegmentStore,
-    DEFAULT_SEGMENT_BYTES,
+    CommitPolicy, GroupCommit, SegmentRecovery, SegmentStore, DEFAULT_SEGMENT_BYTES,
 };
 use bff_data::{ContentDigest, ContentKey, FastMap, FastSet, Payload};
 use bff_net::NodeId;
@@ -29,7 +28,6 @@ use std::fs::File;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Where a provider keeps chunk bytes: the historical in-memory map, or
 /// the log-structured segment files of `crate::durable`.
@@ -305,21 +303,11 @@ impl Provider {
         }
     }
 
-    /// Flush appended segment and refcount records to stable storage —
-    /// the barrier every commit ack crosses. No-op for the in-memory
-    /// backend; returns whether an fdatasync was actually issued.
-    /// Fail-stop on I/O errors: a provider that cannot fsync cannot
-    /// honor the acks it already implies.
-    pub fn sync(&mut self) -> bool {
-        match &mut self.chunks {
-            ChunkStore::Disk(store) => store.sync().expect("provider log sync"),
-            ChunkStore::Mem(_) => false,
-        }
-    }
-
     /// Claim the pending appends for an out-of-lock fsync (the
     /// group-commit leader path; empty for the in-memory backend) —
-    /// see [`SegmentStore::sync_handles`].
+    /// see [`SegmentStore::sync_handles`]. Fail-stop on I/O errors: a
+    /// provider that cannot fsync cannot honor the acks it already
+    /// implies.
     pub fn sync_handles(&mut self) -> Vec<File> {
         match &mut self.chunks {
             ChunkStore::Disk(store) => store.sync_handles().expect("provider sync handles"),
@@ -364,13 +352,9 @@ pub struct ProviderStore {
     slot_of: HashMap<NodeId, usize>,
     shards: Vec<Mutex<Provider>>,
     /// One commit coordinator per shard (separate files, separate
-    /// barriers), present only for durable deployments running group
-    /// commit. `None` means per-ack fsync under the shard lock — the
-    /// measurable baseline discipline.
+    /// barriers), present only for durable deployments: `None` means
+    /// in-memory providers, whose acks cross no barrier.
     commit: Option<Vec<Arc<GroupCommit>>>,
-    /// Deployment-wide durability counters (shared with the journal's
-    /// coordinator; all-zero for in-memory deployments).
-    stats: Arc<DurabilityStats>,
     stored_bytes: AtomicU64,
     chunks: AtomicU64,
 }
@@ -383,16 +367,15 @@ impl ProviderStore {
             slot_of: nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect(),
             shards: nodes.iter().map(|_| Mutex::new(Provider::new())).collect(),
             commit: None,
-            stats: Arc::new(DurabilityStats::default()),
             stored_bytes: AtomicU64::new(0),
             chunks: AtomicU64::new(0),
         }
     }
 
     /// Deploy disk-backed providers, one per node, each replaying its
-    /// own directory `<base_dir>/provider-<node>/`, with the commit-ack
-    /// discipline `policy` asks for. The aggregate counters start from
-    /// the recovered per-shard truth.
+    /// own directory `<base_dir>/provider-<node>/`, each behind its own
+    /// group-commit coordinator built from `policy`. The aggregate
+    /// counters start from the recovered per-shard truth.
     pub fn recover(
         nodes: &[NodeId],
         base_dir: &Path,
@@ -408,19 +391,13 @@ impl ProviderStore {
             total.torn_files += stats.torn_files;
             shards.push(Mutex::new(p));
         }
-        let commit = policy.group_commit.then(|| {
-            nodes
-                .iter()
-                .map(|_| policy.coordinator().unwrap())
-                .collect()
-        });
+        let commit = Some(nodes.iter().map(|_| policy.coordinator()).collect());
         Ok((
             Self {
                 nodes: nodes.to_vec(),
                 slot_of: nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect(),
                 shards,
                 commit,
-                stats: Arc::clone(&policy.stats),
                 stored_bytes: AtomicU64::new(total.chunk_bytes),
                 chunks: AtomicU64::new(total.chunks as u64),
             },
@@ -477,49 +454,33 @@ impl ProviderStore {
     /// Run `op` on `slot`'s provider under its shard lock, then cross
     /// the commit-ack durability barrier before returning. `op` returns
     /// `(out, barrier)`; with `barrier == false` (failed op, nothing
-    /// appended) the barrier is skipped.
+    /// appended) the barrier is skipped, as it is on in-memory providers.
     ///
-    /// Group commit: the sync ticket is taken under the shard lock (so
+    /// The sync ticket is taken under the shard lock (so
     /// append-then-ticket is ordered against the leader's high-water
     /// capture), the lock drops, and the committer parks — appends on
     /// this shard keep interleaving while one leader fsyncs for the
     /// whole cohort. The leader re-takes the shard lock only long
     /// enough to claim file handles; the `sync_data` itself runs
-    /// lock-free. Per-ack baseline: fsync under the shard lock, exactly
-    /// the pre-group-commit discipline.
+    /// lock-free.
     fn committed<T>(&self, slot: usize, op: impl FnOnce(&mut Provider) -> (T, bool)) -> T {
-        match &self.commit {
-            Some(coordinators) => {
-                let gc = &coordinators[slot];
-                let (out, ticket) = {
-                    let mut shard = self.shards[slot].lock();
-                    let (out, barrier) = op(&mut shard);
-                    (out, barrier.then(|| gc.ticket()))
-                };
-                if let Some(ticket) = ticket {
-                    gc.commit(ticket, || {
-                        let handles = self.shards[slot].lock().sync_handles();
-                        for f in &handles {
-                            f.sync_data()?;
-                        }
-                        Ok(())
-                    })
-                    .expect("provider group sync");
+        let gc = self.commit.as_ref().map(|coordinators| &coordinators[slot]);
+        let (out, ticket) = {
+            let mut shard = self.shards[slot].lock();
+            let (out, barrier) = op(&mut shard);
+            (out, gc.filter(|_| barrier).map(|gc| (gc, gc.ticket())))
+        };
+        if let Some((gc, ticket)) = ticket {
+            gc.commit(ticket, || {
+                let handles = self.shards[slot].lock().sync_handles();
+                for f in &handles {
+                    f.sync_data()?;
                 }
-                out
-            }
-            None => {
-                let started = Instant::now();
-                let mut shard = self.shards[slot].lock();
-                let (out, barrier) = op(&mut shard);
-                if barrier && shard.sync() {
-                    drop(shard);
-                    self.stats.note_fsync();
-                    self.stats.note_ack(started.elapsed());
-                }
-                out
-            }
+                Ok(())
+            })
+            .expect("provider group sync");
         }
+        out
     }
 
     /// Store a chunk at `node`, maintaining the aggregate counters.

@@ -39,50 +39,36 @@ use bff_wire::types::BlobError;
 use parking_lot::{Mutex, RwLock};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
-/// The manager journal plus its commit-ack discipline: appends happen
-/// under the state-machine lock (journal order = serialization order),
-/// the fsync barrier is crossed *after* that lock is released, so
-/// concurrent mutations interleave appends and — under group commit —
-/// share one `sync_data`.
+/// The manager journal plus its group-commit coordinator: appends
+/// happen under the state-machine lock (journal order = serialization
+/// order), the fsync barrier is crossed *after* that lock is released,
+/// so concurrent mutations interleave appends and share one `sync_data`.
 struct JournalHandle {
     journal: Mutex<Journal>,
-    /// Leader/follower fsync batching; `None` runs the per-ack
-    /// baseline (one fsync per barrier, under the journal lock only).
-    gc: Option<Arc<GroupCommit>>,
-    stats: Arc<DurabilityStats>,
+    gc: Arc<GroupCommit>,
 }
 
 impl JournalHandle {
     /// Issue the sync ticket for a record just appended (call while
     /// still holding the state-machine lock that ordered the append).
     fn ticket(&self) -> u64 {
-        self.gc.as_ref().map_or(0, |gc| gc.ticket())
+        self.gc.ticket()
     }
 
     /// Cross the fsync-before-ack barrier for `ticket`. Call with no
     /// state-machine lock held.
     fn commit(&self, ticket: u64) {
-        match &self.gc {
-            Some(gc) => gc
-                .commit(ticket, || {
-                    // Claim under the journal lock, sync_data outside it.
-                    let handle = self.journal.lock().sync_handle()?;
-                    if let Some(f) = handle {
-                        f.sync_data()?;
-                    }
-                    Ok(())
-                })
-                .expect("journal group sync"),
-            None => {
-                let started = Instant::now();
-                if self.journal.lock().sync().expect("journal sync") {
-                    self.stats.note_fsync();
-                    self.stats.note_ack(started.elapsed());
+        self.gc
+            .commit(ticket, || {
+                // Claim under the journal lock, sync_data outside it.
+                let handle = self.journal.lock().sync_handle()?;
+                if let Some(f) = handle {
+                    f.sync_data()?;
                 }
-            }
-        }
+                Ok(())
+            })
+            .expect("journal group sync")
     }
 }
 
@@ -183,7 +169,6 @@ impl ServerState {
         let handle = JournalHandle {
             journal: Mutex::new(journal),
             gc: policy.coordinator(),
-            stats: Arc::clone(&policy.stats),
         };
         let state = Self::assemble(cfg, topo, placement, providers, Some(handle), policy.stats);
         let report = RecoveryReport {

@@ -59,7 +59,7 @@ pub struct RecordLog {
     file: Option<File>,
     /// Byte length of the durable prefix (file size after truncation).
     len: u64,
-    /// Whether bytes were appended since the last `sync`.
+    /// Whether bytes were appended since the last sync or claim.
     dirty: bool,
 }
 
@@ -161,8 +161,8 @@ impl RecordLog {
 
     /// Append one record, returning the offset its frame starts at.
     /// The record is written with a single `write_all`, so the kernel
-    /// sees header and payload together; durability still requires
-    /// [`RecordLog::sync`].
+    /// sees header and payload together; durability still requires a
+    /// sync ([`RecordLog::sync_handle`] or [`RecordLog::sync_force`]).
     pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
         assert!(
             payload.len() as u64 <= MAX_RECORD as u64,
@@ -213,21 +213,6 @@ impl RecordLog {
         Ok(Some(payload))
     }
 
-    /// Flush appended records to stable storage (`fdatasync`), holding
-    /// on until the kernel confirms. No-op if nothing was appended since
-    /// the last sync (or [`RecordLog::sync_handle`] claim). Returns
-    /// whether an fdatasync was actually issued.
-    pub fn sync(&mut self) -> io::Result<bool> {
-        if !self.dirty {
-            return Ok(false);
-        }
-        if let Some(f) = self.file.as_mut() {
-            f.sync_data()?;
-        }
-        self.dirty = false;
-        Ok(true)
-    }
-
     /// Claim the pending appends for an *out-of-lock* fsync: returns an
     /// independently-owned handle (`try_clone`) to the underlying file
     /// and clears the dirty flag, or `None` when nothing was appended
@@ -236,13 +221,9 @@ impl RecordLog {
     /// group-commit leader fsyncs the log while appenders keep the
     /// owning lock busy.
     ///
-    /// Two caveats, both on the claimer:
-    /// - the dirty flag is cleared *before* the fsync completes, so a
-    ///   concurrent per-ack [`RecordLog::sync`] may no-op against an
-    ///   in-flight claim — the two disciplines must not be mixed on one
-    ///   log (a group-commit leader is exclusive by construction);
-    /// - an fsync failure after the claim loses the flag; callers are
-    ///   fail-stop on live sync errors, matching the module policy.
+    /// The dirty flag is cleared *before* the fsync completes, so an
+    /// fsync failure after the claim loses it; callers are fail-stop on
+    /// live sync errors, matching the module policy.
     pub fn sync_handle(&mut self) -> io::Result<Option<File>> {
         if !self.dirty {
             return Ok(None);
@@ -288,7 +269,7 @@ mod tests {
         assert!(recs.is_empty() && !torn);
         let o1 = log.append(b"alpha").unwrap();
         let o2 = log.append(b"beta-bytes").unwrap();
-        log.sync().unwrap();
+        log.sync_force().unwrap();
         assert_eq!(log.read_record(o1, 5).unwrap().unwrap(), b"alpha");
         drop(log);
         let (recs, log, torn) = RecordLog::open(&path).unwrap();
@@ -313,7 +294,7 @@ mod tests {
         let (_, mut log, _) = RecordLog::open(&path).unwrap();
         log.append(b"keep-me").unwrap();
         log.append(b"lose-me").unwrap();
-        log.sync().unwrap();
+        log.sync_force().unwrap();
         let full = std::fs::metadata(&path).unwrap().len();
         drop(log);
         // Tear the second record three bytes short of complete.
@@ -326,7 +307,7 @@ mod tests {
         assert_eq!(recs[0].1, b"keep-me");
         // Appends extend the clean prefix.
         log.append(b"after").unwrap();
-        log.sync().unwrap();
+        log.sync_force().unwrap();
         drop(log);
         let (recs, _, torn) = RecordLog::open(&path).unwrap();
         assert!(!torn);
@@ -339,7 +320,7 @@ mod tests {
         let path = scratch("corrupt");
         let (_, mut log, _) = RecordLog::open(&path).unwrap();
         let off = log.append(b"pristine").unwrap();
-        log.sync().unwrap();
+        log.sync_force().unwrap();
         drop(log);
         // Flip a payload byte in place.
         let f = OpenOptions::new().write(true).open(&path).unwrap();

@@ -1,6 +1,6 @@
 //! Property suite for content-addressed write dedup: for random
 //! write/snapshot/clone sequences, a dedup-on stack and a dedup-off
-//! stack must be indistinguishable to every reader — across all three
+//! stack must be indistinguishable to every reader — across both
 //! replication modes — and dedup must never *increase* provider bytes
 //! stored.
 //!
@@ -18,11 +18,7 @@ use std::sync::Arc;
 const IMG: u64 = 1 << 16; // 64 KiB images keep cases fast
 const CHUNK: u64 = 4 << 10;
 
-const MODES: [ReplicationMode; 3] = [
-    ReplicationMode::Sequential,
-    ReplicationMode::Fanout,
-    ReplicationMode::Chain,
-];
+const MODES: [ReplicationMode; 2] = [ReplicationMode::Sequential, ReplicationMode::Fanout];
 
 fn stack(seed: u64, mode: ReplicationMode, dedup: bool) -> (BlobClient, MirroredImage) {
     let fabric = LocalFabric::new(4);

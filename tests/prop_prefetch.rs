@@ -1,7 +1,7 @@
 //! Property suite for the adaptive cross-VM prefetching pipeline: for
 //! random boot-like read traces (plus a write/commit tail), a
 //! prefetch-on stack and a prefetch-off stack must be indistinguishable
-//! to every reader — across all four replication modes — and prefetch
+//! to every reader — across both replication modes — and prefetch
 //! must never *increase* the provider bytes a node pulls per unique
 //! chunk: a chunk is fetched once (by the prefetcher or by the demand
 //! path), never twice.
@@ -23,12 +23,7 @@ use std::sync::Arc;
 const IMG: u64 = 1 << 16; // 64 KiB images keep cases fast
 const CHUNK: u64 = 4 << 10;
 
-const MODES: [ReplicationMode; 4] = [
-    ReplicationMode::Sequential,
-    ReplicationMode::Fanout,
-    ReplicationMode::Chain,
-    ReplicationMode::ChainPipelined,
-];
+const MODES: [ReplicationMode; 2] = [ReplicationMode::Sequential, ReplicationMode::Fanout];
 
 struct Stack {
     fabric: Arc<LocalFabric>,

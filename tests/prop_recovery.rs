@@ -173,7 +173,9 @@ proptest! {
                 live.remove(pos);
             }
         }
-        store.sync().unwrap();
+        for f in store.sync_handles().unwrap() {
+            f.sync_data().unwrap();
+        }
         drop(store);
 
         // Tear the tail off one of the on-disk files.
