@@ -56,9 +56,7 @@
 
 use crate::api::{BlobConfig, ChunkId, NodeKey, TreeNode};
 use bff_data::{FastMap, Payload, RecordLog};
-use bff_wire::codec::{put_varint, Reader, Wire};
 use bff_wire::msg::VmReq;
-use bff_wire::WireError;
 // The vendored `parking_lot` shim has no Condvar; the coordinator's
 // park/wake state uses `std::sync` directly (by-value guard API).
 use std::collections::BTreeMap;
@@ -88,139 +86,46 @@ const COMPACT_LIVE_FRAC: f64 = 0.5;
 // Record types.
 // ---------------------------------------------------------------------
 
-/// A record in a chunk segment file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChunkRecord {
-    /// Chunk bytes; replay upserts the index.
-    Put { id: ChunkId, data: Payload },
-    /// GC tombstone; replay removes the id from the index.
-    Free { id: ChunkId },
-}
-
-impl Wire for ChunkRecord {
-    fn enc(&self, out: &mut Vec<u8>) {
-        match self {
-            ChunkRecord::Put { id, data } => {
-                out.push(0);
-                id.enc(out);
-                data.enc(out);
-            }
-            ChunkRecord::Free { id } => {
-                out.push(1);
-                id.enc(out);
-            }
-        }
-    }
-    fn dec(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(ChunkRecord::Put {
-                id: ChunkId::dec(r)?,
-                data: Payload::dec(r)?,
-            }),
-            1 => Ok(ChunkRecord::Free {
-                id: ChunkId::dec(r)?,
-            }),
-            t => Err(WireError::BadTag("chunk record", t)),
-        }
+bff_wire::wire_enum! {
+    /// A record in a chunk segment file.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum ChunkRecord: "chunk record" {
+        /// Chunk bytes; replay upserts the index.
+        0 => Put { id: ChunkId, data: Payload },
+        /// GC tombstone; replay removes the id from the index.
+        1 => Free { id: ChunkId },
     }
 }
 
-/// A record in the refcount log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RefRecord {
-    /// Add `n` references to `id`.
-    Retain { id: ChunkId, n: u64 },
-    /// Drop `n` references from `id`.
-    Release { id: ChunkId, n: u64 },
-    /// Absolute counts replacing all earlier records. Only counts ≠ 1
-    /// are listed — every indexed chunk has an implicit count of 1.
-    Snapshot(Vec<(ChunkId, u64)>),
-}
-
-impl Wire for RefRecord {
-    fn enc(&self, out: &mut Vec<u8>) {
-        match self {
-            RefRecord::Retain { id, n } => {
-                out.push(0);
-                id.enc(out);
-                put_varint(out, *n);
-            }
-            RefRecord::Release { id, n } => {
-                out.push(1);
-                id.enc(out);
-                put_varint(out, *n);
-            }
-            RefRecord::Snapshot(counts) => {
-                out.push(2);
-                counts.enc(out);
-            }
-        }
-    }
-    fn dec(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(RefRecord::Retain {
-                id: ChunkId::dec(r)?,
-                n: r.varint()?,
-            }),
-            1 => Ok(RefRecord::Release {
-                id: ChunkId::dec(r)?,
-                n: r.varint()?,
-            }),
-            2 => Ok(RefRecord::Snapshot(Vec::dec(r)?)),
-            t => Err(WireError::BadTag("ref record", t)),
-        }
+bff_wire::wire_enum! {
+    /// A record in the refcount log.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum RefRecord: "ref record" {
+        /// Add `n` references to `id`.
+        0 => Retain { id: ChunkId, n: u64 },
+        /// Drop `n` references from `id`.
+        1 => Release { id: ChunkId, n: u64 },
+        /// Absolute counts replacing all earlier records. Only counts ≠ 1
+        /// are listed — every indexed chunk has an implicit count of 1.
+        2 => Snapshot(counts: Vec<(ChunkId, u64)>),
     }
 }
 
-/// A record in the manager journal.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JournalRecord {
-    /// A successful version-manager mutation, in protocol wire form.
-    VmOp(VmReq),
-    /// Metadata nodes written to shard `shard`.
-    MetaNodes {
-        shard: u32,
-        nodes: Vec<(NodeKey, TreeNode)>,
-    },
-    /// Durable high-water mark of the metadata node-key allocator.
-    KeyMark(u64),
-    /// Durable high-water mark of the chunk-id allocator.
-    ChunkMark(u64),
-}
-
-impl Wire for JournalRecord {
-    fn enc(&self, out: &mut Vec<u8>) {
-        match self {
-            JournalRecord::VmOp(op) => {
-                out.push(0);
-                op.enc(out);
-            }
-            JournalRecord::MetaNodes { shard, nodes } => {
-                out.push(1);
-                shard.enc(out);
-                nodes.enc(out);
-            }
-            JournalRecord::KeyMark(k) => {
-                out.push(2);
-                put_varint(out, *k);
-            }
-            JournalRecord::ChunkMark(c) => {
-                out.push(3);
-                put_varint(out, *c);
-            }
-        }
-    }
-    fn dec(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(JournalRecord::VmOp(VmReq::dec(r)?)),
-            1 => Ok(JournalRecord::MetaNodes {
-                shard: u32::dec(r)?,
-                nodes: Vec::dec(r)?,
-            }),
-            2 => Ok(JournalRecord::KeyMark(r.varint()?)),
-            3 => Ok(JournalRecord::ChunkMark(r.varint()?)),
-            t => Err(WireError::BadTag("journal record", t)),
-        }
+bff_wire::wire_enum! {
+    /// A record in the manager journal.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum JournalRecord: "journal record" {
+        /// A successful version-manager mutation, in protocol wire form.
+        0 => VmOp(op: VmReq),
+        /// Metadata nodes written to shard `shard`.
+        1 => MetaNodes {
+            shard: u32,
+            nodes: Vec<(NodeKey, TreeNode)>,
+        },
+        /// Durable high-water mark of the metadata node-key allocator.
+        2 => KeyMark(next: u64),
+        /// Durable high-water mark of the chunk-id allocator.
+        3 => ChunkMark(next: u64),
     }
 }
 
@@ -1241,5 +1146,19 @@ mod tests {
             records[3],
             JournalRecord::MetaNodes { shard: 3, .. }
         ));
+    }
+
+    /// A record's `BadTag` context must be interned, or the error would
+    /// cross the wire as `"?"`.
+    #[test]
+    fn record_contexts_are_interned() {
+        for ctx in [
+            ChunkRecord::CONTEXT,
+            RefRecord::CONTEXT,
+            JournalRecord::CONTEXT,
+        ] {
+            let e = bff_wire::WireError::BadTag(ctx, 9);
+            assert_eq!(bff_wire::decode(&bff_wire::encode(&e)), Ok(e));
+        }
     }
 }

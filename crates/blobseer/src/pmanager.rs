@@ -8,6 +8,7 @@
 //! distinct providers.
 
 use crate::api::{BlobError, BlobResult, ChunkDesc, ChunkId};
+use bff_net::transport::MAX_FRAME;
 use bff_net::NodeId;
 
 /// Allocation strategy.
@@ -88,6 +89,14 @@ impl PManager {
         }
         if replication == 0 || replication > self.providers.len() {
             return Err(BlobError::BadInput("replication must be in 1..=providers"));
+        }
+        // Every descriptor encodes in at least one byte, so a larger batch
+        // could never be answered in one frame: refuse it before reserving
+        // memory for it.
+        if n > MAX_FRAME as usize {
+            return Err(BlobError::BadInput(
+                "allocation larger than one reply frame",
+            ));
         }
         let is_down = |i: usize| down.get(i).copied().unwrap_or(false);
         let up_count = (0..self.providers.len()).filter(|&i| !is_down(i)).count();

@@ -27,9 +27,9 @@ pub trait NodeIo {
     fn store(&mut self, nodes: Vec<(NodeKey, TreeNode)>) -> BlobResult<()>;
 }
 
-/// Smallest power of two ≥ `chunks` (≥ 1).
-pub fn span_for(chunks: u64) -> u64 {
-    chunks.max(1).next_power_of_two()
+/// Smallest power of two ≥ `chunks` (≥ 1); `None` past 2⁶³ chunks.
+pub fn span_for(chunks: u64) -> Option<u64> {
+    chunks.max(1).checked_next_power_of_two()
 }
 
 /// Walk the tree of `root` and collect the leaf chunk descriptors for
@@ -419,11 +419,12 @@ mod tests {
 
     #[test]
     fn span_is_next_pow2() {
-        assert_eq!(span_for(0), 1);
-        assert_eq!(span_for(1), 1);
-        assert_eq!(span_for(5), 8);
-        assert_eq!(span_for(8), 8);
-        assert_eq!(span_for(8192), 8192);
+        assert_eq!(span_for(0), Some(1));
+        assert_eq!(span_for(1), Some(1));
+        assert_eq!(span_for(5), Some(8));
+        assert_eq!(span_for(8), Some(8));
+        assert_eq!(span_for(8192), Some(8192));
+        assert_eq!(span_for(u64::MAX), None);
     }
 
     #[test]

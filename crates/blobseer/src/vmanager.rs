@@ -208,15 +208,17 @@ impl VManager {
         if chunk_size == 0 {
             return Err(BlobError::BadInput("chunk_size must be positive"));
         }
+        let span = crate::segtree::span_for(size.div_ceil(chunk_size)).ok_or(
+            BlobError::BadInput("blob size has more chunks than a metadata tree can span"),
+        )?;
         let id = BlobId(self.next_blob);
         self.next_blob += 1;
-        let chunks = size.div_ceil(chunk_size);
         self.blobs.insert(
             id,
             BlobMeta {
                 size,
                 chunk_size,
-                span: crate::segtree::span_for(chunks),
+                span,
                 roots: vec![NodeKey::NULL],
                 deleted: HashSet::new(),
                 // A fresh blob founds its own clone family (the blob id

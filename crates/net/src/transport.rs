@@ -420,7 +420,7 @@ impl Lane<'_> {
 ///
 /// Every connection — pool miss, post-[`SocketTransport::set_routes`]
 /// reconnect, and the dead-connection retry — goes through
-/// [`SocketTransport::connect`], which sets `TCP_NODELAY`; no path
+/// one private `connect`, which sets `TCP_NODELAY`; no path
 /// hands out a Nagle-enabled stream.
 pub struct SocketTransport {
     routes: RwLock<RouteTable>,

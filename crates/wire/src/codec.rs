@@ -238,6 +238,19 @@ impl<T: Wire> Wire for Arc<T> {
     }
 }
 
+/// Encodes like a `Vec`: a shared slice is a list on the wire.
+impl<T: Wire> Wire for Arc<[T]> {
+    fn enc(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.len() as u64);
+        for item in self.iter() {
+            item.enc(out);
+        }
+    }
+    fn dec(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Vec::dec(r).map(Arc::from)
+    }
+}
+
 impl<T: Wire> Wire for Option<T> {
     fn enc(&self, out: &mut Vec<u8>) {
         match self {

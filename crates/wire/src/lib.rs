@@ -30,8 +30,15 @@
 //! Both ends are compiled from this crate, so the message layout is the
 //! schema; decoding never panics and rejects trailing bytes, truncated
 //! frames and unknown tags with `bff_net::WireError`.
+//!
+//! The schema is one table ([`table`]): each enum is declared once as
+//! rows `tag => Variant { fields }`, and its codec, tags and test
+//! generator come from those rows. Add a message: one row plus its
+//! handler arm. Retire one: move its tag to `retired`, never reuse it.
 
 pub mod codec;
+#[macro_use]
+pub mod table;
 pub mod msg;
 pub mod types;
 

@@ -57,77 +57,83 @@ impl fmt::Display for Version {
     }
 }
 
-/// Where a chunk's replicas live.
-///
-/// Replica sets are shared (`Arc`) rather than owned: a descriptor is
-/// cloned many times per commit (tree leaf, metadata shard, descriptor
-/// caches), and sharing the set makes each clone a refcount bump instead
-/// of a heap allocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChunkDesc {
-    /// The stored chunk.
-    pub id: ChunkId,
-    /// Provider nodes holding a replica, in allocation order.
-    pub replicas: Arc<[NodeId]>,
+wire_struct! {
+    /// Where a chunk's replicas live.
+    ///
+    /// Replica sets are shared (`Arc`) rather than owned: a descriptor is
+    /// cloned many times per commit (tree leaf, metadata shard, descriptor
+    /// caches), and sharing the set makes each clone a refcount bump instead
+    /// of a heap allocation.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ChunkDesc {
+        /// The stored chunk.
+        pub id: ChunkId,
+        /// Provider nodes holding a replica, in allocation order.
+        pub replicas: Arc<[NodeId]>,
+    }
 }
 
-/// A metadata segment-tree node (Fig. 3 of the paper).
-///
-/// Geometry is implicit: the root covers chunk indices `0..span` and each
-/// inner node splits its range in half, so nodes store only child links.
-/// Children may belong to trees of *other* snapshots or other blobs —
-/// that is exactly the sharing that shadowing and cloning exploit.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TreeNode {
-    /// Interior node with two children (either may be NULL).
-    Inner {
-        /// Left child: first half of the covered chunk range.
-        left: NodeKey,
-        /// Right child: second half.
-        right: NodeKey,
-    },
-    /// Leaf covering exactly one chunk.
-    Leaf {
-        /// The chunk written at this index.
-        chunk: ChunkDesc,
-    },
+wire_enum! {
+    /// A metadata segment-tree node (Fig. 3 of the paper).
+    ///
+    /// Geometry is implicit: the root covers chunk indices `0..span` and each
+    /// inner node splits its range in half, so nodes store only child links.
+    /// Children may belong to trees of *other* snapshots or other blobs —
+    /// that is exactly the sharing that shadowing and cloning exploit.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum TreeNode: "tree node" {
+        /// Interior node with two children (either may be NULL).
+        0 => Inner {
+            /// Left child: first half of the covered chunk range.
+            left: NodeKey,
+            /// Right child: second half.
+            right: NodeKey,
+        },
+        /// Leaf covering exactly one chunk.
+        1 => Leaf {
+            /// The chunk written at this index.
+            chunk: ChunkDesc,
+        },
+    }
 }
 
-/// Errors returned by the storage service.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BlobError {
-    /// Unknown blob.
-    NoSuchBlob(BlobId),
-    /// Unknown version for a known blob.
-    NoSuchVersion(BlobId, Version),
-    /// Optimistic-concurrency conflict: the base version was no longer
-    /// the latest when publishing.
-    Conflict {
-        /// Blob being written.
-        blob: BlobId,
-        /// The version the writer based its update on.
-        base: Version,
-        /// The latest version at publish time.
-        latest: Version,
-    },
-    /// Access beyond the blob size.
-    OutOfBounds {
-        /// Requested range start.
-        offset: u64,
-        /// Requested length.
-        len: u64,
-        /// Blob size.
-        size: u64,
-    },
-    /// A chunk could not be served by any replica.
-    ChunkUnavailable(ChunkId),
-    /// Metadata inconsistency (missing tree node) — indicates a bug or a
-    /// failed metadata server.
-    MetadataMissing(NodeKey),
-    /// Transport-level failure.
-    Net(NetError),
-    /// Invalid argument.
-    BadInput(&'static str),
+wire_enum! {
+    /// Errors returned by the storage service.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum BlobError: "blob error" {
+        /// Unknown blob.
+        0 => NoSuchBlob(blob: BlobId),
+        /// Unknown version for a known blob.
+        1 => NoSuchVersion(blob: BlobId, version: Version),
+        /// Optimistic-concurrency conflict: the base version was no longer
+        /// the latest when publishing.
+        2 => Conflict {
+            /// Blob being written.
+            blob: BlobId,
+            /// The version the writer based its update on.
+            base: Version,
+            /// The latest version at publish time.
+            latest: Version,
+        },
+        /// Access beyond the blob size.
+        3 => OutOfBounds {
+            /// Requested range start.
+            offset: u64,
+            /// Requested length.
+            len: u64,
+            /// Blob size.
+            size: u64,
+        },
+        /// A chunk could not be served by any replica.
+        4 => ChunkUnavailable(chunk: ChunkId),
+        /// Metadata inconsistency (missing tree node) — indicates a bug or a
+        /// failed metadata server.
+        5 => MetadataMissing(key: NodeKey),
+        /// Transport-level failure.
+        6 => Net(err: NetError),
+        /// Invalid argument.
+        7 => BadInput(message: &'static str),
+    }
 }
 
 impl From<NetError> for BlobError {
@@ -226,52 +232,6 @@ impl Wire for ContentDigest {
             0 => Ok(ContentDigest::Weak(Digest::dec(r)?)),
             1 => Ok(ContentDigest::Strong(Sha256Digest::dec(r)?)),
             t => Err(WireError::BadTag("content digest", t)),
-        }
-    }
-}
-
-impl Wire for ChunkDesc {
-    fn enc(&self, out: &mut Vec<u8>) {
-        self.id.enc(out);
-        put_varint(out, self.replicas.len() as u64);
-        for n in self.replicas.iter() {
-            n.enc(out);
-        }
-    }
-    fn dec(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let id = ChunkId::dec(r)?;
-        let replicas: Vec<NodeId> = Vec::dec(r)?;
-        Ok(ChunkDesc {
-            id,
-            replicas: replicas.into(),
-        })
-    }
-}
-
-impl Wire for TreeNode {
-    fn enc(&self, out: &mut Vec<u8>) {
-        match self {
-            TreeNode::Inner { left, right } => {
-                out.push(0);
-                left.enc(out);
-                right.enc(out);
-            }
-            TreeNode::Leaf { chunk } => {
-                out.push(1);
-                chunk.enc(out);
-            }
-        }
-    }
-    fn dec(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(TreeNode::Inner {
-                left: NodeKey::dec(r)?,
-                right: NodeKey::dec(r)?,
-            }),
-            1 => Ok(TreeNode::Leaf {
-                chunk: ChunkDesc::dec(r)?,
-            }),
-            t => Err(WireError::BadTag("tree node", t)),
         }
     }
 }
@@ -376,7 +336,21 @@ const BAD_INPUT_MESSAGES: &[&str] = &[
     "duplicate version in delete set",
     "chunk_size must be positive",
     "corrupt mirror metadata",
+    "blob size has more chunks than a metadata tree can span",
+    "allocation larger than one reply frame",
 ];
+
+/// The protocol's one free-text field is [`BlobError::BadInput`]'s
+/// message, so a `&'static str` travels as its index in
+/// `BAD_INPUT_MESSAGES` (see [`enc_static`]).
+impl Wire for &'static str {
+    fn enc(&self, out: &mut Vec<u8>) {
+        enc_static(self, BAD_INPUT_MESSAGES, out);
+    }
+    fn dec(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        dec_static(r, BAD_INPUT_MESSAGES)
+    }
+}
 
 /// `std::io::ErrorKind` values with a stable wire tag; anything else
 /// maps to `Other`.
@@ -458,71 +432,6 @@ impl Wire for NetError {
     }
 }
 
-impl Wire for BlobError {
-    fn enc(&self, out: &mut Vec<u8>) {
-        match self {
-            BlobError::NoSuchBlob(b) => {
-                out.push(0);
-                b.enc(out);
-            }
-            BlobError::NoSuchVersion(b, v) => {
-                out.push(1);
-                b.enc(out);
-                v.enc(out);
-            }
-            BlobError::Conflict { blob, base, latest } => {
-                out.push(2);
-                blob.enc(out);
-                base.enc(out);
-                latest.enc(out);
-            }
-            BlobError::OutOfBounds { offset, len, size } => {
-                out.push(3);
-                put_varint(out, *offset);
-                put_varint(out, *len);
-                put_varint(out, *size);
-            }
-            BlobError::ChunkUnavailable(c) => {
-                out.push(4);
-                c.enc(out);
-            }
-            BlobError::MetadataMissing(k) => {
-                out.push(5);
-                k.enc(out);
-            }
-            BlobError::Net(e) => {
-                out.push(6);
-                e.enc(out);
-            }
-            BlobError::BadInput(m) => {
-                out.push(7);
-                enc_static(m, BAD_INPUT_MESSAGES, out);
-            }
-        }
-    }
-    fn dec(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(BlobError::NoSuchBlob(BlobId::dec(r)?)),
-            1 => Ok(BlobError::NoSuchVersion(BlobId::dec(r)?, Version::dec(r)?)),
-            2 => Ok(BlobError::Conflict {
-                blob: BlobId::dec(r)?,
-                base: Version::dec(r)?,
-                latest: Version::dec(r)?,
-            }),
-            3 => Ok(BlobError::OutOfBounds {
-                offset: r.varint()?,
-                len: r.varint()?,
-                size: r.varint()?,
-            }),
-            4 => Ok(BlobError::ChunkUnavailable(ChunkId::dec(r)?)),
-            5 => Ok(BlobError::MetadataMissing(NodeKey::dec(r)?)),
-            6 => Ok(BlobError::Net(NetError::dec(r)?)),
-            7 => Ok(BlobError::BadInput(dec_static(r, BAD_INPUT_MESSAGES)?)),
-            t => Err(WireError::BadTag("blob error", t)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,27 +451,6 @@ mod tests {
             latest: Version(3),
         };
         assert!(e.to_string().contains("conflicts"));
-    }
-
-    #[test]
-    fn core_types_roundtrip() {
-        let desc = ChunkDesc {
-            id: ChunkId(42),
-            replicas: vec![NodeId(1), NodeId(7)].into(),
-        };
-        assert_eq!(decode::<ChunkDesc>(&encode(&desc)).unwrap(), desc);
-
-        for node in [
-            TreeNode::Inner {
-                left: NodeKey(3),
-                right: NodeKey::NULL,
-            },
-            TreeNode::Leaf {
-                chunk: desc.clone(),
-            },
-        ] {
-            assert_eq!(decode::<TreeNode>(&encode(&node)).unwrap(), node);
-        }
     }
 
     #[test]
@@ -594,35 +482,6 @@ mod tests {
             if let SegView::Bytes(b) = seg {
                 assert!(held.contains(&b.as_ptr()), "a view, not a copy");
             }
-        }
-    }
-
-    #[test]
-    fn errors_roundtrip() {
-        let errors = [
-            BlobError::NoSuchBlob(BlobId(9)),
-            BlobError::NoSuchVersion(BlobId(1), Version(4)),
-            BlobError::Conflict {
-                blob: BlobId(1),
-                base: Version(2),
-                latest: Version(3),
-            },
-            BlobError::OutOfBounds {
-                offset: 10,
-                len: 20,
-                size: 15,
-            },
-            BlobError::ChunkUnavailable(ChunkId(7)),
-            BlobError::MetadataMissing(NodeKey(8)),
-            BlobError::Net(NetError::NodeDown(NodeId(3))),
-            BlobError::Net(NetError::Wire(WireError::Closed)),
-            BlobError::Net(NetError::Wire(WireError::Io(
-                std::io::ErrorKind::BrokenPipe,
-            ))),
-            BlobError::BadInput("empty write"),
-        ];
-        for e in errors {
-            assert_eq!(decode::<BlobError>(&encode(&e)).unwrap(), e);
         }
     }
 }

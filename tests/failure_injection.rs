@@ -8,7 +8,9 @@ use bff::cloud::backend::{BackendError, ImageBackend, MirrorBackend};
 use bff::cloud::params::Calibration;
 use bff::net::transport::{CodecTransport, RouteKey, Transport, WireError};
 use bff::prelude::*;
-use bff::wire::msg::{MetaResp, ProviderReq, ProviderResp, Req, Resp, RetainOutcome};
+use bff::wire::msg::{
+    MetaResp, PmReq, PmResp, ProviderReq, ProviderResp, Req, Resp, RetainOutcome, VmReq, VmResp,
+};
 use std::sync::{Arc, Mutex};
 
 const IMG: u64 = 2 << 20;
@@ -902,4 +904,45 @@ fn a_short_nodes_reply_is_a_typed_error_and_poisons_nothing() {
         let got = reader.read(blob, v, 0..IMG).unwrap();
         assert!(got.content_eq(&image), "replication {replication}");
     }
+}
+
+/// A request's fields come from outside the process: a frame the state
+/// machines cannot serve is answered with `BadInput`, never a panic.
+fn serve_decoded(frame: &[u8], want: Req) -> Resp {
+    let req: Req = bff::wire::decode(frame).expect("a well-formed frame");
+    assert_eq!(req, want);
+    serve_processes(false).dispatch(req).expect("served")
+}
+
+#[test]
+fn a_blob_with_more_chunks_than_a_tree_spans_is_bad_input() {
+    let max = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+    let frame = [&[0, 0][..], &max, &[1]].concat();
+    let create = VmReq::CreateBlob {
+        size: u64::MAX,
+        chunk_size: 1,
+    };
+    let why = "blob size has more chunks than a metadata tree can span";
+    assert_eq!(
+        serve_decoded(&frame, Req::Vm(create)),
+        Resp::Vm(VmResp::Created(Err(BlobError::BadInput(why))))
+    );
+}
+
+#[test]
+fn an_allocation_no_reply_frame_could_carry_is_bad_input() {
+    let frame = [
+        1, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0, 1, 0,
+    ];
+    let allocate = PmReq::Allocate {
+        n: usize::MAX / 2,
+        chunk_bytes: 0,
+        replication: 1,
+        down: vec![],
+    };
+    let why = "allocation larger than one reply frame";
+    assert_eq!(
+        serve_decoded(&frame, Req::Pm(allocate)),
+        Resp::Pm(PmResp::Allocated(Err(BlobError::BadInput(why))))
+    );
 }
