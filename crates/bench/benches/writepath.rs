@@ -9,6 +9,10 @@
 //! transfer + provider put + disk write; batched, each provider receives
 //! its whole group as one transfer, one shard acquisition and one disk
 //! write.
+//!
+//! The `content_digest` group times the dedup key every dirty chunk pays
+//! before a commit sends anything: the weak digest against SHA-256 over
+//! the same literal 64 KiB chunk, so their ratio is runner-immune.
 
 use bff_blobseer::{BlobConfig, BlobStore, BlobTopology, Client, ReplicationMode, Version};
 use bff_data::Payload;
@@ -103,5 +107,29 @@ fn bench_paper_scale_commit(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cold_write_sweep, bench_paper_scale_commit);
+fn bench_content_digest(c: &mut Criterion) {
+    // One literal (heap-backed) chunk, as a guest write leaves it.
+    let chunk = Payload::from(
+        (0..64u32 << 10)
+            .map(|i| (i * 131 + 7) as u8)
+            .collect::<Vec<u8>>(),
+    );
+
+    let mut group = c.benchmark_group("content_digest");
+    group.throughput(Throughput::Bytes(chunk.len()));
+    for (name, strong) in [
+        ("sha256_literal_chunk", true),
+        ("weak_literal_chunk", false),
+    ] {
+        group.bench_function(name, |b| b.iter(|| chunk.content_digest(strong)));
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_cold_write_sweep,
+    bench_paper_scale_commit,
+    bench_content_digest
+);
 criterion_main!(benches);

@@ -61,6 +61,7 @@ const CRITERION: &str = "bench-results.jsonl";
 const GATES: &[Gate] = &[
     gate("BENCH_2.json", CRITERION, "read: vectored read_multi vs per-run reads", "cold_boot_sweep_speedup", "cold_boot_sweep_floor"),
     gate("BENCH_2.json", CRITERION, "write: fan-out batched vs sequential pushes", "cold_write_sweep_speedup_fanout", "cold_write_sweep_floor"),
+    gate("BENCH_2.json", CRITERION, "digest: weak dedup key vs SHA-256 per literal chunk", "weak_digest_speedup_vs_sha256", "weak_digest_speedup_floor"),
     gate("BENCH_3.json", "dedup_summary.json", "dedup: provider bytes written, off ÷ on", "dedup_stored_reduction", "dedup_stored_floor"),
     gate("BENCH_3.json", "dedup_summary.json", "dedup: network bytes, off ÷ on", "dedup_network_reduction", "dedup_network_floor"),
     gate("BENCH_3.json", "dedup_summary.json", "node cache: descriptor hit rate", "desc_hit_rate", "desc_hit_rate_floor"),
@@ -89,6 +90,11 @@ const CRITERION_RATIOS: &[(&str, &str, &str)] = &[
         "cold_write_sweep_speedup_fanout",
         "cold_write_sweep/sequential_push",
         "cold_write_sweep/fanout_batched",
+    ),
+    (
+        "weak_digest_speedup_vs_sha256",
+        "content_digest/sha256_literal_chunk",
+        "content_digest/weak_literal_chunk",
     ),
 ];
 
@@ -320,6 +326,8 @@ mod tests {
             line("cold_boot_sweep/read_multi", 200.0),
             line("cold_write_sweep/sequential_push", 300.0),
             line("cold_write_sweep/fanout_batched", 150.0),
+            line("content_digest/sha256_literal_chunk", 450.0),
+            line("content_digest/weak_literal_chunk", 9.0),
         ]
         .concat();
         let summary = criterion_summary(&jsonl);
@@ -327,6 +335,10 @@ mod tests {
         assert_eq!(
             json_number(&summary, "cold_write_sweep_speedup_fanout"),
             Some(2.0)
+        );
+        assert_eq!(
+            json_number(&summary, "weak_digest_speedup_vs_sha256"),
+            Some(50.0)
         );
         // A ratio with a bench missing from the results is absent, so
         // the loop reports it missing.

@@ -163,11 +163,12 @@ pub struct BlobConfig {
     /// predicted chunk twice.
     pub chunk_cache_bytes: u64,
     /// Use the cryptographic (SHA-256) content digest for the dedup
-    /// index instead of 64-bit FNV: the collision-resistant mode. Either
-    /// way a hit is validated by the provider storing the chunk, which
-    /// compares the key with the length and digest of its stored bytes;
-    /// with this on that proves content equality rather than 64-bit
-    /// digest equality. Off by default: FNV is the reference behaviour.
+    /// index instead of 64-bit XXH64: the collision-resistant mode.
+    /// Either way a hit is validated by the provider storing the chunk,
+    /// which compares the key with the length and digest of its stored
+    /// bytes; with this on that proves content equality rather than
+    /// 64-bit digest equality. Off by default: XXH64 is the reference
+    /// behaviour.
     pub strong_digest: bool,
     /// Ignored; kept only for the benchmark's struct literal (ROADMAP
     /// 1(c)).

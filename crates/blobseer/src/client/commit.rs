@@ -792,9 +792,10 @@ mod tests {
         let (blob, v1) = client.upload(Payload::synth(98, 0, 512)).unwrap(); // ids 1..=4
         let a = Payload::synth(99, 0, 128);
         let b = Payload::from(vec![0x5Au8; 128]);
-        let v2 = client.write_chunks(blob, v1, vec![(0, a.clone())]).unwrap(); // id 5 stores A
-                                                                               // Poison the digest index: claim B's content key maps to the
-                                                                               // chunk storing A — a simulated 64-bit digest collision.
+        // Chunk id 5 stores A.
+        let v2 = client.write_chunks(blob, v1, vec![(0, a.clone())]).unwrap();
+        // Poison the digest index: claim B's content key maps to the
+        // chunk storing A — a simulated 64-bit digest collision.
         let prov = client
             .store()
             .topology()

@@ -27,7 +27,8 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-/// Framing overhead per record: u32 length + u64 checksum.
+/// Framing overhead per record: u32 length + u64 checksum. The checksum
+/// is [`fnv64`], part of the persisted format.
 pub const RECORD_HEADER: u64 = 12;
 
 /// Upper bound on a single record's payload. Anything larger in a
@@ -37,6 +38,11 @@ pub const MAX_RECORD: u32 = 256 << 20;
 
 /// FNV-1a 64-bit over `data` — the record checksum. Not cryptographic;
 /// it exists to catch torn writes and bit rot, not adversaries.
+///
+/// This is the persisted checksum of every segment and journal record,
+/// pinned by the data directory under `tests/fixtures/wire_golden/`, and
+/// deliberately not the dedup digest ([`crate::digest::Digest`]):
+/// changing it needs a versioned segment and journal header.
 pub fn fnv64(data: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in data {

@@ -400,7 +400,7 @@ impl Payload {
     }
 
     /// The digest half of this payload's dedup [`crate::ContentKey`]:
-    /// weak (FNV-64) or strong (SHA-256, collision-resistant).
+    /// weak (64-bit XXH64) or strong (SHA-256, collision-resistant).
     pub fn content_digest(&self, strong: bool) -> crate::ContentDigest {
         if strong {
             crate::ContentDigest::Strong(self.digest_sha256())

@@ -6,7 +6,7 @@
 //! for the *strong* content-addressing mode of the dedup pipeline
 //! ([`crate::digest::ContentDigest::Strong`]): with a collision-resistant
 //! digest, a provider-validated index hit proves content equality, where
-//! the 64-bit FNV key proves only digest equality.
+//! the 64-bit XXH64 key proves only digest equality.
 //!
 //! The implementation is the straightforward streaming one — incremental
 //! `update` over a 64-byte block buffer — validated against the FIPS
