@@ -1,7 +1,7 @@
-//! Wall-clock serving-mode load generator: hundreds of concurrent
-//! boot/snapshot/GC clients hammering one repository deployment on a
-//! [`bff_net::ThreadFabric`] — real OS threads, real locks, modelled
-//! network/disk costs compressed 20× (`ThreadParams::serving`).
+//! Wall-clock load generator: hundreds of concurrent boot/snapshot/GC
+//! clients hammering one repository deployment on a
+//! [`bff_net::LocalFabric`] — real OS threads, real locks, and, in the
+//! rows that have them, real sockets and fsync.
 //!
 //! The workload is [`bff_bench::storm`], replayed identically under
 //! every row of one of two tables of deployments. The table is named on
@@ -234,8 +234,7 @@ fn main() {
     rows.retain(|r| which == "all" || which == r.label);
     assert!(!rows.is_empty(), "{}: no row named {which:?}", axis.table);
     println!(
-        "{} ({which}): {clients} client threads x {BOOTS} boots over {} nodes \
-         (ThreadFabric serving profile, 20x time compression)",
+        "{} ({which}): {clients} client threads x {BOOTS} boots over {} nodes",
         axis.table, SERVING.nodes
     );
     let measured: Vec<Measured> = rows.into_iter().map(|r| measure(r, clients)).collect();

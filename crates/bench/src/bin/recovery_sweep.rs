@@ -45,7 +45,7 @@ use bff_cloud::backend::BackendError;
 use bff_cloud::middleware::Cloud;
 use bff_data::{Payload, Sha256Digest};
 use bff_net::transport::{RouteTable, SocketTransport};
-use bff_net::{Fabric, ThreadFabric};
+use bff_net::LocalFabric;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -187,7 +187,7 @@ fn main() {
     let mut mgr_proc = Some(mgr);
     let mut prov_proc = Some(prov);
 
-    let fabric = ThreadFabric::new(RECOVERY.params());
+    let fabric = LocalFabric::new(RECOVERY.nodes as usize + 1);
     let connect = |addrs: &_| {
         let table = RouteTable::from_roles(addrs).expect("every role announced");
         let transport = Arc::new(SocketTransport::new(table));
@@ -261,7 +261,6 @@ fn main() {
             tally.retries += t.retries;
         }
     });
-    fabric.quiesce();
 
     // Post-restart write liveness: the recovered cluster must still
     // accept and serve brand-new data.

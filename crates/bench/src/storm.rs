@@ -18,8 +18,9 @@ use bff_cloud::params::Calibration;
 use bff_cloud::vm::vm_write_payload;
 use bff_data::Payload;
 use bff_net::transport::{RouteTable, SocketTransport, Transport};
-use bff_net::{Fabric, NodeId, ThreadFabric, ThreadParams};
+use bff_net::{Fabric, LocalFabric, NodeId};
 use parking_lot::Mutex;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -173,11 +174,6 @@ impl Shape {
         (0..self.nodes).map(NodeId).collect()
     }
 
-    /// The fabric of a deployment of this shape (compute + service).
-    pub fn params(&self) -> ThreadParams {
-        ThreadParams::serving(self.nodes as usize + 1)
-    }
-
     /// The base image every storm starts from.
     pub fn base_image(&self) -> Payload {
         Payload::synth(0x5EED, 0, self.image)
@@ -230,7 +226,7 @@ pub fn round(
 pub struct Outcome {
     /// Per-boot wall latencies, µs, ascending.
     pub boot_us: Vec<u64>,
-    /// First arrival to fabric quiescence.
+    /// First arrival to the last client thread's join.
     pub wall_s: f64,
 }
 
@@ -250,8 +246,8 @@ impl Outcome {
 /// The closed-loop storm: upload the base image, then `clients` threads
 /// each run `rounds` rounds against the rotation with heavy-tailed gaps
 /// between them, publishing what their rounds hand back. The clock
-/// stops once the fabric's detached prefetch work has drained, so
-/// counters read afterwards are final.
+/// stops when the last client joins; read-ahead runs inline on the
+/// booting thread, so counters read afterwards are final.
 pub fn run(cloud: &Cloud, shape: &Shape, clients: usize, rounds: usize) -> Outcome {
     let base = cloud.upload_image(shape.base_image()).expect("upload");
     let rotation = Rotation::new(base, shape.rotation);
@@ -282,7 +278,6 @@ pub fn run(cloud: &Cloud, shape: &Shape, clients: usize, rounds: usize) -> Outco
             boot_us.extend(h.join().expect("client thread"));
         }
     });
-    cloud.fabric().quiesce();
     let wall_s = started.elapsed().as_secs_f64();
     boot_us.sort_unstable();
     Outcome { boot_us, wall_s }
@@ -344,7 +339,7 @@ pub fn server_specs(shape: &Shape, cfg: &BlobConfig) -> [ServerSpec; 2] {
 /// A cloud attached to servers in other processes through `transport`.
 pub fn attach(
     shape: &Shape,
-    fabric: Arc<ThreadFabric>,
+    fabric: Arc<LocalFabric>,
     cfg: BlobConfig,
     transport: Arc<SocketTransport>,
 ) -> Cloud {
@@ -359,10 +354,10 @@ pub fn attach(
     Cloud::with_store(store, fabric, compute, service, Calibration::default())
 }
 
-/// Stand up one deployment of `shape` on a fresh [`ThreadFabric`] with
-/// the shape's parameters.
+/// Stand up one deployment of `shape` on a fresh [`LocalFabric`] over
+/// its compute nodes and service node.
 pub fn deploy(shape: &Shape, cfg: BlobConfig, hosting: Hosting) -> Deployment {
-    let fabric = ThreadFabric::new(shape.params());
+    let fabric = LocalFabric::new(shape.nodes as usize + 1);
     let compute = shape.compute();
     let service = NodeId(shape.nodes);
     let mut servers = Vec::new();
@@ -402,14 +397,26 @@ pub fn deploy(shape: &Shape, cfg: BlobConfig, hosting: Hosting) -> Deployment {
 }
 
 /// Client threads of a storm: `--clients N`, else the scale's default.
+/// A count that is not a positive integer exits 2 naming the flag.
 pub fn clients(scale: RunScale, paper: usize, mini: usize) -> usize {
     match arg_value("--clients") {
-        Some(n) => n.parse().expect("--clients takes an integer"),
+        Some(n) => parse_clients(&n).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }),
         None => match scale {
             RunScale::Paper => paper,
             RunScale::Mini => mini,
         },
     }
+}
+
+/// The value of `--clients`: a storm needs at least one client.
+fn parse_clients(value: &str) -> Result<usize, String> {
+    value
+        .parse::<NonZeroUsize>()
+        .map(NonZeroUsize::get)
+        .map_err(|_| format!("--clients takes a positive integer, not {value:?}"))
 }
 
 #[cfg(test)]
@@ -451,6 +458,15 @@ mod tests {
             rotation.recent.lock()[1..],
             [37, 38, 39].map(|v| (BlobId(v), Version(1)))
         );
+    }
+
+    #[test]
+    fn client_counts_are_positive_integers() {
+        assert_eq!(parse_clients("64"), Ok(64));
+        for bad in ["0", "many", "-3", ""] {
+            let err = parse_clients(bad).unwrap_err();
+            assert!(err.contains("--clients"), "{err}");
+        }
     }
 
     #[test]

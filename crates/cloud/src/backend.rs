@@ -87,10 +87,12 @@ pub trait ImageBackend: Send {
     }
     /// Notification that the guest is entering a compute burst of `us`
     /// microseconds. A backend with background work (the mirror's
-    /// adaptive prefetcher) uses it to kick *detached* read-ahead whose
-    /// transfers then hide behind the burst; the hypervisor always
-    /// charges the compute itself afterwards, so a backend must never
-    /// block here. The default does nothing.
+    /// adaptive prefetcher) uses it to kick *detached* read-ahead; the
+    /// hypervisor always charges the compute itself afterwards. On the
+    /// simulator the read-ahead's transfers hide behind the burst; on
+    /// `LocalFabric` detached work runs inline, so the step completes
+    /// on the guest's thread before this returns. The default does
+    /// nothing.
     fn idle(&mut self, _us: u64) -> Result<(), BackendError> {
         Ok(())
     }
@@ -190,10 +192,10 @@ impl ImageBackend for MirrorBackend {
     }
 
     fn idle(&mut self, _us: u64) -> Result<(), BackendError> {
-        // Kick one background read-ahead step (the §3.1.3
-        // adaptive-prefetch overlap): the step runs detached, so the
-        // compute burst is still charged by the hypervisor — prefetch
-        // transfers hide behind it instead of extending it.
+        // Kick one read-ahead step (the §3.1.3 adaptive-prefetch
+        // overlap). On the simulator it runs detached and its transfers
+        // hide behind the compute burst the hypervisor charges next; on
+        // `LocalFabric` it runs inline, before this returns.
         self.img.poke_prefetch();
         Ok(())
     }

@@ -344,10 +344,13 @@ impl MirroredImage {
     /// pokes this at every guest compute burst: if the board predicts
     /// unconsumed chunks and no step is already in flight, one bounded
     /// step ([`bff_blobseer::BlobConfig::prefetch_window`] chunks) is
-    /// started as *background* work on the fabric — the guest's own
-    /// timeline continues immediately, and on the simulator the
-    /// prefetch transfers contend with (and hide behind) the guest's
-    /// compute and demand I/O instead of extending them.
+    /// handed to [`Fabric::spawn_detached`]. On the simulator that is a
+    /// concurrent process: the guest's timeline continues at once, and
+    /// the prefetch transfers contend with (and hide behind) its compute
+    /// and demand I/O instead of extending them. On
+    /// [`LocalFabric`](bff_net::LocalFabric) the step runs inline on the
+    /// calling thread, so this returns only after the step has fetched
+    /// its window.
     ///
     /// Returns whether a step was started. `false` — starting nothing
     /// and charging nothing — when prefetching is off, no peer pattern

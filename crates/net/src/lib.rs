@@ -20,11 +20,9 @@
 //! snapshot — no experiment-specific instrumentation is needed.
 
 pub mod stats;
-pub mod thread_fabric;
 pub mod transport;
 
 pub use stats::{NodeTraffic, TrafficStats};
-pub use thread_fabric::{ThreadDiskParams, ThreadFabric, ThreadParams};
 pub use transport::{
     CodecTransport, FrameHandler, FrameServer, Role, RouteKey, RouteTable, SocketTransport,
     Transport, WireError, WireStats,
@@ -99,8 +97,8 @@ impl std::error::Error for NetError {}
 /// Implementations must be safe to call from many threads (the in-process
 /// stack uses real threads; the simulator uses coroutine processes).
 pub trait Fabric: Send + Sync {
-    /// Current time in microseconds. Virtual time for simulators; a
-    /// monotonic wall clock (or 0) for local fabrics.
+    /// Current time in microseconds: virtual time on the simulator, 0 on
+    /// the cost-free [`LocalFabric`].
     fn now_us(&self) -> u64;
 
     /// Move `bytes` from `src` to `dst`, blocking the caller until the
@@ -170,13 +168,6 @@ pub trait Fabric: Send + Sync {
     fn spawn_detached(&self, task: Box<dyn FnOnce() + Send + 'static>) {
         task();
     }
-
-    /// Block until all work started with [`Fabric::spawn_detached`] has
-    /// finished. Sweeps call this before snapshotting [`TrafficStats`] so
-    /// detached read-ahead cannot mutate counters mid-read. Fabrics whose
-    /// `spawn_detached` runs inline (or inside a simulation that is driven
-    /// to completion anyway) have nothing to drain: the default is a no-op.
-    fn quiesce(&self) {}
 
     /// Whether a node is marked failed (fail-stop model).
     fn is_down(&self, _node: NodeId) -> bool {

@@ -1,13 +1,11 @@
-//! Cross-fabric conformance: every [`Fabric`] implementation — the
-//! cost-free [`LocalFabric`], the virtual-time `SimFabric` and the
-//! wall-clock [`ThreadFabric`] — must account the *same* op sequence
-//! identically in [`TrafficStats`]. The three fabrics may disagree on
-//! when an operation completes, never on what moved. This is the
-//! invariant that lets the sweeps compare logical traffic across
-//! execution modes, and lets `load_sweep` trust that its locking
-//! disciplines differ only in wall-clock behaviour.
+//! Cross-fabric conformance: both [`Fabric`] implementations — the
+//! cost-free [`LocalFabric`] and the virtual-time `SimFabric` — must
+//! account the *same* op sequence identically in [`TrafficStats`]. The
+//! two fabrics may disagree on when an operation completes, never on
+//! what moved. This is the invariant that lets the sweeps compare
+//! logical traffic across execution modes.
 
-use bff_net::{Fabric, LocalFabric, NodeId, NodeTraffic, ThreadFabric, ThreadParams, Transfer};
+use bff_net::{Fabric, LocalFabric, NodeId, NodeTraffic, Transfer};
 use bff_sim::{ClusterParams, SimCluster};
 use std::sync::Arc;
 
@@ -55,7 +53,6 @@ fn drive(fabric: &Arc<dyn Fabric>) {
     fabric.spawn_detached(Box::new(move || {
         c.transfer(NodeId(2), NodeId(3), 9_000).unwrap();
     }));
-    fabric.quiesce();
 }
 
 /// Everything [`TrafficStats`] records, in comparable form.
@@ -90,45 +87,8 @@ fn all_fabrics_account_the_same_sequence_identically() {
     assert!(end_us > 0, "the modelled costs must consume virtual time");
     let sim_snap = snapshot(&sim_fabric);
 
-    // Wall-clock fabric: real threads, real sleeps (fast profile so the
-    // test stays quick), drained by quiesce inside drive().
-    let threads: Arc<dyn Fabric> = ThreadFabric::new(ThreadParams::fast(NODES));
-    drive(&threads);
-    let thread_snap = snapshot(&threads);
-
     assert_eq!(
         local_snap, sim_snap,
         "SimFabric accounting diverged from LocalFabric"
     );
-    assert_eq!(
-        local_snap, thread_snap,
-        "ThreadFabric accounting diverged from LocalFabric"
-    );
-}
-
-#[test]
-fn quiesce_is_a_barrier_for_detached_work_on_every_fabric() {
-    // After quiesce, detached transfers must be visible in the stats —
-    // on the thread fabric that means the pool actually drained; on the
-    // others spawn_detached is inline or engine-driven.
-    for (label, fabric) in [
-        ("local", LocalFabric::new(NODES) as Arc<dyn Fabric>),
-        (
-            "threads",
-            ThreadFabric::new(ThreadParams::fast(NODES)) as Arc<dyn Fabric>,
-        ),
-    ] {
-        for i in 0..8u64 {
-            let f = Arc::clone(&fabric);
-            fabric.spawn_detached(Box::new(move || {
-                f.transfer(NodeId(0), NodeId(1), 1_000 + i).unwrap();
-            }));
-        }
-        fabric.quiesce();
-        assert_eq!(
-            fabric.stats().transfer_count(),
-            8,
-            "{label}: quiesce returned before detached work finished"
-        );
-    }
 }

@@ -7,7 +7,6 @@
 use bff::cloud::backend::{ImageBackend, MirrorBackend, QcowPvfsBackend, RawLocalBackend};
 use bff::cloud::params::Calibration;
 use bff::cloud::vm::{expected_image, run_vm_trace};
-use bff::net::{ThreadFabric, ThreadParams};
 use bff::prelude::*;
 use bff::pvfs::{Pvfs, PvfsClient, PvfsConfig};
 use bff::sim::{ClusterParams, SimCluster};
@@ -186,7 +185,6 @@ fn cloud_workload_via(
         }
     }
     cloud.terminate_instance(doomed.unwrap()).unwrap();
-    fabric.quiesce();
     let stats = fabric.stats();
     let cache = cloud.metrics().cache;
     let wire = cloud.store().wire_stats();
@@ -205,9 +203,9 @@ fn cloud_workload_via(
 }
 
 #[test]
-fn sim_and_thread_fabrics_agree_on_all_logical_outcomes() {
+fn sim_and_local_fabrics_agree_on_all_logical_outcomes() {
     // The virtual-time simulator runs the workload as a simulated
-    // process; the wall-clock thread fabric runs it natively. Blob
+    // process; the cost-free local fabric runs it natively. Blob
     // contents AND every logical counter — bytes moved, transfer/rpc
     // counts, dedup hits — must match exactly; only timing may differ.
     let cluster = SimCluster::new(ClusterParams::grid5000(5));
@@ -221,15 +219,14 @@ fn sim_and_thread_fabrics_agree_on_all_logical_outcomes() {
     assert!(cluster.run() > 0, "the simulated run consumed virtual time");
     let sim_outcome = sim_outcome.lock().take().expect("sim ran");
 
-    let thread_outcome =
-        cloud_workload(ThreadFabric::new(ThreadParams::fast(5)) as Arc<dyn Fabric>);
+    let local_outcome = cloud_workload(LocalFabric::new(5));
 
     assert_eq!(
-        sim_outcome, thread_outcome,
+        sim_outcome, local_outcome,
         "fabrics may differ in timing, never in logical outcomes"
     );
     // And the workload was non-trivial on both sides.
-    assert!(thread_outcome.network_bytes > 0 && thread_outcome.dedup_hits > 0);
+    assert!(local_outcome.network_bytes > 0 && local_outcome.dedup_hits > 0);
 }
 
 #[test]
@@ -243,12 +240,7 @@ fn direct_codec_and_socket_transports_agree_on_all_logical_outcomes() {
     // transfer/rpc counts, dedup hits) must match exactly.
     use bff::blobseer::TransportMode;
 
-    let run = |mode| {
-        cloud_workload_via(
-            ThreadFabric::new(ThreadParams::fast(5)) as Arc<dyn Fabric>,
-            mode,
-        )
-    };
+    let run = |mode| cloud_workload_via(LocalFabric::new(5), mode);
     let (direct, direct_wire) = run(TransportMode::Direct);
     let (codec, codec_wire) = run(TransportMode::Codec);
     let (socket, socket_wire) = run(TransportMode::Socket);
