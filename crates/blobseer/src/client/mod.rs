@@ -35,11 +35,11 @@
 //! — is one `step::Step`: build the batch grouped by destination (in
 //! ascending order), decide per destination whether to ask it and pay
 //! its fabric charge, send every request in one
-//! [`BlobStore::call_many`](crate::service::BlobStore) (one wait for
-//! the step), and settle each destination's validated reply — one
-//! answer per item, or that destination failed. The replication push is
-//! the one exception: its per-destination transfer → put → disk-write
-//! order is what the simulated figures time.
+//! [`BlobStore::call_many`](crate::service::BlobStore) (one frame and
+//! one wait for the step), and settle each destination's validated
+//! reply — one answer per item, or that destination failed. The
+//! replication push is the one exception: its per-destination transfer
+//! → put → disk-write order is what the simulated figures time.
 
 use crate::api::{BlobConfig, BlobId, BlobResult, Version};
 use crate::board;

@@ -4,9 +4,10 @@
 //! requests, charges and settles run in a deterministic order), asks
 //! each destination once whether it takes part — where the step pays
 //! its per-destination fabric charge or skips a destination it cannot
-//! reach — sends every request in one [`BlobStore::call_many`], and
-//! hands each group back with its reply, validated: one answer per
-//! item, or the destination counts as failed.
+//! reach — sends every request in one [`BlobStore::call_many`] (behind
+//! a transport hop, one frame for the step: its destinations are all of
+//! one server role), and hands each group back with its reply,
+//! validated: one answer per item, or the destination counts as failed.
 
 use crate::api::BlobResult;
 use crate::service::{BlobStore, Fetched};

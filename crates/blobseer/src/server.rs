@@ -36,6 +36,7 @@ use bff_wire::msg::{
     ProviderReq, ProviderResp, Req, Resp, VersionInfo, VmReq, VmResp,
 };
 use bff_wire::types::BlobError;
+use bff_wire::Flat;
 use parking_lot::{Mutex, RwLock};
 use std::path::Path;
 use std::sync::Arc;
@@ -299,10 +300,11 @@ impl ServerState {
     /// The `bff_net::FrameHandler` entry point: decode one request
     /// frame, dispatch it, encode the reply. `route` is the listener the
     /// frame arrived on; a frame whose payload addresses a different
-    /// role class is rejected as corrupt (misrouted) rather than served.
+    /// role class — a batch with one such entry included — is rejected
+    /// as corrupt (misrouted) rather than served.
     pub fn handle_frame(&self, route: RouteKey, frame: &[u8]) -> Result<Vec<u8>, WireError> {
         let req: Req = bff_wire::decode(frame)?;
-        if req.route().role() != route.role() {
+        if !req.is_for(route.role()) {
             return Err(WireError::BadFrame);
         }
         let resp = self.dispatch(req)?;
@@ -316,6 +318,12 @@ impl ServerState {
     /// ([`WireError::BadFrame`]); a request for an *unknown provider
     /// node* is answered by `ProviderStore` as an absent chunk / rejected
     /// op, which is what the clients' per-chunk failover expects.
+    ///
+    /// A batch is served entry by entry, in order, on the calling
+    /// thread — each entry exactly as its own frame would be, locks,
+    /// journal appends and durability barriers included — and answered
+    /// with every entry's outcome. An entry that is itself a batch is an
+    /// addressing error: decoding never produces one.
     pub fn dispatch(&self, req: Req) -> Result<Resp, WireError> {
         Ok(match req {
             Req::Vm(q) => Resp::Vm(self.dispatch_vm(q)),
@@ -330,6 +338,14 @@ impl ServerState {
             Req::Provider { node, req } => Resp::Provider(self.dispatch_provider(node, req)),
             Req::Board(q) => Resp::Board(self.dispatch_board(q)),
             Req::Cluster(q) => Resp::Cluster(self.dispatch_cluster(q)),
+            Req::Batch(Flat(reqs)) => Resp::Batch(Flat(
+                reqs.into_iter()
+                    .map(|req| match req {
+                        Req::Batch(_) => Err(WireError::BadFrame),
+                        req => self.dispatch(req),
+                    })
+                    .collect(),
+            )),
         })
     }
 
@@ -645,6 +661,57 @@ mod tests {
         assert_eq!(
             resp,
             Resp::Vm(VmResp::Latest(Err(BlobError::NoSuchBlob(BlobId(1)))))
+        );
+    }
+
+    fn read_nodes(shard: u32) -> Req {
+        Req::Meta {
+            shard,
+            req: MetaReq::ReadNodes(Vec::new()),
+        }
+    }
+
+    /// A batch is answered entry by entry, each as its own frame would
+    /// be — an addressing error included — and an empty one with an
+    /// empty reply.
+    #[test]
+    fn a_batch_is_answered_per_entry() {
+        let s = state();
+        let serve = |reqs: Vec<Req>| {
+            let frame = bff_wire::encode(&Req::Batch(Flat(reqs)));
+            let reply = s.handle_frame(RouteKey::Meta(0), &frame).unwrap();
+            bff_wire::decode::<Resp>(&reply).unwrap()
+        };
+        assert_eq!(serve(Vec::new()), Resp::Batch(Flat(Vec::new())));
+        let nodes = Resp::Meta(MetaResp::Nodes(Ok(Vec::new())));
+        assert_eq!(
+            serve(vec![read_nodes(2), read_nodes(99), read_nodes(0)]),
+            Resp::Batch(Flat(vec![
+                Ok(nodes.clone()),
+                Err(WireError::BadFrame),
+                Ok(nodes)
+            ]))
+        );
+    }
+
+    /// One entry for another role makes the whole batch misrouted:
+    /// nothing of it is served.
+    #[test]
+    fn a_batch_with_an_entry_for_another_role_is_misrouted() {
+        let s = state();
+        let create = Req::Vm(VmReq::CreateBlob {
+            size: 1024,
+            chunk_size: 256,
+        });
+        let frame = bff_wire::encode(&Req::Batch(Flat(vec![read_nodes(0), create])));
+        assert_eq!(
+            s.handle_frame(RouteKey::Meta(0), &frame).unwrap_err(),
+            WireError::BadFrame
+        );
+        assert_eq!(
+            s.dispatch(Req::Vm(VmReq::Latest(BlobId(1)))).unwrap(),
+            Resp::Vm(VmResp::Latest(Err(BlobError::NoSuchBlob(BlobId(1))))),
+            "the batch's blob was never created"
         );
     }
 }

@@ -41,13 +41,15 @@ use crate::provider::ProviderStore;
 use crate::server::ServerState;
 use bff_data::{ContentKey, FastMap, FastSet, Payload};
 use bff_net::transport::{
-    CodecTransport, FrameServer, Role, RouteTable, SocketTransport, Transport, WireError, WireStats,
+    CodecTransport, FrameServer, Role, RouteKey, RouteTable, SocketTransport, Transport, WireError,
+    WireStats,
 };
 use bff_net::{Fabric, NodeId};
 use bff_wire::msg::{
     unexpected_resp, BoardReq, BoardResp, BoardSync, ClusterReq, ClusterResp, DeleteOutcome, PmReq,
     PmResp, ProviderReq, ProviderResp, Req, Resp, VersionInfo, VmReq, VmResp,
 };
+use bff_wire::Flat;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -206,11 +208,17 @@ impl BlobStore {
     /// destinations. `steps` yields each destination's tag with its
     /// request — `None` for a destination the step does not ask — and
     /// `sink` gets every tag back, in order, with its outcome (`None`
-    /// when not asked). Behind a transport hop the requests travel as
-    /// one [`Transport::call_many`] batch: one wait for the step, not one
-    /// per destination. Without a hop there is nothing to wait for, so
-    /// each request is dispatched as `steps` produces it and no request
-    /// or reply is ever collected.
+    /// when not asked).
+    ///
+    /// Behind a transport hop the step sends one frame per server role:
+    /// two or more requests for one role travel as one [`Req::Batch`]
+    /// (a role's listener serves every destination of its class), a
+    /// lone request as its own frame, and all of the step's frames go
+    /// out in one [`Transport::call_many`] — one wait for the step, not
+    /// one per destination. A batch reply is decoded once, so the chunks
+    /// it carries are views into its one buffer. Without a hop there is
+    /// nothing to wait for, so each request is dispatched as `steps`
+    /// produces it and no request or reply is ever collected.
     pub(crate) fn call_many<T>(
         &self,
         steps: impl Iterator<Item = (T, Option<Req>)>,
@@ -223,24 +231,51 @@ impl BlobStore {
             });
             return;
         };
-        let steps: Vec<_> = steps
-            .map(|(tag, req)| (tag, req.map(|req| (req.route(), bff_wire::encode(&req)))))
+        // Each asked tag remembers its role's group; a group's requests
+        // and outcomes keep the order of its tags.
+        let mut groups: Vec<(RouteKey, Vec<Req>)> = Vec::new();
+        let steps: Vec<(T, Option<usize>)> = steps
+            .map(|(tag, req)| {
+                let group = req.map(|req| {
+                    let route = req.route();
+                    let at = match groups.iter().position(|(r, _)| r.role() == route.role()) {
+                        Some(at) => at,
+                        None => {
+                            groups.push((route, Vec::new()));
+                            groups.len() - 1
+                        }
+                    };
+                    groups[at].1.push(req);
+                    at
+                });
+                (tag, group)
+            })
             .collect();
-        let calls: Vec<_> = steps
+        let frames: Vec<(RouteKey, usize, Vec<u8>)> = groups
+            .into_iter()
+            .map(|(route, reqs)| {
+                let n = reqs.len();
+                let frame = if n == 1 {
+                    bff_wire::encode(&reqs[0])
+                } else {
+                    bff_wire::encode(&Req::Batch(Flat(reqs)))
+                };
+                (route, n, frame)
+            })
+            .collect();
+        let calls: Vec<(RouteKey, &[u8])> = frames
             .iter()
-            .filter_map(|(_, frame)| frame.as_ref())
-            .map(|(route, frame)| (*route, frame.as_slice()))
+            .map(|(route, _, frame)| (*route, frame.as_slice()))
             .collect();
-        let mut replies = transport.call_many(&calls).into_iter();
-        for (tag, frame) in steps {
-            let reply = frame.map(|_| {
-                replies
-                    .next()
-                    .unwrap_or(Err(WireError::Closed))
-                    .and_then(bff_wire::decode_owned::<Resp>)
-                    .map_err(Into::into)
-            });
-            sink(tag, reply);
+        let replies = transport.call_many(&calls);
+        let mut outcomes: Vec<_> = frames
+            .iter()
+            .zip(replies)
+            .map(|((_, n, _), reply)| unbatch(reply, *n).into_iter())
+            .collect();
+        for (tag, group) in steps {
+            let outcome = group.map(|at| outcomes[at].next().expect("one outcome per request"));
+            sink(tag, outcome);
         }
     }
 
@@ -596,6 +631,24 @@ impl BlobStore {
     }
 }
 
+/// The `n` outcomes carried by the reply to one frame of a step: the
+/// reply itself when the frame held one request, else the entries of
+/// its batch reply. A transport or decoding failure fails every request
+/// the frame held; a batch reply of the wrong shape is unexpected for
+/// each of them.
+fn unbatch(reply: Result<Vec<u8>, WireError>, n: usize) -> Vec<BlobResult<Resp>> {
+    let resp = reply.and_then(bff_wire::decode_owned::<Resp>);
+    match resp {
+        Ok(resp) if n == 1 => vec![Ok(resp)],
+        Ok(Resp::Batch(Flat(resps))) if resps.len() == n => resps
+            .into_iter()
+            .map(|resp| resp.map_err(Into::into))
+            .collect(),
+        Ok(_) => vec![Err(unexpected_resp()); n],
+        Err(e) => vec![Err(e.into()); n],
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -661,7 +714,9 @@ mod tests {
     }
 
     /// Error-path calls answer the same with and without a transport
-    /// hop: addressing errors are `Err`, unknown providers degrade.
+    /// hop: addressing errors are `Err`, unknown providers degrade, and
+    /// in a step that mixes a good and a bad address only the bad one
+    /// fails.
     #[test]
     fn error_paths_agree_across_transports() {
         let outcomes = |transport| {
@@ -685,13 +740,30 @@ mod tests {
                         provider(stranger, ProviderReq::ReleaseCounted(vec![ChunkId(1)])),
                     ],
                 ),
+                step(
+                    &store,
+                    vec![
+                        meta(0, MetaReq::ReadNodes(vec![NodeKey(1)])),
+                        meta(99, MetaReq::ReadNodes(vec![NodeKey(1)])),
+                    ],
+                ),
                 store.provider_fetch(stranger, vec![ChunkId(1), ChunkId(2)]),
                 store.vm_latest(BlobId(7)),
             )
         };
         let direct = outcomes(TransportMode::Direct);
         assert_eq!(direct, outcomes(TransportMode::Codec));
-        let (answers, fetched, latest) = direct;
+        assert_eq!(direct, outcomes(TransportMode::Socket));
+        let (answers, mixed, fetched, latest) = direct;
+        let missing = Err(crate::api::BlobError::MetadataMissing(NodeKey(1)));
+        assert_eq!(
+            mixed,
+            [
+                Some(Ok(Resp::Meta(MetaResp::Nodes(missing)))),
+                Some(Err(WireError::BadFrame.into()))
+            ],
+            "shard 0 answers, shard 99 is an addressing error"
+        );
         let [read, write, retained, released] = answers.try_into().expect("four outcomes");
         assert!(matches!(read, Some(Err(_))), "out-of-range shard: {read:?}");
         assert!(
@@ -714,15 +786,16 @@ mod tests {
         assert_eq!(latest, Err(crate::api::BlobError::NoSuchBlob(BlobId(7))));
     }
 
-    /// A step over several shards is one round trip behind a hop (and no
-    /// frame at all without one), with the same answers either way; a
-    /// destination the step does not ask sends nothing and gets nothing.
+    /// A step over several shards is one frame and one round trip behind
+    /// a hop (and no frame at all without one), with the same answers
+    /// either way; a destination the step does not ask sends nothing and
+    /// gets nothing.
     #[test]
     fn a_batch_step_is_one_round_trip() {
         for (transport, frames, waits) in [
             (TransportMode::Direct, 0, 0),
-            (TransportMode::Codec, 4, 2),
-            (TransportMode::Socket, 4, 2),
+            (TransportMode::Codec, 2, 2),
+            (TransportMode::Socket, 2, 2),
         ] {
             let fabric = LocalFabric::new(3);
             let nodes: Vec<NodeId> = (0..2).map(NodeId).collect();

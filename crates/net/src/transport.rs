@@ -19,10 +19,11 @@
 //!   length-prefixed frames, blocking I/O, one pooled connection set per
 //!   server address. With [`FrameServer`] listeners on the other side
 //!   the cluster runs as genuinely separate processes. A batch of frames
-//!   ([`Transport::call_many`]) is pipelined: everything bound for one
-//!   address goes out on one connection and the replies come back in
-//!   request order, so a protocol step that addresses several
-//!   destinations waits once, not once per destination.
+//!   ([`Transport::call_many`]) overlaps its listeners: each address's
+//!   first frame leaves before any reply is awaited, and a connection
+//!   carries one frame at a time. A protocol step sends at most one
+//!   frame per server role (its requests for one role share a frame),
+//!   so the step waits once, not once per destination.
 //!
 //! Frames are `u32` little-endian length followed by that many bytes of
 //! codec payload. The codec itself lives in `bff-wire`; this layer only
@@ -231,7 +232,10 @@ pub trait Transport: Send + Sync {
     /// per frame, in request order — in content exactly what mapping
     /// [`Transport::call`] over the batch returns (which is the default).
     /// A transport with a real wait per exchange overrides this to put
-    /// the whole batch in flight before waiting for the first reply.
+    /// its frames to different listeners in flight together, so the
+    /// batch costs one round trip. The caller sends one frame per server
+    /// role and step, so a batch rarely holds two frames for one
+    /// listener; when it does, they are exchanged one after another.
     fn call_many(&self, calls: &[(RouteKey, &[u8])]) -> Vec<Result<Vec<u8>, WireError>> {
         calls
             .iter()
@@ -337,86 +341,17 @@ impl RouteTable {
     }
 }
 
-/// Unanswered *request* bytes (length prefixes included) a connection may
-/// carry before the rest of its batch waits for replies.
-///
-/// The server answers a connection's frames strictly in order and stops
-/// reading while it writes a reply, and the client reads no reply until
-/// its writes are done — so a write that had to wait for the server to
-/// read would wait forever once the server waits for the client to read.
-/// Request bytes the server has not consumed sit in kernel socket
-/// buffers; 16 KiB is the smallest default send buffer among the
-/// platforms this runs on (Linux `tcp_wmem`; receive buffers, where the
-/// bytes actually land, default to 64 KiB and more), so a window within
-/// it is absorbed without the server's help. A frame larger than the
-/// window travels alone: with nothing else unanswered the server is
-/// reading, which is the single exchange this transport always did.
-/// A constant, not a setting: it bounds a deadlock, it does not tune.
-const PIPELINE_WINDOW: usize = 16 << 10;
-
-/// One address's share of a batch: its frames leave on one connection in
-/// request order and the replies return in that order.
+/// One address's share of a batch: its frames are exchanged on one
+/// connection, one after another, in request order.
 struct Lane<'a> {
     addr: SocketAddr,
     /// `(slot in the batch, frame)`, in request order.
     frames: Vec<(usize, &'a [u8])>,
     conn: Option<TcpStream>,
-    /// Frames written / replies read so far (prefixes of `frames`);
-    /// `frames[answered..sent]` are the unanswered ones.
-    sent: usize,
-    answered: usize,
 }
 
-impl Lane<'_> {
-    fn new(addr: SocketAddr) -> Self {
-        Self {
-            addr,
-            frames: Vec::new(),
-            conn: None,
-            sent: 0,
-            answered: 0,
-        }
-    }
-
-    /// Write the next frames the window admits, as one vectored write.
-    fn send_window(&mut self) -> Result<(), WireError> {
-        let mut end = self.sent;
-        let mut unanswered: usize = self.frames[self.answered..end]
-            .iter()
-            .map(|(_, frame)| 4 + frame.len())
-            .sum();
-        while let Some((_, frame)) = self.frames.get(end) {
-            let bytes = 4 + frame.len();
-            if unanswered > 0 && unanswered + bytes > PIPELINE_WINDOW {
-                break;
-            }
-            unanswered += bytes;
-            end += 1;
-        }
-        if end > self.sent {
-            let conn = self.conn.as_mut().expect("a lane sends on its connection");
-            write_frames(conn, self.frames[self.sent..end].iter().map(|&(_, f)| f))?;
-            self.sent = end;
-        }
-        Ok(())
-    }
-
-    /// Read the next reply in request order; returns the batch slot it
-    /// answers.
-    fn receive(&mut self) -> Result<(usize, Vec<u8>), WireError> {
-        let conn = self
-            .conn
-            .as_mut()
-            .expect("a lane receives on its connection");
-        let reply = read_frame(conn)?;
-        let (slot, _) = self.frames[self.answered];
-        self.answered += 1;
-        Ok((slot, reply))
-    }
-}
-
-/// Real framed TCP: blocking I/O, per-address connection pool, frames
-/// bound for one address pipelined on one connection.
+/// Real framed TCP: blocking I/O, per-address connection pool, one
+/// frame in flight per connection.
 ///
 /// Every connection — pool miss, post-[`SocketTransport::set_routes`]
 /// reconnect, and the dead-connection retry — goes through
@@ -464,16 +399,15 @@ impl SocketTransport {
     }
 
     /// The one exchange routine ([`Transport::call`] is its batch of
-    /// one). Scatter: each address gets a pooled connection and the
-    /// first window of its frames. Gather: the replies are read in
-    /// request order, each freeing window for the frames still waiting.
+    /// one). The frames are grouped by listener address into lanes.
+    /// Scatter: every lane's first frame is written before any reply is
+    /// read, so lanes to different listeners overlap. Gather: each
+    /// lane's frames are exchanged one after another on its connection,
+    /// so no connection ever carries more than one unanswered frame.
     ///
-    /// A connection is returned to the pool only when every frame
-    /// written on it has been answered — replies match requests by
-    /// position alone, so a connection with anything outstanding would
-    /// hand the next caller somebody else's reply.
+    /// A connection is returned to the pool only with nothing owed on
+    /// it: a failed exchange drops its connection.
     fn exchange(&self, calls: &[(RouteKey, &[u8])]) -> Vec<Result<Vec<u8>, WireError>> {
-        // Until its reply lands a slot reads as a lost connection.
         let mut replies: Vec<Result<Vec<u8>, WireError>> =
             calls.iter().map(|_| Err(WireError::Closed)).collect();
         let mut lanes: Vec<Lane<'_>> = Vec::new();
@@ -489,7 +423,11 @@ impl SocketTransport {
                     .iter()
                     .position(|l| l.addr == addr)
                     .unwrap_or_else(|| {
-                        lanes.push(Lane::new(addr));
+                        lanes.push(Lane {
+                            addr,
+                            frames: Vec::new(),
+                            conn: None,
+                        });
                         lanes.len() - 1
                     });
                 lanes[at].frames.push((slot, frame));
@@ -498,31 +436,24 @@ impl SocketTransport {
         if !calls.is_empty() {
             self.counters.note_round_trip();
         }
-        for lane in &mut lanes {
-            match self.checkout(lane.addr) {
-                Ok(conn) => {
-                    lane.conn = Some(conn);
-                    if let Err(e) = lane.send_window() {
-                        self.settle_broken(lane, e, &mut replies);
-                    }
+        let firsts: Vec<Result<(), WireError>> =
+            lanes.iter_mut().map(|lane| self.send(lane, 0)).collect();
+        for (lane, first) in lanes.iter_mut().zip(firsts) {
+            let mut sent = first;
+            for k in 0..lane.frames.len() {
+                if k > 0 {
+                    sent = self.send(lane, k);
                 }
-                // Nobody is listening: there is nothing to retry against.
-                Err(e) => lane
-                    .frames
-                    .drain(..)
-                    .for_each(|(slot, _)| replies[slot] = Err(e)),
-            }
-        }
-        for lane in &mut lanes {
-            while lane.answered < lane.frames.len() {
-                let step = lane.receive().and_then(|(slot, reply)| {
-                    self.counters.note(calls[slot].1.len(), reply.len());
-                    replies[slot] = Ok(reply);
-                    lane.send_window()
-                });
-                if let Err(e) = step {
-                    self.settle_broken(lane, e, &mut replies);
+                let (slot, frame) = lane.frames[k];
+                let reply = sent
+                    .and_then(|()| {
+                        read_frame(lane.conn.as_mut().expect("a sent frame's connection"))
+                    })
+                    .or_else(|e| self.retry(lane, frame, e));
+                if let Ok(reply) = &reply {
+                    self.counters.note(frame.len(), reply.len());
                 }
+                replies[slot] = reply;
             }
             if let Some(conn) = lane.conn.take() {
                 self.checkin(lane.addr, conn);
@@ -531,43 +462,37 @@ impl SocketTransport {
         replies
     }
 
-    /// A lane's connection failed with `e`: the replies already read
-    /// stand, the connection is dropped with whatever it still owed, and
-    /// every unanswered frame is settled here.
+    /// Write frame `k` of `lane` on the lane's connection, checking one
+    /// out first when the lane has none.
+    fn send(&self, lane: &mut Lane<'_>, k: usize) -> Result<(), WireError> {
+        let conn = match &mut lane.conn {
+            Some(conn) => conn,
+            None => lane.conn.insert(self.checkout(lane.addr)?),
+        };
+        write_frame(conn, lane.frames[k].1)
+    }
+
+    /// `frame`'s exchange on `lane` failed with `e`, and the lane's
+    /// connection is dropped with it.
     ///
     /// A dead connection — typically one pooled across a server restart
     /// — is indistinguishable from a dead server until a fresh connect
-    /// is tried: everything pooled for the address is evicted and each
-    /// unanswered frame gets one more exchange, alone on a new
-    /// connection (a frame that kills its connection must not take the
-    /// rest of the batch with it). Codec-level errors
+    /// is tried: everything pooled for the address is evicted and the
+    /// frame gets one more exchange, on a new connection that the lane
+    /// keeps for its next frame. Codec-level errors
     /// (Truncated/BadTag/BadFrame) are NOT retried: the bytes arrived
     /// fine and the reply was garbage, so resending cannot help.
-    fn settle_broken(
-        &self,
-        lane: &mut Lane<'_>,
-        e: WireError,
-        replies: &mut [Result<Vec<u8>, WireError>],
-    ) {
+    fn retry(&self, lane: &mut Lane<'_>, frame: &[u8], e: WireError) -> Result<Vec<u8>, WireError> {
         lane.conn = None;
-        let rest = lane.frames.split_off(lane.answered);
-        lane.sent = lane.answered;
         if !matches!(e, WireError::Closed | WireError::Io(_)) {
-            for (slot, _) in rest {
-                replies[slot] = Err(e);
-            }
-            return;
+            return Err(e);
         }
         self.pool.lock().remove(&lane.addr);
-        for (slot, frame) in rest {
-            replies[slot] = Self::connect(lane.addr).and_then(|mut conn| {
-                write_frame(&mut conn, frame)?;
-                let reply = read_frame(&mut conn)?;
-                self.counters.note(frame.len(), reply.len());
-                lane.conn = Some(conn);
-                Ok(reply)
-            });
-        }
+        let mut conn = Self::connect(lane.addr)?;
+        write_frame(&mut conn, frame)?;
+        let reply = read_frame(&mut conn)?;
+        lane.conn = Some(conn);
+        Ok(reply)
     }
 }
 
@@ -737,9 +662,8 @@ impl Drop for FrameServer {
 
 fn serve_connection(mut conn: TcpStream, route: RouteKey, handler: FrameHandler) {
     // The request buffer is reused across frames; each reply goes out
-    // as one vectored write. Frames are served strictly in order, which
-    // is what lets a client pipeline them: the k-th reply on a
-    // connection answers its k-th request.
+    // as one vectored write. Frames are served strictly in order: the
+    // k-th reply on a connection answers its k-th request.
     let mut frame = Vec::new();
     // Stop at the first failure: peer closed or corrupt stream, an
     // undecodable request, or a reply that cannot be written.
@@ -973,7 +897,7 @@ mod tests {
         let server = FrameServer::start(RouteKey::Provider(NodeId(0)), echo).unwrap();
         let t = SocketTransport::new(split_table(&server, &server));
         finishes(move || {
-            // Frames over the window travel alone: 16 MiB each way.
+            // 16 MiB each way, on one connection.
             let big: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 1 << 20]).collect();
             let calls: Vec<(RouteKey, &[u8])> = big
                 .iter()
@@ -982,9 +906,8 @@ mod tests {
             for (reply, frame) in t.call_many(&calls).into_iter().zip(&big) {
                 assert!(reply.unwrap() == *frame);
             }
-            // Small requests with large replies: the server blocks on its
-            // reply writes long before the client has sent everything,
-            // so requests beyond the window must wait their turn.
+            // Small requests with large replies: 2000 replies would
+            // overflow any socket buffer if they were all owed at once.
             let echo_big: FrameHandler = Arc::new(|_route, frame| Ok(frame.repeat(600)));
             let server = FrameServer::start(RouteKey::Vm, echo_big).unwrap();
             let t = SocketTransport::new(split_table(&server, &server));
@@ -1022,7 +945,7 @@ mod tests {
         let (replies, next, stats) = replies;
         // The two replies read before the close are kept; the frame that
         // kills its connection fails alone (its retry dies the same
-        // way); the frames behind it are retried one by one.
+        // way); the frames behind it go out on a fresh connection.
         assert_eq!(replies[0].as_deref(), Ok(&b"Meta:a"[..]));
         assert_eq!(replies[1].as_deref(), Ok(&b"Meta:b"[..]));
         assert_eq!(replies[2], Err(WireError::Closed));
@@ -1062,7 +985,7 @@ mod tests {
             let n = if round < 2 { round } else { next(12) };
             let frames: Vec<(RouteKey, Vec<u8>)> = (0..n)
                 .map(|_| {
-                    // Mostly small; some past the pipelining window.
+                    // Mostly small; some past a socket buffer.
                     let len = if next(8) == 0 {
                         next(40 << 10)
                     } else {

@@ -58,6 +58,12 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
+    /// The byte `at` positions past the cursor, without consuming it.
+    #[inline]
+    pub fn peek(&self, at: usize) -> Option<u8> {
+        self.buf.get(self.pos + at).copied()
+    }
+
     /// Next raw byte.
     #[inline]
     pub fn byte(&mut self) -> Result<u8, WireError> {
@@ -155,7 +161,9 @@ pub fn decode<T: Wire>(buf: &[u8]) -> Result<T, WireError> {
 /// transport returned: the frame becomes a shared buffer and literal
 /// payload segments are views into it, so a chunk-sized reply is not
 /// copied again on its way into a `Payload`. The whole frame stays
-/// allocated for as long as any such segment does.
+/// allocated for as long as any such segment does: the chunks of a
+/// batch reply share one buffer while any of them is cached, as the
+/// chunks of a multi-chunk `Fetch` reply always have.
 pub fn decode_owned<T: Wire>(frame: Vec<u8>) -> Result<T, WireError> {
     let frame = Bytes::from(frame);
     let mut r = Reader::shared(&frame);
@@ -224,6 +232,56 @@ impl<T: Wire> Wire for Vec<T> {
             v.push(T::dec(r)?);
         }
         Ok(v)
+    }
+}
+
+/// The entries of a batch message: a list whose entries are never
+/// batches themselves. It encodes as a `Vec`; decoding looks at each
+/// entry's tag before descending into it and rejects a nested batch
+/// there, so decoding stays one level deep whatever a frame declares —
+/// a frame of nothing but batch tags is an error, not a deep recursion.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Flat<T>(pub Vec<T>);
+
+impl<T> Default for Flat<T> {
+    fn default() -> Self {
+        Flat(Vec::new())
+    }
+}
+
+/// A type that can be an entry of a [`Flat`] list.
+pub trait FlatEntry: Wire {
+    /// If the value encoded `at` bytes past the cursor is a batch, the
+    /// error that rejects it there. Consumes nothing.
+    fn nested(r: &Reader<'_>, at: usize) -> Option<WireError>;
+}
+
+/// An outcome is nested when its `Ok` value is.
+impl<T: FlatEntry, E: Wire> FlatEntry for Result<T, E> {
+    fn nested(r: &Reader<'_>, at: usize) -> Option<WireError> {
+        (r.peek(at) == Some(0))
+            .then(|| T::nested(r, at + 1))
+            .flatten()
+    }
+}
+
+impl<T: FlatEntry> Wire for Flat<T> {
+    fn enc(&self, out: &mut Vec<u8>) {
+        self.0.enc(out);
+    }
+    fn dec(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let n = usize::dec(r)?;
+        if n > r.remaining() {
+            return Err(WireError::Truncated);
+        }
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            if let Some(e) = T::nested(r, 0) {
+                return Err(e);
+            }
+            v.push(T::dec(r)?);
+        }
+        Ok(Flat(v))
     }
 }
 

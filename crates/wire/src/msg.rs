@@ -5,13 +5,20 @@
 //! lock acquisition server-side, a per-item message to one acquisition
 //! per item, under every transport.
 //!
+//! A [`Req::Batch`] is only a carrier: it puts one protocol step's
+//! requests for one server role — a fetch per provider, a read per
+//! metadata shard — in one frame. The server serves its entries in
+//! order, each exactly as it would serve the entry's own frame, so a
+//! batch takes each destination's lock in turn (never two at once) and
+//! each entry crosses its own durability barrier.
+//!
 //! Every type here is a row set of the protocol table (see
 //! [`crate::table`]): its wire form is generated from the declaration.
 
-use crate::codec::WireError;
+use crate::codec::{Flat, FlatEntry, Reader, WireError};
 use crate::types::{BlobError, BlobId, BlobResult, ChunkDesc, ChunkId, NodeKey, TreeNode, Version};
 use bff_data::{ContentKey, Payload};
-use bff_net::{NodeId, RouteKey};
+use bff_net::{NodeId, Role, RouteKey};
 use std::ops::Range;
 
 wire_struct! {
@@ -350,6 +357,9 @@ wire_enum! {
         4 => Board(req: BoardReq),
         /// To the cluster dedup index.
         5 => Cluster(req: ClusterReq),
+        /// Several requests for one server role, answered by one
+        /// [`Resp::Batch`] with an outcome per entry, in order.
+        6 => Batch(reqs: Flat<Req>),
     }
 }
 
@@ -369,11 +379,31 @@ wire_enum! {
         4 => Board(resp: BoardResp),
         /// From the cluster dedup index.
         5 => Cluster(resp: ClusterResp),
+        /// Per [`Req::Batch`] entry, in order: exactly what the entry's
+        /// own frame would have been answered with.
+        6 => Batch(resps: Flat<Result<Resp, WireError>>),
+    }
+}
+
+/// The tag of [`Req::Batch`] and [`Resp::Batch`].
+const BATCH: u8 = 6;
+
+impl FlatEntry for Req {
+    fn nested(r: &Reader<'_>, at: usize) -> Option<WireError> {
+        (r.peek(at) == Some(BATCH)).then_some(WireError::BadTag(Req::CONTEXT, BATCH))
+    }
+}
+
+impl FlatEntry for Resp {
+    fn nested(r: &Reader<'_>, at: usize) -> Option<WireError> {
+        (r.peek(at) == Some(BATCH)).then_some(WireError::BadTag(Resp::CONTEXT, BATCH))
     }
 }
 
 impl Req {
-    /// Which listener this request goes to.
+    /// Which listener this request goes to. A batch goes where its first
+    /// entry goes; an empty one asks nothing of anybody and reads as the
+    /// version manager's.
     pub fn route(&self) -> RouteKey {
         match self {
             Req::Vm(_) => RouteKey::Vm,
@@ -382,6 +412,16 @@ impl Req {
             Req::Provider { node, .. } => RouteKey::Provider(*node),
             Req::Board(_) => RouteKey::Board,
             Req::Cluster(_) => RouteKey::Cluster,
+            Req::Batch(reqs) => reqs.0.first().map_or(RouteKey::Vm, Req::route),
+        }
+    }
+
+    /// Whether everything this request asks — itself, or every entry of
+    /// a batch — is for a server of `role`.
+    pub fn is_for(&self, role: Role) -> bool {
+        match self {
+            Req::Batch(reqs) => reqs.0.iter().all(|req| req.is_for(role)),
+            req => req.route().role() == role,
         }
     }
 }

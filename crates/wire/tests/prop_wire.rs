@@ -17,7 +17,7 @@ use bff_wire::msg::{
 };
 use bff_wire::table::Draw;
 use bff_wire::types::{BlobError, BlobId, ChunkDesc, ChunkId, NodeKey, TreeNode, Version};
-use bff_wire::WireError;
+use bff_wire::{Flat, WireError};
 use proptest::prelude::*;
 use proptest::strategy::TestRng;
 use proptest::test_runner::run_cases;
@@ -207,6 +207,43 @@ impl<T: Arb> Arb for Result<T, BlobError> {
         } else {
             Ok(T::arb(rng))
         }
+    }
+}
+
+/// The tag a batch row encodes with.
+fn batch_tag() -> u8 {
+    encode(&Req::Batch(Flat::default()))[0]
+}
+
+/// A batch holds any row but a batch (decoding refuses a nested one).
+fn entry_tag(rng: &mut TestRng, tags: &[u8]) -> u8 {
+    let flat: Vec<u8> = tags.iter().copied().filter(|&t| t != batch_tag()).collect();
+    pick(rng, &flat)
+}
+
+impl Arb for Flat<Req> {
+    fn arb(rng: &mut TestRng) -> Self {
+        Flat(
+            (0..rng.below(4))
+                .map(|_| Req::draw(entry_tag(rng, Req::TAGS), &mut Src(rng)))
+                .collect(),
+        )
+    }
+}
+
+impl Arb for Flat<Result<Resp, WireError>> {
+    fn arb(rng: &mut TestRng) -> Self {
+        Flat(
+            (0..rng.below(4))
+                .map(|_| {
+                    if rng.below(4) == 0 {
+                        Err(WireError::arb(rng))
+                    } else {
+                        Ok(Resp::draw(entry_tag(rng, Resp::TAGS), &mut Src(rng)))
+                    }
+                })
+                .collect(),
+        )
     }
 }
 
@@ -470,4 +507,39 @@ fn big_batches_roundtrip_and_never_panic() {
     assert_eq!(lying[count_at], 1, "the batch length varint");
     lying[count_at] = 0x7F;
     assert!(decode::<Req>(&lying).is_err());
+}
+
+/// A batch inside a batch is refused at its tag, before decoding
+/// descends into it: a 1 MiB frame that is nothing but nested batches
+/// is one error, decoded on a stack far too small for a descent per
+/// level.
+#[test]
+fn nested_batches_are_refused_without_descending() {
+    let batch = batch_tag();
+    // A request batch of one entry, itself a batch of one entry, ...
+    let reqs = [batch, 1].repeat(512 << 10);
+    // ... and a reply batch whose one outcome is `Ok(batch)`, ...
+    let resps = [batch, 1, 0].repeat(350 << 10);
+    let decoded = std::thread::Builder::new()
+        .stack_size(64 << 10)
+        .spawn(move || {
+            (
+                decode::<Req>(&reqs),
+                decode_owned::<Req>(reqs),
+                decode::<Resp>(&resps),
+                decode_owned::<Resp>(resps),
+            )
+        })
+        .expect("spawn a small-stack decoder")
+        .join()
+        .expect("decoding stayed within a 64 KiB stack");
+    let req = Err(WireError::BadTag(Req::CONTEXT, batch));
+    let resp = Err(WireError::BadTag(Resp::CONTEXT, batch));
+    assert_eq!(decoded, (req.clone(), req, resp.clone(), resp));
+    // One level is fine, empty or not.
+    roundtrip(&Req::Batch(Flat::default()));
+    roundtrip(&Resp::Batch(Flat(vec![
+        Err(WireError::Closed),
+        Ok(Resp::Meta(MetaResp::Written)),
+    ])));
 }

@@ -11,6 +11,7 @@ use bff::prelude::*;
 use bff::wire::msg::{
     MetaResp, PmReq, PmResp, ProviderReq, ProviderResp, Req, Resp, RetainOutcome, VmReq, VmResp,
 };
+use bff::wire::Flat;
 use std::sync::{Arc, Mutex};
 
 const IMG: u64 = 2 << 20;
@@ -590,6 +591,28 @@ fn failed_collection_still_ends_the_version_for_every_handle() {
 // process meets the server roles: the transport.
 // ---------------------------------------------------------------------
 
+/// Serve `frame` one request at a time through `serve`: each entry of a
+/// batch frame goes through it as its own frame, and the batch reply is
+/// assembled from what each entry got. A fault a transport injects for
+/// one destination thereby hits exactly that destination's entries.
+fn per_request(
+    route: RouteKey,
+    frame: &[u8],
+    serve: impl Fn(RouteKey, &[u8]) -> Result<Vec<u8>, WireError>,
+) -> Result<Vec<u8>, WireError> {
+    let Ok(Req::Batch(Flat(reqs))) = bff::wire::decode::<Req>(frame) else {
+        return serve(route, frame);
+    };
+    let resps = reqs
+        .iter()
+        .map(|req| {
+            serve(req.route(), &bff::wire::encode(req))
+                .and_then(|reply| bff::wire::decode::<Resp>(&reply))
+        })
+        .collect();
+    Ok(bff::wire::encode(&Resp::Batch(Flat(resps))))
+}
+
 /// A client process's view of the server roles that can lose one
 /// provider: once `lose_after_retain` names a node, the reply to that
 /// node's next `Retain` is the last thing it ever says. Also keeps every
@@ -603,6 +626,12 @@ struct LossyTransport {
 
 impl Transport for LossyTransport {
     fn call(&self, route: RouteKey, frame: &[u8]) -> Result<Vec<u8>, WireError> {
+        per_request(route, frame, |route, frame| self.serve(route, frame))
+    }
+}
+
+impl LossyTransport {
+    fn serve(&self, route: RouteKey, frame: &[u8]) -> Result<Vec<u8>, WireError> {
         if let RouteKey::Provider(node) = route {
             if *self.lost.lock().unwrap() == Some(node) {
                 return Err(WireError::Closed);
@@ -805,6 +834,12 @@ struct GarblingTransport {
 
 impl Transport for GarblingTransport {
     fn call(&self, route: RouteKey, frame: &[u8]) -> Result<Vec<u8>, WireError> {
+        per_request(route, frame, |route, frame| self.serve(route, frame))
+    }
+}
+
+impl GarblingTransport {
+    fn serve(&self, route: RouteKey, frame: &[u8]) -> Result<Vec<u8>, WireError> {
         let reply = self.inner.call(route, frame)?;
         let garbled = match (bff::wire::decode::<Resp>(&reply), self.fetched) {
             (Ok(Resp::Provider(ProviderResp::Fetched(mut chunks))), Some((node, spoil)))

@@ -3,6 +3,10 @@
 //! and per snapshot, asserted directly. One thread, fixed
 //! schedule: every count repeats exactly, so any change is a protocol
 //! change and must be made here on purpose.
+//!
+//! A protocol step sends one frame per server role (its requests for
+//! one role share a `Req::Batch`), so per role the frames a client sends
+//! equal the round trips it waits for.
 
 use bff_blobseer::segtree::{self, NodeIo};
 use bff_blobseer::{
@@ -80,14 +84,15 @@ impl Transport for RoleCounting {
 /// (`LocalFabric`, dedup and prefetch off, so every frame is a boot
 /// frame). Round-robin placement puts the four chunks of each read on
 /// four providers, so the sequential path waited four times per read;
-/// frames ÷ round trips is how many of those waits one step now covers.
+/// a read's four `Fetch`es now travel as one batch frame, and so do a
+/// descent level's `ReadNodes` to several shards.
 ///
 /// The fixture then takes the step of `BENCH_15.json`: another node
 /// changes chunks 32–34 and snapshots (CLONE + COMMIT), and the node
 /// that just booted the base boots that snapshot through a fresh handle,
 /// in the same sixteen reads. Its tree shares all but ten nodes with
 /// the base's, which the node has, so the boot's metadata frames are
-/// the snapshot's diff — against the 103 of the cold boot.
+/// the snapshot's diff — against the 63 of the cold boot.
 #[test]
 fn cold_boot_pipelines_its_frames_and_a_diff_boot_fetches_the_diff() {
     const PROVIDERS: u32 = 4;
@@ -138,11 +143,15 @@ fn cold_boot_pipelines_its_frames_and_a_diff_boot_fetches_the_diff() {
     };
     assert_eq!(
         delta(Role::Provider, before.0),
-        (64, 16),
-        "64 Fetch frames, one wait per read"
+        (16, 16),
+        "64 Fetches in 16 frames, one per read (64 frames before batches)"
     );
     let (meta_frames, meta_trips) = delta(Role::Meta, before.1);
-    assert_eq!((meta_frames, meta_trips), (103, 63), "ReadNodes frames");
+    assert_eq!(
+        (meta_frames, meta_trips),
+        (63, 63),
+        "ReadNodes frames (103 in 63 waits before batches)"
+    );
     assert!(
         meta_trips <= reader.meta_fetch_calls(),
         "a descent level waits at most once"
@@ -165,8 +174,15 @@ fn cold_boot_pipelines_its_frames_and_a_diff_boot_fetches_the_diff() {
     boot(&reader, snapshot, committed, &changed);
     let (diff_meta_frames, _) = delta(Role::Meta, before.0);
     let (diff_vm_frames, _) = delta(Role::Vm, before.1);
-    assert_eq!(diff_meta_frames, 9, "the changed paths, not the tree");
+    assert_eq!(
+        diff_meta_frames, 7,
+        "the changed paths, not the tree (9 before batches)"
+    );
     assert_eq!(diff_vm_frames, 1, "a new version costs one lookup");
+    for role in Role::ALL {
+        let (frames, trips) = transport.seen(role);
+        assert_eq!(frames, trips, "frames = round trips for {}", role.name());
+    }
 }
 
 /// The control plane of the benchmark's deployment (`bffbench`'s
@@ -189,9 +205,10 @@ fn cold_boot_pipelines_its_frames_and_a_diff_boot_fetches_the_diff() {
 /// and snapshots (CLONE + COMMIT), then does it again elsewhere
 /// (COMMIT). A reused chunk is verified and retained where it is stored,
 /// in the one `Retain` batch its provider gets, so the commit's provider
-/// frames are two `Retain`s in one wait and two `Put`s, and no chunk
-/// travels back; the cluster index is asked once and told once; the
-/// version manager hears CLONE, the key reservation and the publish.
+/// frames are one frame carrying both providers' `Retain`s and two
+/// `Put`s, and no chunk travels back; the cluster index is asked once
+/// and told once; the version manager hears CLONE, the key reservation
+/// and the publish.
 #[test]
 fn a_boot_with_nothing_to_learn_asks_the_board_nothing_and_a_dedup_hit_is_one_provider_round_trip()
 {
@@ -300,11 +317,19 @@ fn a_boot_with_nothing_to_learn_asks_the_board_nothing_and_a_dedup_hit_is_one_pr
     // manager; then the bytes the client received during the snapshot.
     // Before: provider (6, 6) — a `Peek` and a `Retain` per reused chunk
     // — cluster (3, 3), version manager (4, 4) then (2, 2), and 131 189
-    // bytes: the two reused chunks, downloaded to be compared.
+    // bytes: the two reused chunks, downloaded to be compared. Before
+    // batches: provider (4, 3) and 62 then 58 bytes; a batch reply costs
+    // its tag, its count and one outcome tag per entry, so the `Retain`
+    // frame's two entries add 4 bytes and the `WriteNodes` frame's four
+    // shards 6.
     let first = snapshot(0, 32, 0xD1);
     let second = snapshot(8 * CHUNK, 40, 0xD2);
-    assert_eq!(first, (vec![(4, 3), (2, 2), (3, 3)], 62), "CLONE + COMMIT");
-    assert_eq!(second, (vec![(4, 3), (2, 2), (2, 2)], 58), "COMMIT");
+    assert_eq!(first, (vec![(3, 3), (2, 2), (3, 3)], 72), "CLONE + COMMIT");
+    assert_eq!(second, (vec![(3, 3), (2, 2), (2, 2)], 68), "COMMIT");
+    for role in Role::ALL {
+        let (frames, trips) = transport.seen(role);
+        assert_eq!(frames, trips, "frames = round trips for {}", role.name());
+    }
 }
 
 /// What a collector read from a [`CountingIo`]: `rounds` is `fetch`

@@ -20,7 +20,7 @@ use bff::data::{ContentDigest, ContentKey, Digest, Payload, Sha256Digest};
 use bff::net::{Fabric, LocalFabric, NetError, NodeId};
 use bff::wire::msg::*;
 use bff::wire::types::{BlobError, BlobId, ChunkDesc, ChunkId, NodeKey, TreeNode, Version};
-use bff::wire::{decode, encode, Wire, WireError};
+use bff::wire::{decode, encode, Flat, Wire, WireError};
 use std::fmt::Debug;
 use std::path::Path;
 use std::sync::Arc;
@@ -49,6 +49,21 @@ fn golden<T: Wire + PartialEq + Debug>(rows: Vec<(T, &str)>) {
         "{} rows moved:\n{}",
         moved.len(),
         moved.join("\n")
+    );
+}
+
+/// Every live tag of a message table opens some row's frame, so a new
+/// row cannot land unpinned.
+fn every_tag_pinned<T>(rows: &[(T, &str)], tags: &[u8]) {
+    let pinned: Vec<u8> = rows.iter().map(|(_, frame)| unhex(frame)[0]).collect();
+    let missing: Vec<u8> = tags
+        .iter()
+        .copied()
+        .filter(|t| !pinned.contains(t))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "live tags with no golden row: {missing:?}"
     );
 }
 
@@ -92,7 +107,7 @@ fn nodes() -> Vec<(NodeKey, TreeNode)> {
 #[rustfmt::skip]
 #[test]
 fn request_frames_are_golden() {
-    golden(vec![
+    let rows = vec![
         (Req::Vm(VmReq::CreateBlob { size: 1 << 30, chunk_size: 256 << 10 }), "00008080808004808010"),
         (Req::Vm(VmReq::CloneBlob { src: BlobId(3), version: Version(200) }), "000103c801"),
         (Req::Vm(VmReq::Latest(BlobId(1))), "000201"),
@@ -113,13 +128,19 @@ fn request_frames_are_golden() {
         (Req::Cluster(ClusterReq::Get(vec![weak_key()])), "050001802000ef9bafcdf8acd19101"),
         (Req::Cluster(ClusterReq::Record(vec![(strong_key(), desc())])), "050301808004015a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a8080808080200201ac02"),
         (Req::Cluster(ClusterReq::Forget(weak_key())), "0504802000ef9bafcdf8acd19101"),
-    ]);
+        (Req::Batch(Flat(vec![
+            Req::Provider { node: NodeId(1), req: ProviderReq::Fetch(vec![ChunkId(9)]) },
+            Req::Provider { node: NodeId(300), req: ProviderReq::Fetch(vec![ChunkId(1 << 40)]) },
+        ])), "0602030101010903ac020101808080808020"),
+    ];
+    every_tag_pinned(&rows, Req::TAGS);
+    golden(rows);
 }
 
 #[rustfmt::skip]
 #[test]
 fn reply_frames_are_golden() {
-    golden(vec![
+    let rows = vec![
         (Resp::Vm(VmResp::Created(Ok(BlobId(4)))), "00000004"),
         (Resp::Vm(VmResp::Cloned(Err(BlobError::NoSuchVersion(BlobId(1), Version(9))))), "000101010109"),
         (Resp::Vm(VmResp::Latest(Ok(Version(300)))), "000200ac02"),
@@ -140,7 +161,13 @@ fn reply_frames_are_golden() {
         (Resp::Cluster(ClusterResp::Got(vec![Some(desc()), None])), "050002018080808080200201ac0200"),
         (Resp::Cluster(ClusterResp::Recorded(1)), "050301"),
         (Resp::Cluster(ClusterResp::Forgotten), "0504"),
-    ]);
+        (Resp::Batch(Flat(vec![
+            Ok(Resp::Provider(ProviderResp::Fetched(vec![Some((rope(), false))]))),
+            Err(WireError::Closed),
+        ])), "06020003010101030003616263020a010502ac02000103"),
+    ];
+    every_tag_pinned(&rows, Resp::TAGS);
+    golden(rows);
 }
 
 /// The errors a reply carries, down to the interned strings' indices.
