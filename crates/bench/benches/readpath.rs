@@ -1,7 +1,8 @@
 //! The read-pipeline benches behind the perf trajectory (`BENCH_*.json`):
 //! a cold-boot read sweep through the mirror-to-provider path, comparing
 //! the per-run read loop against the vectored `read_multi` pipeline, plus
-//! the warm descriptor-cache re-read.
+//! the warm re-read that resolves every descriptor from the node's
+//! cached tree nodes.
 //!
 //! The cold sweep models what a booting VM does right after deployment
 //! (§3.1.2): many scattered reads against a snapshot none of whose chunk
@@ -73,7 +74,7 @@ fn bench_cold_boot_sweep(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(swept));
     group.bench_function("per_run_reads", |b| {
         b.iter_batched(
-            // A fresh client per iteration: cold node + descriptor caches.
+            // A fresh client per iteration: a cold node metadata cache.
             || repo.cold_client(NodeId(1)),
             |client| {
                 for r in &plan {
@@ -124,8 +125,10 @@ fn bench_paper_scale_image(c: &mut Criterion) {
         );
     });
     group.bench_function("warm_desc_cache_resweep", |b| {
-        // One client keeps its descriptor cache across iterations: after
-        // the first sweep the metadata plane is never touched again.
+        // The node's tree-node cache stays warm across iterations: after
+        // the first sweep every read walks cached nodes and the metadata
+        // plane is never touched again. (The name predates the
+        // per-version descriptor cache's removal; BENCH_1/2 record it.)
         let client = Client::new(Arc::clone(&repo.store), NodeId(3));
         client
             .read_multi(repo.blob, repo.version, &plan)

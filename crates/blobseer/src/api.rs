@@ -127,9 +127,11 @@ pub struct BlobConfig {
     /// Entries kept in the cluster-wide dedup index. `0` disables the
     /// cluster index even when [`BlobConfig::cluster_dedup`] is on.
     pub cluster_index_chunks: usize,
-    /// Versions kept in the node-shared chunk-descriptor cache before
-    /// LRU eviction (entries are per `(blob, version)`; snapshots are
-    /// immutable so the bound only caps memory, never freshness).
+    /// `(blob, version)` entries a node keeps in its version facts and
+    /// its access trackers before LRU eviction (snapshots are immutable,
+    /// so the bound only caps memory, never freshness). Descriptors are
+    /// not cached per version: a read resolves them from the node's
+    /// tree-node cache.
     pub desc_cache_versions: usize,
     /// Entries kept in the node's content-digest index (dedup lookup
     /// window). `0` disables the index even when `dedup` is on.

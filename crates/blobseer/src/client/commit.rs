@@ -9,8 +9,9 @@
 //!    provider (`retain_extra_uses`);
 //! 5. **shadow** the metadata tree (one `WriteNodes` step per level of
 //!    new nodes) and **publish** at the version manager;
-//! 6. **record** the content for future reuse and seed the new
-//!    snapshot's descriptor cache.
+//! 6. **record** the content for future reuse. The new snapshot needs
+//!    no cache seeding: step 5 cached every node it stored, so a read
+//!    from this node walks the new tree without a metadata round.
 //!
 //! Every provider-side reference a step takes is recorded on the
 //! [`Commit`], so a commit that fails anywhere releases all of them in
@@ -34,7 +35,7 @@ use super::step::{self, Step};
 use super::{Client, VersionMeta};
 use crate::api::{BlobError, BlobId, BlobResult, ChunkDesc, ChunkId, Version};
 use crate::segtree;
-use bff_data::{chunk_cover, chunk_range, coalesce_runs, intersect, ContentKey, FastMap, Payload};
+use bff_data::{chunk_cover, chunk_range, intersect, ContentKey, FastMap, Payload};
 use bff_net::NodeId;
 use bff_wire::msg::{ProviderReq, Req, RetainOutcome};
 use std::convert::Infallible;
@@ -362,7 +363,6 @@ impl Client {
         } else {
             0
         };
-        self.seed_descriptors((blob, base), (blob, v), &update_map);
         Ok((v, reused))
     }
 
@@ -508,31 +508,6 @@ impl Client {
             // are ~48 bytes each (length, digest, chunk id, replica set).
             self.charge_host_publish(self.cfg().control_bytes + 48 * novel as u64);
         }
-    }
-
-    /// Seed the new snapshot's descriptor cache: everything resolved for
-    /// the base still holds (unmodified subtrees are shared), plus the
-    /// delta just published. The committing client — or any co-located
-    /// one — can then read the snapshot back without touching the
-    /// metadata plane. The base entry is *moved*, not cloned: a commit
-    /// chain would otherwise copy O(resolved chunks) per commit; a later
-    /// read of the base version simply re-resolves.
-    fn seed_descriptors(
-        &self,
-        base: (BlobId, Version),
-        new: (BlobId, Version),
-        update_map: &FastMap<u64, ChunkDesc>,
-    ) {
-        let mut entry = self.ctx.take_entry(base).unwrap_or_default();
-        // The updated indices as maximal runs: a full-image commit is
-        // one range insert, not one per chunk.
-        for run in coalesce_runs(update_map.keys().map(|&i| i..i + 1)) {
-            entry.resolved.insert(run);
-        }
-        for (i, d) in update_map {
-            entry.descs.insert(*i, d.clone());
-        }
-        self.ctx.insert_entry(new, entry);
     }
 
     /// Roll back a failed commit: drop every reference it took, one

@@ -56,7 +56,7 @@ impl Client {
     ///
     /// Freed chunks are evicted from the cluster dedup index, every
     /// node's digest index and chunk cache, and the deleted versions'
-    /// descriptor-cache entries and board patterns are dropped (one
+    /// facts, access trackers and board patterns are dropped (one
     /// control RPC to the index host plus a gossip round charge; the
     /// eviction is a cache/index hygiene matter — a stale entry that
     /// survives, e.g. across a partition, self-heals at its next

@@ -149,16 +149,12 @@ impl Client {
     pub fn clone_blob(&self, src: BlobId, version: Version) -> BlobResult<BlobId> {
         self.control_rpc(self.store.topology().vmanager)?;
         let id = self.store.vm_clone_blob(src, version)?;
-        // The clone's Version(1) *is* the source tree: what the node
-        // knows about the source — its facts (root, size, chunk size and
-        // span are the clone's too, so the COMMIT that follows asks the
-        // version manager nothing) and its descriptor cache — carries
-        // over verbatim.
+        // The clone's Version(1) *is* the source tree: the source's facts
+        // (root, size, chunk size and span) are the clone's too, so the
+        // COMMIT that follows asks the version manager nothing, and a
+        // read walks the tree nodes the node already caches.
         self.ctx
             .alias_version_facts((src, version), (id, Version(1)));
-        if let Some(entry) = self.ctx.entry_snapshot((src, version)) {
-            self.ctx.insert_entry((id, Version(1)), entry);
-        }
         Ok(id)
     }
 

@@ -159,13 +159,30 @@ mod tests {
         let (_f, client) = setup(4);
         // 8 chunks; snapshot twice touching one chunk each time.
         let (blob, v1) = client.upload(Payload::synth(10, 0, 1024)).unwrap();
+        client.read(blob, v1, 0..1024).unwrap();
         let nodes_v1 = client.store().total_metadata_nodes();
-        client
+        let v2 = client
             .write_chunks(blob, v1, vec![(0, Payload::synth(11, 0, 128))])
             .unwrap();
         let added = client.store().total_metadata_nodes() - nodes_v1;
         // span 8 -> depth 4 path (leaf + 2 inners + root).
         assert_eq!(added, 4, "path copy only: {added} nodes added");
+
+        // The node's one metadata cache serves every version that reaches
+        // its nodes, with nothing carried over per version: each read
+        // below walks cached nodes only.
+        let ctx = Arc::clone(client.context());
+        let free = |reader: &Client, blob, v, what: &str| {
+            let (calls, misses) = (reader.meta_fetch_calls(), ctx.stats().node_misses);
+            reader.read(blob, v, 0..1024).unwrap();
+            let after = (reader.meta_fetch_calls(), ctx.stats().node_misses);
+            assert_eq!(after, (calls, misses), "{what} cost metadata rounds");
+        };
+        let clone = client.clone_blob(blob, v1).unwrap();
+        free(&client, clone, Version(1), "the clone's first version");
+        free(&client, blob, v2, "a commit read by its committer");
+        let fresh = Client::new(Arc::clone(client.store()), NodeId(0));
+        free(&fresh, blob, v2, "a fresh co-located handle");
     }
 
     /// The tree-node bound is a memory cap, never a correctness input:
@@ -183,7 +200,7 @@ mod tests {
             let patch = Payload::synth(71, 0, 3 * 128);
             let v2 = client.write(blob, v1, 32 * 128, patch.clone()).unwrap();
             assert!(ctx.tree_node_entries() <= cap, "cap {cap}");
-            // Cold descriptor caches on both sides: the descents run.
+            // A cold metadata cache on the reading side: the descents run.
             let fresh = Arc::new(NodeContext::with_tree_node_capacity(store.config(), cap));
             let bounded = Client::with_context(Arc::clone(&store), NodeId(1), Arc::clone(&fresh));
             let reference = Client::new(Arc::clone(&store), NodeId(2));

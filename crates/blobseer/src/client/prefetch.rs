@@ -143,7 +143,7 @@ impl Client {
         if runs.is_empty() {
             return Ok(0);
         }
-        let descs = self.resolve_descs(blob, version, &meta, &runs)?;
+        let descs = self.resolve_descs(&meta, &runs)?;
         // Fetch in *peer-access order* (the order the guests will
         // demand), not index order — read-ahead must stay ahead of the
         // stream it predicts.

@@ -7,22 +7,23 @@
 //!
 //! 1. **Single descent** — all requested runs are planned in one
 //!    level-by-level walk of the segment tree
-//!    ([`segtree::collect_leaves_multi`]), so a plan of R runs costs at
+//!    (`segtree::collect_leaves_from`), so a plan of R runs costs at
 //!    most `tree depth` metadata rounds, not `R × depth` (§3.2: metadata
-//!    is accessed in parallel, grouped per level). A level fetches only
-//!    the nodes this *node* has never seen: a snapshot shares all but
-//!    the changed paths with its base, so booting a snapshot of an image
-//!    the node knows reads the diff, not the tree.
-//! 2. **Descriptor cache** — resolved chunk descriptors are cached per
-//!    `(blob, version)` in the *node-shared* [`crate::NodeContext`]
-//!    (§4.1's metadata cache lives in the per-node FUSE process, shared
-//!    by every co-located VM). Snapshots are immutable, so entries never
-//!    go stale; repeated boot-time reads of the same snapshot skip the
-//!    metadata plane entirely — even from a different co-located client.
-//!    A commit seeds the new version's entry from its base plus the
-//!    published delta, and `clone_blob` carries the source entry over to
-//!    the clone. Eviction is per-entry LRU, bounded by
-//!    [`crate::BlobConfig::desc_cache_versions`].
+//!    is accessed in parallel, grouped per level).
+//! 2. **One metadata cache** — the walk starts in the *node-shared*
+//!    tree-node cache of [`crate::NodeContext`] (§4.1's metadata cache
+//!    lives in the per-node FUSE process, shared by every co-located
+//!    VM): `NodeContext::walk_cached` follows the cached nodes
+//!    from the version's root under one lock, and only the frontier it
+//!    could not look into is fetched, level by level. Nodes are
+//!    immutable and keyed by identity, so one cached node serves every
+//!    snapshot that shares it: a repeated read of a snapshot skips the
+//!    metadata plane entirely — even from a different co-located client
+//!    — as does a read of the snapshot a commit from this node just
+//!    published (it cached the nodes it stored) or of a clone of a
+//!    snapshot the node has read (the clone's root is the source's). A
+//!    snapshot the node has never opened costs the *diff* against the
+//!    trees it has seen, not the tree.
 //! 3. **Per-provider batching** — the chunk fetches of the whole plan are
 //!    grouped by provider and issued as one batched transfer each, with
 //!    per-chunk replica failover as the fallback path.
@@ -49,7 +50,7 @@ impl Client {
     /// Read `range` of `(blob, version)`. Unwritten regions read as
     /// zeros. A thin wrapper over the vectored [`Client::read_multi`]
     /// pipeline (one-range plan), so even single-range callers get the
-    /// descriptor cache and batched per-provider fetches with replica
+    /// node's metadata cache and batched per-provider fetches with replica
     /// failover.
     pub fn read(&self, blob: BlobId, version: Version, range: Range<u64>) -> BlobResult<Payload> {
         Ok(self
@@ -82,9 +83,9 @@ impl Client {
         // Union of chunk covers, as sorted disjoint index runs.
         let cover_runs = coalesce_runs(ranges.iter().map(|r| chunk_cover(r, meta.chunk_size)));
 
-        // Resolve descriptors: the node-shared cache first, then one
-        // descent for the rest.
-        let descs = self.resolve_descs(blob, version, &meta, &cover_runs)?;
+        // Resolve descriptors: the node's cached tree nodes first, then
+        // one descent for the rest.
+        let descs = self.resolve_descs(&meta, &cover_runs)?;
 
         // Serve written chunks from the node-shared chunk cache first
         // (prefetched or demand-cached by any co-located client) — one
@@ -149,55 +150,23 @@ impl Client {
         Ok(out)
     }
 
-    /// Resolve the chunk descriptors covering `cover_runs` (sorted
-    /// disjoint index runs): the node-shared descriptor cache first, then
-    /// a *single* segment-tree descent for the remainder. Chunk-granular
-    /// hit/miss counts feed the context's aggregate counters. Indices
-    /// absent from the returned map are unwritten (read as zeros).
+    /// Resolve the chunk descriptors covering `cover_runs`: one walk of
+    /// the node's cached tree nodes, then a *single* descent from the
+    /// frontier the walk could not look into (nothing, when every node
+    /// on the way is cached). Chunk-granular hit/miss counts feed the
+    /// context's aggregate counters. Indices absent from the returned
+    /// map are unwritten (read as zeros).
     pub(super) fn resolve_descs(
         &self,
-        blob: BlobId,
-        version: Version,
         meta: &VersionMeta,
         cover_runs: &[Range<u64>],
     ) -> BlobResult<FastMap<u64, ChunkDesc>> {
-        let mut descs: FastMap<u64, ChunkDesc> = FastMap::default();
-        let mut missing: Vec<Range<u64>> = Vec::new();
-        let (hits, misses) = self.ctx.with_entry((blob, version), |entry| {
-            let (mut hits, mut misses) = (0u64, 0u64);
-            for run in cover_runs {
-                // Cached descriptors for the already-resolved parts.
-                for resolved in entry.resolved.runs_within(run) {
-                    hits += resolved.end - resolved.start;
-                    for i in resolved {
-                        if let Some(d) = entry.descs.get(&i) {
-                            descs.insert(i, d.clone());
-                        }
-                    }
-                }
-                // The remainder needs the (single) descent below.
-                for gap in entry.resolved.gaps_within(run) {
-                    misses += gap.end - gap.start;
-                    missing.push(gap);
-                }
-            }
-            (hits, misses)
-        });
-        self.ctx.note_desc_lookup(hits, misses);
-        if !missing.is_empty() {
-            let leaves =
-                segtree::collect_leaves_multi(&mut self.node_io(), meta.root, meta.span, &missing)?;
-            self.ctx.with_entry((blob, version), |entry| {
-                for (i, d) in leaves {
-                    entry.descs.insert(i, d.clone());
-                    descs.insert(i, d);
-                }
-                for run in missing {
-                    entry.resolved.insert(run);
-                }
-            });
-        }
-        Ok(descs)
+        let wants = segtree::Wants::new(cover_runs);
+        let (mut leaves, frontier) = self.ctx.walk_cached(meta.root, meta.span, &wants);
+        let misses: u64 = frontier.iter().map(|(_, range)| wants.within(range)).sum();
+        self.ctx.note_desc_lookup(wants.chunks() - misses, misses);
+        segtree::collect_leaves_from(&mut self.node_io(), frontier, &wants, &mut leaves)?;
+        Ok(leaves.into_iter().collect())
     }
 
     /// Fetch `chunks` (index, descriptor, stored length) in one step,
@@ -514,8 +483,9 @@ mod tests {
             multi.meta_fetch_calls()
         );
 
-        // Warm re-read of the same plan: the descriptor cache skips the
-        // metadata plane entirely (the paper's compute-node cache effect).
+        // Warm re-read of the same plan: the node's metadata cache skips
+        // the metadata plane entirely (the paper's compute-node cache
+        // effect).
         let before = multi.meta_fetch_calls();
         multi.read_multi(blob, v, &plan).unwrap();
         assert_eq!(
@@ -569,8 +539,8 @@ mod tests {
 
     #[test]
     fn committer_reads_own_snapshot_without_metadata_rounds() {
-        // write_chunks seeds the descriptor cache for the new version
-        // (base entry + published delta).
+        // write_chunks caches the nodes it stores, and the rest of the
+        // new tree is the base's, which the read below cached.
         let (_f, client) = setup(4);
         let (blob, v1) = client.upload(Payload::synth(33, 0, 1024)).unwrap();
         client
@@ -593,7 +563,7 @@ mod tests {
     }
 
     #[test]
-    fn clone_carries_descriptor_cache_over() {
+    fn clone_reads_the_source_tree_without_metadata_rounds() {
         let (_f, client) = setup(4);
         let data = Payload::synth(35, 0, 1024);
         let (blob, v) = client.upload(data.clone()).unwrap();
@@ -609,7 +579,7 @@ mod tests {
         assert_eq!(
             client.meta_fetch_calls(),
             rounds,
-            "clone shares the source tree, so its cache carries over"
+            "a clone's first version is the source tree, which is cached"
         );
     }
 
@@ -638,11 +608,11 @@ mod tests {
         // Regression for the old wholesale eviction: resolving >64
         // snapshots used to flush the *entire* descriptor cache, so a
         // frequently-read snapshot paid fresh metadata descents over and
-        // over. With per-entry LRU, the hot entry stays resident through
-        // arbitrary churn.
+        // over. A frequently-read snapshot's tree nodes stay resident
+        // through arbitrary version churn.
         let (_f, client) = setup(4);
         let hot_data = Payload::synth(40, 0, 1024);
-        let (hot, vhot) = client.upload(hot_data).unwrap(); // 8 chunks, fully seeded
+        let (hot, vhot) = client.upload(hot_data).unwrap(); // 8 chunks, all nodes cached
         let churn = client.create_blob(128).unwrap();
         let mut versions = vec![Version(0)];
         for i in 0..150u64 {
@@ -671,12 +641,5 @@ mod tests {
                 );
             }
         }
-        let ctx = client.context();
-        assert!(
-            ctx.desc_entries() <= ctx.desc_capacity(),
-            "LRU bound violated: {} > {}",
-            ctx.desc_entries(),
-            ctx.desc_capacity()
-        );
     }
 }

@@ -7,30 +7,26 @@
 //! attaches to the node's `NodeContext` (the [`crate::BlobStore`] keeps
 //! one per node), so co-located clients share:
 //!
-//! * **The chunk-descriptor cache** — per-`(blob, version)` entries of
-//!   resolved chunk descriptors, sharded like
-//!   [`crate::provider::ProviderStore`] slots (one lock per shard, so
-//!   co-located VMs resolving different snapshots never contend), with
-//!   per-entry LRU eviction bounded by
-//!   [`crate::BlobConfig::desc_cache_versions`]. Snapshots are immutable,
-//!   so entries are never *stale* — the bound only caps memory. This
-//!   replaces the old per-client cache whose wholesale eviction flushed
-//!   everything once a client had touched too many versions.
-//! * **The tree-node cache** — `NodeKey → TreeNode`, every segment-tree
+//! * **The metadata cache** — `NodeKey → TreeNode`, every segment-tree
 //!   node a descent on this node has fetched or a commit from this node
-//!   has stored. A snapshot shares all but the changed paths of its tree
-//!   with the version it was made from, so a handle resolving a version
-//!   the node has never opened fetches the *diff* against what the node
-//!   has seen, not the tree. Sharing is safe because node keys are
-//!   reserved through the version manager's journal before the ack and
-//!   never reused, a stored node is never rewritten, and a node that was
-//!   not stored (a failed commit) is never inserted; a cached node no
-//!   live root reaches is unreachable, not wrong. One lock, taken once
-//!   per descent level for the batch lookup and once for the batch
-//!   insert; bounded by [`TREE_NODE_CACHE_ENTRIES`] and evicted
-//!   least-recently-*used* (the base image's nodes carry the oldest keys
-//!   and are the hottest). Deletes drop nothing here: recency ages dead
-//!   nodes out.
+//!   has stored: the one place a read resolves chunk descriptors from.
+//!   A read first walks the cached nodes from its version's root under
+//!   one lock (`NodeContext::walk_cached`) and fetches only the
+//!   frontier it could not look into. Nodes are keyed by identity, so
+//!   one entry serves every version that reaches it: a snapshot shares
+//!   all but the changed paths of its tree with the version it was made
+//!   from (a handle resolving a version the node has never opened
+//!   fetches the *diff* against what the node has seen, not the tree), a
+//!   clone's first version *is* its source's root, and a commit caches
+//!   the nodes it stores, so neither needs any per-version state carried
+//!   over. Sharing is safe because node keys are reserved through the
+//!   version manager's journal before the ack and never reused, a stored
+//!   node is never rewritten, and a node that was not stored (a failed
+//!   commit) is never inserted; a cached node no live root reaches is
+//!   unreachable, not wrong. Bounded by [`TREE_NODE_CACHE_ENTRIES`] and
+//!   evicted least-recently-*used* (the base image's nodes carry the
+//!   oldest keys and are the hottest). Deletes drop nothing here:
+//!   recency ages dead nodes out.
 //! * **The version facts** — `(blob, version) →` root, size, chunk size
 //!   and span, fixed at publish, so opening a version the node knows
 //!   costs no version-manager call. Bounded with the trackers by
@@ -39,7 +35,7 @@
 //!   ability to resolve the version — an answer a racing reader obtained
 //!   before the purge is not filed after it. (The fan-out is per
 //!   [`crate::BlobStore`]: a second client *process* learns of a delete
-//!   when its entry ages out, exactly like its descriptor cache.)
+//!   when its entry ages out.)
 //!
 //! These two took over from the per-handle maps `Client` used to own,
 //! which were born empty on every boot and every GC.
@@ -61,25 +57,19 @@
 //!   providers — which is also how co-located VMs share each other's
 //!   fetched data.
 //!
-//! Every one of these is bounded by one [`LruMap`] (the descriptor
-//! cache by one per shard): an entry bound for the version-keyed state
-//! and the two indexes, a byte bound for the chunk cache, whose evicted
-//! entries come back so unused read-ahead still counts as waste.
+//! Every one of these is bounded by one [`LruMap`]: an entry bound for
+//! the version-keyed state and the two indexes, a byte bound for the
+//! chunk cache, whose evicted entries come back so unused read-ahead
+//! still counts as waste.
 //! Aggregate hit/miss, dedup and prefetch counters are atomics:
 //! experiments read them without stopping the data plane.
 
 use crate::api::{BlobConfig, BlobId, ChunkDesc, ChunkId, NodeKey, TreeNode, Version};
-use bff_data::{ContentKey, DigestIndex, FastMap, FastSet, LruMap, Payload, RangeSet, U64Hasher};
+use crate::segtree::{self, Walk, Wants};
+use bff_data::{ContentKey, DigestIndex, FastMap, FastSet, LruMap, Payload};
 use bff_wire::msg::{BoardSync, VersionInfo};
 use parking_lot::Mutex;
-use std::hash::{Hash, Hasher as _};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Descriptor-cache shards per node. Like the provider store, sharding
-/// exists so concurrent co-located clients touching *different*
-/// snapshots never contend on one lock; 8 shards cover the per-node VM
-/// counts of the paper's multideployment experiments.
-pub const DESC_SHARDS: usize = 8;
 
 /// Entry bound of the node-shared tree-node cache. A cached node is
 /// ~100 B (key, stamp, two child keys or a descriptor, queue slot), so
@@ -199,41 +189,28 @@ impl PrefetchStats {
     }
 }
 
-/// The resolved chunk descriptors of one snapshot (the paper's §4.1
-/// metadata cache). An index inside `resolved` but absent from `descs`
-/// is a known-unwritten chunk (reads as zeros) — that negative knowledge
-/// also skips the metadata plane on re-reads.
-#[derive(Debug, Clone, Default)]
-pub struct DescCache {
-    /// Chunk-index ranges already resolved against the metadata plane.
-    pub(crate) resolved: RangeSet,
-    /// Descriptors of the resolved chunks that exist.
-    pub(crate) descs: FastMap<u64, ChunkDesc>,
-}
-
 /// Snapshot of a context's aggregate counters (see
 /// [`NodeContext::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Chunk lookups served from the descriptor cache (incl. negative
-    /// knowledge).
+    /// Chunk lookups a read resolved by walking cached tree nodes alone
+    /// (a chunk under a NULL subtree counts: it reads as zeros).
     pub desc_hits: u64,
-    /// Chunk lookups that needed a metadata-plane descent.
+    /// Chunk lookups under a node the walk found uncached, resolved by
+    /// fetching from the metadata shards.
     pub desc_misses: u64,
     /// Commit chunks published by reference instead of re-replicated.
     pub dedup_hits: u64,
     /// Payload bytes those reference commits did *not* push.
     pub dedup_reused_bytes: u64,
-    /// `(blob, version)` entries currently cached.
-    pub desc_entries: usize,
-    /// Tree nodes a descent found in the node-shared tree-node cache.
+    /// Tree nodes a walk or descent found in the node's metadata cache.
     pub node_hits: u64,
     /// Tree nodes a descent had to fetch from the metadata shards.
     pub node_misses: u64,
 }
 
 impl CacheStats {
-    /// Descriptor-cache hit rate in `[0, 1]` (0 when no lookups).
+    /// Chunk-lookup hit rate in `[0, 1]` (0 when no lookups).
     pub fn hit_rate(&self) -> f64 {
         let total = self.desc_hits + self.desc_misses;
         if total == 0 {
@@ -255,12 +232,6 @@ struct VersionFacts {
 /// The node-shared cache module (see module docs).
 #[derive(Debug)]
 pub struct NodeContext {
-    /// The descriptor cache. The node-wide entry bound is distributed
-    /// exactly over the shards (shard `i` holds `capacity/n + (i <
-    /// capacity % n)` entries), so the configured `desc_cache_versions`
-    /// is honored to the entry — never rounded up per shard.
-    shards: Vec<Mutex<LruMap<(BlobId, Version), DescCache>>>,
-    capacity: usize,
     desc_hits: AtomicU64,
     desc_misses: AtomicU64,
     dedup_hits: AtomicU64,
@@ -274,7 +245,7 @@ pub struct NodeContext {
     /// the trackers and dropped by [`NodeContext::purge_version`].
     versions: Mutex<VersionFacts>,
     /// Per-`(blob, version)` access-pattern trackers (prefetch plane),
-    /// bounded like the descriptor cache.
+    /// bounded like the version facts.
     trackers: Mutex<LruMap<(BlobId, Version), AccessTracker>>,
     /// The node-shared chunk-data cache (prefetch plane), bounded in
     /// bytes.
@@ -295,9 +266,7 @@ pub struct NodeContext {
 }
 
 impl NodeContext {
-    /// A context sized from the service configuration. Small capacities
-    /// use fewer shards so every shard keeps a bound ≥ 1 while the
-    /// total stays exactly `desc_cache_versions`.
+    /// A context sized from the service configuration.
     pub fn new(cfg: &BlobConfig) -> Self {
         Self::with_tree_node_capacity(cfg, TREE_NODE_CACHE_ENTRIES)
     }
@@ -305,19 +274,13 @@ impl NodeContext {
     /// [`NodeContext::new`] with an explicit tree-node bound (tests of
     /// the bound itself; 0 disables the cache).
     pub(crate) fn with_tree_node_capacity(cfg: &BlobConfig, tree_nodes: usize) -> Self {
-        let capacity = cfg.desc_cache_versions.max(1);
-        let shard_count = DESC_SHARDS.min(capacity);
+        let versions = cfg.desc_cache_versions.max(1);
         let chunk_cache_bytes = if cfg.prefetch {
             cfg.chunk_cache_bytes
         } else {
             0
         };
         Self {
-            shards: (0..shard_count)
-                .map(|i| capacity / shard_count + usize::from(i < capacity % shard_count))
-                .map(|bound| Mutex::new(LruMap::new(bound)))
-                .collect(),
-            capacity,
             desc_hits: AtomicU64::new(0),
             desc_misses: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
@@ -327,10 +290,10 @@ impl NodeContext {
             node_hits: AtomicU64::new(0),
             node_misses: AtomicU64::new(0),
             versions: Mutex::new(VersionFacts {
-                known: LruMap::new(capacity),
+                known: LruMap::new(versions),
                 purges: 0,
             }),
-            trackers: Mutex::new(LruMap::new(capacity)),
+            trackers: Mutex::new(LruMap::new(versions)),
             chunks: Mutex::new(LruMap::new(
                 usize::try_from(chunk_cache_bytes).unwrap_or(usize::MAX),
             )),
@@ -345,58 +308,8 @@ impl NodeContext {
         }
     }
 
-    fn shard_of(&self, key: &(BlobId, Version)) -> usize {
-        let mut h = U64Hasher::default();
-        key.hash(&mut h);
-        (h.finish() as usize) % self.shards.len()
-    }
-
-    /// Run `f` over the entry for `key`, creating it empty if absent and
-    /// marking it most-recently used. Inserting into a full shard evicts
-    /// that shard's least-recently-used entry — and only that entry; the
-    /// rest of the cache is untouched (unlike the old wholesale clear).
-    pub fn with_entry<R>(&self, key: (BlobId, Version), f: impl FnOnce(&mut DescCache) -> R) -> R {
-        let mut shard = self.shards[self.shard_of(&key)].lock();
-        f(shard
-            .get_or_insert_with(key, DescCache::default)
-            .expect("every shard holds at least one entry"))
-    }
-
-    /// Clone the entry for `key` if cached (marks it used). The CLONE
-    /// carryover path: a clone's `Version(1)` *is* the source tree.
-    pub fn entry_snapshot(&self, key: (BlobId, Version)) -> Option<DescCache> {
-        self.shards[self.shard_of(&key)]
-            .lock()
-            .get_refresh(&key)
-            .cloned()
-    }
-
-    /// Remove and return the entry for `key`. The COMMIT seeding path
-    /// *moves* the base version's entry onto the new snapshot — cloning
-    /// would copy O(resolved chunks) per commit along a commit chain.
-    pub fn take_entry(&self, key: (BlobId, Version)) -> Option<DescCache> {
-        self.shards[self.shard_of(&key)].lock().remove(&key)
-    }
-
-    /// Insert (or replace) the entry for `key`, marking it
-    /// most-recently used and evicting the shard's LRU entry if needed.
-    pub fn insert_entry(&self, key: (BlobId, Version), cache: DescCache) {
-        self.shards[self.shard_of(&key)].lock().insert(key, cache);
-    }
-
-    /// Total `(blob, version)` entries cached right now.
-    pub fn desc_entries(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// The node-wide entry bound (`desc_entries` never exceeds it);
-    /// exactly the configured `desc_cache_versions`.
-    pub fn desc_capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Record the outcome of a descriptor resolution: `hits` chunks came
-    /// from the cache, `misses` needed the metadata plane.
+    /// Record the outcome of a descriptor resolution: `hits` chunks the
+    /// cached walk reached, `misses` under its frontier.
     pub(crate) fn note_desc_lookup(&self, hits: u64, misses: u64) {
         if hits > 0 {
             self.desc_hits.fetch_add(hits, Ordering::Relaxed);
@@ -434,8 +347,27 @@ impl NodeContext {
 
     // --- Immutable metadata: tree nodes and version facts -------------
 
+    /// Walk the cached nodes of the tree at `root` over `wants`, under
+    /// one lock acquisition: the wanted leaves reached, and the frontier
+    /// of uncached nodes for [`segtree::collect_leaves_from`] to fetch.
+    /// A node reached counts as a node hit and is marked used; the
+    /// frontier is counted by the descent that fetches it.
+    pub(crate) fn walk_cached(&self, root: NodeKey, span: u64, wants: &Wants) -> Walk {
+        let mut hits = 0u64;
+        let walk = {
+            let mut cache = self.tree_nodes.lock();
+            segtree::walk_cached(root, span, wants, |key| {
+                let node = cache.get_refresh(&key).cloned();
+                hits += u64::from(node.is_some());
+                node
+            })
+        };
+        self.node_hits.fetch_add(hits, Ordering::Relaxed);
+        walk
+    }
+
     /// Batch lookup for one descent level: one lock acquisition, a hit
-    /// marks the node most-recently used.
+    /// marks the node used.
     pub(crate) fn tree_nodes_get(&self, keys: &[NodeKey]) -> Vec<Option<TreeNode>> {
         let found: Vec<Option<TreeNode>> = {
             let mut cache = self.tree_nodes.lock();
@@ -512,19 +444,17 @@ impl NodeContext {
     }
 
     /// Snapshot-delete eviction, version-keyed state: drop the deleted
-    /// `(blob, version)`'s facts, descriptor-cache entry and access
-    /// tracker. Without its facts no handle on this node resolves the
-    /// version again — the next attempt asks the version manager and
-    /// gets `NoSuchVersion`. The other two would not corrupt anything
-    /// (snapshots are immutable and chunk ids are never reused), but
-    /// they would pin memory for a snapshot that can never be read again.
+    /// `(blob, version)`'s facts and access tracker. Without its facts no
+    /// handle on this node resolves the version again — the next attempt
+    /// asks the version manager and gets `NoSuchVersion`. The tracker
+    /// would not corrupt anything, but it would pin memory for a
+    /// snapshot that can never be read again.
     pub fn purge_version(&self, key: (BlobId, Version)) {
         {
             let mut facts = self.versions.lock();
             facts.known.remove(&key);
             facts.purges += 1;
         }
-        self.take_entry(key);
         self.trackers.lock().remove(&key);
     }
 
@@ -558,9 +488,9 @@ impl NodeContext {
     // --- Access-pattern tracking (the prefetch plane) ---------------
 
     /// Run `f` over the tracker for `key`, creating it if absent and
-    /// marking it most-recently used. Trackers are per-`(blob, version)`
-    /// state of the same lifecycle class as descriptor-cache entries,
-    /// so they share the `desc_cache_versions` bound: inserting beyond
+    /// marking it used. Trackers are per-`(blob, version)` state of the
+    /// same lifecycle class as the version facts, so they share the
+    /// `desc_cache_versions` bound: inserting beyond
     /// it evicts the least-recently-used tracker (an evicted snapshot's
     /// pattern state simply rebuilds if it is ever deployed again).
     fn with_tracker<R>(
@@ -691,8 +621,8 @@ impl NodeContext {
 
     /// Look up a read's chunk payloads in the node-shared chunk cache,
     /// under one lock acquisition for the whole lookup plan. A hit marks
-    /// the entry used (a prefetched entry's first use counts toward the
-    /// prefetch hit statistics) and most-recently used.
+    /// the entry used, for the prefetch hit statistics (a prefetched
+    /// entry's first use) and for eviction.
     pub fn chunk_cache_get_batch(&self, ids: &[ChunkId]) -> Vec<Option<Payload>> {
         if !self.chunk_cache_on || ids.is_empty() {
             return vec![None; ids.len()];
@@ -788,14 +718,13 @@ impl NodeContext {
         }
     }
 
-    /// Aggregate counters, read lock-free except for the entry count.
+    /// Aggregate counters, read lock-free.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             desc_hits: self.desc_hits.load(Ordering::Relaxed),
             desc_misses: self.desc_misses.load(Ordering::Relaxed),
             dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
             dedup_reused_bytes: self.dedup_reused_bytes.load(Ordering::Relaxed),
-            desc_entries: self.desc_entries(),
             node_hits: self.node_hits.load(Ordering::Relaxed),
             node_misses: self.node_misses.load(Ordering::Relaxed),
         }
@@ -821,81 +750,6 @@ mod tests {
             id: ChunkId(id),
             replicas: Arc::from([NodeId(0)].as_slice()),
         }
-    }
-
-    #[test]
-    fn entries_bounded_and_lru_evicted_per_shard() {
-        let c = ctx(16);
-        assert_eq!(c.desc_capacity(), 16);
-        // Insert far more entries than capacity.
-        for v in 1..=200u64 {
-            c.with_entry((BlobId(1), Version(v)), |e| {
-                e.descs.insert(0, desc(v));
-            });
-        }
-        assert!(c.desc_entries() <= c.desc_capacity());
-        // The most recent entry survived (it is the newest in its shard).
-        assert!(c.entry_snapshot((BlobId(1), Version(200))).is_some());
-    }
-
-    #[test]
-    fn capacity_is_exact_for_any_configuration() {
-        // The configured bound is honored to the entry — including
-        // values smaller than, and not divisible by, the shard count.
-        for cap in [1usize, 3, 4, 10, 16, 64, 100] {
-            let c = ctx(cap);
-            assert_eq!(c.desc_capacity(), cap, "configured {cap}");
-            for v in 1..=(cap as u64 * 20) {
-                c.with_entry((BlobId(1), Version(v)), |_| {});
-            }
-            assert!(
-                c.desc_entries() <= cap,
-                "configured {cap}, holding {}",
-                c.desc_entries()
-            );
-        }
-    }
-
-    #[test]
-    fn recently_used_entries_survive_churn() {
-        // Shard capacity 8: the hot entry (re-touched every other step)
-        // can only be a shard's LRU victim if 7 churn entries landed in
-        // its shard within 2 steps — impossible, so it must survive.
-        let c = ctx(64);
-        let hot = (BlobId(7), Version(1));
-        c.with_entry(hot, |e| {
-            e.descs.insert(0, desc(99));
-        });
-        // Churn many one-shot entries, re-touching the hot one often
-        // enough that it is never its shard's LRU victim.
-        for v in 1..=500u64 {
-            c.with_entry((BlobId(1), Version(v)), |_| {});
-            if v % 2 == 0 {
-                assert!(
-                    c.entry_snapshot(hot).is_some(),
-                    "hot entry evicted at churn step {v}"
-                );
-            }
-        }
-        let got = c.entry_snapshot(hot).expect("hot entry survives churn");
-        assert!(got.descs.contains_key(&0));
-        assert!(c.desc_entries() <= c.desc_capacity());
-    }
-
-    #[test]
-    fn take_and_insert_move_entries_between_keys() {
-        let c = ctx(16);
-        let a = (BlobId(1), Version(1));
-        let b = (BlobId(1), Version(2));
-        c.with_entry(a, |e| {
-            e.resolved.insert(0..4);
-            e.descs.insert(2, desc(5));
-        });
-        let moved = c.take_entry(a).expect("present");
-        assert!(c.entry_snapshot(a).is_none(), "take removes");
-        c.insert_entry(b, moved);
-        let got = c.entry_snapshot(b).expect("moved entry");
-        assert_eq!(got.descs.get(&2), Some(&desc(5)));
     }
 
     #[test]

@@ -49,8 +49,7 @@ pub fn collect_leaves(
 
 /// Multi-range variant of [`collect_leaves`]: one breadth-first descent
 /// for the *union* of `wants`, so a read plan of R disjoint runs costs at
-/// most `tree depth` metadata rounds total instead of `R × depth`. This is
-/// the single-descent planner behind the client's vectored `read_multi`.
+/// most `tree depth` metadata rounds total instead of `R × depth`.
 ///
 /// Ordering contract: the result is sorted by chunk index with no
 /// duplicates (even if `wants` overlap), and no explicit sort is needed —
@@ -64,59 +63,158 @@ pub fn collect_leaves_multi(
     span: u64,
     wants: &[Range<u64>],
 ) -> BlobResult<Vec<(u64, ChunkDesc)>> {
+    let wants = Wants::new(wants);
     let mut out = Vec::new();
-    // Normalize to sorted, disjoint, non-empty ranges.
-    let mut wants: Vec<Range<u64>> = wants.iter().filter(|w| w.start < w.end).cloned().collect();
-    wants.sort_by_key(|w| w.start);
-    wants.dedup_by(|next, prev| {
-        if next.start <= prev.end {
-            prev.end = prev.end.max(next.end);
-            true
-        } else {
-            false
-        }
-    });
     if root.is_null() || wants.is_empty() {
         return Ok(out);
     }
-    // Does `range` intersect the want union? `wants` is sorted+disjoint,
-    // so only the predecessor-by-start and successor runs can overlap.
-    let intersects = |range: &Range<u64>| -> bool {
-        let i = wants.partition_point(|w| w.start < range.end);
-        i > 0 && wants[i - 1].end > range.start
-    };
-    // Frontier of (key, node_range), maintained in index order.
-    let mut frontier: Vec<(NodeKey, Range<u64>)> = vec![(root, 0..span)];
+    collect_leaves_from(io, vec![(root, 0..span)], &wants, &mut out)?;
+    debug_assert!(
+        out.windows(2).all(|w| w[0].0 < w[1].0),
+        "frontier order must yield sorted leaves"
+    );
+    Ok(out)
+}
+
+/// The chunk-index runs a descent is after: sorted, disjoint, non-empty.
+#[derive(Debug)]
+pub(crate) struct Wants(Vec<Range<u64>>);
+
+impl Wants {
+    /// Normalize `runs` (any order, overlapping, empty ones allowed).
+    pub(crate) fn new(runs: &[Range<u64>]) -> Self {
+        let mut runs: Vec<Range<u64>> = runs.iter().filter(|w| w.start < w.end).cloned().collect();
+        runs.sort_by_key(|w| w.start);
+        runs.dedup_by(|next, prev| {
+            if next.start <= prev.end {
+                prev.end = prev.end.max(next.end);
+                true
+            } else {
+                false
+            }
+        });
+        Self(runs)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Whether `range` reaches into a wanted run, for the ranges of one
+    /// descent level asked left to right: `from` (0 at the level's
+    /// start) moves past the runs that end before each range, so a level
+    /// costs one pass over the runs, not a search per node.
+    fn reaches(&self, from: &mut usize, range: &Range<u64>) -> bool {
+        while self.0.get(*from).is_some_and(|w| w.end <= range.start) {
+            *from += 1;
+        }
+        self.0.get(*from).is_some_and(|w| w.start < range.end)
+    }
+
+    /// How many wanted chunk indices `range` holds.
+    pub(crate) fn within(&self, range: &Range<u64>) -> u64 {
+        let first = self.0.partition_point(|w| w.end <= range.start);
+        self.0[first..]
+            .iter()
+            .take_while(|w| w.start < range.end)
+            .map(|w| w.end.min(range.end) - w.start.max(range.start))
+            .sum()
+    }
+
+    /// How many chunk indices are wanted.
+    pub(crate) fn chunks(&self) -> u64 {
+        self.0.iter().map(|w| w.end - w.start).sum()
+    }
+}
+
+/// What a descent knows without a metadata round: the wanted leaves it
+/// reached, and the frontier `(key, node range)` of nodes it could not
+/// look into.
+pub(crate) type Walk = (Vec<(u64, ChunkDesc)>, Vec<(NodeKey, Range<u64>)>);
+
+/// Descend from `root` over the nodes `cached` can produce, level by
+/// level, stopping at each node it cannot: [`collect_leaves_from`]
+/// continues from the returned frontier, which is in index order. An
+/// empty frontier means the leaves are the whole answer.
+pub(crate) fn walk_cached(
+    root: NodeKey,
+    span: u64,
+    wants: &Wants,
+    mut cached: impl FnMut(NodeKey) -> Option<TreeNode>,
+) -> Walk {
+    let (mut leaves, mut frontier) = (Vec::new(), Vec::new());
+    if root.is_null() || wants.is_empty() {
+        return (leaves, frontier);
+    }
+    // Two buffers, swapped per level: a warm walk allocates nothing
+    // per level.
+    let (mut level, mut next) = (vec![(root, 0..span)], Vec::new());
+    while !level.is_empty() {
+        let mut from = 0;
+        for (key, range) in level.drain(..) {
+            match cached(key) {
+                Some(node) => expand(node, range, wants, &mut from, &mut leaves, &mut next),
+                None => frontier.push((key, range)),
+            }
+        }
+        std::mem::swap(&mut level, &mut next);
+    }
+    // Nodes from different levels: put the disjoint ranges in order.
+    frontier.sort_unstable_by_key(|(_, range)| range.start);
+    (leaves, frontier)
+}
+
+/// Continue a descent from `frontier` (nodes of any depth with disjoint
+/// chunk-index ranges, in index order), one [`NodeIo::fetch`] per level,
+/// appending the wanted leaves to `out` level by level — in index order
+/// when the frontier is one root.
+pub(crate) fn collect_leaves_from(
+    io: &mut dyn NodeIo,
+    mut frontier: Vec<(NodeKey, Range<u64>)>,
+    wants: &Wants,
+    out: &mut Vec<(u64, ChunkDesc)>,
+) -> BlobResult<()> {
     while !frontier.is_empty() {
         let keys: Vec<NodeKey> = frontier.iter().map(|(k, _)| *k).collect();
         let nodes = io.fetch(&keys)?;
-        let mut next = Vec::new();
-        for ((_key, range), node) in frontier.into_iter().zip(nodes) {
-            match node {
-                TreeNode::Leaf { chunk } => {
-                    debug_assert_eq!(range.end - range.start, 1, "leaf must cover one chunk");
-                    if intersects(&range) {
-                        debug_assert!(
-                            out.last().is_none_or(|(i, _)| *i < range.start),
-                            "frontier order must yield sorted leaves"
-                        );
-                        out.push((range.start, chunk));
-                    }
-                }
-                TreeNode::Inner { left, right } => {
-                    let mid = range.start + (range.end - range.start) / 2;
-                    if !left.is_null() && intersects(&(range.start..mid)) {
-                        next.push((left, range.start..mid));
-                    }
-                    if !right.is_null() && intersects(&(mid..range.end)) {
-                        next.push((right, mid..range.end));
-                    }
-                }
-            }
+        let (mut next, mut from) = (Vec::new(), 0);
+        for ((_, range), node) in frontier.into_iter().zip(nodes) {
+            expand(node, range, wants, &mut from, out, &mut next);
         }
         frontier = next;
     }
-    Ok(out)
+    Ok(())
+}
+
+/// One node of a descent over `range`, the level's nodes taken left to
+/// right (`from`: see [`Wants::reaches`]): a wanted leaf goes to `out`,
+/// an inner node's children that reach into `wants` to `next`, left
+/// first.
+fn expand(
+    node: TreeNode,
+    range: Range<u64>,
+    wants: &Wants,
+    from: &mut usize,
+    out: &mut Vec<(u64, ChunkDesc)>,
+    next: &mut Vec<(NodeKey, Range<u64>)>,
+) {
+    match node {
+        TreeNode::Leaf { chunk } => {
+            debug_assert_eq!(range.end - range.start, 1, "leaf must cover one chunk");
+            if wants.reaches(from, &range) {
+                out.push((range.start, chunk));
+            }
+        }
+        TreeNode::Inner { left, right } => {
+            let mid = range.start + (range.end - range.start) / 2;
+            if !left.is_null() && wants.reaches(from, &(range.start..mid)) {
+                next.push((left, range.start..mid));
+            }
+            if !right.is_null() && wants.reaches(from, &(mid..range.end)) {
+                next.push((right, mid..range.end));
+            }
+        }
+    }
 }
 
 /// The garbage collector's reachability diff: the leaves `(node key,
@@ -548,6 +646,39 @@ mod tests {
             expect.extend(collect_leaves(&mut io, root, span, r).unwrap());
         }
         assert_eq!(leaves, expect);
+    }
+
+    #[test]
+    fn a_cached_walk_hands_its_frontier_to_the_descent() {
+        let span = 16u64;
+        let mut io = MemIo::new();
+        let all: Vec<u64> = (0..span).collect();
+        let root = build_new_tree(&mut io, NodeKey::NULL, span, &updates(&all)).unwrap();
+        let runs = [1..3, 6..11, 15..16];
+        let full = collect_leaves_multi(&mut io, root, span, &runs).unwrap();
+        // Everything cached but the subtrees over 8..16 and 4..8, which
+        // the walk meets on different levels.
+        let inner = |key: NodeKey| match io.nodes[&key] {
+            TreeNode::Inner { left, right } => (left, right),
+            TreeNode::Leaf { .. } => panic!("an inner node"),
+        };
+        let (left, right) = inner(root);
+        let (_, middle) = inner(left);
+        let wants = Wants::new(&runs);
+        let (mut leaves, frontier) = walk_cached(root, span, &wants, |key| {
+            (key != right && key != middle).then(|| io.nodes[&key].clone())
+        });
+        assert_eq!(frontier, vec![(middle, 4..8), (right, 8..span)]);
+        assert_eq!(leaves, full[..2], "the wanted leaves under 0..4");
+        let missed: u64 = frontier.iter().map(|(_, r)| wants.within(r)).sum();
+        assert_eq!((wants.chunks(), missed), (8, 6));
+        // The descent resumes at the frontier: the deeper subtree's four
+        // levels, not the whole tree's five.
+        io.fetch_rounds = 0;
+        collect_leaves_from(&mut io, frontier, &wants, &mut leaves).unwrap();
+        assert_eq!(io.fetch_rounds, 4);
+        leaves.sort_by_key(|&(i, _)| i);
+        assert_eq!(leaves, full);
     }
 
     #[test]

@@ -511,7 +511,7 @@ impl BlobStore {
 
     /// The shared cache module of `node` (created on first use). All
     /// clients co-located on a node attach to the same context, sharing
-    /// its descriptor cache and content-digest index.
+    /// its metadata cache and content-digest index.
     pub fn node_context(&self, node: NodeId) -> Arc<NodeContext> {
         Arc::clone(
             self.contexts

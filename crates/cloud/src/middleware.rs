@@ -128,7 +128,6 @@ impl Cloud {
             cache.desc_misses += s.desc_misses;
             cache.dedup_hits += s.dedup_hits;
             cache.dedup_reused_bytes += s.dedup_reused_bytes;
-            cache.desc_entries += s.desc_entries;
             cache.node_hits += s.node_hits;
             cache.node_misses += s.node_misses;
             let p = ctx.prefetch_stats();
@@ -284,7 +283,7 @@ impl Cloud {
 /// [`Cloud::metrics`].
 #[derive(Debug, Clone, Default)]
 pub struct ClusterMetrics {
-    /// Descriptor-cache and dedup counters, summed over every node
+    /// Metadata-cache and dedup counters, summed over every node
     /// context (compute nodes plus the service node).
     pub cache: bff_blobseer::CacheStats,
     /// Prefetch effectiveness, summed over every node context.

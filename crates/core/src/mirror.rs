@@ -211,8 +211,8 @@ impl MirroredImage {
     ///
     /// The whole plan is handed to the repository's vectored
     /// [`Client::read_multi`] in one call: one segment-tree descent for
-    /// all runs (instead of one per run), descriptor-cache hits for
-    /// chunks this node already resolved, and per-provider batched chunk
+    /// all runs (instead of one per run), none for the tree nodes this
+    /// node already holds, and per-provider batched chunk
     /// transfers. Accounting is unchanged: `remote_bytes` sums the run
     /// lengths and `remote_fetches` counts plan runs, exactly as the
     /// former per-run loop did.

@@ -1,6 +1,6 @@
 //! [`LruMap`]: the one bounded map behind the node-side indexes and
-//! caches (content digests, segment-tree nodes, version facts,
-//! descriptor-cache shards, access trackers, chunk payloads).
+//! caches (content digests, segment-tree nodes, version facts, access
+//! trackers, chunk payloads).
 //!
 //! Recency is a lazily invalidated queue: every insert or refresh stamps
 //! the entry with a fresh sequence number and pushes a `(key, seq)` slot;
@@ -10,7 +10,17 @@
 //! caller's choice: [`LruMap::get`] only peeks (eviction then follows
 //! insertion order, re-inserting a key refreshes it), while
 //! [`LruMap::get_refresh`] and [`LruMap::get_refresh_mut`] mark the
-//! entry most-recently used.
+//! entry used.
+//!
+//! A use *promotes* the entry (fresh stamp, one queue slot) only once
+//! its stamp is at least `max(len/2, 1)` pushes old. Hot entries are hit
+//! far more often than the map turns over (a descent touches the same
+//! top tree nodes on every read), so without the rule every such hit
+//! parks a queue slot. The guarantee the rule keeps: an entry promoted
+//! (or inserted) within the last `len/2` pushes has at most `len/2`
+//! entries stamped after it, so at least `len/2 − 1` older live entries
+//! stand ahead of it in eviction order; an entry in the older half moves
+//! to the back of that order on its next use, as in exact LRU.
 //!
 //! The bound is on total *weight*: an entry inserted with
 //! [`LruMap::insert`] weighs 1, so the bound counts entries; one
@@ -85,7 +95,8 @@ impl<K: Copy + Eq + Hash, V> LruMap<K, V> {
         self.map.get(key).map(|slot| &slot.value)
     }
 
-    /// Look up a key and mark it most-recently used.
+    /// Look up a key and mark it used (see the module docs for when a
+    /// use reorders).
     pub fn get_refresh(&mut self, key: &K) -> Option<&V> {
         self.get_refresh_mut(key).map(|v| &*v)
     }
@@ -96,10 +107,11 @@ impl<K: Copy + Eq + Hash, V> LruMap<K, V> {
         // entry, so the hit is one map lookup; the slot pushed below
         // waits for the next operation.
         self.compact();
+        let young = (self.map.len() as u64 / 2).max(1);
         let slot = self.map.get_mut(key)?;
-        // Already the most recent: nothing to reorder (the common case
-        // of one reader going back to the same entry).
-        if slot.stamp != self.seq {
+        // Still in the younger half: nothing to reorder (the common case
+        // of readers going back to the same few entries).
+        if self.seq - slot.stamp >= young {
             self.seq += 1;
             slot.stamp = self.seq;
             self.order.push_back((*key, self.seq));
@@ -107,7 +119,7 @@ impl<K: Copy + Eq + Hash, V> LruMap<K, V> {
         Some(&mut slot.value)
     }
 
-    /// The entry for `key`, marked most-recently used; an absent key is
+    /// The entry for `key`, marked used; an absent key is
     /// first inserted as `make()` (weight 1). `None` only from a
     /// zero-capacity map, which keeps nothing to lend.
     pub fn get_or_insert_with(&mut self, key: K, make: impl FnOnce() -> V) -> Option<&mut V> {
@@ -302,6 +314,37 @@ mod tests {
                 m.queue_len()
             );
         }
+    }
+
+    #[test]
+    fn hits_in_the_younger_half_park_no_slot_and_the_entry_survives() {
+        const CAP: u64 = 8;
+        let mut m: LruMap<u64, u32> = LruMap::new(CAP as usize);
+        for k in 1..=CAP {
+            m.insert(k, 0);
+        }
+        // Key 6 is two pushes old, younger than len/2 = 4: its hits do
+        // not reorder, so the queue stays as the inserts left it.
+        let queue = m.queue_len();
+        for _ in 0..100 {
+            *m.get_refresh_mut(&6).expect("present") += 1;
+        }
+        assert_eq!(m.queue_len(), queue, "a young hit parked a queue slot");
+        // It still outlives len/2 later inserts: the older half leaves.
+        for k in CAP + 1..=CAP + CAP / 2 {
+            m.insert(k, 0);
+        }
+        assert_eq!(m.get(&6), Some(&100));
+        assert_eq!(m.get(&(CAP / 2)), None, "the older half was evicted");
+        // An entry in the older half is promoted on its next use.
+        let queue = m.queue_len();
+        assert!(m.get_refresh(&5).is_some());
+        assert_eq!(m.queue_len(), queue + 1);
+        for k in 100..100 + CAP / 2 {
+            m.insert(k, 0);
+        }
+        assert!(m.get(&5).is_some(), "the promoted entry stays");
+        assert_eq!(m.get(&6), None, "the unpromoted one aged out");
     }
 
     #[test]

@@ -81,7 +81,7 @@ fn colocated_demo() {
         .expect("upload");
 
     // 3 VMs per node: only the first boot on each node resolves
-    // metadata; its co-located peers ride the shared descriptor cache.
+    // metadata; its co-located peers ride the node's shared metadata cache.
     let mut vms: Vec<VmHandle> = Vec::new();
     for &node in &compute {
         for _ in 0..vms_per_node {
