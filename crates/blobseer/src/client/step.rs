@@ -127,11 +127,34 @@ pub(super) fn written(resp: Resp, n: usize) -> BlobResult<Vec<()>> {
 mod tests {
     use crate::client::testkit::*;
 
+    /// What `fabric` was charged since the last call — network bytes,
+    /// rpcs, transfers, disk bytes read, disk bytes written — and reset.
+    fn charged(fabric: &LocalFabric) -> (u64, u64, u64, u64, u64) {
+        let s = fabric.stats();
+        let disk = (0..s.node_count() as u32).map(|n| s.node(NodeId(n)));
+        let (read, written) = disk.fold((0, 0), |(r, w), n| (r + n.disk_read, w + n.disk_written));
+        let seen = (
+            s.total_network_bytes(),
+            s.rpc_count(),
+            s.transfer_count(),
+            read,
+            written,
+        );
+        s.reset();
+        seen
+    }
+
     /// The scatter-gather request path moves waits, never modelled cost:
     /// a cold 64-chunk boot (sixteen 4-chunk reads) and a snapshot delete
     /// charge the fabric exactly what the per-destination calls charged —
     /// the pinned values were recorded on the commit before the batch
-    /// steps landed — and the same under every transport.
+    /// steps landed — and the same under every transport. The write
+    /// path's legs — a fresh commit (allocate, put, node writes,
+    /// publish), a commit that dedups against another node's content
+    /// (cluster probe, retain, record) and a board publish — were pinned
+    /// before the cost book moved to the request seam. Each tuple is
+    /// network bytes, rpcs, transfers, disk bytes read, disk bytes
+    /// written.
     #[test]
     fn batched_steps_charge_the_fabric_what_per_destination_calls_did() {
         use crate::api::TransportMode::*;
@@ -150,25 +173,102 @@ mod tests {
             let v2 = writer
                 .write(blob, v1, 5 * 128, Payload::synth(8, 0, 4 * 128))
                 .unwrap();
-            let counters = || {
-                let s = fabric.stats();
-                let seen = (s.total_network_bytes(), s.rpc_count(), s.transfer_count());
-                s.reset();
-                seen
-            };
-            counters();
+            charged(&fabric);
             // Another node: empty descriptor, node and chunk caches.
             let reader = Client::new(Arc::clone(&store), NodeId(1));
             for read in 0..16u64 {
                 let range = read * 512..(read + 1) * 512;
                 reader.read(blob, v2, range).unwrap();
             }
-            assert_eq!(counters(), (20992, 75, 46), "cold boot under {transport:?}");
+            let boot = charged(&fabric);
+            assert_eq!(boot, (20992, 75, 46, 0, 0), "cold boot under {transport:?}");
             // A third node: the collector's descent starts cold too.
             let collector = Client::new(Arc::clone(&store), NodeId(2));
             let report = collector.delete_snapshot(blob, v2).unwrap();
             assert_eq!(report.freed_chunks, 4);
-            assert_eq!(counters(), (3928, 18, 3), "delete under {transport:?}");
+            let delete = charged(&fabric);
+            assert_eq!(delete, (3928, 18, 3, 0, 0), "delete under {transport:?}");
+            // A fresh commit into a new blob: the version lookup, one
+            // allocation, a put per provider, the node writes and the
+            // publish.
+            let fresh = writer.create_blob(8 * 128).unwrap();
+            charged(&fabric);
+            let update = |seed, idx: &[u64]| -> Vec<(u64, Payload)> {
+                idx.iter()
+                    .map(|&i| (i, Payload::synth(seed + i, 0, 128)))
+                    .collect()
+            };
+            writer
+                .write_chunks(fresh, Version(0), update(20, &[0, 3, 6]))
+                .unwrap();
+            let commit = charged(&fabric);
+            assert_eq!(
+                commit,
+                (1608, 7, 2, 0, 384),
+                "fresh commit under {transport:?}"
+            );
+
+            // Providers whose page caches were dropped read from disk.
+            store.drop_provider_caches();
+            let cold = Client::new(Arc::clone(&store), NodeId(3));
+            cold.read(blob, v1, 0..8 * 128).unwrap();
+            let disk = charged(&fabric);
+            assert_eq!(
+                disk,
+                (2992, 11, 3, 1024, 0),
+                "cold-disk read under {transport:?}"
+            );
+
+            // Dedup, the cluster index and the board on.
+            let cfg = BlobConfig {
+                chunk_size: 128,
+                dedup: true,
+                cluster_dedup: true,
+                prefetch: true,
+                prefetch_min_publishers: 1,
+                transport,
+                ..Default::default()
+            };
+            let (fabric, store) = deploy(4, cfg);
+            let (a, b) = (
+                Client::new(Arc::clone(&store), NodeId(0)),
+                Client::new(Arc::clone(&store), NodeId(1)),
+            );
+            let (blob_a, blob_b) = (
+                a.create_blob(8 * 128).unwrap(),
+                b.create_blob(8 * 128).unwrap(),
+            );
+            charged(&fabric);
+            // Fresh content: a cluster probe that misses, the push, and
+            // the record that files two new keys and publishes them.
+            let va = a
+                .write_chunks(blob_a, Version(0), update(40, &[0, 1]))
+                .unwrap();
+            let filed = charged(&fabric);
+            assert_eq!(
+                filed,
+                (1968, 8, 4, 0, 256),
+                "filing commit under {transport:?}"
+            );
+            // The same bytes from another node: a cluster hit the
+            // provider retains, nothing pushed, nothing new filed.
+            b.write_chunks(blob_b, Version(0), update(40, &[0, 1]))
+                .unwrap();
+            let reused = charged(&fabric);
+            assert_eq!(
+                reused,
+                (1088, 7, 0, 0, 0),
+                "dedup commit under {transport:?}"
+            );
+            // A board publish: eight first touches from a third node.
+            let c = Client::new(Arc::clone(&store), NodeId(2));
+            c.hint_access(blob_a, va, std::slice::from_ref(&(0..8 * 128)));
+            let published = charged(&fabric);
+            assert_eq!(
+                published,
+                (704, 2, 3, 0, 0),
+                "board publish under {transport:?}"
+            );
         }
     }
 }
