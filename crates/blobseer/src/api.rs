@@ -37,9 +37,9 @@ pub enum ReplicationMode {
 /// `bff_wire::Req` served by `ServerState::dispatch`, which does all
 /// locking and journaling. The mode only selects how the request gets
 /// there, so all three produce **identical logical outcomes** (every
-/// modelled cost is charged to the fabric by the client, at the same
-/// point of the protocol whichever way the message moves — before a
-/// request is sent, or, for a read's data, after its replies arrive),
+/// modelled cost is priced per request by one cost book and paid where
+/// the request is sent, at the same point of the protocol whichever way
+/// the message moves — before the request goes out, or from its reply),
 /// any of them can be durable, and they differ only in real CPU cost:
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportMode {
@@ -118,10 +118,12 @@ pub struct BlobConfig {
     /// whose payloads miss the node's digest index additionally probe
     /// the cluster [`crate::cluster::ClusterIndex`] hosted beside the
     /// provider manager, so identical content committed from *different*
-    /// nodes is published by reference instead of re-replicated. Probes
-    /// resolve against the node's gossiped replica (no RPC); each commit
-    /// pays at most one control round to publish its novel index
-    /// entries. Defaults to the `BFF_CLUSTER_DEDUP` environment variable
+    /// nodes is published by reference instead of re-replicated. A
+    /// commit probes the index with one `ClusterReq::Get` to the cluster
+    /// role for all its node-index misses — a real frame behind a
+    /// transport hop, which the cost model prices at zero, as if the
+    /// node read a gossiped replica — and pays at most one control round
+    /// to publish its novel index entries. Defaults to the `BFF_CLUSTER_DEDUP` environment variable
     /// (unset → on), which is how CI runs the whole suite in both modes.
     pub cluster_dedup: bool,
     /// Entries kept in the cluster-wide dedup index. `0` disables the

@@ -38,7 +38,6 @@ use crate::segtree;
 use bff_data::{chunk_cover, chunk_range, intersect, ContentKey, FastMap, Payload};
 use bff_net::NodeId;
 use bff_wire::msg::{ProviderReq, Req, RetainOutcome};
-use std::convert::Infallible;
 
 /// One distinct payload content within a commit's update set.
 #[derive(Debug)]
@@ -201,13 +200,13 @@ impl Client {
         }
     }
 
-    /// Probe the node's digest index — then, on a miss, the node's
-    /// gossiped replica of the cluster-wide
-    /// [`crate::cluster::ClusterIndex`] — for each unique payload and
-    /// validate the hits where the bytes are: every reachable provider
-    /// holding a candidate gets **one** batch of `(chunk id, content
-    /// key)` entries, all providers in one step (one control RPC charged
-    /// per provider, as for any batched round). The provider compares
+    /// Probe the node's digest index — then, for every miss at once, the
+    /// cluster-wide [`crate::cluster::ClusterIndex`] (one
+    /// `ClusterReq::Get`, which the cost book prices at zero) — for each
+    /// unique payload and validate the hits where the bytes are: every
+    /// reachable provider holding a candidate gets **one** batch of
+    /// `(chunk id, content key)` entries, all providers in one step (one
+    /// control round per provider, as for any batched round). The provider compares
     /// each key with the length and digest of the chunk *it stores* and
     /// takes the reference iff they are equal — so what a hit guarantees
     /// is digest equality against the stored bytes, never just against
@@ -238,7 +237,7 @@ impl Client {
         // chunks it carries.
         if !cluster_misses.is_empty() {
             let keys: Vec<ContentKey> = cluster_misses.iter().map(|&(_, key)| key).collect();
-            let hits = self.store.cluster_get(keys);
+            let hits = self.store.cluster_get(self.node, keys);
             for ((u, key), hit) in cluster_misses.into_iter().zip(hits) {
                 if let Some(desc) = hit {
                     candidates.push((u, key, desc));
@@ -260,26 +259,22 @@ impl Client {
         // whether any replica found other content under the id.
         let mut took: Vec<Vec<NodeId>> = vec![Vec::new(); candidates.len()];
         let mut mismatched = vec![false; candidates.len()];
-        let control = self.cfg().control_bytes;
-        let fabric = &self.store.fabric;
         let retained = &mut commit.retained;
-        let Ok(()) = retain.run(
-            &self.store,
+        retain.run(
+            self,
             |prov, entries| {
-                let reachable =
-                    !fabric.is_down(prov) && fabric.rpc(self.node, prov, control, control).is_ok();
-                Ok::<_, Infallible>(reachable.then(|| Req::Provider {
+                Some(Req::Provider {
                     node: prov,
                     req: ProviderReq::Retain(
                         entries.iter().map(|&(_, id, key)| (id, key)).collect(),
                     ),
-                }))
+                })
             },
             step::retained,
-            // No verdicts (not asked, or the exchange failed): nothing of
-            // that provider's share reads as retained, and the commit
-            // pushes fresh bytes instead — always safe (a reference a lost
-            // reply hid is a bounded leak).
+            // No verdicts (the provider is down, or the exchange failed):
+            // nothing of that provider's share reads as retained, and the
+            // commit pushes fresh bytes instead — always safe (a reference
+            // a lost reply hid is a bounded leak).
             |prov, entries, reply| {
                 let verdicts = reply.and_then(Result::ok).unwrap_or_default();
                 for (&(c, id, _), verdict) in entries.iter().zip(verdicts) {
@@ -319,7 +314,7 @@ impl Client {
     fn forget_stale_hit(&self, key: &ContentKey) {
         self.ctx.digest_forget(key);
         if self.cfg().cluster_dedup {
-            self.store.cluster_forget(key);
+            self.store.cluster_forget(self.node, key);
         }
     }
 
@@ -348,9 +343,8 @@ impl Client {
             segtree::build_new_tree(&mut self.node_io(), meta.root, meta.span, &update_map)?;
 
         // Publish at the version manager (the total-order point).
-        self.control_rpc(self.store.topology().vmanager)?;
         let seen = self.ctx.version_purges();
-        let v = self.store.vm_publish(blob, base, new_root)?;
+        let v = self.store.vm_publish(self.node, blob, base, new_root)?;
         let facts = VersionMeta {
             root: new_root,
             ..meta
@@ -381,11 +375,6 @@ impl Client {
         let mut pushed = Vec::new().into_iter();
         if !fresh.is_empty() {
             let n = fresh.len();
-            let c = self.cfg().control_bytes;
-            let pmanager = self.store.topology().pmanager;
-            self.store
-                .fabric
-                .rpc(self.node, pmanager, c, c + 24 * n as u64)?;
             let down: Vec<bool> = self
                 .store
                 .topology()
@@ -393,9 +382,10 @@ impl Client {
                 .iter()
                 .map(|&p| self.store.fabric.is_down(p))
                 .collect();
+            let replication = self.cfg().replication;
             let descs = self
                 .store
-                .pm_allocate(n, chunk_size, self.cfg().replication, down)?;
+                .pm_allocate(self.node, n, chunk_size, replication, down)?;
             // A fresh put stores each replica at refcount 1 — record that
             // implicit reference *before* pushing, so a failed push or
             // publish releases (and thereby frees) whatever actually got
@@ -439,13 +429,13 @@ impl Client {
             }
         }
         let retained = &mut commit.retained;
-        let Ok(()) = extra.run(
-            &self.store,
+        extra.run(
+            self,
             |prov, entries| {
-                Ok::<_, Infallible>(Some(Req::Provider {
+                Some(Req::Provider {
                     node: prov,
                     req: ProviderReq::Retain(entries.clone()),
-                }))
+                })
             },
             step::retained,
             |prov, entries, reply| {
@@ -489,9 +479,9 @@ impl Client {
     /// and answers how many that was. Only those are charged — one
     /// control RPC plus the gossip that carries the update to the other
     /// compute nodes along the broadcast tree; content the cluster
-    /// already indexes (the common converged boot path) costs nothing.
-    /// Best-effort like every index update: an unreachable host just
-    /// drops the batch.
+    /// already indexes (the common converged boot path) costs nothing
+    /// beyond the request. Best-effort like every index update: an
+    /// unreachable host just drops the batch.
     fn publish_cluster_entries(&self, commit: &Commit, descs: &[ChunkDesc]) {
         if !self.cfg().cluster_dedup || self.store.fabric.is_down(self.store.topo.pmanager) {
             return; // index host unreachable: skip, the content stays node-local
@@ -502,12 +492,7 @@ impl Client {
             .zip(descs)
             .filter_map(|(unique, desc)| Some((unique.key?, desc.clone())))
             .collect();
-        let novel = self.store.cluster_record(entries);
-        if novel > 0 {
-            // One control round per commit: key + descriptor summaries
-            // are ~48 bytes each (length, digest, chunk id, replica set).
-            self.charge_host_publish(self.cfg().control_bytes + 48 * novel as u64);
-        }
+        self.store.cluster_record(self.node, entries);
     }
 
     /// Roll back a failed commit: drop every reference it took, one
@@ -520,13 +505,13 @@ impl Client {
         for (prov, id) in retained {
             release.add(prov, id);
         }
-        let Ok(()) = release.run(
-            &self.store,
+        release.run(
+            self,
             |prov, ids| {
-                Ok::<_, Infallible>(Some(Req::Provider {
+                Some(Req::Provider {
                     node: prov,
                     req: ProviderReq::ReleaseCounted(std::mem::take(ids)),
-                }))
+                })
             },
             step::released,
             |_, _, _| {},

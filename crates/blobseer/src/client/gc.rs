@@ -8,7 +8,6 @@ use crate::api::{BlobId, BlobResult, ChunkId, Version};
 use crate::segtree;
 use bff_data::FastSet;
 use bff_wire::msg::{ProviderReq, Req};
-use std::convert::Infallible;
 
 /// What a snapshot delete reclaimed (see [`Client::delete_snapshots`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -74,8 +73,7 @@ impl Client {
         }
         // 1. Serialize the delete at the version manager and snapshot
         //    the family's live-root frontier under the same lock.
-        self.control_rpc(self.store.topology().vmanager)?;
-        let outcome = self.store.vm_delete_snapshots(blob, versions)?;
+        let outcome = self.store.vm_delete_snapshots(self.node, blob, versions)?;
         // The versions are dead from here on, whatever happens below:
         // no handle of this store may resolve them from a cache again.
         let keys: Vec<(BlobId, Version)> = versions.iter().map(|&v| (blob, v)).collect();
@@ -108,19 +106,14 @@ impl Client {
                 release.add(prov, desc.id);
             }
         }
-        let c = self.cfg().control_bytes;
-        let fabric = &self.store.fabric;
         let mut freed_ids: FastSet<ChunkId> = FastSet::default();
-        let Ok(()) = release.run(
-            &self.store,
+        release.run(
+            self,
             |prov, ids| {
-                let request = c + 8 * ids.len() as u64;
-                let reachable =
-                    !fabric.is_down(prov) && fabric.rpc(self.node, prov, request, c).is_ok();
-                Ok::<_, Infallible>(reachable.then(|| Req::Provider {
+                Some(Req::Provider {
                     node: prov,
                     req: ProviderReq::ReleaseCounted(ids.clone()),
-                }))
+                })
             },
             step::released,
             |_, ids, reply| {
@@ -143,9 +136,7 @@ impl Client {
         //    reachable; the eviction itself is applied regardless
         //    (replicas converge eventually — stale survivors self-heal
         //    at validation).
-        let summary_bytes = c + 8 * (keys.len() + freed_ids.len()) as u64;
-        self.charge_host_publish(summary_bytes);
-        self.store.purge_deleted(&keys, &freed_ids);
+        self.store.purge_deleted(self.node, &keys, &freed_ids);
         Ok(report)
     }
 }
@@ -405,7 +396,7 @@ mod tests {
             .write_chunks(blob, v1, vec![(1, Payload::synth(71, 0, 128))])
             .unwrap();
         let seen = a.ctx.version_facts((blob, v2)).unwrap_err();
-        let answer = a.store.vm_version_meta(blob, v2).unwrap();
+        let answer = a.store.vm_version_meta(a.node, blob, v2).unwrap();
         b.delete_snapshot(blob, v2).unwrap();
         a.ctx.record_version_facts((blob, v2), answer, seen);
         let fresh = Client::new(Arc::clone(a.store()), NodeId(0));

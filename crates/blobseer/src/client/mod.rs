@@ -33,20 +33,25 @@
 //! descent level's shard reads, a commit's node writes, its dedup
 //! `Retain`s and extra retains, a rollback's or a collection's releases
 //! — is one `step::Step`: build the batch grouped by destination (in
-//! ascending order), decide per destination whether to ask it and pay
-//! its fabric charge, send every request in one
+//! ascending order), decide per destination whether to ask it, pay each
+//! request's before-send price from the cost book (`crate::cost`), send
+//! every request in one
 //! [`BlobStore::call_many`](crate::service::BlobStore) (one frame and
-//! one wait for the step), and settle each destination's validated
-//! reply — one answer per item, or that destination failed. The
-//! replication push is the one exception: its per-destination transfer
-//! → put → disk-write order is what the simulated figures time.
+//! one wait for the step), and settle each destination's reply once its
+//! charge is paid — validated: one answer per item, or that destination
+//! failed. The replication push is the one exception: each
+//! destination's `Put` is its own request in its own task, so its
+//! transfer, store and disk write run in that order per destination,
+//! overlapping the others, which is what the simulated figures time.
+//!
+//! No code here prices a request or charges the fabric: what a request
+//! costs is decided in the cost book alone.
 
 use crate::api::{BlobConfig, BlobId, BlobResult, Version};
-use crate::board;
 use crate::context::NodeContext;
 use crate::service::BlobStore;
 use bff_data::Payload;
-use bff_net::{NetError, NodeId};
+use bff_net::NodeId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -140,15 +145,13 @@ impl Client {
     /// Create an empty blob of `size` bytes (chunk size from config).
     pub fn create_blob(&self, size: u64) -> BlobResult<BlobId> {
         let cs = self.cfg().chunk_size;
-        self.control_rpc(self.store.topology().vmanager)?;
-        self.store.vm_create_blob(size, cs)
+        self.store.vm_create_blob(self.node, size, cs)
     }
 
     /// CLONE: a new first-class blob sharing all content with
     /// `(src, version)` (§3.1.4).
     pub fn clone_blob(&self, src: BlobId, version: Version) -> BlobResult<BlobId> {
-        self.control_rpc(self.store.topology().vmanager)?;
-        let id = self.store.vm_clone_blob(src, version)?;
+        let id = self.store.vm_clone_blob(self.node, src, version)?;
         // The clone's Version(1) *is* the source tree: the source's facts
         // (root, size, chunk size and span) are the clone's too, so the
         // COMMIT that follows asks the version manager nothing, and a
@@ -160,8 +163,7 @@ impl Client {
 
     /// Latest published version of a blob.
     pub fn latest_version(&self, blob: BlobId) -> BlobResult<Version> {
-        self.control_rpc(self.store.topology().vmanager)?;
-        self.store.vm_latest(blob)
+        self.store.vm_latest(self.node, blob)
     }
 
     /// Logical size of the snapshot `(blob, version)`: what opening it
@@ -178,8 +180,7 @@ impl Client {
     /// passes to [`Client::delete_snapshots`], which rejects versions
     /// already deleted.
     pub fn live_snapshots(&self, blob: BlobId) -> BlobResult<Vec<Version>> {
-        self.control_rpc(self.store.topology().vmanager)?;
-        self.store.vm_live_snapshots(blob)
+        self.store.vm_live_snapshots(self.node, blob)
     }
 
     /// Convenience: create a blob and publish `data` as `Version(1)` — the
@@ -190,52 +191,14 @@ impl Client {
         Ok((blob, v))
     }
 
-    fn control_rpc(&self, to: NodeId) -> Result<(), NetError> {
-        let c = self.cfg().control_bytes;
-        self.store.fabric.rpc(self.node, to, c, c)
-    }
-
     fn version_meta(&self, blob: BlobId, version: Version) -> BlobResult<VersionMeta> {
         let seen = match self.ctx.version_facts((blob, version)) {
             Ok(m) => return Ok(m),
             Err(purges) => purges,
         };
-        self.control_rpc(self.store.topology().vmanager)?;
-        let m = self.store.vm_version_meta(blob, version)?;
+        let m = self.store.vm_version_meta(self.node, blob, version)?;
         self.ctx.record_version_facts((blob, version), m, seen);
         Ok(m)
-    }
-
-    /// Pay the control round that carries a `summary_bytes`-sized
-    /// update to the cluster service host beside the provider manager
-    /// and — when the host is reachable — charge the gossip fan-out
-    /// that disseminates it to the other compute nodes along the
-    /// `bff_bcast` tree. This is the shared transport of the pattern
-    /// board, the cluster dedup index and the GC eviction round.
-    /// Returns whether the host took the update; callers drop their
-    /// batch otherwise (every publish is best-effort).
-    fn charge_host_publish(&self, summary_bytes: u64) -> bool {
-        let host = self.store.topo.pmanager;
-        let c = self.cfg().control_bytes;
-        if self.store.fabric.is_down(host)
-            || self
-                .store
-                .fabric
-                .rpc(self.node, host, summary_bytes, c)
-                .is_err()
-        {
-            return false;
-        }
-        let targets: Vec<NodeId> = self
-            .store
-            .topo
-            .providers
-            .iter()
-            .copied()
-            .filter(|&n| n != host && n != self.node)
-            .collect();
-        board::gossip_charge(&self.store.fabric, host, &targets, summary_bytes);
-        true
     }
 }
 

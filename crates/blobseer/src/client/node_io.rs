@@ -22,16 +22,6 @@ impl Client {
     }
 }
 
-impl ClientNodeIo<'_> {
-    /// Pay one metadata round with `shard` of `req` and `resp` bytes; the
-    /// request goes out only if the fabric carried the charge.
-    fn charge(&self, shard: usize, req: u64, resp: u64) -> BlobResult<()> {
-        let store = &self.client.store;
-        let shard_node = store.topo.metadata[shard];
-        Ok(store.fabric.rpc(self.client.node, shard_node, req, resp)?)
-    }
-}
-
 fn meta(shard: usize, req: MetaReq) -> Option<Req> {
     Some(Req::Meta {
         shard: shard as u32,
@@ -61,15 +51,12 @@ impl NodeIo for ClientNodeIo<'_> {
         for &(i, key) in &misses {
             read.add(partition_of(key, shards), (i, key));
         }
-        let cfg = self.client.store.config();
         let mut failed = None;
         read.run(
-            &self.client.store,
-            |shard, group| -> BlobResult<_> {
-                let n = group.len() as u64;
-                self.charge(shard, cfg.control_bytes + 8 * n, cfg.node_bytes * n)?;
+            self.client,
+            |shard, group| {
                 let keys = group.iter().map(|&(_, key)| key).collect();
-                Ok(meta(shard, MetaReq::ReadNodes(keys)))
+                meta(shard, MetaReq::ReadNodes(keys))
             },
             step::nodes,
             |_, group, reply| match reply {
@@ -85,7 +72,7 @@ impl NodeIo for ClientNodeIo<'_> {
                 // level below.
                 None => {}
             },
-        )?;
+        );
         if let Some(e) = failed {
             return Err(e);
         }
@@ -100,12 +87,7 @@ impl NodeIo for ClientNodeIo<'_> {
     }
 
     fn reserve(&mut self, n: u64) -> BlobResult<Range<u64>> {
-        let store = &self.client.store;
-        let c = store.config().control_bytes;
-        store
-            .fabric
-            .rpc(self.client.node, store.topo.vmanager, c, c)?;
-        store.vm_reserve_keys(n)
+        self.client.store.vm_reserve_keys(self.client.node, n)
     }
 
     /// A commit's new nodes: one step with one `WriteNodes` batch per
@@ -123,25 +105,17 @@ impl NodeIo for ClientNodeIo<'_> {
         for (key, node) in nodes {
             write.add(partition_of(key, shards), (key, node));
         }
-        let cfg = self.client.store.config();
         let mut failed = None;
         write.run(
-            &self.client.store,
-            |shard, group| -> BlobResult<_> {
-                self.charge(
-                    shard,
-                    cfg.node_bytes * group.len() as u64,
-                    cfg.control_bytes,
-                )?;
-                Ok(meta(shard, MetaReq::WriteNodes(std::mem::take(group))))
-            },
+            self.client,
+            |shard, group| meta(shard, MetaReq::WriteNodes(std::mem::take(group))),
             step::written,
             |_, _, reply| {
                 if let Some(Err(e)) = reply {
                     failed.get_or_insert(e);
                 }
             },
-        )?;
+        );
         if let Some(e) = failed {
             return Err(e);
         }

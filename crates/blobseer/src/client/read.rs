@@ -39,7 +39,6 @@ use bff_net::{NetError, NodeId};
 use bff_wire::msg::{ProviderReq, Req};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::convert::Infallible;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -172,10 +171,10 @@ impl Client {
     /// Fetch `chunks` (index, descriptor, stored length) in one step,
     /// grouped by each chunk's preferred replica: every reachable
     /// provider's `Fetch` is in flight before the first reply is read,
-    /// and only then does each group charge the fabric — one batched
-    /// disk read and one batched transfer, providers in parallel. A group
-    /// whose provider is down (or is none), whose exchange fails or whose
-    /// reply is malformed falls back to per-chunk [`fetch_chunk`] replica
+    /// and each reply is charged as one batched disk read and one batched
+    /// transfer, providers in parallel. A group whose provider is down
+    /// (or is none), whose exchange or charge fails or whose reply is
+    /// malformed falls back to per-chunk [`fetch_chunk`] replica
     /// failover. Returns one result per chunk — the demand path
     /// propagates the first error, the prefetch path tolerates per-chunk
     /// failures.
@@ -190,32 +189,26 @@ impl Client {
             let preferred = desc.replicas[preferred_slot(desc, self.node)];
             fetch.add(preferred, (*idx, desc.clone(), *len));
         }
-        let store = &self.store;
         let results: Arc<Mutex<ChunkResults>> =
             Arc::new(Mutex::new(Vec::with_capacity(chunks.len())));
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + 'static>> = Vec::new();
-        let Ok(()) = fetch.run(
-            store,
+        let (store, sink, me) = (Arc::clone(&self.store), Arc::clone(&results), self.node);
+        fetch.run_joined(
+            self,
             |prov, group| {
-                let reachable = !store.fabric.is_down(prov) && store.is_provider(prov);
-                Ok::<_, Infallible>(reachable.then(|| Req::Provider {
+                let reachable = !self.store.fabric.is_down(prov) && self.store.is_provider(prov);
+                reachable.then(|| Req::Provider {
                     node: prov,
                     req: ProviderReq::Fetch(group.iter().map(|(_, desc, _)| desc.id).collect()),
-                }))
+                })
             },
             step::fetched,
-            // Per provider, the batched charges and any failover — run
-            // under `par_join`, which is what the simulated figures time.
-            |prov, group, reply| {
-                let served = reply.and_then(Result::ok);
-                let (store, results, me) = (Arc::clone(store), Arc::clone(&results), self.node);
-                tasks.push(Box::new(move || {
-                    let got = settle_chunk_batch(&store, me, prov, group, served);
-                    results.lock().extend(got);
-                }));
+            // Per provider, in the step's `par_join`: the chunks it
+            // served, and replica failover for the rest.
+            move |_, group, reply| {
+                let got = settle_chunk_batch(&store, me, group, reply.and_then(Result::ok));
+                sink.lock().extend(got);
             },
         );
-        self.store.fabric.par_join(tasks);
         Arc::try_unwrap(results)
             .unwrap_or_else(|a| Mutex::new(a.lock().clone()))
             .into_inner()
@@ -248,64 +241,39 @@ fn fetch_chunk(
             last = BlobError::Net(NetError::NodeDown(prov));
             continue;
         }
-        let got = match store.provider_fetch(prov, vec![desc.id]) {
-            Ok(mut served) if served.len() == 1 => served.pop().flatten(),
-            Ok(_) => None,
-            Err(e) => {
-                // Transport failure: this replica is unreachable, try
-                // the next one — same failover as a down node.
-                last = e;
-                continue;
-            }
-        };
-        let Some((data, hot)) = got.filter(|(data, _)| data.len() == len) else {
-            last = BlobError::ChunkUnavailable(desc.id);
-            continue;
-        };
-        let serve = || -> Result<(), NetError> {
-            if !hot {
-                store.fabric.disk_read(prov, len)?;
-            }
-            store.fabric.transfer(prov, me, len)
-        };
-        match serve() {
-            Ok(()) => return Ok(data),
-            Err(e) => last = BlobError::Net(e),
+        match store.provider_fetch(me, prov, vec![desc.id]) {
+            Ok(mut served) if served.len() == 1 => match served.pop().flatten() {
+                Some((data, _)) if data.len() == len => return Ok(data),
+                _ => last = BlobError::ChunkUnavailable(desc.id),
+            },
+            Ok(_) => last = BlobError::ChunkUnavailable(desc.id),
+            // Transport or charge failure: this replica is unreachable,
+            // try the next one — same failover as a down node.
+            Err(e) => last = e,
         }
     }
     Err(last)
 }
 
 /// Settle one provider's slice of a batched read plan, given its answer
-/// (`None`: not asked, or the exchange failed): all chunks served at
-/// `prov` are charged as one batched disk read (cold bytes only) and one
-/// batched transfer — the per-message savings behind the vectored
-/// pipeline. Chunks the provider did not serve (missing, of the wrong
-/// length, node down, or a mid-batch fabric failure) fall back to
-/// per-chunk [`fetch_chunk`] replica failover, preserving availability
-/// semantics.
+/// (`None`: not asked, or the exchange or its charge failed). Chunks the
+/// provider did not serve (missing, of the wrong length, node down, or
+/// a failed exchange) fall back to per-chunk [`fetch_chunk`] replica
+/// failover, preserving availability semantics.
 fn settle_chunk_batch(
     store: &Arc<BlobStore>,
     me: NodeId,
-    prov: NodeId,
     group: Vec<(u64, ChunkDesc, u64)>,
     served: Option<Fetched>,
 ) -> ChunkResults {
-    let mut got: Vec<(u64, ChunkDesc, u64, Payload)> = Vec::with_capacity(group.len());
+    let mut out: ChunkResults = Vec::with_capacity(group.len());
     let mut fallback: Vec<(u64, ChunkDesc, u64)> = Vec::new();
-    let (mut total, mut cold) = (0u64, 0u64);
     match served {
         // One answer per chunk: the step checked the reply's arity.
         Some(served) => {
             for ((idx, desc, len), res) in group.into_iter().zip(served) {
                 match res {
-                    Some((data, hot)) if data.len() == len => {
-                        total += len;
-                        if !hot {
-                            cold += len;
-                        }
-                        got.push((idx, desc, len, data));
-                    }
+                    Some((data, _)) if data.len() == len => out.push((idx, Ok(data))),
                     _ => fallback.push((idx, desc, len)),
                 }
             }
@@ -313,21 +281,6 @@ fn settle_chunk_batch(
         // The whole batch retries through the per-chunk failover path
         // (it skips unreachable nodes).
         None => fallback = group,
-    }
-    let mut out: ChunkResults = Vec::with_capacity(got.len() + fallback.len());
-    if !got.is_empty() {
-        let serve = || -> Result<(), NetError> {
-            if cold > 0 {
-                store.fabric.disk_read(prov, cold)?;
-            }
-            store.fabric.transfer(prov, me, total)
-        };
-        match serve() {
-            Ok(()) => out.extend(got.into_iter().map(|(idx, _, _, data)| (idx, Ok(data)))),
-            // The provider failed mid-batch: retry every chunk through the
-            // failover path (it skips down nodes).
-            Err(_) => fallback.extend(got.into_iter().map(|(idx, desc, len, _)| (idx, desc, len))),
-        }
     }
     for (idx, desc, len) in fallback {
         out.push((idx, fetch_chunk(store, me, &desc, len)));

@@ -7,7 +7,9 @@
 //! batch (down node, mid-transfer failure) is dropped from the published
 //! chunk descriptor rather than failing the write; the write only errors
 //! if a chunk retains no replica at all. The push is deliberately not a
-//! `Step`: its transfer → put → disk-write order per destination is what
+//! `Step`: each destination's `Put` is its own request in its own task,
+//! so the transfer, store and disk write its price charges run in that
+//! order per destination, overlapping the other destinations' — what
 //! the simulated figures time.
 
 use super::Client;
@@ -60,7 +62,6 @@ impl Client {
         };
         let push = Arc::new(Push {
             store: Arc::clone(&self.store),
-            async_writes: self.cfg().async_writes,
             outcome: Mutex::new(PushOutcome::new(descs.len())),
             updates,
             descs,
@@ -104,7 +105,6 @@ struct Push {
     store: Arc<BlobStore>,
     updates: Vec<(u64, Payload)>,
     descs: Vec<ChunkDesc>,
-    async_writes: bool,
     outcome: Mutex<PushOutcome>,
 }
 
@@ -128,27 +128,20 @@ impl PushOutcome {
 }
 
 impl Push {
-    /// Push the chunks at `slots` from `src` to provider `prov`: one
-    /// transfer + one (write-back) disk write for the whole group, chunks
-    /// stored under a single shard acquisition — the per-message savings
-    /// mirroring the batched read path. The payload rope is cloned once
-    /// per stored replica (the copy the provider keeps).
+    /// Push the chunks at `slots` from `src` to provider `prov` as one
+    /// `Put`, stored under a single shard acquisition — the per-message
+    /// savings mirroring the batched read path. The cost book charges it
+    /// one transfer before it is sent and one (write-back) disk write
+    /// once the provider has it. The payload rope is cloned once per
+    /// stored replica (the copy the provider keeps).
     fn to(&self, src: NodeId, prov: NodeId, slots: &[usize]) -> BlobResult<()> {
-        let store = &self.store;
-        if !store.is_provider(prov) {
+        if !self.store.is_provider(prov) {
             return Err(BlobError::ChunkUnavailable(self.descs[slots[0]].id));
         }
-        let total: u64 = slots.iter().map(|&s| self.updates[s].1.len()).sum();
-        store.fabric.transfer(src, prov, total)?;
         let items = slots
             .iter()
             .map(|&s| (self.descs[s].id, self.updates[s].1.clone()));
-        store.provider_put(prov, items.collect())?;
-        if self.async_writes {
-            store.fabric.disk_write_cached(prov, total)?;
-        } else {
-            store.fabric.disk_write(prov, total)?;
-        }
+        self.store.provider_put(src, prov, items.collect())?;
         Ok(())
     }
 

@@ -2,29 +2,49 @@
 //!
 //! A [`Step`] gathers a batch of items by destination (ascending, so
 //! requests, charges and settles run in a deterministic order), asks
-//! each destination once whether it takes part — where the step pays
-//! its per-destination fabric charge or skips a destination it cannot
-//! reach — sends every request in one [`BlobStore::call_many`] (behind
-//! a transport hop, one frame for the step: its destinations are all of
-//! one server role), and hands each group back with its reply,
+//! each destination once for its request — or skips a destination it
+//! cannot reach — and pays each request's before-send price from the
+//! cost book (`crate::cost`), all before anything is sent. A request
+//! whose charge the fabric refuses is not sent. Then every request goes
+//! out in one [`BlobStore::call_many`] (behind a transport hop, one
+//! frame for the step: its destinations are all of one server role),
+//! and each group comes back with its reply, charged from the book and
 //! validated: one answer per item, or the destination counts as failed.
 
-use crate::api::BlobResult;
+use super::Client;
+use crate::api::{BlobError, BlobResult};
+use crate::cost::{self, OnReply};
 use crate::service::{BlobStore, Fetched};
+use bff_net::NodeId;
 use bff_wire::msg::{unexpected_resp, MetaResp, ProviderResp, Req, Resp, RetainOutcome};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// What one destination's group got back: `None` when the step did not
 /// ask it; else one answer per item of the group, or why there are
-/// none (transport failure, a reply of the wrong kind or arity, or the
-/// server's own error).
+/// none (a refused charge, transport failure, a reply of the wrong kind
+/// or arity, or the server's own error).
 pub(super) type Reply<X> = Option<BlobResult<Vec<X>>>;
+
+/// Unpacks a reply to a group of `n` items.
+pub(super) type Answers<X> = fn(Resp, usize) -> BlobResult<Vec<X>>;
 
 /// One protocol step: items grouped by destination.
 pub(super) struct Step<D, T> {
-    /// Each destination's items and, once asked, the number of answers
-    /// its request expects and the request.
-    groups: BTreeMap<D, (Vec<T>, usize, Option<Req>)>,
+    /// Each destination's items and, once asked, where it stands and
+    /// its request.
+    groups: BTreeMap<D, (Vec<T>, Due, Option<Req>)>,
+}
+
+/// Where one destination stands once the step has asked it.
+enum Due {
+    /// Not asked.
+    Skipped,
+    /// Not sent: the fabric refused the request's charge.
+    Refused(BlobError),
+    /// Sent: the number of answers expected, and how the reply is
+    /// charged.
+    Sent(usize, OnReply),
 }
 
 impl<D: Ord + Copy, T> Step<D, T> {
@@ -38,47 +58,108 @@ impl<D: Ord + Copy, T> Step<D, T> {
     pub(super) fn add(&mut self, dest: D, item: T) {
         self.groups
             .entry(dest)
-            .or_insert_with(|| (Vec::new(), 0, None))
+            .or_insert_with(|| (Vec::new(), Due::Skipped, None))
             .0
             .push(item);
     }
 
     /// Run the step. `ask` is called once per destination, in ascending
-    /// order and before anything is sent: it pays the destination's
-    /// fabric charge and returns its request — moving the items into it
-    /// when `settle` needs nothing of them back — or `None` to skip the
-    /// destination, or an error that abandons the whole step unsent (a
-    /// step that never refuses says so with `E = Infallible`).
+    /// order, and returns its request — moving the items into it when
+    /// `settle` needs nothing of them back — or `None` to skip the
+    /// destination; each request's charge is paid as it is returned.
     /// Then every request goes out in one `call_many`; `answers` unpacks
     /// a reply to a group of `n` items, and `settle` gets every group
-    /// back — asked or not, in the same order — with its [`Reply`].
-    pub(super) fn run<X, E>(
-        mut self,
-        store: &BlobStore,
-        mut ask: impl FnMut(D, &mut Vec<T>) -> Result<Option<Req>, E>,
-        answers: impl Fn(Resp, usize) -> BlobResult<Vec<X>>,
+    /// back — asked or not, in the same order — with its [`Reply`],
+    /// whose charge is paid first.
+    pub(super) fn run<X>(
+        self,
+        client: &Client,
+        ask: impl FnMut(D, &mut Vec<T>) -> Option<Req>,
+        answers: Answers<X>,
         mut settle: impl FnMut(D, Vec<T>, Reply<X>),
-    ) -> Result<(), E> {
-        for (&dest, (items, n, req)) in self.groups.iter_mut() {
-            *n = items.len();
-            *req = ask(dest, items)?;
-        }
-        let steps = self
-            .groups
-            .into_iter()
-            .map(|(dest, (items, n, req))| ((dest, items, n), req));
-        store.call_many(steps, |(dest, items, n), resp| {
-            let reply = resp.map(|resp| {
-                let got = resp.and_then(|resp| answers(resp, n))?;
-                if got.len() == n {
-                    Ok(got)
-                } else {
-                    Err(unexpected_resp())
-                }
-            });
-            settle(dest, items, reply);
+    ) {
+        let (store, me) = (&*client.store, client.node);
+        store.call_many(self.ask(client, ask), |(dest, items, due), resp| {
+            settle(dest, items, due.settle(store, me, resp, answers));
         });
-        Ok(())
+    }
+
+    /// [`Step::run`] for a step whose replies carry charges (a fetch's
+    /// disk reads and transfers): each destination's reply charge and
+    /// settle run as one task of one `par_join`, so the providers'
+    /// disks and links overlap as the simulated figures time them.
+    pub(super) fn run_joined<X: 'static>(
+        self,
+        client: &Client,
+        ask: impl FnMut(D, &mut Vec<T>) -> Option<Req>,
+        answers: Answers<X>,
+        settle: impl Fn(D, Vec<T>, Reply<X>) + Send + Sync + 'static,
+    ) where
+        D: Send + 'static,
+        T: Send + 'static,
+    {
+        let settle = Arc::new(settle);
+        let mut tasks: Vec<Box<dyn FnOnce() + Send + 'static>> = Vec::new();
+        client
+            .store
+            .call_many(self.ask(client, ask), |(dest, items, due), resp| {
+                let (store, me, settle) =
+                    (Arc::clone(&client.store), client.node, Arc::clone(&settle));
+                tasks.push(Box::new(move || {
+                    settle(dest, items, due.settle(&store, me, resp, answers));
+                }));
+            });
+        client.store.fabric.par_join(tasks);
+    }
+
+    /// Ask every destination and pay the before-send charges, in
+    /// ascending order; nothing is sent yet.
+    fn ask(
+        mut self,
+        client: &Client,
+        mut ask: impl FnMut(D, &mut Vec<T>) -> Option<Req>,
+    ) -> impl Iterator<Item = ((D, Vec<T>, Due), Option<Req>)> {
+        let (store, me) = (&*client.store, client.node);
+        for (&dest, (items, due, sent)) in self.groups.iter_mut() {
+            let n = items.len();
+            let Some(req) = ask(dest, items) else {
+                continue;
+            };
+            match cost::prepay(store, me, &req) {
+                Ok(reply) => (*due, *sent) = (Due::Sent(n, reply), Some(req)),
+                Err(e) => *due = Due::Refused(e.into()),
+            }
+        }
+        self.groups
+            .into_iter()
+            .map(|(dest, (items, due, req))| ((dest, items, due), req))
+    }
+}
+
+impl Due {
+    /// The destination's [`Reply`], given what `call_many` brought back
+    /// for it, once a client on `me` has paid the reply's charge.
+    fn settle<X>(
+        self,
+        store: &BlobStore,
+        me: NodeId,
+        resp: Option<BlobResult<Resp>>,
+        answers: Answers<X>,
+    ) -> Reply<X> {
+        let (n, reply) = match self {
+            Due::Skipped => return None,
+            Due::Refused(e) => return Some(Err(e)),
+            Due::Sent(n, reply) => (n, reply),
+        };
+        Some(resp?.and_then(|resp| {
+            reply.pay(store, me, &resp)?;
+            let got = answers(resp, n)?;
+            if got.len() == n {
+                Ok(got)
+            } else {
+                Err(unexpected_resp())
+            }
+        }))
     }
 }
 

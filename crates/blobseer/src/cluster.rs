@@ -10,11 +10,13 @@
 //! hosted *beside the provider manager*, on the same deployment and
 //! transport model as the [`crate::board::PatternBoard`]:
 //!
-//! * **Probes are free.** The index is gossiped to the compute nodes
-//!   along the `bff_bcast` k-ary tree, so `write_chunks` consults its
-//!   local replica without any RPC — the common boot-path commit (all
-//!   content already indexed, or all content fresh) never pays an extra
-//!   control round for the cluster probe.
+//! * **Probes cost the model nothing.** A commit asks the host about
+//!   all its node-index misses in one `ClusterReq::Get` — a real frame
+//!   behind a transport hop — which the cost book prices at zero, as if
+//!   the node consulted a replica gossiped along the `bff_bcast` k-ary
+//!   tree: the common boot-path commit (all content already indexed, or
+//!   all content fresh) never pays an extra control round for the
+//!   cluster probe.
 //! * **Publishes are batched and novelty-filtered.** After a commit
 //!   becomes durable, its content keys go to the host in **one**
 //!   request ([`ClusterIndex::record_novel`]): the index files the keys

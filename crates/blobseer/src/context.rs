@@ -508,8 +508,7 @@ impl NodeContext {
     /// order (first touch counts; repeats are free). Returns a batch of
     /// so-far-unpublished first-touch indices once at least
     /// [`PUBLISH_BATCH`] have accumulated — the caller ships that batch
-    /// to the cluster [`crate::board::PatternBoard`] and charges the
-    /// fabric for it.
+    /// to the cluster [`crate::board::PatternBoard`], and pays for it.
     pub fn note_accesses(
         &self,
         key: (BlobId, Version),

@@ -26,16 +26,19 @@
 //! value over in-process (direct), or through a
 //! [`bff_net::transport::Transport`] hop: codec (every message
 //! round-trips encode/decode) or socket (framed TCP, optionally to other
-//! processes). [`client::Client`] executes the protocol and charges
-//! every message/disk access to a [`bff_net::Fabric`], so the identical
-//! code runs in-process (real bytes) and on the simulator (virtual
-//! time), and logical outcomes are transport-invariant.
+//! processes). [`client::Client`] executes the protocol; every request
+//! it sends pays its modelled network and disk cost to a
+//! [`bff_net::Fabric`] from one cost book (`cost.rs`: one exhaustive
+//! table over the requests, applied where a request is sent), so the
+//! identical code runs in-process (real bytes) and on the simulator
+//! (virtual time), and logical outcomes are transport-invariant.
 
 pub mod api;
 pub mod board;
 pub mod client;
 pub mod cluster;
 pub mod context;
+mod cost;
 pub mod durable;
 pub mod meta;
 pub mod pmanager;

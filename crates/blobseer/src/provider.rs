@@ -1,9 +1,10 @@
 //! Chunk providers: the per-node stores that together form the common
 //! storage pool aggregated from compute-node local disks (§3.1.1).
 //!
-//! A provider is a passive state machine; the client charges its fabric
-//! costs (transfer to/from the provider node, disk read/write at the
-//! provider) around these calls. The `hot` set models the provider host's
+//! A provider is a passive state machine; the requests that reach it
+//! are priced by the cost book (transfer to/from the provider node,
+//! disk read/write at the provider), which the client pays around
+//! them. The `hot` set models the provider host's
 //! page cache: a chunk read once is served from memory afterwards.
 //!
 //! [`ProviderStore`] is the sharded container the service deploys:
@@ -137,20 +138,12 @@ impl Provider {
     /// changes nothing) if the chunk is not present — the caller treats
     /// that as a stale digest-index hit.
     pub fn retain(&mut self, id: ChunkId) -> bool {
-        self.retain_n(id, 1)
-    }
-
-    /// Add `n` dedup references in one shard acquisition (the
-    /// intra-commit duplicate path: a commit of N identical chunks bumps
-    /// once by N−1 per replica instead of N−1 times).
-    pub fn retain_n(&mut self, id: ChunkId, n: u64) -> bool {
-        debug_assert!(n > 0, "retaining zero references is meaningless");
         if !self.has(id) {
             return false;
         }
-        *self.refs.entry(id).or_insert(0) += n;
+        *self.refs.entry(id).or_insert(0) += 1;
         if let ChunkStore::Disk(store) = &mut self.chunks {
-            store.log_retain(id, n).expect("provider refs append");
+            store.log_retain(id, 1).expect("provider refs append");
             store
                 .maybe_rewrite_refs(&self.refs)
                 .expect("provider refs rewrite");
@@ -217,19 +210,11 @@ impl Provider {
     /// underflow. Returns `(freed bytes, chunk removed, reference
     /// dropped)`.
     pub fn release(&mut self, id: ChunkId) -> (u64, bool, bool) {
-        self.release_n(id, 1)
-    }
-
-    /// Drop up to `n` dedup references in one shard acquisition (the
-    /// rollback twin of [`Provider::retain_n`]). Saturates at zero —
-    /// over-releasing removes the chunk and stops, it never underflows.
-    pub fn release_n(&mut self, id: ChunkId, n: u64) -> (u64, bool, bool) {
-        debug_assert!(n > 0, "releasing zero references is meaningless");
         let Some(count) = self.refs.get_mut(&id) else {
             return (0, false, false);
         };
         debug_assert!(*count >= 1, "refs entry exists ⇒ count ≥ 1");
-        *count = count.saturating_sub(n);
+        *count -= 1;
         let emptied = *count == 0;
         if emptied {
             self.refs.remove(&id);
@@ -245,7 +230,7 @@ impl Provider {
                 }
             }
             ChunkStore::Disk(store) => {
-                store.log_release(id, n).expect("provider refs append");
+                store.log_release(id, 1).expect("provider refs append");
                 let freed = if emptied {
                     let len = store.data_len(id).unwrap_or(0);
                     store.free(id).expect("provider free append");
@@ -498,20 +483,15 @@ impl ProviderStore {
     /// Add one dedup reference to `id` at `node` (see
     /// [`Provider::retain`]). Returns `false` if the node hosts no
     /// provider or the chunk is absent.
+    /// Durable before return on disk-backed providers: a
+    /// commit-by-reference ack is a durability promise for the
+    /// reference, exactly like a put's for the bytes.
     pub fn retain(&self, node: NodeId, id: ChunkId) -> bool {
-        self.retain_n(node, id, 1)
-    }
-
-    /// Add `n` dedup references under one shard acquisition (see
-    /// [`Provider::retain_n`]). Durable before return on disk-backed
-    /// providers: a commit-by-reference ack is a durability promise for
-    /// the reference, exactly like a put's for the bytes.
-    pub fn retain_n(&self, node: NodeId, id: ChunkId, n: u64) -> bool {
         match self.slot_of.get(&node) {
             // A rejected retain (stale digest hit) appends nothing and
             // promises nothing: no barrier.
             Some(&slot) => self.committed(slot, |shard| {
-                let ok = shard.retain_n(id, n);
+                let ok = shard.retain(id);
                 (ok, ok)
             }),
             None => false,

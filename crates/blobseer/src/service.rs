@@ -4,8 +4,9 @@
 //!
 //! All server components are passive state machines guarded by mutexes
 //! (see [`crate::server::ServerState`]); *clients* execute the protocol
-//! logic and charge the fabric for every message and disk access around
-//! those state transitions. Locks are never held across fabric calls, so
+//! logic, and every request they send pays its modelled network and
+//! disk cost to the fabric around those state transitions. Locks are
+//! never held across fabric calls, so
 //! the same `BlobStore` works under real thread concurrency (in-process
 //! mode) and under simulated concurrency (coroutine processes).
 //!
@@ -15,7 +16,10 @@
 //! `BlobStore::call` and unpacks the [`bff_wire::Resp`]; a protocol step
 //! that addresses several destinations goes through
 //! `BlobStore::call_many`, driven by the client's one step helper
-//! (`client/step.rs`). Every request is served by
+//! (`client/step.rs`). Each takes the caller's node, because what a
+//! request costs the model is decided in one place: the cost book
+//! (`cost.rs`), which `call` and the step apply to every request they
+//! send. Every request is served by
 //! [`ServerState::dispatch`]; the only thing a deployment chooses is
 //! whether a hop sits in front of it:
 //!
@@ -27,15 +31,17 @@
 //!   serving side, dispatched, and the reply travels back the same way.
 //!
 //! Lock granularity, journaling and replies are therefore the same by
-//! construction, and every *modelled* cost was already charged to the
-//! fabric by the caller — so logical outcomes are transport-invariant
-//! (the `cross_stack_equivalence` suite pins this).
+//! construction, and every *modelled* cost is paid at the same point of
+//! the protocol whichever way the message moves — so logical outcomes
+//! are transport-invariant (the `cross_stack_equivalence` suite pins
+//! this).
 
 use crate::api::{BlobConfig, BlobId, BlobTopology, ChunkDesc, ChunkId, TransportMode, Version};
 use crate::api::{BlobResult, NodeKey};
 use crate::board::BoardService;
 use crate::cluster::ClusterIndex;
 use crate::context::NodeContext;
+use crate::cost;
 use crate::pmanager::Placement;
 use crate::provider::ProviderStore;
 use crate::server::ServerState;
@@ -193,9 +199,20 @@ impl BlobStore {
             .expect("server state lives in another process (remote BlobStore handle)")
     }
 
-    /// The one request path: serve `req` with [`ServerState::dispatch`],
-    /// behind the transport hop when the deployment has one.
-    fn call(&self, req: Req) -> BlobResult<Resp> {
+    /// The one request path: a client on `from` pays `req`'s price from
+    /// the cost book ([`crate::cost`]) — the before-send half first; a
+    /// request whose charge the fabric refuses is not sent — then the
+    /// request is served and the reply's half is paid.
+    fn call(&self, from: NodeId, req: Req) -> BlobResult<Resp> {
+        let reply = cost::prepay(self, from, &req)?;
+        let resp = self.send(req)?;
+        reply.pay(self, from, &resp)?;
+        Ok(resp)
+    }
+
+    /// Serve `req` with [`ServerState::dispatch`], behind the transport
+    /// hop when the deployment has one.
+    fn send(&self, req: Req) -> BlobResult<Resp> {
         let Some(transport) = &self.transport else {
             return Ok(self.local().dispatch(req)?);
         };
@@ -208,7 +225,9 @@ impl BlobStore {
     /// destinations. `steps` yields each destination's tag with its
     /// request — `None` for a destination the step does not ask — and
     /// `sink` gets every tag back, in order, with its outcome (`None`
-    /// when not asked).
+    /// when not asked). It pays no price: the client's step has paid
+    /// every request's before-send charge when it gets here, and pays
+    /// each reply's charge as it settles.
     ///
     /// Behind a transport hop the step sends one frame per server role:
     /// two or more requests for one role travel as one [`Req::Batch`]
@@ -303,29 +322,39 @@ impl BlobStore {
     // Version manager.
     // -----------------------------------------------------------------
 
-    pub(crate) fn vm_create_blob(&self, size: u64, chunk_size: u64) -> BlobResult<BlobId> {
-        match self.call(Req::Vm(VmReq::CreateBlob { size, chunk_size }))? {
+    pub(crate) fn vm_create_blob(
+        &self,
+        from: NodeId,
+        size: u64,
+        chunk_size: u64,
+    ) -> BlobResult<BlobId> {
+        match self.call(from, Req::Vm(VmReq::CreateBlob { size, chunk_size }))? {
             Resp::Vm(VmResp::Created(r)) => r,
             _ => Err(unexpected_resp()),
         }
     }
 
-    pub(crate) fn vm_clone_blob(&self, src: BlobId, version: Version) -> BlobResult<BlobId> {
-        match self.call(Req::Vm(VmReq::CloneBlob { src, version }))? {
+    pub(crate) fn vm_clone_blob(
+        &self,
+        from: NodeId,
+        src: BlobId,
+        version: Version,
+    ) -> BlobResult<BlobId> {
+        match self.call(from, Req::Vm(VmReq::CloneBlob { src, version }))? {
             Resp::Vm(VmResp::Cloned(r)) => r,
             _ => Err(unexpected_resp()),
         }
     }
 
-    pub(crate) fn vm_latest(&self, blob: BlobId) -> BlobResult<Version> {
-        match self.call(Req::Vm(VmReq::Latest(blob)))? {
+    pub(crate) fn vm_latest(&self, from: NodeId, blob: BlobId) -> BlobResult<Version> {
+        match self.call(from, Req::Vm(VmReq::Latest(blob)))? {
             Resp::Vm(VmResp::Latest(r)) => r,
             _ => Err(unexpected_resp()),
         }
     }
 
-    pub(crate) fn vm_live_snapshots(&self, blob: BlobId) -> BlobResult<Vec<Version>> {
-        match self.call(Req::Vm(VmReq::LiveSnapshots(blob)))? {
+    pub(crate) fn vm_live_snapshots(&self, from: NodeId, blob: BlobId) -> BlobResult<Vec<Version>> {
+        match self.call(from, Req::Vm(VmReq::LiveSnapshots(blob)))? {
             Resp::Vm(VmResp::LiveSnapshots(r)) => r,
             _ => Err(unexpected_resp()),
         }
@@ -333,10 +362,11 @@ impl BlobStore {
 
     pub(crate) fn vm_version_meta(
         &self,
+        from: NodeId,
         blob: BlobId,
         version: Version,
     ) -> BlobResult<VersionInfo> {
-        match self.call(Req::Vm(VmReq::VersionMeta(blob, version)))? {
+        match self.call(from, Req::Vm(VmReq::VersionMeta(blob, version)))? {
             Resp::Vm(VmResp::VersionMeta(r)) => r,
             _ => Err(unexpected_resp()),
         }
@@ -344,11 +374,12 @@ impl BlobStore {
 
     pub(crate) fn vm_publish(
         &self,
+        from: NodeId,
         blob: BlobId,
         base: Version,
         root: NodeKey,
     ) -> BlobResult<Version> {
-        match self.call(Req::Vm(VmReq::Publish { blob, base, root }))? {
+        match self.call(from, Req::Vm(VmReq::Publish { blob, base, root }))? {
             Resp::Vm(VmResp::Published(r)) => r,
             _ => Err(unexpected_resp()),
         }
@@ -356,20 +387,24 @@ impl BlobStore {
 
     pub(crate) fn vm_delete_snapshots(
         &self,
+        from: NodeId,
         blob: BlobId,
         versions: &[Version],
     ) -> BlobResult<DeleteOutcome> {
-        match self.call(Req::Vm(VmReq::DeleteSnapshots {
-            blob,
-            versions: versions.to_vec(),
-        }))? {
+        match self.call(
+            from,
+            Req::Vm(VmReq::DeleteSnapshots {
+                blob,
+                versions: versions.to_vec(),
+            }),
+        )? {
             Resp::Vm(VmResp::Deleted(r)) => r,
             _ => Err(unexpected_resp()),
         }
     }
 
-    pub(crate) fn vm_reserve_keys(&self, n: u64) -> BlobResult<Range<u64>> {
-        match self.call(Req::Vm(VmReq::ReserveKeys(n)))? {
+    pub(crate) fn vm_reserve_keys(&self, from: NodeId, n: u64) -> BlobResult<Range<u64>> {
+        match self.call(from, Req::Vm(VmReq::ReserveKeys(n)))? {
             Resp::Vm(VmResp::Reserved(r)) => Ok(r),
             _ => Err(unexpected_resp()),
         }
@@ -381,17 +416,21 @@ impl BlobStore {
 
     pub(crate) fn pm_allocate(
         &self,
+        from: NodeId,
         n: usize,
         chunk_bytes: u64,
         replication: usize,
         down: Vec<bool>,
     ) -> BlobResult<Vec<ChunkDesc>> {
-        match self.call(Req::Pm(PmReq::Allocate {
-            n,
-            chunk_bytes,
-            replication,
-            down,
-        }))? {
+        match self.call(
+            from,
+            Req::Pm(PmReq::Allocate {
+                n,
+                chunk_bytes,
+                replication,
+                down,
+            }),
+        )? {
             Resp::Pm(PmResp::Allocated(r)) => r,
             _ => Err(unexpected_resp()),
         }
@@ -405,24 +444,36 @@ impl BlobStore {
 
     pub(crate) fn provider_put(
         &self,
+        from: NodeId,
         prov: NodeId,
         items: Vec<(ChunkId, Payload)>,
     ) -> BlobResult<bool> {
-        match self.call(Req::Provider {
-            node: prov,
-            req: ProviderReq::Put(items),
-        })? {
+        match self.call(
+            from,
+            Req::Provider {
+                node: prov,
+                req: ProviderReq::Put(items),
+            },
+        )? {
             Resp::Provider(ProviderResp::Put(ok)) => Ok(ok),
             _ => Err(unexpected_resp()),
         }
     }
 
     /// The per-chunk failover path's fetch: one provider, one round.
-    pub(crate) fn provider_fetch(&self, prov: NodeId, ids: Vec<ChunkId>) -> BlobResult<Fetched> {
-        match self.call(Req::Provider {
-            node: prov,
-            req: ProviderReq::Fetch(ids),
-        })? {
+    pub(crate) fn provider_fetch(
+        &self,
+        from: NodeId,
+        prov: NodeId,
+        ids: Vec<ChunkId>,
+    ) -> BlobResult<Fetched> {
+        match self.call(
+            from,
+            Req::Provider {
+                node: prov,
+                req: ProviderReq::Fetch(ids),
+            },
+        )? {
             Resp::Provider(ProviderResp::Fetched(r)) => Ok(r),
             _ => Err(unexpected_resp()),
         }
@@ -433,8 +484,9 @@ impl BlobStore {
     // board knows nothing", which only costs prefetch opportunity.
     // -----------------------------------------------------------------
 
-    /// The node's board replica asks for what it lacks, publishing
-    /// `batch` on the way (empty = a poll). `None` on transport failure.
+    /// The board replica of node `publisher` asks for what it lacks,
+    /// publishing `batch` on the way (empty = a poll). `None` on
+    /// transport failure, or when the publish could not be paid.
     pub(crate) fn board_sync(
         &self,
         key: (BlobId, Version),
@@ -443,13 +495,16 @@ impl BlobStore {
         from: usize,
         min_publishers: usize,
     ) -> Option<BoardSync> {
-        match self.call(Req::Board(BoardReq::Sync {
-            key,
+        match self.call(
             publisher,
-            batch,
-            from,
-            min_publishers,
-        })) {
+            Req::Board(BoardReq::Sync {
+                key,
+                publisher,
+                batch,
+                from,
+                min_publishers,
+            }),
+        ) {
             Ok(Resp::Board(BoardResp::Synced(sync))) => Some(sync),
             _ => None,
         }
@@ -461,15 +516,19 @@ impl BlobStore {
     /// stale entries self-heal at their next validated use).
     pub(crate) fn board_purge(
         &self,
+        from: NodeId,
         versions: &[(BlobId, Version)],
         freed: &FastSet<ChunkId>,
     ) -> usize {
         let mut freed: Vec<ChunkId> = freed.iter().copied().collect();
         freed.sort_unstable(); // deterministic frame bytes
-        match self.call(Req::Board(BoardReq::Purge {
-            keys: versions.to_vec(),
-            freed,
-        })) {
+        match self.call(
+            from,
+            Req::Board(BoardReq::Purge {
+                keys: versions.to_vec(),
+                freed,
+            }),
+        ) {
             Ok(Resp::Board(BoardResp::Purged(n))) => n,
             _ => 0,
         }
@@ -482,27 +541,28 @@ impl BlobStore {
 
     /// Batch probe: one shared-lock acquisition for all keys. Transport
     /// failure → all misses.
-    pub(crate) fn cluster_get(&self, keys: Vec<ContentKey>) -> Vec<Option<ChunkDesc>> {
+    pub(crate) fn cluster_get(
+        &self,
+        from: NodeId,
+        keys: Vec<ContentKey>,
+    ) -> Vec<Option<ChunkDesc>> {
         let n = keys.len();
-        match self.call(Req::Cluster(ClusterReq::Get(keys))) {
+        match self.call(from, Req::Cluster(ClusterReq::Get(keys))) {
             Ok(Resp::Cluster(ClusterResp::Got(r))) if r.len() == n => r,
             _ => vec![None; n],
         }
     }
 
-    /// Record the entries the index does not hold yet; returns how many
-    /// that was. Transport failure → 0 (nothing to charge; the content
-    /// stays node-local).
-    pub(crate) fn cluster_record(&self, entries: Vec<(ContentKey, ChunkDesc)>) -> usize {
-        match self.call(Req::Cluster(ClusterReq::Record(entries))) {
-            Ok(Resp::Cluster(ClusterResp::Recorded(n))) => n,
-            _ => 0,
-        }
+    /// Record the entries the index does not hold yet. Only those are
+    /// published onward and charged; a transport failure files nothing
+    /// (the content stays node-local).
+    pub(crate) fn cluster_record(&self, from: NodeId, entries: Vec<(ContentKey, ChunkDesc)>) {
+        let _ = self.call(from, Req::Cluster(ClusterReq::Record(entries)));
     }
 
     /// Drop a stale entry wherever it lives.
-    pub(crate) fn cluster_forget(&self, key: &ContentKey) {
-        let _ = self.call(Req::Cluster(ClusterReq::Forget(*key)));
+    pub(crate) fn cluster_forget(&self, from: NodeId, key: &ContentKey) {
+        let _ = self.call(from, Req::Cluster(ClusterReq::Forget(*key)));
     }
 
     // -----------------------------------------------------------------
@@ -552,12 +612,17 @@ impl BlobStore {
 
     /// Cluster-wide eviction after a snapshot delete: drop the deleted
     /// versions' patterns and every cached trace of the freed chunks
-    /// from the cluster index and all node contexts. The caller (the
-    /// deleting client) charges the gossip that carries these evictions;
-    /// the state change itself is the replicas converging.
-    pub(crate) fn purge_deleted(&self, versions: &[(BlobId, Version)], freed: &FastSet<ChunkId>) {
+    /// from the cluster index and all node contexts. The deleting client
+    /// on `from` pays the announcement and the gossip that carry these
+    /// evictions; the state change itself is the replicas converging.
+    pub(crate) fn purge_deleted(
+        &self,
+        from: NodeId,
+        versions: &[(BlobId, Version)],
+        freed: &FastSet<ChunkId>,
+    ) {
         // Server side (board host): patterns + cluster-index entries.
-        self.board_purge(versions, freed);
+        self.board_purge(from, versions, freed);
         // Client side: every local node context drops its cached traces —
         // the versions' once more, for the descriptors and trackers a
         // reader that resolved them before the mark put back during the
@@ -747,8 +812,8 @@ mod tests {
                         meta(99, MetaReq::ReadNodes(vec![NodeKey(1)])),
                     ],
                 ),
-                store.provider_fetch(stranger, vec![ChunkId(1), ChunkId(2)]),
-                store.vm_latest(BlobId(7)),
+                store.provider_fetch(NodeId(0), stranger, vec![ChunkId(1), ChunkId(2)]),
+                store.vm_latest(NodeId(0), BlobId(7)),
             )
         };
         let direct = outcomes(TransportMode::Direct);
@@ -848,8 +913,8 @@ mod tests {
             ..Default::default()
         };
         let store = BlobStore::new(cfg, topo, fabric);
-        let blob = store.vm_create_blob(1024, 256).unwrap();
-        assert_eq!(store.vm_latest(blob).unwrap(), Version(0));
+        let blob = store.vm_create_blob(NodeId(0), 1024, 256).unwrap();
+        assert_eq!(store.vm_latest(NodeId(0), blob).unwrap(), Version(0));
         let stats = store.wire_stats();
         assert_eq!(stats.calls, 2);
         assert!(stats.bytes_sent > 0 && stats.bytes_received > 0);
@@ -865,8 +930,14 @@ mod tests {
             ..Default::default()
         };
         let store = BlobStore::new(cfg, topo, fabric);
-        let blob = store.vm_create_blob(4096, 512).unwrap();
-        assert_eq!(store.vm_version_meta(blob, Version(0)).unwrap().size, 4096);
+        let blob = store.vm_create_blob(NodeId(0), 4096, 512).unwrap();
+        assert_eq!(
+            store
+                .vm_version_meta(NodeId(0), blob, Version(0))
+                .unwrap()
+                .size,
+            4096
+        );
         assert!(store.wire_stats().calls == 2);
     }
 }

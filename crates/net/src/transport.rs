@@ -1,9 +1,10 @@
 //! Message transports: the optional hop that carries an *encoded*
 //! request to the server role that owns the state it targets.
 //!
-//! The protocol logic upstack (clients in `bff-blobseer`) charges every
-//! *modelled* cost — RPC rounds, bulk transfers, disk time — to a
-//! [`crate::Fabric`] before touching server state, so the mechanism that
+//! The protocol logic upstack (`bff-blobseer`) prices every request's
+//! *modelled* cost — RPC rounds, bulk transfers, disk time — in one
+//! cost book and pays it to a [`crate::Fabric`] where the request is
+//! sent: before it goes out, or from its reply. The mechanism that
 //! actually carries the message is orthogonal to the modelled economics.
 //! A deployment whose server state lives in the client's process needs
 //! no hop at all (the typed request is handed straight to the server's
