@@ -201,24 +201,22 @@ impl Client {
     }
 
     /// Probe the node's digest index — then, for every miss at once, the
-    /// cluster-wide [`crate::cluster::ClusterIndex`] (one
-    /// `ClusterReq::Get`, which the cost book prices at zero) — for each
-    /// unique payload and validate the hits where the bytes are: every
-    /// reachable provider holding a candidate gets **one** batch of
-    /// `(chunk id, content key)` entries, all providers in one step (one
-    /// control round per provider, as for any batched round). The provider compares
-    /// each key with the length and digest of the chunk *it stores* and
-    /// takes the reference iff they are equal — so what a hit guarantees
-    /// is digest equality against the stored bytes, never just against
-    /// an index entry: 64 bits of it by default,
-    /// [`crate::BlobConfig::strong_digest`] for the collision-resistant
-    /// mode; one path for both, and no chunk travels to be compared.
-    /// Replicas that are down, unreachable or no longer hold the chunk
-    /// drop out — exactly the push pipeline's per-replica failover
-    /// semantics. A hit whose chunk is gone everywhere is forgotten in
-    /// both indexes; a mismatch (the index entry points at other
-    /// content) keeps the entry — it is still correct for the *other*
-    /// payload — and pushes fresh. Cluster hits ride the identical
+    /// cluster-wide [`crate::cluster::ClusterIndex`] (one `ClusterReq::Get`,
+    /// which the cost book prices at zero) — for each unique payload and
+    /// validate the hits where the bytes are: every reachable provider holding
+    /// a candidate gets **one** batch of `(chunk id, content key)` entries, all
+    /// providers in one step (one control round per provider, as for any
+    /// batched round). The provider compares each key with the length and
+    /// digest of the chunk *it stores* and takes the reference iff they are
+    /// equal — so what a hit guarantees is digest equality against the stored
+    /// bytes, never just against an index entry: 64 bits of it by default,
+    /// [`crate::BlobConfig::strong_digest`] for the collision-resistant mode;
+    /// one path for both, and no chunk travels to be compared. Replicas that
+    /// are down, unreachable or no longer hold the chunk drop out — exactly the
+    /// push pipeline's per-replica failover semantics. A hit whose chunk is
+    /// gone everywhere is forgotten in both indexes; a mismatch (the index
+    /// entry points at other content) keeps the entry — it is still correct for
+    /// the *other* payload — and pushes fresh. Cluster hits ride the identical
     /// validation and rollback path as node-local ones.
     fn dedup_probe(&self, commit: &mut Commit) {
         let mut candidates: Vec<(usize, ContentKey, ChunkDesc)> = Vec::new();
@@ -382,10 +380,9 @@ impl Client {
                 .iter()
                 .map(|&p| self.store.fabric.is_down(p))
                 .collect();
-            let replication = self.cfg().replication;
-            let descs = self
-                .store
-                .pm_allocate(self.node, n, chunk_size, replication, down)?;
+            let descs =
+                self.store
+                    .pm_allocate(self.node, n, chunk_size, self.cfg().replication, down)?;
             // A fresh put stores each replica at refcount 1 — record that
             // implicit reference *before* pushing, so a failed push or
             // publish releases (and thereby frees) whatever actually got

@@ -70,7 +70,9 @@ impl<D: Ord + Copy, T> Step<D, T> {
     /// Then every request goes out in one `call_many`; `answers` unpacks
     /// a reply to a group of `n` items, and `settle` gets every group
     /// back — asked or not, in the same order — with its [`Reply`],
-    /// whose charge is paid first.
+    /// whose charge is paid first. Settles run inline, one after the
+    /// other: a step whose replies carry charges uses
+    /// [`Step::run_joined`].
     pub(super) fn run<X>(
         self,
         client: &Client,

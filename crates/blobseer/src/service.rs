@@ -6,9 +6,9 @@
 //! (see [`crate::server::ServerState`]); *clients* execute the protocol
 //! logic, and every request they send pays its modelled network and
 //! disk cost to the fabric around those state transitions. Locks are
-//! never held across fabric calls, so
-//! the same `BlobStore` works under real thread concurrency (in-process
-//! mode) and under simulated concurrency (coroutine processes).
+//! never held across fabric calls, so the same `BlobStore` works under
+//! real thread concurrency (in-process mode) and under simulated
+//! concurrency (coroutine processes).
 //!
 //! There is **one request path**: a single-destination request goes
 //! through a typed accessor here (`vm_*`, `pm_*`, `provider_*`,
@@ -19,9 +19,8 @@
 //! (`client/step.rs`). Each takes the caller's node, because what a
 //! request costs the model is decided in one place: the cost book
 //! (`cost.rs`), which `call` and the step apply to every request they
-//! send. Every request is served by
-//! [`ServerState::dispatch`]; the only thing a deployment chooses is
-//! whether a hop sits in front of it:
+//! send. Every request is served by [`ServerState::dispatch`]; the only
+//! thing a deployment chooses is whether a hop sits in front of it:
 //!
 //! * no hop ([`TransportMode::Direct`]) — the typed value is handed to
 //!   the in-process `dispatch` as is; no frame ever exists;
