@@ -13,9 +13,14 @@
 //! The `content_digest` group times the dedup key every dirty chunk pays
 //! before a commit sends anything: the weak digest against SHA-256 over
 //! the same literal 64 KiB chunk, so their ratio is runner-immune.
+//!
+//! The `record_checksum` group times the checksum a durable provider pays
+//! on every chunk record it appends, reads back or replays: the v0
+//! format's FNV-1a against the v1 format's XXH64 over one literal 64 KiB
+//! record, a ratio in the same way.
 
 use bff_blobseer::{BlobConfig, BlobStore, BlobTopology, Client, ReplicationMode, Version};
-use bff_data::Payload;
+use bff_data::{log, Payload};
 use bff_net::{Fabric, LocalFabric, NodeId};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::sync::Arc;
@@ -126,10 +131,22 @@ fn bench_content_digest(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_record_checksum(c: &mut Criterion) {
+    // One literal 64 KiB record, as a provider appends a chunk's `Put`.
+    let record: Vec<u8> = (0..64u32 << 10).map(|i| (i * 131 + 7) as u8).collect();
+
+    let mut group = c.benchmark_group("record_checksum");
+    group.throughput(Throughput::Bytes(record.len() as u64));
+    group.bench_function("v0_fnv64_record", |b| b.iter(|| log::fnv64(&record)));
+    group.bench_function("v1_xxh64_record", |b| b.iter(|| log::checksum(&record)));
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_cold_write_sweep,
     bench_paper_scale_commit,
-    bench_content_digest
+    bench_content_digest,
+    bench_record_checksum
 );
 criterion_main!(benches);

@@ -62,6 +62,7 @@ const GATES: &[Gate] = &[
     gate("BENCH_2.json", CRITERION, "read: vectored read_multi vs per-run reads", "cold_boot_sweep_speedup", "cold_boot_sweep_floor"),
     gate("BENCH_2.json", CRITERION, "write: fan-out batched vs sequential pushes", "cold_write_sweep_speedup_fanout", "cold_write_sweep_floor"),
     gate("BENCH_2.json", CRITERION, "digest: weak dedup key vs SHA-256 per literal chunk", "weak_digest_speedup_vs_sha256", "weak_digest_speedup_floor"),
+    gate("BENCH_2.json", CRITERION, "log: v1 XXH64 record checksum vs v0 FNV-1a per 64 KiB record", "record_checksum_speedup", "record_checksum_speedup_floor"),
     gate("BENCH_3.json", "dedup_summary.json", "dedup: provider bytes written, off ÷ on", "dedup_stored_reduction", "dedup_stored_floor"),
     gate("BENCH_3.json", "dedup_summary.json", "dedup: network bytes, off ÷ on", "dedup_network_reduction", "dedup_network_floor"),
     gate("BENCH_3.json", "dedup_summary.json", "node cache: descriptor hit rate", "desc_hit_rate", "desc_hit_rate_floor"),
@@ -95,6 +96,11 @@ const CRITERION_RATIOS: &[(&str, &str, &str)] = &[
         "weak_digest_speedup_vs_sha256",
         "content_digest/sha256_literal_chunk",
         "content_digest/weak_literal_chunk",
+    ),
+    (
+        "record_checksum_speedup",
+        "record_checksum/v0_fnv64_record",
+        "record_checksum/v1_xxh64_record",
     ),
 ];
 
@@ -328,6 +334,8 @@ mod tests {
             line("cold_write_sweep/fanout_batched", 150.0),
             line("content_digest/sha256_literal_chunk", 450.0),
             line("content_digest/weak_literal_chunk", 9.0),
+            line("record_checksum/v0_fnv64_record", 105.0),
+            line("record_checksum/v1_xxh64_record", 7.5),
         ]
         .concat();
         let summary = criterion_summary(&jsonl);
@@ -340,6 +348,7 @@ mod tests {
             json_number(&summary, "weak_digest_speedup_vs_sha256"),
             Some(50.0)
         );
+        assert_eq!(json_number(&summary, "record_checksum_speedup"), Some(14.0));
         // A ratio with a bench missing from the results is absent, so
         // the loop reports it missing.
         let summary = criterion_summary(&line("cold_write_sweep/sequential_push", 300.0));

@@ -2,7 +2,8 @@
 //! providers and the mutation journal behind the manager roles.
 //!
 //! Everything here is built on `bff_data::RecordLog` (checksummed
-//! append-only records with torn-tail truncation) and the `bff_wire`
+//! append-only records with torn-tail truncation; every record is sealed
+//! — encoded and checksummed — before it is appended) and the `bff_wire`
 //! codec (the journal reuses [`VmReq`]'s wire form, so the journal
 //! format *is* the protocol format).
 //!
@@ -36,7 +37,8 @@
 //! data lives elsewhere must survive that. The log carries
 //! `Retain`/`Release` deltas against an implicit base count of 1 (a
 //! put *is* the first reference) and is periodically rewritten as one
-//! absolute `Snapshot` record (tmp file + fsync + atomic rename).
+//! absolute `Snapshot` record ([`RecordLog::rewrite`]: tmp file, fsync,
+//! atomic rename, directory fsync).
 //! Lost un-synced `Release` records are a bounded leak, never
 //! corruption; `Free` tombstones in the data log keep a rewritten
 //! refs.log from resurrecting freed chunks.
@@ -55,8 +57,10 @@
 //! and appends its logs as the exclusive writer.
 
 use crate::api::{BlobConfig, ChunkId, NodeKey, TreeNode};
+use bff_data::log::Sealed;
 use bff_data::{FastMap, Payload, RecordLog};
 use bff_wire::msg::VmReq;
+use bff_wire::Wire;
 // The vendored `parking_lot` shim has no Condvar; the coordinator's
 // park/wake state uses `std::sync` directly (by-value guard API).
 use std::collections::BTreeMap;
@@ -127,6 +131,42 @@ bff_wire::wire_enum! {
         /// Durable high-water mark of the chunk-id allocator.
         3 => ChunkMark(next: u64),
     }
+}
+
+/// Encode a record and seal it for its log (see [`Sealed`]).
+fn seal<T: Wire>(record: &T) -> Sealed {
+    Sealed::new(bff_wire::encode(record))
+}
+
+/// A chunk's `Put` record, encoded and checksummed ahead of its append.
+/// A payload is immutable, so a provider seals its puts before it takes
+/// its shard lock, and the lock covers only the write and the index
+/// insert.
+#[derive(Debug)]
+pub struct SealedPut {
+    id: ChunkId,
+    data_len: u64,
+    record: Sealed,
+}
+
+impl SealedPut {
+    /// Seal the `Put` of `data` under `id`.
+    pub fn new(id: ChunkId, data: &Payload) -> Self {
+        SealedPut {
+            id,
+            data_len: data.len(),
+            record: seal(&ChunkRecord::Put {
+                id,
+                data: data.clone(),
+            }),
+        }
+    }
+}
+
+/// A log at `path` that holds no record yet (the file is made by its
+/// first append).
+fn open_empty(path: &Path) -> io::Result<RecordLog> {
+    Ok(RecordLog::open(path, |_, _| {})?.0)
 }
 
 // ---------------------------------------------------------------------
@@ -412,70 +452,50 @@ impl SegmentStore {
         }
         seg_nos.sort_unstable();
 
-        // Replay segments in creation order: later records win.
+        // Replay segments in creation order: later records win. Replay
+        // needs only each record's id and chunk length: decoded from the
+        // file's buffer, a chunk's bytes are never copied. Live bytes
+        // are counted once the index is final, below.
         let mut segments = BTreeMap::new();
         let mut index: FastMap<ChunkId, Loc> = FastMap::default();
         for &n in &seg_nos {
-            let (records, log, torn) = RecordLog::open(&seg_path(dir, n))?;
-            stats.torn_files += torn as usize;
-            let mut seg = Segment::new(log);
-            for (off, payload) in records {
-                match bff_wire::decode::<ChunkRecord>(&payload) {
+            let mut frees = Vec::new();
+            let (log, torn) = RecordLog::open(&seg_path(dir, n), |off, record| {
+                match bff_wire::decode_shared::<ChunkRecord>(record) {
                     Ok(ChunkRecord::Put { id, data }) => {
-                        let framed = RecordLog::framed_len(payload.len());
-                        if let Some(prev) = index.insert(
-                            id,
-                            Loc {
-                                seg: n,
-                                off,
-                                enc_len: payload.len() as u32,
-                                data_len: data.len(),
-                            },
-                        ) {
-                            // A replica-retry duplicate: the earlier
-                            // copy's bytes are dead weight now.
-                            if prev.seg == n {
-                                seg.live -= RecordLog::framed_len(prev.enc_len as usize);
-                            } else if let Some(s) = segments.get_mut(&prev.seg) {
-                                let s: &mut Segment = s;
-                                s.live -= RecordLog::framed_len(prev.enc_len as usize);
-                            }
-                        }
-                        seg.live += framed;
+                        let loc = Loc {
+                            seg: n,
+                            off,
+                            enc_len: record.len() as u32,
+                            data_len: data.len(),
+                        };
+                        index.insert(id, loc);
                     }
                     Ok(ChunkRecord::Free { id }) => {
-                        seg.frees.push(id);
-                        if let Some(prev) = index.remove(&id) {
-                            let framed = RecordLog::framed_len(prev.enc_len as usize);
-                            if prev.seg == n {
-                                seg.live -= framed;
-                            } else if let Some(s) = segments.get_mut(&prev.seg) {
-                                let s: &mut Segment = s;
-                                s.live -= framed;
-                            }
-                        }
+                        frees.push(id);
+                        index.remove(&id);
                     }
                     // An undecodable (but checksum-clean) record means
                     // version skew; skipping it loses at most that
                     // record, never the file.
                     Err(_) => {}
                 }
-            }
+            })?;
+            stats.torn_files += torn as usize;
+            let mut seg = Segment::new(log);
+            seg.frees = frees;
             segments.insert(n, seg);
         }
         let active = seg_nos.last().copied().unwrap_or(0);
         if segments.is_empty() {
-            let (_, log, _) = RecordLog::open(&seg_path(dir, 0))?;
-            segments.insert(0, Segment::new(log));
+            segments.insert(0, Segment::new(open_empty(&seg_path(dir, 0))?));
         }
 
         // Replay the refcount log against the recovered index.
-        let (ref_records, refs_log, refs_torn) = RecordLog::open(&dir.join("refs.log"))?;
-        stats.torn_files += refs_torn as usize;
         let mut counts: FastMap<ChunkId, u64> = FastMap::default();
         let mut refs_ops = 0u64;
-        for (_, payload) in ref_records {
-            match bff_wire::decode::<RefRecord>(&payload) {
+        let (refs_log, refs_torn) = RecordLog::open(&dir.join("refs.log"), |_, record| {
+            match bff_wire::decode::<RefRecord>(record) {
                 Ok(RefRecord::Snapshot(list)) => {
                     counts.clear();
                     refs_ops = 0;
@@ -493,26 +513,24 @@ impl SegmentStore {
                 }
                 Ok(RefRecord::Release { id, n }) => {
                     refs_ops += 1;
-                    if !index.contains_key(&id) {
-                        continue;
-                    }
-                    let cur = counts.entry(id).or_insert(1);
-                    *cur = cur.saturating_sub(n);
-                    if *cur == 0 {
-                        // The matching Free record was lost with an
-                        // unsynced tail: honor the release anyway.
-                        counts.remove(&id);
-                        index.remove(&id);
+                    if index.contains_key(&id) {
+                        let cur = counts.entry(id).or_insert(1);
+                        *cur = cur.saturating_sub(n);
+                        if *cur == 0 {
+                            // The matching Free record was lost with an
+                            // unsynced tail: honor the release anyway.
+                            counts.remove(&id);
+                            index.remove(&id);
+                        }
                     }
                 }
                 Err(_) => {}
             }
-        }
-        // Rebuild live-byte accounting after release-driven removals and
-        // materialize the implicit base count for every surviving chunk.
-        for seg in segments.values_mut() {
-            seg.live = 0;
-        }
+        })?;
+        stats.torn_files += refs_torn as usize;
+        // Count live bytes now that the index is final (release-driven
+        // removals included) and materialize the implicit base count for
+        // every surviving chunk.
         let mut refs: FastMap<ChunkId, u64> = FastMap::default();
         for (&id, loc) in &index {
             if let Some(seg) = segments.get_mut(&loc.seg) {
@@ -566,7 +584,7 @@ impl SegmentStore {
         // what lets a group sync cover only the active segment.
         self.active_seg().log.sync_force()?;
         let next = self.active + 1;
-        let (_, log, _) = RecordLog::open(&seg_path(&self.dir, next))?;
+        let log = open_empty(&seg_path(&self.dir, next))?;
         self.segments.insert(next, Segment::new(log));
         self.active = next;
         Ok(())
@@ -576,30 +594,42 @@ impl SegmentStore {
     /// index is left untouched (chunk ids never carry different data).
     /// Returns `true` if the chunk was newly stored.
     pub fn put(&mut self, id: ChunkId, data: &Payload) -> io::Result<bool> {
-        if self.index.contains_key(&id) {
+        self.put_sealed(&SealedPut::new(id, data))
+    }
+
+    /// [`SegmentStore::put`] of a record sealed ahead of time, typically
+    /// before taking the lock that owns this store.
+    pub fn put_sealed(&mut self, put: &SealedPut) -> io::Result<bool> {
+        if self.index.contains_key(&put.id) {
             return Ok(false);
         }
-        let payload = bff_wire::encode(&ChunkRecord::Put {
-            id,
-            data: data.clone(),
-        });
+        self.insert_live(put.id, put.data_len, &put.record)?;
+        Ok(true)
+    }
+
+    /// Append `record` (a `Put` of `id`) to the active segment and index
+    /// it there.
+    fn insert_live(&mut self, id: ChunkId, data_len: u64, record: &Sealed) -> io::Result<()> {
+        let (seg, off) = self.append_active(record)?;
+        let enc_len = record.payload().len() as u32;
+        self.active_seg().live += RecordLog::framed_len(enc_len as usize);
+        let loc = Loc {
+            seg,
+            off,
+            enc_len,
+            data_len,
+        };
+        self.index.insert(id, loc);
+        self.rotate_if_full()
+    }
+
+    /// Append `record` to the active segment: its `(segment, offset)`.
+    fn append_active(&mut self, record: &Sealed) -> io::Result<(u64, u64)> {
         let seg = self.active;
         let s = self.active_seg();
-        let off = s.log.append(&payload)?;
-        let framed = RecordLog::framed_len(payload.len());
-        s.total += framed;
-        s.live += framed;
-        self.index.insert(
-            id,
-            Loc {
-                seg,
-                off,
-                enc_len: payload.len() as u32,
-                data_len: data.len(),
-            },
-        );
-        self.rotate_if_full()?;
-        Ok(true)
+        let off = s.log.append(record)?;
+        s.total += RecordLog::framed_len(record.payload().len());
+        Ok((seg, off))
     }
 
     /// Append a `Free` tombstone and drop `id` from the index. May
@@ -625,7 +655,7 @@ impl SegmentStore {
         let loc = self.index.get(&id)?;
         let seg = self.segments.get(&loc.seg)?;
         let payload = seg.log.read_record(loc.off, loc.enc_len).ok()??;
-        match bff_wire::decode::<ChunkRecord>(&payload) {
+        match bff_wire::decode_shared::<ChunkRecord>(&payload) {
             Ok(ChunkRecord::Put { id: got, data }) if got == id => Some(data),
             _ => None,
         }
@@ -644,7 +674,7 @@ impl SegmentStore {
     }
 
     fn append_ref(&mut self, rec: &RefRecord) -> io::Result<()> {
-        self.refs_log.append(&bff_wire::encode(rec))?;
+        self.refs_log.append(&seal(rec))?;
         self.refs_ops += 1;
         Ok(())
     }
@@ -661,16 +691,8 @@ impl SegmentStore {
             .filter(|(_, &n)| n != 1)
             .map(|(&id, &n)| (id, n))
             .collect();
-        let tmp = self.dir.join("refs.log.tmp");
-        let _ = std::fs::remove_file(&tmp);
-        let (_, mut fresh, _) = RecordLog::open(&tmp)?;
-        fresh.append(&bff_wire::encode(&RefRecord::Snapshot(non_unit)))?;
-        fresh.sync_force()?;
-        drop(fresh);
-        let live = self.dir.join("refs.log");
-        std::fs::rename(&tmp, &live)?;
-        let (_, log, _) = RecordLog::open(&live)?;
-        self.refs_log = log;
+        let snapshot = seal(&RefRecord::Snapshot(non_unit));
+        self.refs_log = RecordLog::rewrite(&self.dir.join("refs.log"), [&snapshot])?;
         self.refs_ops = 0;
         Ok(())
     }
@@ -690,11 +712,8 @@ impl SegmentStore {
 
     /// Append a `Free` tombstone for `id` to the active segment.
     fn append_free(&mut self, id: ChunkId) -> io::Result<()> {
-        let payload = bff_wire::encode(&ChunkRecord::Free { id });
-        let s = self.active_seg();
-        s.log.append(&payload)?;
-        s.total += RecordLog::framed_len(payload.len());
-        s.frees.push(id);
+        self.append_active(&seal(&ChunkRecord::Free { id }))?;
+        self.active_seg().frees.push(id);
         Ok(())
     }
 
@@ -718,14 +737,7 @@ impl SegmentStore {
             let Some(payload) = old.log.read_record(loc.off, loc.enc_len)? else {
                 continue;
             };
-            let seg = self.active;
-            let s = self.active_seg();
-            let off = s.log.append(&payload)?;
-            let framed = RecordLog::framed_len(payload.len());
-            s.total += framed;
-            s.live += framed;
-            self.index.insert(id, Loc { seg, off, ..loc });
-            self.rotate_if_full()?;
+            self.insert_live(id, loc.data_len, &Sealed::new(payload.to_vec()))?;
         }
         // A tombstone for a chunk still absent from the index may be
         // shadowing a Put in an *older* segment; carry it forward.
@@ -784,14 +796,13 @@ impl Journal {
     /// Open (or create) the journal at `path`, returning the replayable
     /// records in append order and whether a torn tail was discarded.
     pub fn open(path: &Path) -> io::Result<(Vec<JournalRecord>, Journal, bool)> {
-        let (raw, log, torn) = RecordLog::open(path)?;
-        let mut records = Vec::with_capacity(raw.len());
+        let mut records = Vec::new();
         let (mut key_mark, mut chunk_mark) = (0u64, 0u64);
-        for (_, payload) in raw {
+        let (log, torn) = RecordLog::open(path, |_, record| {
             // Checksum-clean but undecodable means version skew; skip
             // the record rather than the journal.
-            let Ok(rec) = bff_wire::decode::<JournalRecord>(&payload) else {
-                continue;
+            let Ok(rec) = bff_wire::decode::<JournalRecord>(record) else {
+                return;
             };
             match rec {
                 JournalRecord::KeyMark(k) => key_mark = key_mark.max(k),
@@ -799,7 +810,7 @@ impl Journal {
                 _ => {}
             }
             records.push(rec);
-        }
+        })?;
         Ok((
             records,
             Journal {
@@ -817,8 +828,7 @@ impl Journal {
     /// concurrent mutations interleave their appends and share one
     /// `sync_data`.
     pub fn append_vm(&mut self, op: &VmReq) -> io::Result<()> {
-        self.log
-            .append(&bff_wire::encode(&JournalRecord::VmOp(op.clone())))?;
+        self.log.append(&seal(&JournalRecord::VmOp(op.clone())))?;
         Ok(())
     }
 
@@ -830,7 +840,7 @@ impl Journal {
             shard,
             nodes: nodes.to_vec(),
         };
-        self.log.append(&bff_wire::encode(&rec))?;
+        self.log.append(&seal(&rec))?;
         Ok(())
     }
 
@@ -845,7 +855,7 @@ impl Journal {
         }
         self.key_mark = next + MARK_STRIDE;
         self.log
-            .append(&bff_wire::encode(&JournalRecord::KeyMark(self.key_mark)))?;
+            .append(&seal(&JournalRecord::KeyMark(self.key_mark)))?;
         Ok(true)
     }
 
@@ -856,9 +866,7 @@ impl Journal {
         }
         self.chunk_mark = next + MARK_STRIDE;
         self.log
-            .append(&bff_wire::encode(&JournalRecord::ChunkMark(
-                self.chunk_mark,
-            )))?;
+            .append(&seal(&JournalRecord::ChunkMark(self.chunk_mark)))?;
         Ok(true)
     }
 
@@ -1057,7 +1065,7 @@ mod tests {
     fn group_commit_acks_every_ticket_and_batches_fsyncs() {
         let dir = scratch("gc");
         std::fs::create_dir_all(&dir).unwrap();
-        let (_, log, _) = RecordLog::open(&dir.join("gc.log")).unwrap();
+        let log = open_empty(&dir.join("gc.log")).unwrap();
         let log = Arc::new(Mutex::new(log));
         let stats = Arc::new(DurabilityStats::default());
         let gc = Arc::new(GroupCommit::new(
@@ -1073,7 +1081,8 @@ mod tests {
                     for i in 0..APPENDS {
                         let ticket = {
                             let mut log = log.lock();
-                            log.append(format!("{w}:{i}").as_bytes()).unwrap();
+                            log.append(&Sealed::new(format!("{w}:{i}").into_bytes()))
+                                .unwrap();
                             gc.ticket()
                         };
                         gc.commit(ticket, || {
@@ -1093,9 +1102,10 @@ mod tests {
         assert!(snap.fsyncs >= 1 && snap.fsyncs <= snap.acks);
         // Every acked append survives a reopen (the barrier is real).
         drop(log);
-        let (recs, _, torn) = RecordLog::open(&dir.join("gc.log")).unwrap();
+        let mut recs = 0;
+        let (_, torn) = RecordLog::open(&dir.join("gc.log"), |_, _| recs += 1).unwrap();
         assert!(!torn);
-        assert_eq!(recs.len(), WRITERS * APPENDS);
+        assert_eq!(recs, WRITERS * APPENDS);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::api::ChunkId;
 use crate::durable::{
-    CommitPolicy, GroupCommit, SegmentRecovery, SegmentStore, DEFAULT_SEGMENT_BYTES,
+    CommitPolicy, GroupCommit, SealedPut, SegmentRecovery, SegmentStore, DEFAULT_SEGMENT_BYTES,
 };
 use bff_data::{ContentDigest, ContentKey, FastMap, FastSet, Payload};
 use bff_net::NodeId;
@@ -111,6 +111,13 @@ impl Provider {
     /// The delta is signed so counters stay truthful even if a future
     /// caller breaks the never-different-data assumption.
     pub fn put(&mut self, id: ChunkId, data: Payload) -> (i64, bool) {
+        self.put_staged(id, data, None)
+    }
+
+    /// [`Provider::put`] with the segment record of a disk-backed
+    /// provider already sealed (see [`ProviderStore::put_batch`]); a
+    /// missing one is sealed here.
+    fn put_staged(&mut self, id: ChunkId, data: Payload, sealed: Option<SealedPut>) -> (i64, bool) {
         let (delta, is_new) = match &mut self.chunks {
             ChunkStore::Mem(chunks) => {
                 let new_len = data.len() as i64;
@@ -121,7 +128,8 @@ impl Provider {
                 (new_len - prev_len, is_new)
             }
             ChunkStore::Disk(store) => {
-                let is_new = store.put(id, &data).expect("provider segment append");
+                let sealed = sealed.unwrap_or_else(|| SealedPut::new(id, &data));
+                let is_new = store.put_sealed(&sealed).expect("provider segment append");
                 (if is_new { data.len() as i64 } else { 0 }, is_new)
             }
         };
@@ -472,12 +480,7 @@ impl ProviderStore {
     /// Durable before return on disk-backed providers (the ack
     /// barrier). Returns `false` if `node` hosts no provider.
     pub fn put(&self, node: NodeId, id: ChunkId, data: Payload) -> bool {
-        let Some(&slot) = self.slot_of.get(&node) else {
-            return false;
-        };
-        let (bytes, is_new) = self.committed(slot, |shard| (shard.put(id, data), true));
-        self.apply_delta(bytes, is_new as i64);
-        true
+        self.put_batch(node, [(id, data)])
     }
 
     /// Add one dedup reference to `id` at `node` (see
@@ -573,6 +576,10 @@ impl ProviderStore {
     /// Store a whole batch of chunks at `node` under one shard
     /// acquisition and one counter update (the write-side twin of the
     /// batched fetch path). Returns `false` if `node` hosts no provider.
+    ///
+    /// On a disk-backed provider each chunk's segment record is sealed
+    /// (encoded and checksummed) first, with no lock held: the shard
+    /// lock covers only the appends and the index inserts.
     pub fn put_batch<I>(&self, node: NodeId, items: I) -> bool
     where
         I: IntoIterator<Item = (ChunkId, Payload)>,
@@ -580,12 +587,20 @@ impl ProviderStore {
         let Some(&slot) = self.slot_of.get(&node) else {
             return false;
         };
+        let durable = self.commit.is_some();
+        let staged: Vec<(ChunkId, Payload, Option<SealedPut>)> = items
+            .into_iter()
+            .map(|(id, data)| {
+                let sealed = durable.then(|| SealedPut::new(id, &data));
+                (id, data, sealed)
+            })
+            .collect();
         // One barrier for the whole batch — and under group commit, one
         // shared with every other shard-mate batch in flight.
         let (bytes, new_chunks) = self.committed(slot, |shard| {
             let (mut bytes, mut new_chunks) = (0i64, 0i64);
-            for (id, data) in items {
-                let (delta, is_new) = shard.put(id, data);
+            for (id, data, sealed) in staged {
+                let (delta, is_new) = shard.put_staged(id, data, sealed);
                 bytes += delta;
                 new_chunks += is_new as i64;
             }

@@ -10,8 +10,9 @@
 //! validated by the provider storing the chunk. Dedup consumers
 //! additionally key by payload *length*, shrinking the collision scope
 //! to equal-sized chunks. No weak digest is persisted, so the function
-//! may change; the on-disk record checksum is a separate one
-//! ([`crate::log::fnv64`]).
+//! may change. The on-disk record checksum ([`crate::log::checksum`]) is
+//! the same XXH64, but it is part of the v1 record-log format: changing
+//! it there needs a new format version.
 
 use crate::LruMap;
 

@@ -165,8 +165,14 @@ pub fn decode<T: Wire>(buf: &[u8]) -> Result<T, WireError> {
 /// batch reply share one buffer while any of them is cached, as the
 /// chunks of a multi-chunk `Fetch` reply always have.
 pub fn decode_owned<T: Wire>(frame: Vec<u8>) -> Result<T, WireError> {
-    let frame = Bytes::from(frame);
-    let mut r = Reader::shared(&frame);
+    decode_shared(&Bytes::from(frame))
+}
+
+/// [`decode`] for a frame already in a shared buffer, such as a record
+/// replayed from a log file: literal payload segments are views into it,
+/// as with [`decode_owned`].
+pub fn decode_shared<T: Wire>(frame: &Bytes) -> Result<T, WireError> {
+    let mut r = Reader::shared(frame);
     let v = T::dec(&mut r)?;
     r.finish()?;
     Ok(v)

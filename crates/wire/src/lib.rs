@@ -42,7 +42,9 @@ pub mod table;
 pub mod msg;
 pub mod types;
 
-pub use codec::{decode, decode_owned, encode, put_varint, Flat, Reader, Wire, WireError};
+pub use codec::{
+    decode, decode_owned, decode_shared, encode, put_varint, Flat, Reader, Wire, WireError,
+};
 pub use msg::{
     unexpected_resp, BoardReq, BoardResp, BoardSync, ClusterReq, ClusterResp, DeleteOutcome,
     MetaReq, MetaResp, PmReq, PmResp, ProviderReq, ProviderResp, Req, Resp, RetainOutcome,

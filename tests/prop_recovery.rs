@@ -22,12 +22,13 @@ use bff::blobseer::{
     BlobConfig, BlobId, BlobStore, BlobTopology, ChunkId, Client, DurabilityStats, GroupCommit,
     NodeKey, Placement, RecoveryReport, ServerState, TransportMode, Version,
 };
+use bff::data::log::{fnv64, temp_path, Sealed, FILE_HEADER};
 use bff::data::{Payload, RecordLog};
 use bff::net::{Fabric, LocalFabric, NodeId};
 use bff::wire::msg::{Req, Resp, VmReq, VmResp};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -66,8 +67,132 @@ fn flip_byte(path: &PathBuf, at: usize) {
     std::fs::write(path, bytes).expect("write file");
 }
 
+/// Open the record log at `path`, collecting `(offset, payload)` of
+/// every record it replays.
+fn open_log(path: &Path) -> (Vec<(u64, Vec<u8>)>, RecordLog, bool) {
+    let mut records = Vec::new();
+    let (log, torn) = RecordLog::open(path, |off, payload| records.push((off, payload.to_vec())))
+        .expect("open record log");
+    (records, log, torn)
+}
+
+fn append(log: &mut RecordLog, payload: &[u8]) {
+    log.append(&Sealed::new(payload.to_vec())).unwrap();
+}
+
+/// The bytes of a v0 (headerless, FNV-1a) log holding `payloads`, as
+/// data directories written before the v1 format hold them.
+fn v0_bytes(payloads: &[Vec<u8>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for p in payloads {
+        out.extend_from_slice(&(p.len() as u32).to_le_bytes());
+        out.extend_from_slice(&fnv64(p).to_le_bytes());
+        out.extend_from_slice(p);
+    }
+    out
+}
+
+/// The payloads of `records`, in order.
+fn payloads_of(records: &[(u64, Vec<u8>)]) -> Vec<Vec<u8>> {
+    records.iter().map(|(_, p)| p.clone()).collect()
+}
+
+/// The crash points of a v0 → v1 upgrade, in the order the upgrade
+/// passes them.
+#[derive(Debug, Clone, Copy)]
+enum UpgradeCrash {
+    /// The temp file holds a prefix of the v1 bytes, not yet fsynced.
+    BeforeTempSync,
+    /// The temp file is whole and fsynced; the rename has not happened.
+    BeforeRename,
+    /// The rename happened: the log is the v1 file.
+    AfterRename,
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A log cut anywhere inside its file header holds no record: it
+    /// opens as an empty log, accepts appends, and keeps them.
+    #[test]
+    fn record_log_cut_inside_its_header_is_empty(
+        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..300), 1..8),
+        cut in 0u64..FILE_HEADER.len() as u64,
+    ) {
+        let dir = scratch("log-header-cut");
+        let path = dir.join("log");
+        let (_, mut log, _) = open_log(&path);
+        for p in &payloads {
+            append(&mut log, p);
+        }
+        drop(log);
+        cut_file(&path, cut);
+
+        let (records, mut log, torn) = open_log(&path);
+        prop_assert!(records.is_empty());
+        prop_assert_eq!(torn, cut > 0);
+        append(&mut log, b"after-recovery");
+        drop(log);
+        let (records, _, torn) = open_log(&path);
+        prop_assert!(!torn);
+        prop_assert_eq!(payloads_of(&records), vec![b"after-recovery".to_vec()]);
+        prop_assert!(std::fs::read(&path).unwrap().starts_with(&FILE_HEADER));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A crash at any step of the v0 → v1 upgrade recovers the same
+    /// records: before the rename the v0 original is intact (whatever
+    /// the temp file holds), after it the v1 file holds the same
+    /// payloads. Either way the log reopens as v1 and keeps appends.
+    #[test]
+    fn v0_upgrade_crash_recovers_the_same_records(
+        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..300), 1..16),
+        step in prop_oneof![
+            Just(UpgradeCrash::BeforeTempSync),
+            Just(UpgradeCrash::BeforeRename),
+            Just(UpgradeCrash::AfterRename),
+        ],
+        cut_pct in 0u64..100,
+    ) {
+        let dir = scratch("v0-upgrade");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("log");
+        let v0 = v0_bytes(&payloads);
+        // What a finished upgrade writes, from a run on a copy.
+        let done = dir.join("done");
+        std::fs::write(&done, &v0).unwrap();
+        let (records, _, torn) = open_log(&done);
+        prop_assert!(!torn);
+        prop_assert_eq!(payloads_of(&records), payloads.clone());
+        let v1 = std::fs::read(&done).unwrap();
+        prop_assert!(v1.starts_with(&FILE_HEADER));
+
+        let temp = temp_path(&path);
+        match step {
+            UpgradeCrash::BeforeTempSync => {
+                std::fs::write(&path, &v0).unwrap();
+                let cut = v1.len() * cut_pct as usize / 100;
+                std::fs::write(&temp, &v1[..cut]).unwrap();
+            }
+            UpgradeCrash::BeforeRename => {
+                std::fs::write(&path, &v0).unwrap();
+                std::fs::write(&temp, &v1).unwrap();
+            }
+            UpgradeCrash::AfterRename => std::fs::write(&path, &v1).unwrap(),
+        }
+
+        let (got, mut log, torn) = open_log(&path);
+        prop_assert!(!torn);
+        prop_assert_eq!(&got, &records, "offsets and payloads as the finished upgrade's");
+        prop_assert!(!temp.exists(), "no temp file outlives an open");
+        append(&mut log, b"after-upgrade");
+        drop(log);
+        let (got, _, torn) = open_log(&path);
+        prop_assert!(!torn);
+        prop_assert_eq!(got.len(), payloads.len() + 1);
+        prop_assert!(std::fs::read(&path).unwrap().starts_with(&FILE_HEADER));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     /// Cutting a record log at any byte offset recovers an exact prefix
     /// of the appended payloads; a cut at or past the end restores all
@@ -79,10 +204,10 @@ proptest! {
     ) {
         let dir = scratch("log-cut");
         let path = dir.join("log");
-        let (_, mut log, torn) = RecordLog::open(&path).unwrap();
+        let (_, mut log, torn) = open_log(&path);
         prop_assert!(!torn);
         for p in &payloads {
-            log.append(p).unwrap();
+            append(&mut log, p);
         }
         drop(log);
 
@@ -90,7 +215,7 @@ proptest! {
         let cut = (len * cut_pct / 100).min(len);
         cut_file(&path, cut);
 
-        let (records, mut log, _) = RecordLog::open(&path).unwrap();
+        let (records, mut log, _) = open_log(&path);
         prop_assert!(records.len() <= payloads.len());
         for (got, want) in records.iter().zip(&payloads) {
             prop_assert_eq!(&got.1, want, "recovered record diverged");
@@ -99,10 +224,10 @@ proptest! {
             prop_assert_eq!(records.len(), payloads.len(), "nothing was cut");
         }
         // The truncated log must accept appends again and keep them.
-        log.append(b"after-recovery").unwrap();
+        append(&mut log, b"after-recovery");
         let survivors = records.len();
         drop(log);
-        let (records, _, torn) = RecordLog::open(&path).unwrap();
+        let (records, _, torn) = open_log(&path);
         prop_assert!(!torn, "re-opened log is clean");
         prop_assert_eq!(records.len(), survivors + 1);
         prop_assert_eq!(records.last().unwrap().1.clone(), b"after-recovery".to_vec());
@@ -119,14 +244,14 @@ proptest! {
     ) {
         let dir = scratch("log-flip");
         let path = dir.join("log");
-        let (_, mut log, _) = RecordLog::open(&path).unwrap();
+        let (_, mut log, _) = open_log(&path);
         for p in &payloads {
-            log.append(p).unwrap();
+            append(&mut log, p);
         }
         drop(log);
 
         flip_byte(&path, at);
-        let (records, _, _) = RecordLog::open(&path).unwrap();
+        let (records, _, _) = open_log(&path);
         prop_assert!(records.len() < payloads.len(), "damage always loses the hit record");
         for (got, want) in records.iter().zip(&payloads) {
             prop_assert_eq!(&got.1, want, "recovered record diverged");
@@ -231,7 +356,7 @@ proptest! {
     ) {
         let dir = scratch("group-commit");
         let path = dir.join("log");
-        let (_, log, torn) = RecordLog::open(&path).unwrap();
+        let (_, log, torn) = open_log(&path);
         prop_assert!(!torn);
         let log = Arc::new(Mutex::new(log));
         let gc = GroupCommit::new(
@@ -244,7 +369,7 @@ proptest! {
         for (payload, do_commit) in &ops {
             let ticket = {
                 let mut l = log.lock().unwrap();
-                l.append(payload).unwrap();
+                append(&mut l, payload);
                 gc.ticket()
             };
             appended += 1;
@@ -271,7 +396,7 @@ proptest! {
         let cut = durable_len + cut_back % (len - durable_len + 1);
         cut_file(&path, cut);
 
-        let (records, mut log, _) = RecordLog::open(&path).unwrap();
+        let (records, mut log, _) = open_log(&path);
         prop_assert!(
             records.len() >= acked,
             "lost acked records: {} acked, {} replayed", acked, records.len()
@@ -281,10 +406,10 @@ proptest! {
             prop_assert_eq!(&got.1, want, "replayed record diverged");
         }
         // The truncated log accepts appends and keeps them.
-        log.append(b"after-crash").unwrap();
+        append(&mut log, b"after-crash");
         let survivors = records.len();
         drop(log);
-        let (records, _, torn) = RecordLog::open(&path).unwrap();
+        let (records, _, torn) = open_log(&path);
         prop_assert!(!torn, "re-opened log is clean");
         prop_assert_eq!(records.len(), survivors + 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -562,10 +687,25 @@ fn run_durable_workload(
     ]
 }
 
+/// Every file under `dir`, recursively.
+fn log_files(dir: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            out.extend(log_files(&path));
+        } else {
+            out.push(path);
+        }
+    }
+    out
+}
+
 /// A durable deployment needs no transport hop to be durable: every
 /// request is served — and journaled — by `ServerState::dispatch`, so
 /// `TransportMode::Direct` leaves the same journal as the codec round
-/// trip and recovers every surviving snapshot byte-identically.
+/// trip and recovers every surviving snapshot byte-identically. Every
+/// file it wrote is a v1 record log.
 #[test]
 fn durable_direct_deployment_journals_and_recovers() {
     let direct_dir = scratch("durable-direct");
@@ -586,6 +726,12 @@ fn durable_direct_deployment_journals_and_recovers() {
     for (blob, version, want) in survivors {
         let got = client.read(blob, version, 0..want.len() as u64).unwrap();
         assert_eq!(got.materialize(), want, "{blob:?} {version:?} diverged");
+    }
+    let files = log_files(&direct_dir);
+    assert!(files.len() >= 4, "a journal, and segments and ref logs");
+    for file in files {
+        let bytes = std::fs::read(&file).unwrap();
+        assert!(bytes.starts_with(&FILE_HEADER), "{file:?} is not v1");
     }
     let _ = std::fs::remove_dir_all(&direct_dir);
     let _ = std::fs::remove_dir_all(&codec_dir);

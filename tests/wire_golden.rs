@@ -16,7 +16,8 @@
 
 use bff::blobseer::durable::{ChunkRecord, JournalRecord, RefRecord};
 use bff::blobseer::{BlobConfig, BlobStore, BlobTopology, Client, Placement, RecoveryReport};
-use bff::data::{ContentDigest, ContentKey, Digest, Payload, Sha256Digest};
+use bff::data::log::{Sealed, FILE_HEADER};
+use bff::data::{ContentDigest, ContentKey, Digest, Payload, RecordLog, Sha256Digest};
 use bff::net::{Fabric, LocalFabric, NetError, NodeId};
 use bff::wire::msg::*;
 use bff::wire::types::{BlobError, BlobId, ChunkDesc, ChunkId, NodeKey, TreeNode, Version};
@@ -32,13 +33,17 @@ fn unhex(s: &str) -> Vec<u8> {
         .collect()
 }
 
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
 /// Check every row both ways; report every row that moved, not only the
 /// first.
 fn golden<T: Wire + PartialEq + Debug>(rows: Vec<(T, &str)>) {
     let moved: Vec<String> = rows
         .iter()
         .filter_map(|(value, frame)| {
-            let got: String = encode(value).iter().map(|b| format!("{b:02x}")).collect();
+            let got = hex(&encode(value));
             let back = decode::<T>(&unhex(frame));
             (got != *frame || back.as_ref().ok() != Some(value))
                 .then(|| format!("{value:?}\n  encodes to {got}\n  {frame} decodes to {back:?}"))
@@ -209,6 +214,40 @@ fn record_frames_are_golden() {
         (JournalRecord::KeyMark(65_552), "02908004"),
         (JournalRecord::ChunkMark(65_537), "03818004"),
     ]);
+}
+
+/// The bytes a record log holds on disk: the v1 file header, then each
+/// record as `[u32 len][u64 XXH64][payload]`. Pinned as a whole file — a
+/// fresh log holding the `Put` row's record above — and checked both
+/// ways: appending writes exactly these bytes, and opening them replays
+/// exactly that record.
+#[test]
+fn log_file_bytes_are_golden() {
+    const HEADER: &str = "424646524c4f4701";
+    const PUT: &str = "0f000000d67b589f1e3619380009030003616263020a010502ac02";
+    assert_eq!(hex(&FILE_HEADER), HEADER);
+    let record = encode(&ChunkRecord::Put {
+        id: ChunkId(9),
+        data: rope(),
+    });
+    let dir = std::env::temp_dir().join(format!("wire-golden-log-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.join("seg-0.log");
+    let (mut log, _) = RecordLog::open(&path, |_, _| {}).unwrap();
+    let off = log.append(&Sealed::new(record.clone())).unwrap();
+    drop(log);
+    assert_eq!(off, FILE_HEADER.len() as u64);
+    assert_eq!(
+        hex(&std::fs::read(&path).unwrap()),
+        format!("{HEADER}{PUT}")
+    );
+
+    std::fs::write(&path, unhex(&format!("{HEADER}{PUT}"))).unwrap();
+    let mut replayed = Vec::new();
+    let (_, torn) = RecordLog::open(&path, |off, p| replayed.push((off, p.to_vec()))).unwrap();
+    assert!(!torn);
+    assert_eq!(replayed, vec![(off, record)]);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 const CHUNK: u64 = 512;
