@@ -89,6 +89,9 @@ struct Measured {
     storm: Outcome,
     wire: WireStats,
     durability: DurabilityCounters,
+    /// Board publishes and polls, summed over the compute nodes'
+    /// contexts: they live on the client side whatever hosts the board.
+    board: (u64, u64),
 }
 
 impl Measured {
@@ -99,6 +102,11 @@ impl Measured {
     /// Frames sent per exchange waited for (0 when nothing was framed).
     fn frames_per_round_trip(&self) -> f64 {
         self.wire.calls as f64 / self.wire.round_trips.max(1) as f64
+    }
+
+    /// `count` per boot of the storm.
+    fn per_boot(&self, count: u64) -> f64 {
+        count as f64 / self.storm.boot_us.len().max(1) as f64
     }
 }
 
@@ -127,6 +135,13 @@ fn measure(row: Row, clients: usize) -> Measured {
         wire: store.wire_stats(),
         storm: out,
         durability,
+        board: cloud
+            .compute_nodes()
+            .iter()
+            .fold((0, 0), |(pubs, polls), &n| {
+                let p = cloud.node_context(n).prefetch_stats();
+                (pubs + p.board_publishes, polls + p.board_polls)
+            }),
     }
 }
 
@@ -150,6 +165,8 @@ const COMMON: &[Column] = &[
     ("boots_per_s", |m| f1(m.storm.boots_per_s())),
     ("p50_ms", |m| f3(m.storm.percentile_ms(50.0))),
     ("p99_ms", |m| f3(m.storm.percentile_ms(99.0))),
+    ("board_publishes_per_boot", |m| f3(m.per_boot(m.board.0))),
+    ("board_polls_per_boot", |m| f3(m.per_boot(m.board.1))),
 ];
 
 const TRANSPORT: Axis = Axis {

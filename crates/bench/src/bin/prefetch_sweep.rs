@@ -96,6 +96,10 @@ struct BootOutcome {
     wasted: u64,
     /// Chunks prefetched in total.
     prefetched: u64,
+    /// Board publishes per boot (both waves).
+    board_publishes: f64,
+    /// Board polls per boot (both waves).
+    board_polls: f64,
 }
 
 fn run_boot(prefetch: bool, min_publishers: usize) -> BootOutcome {
@@ -193,12 +197,16 @@ fn run_boot(prefetch: bool, min_publishers: usize) -> BootOutcome {
         }
     } // DEBUG_SPANS
     let (mut hits, mut wasted, mut prefetched) = (0u64, 0u64, 0u64);
+    let (mut publishes, mut polls) = (0u64, 0u64);
     for &node in &compute {
         let s = store.node_context(node).prefetch_stats();
         hits += s.hits;
         wasted += s.wasted_chunks;
         prefetched += s.prefetched_chunks;
+        publishes += s.board_publishes;
+        polls += s.board_polls;
     }
+    let boots = (SEED_VMS + main_vms) as f64;
     let avg_boot_s = per_vm_s.iter().sum::<f64>() / per_vm_s.len() as f64;
     BootOutcome {
         wave_s,
@@ -208,6 +216,8 @@ fn run_boot(prefetch: bool, min_publishers: usize) -> BootOutcome {
         hits,
         wasted,
         prefetched,
+        board_publishes: publishes as f64 / boots,
+        board_polls: polls as f64 / boots,
     }
 }
 
@@ -230,6 +240,8 @@ fn main() {
             "prefetched_chunks",
             "hits",
             "wasted",
+            "board_publishes_per_boot",
+            "board_polls_per_boot",
         ],
     );
     for (label, m) in [("off", off), ("on", on), ("on_unfiltered", on_unfiltered)] {
@@ -242,6 +254,8 @@ fn main() {
             &m.prefetched,
             &m.hits,
             &m.wasted,
+            &f3(m.board_publishes),
+            &f3(m.board_polls),
         ]);
     }
     t.emit();

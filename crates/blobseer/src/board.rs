@@ -4,8 +4,10 @@
 //! Co-deployed VMs booting the same image touch nearly identical chunk
 //! sequences with a skew of ~100 ms. The [`PatternBoard`] turns that
 //! observation into a service: every node's shared
-//! [`crate::NodeContext`] batches the first-touch chunk order of its
-//! demand reads and publishes compact summaries here; a node deploying
+//! [`crate::NodeContext`] batches the first-touch order of the chunks
+//! its guests' reads moved (fetched, or read ahead and used for the
+//! first time — not those it already held) and publishes compact
+//! summaries here; a node deploying
 //! the same `(blob, version)` later (or merely running behind) reads the
 //! merged peer sequence back and asks
 //! [`crate::Client::prefetch_chunks`] to fetch the predicted next window

@@ -880,24 +880,39 @@ mod tests {
     #[test]
     fn cluster_publishes_are_novelty_filtered() {
         let (f, a, b) = setup_cluster(true);
+        // (bulk transfers, control rounds) a commit costs the fabric.
+        let commit = |c: &Client, content: &Payload| {
+            let blob = c.create_blob(128).unwrap();
+            let stats = f.stats();
+            let before = (stats.transfer_count(), stats.rpc_count());
+            c.write_chunks(blob, Version(0), vec![(0, content.clone())])
+                .unwrap();
+            (
+                stats.transfer_count() - before.0,
+                stats.rpc_count() - before.1,
+            )
+        };
         let content = Payload::synth(210, 0, 128);
-        let blob_a = a.create_blob(128).unwrap();
-        a.write_chunks(blob_a, Version(0), vec![(0, content.clone())])
-            .unwrap();
+        let fresh = commit(&a, &content);
         let indexed = a.store().cluster_index().read().len();
         assert_eq!(indexed, 1, "the commit published its content key");
         // A second node committing the same content publishes nothing
         // new: same index size, and the only control traffic beyond the
         // commit itself is the validation/retain round.
-        let msgs_before = f.stats().transfer_count();
-        let blob_b = b.create_blob(128).unwrap();
-        b.write_chunks(blob_b, Version(0), vec![(0, content.clone())])
-            .unwrap();
-        let _ = msgs_before;
+        let reused = commit(&b, &content);
         assert_eq!(
             b.store().cluster_index().read().len(),
             indexed,
             "an already-indexed key is not re-published"
+        );
+        assert_eq!(
+            reused.0, 0,
+            "no chunk pushed and no key published: no bulk transfer"
+        );
+        assert_eq!(
+            reused.1,
+            fresh.1 - 2 + 1,
+            "no allocation round and no index publish; one retain round"
         );
     }
 }

@@ -1,43 +1,53 @@
 //! Adaptive cross-VM prefetching ([`crate::BlobConfig::prefetch`]):
-//! image layers hint their read misses ([`Client::hint_access`]), the
-//! node publishes its first-touch order to the cluster
-//! [`crate::board::PatternBoard`], and a node running behind its cohort
-//! reads ahead the window the board's sequence predicts
-//! ([`Client::prefetch_chunks`]) into the node-shared chunk cache, which
-//! `read_multi` consults before touching providers. The hypervisor
-//! model overlaps read-ahead steps with guest compute bursts. Strictly
-//! best-effort: snapshot content is byte-identical with prefetch on or
-//! off.
+//! a guest's reads ([`Client::read_multi_hinted`]) tell the node what
+//! they touched, the node publishes the first-touch order of the chunks
+//! those reads *moved* to the cluster [`crate::board::PatternBoard`],
+//! and a node running behind its cohort reads ahead the window the
+//! board's sequence predicts ([`Client::prefetch_chunks`]) into the
+//! node-shared chunk cache, which `read_multi` consults before touching
+//! providers. The hypervisor model overlaps read-ahead steps with guest
+//! compute bursts. Strictly best-effort: snapshot content is
+//! byte-identical with prefetch on or off.
+//!
+//! **Publish what you moved.** A chunk a read fetched from a provider,
+//! or served from a read-ahead entry on that entry's first use (which
+//! confirms the peer pattern), is published; so is an unwritten chunk,
+//! which reads as zeros. A chunk served from an entry an earlier read
+//! landed — for this version, or for another version that shares the
+//! chunk — is recorded as touched but not published. So a node that
+//! boots a new snapshot of an image it holds asks the board only its
+//! open-time poll. The trade-off: a cold node booting a new version
+//! finds no pattern from warm nodes; it demand-fetches and publishes the
+//! pattern itself.
 
 use super::Client;
 use crate::api::{BlobId, BlobResult, ChunkDesc, Version};
 use crate::context::ChunkOrigin;
-use bff_data::{chunk_cover, chunk_range, coalesce_runs, ByteRange};
+use bff_data::{chunk_range, coalesce_runs};
 
 impl Client {
-    /// Access hint from the image layer: the guest on this node demanded
-    /// `ranges` of `(blob, version)`. The node's [`crate::NodeContext`]
-    /// records the first-touch chunk order; once
-    /// [`crate::context::PUBLISH_BATCH`] new chunks accumulate, the batch
-    /// is published to the cluster
+    /// Access hint from a guest read of `(blob, version)` (see
+    /// [`Client::read_multi_hinted`]): its `touches` in access order,
+    /// each `(chunk index, moved)`. The node's [`crate::NodeContext`]
+    /// records every touch and the first-touch order of the moved
+    /// chunks; once [`crate::context::PUBLISH_BATCH`] of those
+    /// accumulate, the batch is published to the cluster
     /// [`PatternBoard`](crate::board::PatternBoard) (one control RPC to
     /// the provider-manager node, then a gossip round to the compute
     /// nodes). No-op when prefetching is off.
     ///
     /// Hints are *advisory*: they never move data and never fail — a
     /// publish that cannot reach the board (manager down) is dropped.
-    pub fn hint_access(&self, blob: BlobId, version: Version, ranges: &[ByteRange]) {
+    pub(super) fn hint_touches(
+        &self,
+        blob: BlobId,
+        version: Version,
+        touches: impl IntoIterator<Item = (u64, bool)>,
+    ) {
         if !self.prefetch_enabled() {
             return;
         }
-        let Ok(meta) = self.version_meta(blob, version) else {
-            return;
-        };
-        let indices = ranges
-            .iter()
-            .filter(|r| r.start < r.end && r.end <= meta.size)
-            .flat_map(|r| chunk_cover(r, meta.chunk_size));
-        if let Some(batch) = self.ctx.note_accesses((blob, version), indices) {
+        if let Some(batch) = self.ctx.note_accesses((blob, version), touches) {
             self.publish_pattern(blob, version, batch);
         }
     }
@@ -68,6 +78,7 @@ impl Client {
     /// prefetch opportunity.
     fn sync_board_replica(&self, key: (BlobId, Version), batch: Vec<u64>, from: usize) -> bool {
         let min_pub = self.cfg().prefetch_min_publishers;
+        self.ctx.note_board_sync(batch.is_empty());
         self.store
             .board_sync(key, self.node, batch, from, min_pub)
             .is_some_and(|sync| self.ctx.board_synced(key, from, sync))
@@ -213,9 +224,11 @@ mod tests {
         let (_f, a, b) = setup_prefetch(128);
         let data = Payload::synth(120, 0, 4096); // 32 chunks
         let (blob, v) = a.upload(data.clone()).unwrap();
-        // Node 0's VM faults in a boot-like window: the hint publishes
-        // its first-touch order to the board.
-        a.hint_access(blob, v, std::slice::from_ref(&(0..2048)));
+        // Node 0's VM faults in a boot-like window: the read moves every
+        // chunk, so its hint publishes their first-touch order to the
+        // board.
+        a.read_multi_hinted(blob, v, std::slice::from_ref(&(0..2048)))
+            .unwrap();
         let seq = a
             .store()
             .pattern_board()
@@ -252,7 +265,8 @@ mod tests {
     fn prefetch_is_incremental_and_never_refetches() {
         let (_f, a, b) = setup_prefetch(128);
         let (blob, v) = a.upload(Payload::synth(121, 0, 4096)).unwrap();
-        a.hint_access(blob, v, std::slice::from_ref(&(0..4096)));
+        a.read_multi_hinted(blob, v, std::slice::from_ref(&(0..4096)))
+            .unwrap();
         // Two bounded steps walk the peer sequence incrementally.
         assert_eq!(b.prefetch_chunks(blob, v, 10).unwrap(), 10);
         assert_eq!(b.prefetch_chunks(blob, v, 10).unwrap(), 10);
@@ -268,10 +282,11 @@ mod tests {
     fn prefetch_skips_chunks_this_node_already_read() {
         let (_f, a, b) = setup_prefetch(128);
         let (blob, v) = a.upload(Payload::synth(122, 0, 2048)).unwrap();
-        a.hint_access(blob, v, std::slice::from_ref(&(0..2048)));
-        // Node 1 demand-reads half the window first.
-        b.read(blob, v, 0..1024).unwrap();
-        b.hint_access(blob, v, std::slice::from_ref(&(0..1024)));
+        a.read_multi_hinted(blob, v, std::slice::from_ref(&(0..2048)))
+            .unwrap();
+        // Node 1's guest reads half the window first.
+        b.read_multi_hinted(blob, v, std::slice::from_ref(&(0..1024)))
+            .unwrap();
         let landed = b.prefetch_chunks(blob, v, 100).unwrap();
         assert_eq!(landed, 8, "only the unseen half is prefetched");
     }
@@ -286,8 +301,14 @@ mod tests {
         let (_, off_store) = deploy(4, cfg);
         let off = Client::new(off_store, NodeId(0));
         let (blob, v) = off.upload(Payload::synth(123, 0, 1024)).unwrap();
-        off.hint_access(blob, v, std::slice::from_ref(&(0..1024)));
+        off.read_multi_hinted(blob, v, std::slice::from_ref(&(0..1024)))
+            .unwrap();
         assert!(off.store().pattern_board().is_empty());
+        assert_eq!(
+            off.context().prefetch_progress((blob, v)),
+            (false, 0, 0),
+            "nothing is recorded"
+        );
         assert!(!off.has_prefetch_work(blob, v));
         assert_eq!(off.prefetch_chunks(blob, v, 8).unwrap(), 0);
         assert_eq!(off.context().prefetch_stats(), Default::default());
@@ -307,7 +328,9 @@ mod tests {
             let (fabric, store) = deploy(4, cfg);
             let capless = Client::new(store, NodeId(0));
             let (blob, v) = capless.upload(Payload::synth(124, 0, 4096)).unwrap();
-            capless.hint_access(blob, v, std::slice::from_ref(&(0..4096)));
+            capless
+                .read_multi_hinted(blob, v, std::slice::from_ref(&(0..4096)))
+                .unwrap();
             assert!(capless.store().pattern_board().is_empty());
             assert!(!capless.has_prefetch_work(blob, v));
             let transfers = fabric.stats().transfer_count();

@@ -34,7 +34,9 @@ use crate::api::{BlobError, BlobId, BlobResult, ChunkDesc, ChunkId, Version};
 use crate::context::ChunkOrigin;
 use crate::segtree;
 use crate::service::{BlobStore, Fetched};
-use bff_data::{chunk_cover, chunk_range, coalesce_runs, intersect, ByteRange, FastMap, Payload};
+use bff_data::{
+    chunk_cover, chunk_range, coalesce_runs, intersect, ByteRange, FastMap, FastSet, Payload,
+};
 use bff_net::{NetError, NodeId};
 use bff_wire::msg::{ProviderReq, Req};
 use parking_lot::Mutex;
@@ -62,12 +64,39 @@ impl Client {
     /// batched pipeline (see the module docs), returning one payload per
     /// input range (unwritten regions read as zeros). Byte-for-byte
     /// equivalent to calling [`Client::read`] once per range; strictly
-    /// cheaper in metadata rounds and per-message overheads.
+    /// cheaper in metadata rounds and per-message overheads. Tells the
+    /// prefetch plane nothing.
     pub fn read_multi(
         &self,
         blob: BlobId,
         version: Version,
         ranges: &[ByteRange],
+    ) -> BlobResult<Vec<Payload>> {
+        self.read_planned(blob, version, ranges, false)
+    }
+
+    /// A guest's read: [`Client::read_multi`], and the prefetch plane
+    /// learns which chunks of `ranges` it touched and which of them it
+    /// moved (see the `prefetch` module's "publish what you moved"). The
+    /// mirroring module sends its demand misses here; its gap fills, and
+    /// every other reader, use `read_multi`.
+    pub fn read_multi_hinted(
+        &self,
+        blob: BlobId,
+        version: Version,
+        ranges: &[ByteRange],
+    ) -> BlobResult<Vec<Payload>> {
+        self.read_planned(blob, version, ranges, true)
+    }
+
+    /// The one read pipeline; `hint` feeds the prefetch plane after the
+    /// cache lookup, before the fetch.
+    fn read_planned(
+        &self,
+        blob: BlobId,
+        version: Version,
+        ranges: &[ByteRange],
+        hint: bool,
     ) -> BlobResult<Vec<Payload>> {
         let meta = self.version_meta(blob, version)?;
         for range in ranges {
@@ -106,14 +135,28 @@ impl Client {
         let cached = self.ctx.chunk_cache_get_batch(&ids);
         let mut fetched: HashMap<u64, Payload> = HashMap::new();
         let mut fetch: Vec<(u64, ChunkDesc, u64)> = Vec::new();
-        for ((idx, desc, len), data) in plan.into_iter().zip(cached) {
-            match data {
-                Some(data) => {
-                    debug_assert_eq!(data.len(), len, "cached chunk length");
-                    fetched.insert(idx, data);
+        // Chunks a hinted read finds resident without moving them: the
+        // ones its hint does not publish.
+        let mut resident: FastSet<u64> = FastSet::default();
+        for ((idx, desc, len), hit) in plan.into_iter().zip(cached) {
+            match hit {
+                Some(hit) => {
+                    debug_assert_eq!(hit.data.len(), len, "cached chunk length");
+                    if hint && !hit.read_ahead {
+                        resident.insert(idx);
+                    }
+                    fetched.insert(idx, hit.data);
                 }
                 None => fetch.push((idx, desc, len)),
             }
+        }
+        if hint {
+            let touches = ranges
+                .iter()
+                .filter(|r| r.start < r.end)
+                .flat_map(|r| chunk_cover(r, meta.chunk_size))
+                .map(|idx| (idx, !resident.contains(&idx)));
+            self.hint_touches(blob, version, touches);
         }
         let cache_data = self.prefetch_enabled();
         for (idx, res) in self.fetch_chunks_results(&fetch) {
@@ -290,6 +333,7 @@ fn settle_chunk_batch(
 
 #[cfg(test)]
 mod tests {
+    use crate::api::BlobId;
     use crate::client::testkit::*;
 
     #[test]
@@ -554,6 +598,108 @@ mod tests {
             "batched path must fail over per chunk"
         );
         assert!(got[1].content_eq(&data.slice(100, 300)));
+    }
+
+    /// Two clients on nodes 0 and 1 of a deployment with prefetch on
+    /// and the shipping confidence filter (two publishers confirm).
+    fn setup_hinted() -> (Client, Client) {
+        let cfg = BlobConfig {
+            chunk_size: 128,
+            prefetch: true,
+            prefetch_min_publishers: 2,
+            ..Default::default()
+        };
+        let (_, store) = deploy(4, cfg);
+        (
+            Client::new(Arc::clone(&store), NodeId(0)),
+            Client::new(store, NodeId(1)),
+        )
+    }
+
+    fn hinted(c: &Client, blob: BlobId, v: Version, range: Range<u64>) -> Payload {
+        c.read_multi_hinted(blob, v, std::slice::from_ref(&range))
+            .unwrap()
+            .remove(0)
+    }
+
+    #[test]
+    fn a_hit_on_a_chunk_another_version_landed_is_touched_not_published() {
+        let (a, b) = setup_hinted();
+        let data = Payload::synth(60, 0, 4096); // 32 chunks
+        let (blob, v1) = a.upload(data.clone()).unwrap();
+        // Node 0 boots v1: every chunk is fetched, so all 32 publish.
+        assert!(hinted(&a, blob, v1, 0..4096).content_eq(&data));
+        let board = a.store().pattern_board();
+        assert_eq!(board.sequence_len((blob, v1)), 32);
+        let publishes = a.context().prefetch_stats().board_publishes;
+        assert_eq!(publishes, 1, "one read, one publish");
+
+        // v2 changes chunk 0. Booting it on node 0 fetches that chunk
+        // and serves the other 31 from the entries v1's boot landed:
+        // all 32 are touched, one moved, no batch to publish.
+        let patch = Payload::synth(61, 0, 128);
+        let v2 = b.write_chunks(blob, v1, vec![(0, patch.clone())]).unwrap();
+        let got = hinted(&a, blob, v2, 0..4096);
+        assert!(got.content_eq(&data.overwrite(0, patch)));
+        assert_eq!(a.context().prefetch_progress((blob, v2)), (false, 0, 32));
+        assert_eq!(board.sequence((blob, v2)), None, "nothing published");
+        assert_eq!(a.context().prefetch_stats().board_publishes, publishes);
+    }
+
+    #[test]
+    fn the_first_hit_on_a_read_ahead_entry_is_published_and_a_second_is_not() {
+        let (a, b) = setup_hinted();
+        let data = Payload::synth(62, 0, 4096);
+        let (blob, v1) = a.upload(data.clone()).unwrap();
+        hinted(&a, blob, v1, 0..4096);
+        let board = a.store().pattern_board();
+        assert_eq!(board.publisher_count((blob, v1)), 1);
+        // Node 1 polls the board and reads the first eight chunks ahead.
+        assert_eq!(b.prefetch_chunks(blob, v1, 8).unwrap(), 8);
+        let stats = b.context().prefetch_stats();
+        assert_eq!((stats.board_polls, stats.board_publishes), (1, 0));
+        // Its guest then reads them: each hit is a read-ahead entry's
+        // first use, which confirms the pattern, so the batch publishes.
+        assert!(hinted(&b, blob, v1, 0..1024).content_eq(&data.slice(0, 1024)));
+        assert_eq!(b.context().prefetch_stats().hits, 8);
+        assert_eq!(board.publisher_count((blob, v1)), 2, "node 1 confirmed");
+        assert_eq!(b.context().prefetch_stats().board_publishes, 1);
+
+        // v2 shares those chunks. Booting it on node 1 hits the same
+        // entries a second time: resident, so nothing is published.
+        let v2 = a
+            .write_chunks(blob, v1, vec![(31, Payload::synth(63, 0, 128))])
+            .unwrap();
+        assert!(hinted(&b, blob, v2, 0..1024).content_eq(&data.slice(0, 1024)));
+        assert_eq!(b.context().prefetch_progress((blob, v2)), (false, 0, 8));
+        assert_eq!(board.sequence((blob, v2)), None);
+        assert_eq!(b.context().prefetch_stats().board_publishes, 1);
+    }
+
+    #[test]
+    fn unwritten_chunks_are_published_as_touched() {
+        let (a, b) = setup_hinted();
+        // A sparse blob: chunks 0..8 are holes, chunk 8 is written.
+        let blob = a.create_blob(4096).unwrap();
+        let v1 = a
+            .write(blob, Version(0), 8 * 128, Payload::synth(64, 0, 128))
+            .unwrap();
+        assert!(hinted(&a, blob, v1, 0..1024).content_eq(&Payload::zeros(1024)));
+        let board = a.store().pattern_board();
+        assert_eq!(
+            *board.sequence((blob, v1)).unwrap(),
+            (0..8).collect::<Vec<u64>>()
+        );
+        // Nothing is cached for a hole, so a version sharing them
+        // publishes them again, as the first touch of a new key.
+        let v2 = b
+            .write(blob, v1, 9 * 128, Payload::synth(65, 0, 128))
+            .unwrap();
+        hinted(&a, blob, v2, 0..1024);
+        assert_eq!(
+            *board.sequence((blob, v2)).unwrap(),
+            (0..8).collect::<Vec<u64>>()
+        );
     }
 
     #[test]

@@ -343,9 +343,11 @@ mod tests {
                 (1088, 7, 0, 0, 0),
                 "dedup commit under {transport:?}"
             );
-            // A board publish: eight first touches from a third node.
+            // A board publish: a third node opens the version and hints
+            // eight first touches that moved their chunks.
             let c = Client::new(Arc::clone(&store), NodeId(2));
-            c.hint_access(blob_a, va, std::slice::from_ref(&(0..8 * 128)));
+            c.snapshot_size(blob_a, va).unwrap();
+            c.hint_touches(blob_a, va, (0..8).map(|idx| (idx, true)));
             let published = charged(&fabric);
             assert_eq!(
                 published,

@@ -47,11 +47,15 @@
 //!   storage grows with dirty *unique* bytes, not dirty bytes (§3.1.3's
 //!   dedup claim, now exploited on the write side).
 //! * **The access trackers and chunk-data cache** — the node half of the
-//!   adaptive prefetching pipeline. Trackers record each snapshot's
-//!   first-touch chunk order (batched into
-//!   [`crate::board::PatternBoard`] publishes), the node's *replica* of
-//!   the board's merged peer sequence (see [`crate::board`]) and the
-//!   prefetcher's claim/cursor state over it; the chunk cache holds
+//!   adaptive prefetching pipeline. Trackers record every chunk of a
+//!   snapshot a guest touched and, in first-touch order, the ones its
+//!   read *moved* (fetched from a provider, or served by a read-ahead
+//!   entry's first use): only those are batched into
+//!   [`crate::board::PatternBoard`] publishes, so a node that boots a
+//!   new snapshot out of chunks it already holds teaches the board
+//!   nothing. They also hold the node's *replica* of the board's merged
+//!   peer sequence (see [`crate::board`]) and the prefetcher's
+//!   claim/cursor state over it; the chunk cache holds
 //!   prefetched (and, while prefetching is on, demand-fetched) chunk
 //!   payloads that `Client::read_multi` serves without touching
 //!   providers — which is also how co-located VMs share each other's
@@ -103,15 +107,18 @@ pub enum ChunkOrigin {
 }
 
 /// Per-`(blob, version)` access-pattern state: what this node has
-/// touched (and in which first-touch order), how much of that order has
-/// been published to the cluster board, what the board has sent back
-/// (the node's replica of the merged peer sequence), and how far into it
-/// the node's prefetcher has advanced.
+/// touched, the first-touch order of what its reads moved, how much of
+/// that order has been published to the cluster board, what the board
+/// has sent back (the node's replica of the merged peer sequence), and
+/// how far into it the node's prefetcher has advanced.
 #[derive(Debug, Default)]
 struct AccessTracker {
-    /// Chunk indices this node has accessed (demand reads).
+    /// Chunk indices this node has accessed (guest reads), moved or not:
+    /// the prefetcher never claims one, and a node that has touched
+    /// every chunk stops polling the board.
     seen: FastSet<u64>,
-    /// First-touch order of `seen` (bounded by [`ACCESS_ORDER_CAP`]).
+    /// First-touch order of the `seen` chunks whose first touch moved
+    /// them (bounded by [`ACCESS_ORDER_CAP`]): what the node publishes.
     order: Vec<u64>,
     /// Prefix of `order` already published to the board.
     published: usize,
@@ -154,6 +161,18 @@ impl CachedChunk {
     }
 }
 
+/// One hit of [`NodeContext::chunk_cache_get_batch`].
+#[derive(Debug, Clone)]
+pub struct CacheHit {
+    /// The chunk's bytes.
+    pub data: Payload,
+    /// Whether this hit is the first use of a read-ahead entry: the
+    /// chunk was moved for this read, ahead of time and on the peer
+    /// pattern's word, so the read confirms that pattern. Any other hit
+    /// is an entry an earlier read landed or already used.
+    pub read_ahead: bool,
+}
+
 /// Snapshot of a context's prefetch counters (see
 /// [`NodeContext::prefetch_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -176,6 +195,12 @@ pub struct PrefetchStats {
     pub cached_chunks: usize,
     /// Bytes resident in the node's chunk cache right now.
     pub cached_bytes: u64,
+    /// Board exchanges this node asked for that published a first-touch
+    /// batch.
+    pub board_publishes: u64,
+    /// Board exchanges this node asked for with an empty batch: polls of
+    /// the peer sequence.
+    pub board_polls: u64,
 }
 
 impl PrefetchStats {
@@ -263,6 +288,8 @@ pub struct NodeContext {
     prefetch_hit_bytes: AtomicU64,
     prefetch_wasted: AtomicU64,
     chunk_cache_hits: AtomicU64,
+    board_publishes: AtomicU64,
+    board_polls: AtomicU64,
 }
 
 impl NodeContext {
@@ -305,6 +332,8 @@ impl NodeContext {
             prefetch_hit_bytes: AtomicU64::new(0),
             prefetch_wasted: AtomicU64::new(0),
             chunk_cache_hits: AtomicU64::new(0),
+            board_publishes: AtomicU64::new(0),
+            board_polls: AtomicU64::new(0),
         }
     }
 
@@ -504,19 +533,23 @@ impl NodeContext {
             .expect("the tracker bound is at least one"))
     }
 
-    /// Record demand accesses to chunk `indices` of `key`, in access
-    /// order (first touch counts; repeats are free). Returns a batch of
-    /// so-far-unpublished first-touch indices once at least
-    /// [`PUBLISH_BATCH`] have accumulated — the caller ships that batch
-    /// to the cluster [`crate::board::PatternBoard`], and pays for it.
+    /// Record a guest read's touches of `key`, in access order, each as
+    /// `(chunk index, moved)`: whether the read moved the chunk (fetched
+    /// it, or used a read-ahead entry for the first time) rather than
+    /// finding it resident. Every first touch counts as seen; only a
+    /// first touch that moved the chunk joins the published order, and
+    /// repeats are free. Returns a batch of so-far-unpublished entries
+    /// of that order once at least [`PUBLISH_BATCH`] have accumulated —
+    /// the caller ships that batch to the cluster
+    /// [`crate::board::PatternBoard`], and pays for it.
     pub fn note_accesses(
         &self,
         key: (BlobId, Version),
-        indices: impl IntoIterator<Item = u64>,
+        touches: impl IntoIterator<Item = (u64, bool)>,
     ) -> Option<Vec<u64>> {
         self.with_tracker(key, |t| {
-            for idx in indices {
-                if t.seen.insert(idx) && t.order.len() < ACCESS_ORDER_CAP {
+            for (idx, moved) in touches {
+                if t.seen.insert(idx) && moved && t.order.len() < ACCESS_ORDER_CAP {
                     t.order.push(idx);
                 }
             }
@@ -621,8 +654,8 @@ impl NodeContext {
     /// Look up a read's chunk payloads in the node-shared chunk cache,
     /// under one lock acquisition for the whole lookup plan. A hit marks
     /// the entry used, for the prefetch hit statistics (a prefetched
-    /// entry's first use) and for eviction.
-    pub fn chunk_cache_get_batch(&self, ids: &[ChunkId]) -> Vec<Option<Payload>> {
+    /// entry's first use, which the hit reports) and for eviction.
+    pub fn chunk_cache_get_batch(&self, ids: &[ChunkId]) -> Vec<Option<CacheHit>> {
         if !self.chunk_cache_on || ids.is_empty() {
             return vec![None; ids.len()];
         }
@@ -630,14 +663,18 @@ impl NodeContext {
         ids.iter()
             .map(|id| {
                 let entry = cache.get_refresh_mut(id)?;
-                if entry.unused_prefetch() {
+                let read_ahead = entry.unused_prefetch();
+                if read_ahead {
                     self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
                     self.prefetch_hit_bytes
                         .fetch_add(entry.data.len(), Ordering::Relaxed);
                 }
                 entry.used = true;
                 self.chunk_cache_hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.data.clone())
+                Some(CacheHit {
+                    data: entry.data.clone(),
+                    read_ahead,
+                })
             })
             .collect()
     }
@@ -691,6 +728,17 @@ impl NodeContext {
             .store(false, std::sync::atomic::Ordering::Release);
     }
 
+    /// Record that this node asked the board for one exchange: a
+    /// publish, or a poll when `poll`.
+    pub(crate) fn note_board_sync(&self, poll: bool) {
+        let counter = if poll {
+            &self.board_polls
+        } else {
+            &self.board_publishes
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Record that the prefetcher landed `chunks` chunks / `bytes` bytes
     /// in the cache.
     pub(crate) fn note_prefetched(&self, chunks: u64, bytes: u64) {
@@ -714,6 +762,8 @@ impl NodeContext {
             cache_hits: self.chunk_cache_hits.load(Ordering::Relaxed),
             cached_chunks,
             cached_bytes,
+            board_publishes: self.board_publishes.load(Ordering::Relaxed),
+            board_polls: self.board_polls.load(Ordering::Relaxed),
         }
     }
 
@@ -763,22 +813,62 @@ mod tests {
         assert!((s.hit_rate() - 0.5).abs() < 1e-9);
     }
 
+    /// Touches of `indices` that all moved their chunk.
+    fn moved(indices: impl IntoIterator<Item = u64>) -> impl Iterator<Item = (u64, bool)> {
+        indices.into_iter().map(|idx| (idx, true))
+    }
+
     #[test]
     fn access_tracking_batches_publishes() {
         let half = PUBLISH_BATCH as u64 / 2;
         let c = ctx(8);
         let key = (BlobId(1), Version(1));
         // Below the batch threshold: nothing to publish yet.
-        assert!(c.note_accesses(key, 0..half).is_none());
+        assert!(c.note_accesses(key, moved(0..half)).is_none());
         // Crossing it returns every unpublished first-touch index, in
         // order, with repeats deduplicated.
         let second: Vec<u64> = (0..half) // repeats: already seen
             .chain(half..2 * PUBLISH_BATCH as u64)
             .collect();
-        let batch = c.note_accesses(key, second).expect("threshold crossed");
+        let batch = c
+            .note_accesses(key, moved(second))
+            .expect("threshold crossed");
         assert_eq!(batch, (0..2 * PUBLISH_BATCH as u64).collect::<Vec<u64>>());
         // Re-touching published chunks never re-publishes them.
-        assert!(c.note_accesses(key, 0..2 * PUBLISH_BATCH as u64).is_none());
+        assert!(c
+            .note_accesses(key, moved(0..2 * PUBLISH_BATCH as u64))
+            .is_none());
+    }
+
+    #[test]
+    fn a_touch_that_moved_nothing_is_seen_but_never_published() {
+        let batch = PUBLISH_BATCH as u64;
+        let c = ctx(8);
+        let key = (BlobId(1), Version(2));
+        // A whole batch served from entries earlier reads landed (for
+        // this version or another that shares the chunks): seen, so the
+        // prefetcher skips them, but nothing to publish.
+        assert!(c
+            .note_accesses(key, (0..batch).map(|i| (i, false)))
+            .is_none());
+        assert_eq!(c.prefetch_progress(key), (false, 0, batch as usize));
+        // A later touch that does move them publishes nothing either:
+        // the first touch decided.
+        assert!(c.note_accesses(key, moved(0..batch)).is_none());
+        // Moved chunks, interleaved with resident ones, publish in
+        // first-touch order once a batch of them accumulates.
+        let mixed = (batch..3 * batch).map(|i| (i, i % 2 == 0));
+        assert_eq!(
+            c.note_accesses(key, mixed),
+            Some((batch..3 * batch).filter(|i| i % 2 == 0).collect())
+        );
+        let seq: Vec<(u64, bool)> = (0..3 * batch + 2).map(|i| (i, false)).collect();
+        c.board_synced(key, 0, answer(0, &seq, false));
+        assert_eq!(
+            c.claim_prefetch(key, 100),
+            vec![3 * batch, 3 * batch + 1],
+            "every touched chunk is seen, moved or not"
+        );
     }
 
     /// A board answer carrying `tail` (entry, confirmed) from `from` on.
@@ -794,7 +884,7 @@ mod tests {
     fn claim_prefetch_walks_peer_sequence_once() {
         let c = ctx(8);
         let key = (BlobId(2), Version(1));
-        c.note_accesses(key, [3u64, 4]);
+        c.note_accesses(key, moved([3, 4]));
         assert_eq!(c.prefetch_progress(key), (false, 0, 2));
         let seq: Vec<(u64, bool)> = (0..10).map(|i| (i, false)).collect();
         assert!(c.board_synced(key, 0, answer(0, &seq, false)));
@@ -875,7 +965,7 @@ mod tests {
     }
 
     /// A one-chunk demand lookup.
-    fn cached(c: &NodeContext, id: u64) -> Option<Payload> {
+    fn cached(c: &NodeContext, id: u64) -> Option<CacheHit> {
         c.chunk_cache_get_batch(&[ChunkId(id)]).remove(0)
     }
 
@@ -887,15 +977,20 @@ mod tests {
         c.chunk_cache_insert(ChunkId(1), p.clone(), ChunkOrigin::Prefetch);
         assert!(c.chunk_cache_contains(ChunkId(1)));
         let got = cached(&c, 1).expect("cached");
-        assert!(got.content_eq(&p));
+        assert!(got.data.content_eq(&p));
+        // First use of a prefetched entry counts as a prefetch hit, and
+        // the hit says so ...
+        assert!(got.read_ahead);
         let s = c.prefetch_stats();
-        // First use of a prefetched entry counts as a prefetch hit ...
         assert_eq!((s.hits, s.hit_bytes), (1, 100));
         // ... later uses only as plain cache hits.
-        cached(&c, 1).expect("still cached");
+        assert!(!cached(&c, 1).expect("still cached").read_ahead);
         let s = c.prefetch_stats();
         assert_eq!((s.hits, s.cache_hits), (1, 2));
         assert_eq!((s.cached_chunks, s.cached_bytes), (1, 100));
+        // A demand-landed entry is never a read-ahead hit.
+        c.chunk_cache_insert(ChunkId(2), p, ChunkOrigin::Demand);
+        assert!(!cached(&c, 2).expect("cached").read_ahead);
     }
 
     #[test]
@@ -933,7 +1028,7 @@ mod tests {
             ..Default::default()
         });
         for v in 1..=100u64 {
-            c.note_accesses((BlobId(1), Version(v)), 0..3);
+            c.note_accesses((BlobId(1), Version(v)), moved(0..3));
         }
         let held = c.trackers.lock().len();
         assert!(held <= 8, "trackers grew to {held} for bound 8");

@@ -43,6 +43,15 @@
 //! corruption; `Free` tombstones in the data log keep a rewritten
 //! refs.log from resurrecting freed chunks.
 //!
+//! ## Barriers ([`StoreLog`])
+//!
+//! Each of the two logs has its own commit-ack barrier (one
+//! [`GroupCommit`] coordinator per log in `crate::provider`): a put's
+//! ack waits for the active segment alone, a retain's for `refs.log`
+//! alone. `Release` deltas and `Free` tombstones are never acked
+//! durably; each rides the next barrier of its own log, so neither
+//! makes an ack wait on a file it does not depend on.
+//!
 //! ## Manager journal ([`Journal`])
 //!
 //! One `journal.log` per server process records every version-manager
@@ -414,6 +423,24 @@ pub struct SegmentStore {
     refs_ops: u64,
 }
 
+/// One of a [`SegmentStore`]'s two logs, each synced by its own
+/// commit-ack barrier (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoreLog {
+    /// The active chunk segment: `Put` records, which a put's ack
+    /// waits for, and `Free` tombstones, which ride along.
+    Segment,
+    /// `refs.log`: `Retain` deltas, which a retain's ack waits for, and
+    /// `Release` deltas, which ride along.
+    Refs,
+}
+
+impl StoreLog {
+    /// Both logs, in the order [`SegmentStore::sync_handles`] claims
+    /// them.
+    pub const ALL: [StoreLog; 2] = [StoreLog::Segment, StoreLog::Refs];
+}
+
 fn seg_path(dir: &Path, n: u64) -> PathBuf {
     dir.join(format!("seg-{n}.log"))
 }
@@ -661,8 +688,8 @@ impl SegmentStore {
         }
     }
 
-    /// Append a refcount delta (durable once a sync claims it, see
-    /// [`SegmentStore::sync_handles`]).
+    /// Append a refcount delta (durable once a sync claims `refs.log`,
+    /// see [`SegmentStore::sync_handle`]).
     pub fn log_retain(&mut self, id: ChunkId, n: u64) -> io::Result<()> {
         self.append_ref(&RefRecord::Retain { id, n })
     }
@@ -754,21 +781,27 @@ impl SegmentStore {
         Ok(())
     }
 
-    /// Claim the pending appends for the commit-ack barrier: handles for
-    /// the active segment and the refcount log (empty when clean). The
-    /// group-commit leader grabs these under the store's owning lock,
-    /// drops it, then `sync_data`s the handles while appenders keep
-    /// going — see [`RecordLog::sync_handle`] for the claim semantics.
-    /// Sealed segments need no fsync here: rotation and compaction force
-    /// one before sealing, so every append at-or-before the current
-    /// high-water mark is covered by these two files alone.
-    pub fn sync_handles(&mut self) -> io::Result<Vec<File>> {
-        let mut out = Vec::with_capacity(2);
-        if let Some(f) = self.active_seg().log.sync_handle()? {
-            out.push(f);
+    /// Claim `log`'s pending appends for its commit-ack barrier: a
+    /// handle for the active segment or the refcount log (`None` when
+    /// clean). The group-commit leader grabs it under the store's owning
+    /// lock, drops the lock, then `sync_data`s the handle while
+    /// appenders keep going — see [`RecordLog::sync_handle`] for the
+    /// claim semantics. Sealed segments need no fsync here: rotation and
+    /// compaction force one before sealing, so every segment append
+    /// at-or-before the current high-water mark is in the active file.
+    pub fn sync_handle(&mut self, log: StoreLog) -> io::Result<Option<File>> {
+        match log {
+            StoreLog::Segment => self.active_seg().log.sync_handle(),
+            StoreLog::Refs => self.refs_log.sync_handle(),
         }
-        if let Some(f) = self.refs_log.sync_handle()? {
-            out.push(f);
+    }
+
+    /// [`SegmentStore::sync_handle`] for both logs: every pending append
+    /// of the store.
+    pub fn sync_handles(&mut self) -> io::Result<Vec<File>> {
+        let mut out = Vec::with_capacity(StoreLog::ALL.len());
+        for log in StoreLog::ALL {
+            out.extend(self.sync_handle(log)?);
         }
         Ok(out)
     }
@@ -1106,6 +1139,45 @@ mod tests {
         let (_, torn) = RecordLog::open(&dir.join("gc.log"), |_, _| recs += 1).unwrap();
         assert!(!torn);
         assert_eq!(recs, WRITERS * APPENDS);
+    }
+
+    #[test]
+    fn a_put_and_a_retain_each_cross_only_their_own_logs_barrier() {
+        use crate::provider::ProviderStore;
+        use bff_net::NodeId;
+        let dir = scratch("per_log");
+        let node = NodeId(0);
+        let policy = CommitPolicy::from_config(&BlobConfig::default());
+        let (store, _) = ProviderStore::recover(&[node], &dir, &policy).unwrap();
+        // Whether `log` has appends no barrier has claimed (claims them).
+        let dirty = |log| store.lock(node).unwrap().sync_handle(log).is_some();
+        let chunks = (1..=3).map(|i| (ChunkId(i), payload(i, 64)));
+        assert!(store.put_batch(node, chunks));
+        assert!(!dirty(StoreLog::Segment) && !dirty(StoreLog::Refs));
+
+        // Chunk 2's last release: a `Release` delta and a `Free`
+        // tombstone, neither acked durably. A put's barrier syncs the
+        // segment, tombstone included, and leaves refs.log dirty: the
+        // delta waits for the next retain's barrier.
+        assert!(store.release(node, ChunkId(2)));
+        assert!(store.put(node, ChunkId(4), payload(4, 64)));
+        assert!(!dirty(StoreLog::Segment));
+        assert!(dirty(StoreLog::Refs));
+
+        // Chunk 3's last release, then a retain: its barrier syncs
+        // refs.log, release included, and leaves the tombstone for the
+        // next put's barrier.
+        assert!(store.release(node, ChunkId(3)));
+        assert!(store.retain(node, ChunkId(1)));
+        assert!(!dirty(StoreLog::Refs));
+        assert!(dirty(StoreLog::Segment));
+        assert_eq!(policy.stats.snapshot().fsyncs, 3, "one per barrier");
+
+        drop(store);
+        let (s, refs, stats) = SegmentStore::open(&dir.join("provider-0"), 1 << 20).unwrap();
+        assert_eq!(stats.chunks, 2);
+        assert_eq!(refs.get(&ChunkId(1)), Some(&2));
+        assert!(s.contains(ChunkId(4)) && !s.contains(ChunkId(2)) && !s.contains(ChunkId(3)));
     }
 
     #[test]

@@ -18,7 +18,8 @@
 
 use crate::api::ChunkId;
 use crate::durable::{
-    CommitPolicy, GroupCommit, SealedPut, SegmentRecovery, SegmentStore, DEFAULT_SEGMENT_BYTES,
+    CommitPolicy, GroupCommit, SealedPut, SegmentRecovery, SegmentStore, StoreLog,
+    DEFAULT_SEGMENT_BYTES,
 };
 use bff_data::{ContentDigest, ContentKey, FastMap, FastSet, Payload};
 use bff_net::NodeId;
@@ -296,15 +297,15 @@ impl Provider {
         }
     }
 
-    /// Claim the pending appends for an out-of-lock fsync (the
-    /// group-commit leader path; empty for the in-memory backend) —
-    /// see [`SegmentStore::sync_handles`]. Fail-stop on I/O errors: a
+    /// Claim `log`'s pending appends for an out-of-lock fsync (the
+    /// group-commit leader path; `None` for the in-memory backend) —
+    /// see [`SegmentStore::sync_handle`]. Fail-stop on I/O errors: a
     /// provider that cannot fsync cannot honor the acks it already
     /// implies.
-    pub fn sync_handles(&mut self) -> Vec<File> {
+    pub fn sync_handle(&mut self, log: StoreLog) -> Option<File> {
         match &mut self.chunks {
-            ChunkStore::Disk(store) => store.sync_handles().expect("provider sync handles"),
-            ChunkStore::Mem(_) => Vec::new(),
+            ChunkStore::Disk(store) => store.sync_handle(log).expect("provider sync handle"),
+            ChunkStore::Mem(_) => None,
         }
     }
 
@@ -344,10 +345,11 @@ pub struct ProviderStore {
     nodes: Vec<NodeId>,
     slot_of: HashMap<NodeId, usize>,
     shards: Vec<Mutex<Provider>>,
-    /// One commit coordinator per shard (separate files, separate
-    /// barriers), present only for durable deployments: `None` means
-    /// in-memory providers, whose acks cross no barrier.
-    commit: Option<Vec<Arc<GroupCommit>>>,
+    /// One commit coordinator per shard and log, indexed by
+    /// [`StoreLog`] (separate files, separate barriers), present only
+    /// for durable deployments: `None` means in-memory providers, whose
+    /// acks cross no barrier.
+    commit: Option<Vec<[Arc<GroupCommit>; 2]>>,
     stored_bytes: AtomicU64,
     chunks: AtomicU64,
 }
@@ -366,9 +368,9 @@ impl ProviderStore {
     }
 
     /// Deploy disk-backed providers, one per node, each replaying its
-    /// own directory `<base_dir>/provider-<node>/`, each behind its own
-    /// group-commit coordinator built from `policy`. The aggregate
-    /// counters start from the recovered per-shard truth.
+    /// own directory `<base_dir>/provider-<node>/`, each log of each
+    /// behind its own group-commit coordinator built from `policy`. The
+    /// aggregate counters start from the recovered per-shard truth.
     pub fn recover(
         nodes: &[NodeId],
         base_dir: &Path,
@@ -384,7 +386,12 @@ impl ProviderStore {
             total.torn_files += stats.torn_files;
             shards.push(Mutex::new(p));
         }
-        let commit = Some(nodes.iter().map(|_| policy.coordinator()).collect());
+        let commit = Some(
+            nodes
+                .iter()
+                .map(|_| StoreLog::ALL.map(|_| policy.coordinator()))
+                .collect(),
+        );
         Ok((
             Self {
                 nodes: nodes.to_vec(),
@@ -445,19 +452,29 @@ impl ProviderStore {
     }
 
     /// Run `op` on `slot`'s provider under its shard lock, then cross
-    /// the commit-ack durability barrier before returning. `op` returns
-    /// `(out, barrier)`; with `barrier == false` (failed op, nothing
-    /// appended) the barrier is skipped, as it is on in-memory providers.
+    /// `log`'s commit-ack durability barrier before returning: the ack
+    /// waits for that log alone, whatever else `op` or a shard-mate
+    /// appended to the other one. `op` returns `(out, barrier)`; with
+    /// `barrier == false` (failed op, nothing appended) the barrier is
+    /// skipped, as it is on in-memory providers.
     ///
     /// The sync ticket is taken under the shard lock (so
     /// append-then-ticket is ordered against the leader's high-water
     /// capture), the lock drops, and the committer parks — appends on
     /// this shard keep interleaving while one leader fsyncs for the
     /// whole cohort. The leader re-takes the shard lock only long
-    /// enough to claim file handles; the `sync_data` itself runs
-    /// lock-free.
-    fn committed<T>(&self, slot: usize, op: impl FnOnce(&mut Provider) -> (T, bool)) -> T {
-        let gc = self.commit.as_ref().map(|coordinators| &coordinators[slot]);
+    /// enough to claim the log's file handle; the `sync_data` itself
+    /// runs lock-free.
+    fn committed<T>(
+        &self,
+        slot: usize,
+        log: StoreLog,
+        op: impl FnOnce(&mut Provider) -> (T, bool),
+    ) -> T {
+        let gc = self
+            .commit
+            .as_ref()
+            .map(|coordinators| &coordinators[slot][log as usize]);
         let (out, ticket) = {
             let mut shard = self.shards[slot].lock();
             let (out, barrier) = op(&mut shard);
@@ -465,11 +482,8 @@ impl ProviderStore {
         };
         if let Some((gc, ticket)) = ticket {
             gc.commit(ticket, || {
-                let handles = self.shards[slot].lock().sync_handles();
-                for f in &handles {
-                    f.sync_data()?;
-                }
-                Ok(())
+                let handle = self.shards[slot].lock().sync_handle(log);
+                handle.map_or(Ok(()), |f| f.sync_data())
             })
             .expect("provider group sync");
         }
@@ -493,7 +507,7 @@ impl ProviderStore {
         match self.slot_of.get(&node) {
             // A rejected retain (stale digest hit) appends nothing and
             // promises nothing: no barrier.
-            Some(&slot) => self.committed(slot, |shard| {
+            Some(&slot) => self.committed(slot, StoreLog::Refs, |shard| {
                 let ok = shard.retain(id);
                 (ok, ok)
             }),
@@ -518,7 +532,7 @@ impl ProviderStore {
         };
         let mut digested: Vec<(ChunkId, ContentKey)> = Vec::new();
         loop {
-            let judged = self.committed(slot, |shard| {
+            let judged = self.committed(slot, StoreLog::Refs, |shard| {
                 shard.note_keys(digested.drain(..));
                 let judged = shard.retain_matching(entries);
                 // A batch that retained nothing appended nothing and
@@ -597,7 +611,7 @@ impl ProviderStore {
             .collect();
         // One barrier for the whole batch — and under group commit, one
         // shared with every other shard-mate batch in flight.
-        let (bytes, new_chunks) = self.committed(slot, |shard| {
+        let (bytes, new_chunks) = self.committed(slot, StoreLog::Segment, |shard| {
             let (mut bytes, mut new_chunks) = (0i64, 0i64);
             for (id, data, sealed) in staged {
                 let (delta, is_new) = shard.put_staged(id, data, sealed);

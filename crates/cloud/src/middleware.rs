@@ -139,6 +139,8 @@ impl Cloud {
             prefetch.cache_hits += p.cache_hits;
             prefetch.cached_chunks += p.cached_chunks;
             prefetch.cached_bytes += p.cached_bytes;
+            prefetch.board_publishes += p.board_publishes;
+            prefetch.board_polls += p.board_polls;
             per_node_prefetch.push((node, p));
         }
         ClusterMetrics {

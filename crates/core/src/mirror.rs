@@ -209,27 +209,30 @@ impl MirroredImage {
     /// local mirror. Local content wins: fetched data only fills the
     /// sub-ranges not yet present (they may hold newer local writes).
     ///
-    /// The whole plan is handed to the repository's vectored
-    /// [`Client::read_multi`] in one call: one segment-tree descent for
-    /// all runs (instead of one per run), none for the tree nodes this
-    /// node already holds, and per-provider batched chunk
-    /// transfers. Accounting is unchanged: `remote_bytes` sums the run
-    /// lengths and `remote_fetches` counts plan runs, exactly as the
-    /// former per-run loop did.
-    fn fetch_and_merge(
-        &mut self,
-        plan: Vec<ByteRange>,
-        gap_fill_accounting: bool,
-    ) -> BlobResult<()> {
+    /// The whole plan is handed to the repository's vectored read in one
+    /// call: one segment-tree descent for all runs (instead of one per
+    /// run), none for the tree nodes this node already holds, and
+    /// per-provider batched chunk transfers. A guest read's misses go
+    /// through [`Client::read_multi_hinted`], which feeds the prefetch
+    /// plane; a `gap_fill` goes through [`Client::read_multi`], which
+    /// does not (and is counted in `gap_fill_bytes`). Accounting is
+    /// unchanged: `remote_bytes` sums the run lengths and
+    /// `remote_fetches` counts plan runs, exactly as the former per-run
+    /// loop did.
+    fn fetch_and_merge(&mut self, plan: Vec<ByteRange>, gap_fill: bool) -> BlobResult<()> {
         if plan.is_empty() {
             return Ok(());
         }
-        let payloads = self.client.read_multi(self.blob, self.base, &plan)?;
+        let payloads = if gap_fill {
+            self.client.read_multi(self.blob, self.base, &plan)?
+        } else {
+            self.client.read_multi_hinted(self.blob, self.base, &plan)?
+        };
         for (run, data) in plan.into_iter().zip(payloads) {
             let len = run.end - run.start;
             self.stats.remote_bytes += len;
             self.stats.remote_fetches += 1;
-            if gap_fill_accounting {
+            if gap_fill {
                 self.stats.gap_fill_bytes += len;
             }
             // Merge via zero-copy payload slices: only the gaps are
@@ -262,12 +265,12 @@ impl MirroredImage {
                 self.fabric.compute(self.node, cost);
             }
         } else {
-            // Access hint for the prefetch plane: like the paper's FUSE
-            // module, the per-node context only *observes* reads that
-            // miss locally (cached reads never cross into userspace,
-            // §4.1) — so exactly the planned fetch runs feed the
-            // first-touch order published to the cluster PatternBoard.
-            self.client.hint_access(self.blob, self.base, &plan);
+            // Like the paper's FUSE module, the per-node context only
+            // *observes* reads that miss locally (cached reads never
+            // cross into userspace, §4.1): exactly the planned fetch runs
+            // reach the repository as a hinted read, and of their chunks
+            // the ones that read moves feed the first-touch order
+            // published to the cluster PatternBoard.
             self.charge_fuse_op();
             self.fetch_and_merge(plan, false)?;
         }
@@ -308,8 +311,7 @@ impl MirroredImage {
                 }
             }
         }
-        // Hint exactly the miss plan (see [`MirroredImage::read`]).
-        self.client.hint_access(self.blob, self.base, &plan);
+        // The miss plan is the hinted read (see [`MirroredImage::read`]).
         self.fetch_and_merge(plan, false)?;
         Ok(ranges.iter().map(|r| self.store.read(r)).collect())
     }

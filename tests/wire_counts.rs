@@ -195,10 +195,12 @@ fn cold_boot_pipelines_its_frames_and_a_diff_boot_fetches_the_diff() {
 /// is asked only by a node's replica of the snapshot's peer sequence:
 /// once when the image is attached and the replica is empty (a poll),
 /// and once per first-touch batch the replica cannot call
-/// cohort-confirmed (a publish, eight chunks each). Nodes 0 and 1 are
-/// the two publishers that confirm the pattern; nodes 2 and 3 learn from
-/// their one poll that there is nothing left to say; a second boot on a
-/// node that has read the image asks nothing at all.
+/// cohort-confirmed (a publish, eight chunks each). A batch holds only
+/// chunks the boot moved: fetched, or read ahead and used for the first
+/// time. Nodes 0 and 1 are the two publishers that confirm the pattern;
+/// nodes 2 and 3 learn from their one poll that there is nothing left to
+/// say; a second boot on a node that has read the image asks nothing at
+/// all.
 ///
 /// **Snapshots.** An instance on node 0 dirties four chunks — two whose
 /// content the base image already stores (on two providers), two new —
@@ -209,6 +211,11 @@ fn cold_boot_pipelines_its_frames_and_a_diff_boot_fetches_the_diff() {
 /// `Put`s, and no chunk travels back; the cluster index is asked once
 /// and told once; the version manager hears CLONE, the key reservation
 /// and the publish.
+///
+/// **Warm boots of the snapshot.** Each node then boots the published
+/// snapshot. It holds all but the four chunks the snapshots wrote, so a
+/// boot moves four chunks, too few for a batch: one poll, nothing to
+/// publish.
 #[test]
 fn a_boot_with_nothing_to_learn_asks_the_board_nothing_and_a_dedup_hit_is_one_provider_round_trip()
 {
@@ -257,7 +264,7 @@ fn a_boot_with_nothing_to_learn_asks_the_board_nothing_and_a_dedup_hit_is_one_pr
     let base = Payload::from(Payload::synth(0xB17, 0, image).materialize());
     let (blob, version) = cloud.upload_image(base.clone()).expect("upload");
 
-    let boot = |node: NodeId| {
+    let boot = |(blob, version), node: NodeId, want: &Payload| {
         let before = transport.seen(Role::Board).0;
         let mut vm = cloud.add_instance(blob, version, node).expect("attach");
         for offset in (0..image).step_by(BOOT_STRIDE as usize) {
@@ -265,12 +272,15 @@ fn a_boot_with_nothing_to_learn_asks_the_board_nothing_and_a_dedup_hit_is_one_pr
                 .backend
                 .read(offset..offset + BOOT_STRIDE)
                 .expect("boot read");
-            assert!(got.content_eq(&base.slice(offset, offset + BOOT_STRIDE)));
+            assert!(got.content_eq(&want.slice(offset, offset + BOOT_STRIDE)));
         }
         (vm, transport.seen(Role::Board).0 - before)
     };
-    let first_boots: Vec<u64> = compute.iter().map(|&node| boot(node).1).collect();
-    let (mut vm, repeat_boot) = boot(NodeId(0));
+    let first_boots: Vec<u64> = compute
+        .iter()
+        .map(|&node| boot((blob, version), node, &base).1)
+        .collect();
+    let (mut vm, repeat_boot) = boot((blob, version), NodeId(0), &base);
     // 17, 18, 10, 10 and 2 before the replica: a `NovelOf` and a `Merge`
     // per batch and a `SequenceLen` per poll, whatever the node knew.
     assert_eq!(first_boots, [9, 9, 1, 1], "board frames per first boot");
@@ -311,7 +321,7 @@ fn a_boot_with_nothing_to_learn_asks_the_board_nothing_and_a_dedup_hit_is_one_pr
         for (offset, data) in writes {
             assert!(got.slice(offset, offset + data.len()).content_eq(&data));
         }
-        cost
+        (cost, snap, got)
     };
     // Per role (frames, round trips): provider, cluster index, version
     // manager; then the bytes the client received during the snapshot.
@@ -322,10 +332,21 @@ fn a_boot_with_nothing_to_learn_asks_the_board_nothing_and_a_dedup_hit_is_one_pr
     // its tag, its count and one outcome tag per entry, so the `Retain`
     // frame's two entries add 4 bytes and the `WriteNodes` frame's four
     // shards 6.
-    let first = snapshot(0, 32, 0xD1);
-    let second = snapshot(8 * CHUNK, 40, 0xD2);
+    let (first, ..) = snapshot(0, 32, 0xD1);
+    let (second, published, content) = snapshot(8 * CHUNK, 40, 0xD2);
     assert_eq!(first, (vec![(3, 3), (2, 2), (3, 3)], 72), "CLONE + COMMIT");
     assert_eq!(second, (vec![(3, 3), (2, 2), (2, 2)], 68), "COMMIT");
+
+    // The published snapshot, booted on the nodes that booted its base:
+    // 60 of its chunks are the base's, resident on every node, and the
+    // four it moves are not a batch, so each boot asks only its
+    // open-time poll (9, 9, 1, 1 before a boot published only what it
+    // moved).
+    let snapshot_boots: Vec<u64> = compute
+        .iter()
+        .map(|&node| boot(published, node, &content).1)
+        .collect();
+    assert_eq!(snapshot_boots, [1, 1, 1, 1], "board frames per warm boot");
     for role in Role::ALL {
         let (frames, trips) = transport.seen(role);
         assert_eq!(frames, trips, "frames = round trips for {}", role.name());
