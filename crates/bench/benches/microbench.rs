@@ -2,7 +2,7 @@
 //! segment-tree shadowing, range sets, payload ropes, chunk-map planning,
 //! the max-min flow network, and the qcow2 mapping path.
 
-use bff_blobseer::segtree::{build_new_tree, collect_leaves, NodeIo};
+use bff_blobseer::segtree::{build_new_tree, collect_leaves_multi, NodeIo};
 use bff_blobseer::{BlobError, BlobResult, ChunkDesc, ChunkId, NodeKey, TreeNode};
 use bff_core::ChunkMap;
 use bff_data::{Payload, RangeSet};
@@ -80,7 +80,10 @@ fn bench_segtree(c: &mut Criterion) {
     group.bench_function("descend_boot_read", |b| {
         let mut io = MemIo::default();
         let root = full_tree(&mut io, span);
-        b.iter(|| collect_leaves(&mut io, root, span, &(4000..4002)).expect("read"));
+        b.iter(|| {
+            collect_leaves_multi(&mut io, root, span, std::slice::from_ref(&(4000..4002)))
+                .expect("read")
+        });
     });
     group.finish();
 }

@@ -89,8 +89,8 @@ struct Measured {
     storm: Outcome,
     wire: WireStats,
     durability: DurabilityCounters,
-    /// Board publishes and polls, summed over the compute nodes'
-    /// contexts: they live on the client side whatever hosts the board.
+    /// Board publishes and polls, summed over the node contexts: they
+    /// live on the client side whatever hosts the board.
     board: (u64, u64),
 }
 
@@ -125,23 +125,13 @@ fn measure(row: Row, clients: usize) -> Measured {
     );
     // With `blob_server` children the server-side counters live in
     // those processes; this side only has its wire traffic.
-    let store = cloud.store();
-    let durability = match row.hosting {
-        Hosting::Children => Default::default(),
-        Hosting::InProcess | Hosting::Durable => store.durability(),
-    };
+    let m = cloud.metrics();
     Measured {
         label: row.label,
-        wire: store.wire_stats(),
+        wire: m.wire,
         storm: out,
-        durability,
-        board: cloud
-            .compute_nodes()
-            .iter()
-            .fold((0, 0), |(pubs, polls), &n| {
-                let p = cloud.node_context(n).prefetch_stats();
-                (pubs + p.board_publishes, polls + p.board_polls)
-            }),
+        durability: m.durability.unwrap_or_default(),
+        board: (m.prefetch.board_publishes, m.prefetch.board_polls),
     }
 }
 

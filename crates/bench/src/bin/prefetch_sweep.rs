@@ -22,7 +22,10 @@
 //!
 //! Emits `target/paper/prefetch_sweep.{csv,json}` and
 //! `target/paper/prefetch_summary.json` — the flat file the CI gate
-//! compares against the `BENCH_4.json` floors.
+//! compares against the `BENCH_4.json` floors. Exits 1 when a prefetch
+//! row polls the board more often per boot than its demand fetch steps
+//! plus one (a node polls at open and after a demand miss, never
+//! otherwise).
 //!
 //! CI-sized by default (seconds); `--mini` is accepted for symmetry
 //! with the figure binaries and changes nothing.
@@ -100,6 +103,8 @@ struct BootOutcome {
     board_publishes: f64,
     /// Board polls per boot (both waves).
     board_polls: f64,
+    /// Guest reads that fetched from a provider, per boot (both waves).
+    demand_fetch_steps: f64,
 }
 
 fn run_boot(prefetch: bool, min_publishers: usize) -> BootOutcome {
@@ -181,23 +186,8 @@ fn run_boot(prefetch: bool, min_publishers: usize) -> BootOutcome {
     let first = spans.iter().map(|(s, _)| *s).min().unwrap_or(0);
     let last = spans.iter().map(|(_, e)| *e).max().unwrap_or(0);
     let wave_s = (last - first) as f64 / 1e6;
-    if std::env::var("DEBUG_SPANS").is_ok() {
-        let mut v: Vec<(usize, u64, u64)> = spans
-            .iter()
-            .enumerate()
-            .map(|(i, (s, e))| (i, *s, *e))
-            .collect();
-        v.sort_by_key(|&(_, _, e)| e);
-        for (i, s, e) in v {
-            eprintln!(
-                "vm{i:02} node{} start {s:>7} end {e:>7} boot {:>6}us",
-                i % 8,
-                e - s
-            );
-        }
-    } // DEBUG_SPANS
     let (mut hits, mut wasted, mut prefetched) = (0u64, 0u64, 0u64);
-    let (mut publishes, mut polls) = (0u64, 0u64);
+    let (mut publishes, mut polls, mut steps) = (0u64, 0u64, 0u64);
     for &node in &compute {
         let s = store.node_context(node).prefetch_stats();
         hits += s.hits;
@@ -205,6 +195,7 @@ fn run_boot(prefetch: bool, min_publishers: usize) -> BootOutcome {
         prefetched += s.prefetched_chunks;
         publishes += s.board_publishes;
         polls += s.board_polls;
+        steps += s.demand_fetch_steps;
     }
     let boots = (SEED_VMS + main_vms) as f64;
     let avg_boot_s = per_vm_s.iter().sum::<f64>() / per_vm_s.len() as f64;
@@ -218,6 +209,7 @@ fn run_boot(prefetch: bool, min_publishers: usize) -> BootOutcome {
         prefetched,
         board_publishes: publishes as f64 / boots,
         board_polls: polls as f64 / boots,
+        demand_fetch_steps: steps as f64 / boots,
     }
 }
 
@@ -242,6 +234,7 @@ fn main() {
             "wasted",
             "board_publishes_per_boot",
             "board_polls_per_boot",
+            "demand_fetch_steps_per_boot",
         ],
     );
     for (label, m) in [("off", off), ("on", on), ("on_unfiltered", on_unfiltered)] {
@@ -256,6 +249,7 @@ fn main() {
             &m.wasted,
             &f3(m.board_publishes),
             &f3(m.board_polls),
+            &f3(m.demand_fetch_steps),
         ]);
     }
     t.emit();
@@ -306,4 +300,15 @@ fn main() {
             ("prefetch_boot_wave_s", f3(on.wave_s)),
         ],
     );
+
+    for (label, m) in [("on", on), ("on_unfiltered", on_unfiltered)] {
+        if m.board_polls > m.demand_fetch_steps + 1.0 {
+            eprintln!(
+                "prefetch_sweep: row {label} polls the board {:.3} times per boot, \
+                 above its {:.3} demand fetch steps + 1",
+                m.board_polls, m.demand_fetch_steps
+            );
+            std::process::exit(1);
+        }
+    }
 }

@@ -23,16 +23,18 @@
 //! The replica is real: each node's [`crate::NodeContext`] keeps, per
 //! snapshot, the prefix of the merged sequence it has been sent, with
 //! the confirmation flags of that moment. The publisher's novelty
-//! filter, [`crate::Client::has_prefetch_work`] and the read-ahead
-//! claims read it and nothing else. One request refreshes it,
+//! filter, the read-ahead decision
+//! ([`crate::NodeContext::read_ahead`]) and the read-ahead claims read
+//! it and nothing else. One request refreshes it,
 //! [`BoardService::sync`], and a frame carries it to the board only
 //!
 //! * to **publish** a first-touch batch the replica calls novel or not
 //!   yet cohort-confirmed — the reply brings back what the replica
 //!   lacks, the publisher's own entries included, in board order; or
-//! * as one empty-batch **poll** when the node's prefetcher has consumed
-//!   its replica *and* the node has not yet touched every chunk of the
-//!   snapshot (a node that has read everything has nothing to learn).
+//! * as one empty-batch **poll** by a read-ahead step when the node has
+//!   consumed its replica, has not touched every chunk of the snapshot,
+//!   and has never asked about it or has missed the pattern since its
+//!   last exchange (see [`crate::NodeContext::read_ahead`]).
 //!
 //! A reply never repeats an entry the replica holds, so a replica's
 //! flags can lag the board's: a lagging node may publish a batch the

@@ -130,18 +130,6 @@ impl Client {
         self.store.config()
     }
 
-    /// Whether the adaptive prefetch pipeline is active. Requires both
-    /// the feature flag *and* a chunk cache that can hold at least one
-    /// chunk: without somewhere to land read-ahead data (disabled, or
-    /// bounded below the chunk size so every insert self-evicts),
-    /// tracking, publishing and prefetching would be pure overhead — a
-    /// prefetched chunk would be fetched, dropped, and fetched again on
-    /// demand.
-    fn prefetch_enabled(&self) -> bool {
-        let cfg = self.cfg();
-        cfg.prefetch && cfg.chunk_cache_bytes >= cfg.chunk_size
-    }
-
     /// Create an empty blob of `size` bytes (chunk size from config).
     pub fn create_blob(&self, size: u64) -> BlobResult<BlobId> {
         let cs = self.cfg().chunk_size;

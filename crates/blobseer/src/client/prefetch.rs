@@ -9,6 +9,11 @@
 //! compute bursts. Strictly best-effort: snapshot content is
 //! byte-identical with prefetch on or off.
 //!
+//! **Ask on evidence.** One local decision,
+//! [`crate::NodeContext::read_ahead`], says whether a read-ahead step
+//! claims, polls the board first, or does nothing; `prefetch_chunks` is
+//! the one place a poll is sent, at open or after a demand miss.
+//!
 //! **Publish what you moved.** A chunk a read fetched from a provider,
 //! or served from a read-ahead entry on that entry's first use (which
 //! confirms the peer pattern), is published; so is an unwritten chunk,
@@ -22,19 +27,23 @@
 
 use super::Client;
 use crate::api::{BlobId, BlobResult, ChunkDesc, Version};
-use crate::context::ChunkOrigin;
+use crate::context::{ChunkOrigin, ReadAhead};
 use bff_data::{chunk_range, coalesce_runs};
 
 impl Client {
     /// Access hint from a guest read of `(blob, version)` (see
     /// [`Client::read_multi_hinted`]): its `touches` in access order,
-    /// each `(chunk index, moved)`. The node's [`crate::NodeContext`]
-    /// records every touch and the first-touch order of the moved
-    /// chunks; once [`crate::context::PUBLISH_BATCH`] of those
-    /// accumulate, the batch is published to the cluster
+    /// each `(chunk index, moved)`, and whether it `fetched` any chunk
+    /// from a provider (see [`crate::NodeContext::note_accesses`]). Once
+    /// [`crate::context::PUBLISH_BATCH`] moved first touches accumulate,
+    /// the batch is published to the cluster
     /// [`PatternBoard`](crate::board::PatternBoard) (one control RPC to
     /// the provider-manager node, then a gossip round to the compute
-    /// nodes). No-op when prefetching is off.
+    /// nodes), less the indices the node's replica holds *and* has seen
+    /// confirmed by [`crate::BlobConfig::prefetch_min_publishers`]
+    /// distinct publishers: once the pattern converges and is
+    /// cohort-confirmed the control plane goes quiet — no frame, no
+    /// charge. No-op when prefetching is off.
     ///
     /// Hints are *advisory*: they never move data and never fail — a
     /// publish that cannot reach the board (manager down) is dropped.
@@ -43,70 +52,31 @@ impl Client {
         blob: BlobId,
         version: Version,
         touches: impl IntoIterator<Item = (u64, bool)>,
+        fetched: bool,
     ) {
-        if !self.prefetch_enabled() {
-            return;
-        }
-        if let Some(batch) = self.ctx.note_accesses((blob, version), touches) {
-            self.publish_pattern(blob, version, batch);
-        }
-    }
-
-    /// Publish a first-touch batch to the cluster board and gossip the
-    /// update to the other compute nodes (see [`crate::board`]). The
-    /// batch is first filtered against the node's board replica: indices
-    /// the replica holds *and* has seen confirmed by
-    /// [`crate::BlobConfig::prefetch_min_publishers`] distinct publishers
-    /// are not re-published, so once the access pattern converges and is
-    /// cohort-confirmed the control plane goes quiet — no frame, no
-    /// charge. The publish's reply refreshes the replica.
-    fn publish_pattern(&self, blob: BlobId, version: Version, batch: Vec<u64>) {
         let key = (blob, version);
-        let (batch, from) = self.ctx.unconfirmed_of(key, batch);
-        if batch.is_empty() {
+        if !self.ctx.prefetch_on() {
             return;
         }
-        // A board that cannot be reached drops the batch; the boot goes on.
-        self.sync_board_replica(key, batch, from);
+        if let Some(batch) = self.ctx.note_accesses(key, touches, fetched) {
+            let (batch, from) = self.ctx.unconfirmed_of(key, batch);
+            if !batch.is_empty() {
+                self.sync_board_replica(key, batch, from);
+            }
+        }
     }
 
     /// One exchange with the board on behalf of the node's replica of
     /// `key`'s peer sequence, which holds `from` entries: publish `batch`
-    /// (empty = a poll) and file the answer. Returns whether the replica
-    /// now extends past the prefetch cursor. Best-effort: a transport
+    /// (empty = a poll) and file the answer. Best-effort: a transport
     /// failure reads as "the board has nothing new", which only costs
     /// prefetch opportunity.
-    fn sync_board_replica(&self, key: (BlobId, Version), batch: Vec<u64>, from: usize) -> bool {
+    fn sync_board_replica(&self, key: (BlobId, Version), batch: Vec<u64>, from: usize) {
         let min_pub = self.cfg().prefetch_min_publishers;
-        self.ctx.note_board_sync(batch.is_empty());
-        self.store
-            .board_sync(key, self.node, batch, from, min_pub)
-            .is_some_and(|sync| self.ctx.board_synced(key, from, sync))
-    }
-
-    /// Whether an asynchronous read-ahead step for `(blob, version)`
-    /// could make progress: prefetching is on and the node's replica of
-    /// the board's peer sequence extends past this node's prefetch
-    /// cursor. Local state, and never a fabric charge, so the hypervisor
-    /// can poll it before every guest compute burst — unless the replica
-    /// is consumed *and* the node has not yet touched every chunk of the
-    /// snapshot: then, and only then, it asks the board whether the
-    /// cohort has moved on (one poll; a node that has read the whole
-    /// image has nothing left to read ahead and asks nothing).
-    pub fn has_prefetch_work(&self, blob: BlobId, version: Version) -> bool {
-        if !self.prefetch_enabled() {
-            return false;
+        self.ctx.note_board_sync(key, batch.is_empty());
+        if let Some(sync) = self.store.board_sync(key, self.node, batch, from, min_pub) {
+            self.ctx.board_synced(key, from, sync);
         }
-        let key = (blob, version);
-        let (behind, replica_len, touched) = self.ctx.prefetch_progress(key);
-        if behind {
-            return true;
-        }
-        let read_it_all = self
-            .ctx
-            .version_facts(key)
-            .is_ok_and(|m| touched as u64 >= m.size.div_ceil(m.chunk_size));
-        !read_it_all && self.sync_board_replica(key, Vec::new(), replica_len)
     }
 
     /// Asynchronous batched read-ahead: claim up to `max_chunks` chunks
@@ -116,6 +86,9 @@ impl Client {
     /// batched per-provider pipeline and land them in the node-shared
     /// chunk cache, where [`Client::read_multi`] serves them without
     /// touching the providers again.
+    ///
+    /// [`crate::NodeContext::read_ahead`] decides first: claim, poll the
+    /// board before claiming (the one place a node polls), or nothing.
     ///
     /// Best-effort semantics: chunks whose every replica is down are
     /// skipped (per-chunk failover first, like the demand path — a
@@ -130,12 +103,16 @@ impl Client {
         version: Version,
         max_chunks: usize,
     ) -> BlobResult<usize> {
-        // Refreshes a consumed replica first (see `has_prefetch_work`);
-        // a step the hypervisor's poll already vouched for asks nothing.
-        if max_chunks == 0 || !self.has_prefetch_work(blob, version) {
+        let key = (blob, version);
+        if max_chunks == 0 {
             return Ok(0);
         }
-        let candidates = self.ctx.claim_prefetch((blob, version), max_chunks);
+        match self.ctx.read_ahead(key) {
+            ReadAhead::Claim => {}
+            ReadAhead::Poll { from } => self.sync_board_replica(key, Vec::new(), from),
+            ReadAhead::Idle => return Ok(0),
+        }
+        let candidates = self.ctx.claim_prefetch(key, max_chunks);
         if candidates.is_empty() {
             return Ok(0);
         }
@@ -236,9 +213,13 @@ mod tests {
             .expect("pattern published");
         assert_eq!(*seq, (0..16).collect::<Vec<u64>>());
 
-        // Node 1 has touched nothing: a prefetch step pulls the peer
-        // window into ITS node-shared chunk cache.
-        assert!(b.has_prefetch_work(blob, v));
+        // Node 1 has touched nothing and never asked: a prefetch step
+        // polls, then pulls the peer window into ITS node-shared chunk
+        // cache.
+        assert_eq!(
+            b.context().read_ahead((blob, v)),
+            ReadAhead::Poll { from: 0 }
+        );
         let landed = b.prefetch_chunks(blob, v, 8).unwrap();
         assert_eq!(landed, 8);
         let stats = b.context().prefetch_stats();
@@ -273,8 +254,11 @@ mod tests {
         // A chunk is claimed at most once per node: replaying the
         // sequence fetches only the remainder, then nothing.
         assert_eq!(b.prefetch_chunks(blob, v, 100).unwrap(), 12);
-        assert!(!b.has_prefetch_work(blob, v));
+        // Consumed, and no demand read missed since the one poll: the
+        // replica holds all there is, so nothing more is asked.
+        assert_eq!(b.context().read_ahead((blob, v)), ReadAhead::Idle);
         assert_eq!(b.prefetch_chunks(blob, v, 100).unwrap(), 0);
+        assert_eq!(b.context().prefetch_stats().board_polls, 1);
         assert_eq!(b.context().prefetch_stats().prefetched_chunks, 32);
     }
 
@@ -304,12 +288,7 @@ mod tests {
         off.read_multi_hinted(blob, v, std::slice::from_ref(&(0..1024)))
             .unwrap();
         assert!(off.store().pattern_board().is_empty());
-        assert_eq!(
-            off.context().prefetch_progress((blob, v)),
-            (false, 0, 0),
-            "nothing is recorded"
-        );
-        assert!(!off.has_prefetch_work(blob, v));
+        assert_eq!(off.context().read_ahead((blob, v)), ReadAhead::Idle);
         assert_eq!(off.prefetch_chunks(blob, v, 8).unwrap(), 0);
         assert_eq!(off.context().prefetch_stats(), Default::default());
 
@@ -332,7 +311,7 @@ mod tests {
                 .read_multi_hinted(blob, v, std::slice::from_ref(&(0..4096)))
                 .unwrap();
             assert!(capless.store().pattern_board().is_empty());
-            assert!(!capless.has_prefetch_work(blob, v));
+            assert_eq!(capless.context().read_ahead((blob, v)), ReadAhead::Idle);
             let transfers = fabric.stats().transfer_count();
             assert_eq!(capless.prefetch_chunks(blob, v, 8).unwrap(), 0);
             assert_eq!(

@@ -156,9 +156,9 @@ impl Client {
                 .filter(|r| r.start < r.end)
                 .flat_map(|r| chunk_cover(r, meta.chunk_size))
                 .map(|idx| (idx, !resident.contains(&idx)));
-            self.hint_touches(blob, version, touches);
+            self.hint_touches(blob, version, touches, !fetch.is_empty());
         }
-        let cache_data = self.prefetch_enabled();
+        let cache_data = self.ctx.prefetch_on();
         for (idx, res) in self.fetch_chunks_results(&fetch) {
             let data = res?;
             if cache_data {
@@ -641,7 +641,8 @@ mod tests {
         let v2 = b.write_chunks(blob, v1, vec![(0, patch.clone())]).unwrap();
         let got = hinted(&a, blob, v2, 0..4096);
         assert!(got.content_eq(&data.overwrite(0, patch)));
-        assert_eq!(a.context().prefetch_progress((blob, v2)), (false, 0, 32));
+        // It read v2 whole: nothing to read ahead, nothing to ask.
+        assert_eq!(a.context().read_ahead((blob, v2)), ReadAhead::Idle);
         assert_eq!(board.sequence((blob, v2)), None, "nothing published");
         assert_eq!(a.context().prefetch_stats().board_publishes, publishes);
     }
@@ -671,7 +672,11 @@ mod tests {
             .write_chunks(blob, v1, vec![(31, Payload::synth(63, 0, 128))])
             .unwrap();
         assert!(hinted(&b, blob, v2, 0..1024).content_eq(&data.slice(0, 1024)));
-        assert_eq!(b.context().prefetch_progress((blob, v2)), (false, 0, 8));
+        // Never exchanged about v2: its first read-ahead step polls.
+        assert_eq!(
+            b.context().read_ahead((blob, v2)),
+            ReadAhead::Poll { from: 0 }
+        );
         assert_eq!(board.sequence((blob, v2)), None);
         assert_eq!(b.context().prefetch_stats().board_publishes, 1);
     }

@@ -347,7 +347,7 @@ mod tests {
             // eight first touches that moved their chunks.
             let c = Client::new(Arc::clone(&store), NodeId(2));
             c.snapshot_size(blob_a, va).unwrap();
-            c.hint_touches(blob_a, va, (0..8).map(|idx| (idx, true)));
+            c.hint_touches(blob_a, va, (0..8).map(|idx| (idx, true)), true);
             let published = charged(&fabric);
             assert_eq!(
                 published,

@@ -3,7 +3,7 @@
 
 pub(super) use crate::api::{BlobConfig, BlobError, BlobTopology, ChunkDesc, ChunkId, Version};
 pub(super) use crate::client::Client;
-pub(super) use crate::context::NodeContext;
+pub(super) use crate::context::{NodeContext, ReadAhead};
 pub(super) use crate::service::BlobStore;
 pub(super) use bff_data::Payload;
 pub(super) use bff_net::{Fabric, LocalFabric, NetError, NodeId};

@@ -54,12 +54,12 @@
 //!   [`crate::board::PatternBoard`] publishes, so a node that boots a
 //!   new snapshot out of chunks it already holds teaches the board
 //!   nothing. They also hold the node's *replica* of the board's merged
-//!   peer sequence (see [`crate::board`]) and the prefetcher's
-//!   claim/cursor state over it; the chunk cache holds
-//!   prefetched (and, while prefetching is on, demand-fetched) chunk
-//!   payloads that `Client::read_multi` serves without touching
-//!   providers — which is also how co-located VMs share each other's
-//!   fetched data.
+//!   peer sequence (see [`crate::board`]) and the prefetcher's state
+//!   over it, which [`NodeContext::read_ahead`] decides on; the chunk
+//!   cache holds prefetched (and, while prefetching is on,
+//!   demand-fetched) chunk payloads that `Client::read_multi` serves
+//!   without touching providers — which is also how co-located VMs
+//!   share each other's fetched data.
 //!
 //! Every one of these is bounded by one [`LruMap`]: an entry bound for
 //! the version-keyed state and the two indexes, a byte bound for the
@@ -138,6 +138,22 @@ struct AccessTracker {
     cohort: bool,
     /// Position in `peer_seq` up to which candidates have been consumed.
     cursor: usize,
+    /// Whether the node has exchanged with the board since its last
+    /// demand read that fetched from a provider (false on a new tracker):
+    /// until the pattern misses again, the replica holds all there is.
+    board_current: bool,
+}
+
+/// What a read-ahead step for one snapshot does next: the answer of
+/// [`NodeContext::read_ahead`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadAhead {
+    /// The replica extends past the prefetch cursor: claim from it.
+    Claim,
+    /// Ask the board first for the entries past the replica's `from`.
+    Poll { from: usize },
+    /// Nothing to read ahead and nothing to ask.
+    Idle,
 }
 
 /// One payload in the node-shared chunk-data cache (prefetched and
@@ -201,6 +217,9 @@ pub struct PrefetchStats {
     /// Board exchanges this node asked for with an empty batch: polls of
     /// the peer sequence.
     pub board_polls: u64,
+    /// Guest reads that fetched at least one chunk from a provider: the
+    /// read-ahead pattern's misses, the evidence a poll waits for.
+    pub demand_fetch_steps: u64,
 }
 
 impl PrefetchStats {
@@ -275,9 +294,11 @@ pub struct NodeContext {
     /// The node-shared chunk-data cache (prefetch plane), bounded in
     /// bytes.
     chunks: Mutex<LruMap<ChunkId, CachedChunk>>,
-    /// Whether `chunks` can hold anything (prefetch on, non-zero
-    /// bound): a disabled cache answers without taking its lock.
-    chunk_cache_on: bool,
+    /// Whether the prefetch plane runs: the flag is on *and* the chunk
+    /// cache can hold a chunk (below the chunk size every insert
+    /// self-evicts, so a prefetched chunk would be fetched twice). Off,
+    /// the cache is empty and answers without taking its lock.
+    prefetch: bool,
     /// Whether a background read-ahead step is currently in flight for
     /// this node (one at a time: the in-flight budget is one
     /// `prefetch_window`-sized step).
@@ -290,6 +311,7 @@ pub struct NodeContext {
     chunk_cache_hits: AtomicU64,
     board_publishes: AtomicU64,
     board_polls: AtomicU64,
+    demand_fetch_steps: AtomicU64,
 }
 
 impl NodeContext {
@@ -302,11 +324,8 @@ impl NodeContext {
     /// the bound itself; 0 disables the cache).
     pub(crate) fn with_tree_node_capacity(cfg: &BlobConfig, tree_nodes: usize) -> Self {
         let versions = cfg.desc_cache_versions.max(1);
-        let chunk_cache_bytes = if cfg.prefetch {
-            cfg.chunk_cache_bytes
-        } else {
-            0
-        };
+        let prefetch = cfg.prefetch && cfg.chunk_cache_bytes >= cfg.chunk_size;
+        let chunk_cache_bytes = if prefetch { cfg.chunk_cache_bytes } else { 0 };
         Self {
             desc_hits: AtomicU64::new(0),
             desc_misses: AtomicU64::new(0),
@@ -324,7 +343,7 @@ impl NodeContext {
             chunks: Mutex::new(LruMap::new(
                 usize::try_from(chunk_cache_bytes).unwrap_or(usize::MAX),
             )),
-            chunk_cache_on: chunk_cache_bytes > 0,
+            prefetch,
             prefetch_inflight: std::sync::atomic::AtomicBool::new(false),
             prefetched_chunks: AtomicU64::new(0),
             prefetched_bytes: AtomicU64::new(0),
@@ -334,7 +353,13 @@ impl NodeContext {
             chunk_cache_hits: AtomicU64::new(0),
             board_publishes: AtomicU64::new(0),
             board_polls: AtomicU64::new(0),
+            demand_fetch_steps: AtomicU64::new(0),
         }
+    }
+
+    /// Whether the prefetch plane runs on this node (see the field).
+    pub(crate) fn prefetch_on(&self) -> bool {
+        self.prefetch
     }
 
     /// Record the outcome of a descriptor resolution: `hits` chunks the
@@ -538,16 +563,23 @@ impl NodeContext {
     /// it, or used a read-ahead entry for the first time) rather than
     /// finding it resident. Every first touch counts as seen; only a
     /// first touch that moved the chunk joins the published order, and
-    /// repeats are free. Returns a batch of so-far-unpublished entries
-    /// of that order once at least [`PUBLISH_BATCH`] have accumulated —
-    /// the caller ships that batch to the cluster
-    /// [`crate::board::PatternBoard`], and pays for it.
+    /// repeats are free. `fetched`: the read fetched from a provider, a
+    /// miss of the pattern (a read-ahead entry's first use is not one).
+    /// Returns a batch of so-far-unpublished entries of that order once
+    /// at least [`PUBLISH_BATCH`] have accumulated — the caller ships
+    /// that batch to the cluster [`crate::board::PatternBoard`], and pays
+    /// for it.
     pub fn note_accesses(
         &self,
         key: (BlobId, Version),
         touches: impl IntoIterator<Item = (u64, bool)>,
+        fetched: bool,
     ) -> Option<Vec<u64>> {
+        if fetched {
+            self.demand_fetch_steps.fetch_add(1, Ordering::Relaxed);
+        }
         self.with_tracker(key, |t| {
+            t.board_current &= !fetched;
             for (idx, moved) in touches {
                 if t.seen.insert(idx) && moved && t.order.len() < ACCESS_ORDER_CAP {
                     t.order.push(idx);
@@ -581,8 +613,7 @@ impl NodeContext {
     }
 
     /// File the board's answer to a sync this node sent with its replica
-    /// at `from` entries. Returns whether the replica now extends past
-    /// the prefetch cursor.
+    /// at `from` entries.
     ///
     /// Entries a co-located handle's sync filed in the meantime are
     /// skipped; an answer that starts past the replica's end (the
@@ -590,7 +621,7 @@ impl NodeContext {
     /// asks from the right place. A board whose sequence is *shorter*
     /// than `from` has lost the pattern (eviction, restart): the replica
     /// describes a sequence that no longer exists and starts over.
-    pub fn board_synced(&self, key: (BlobId, Version), from: usize, sync: BoardSync) -> bool {
+    pub fn board_synced(&self, key: (BlobId, Version), from: usize, sync: BoardSync) {
         self.with_tracker(key, |t| {
             if sync.len < from {
                 t.peer_seq.clear();
@@ -603,7 +634,6 @@ impl NodeContext {
                 }
             }
             t.cohort = sync.cohort;
-            t.cursor < t.peer_seq.len()
         })
     }
 
@@ -638,14 +668,29 @@ impl NodeContext {
         })
     }
 
-    /// Where the prefetcher stands on `key`: whether the replica extends
-    /// past the cursor (may be a false positive when the remainder is
-    /// already seen — [`NodeContext::claim_prefetch`] settles that), the
-    /// replica's length, and how many distinct chunks of the snapshot
-    /// this node has touched.
-    pub fn prefetch_progress(&self, key: (BlobId, Version)) -> (bool, usize, usize) {
-        self.trackers.lock().get(&key).map_or((false, 0, 0), |t| {
-            (t.cursor < t.peer_seq.len(), t.peer_seq.len(), t.seen.len())
+    /// The one read-ahead decision for `key`, from local state alone:
+    /// claim while the replica extends past the cursor; once it is
+    /// consumed, poll only if the node has never exchanged with the
+    /// board about `key` or a demand read missed since the last exchange
+    /// — unless it has touched every chunk of the snapshot. Always
+    /// [`ReadAhead::Idle`] with the prefetch plane off.
+    pub fn read_ahead(&self, key: (BlobId, Version)) -> ReadAhead {
+        if !self.prefetch {
+            return ReadAhead::Idle;
+        }
+        let chunks = self
+            .version_facts(key)
+            .map_or(u64::MAX, |m| m.size.div_ceil(m.chunk_size));
+        self.with_tracker(key, |t| {
+            if t.cursor < t.peer_seq.len() {
+                ReadAhead::Claim
+            } else if t.board_current || t.seen.len() as u64 >= chunks {
+                ReadAhead::Idle
+            } else {
+                ReadAhead::Poll {
+                    from: t.peer_seq.len(),
+                }
+            }
         })
     }
 
@@ -656,7 +701,7 @@ impl NodeContext {
     /// the entry used, for the prefetch hit statistics (a prefetched
     /// entry's first use, which the hit reports) and for eviction.
     pub fn chunk_cache_get_batch(&self, ids: &[ChunkId]) -> Vec<Option<CacheHit>> {
-        if !self.chunk_cache_on || ids.is_empty() {
+        if !self.prefetch || ids.is_empty() {
             return vec![None; ids.len()];
         }
         let mut cache = self.chunks.lock();
@@ -683,7 +728,7 @@ impl NodeContext {
     /// without touching hit statistics or LRU order (prefetch-side
     /// dedup check, not a demand read).
     pub fn chunk_cache_contains(&self, id: ChunkId) -> bool {
-        self.chunk_cache_on && self.chunks.lock().get(&id).is_some()
+        self.prefetch && self.chunks.lock().get(&id).is_some()
     }
 
     /// Insert a fetched chunk into the node-shared cache, evicting LRU
@@ -691,7 +736,7 @@ impl NodeContext {
     /// refreshed (chunk ids are immutable content — re-inserting the
     /// same bytes is a no-op).
     pub fn chunk_cache_insert(&self, id: ChunkId, data: Payload, origin: ChunkOrigin) {
-        if !self.chunk_cache_on {
+        if !self.prefetch {
             return;
         }
         let mut cache = self.chunks.lock();
@@ -728,15 +773,17 @@ impl NodeContext {
             .store(false, std::sync::atomic::Ordering::Release);
     }
 
-    /// Record that this node asked the board for one exchange: a
-    /// publish, or a poll when `poll`.
-    pub(crate) fn note_board_sync(&self, poll: bool) {
+    /// Record that this node is about to ask the board for one exchange
+    /// on `key`: a publish, or a poll when `poll`. Either brings the
+    /// replica up to date, so even a failed one waits for a demand miss.
+    pub(crate) fn note_board_sync(&self, key: (BlobId, Version), poll: bool) {
         let counter = if poll {
             &self.board_polls
         } else {
             &self.board_publishes
         };
         counter.fetch_add(1, Ordering::Relaxed);
+        self.with_tracker(key, |t| t.board_current = true);
     }
 
     /// Record that the prefetcher landed `chunks` chunks / `bytes` bytes
@@ -764,6 +811,7 @@ impl NodeContext {
             cached_bytes,
             board_publishes: self.board_publishes.load(Ordering::Relaxed),
             board_polls: self.board_polls.load(Ordering::Relaxed),
+            demand_fetch_steps: self.demand_fetch_steps.load(Ordering::Relaxed),
         }
     }
 
@@ -787,9 +835,12 @@ mod tests {
     use bff_net::NodeId;
     use std::sync::Arc;
 
+    /// A context with the prefetch plane on, whatever `BFF_PREFETCH`
+    /// says.
     fn ctx(versions: usize) -> NodeContext {
         NodeContext::new(&BlobConfig {
             desc_cache_versions: versions,
+            prefetch: true,
             ..Default::default()
         })
     }
@@ -824,19 +875,19 @@ mod tests {
         let c = ctx(8);
         let key = (BlobId(1), Version(1));
         // Below the batch threshold: nothing to publish yet.
-        assert!(c.note_accesses(key, moved(0..half)).is_none());
+        assert!(c.note_accesses(key, moved(0..half), true).is_none());
         // Crossing it returns every unpublished first-touch index, in
         // order, with repeats deduplicated.
         let second: Vec<u64> = (0..half) // repeats: already seen
             .chain(half..2 * PUBLISH_BATCH as u64)
             .collect();
         let batch = c
-            .note_accesses(key, moved(second))
+            .note_accesses(key, moved(second), true)
             .expect("threshold crossed");
         assert_eq!(batch, (0..2 * PUBLISH_BATCH as u64).collect::<Vec<u64>>());
         // Re-touching published chunks never re-publishes them.
         assert!(c
-            .note_accesses(key, moved(0..2 * PUBLISH_BATCH as u64))
+            .note_accesses(key, moved(0..2 * PUBLISH_BATCH as u64), true)
             .is_none());
     }
 
@@ -849,17 +900,16 @@ mod tests {
         // this version or another that shares the chunks): seen, so the
         // prefetcher skips them, but nothing to publish.
         assert!(c
-            .note_accesses(key, (0..batch).map(|i| (i, false)))
+            .note_accesses(key, (0..batch).map(|i| (i, false)), false)
             .is_none());
-        assert_eq!(c.prefetch_progress(key), (false, 0, batch as usize));
         // A later touch that does move them publishes nothing either:
         // the first touch decided.
-        assert!(c.note_accesses(key, moved(0..batch)).is_none());
+        assert!(c.note_accesses(key, moved(0..batch), true).is_none());
         // Moved chunks, interleaved with resident ones, publish in
         // first-touch order once a batch of them accumulates.
         let mixed = (batch..3 * batch).map(|i| (i, i % 2 == 0));
         assert_eq!(
-            c.note_accesses(key, mixed),
+            c.note_accesses(key, mixed, true),
             Some((batch..3 * batch).filter(|i| i % 2 == 0).collect())
         );
         let seq: Vec<(u64, bool)> = (0..3 * batch + 2).map(|i| (i, false)).collect();
@@ -884,15 +934,14 @@ mod tests {
     fn claim_prefetch_walks_peer_sequence_once() {
         let c = ctx(8);
         let key = (BlobId(2), Version(1));
-        c.note_accesses(key, moved([3, 4]));
-        assert_eq!(c.prefetch_progress(key), (false, 0, 2));
+        c.note_accesses(key, moved([3, 4]), true);
         let seq: Vec<(u64, bool)> = (0..10).map(|i| (i, false)).collect();
-        assert!(c.board_synced(key, 0, answer(0, &seq, false)));
-        assert_eq!(c.prefetch_progress(key), (true, 10, 2));
+        c.board_synced(key, 0, answer(0, &seq, false));
+        assert_eq!(c.read_ahead(key), ReadAhead::Claim);
         // Seen chunks (3, 4) are skipped; claims are bounded.
         assert_eq!(c.claim_prefetch(key, 4), vec![0, 1, 2, 5]);
         assert_eq!(c.claim_prefetch(key, 100), vec![6, 7, 8, 9]);
-        assert_eq!(c.prefetch_progress(key), (false, 10, 2));
+        assert_eq!(c.read_ahead(key), ReadAhead::Poll { from: 10 });
         // Nothing is ever claimed twice.
         assert!(c.claim_prefetch(key, 100).is_empty());
     }
@@ -906,7 +955,7 @@ mod tests {
         assert_eq!(c.claim_prefetch(key, 10), vec![10, 12]);
         // The cursor consumed the whole sequence: unconfident chunks are
         // walked past, not queued for later.
-        assert_eq!(c.prefetch_progress(key), (false, 4, 0));
+        assert_eq!(c.read_ahead(key), ReadAhead::Poll { from: 4 });
         assert!(c.claim_prefetch(key, 10).is_empty());
         // Without a cohort the same flags filter nothing.
         let lone = (BlobId(3), Version(2));
@@ -936,7 +985,7 @@ mod tests {
         // what the first filed and adds one entry.
         c.board_synced(key, 2, answer(2, &[(3, true)], true));
         c.board_synced(key, 2, answer(2, &[(3, true), (4, true)], true));
-        assert_eq!(c.prefetch_progress(key), (true, 4, 0));
+        assert_eq!(c.read_ahead(key), ReadAhead::Claim);
         // An answer that starts past the replica's end is dropped.
         c.board_synced(key, 9, answer(9, &[(99, true)], true));
         assert_eq!(c.claim_prefetch(key, 10), vec![1, 2, 3, 4]);
@@ -946,19 +995,118 @@ mod tests {
             len: 1,
             ..answer(4, &[], false)
         };
-        assert!(!c.board_synced(key, 4, lost));
-        assert_eq!(c.prefetch_progress(key), (false, 0, 0));
+        c.board_synced(key, 4, lost);
+        assert_eq!(c.read_ahead(key), ReadAhead::Poll { from: 0 });
         c.board_synced(key, 0, answer(0, &[(4, false), (5, false)], false));
         assert_eq!(c.claim_prefetch(key, 10), vec![5]);
         // It leaves with the version.
         c.purge_version(key);
-        assert_eq!(c.prefetch_progress(key), (false, 0, 0));
+        assert_eq!(c.read_ahead(key), ReadAhead::Poll { from: 0 });
         assert_eq!(c.unconfirmed_of(key, vec![1]), (vec![1], 0));
+    }
+
+    /// A prefetching context whose cache holds `cache_bytes` of the
+    /// 100-byte chunks these tests insert.
+    /// A prefetching context that knows `key` as a snapshot of `chunks`
+    /// chunks.
+    fn snapshot_ctx(key: (BlobId, Version), chunks: u64) -> NodeContext {
+        let c = ctx(8);
+        let info = VersionInfo {
+            root: NodeKey(1),
+            size: chunks * 128,
+            chunk_size: 128,
+            span: chunks.next_power_of_two(),
+        };
+        c.record_version_facts(key, info, 0);
+        c
+    }
+
+    /// One exchange the way the client makes it: noted, then answered.
+    fn exchange(c: &NodeContext, key: (BlobId, Version), poll: bool, from: usize, tail: &[u64]) {
+        c.note_board_sync(key, poll);
+        let tail: Vec<(u64, bool)> = tail.iter().map(|&i| (i, true)).collect();
+        c.board_synced(key, from, answer(from, &tail, true));
+    }
+
+    #[test]
+    fn read_ahead_polls_a_snapshot_it_never_asked_about() {
+        let key = (BlobId(6), Version(1));
+        let c = snapshot_ctx(key, 32);
+        assert_eq!(c.read_ahead(key), ReadAhead::Poll { from: 0 });
+        // Reads that fetched nothing are no exchange.
+        c.note_accesses(key, moved(0..4), false);
+        assert_eq!(c.read_ahead(key), ReadAhead::Poll { from: 0 });
+        exchange(&c, key, true, 0, &[]);
+        assert_eq!(c.read_ahead(key), ReadAhead::Idle);
+        assert_eq!(c.prefetch_stats().board_polls, 1);
+    }
+
+    #[test]
+    fn read_ahead_polls_once_per_demand_miss_since_the_last_exchange() {
+        let key = (BlobId(6), Version(2));
+        let c = snapshot_ctx(key, 32);
+        exchange(&c, key, true, 0, &[0, 1]);
+        assert_eq!(c.claim_prefetch(key, 10), vec![0, 1]);
+        assert_eq!(c.read_ahead(key), ReadAhead::Idle);
+        // A read fetched from a provider: the pattern missed.
+        c.note_accesses(key, moved(5..7), true);
+        assert_eq!(c.read_ahead(key), ReadAhead::Poll { from: 2 });
+        exchange(&c, key, true, 2, &[]);
+        assert_eq!(c.read_ahead(key), ReadAhead::Idle);
+        // A publish is an exchange too.
+        c.note_accesses(key, moved(7..8), true);
+        exchange(&c, key, false, 2, &[7]);
+        assert_eq!(c.claim_prefetch(key, 10), Vec::<u64>::new());
+        assert_eq!(c.read_ahead(key), ReadAhead::Idle);
+        assert_eq!(c.prefetch_stats().demand_fetch_steps, 2);
+    }
+
+    #[test]
+    fn read_ahead_hits_are_no_reason_to_poll() {
+        let key = (BlobId(6), Version(3));
+        let c = snapshot_ctx(key, 32);
+        exchange(&c, key, true, 0, &[0, 1, 2, 3]);
+        assert_eq!(c.claim_prefetch(key, 10), vec![0, 1, 2, 3]);
+        // The guest reads the four read-ahead entries: each first use
+        // moved its chunk (it publishes), but nothing was fetched.
+        c.note_accesses(key, moved(0..4), false);
+        assert_eq!(c.read_ahead(key), ReadAhead::Idle);
+        assert_eq!(c.prefetch_stats().demand_fetch_steps, 0);
+    }
+
+    #[test]
+    fn read_ahead_asks_nothing_about_a_snapshot_it_read_whole() {
+        let key = (BlobId(6), Version(4));
+        let c = snapshot_ctx(key, 8);
+        // Never exchanged, and every read missed; but nothing is left.
+        c.note_accesses(key, moved(0..8), true);
+        assert_eq!(c.read_ahead(key), ReadAhead::Idle);
+    }
+
+    #[test]
+    fn read_ahead_claims_from_a_replica_ahead_of_its_cursor_without_a_poll() {
+        let key = (BlobId(6), Version(5));
+        let c = snapshot_ctx(key, 32);
+        exchange(&c, key, true, 0, &[0, 1, 2, 3]);
+        // A miss does not send a node with work in hand to the board.
+        c.note_accesses(key, moved(10..12), true);
+        assert_eq!(c.read_ahead(key), ReadAhead::Claim);
+        assert_eq!(c.claim_prefetch(key, 2), vec![0, 1]);
+        assert_eq!(c.read_ahead(key), ReadAhead::Claim);
+        assert_eq!(c.claim_prefetch(key, 2), vec![2, 3]);
+        assert_eq!(c.read_ahead(key), ReadAhead::Poll { from: 4 });
+        // Off, the plane decides nothing.
+        let off = NodeContext::new(&BlobConfig {
+            prefetch: false,
+            ..Default::default()
+        });
+        assert_eq!(off.read_ahead(key), ReadAhead::Idle);
     }
 
     fn chunk_ctx(cache_bytes: u64) -> NodeContext {
         NodeContext::new(&BlobConfig {
             prefetch: true,
+            chunk_size: 100,
             chunk_cache_bytes: cache_bytes,
             ..Default::default()
         })
@@ -1028,13 +1176,12 @@ mod tests {
             ..Default::default()
         });
         for v in 1..=100u64 {
-            c.note_accesses((BlobId(1), Version(v)), moved(0..3));
+            c.note_accesses((BlobId(1), Version(v)), moved(0..3), true);
         }
         let held = c.trackers.lock().len();
         assert!(held <= 8, "trackers grew to {held} for bound 8");
         // The most recent tracker survived with its state.
         let recent = (BlobId(1), Version(100));
-        assert_eq!(c.prefetch_progress(recent), (false, 0, 3));
         let seq: Vec<(u64, bool)> = (0..6).map(|i| (i, false)).collect();
         c.board_synced(recent, 0, answer(0, &seq, false));
         assert_eq!(

@@ -436,8 +436,7 @@ pub enum StoreLog {
 }
 
 impl StoreLog {
-    /// Both logs, in the order [`SegmentStore::sync_handles`] claims
-    /// them.
+    /// Both logs.
     pub const ALL: [StoreLog; 2] = [StoreLog::Segment, StoreLog::Refs];
 }
 
@@ -796,16 +795,6 @@ impl SegmentStore {
         }
     }
 
-    /// [`SegmentStore::sync_handle`] for both logs: every pending append
-    /// of the store.
-    pub fn sync_handles(&mut self) -> io::Result<Vec<File>> {
-        let mut out = Vec::with_capacity(StoreLog::ALL.len());
-        for log in StoreLog::ALL {
-            out.extend(self.sync_handle(log)?);
-        }
-        Ok(out)
-    }
-
     /// Total framed bytes across all segment files (compaction
     /// diagnostics).
     pub fn disk_bytes(&self) -> u64 {
@@ -944,8 +933,10 @@ mod tests {
     /// Cross the commit-ack barrier the way a group-commit leader does:
     /// claim the pending appends, then `sync_data` them.
     fn sync(s: &mut SegmentStore) {
-        for f in s.sync_handles().unwrap() {
-            f.sync_data().unwrap();
+        for log in StoreLog::ALL {
+            if let Some(f) = s.sync_handle(log).unwrap() {
+                f.sync_data().unwrap();
+            }
         }
     }
 

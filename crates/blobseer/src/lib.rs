@@ -55,7 +55,7 @@ pub use api::{
 pub use board::{BoardService, PatternBoard};
 pub use client::{Client, GcReport};
 pub use cluster::ClusterIndex;
-pub use context::{CacheStats, NodeContext, PrefetchStats};
+pub use context::{CacheStats, NodeContext, PrefetchStats, ReadAhead};
 pub use durable::{CommitPolicy, DurabilityCounters, DurabilityStats, GroupCommit, RecoveryReport};
 pub use pmanager::Placement;
 pub use provider::ProviderStore;

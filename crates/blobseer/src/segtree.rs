@@ -33,23 +33,12 @@ pub fn span_for(chunks: u64) -> Option<u64> {
 }
 
 /// Walk the tree of `root` and collect the leaf chunk descriptors for
-/// chunk indices in `want` (clamped to `0..span`). Indices without a leaf
-/// (NULL subtrees) are simply absent from the result — they read as zeros.
-///
-/// Fetches proceed level by level so that each level costs one metadata
-/// round regardless of width.
-pub fn collect_leaves(
-    io: &mut dyn NodeIo,
-    root: NodeKey,
-    span: u64,
-    want: &Range<u64>,
-) -> BlobResult<Vec<(u64, ChunkDesc)>> {
-    collect_leaves_multi(io, root, span, std::slice::from_ref(want))
-}
-
-/// Multi-range variant of [`collect_leaves`]: one breadth-first descent
-/// for the *union* of `wants`, so a read plan of R disjoint runs costs at
-/// most `tree depth` metadata rounds total instead of `R × depth`.
+/// the chunk indices in `wants` (clamped to `0..span`). Indices without
+/// a leaf (NULL subtrees) are simply absent from the result — they read
+/// as zeros. One breadth-first descent for the *union* of `wants`, level
+/// by level, so each level costs one metadata round regardless of width
+/// and a read plan of R disjoint runs costs at most `tree depth` rounds
+/// total instead of `R × depth`.
 ///
 /// Ordering contract: the result is sorted by chunk index with no
 /// duplicates (even if `wants` overlap), and no explicit sort is needed —
@@ -528,7 +517,8 @@ mod tests {
     #[test]
     fn empty_tree_reads_empty() {
         let mut io = MemIo::new();
-        let leaves = collect_leaves(&mut io, NodeKey::NULL, 8, &(0..8)).unwrap();
+        let leaves =
+            collect_leaves_multi(&mut io, NodeKey::NULL, 8, std::slice::from_ref(&(0..8))).unwrap();
         assert!(leaves.is_empty());
     }
 
@@ -536,12 +526,12 @@ mod tests {
     fn write_then_read_roundtrip() {
         let mut io = MemIo::new();
         let root = build_new_tree(&mut io, NodeKey::NULL, 8, &updates(&[0, 3, 7])).unwrap();
-        let leaves = collect_leaves(&mut io, root, 8, &(0..8)).unwrap();
+        let leaves = collect_leaves_multi(&mut io, root, 8, std::slice::from_ref(&(0..8))).unwrap();
         let idx: Vec<u64> = leaves.iter().map(|(i, _)| *i).collect();
         assert_eq!(idx, vec![0, 3, 7]);
         assert_eq!(leaves[1].1, desc(3));
         // Partial range.
-        let leaves = collect_leaves(&mut io, root, 8, &(1..4)).unwrap();
+        let leaves = collect_leaves_multi(&mut io, root, 8, std::slice::from_ref(&(1..4))).unwrap();
         assert_eq!(leaves.len(), 1);
         assert_eq!(leaves[0].0, 3);
     }
@@ -558,9 +548,9 @@ mod tests {
         let v2 = build_new_tree(&mut io, v1, 4, &updates(&[3])).unwrap();
         assert_eq!(io.stored - before, 3, "path copy only");
         // v2 sees the update; v1 is untouched.
-        let l2 = collect_leaves(&mut io, v2, 4, &(0..4)).unwrap();
+        let l2 = collect_leaves_multi(&mut io, v2, 4, std::slice::from_ref(&(0..4))).unwrap();
         assert_eq!(l2.len(), 4);
-        let l1 = collect_leaves(&mut io, v1, 4, &(3..4)).unwrap();
+        let l1 = collect_leaves_multi(&mut io, v1, 4, std::slice::from_ref(&(3..4))).unwrap();
         assert_eq!(l1[0].1, desc(3));
         // And the shared left subtree is literally the same node keys:
         let (TreeNode::Inner { left: left1, .. }, TreeNode::Inner { left: left2, .. }) =
@@ -599,13 +589,14 @@ mod tests {
             },
         );
         let b2 = build_new_tree(&mut io, b_root, 4, &up).unwrap();
-        let a_leaves = collect_leaves(&mut io, a_root, 4, &(0..4)).unwrap();
+        let a_leaves =
+            collect_leaves_multi(&mut io, a_root, 4, std::slice::from_ref(&(0..4))).unwrap();
         assert_eq!(
             a_leaves[1].1,
             desc(1),
             "origin unchanged after clone diverges"
         );
-        let b_leaves = collect_leaves(&mut io, b2, 4, &(0..4)).unwrap();
+        let b_leaves = collect_leaves_multi(&mut io, b2, 4, std::slice::from_ref(&(0..4))).unwrap();
         assert_eq!(b_leaves[1].1.id, ChunkId(777));
         assert_eq!(b_leaves[0].1, desc(0), "clone shares original content");
     }
@@ -616,7 +607,7 @@ mod tests {
         let all: Vec<u64> = (0..16).collect();
         let root = build_new_tree(&mut io, NodeKey::NULL, 16, &updates(&all)).unwrap();
         io.fetch_rounds = 0;
-        let _ = collect_leaves(&mut io, root, 16, &(0..16)).unwrap();
+        let _ = collect_leaves_multi(&mut io, root, 16, std::slice::from_ref(&(0..16))).unwrap();
         // Depth of a span-16 tree is log2(16)+1 = 5 levels.
         assert_eq!(io.fetch_rounds, 5);
     }
@@ -643,7 +634,9 @@ mod tests {
         // Same leaves as per-run descents, in index order.
         let mut expect = Vec::new();
         for r in &runs {
-            expect.extend(collect_leaves(&mut io, root, span, r).unwrap());
+            expect.extend(
+                collect_leaves_multi(&mut io, root, span, std::slice::from_ref(r)).unwrap(),
+            );
         }
         assert_eq!(leaves, expect);
     }
@@ -711,7 +704,8 @@ mod tests {
         let mut io = MemIo::new();
         let sparse: Vec<u64> = vec![1, 2, 6, 9, 300, 301, 500, 1023];
         let root = build_new_tree(&mut io, NodeKey::NULL, 1024, &updates(&sparse)).unwrap();
-        let leaves = collect_leaves(&mut io, root, 1024, &(0..1024)).unwrap();
+        let leaves =
+            collect_leaves_multi(&mut io, root, 1024, std::slice::from_ref(&(0..1024))).unwrap();
         let idx: Vec<u64> = leaves.iter().map(|(i, _)| *i).collect();
         assert_eq!(idx, sparse, "leaves must arrive sorted and complete");
     }
@@ -736,7 +730,7 @@ mod tests {
         assert_eq!(key_at(&l1, 7), key_at(&l2, 7), "untouched leaf shared");
         assert_ne!(key_at(&l1, 3), key_at(&l2, 3), "updated leaf shadowed");
         // Index order and descriptors match the plain leaf walk.
-        let plain = collect_leaves(&mut io, v2, 8, &(0..8)).unwrap();
+        let plain = collect_leaves_multi(&mut io, v2, 8, std::slice::from_ref(&(0..8))).unwrap();
         let flat: Vec<(u64, ChunkDesc)> = l2.into_iter().map(|(i, _, d)| (i, d)).collect();
         assert_eq!(flat, plain);
         // A NULL tree has no leaves.
@@ -934,7 +928,7 @@ mod tests {
     fn single_chunk_blob() {
         let mut io = MemIo::new();
         let root = build_new_tree(&mut io, NodeKey::NULL, 1, &updates(&[0])).unwrap();
-        let leaves = collect_leaves(&mut io, root, 1, &(0..1)).unwrap();
+        let leaves = collect_leaves_multi(&mut io, root, 1, std::slice::from_ref(&(0..1))).unwrap();
         assert_eq!(leaves.len(), 1);
         assert!(matches!(io.nodes[&root], TreeNode::Leaf { .. }));
     }
@@ -943,7 +937,8 @@ mod tests {
     fn sparse_tree_reads_only_written() {
         let mut io = MemIo::new();
         let root = build_new_tree(&mut io, NodeKey::NULL, 1024, &updates(&[1000])).unwrap();
-        let leaves = collect_leaves(&mut io, root, 1024, &(0..1024)).unwrap();
+        let leaves =
+            collect_leaves_multi(&mut io, root, 1024, std::slice::from_ref(&(0..1024))).unwrap();
         assert_eq!(leaves.len(), 1);
         assert_eq!(leaves[0].0, 1000);
         // A sparse write creates only the path: depth 11 nodes.

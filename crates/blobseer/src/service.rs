@@ -193,9 +193,14 @@ impl BlobStore {
     /// The in-process server state (every [`TransportMode`] hosts it
     /// here). Absent only on [`BlobStore::remote`] handles.
     fn local(&self) -> &ServerState {
-        self.srv
-            .as_deref()
+        self.server()
             .expect("server state lives in another process (remote BlobStore handle)")
+    }
+
+    /// The server half, when it lives in this process (`None` on a
+    /// [`BlobStore::remote`] handle).
+    pub fn server(&self) -> Option<&ServerState> {
+        self.srv.as_deref()
     }
 
     /// The one request path: a client on `from` pays `req`'s price from

@@ -195,7 +195,8 @@ impl ImageBackend for MirrorBackend {
         // Kick one read-ahead step (the §3.1.3 adaptive-prefetch
         // overlap). On the simulator it runs detached and its transfers
         // hide behind the compute burst the hypervisor charges next; on
-        // `LocalFabric` it runs inline, before this returns.
+        // `LocalFabric` it runs inline, before this returns. A burst
+        // polls the board only after a demand read missed the pattern.
         self.img.poke_prefetch();
         Ok(())
     }

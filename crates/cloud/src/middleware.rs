@@ -63,9 +63,9 @@ impl Cloud {
 
     /// Wrap an existing repository handle instead of deploying one —
     /// e.g. a [`BlobStore::remote`] attached over sockets to
-    /// `blob_server` processes hosting the server roles. Note that on a
-    /// remote handle the local-diagnostic parts of [`Cloud::metrics`]
-    /// (storage totals) are unavailable.
+    /// `blob_server` processes hosting the server roles. On a remote
+    /// handle the server half of [`Cloud::metrics`] (storage and
+    /// durability) is `None`.
     pub fn with_store(
         store: Arc<BlobStore>,
         fabric: Arc<dyn Fabric>,
@@ -112,15 +112,13 @@ impl Cloud {
     }
 
     /// One coherent snapshot of every cluster-level counter: cache/dedup
-    /// totals, prefetch effectiveness (aggregate and per compute node),
-    /// storage totals and the transport's real bytes-on-wire. Supersedes
-    /// the old accessor sprawl (`cache_stats`, `prefetch_stats`,
-    /// `node_prefetch_stats`, per-lock getters) — one call, one struct,
-    /// diffable before/after a workload.
+    /// totals, prefetch effectiveness, the transport's real bytes-on-wire
+    /// and, when the server state is in this process, storage and
+    /// durability. Works on every deployment; diffable before/after a
+    /// workload.
     pub fn metrics(&self) -> ClusterMetrics {
         let mut cache = bff_blobseer::CacheStats::default();
         let mut prefetch = bff_blobseer::PrefetchStats::default();
-        let mut per_node_prefetch = Vec::with_capacity(self.compute.len() + 1);
         for &node in self.compute.iter().chain([&self.service]) {
             let ctx = self.store.node_context(node);
             let s = ctx.stats();
@@ -141,16 +139,15 @@ impl Cloud {
             prefetch.cached_bytes += p.cached_bytes;
             prefetch.board_publishes += p.board_publishes;
             prefetch.board_polls += p.board_polls;
-            per_node_prefetch.push((node, p));
+            prefetch.demand_fetch_steps += p.demand_fetch_steps;
         }
+        let server = self.store.server();
         ClusterMetrics {
             cache,
             prefetch,
-            per_node_prefetch,
-            stored_bytes: self.store.total_stored_bytes(),
-            stored_chunks: self.store.total_chunks(),
+            stored_bytes: server.map(|s| s.providers().total_stored_bytes()),
             wire: self.store.wire_stats(),
-            durability: self.store.durability(),
+            durability: server.map(|s| s.durability()),
         }
     }
 
@@ -290,21 +287,17 @@ pub struct ClusterMetrics {
     pub cache: bff_blobseer::CacheStats,
     /// Prefetch effectiveness, summed over every node context.
     pub prefetch: bff_blobseer::PrefetchStats,
-    /// Per-node prefetch attribution (hits and waste are properties of
-    /// a node's chunk cache, not of the cluster), in `compute` order
-    /// with the service node last.
-    pub per_node_prefetch: Vec<(NodeId, bff_blobseer::PrefetchStats)>,
-    /// Bytes stored across all providers (shared content counted once).
-    pub stored_bytes: u64,
-    /// Chunk replica instances stored across all providers.
-    pub stored_chunks: usize,
+    /// Bytes stored across all providers (shared content counted once);
+    /// `None` when the server state lives in other processes.
+    pub stored_bytes: Option<u64>,
     /// Serialized request/response bytes the transport moved (all zero
     /// under `TransportMode::Direct` — no frame ever exists).
     pub wire: bff_net::transport::WireStats,
     /// Durability counters: fsyncs issued, acks covered by them, the
     /// acks-per-fsync batching ratio and the worst group-commit ticket
-    /// wait. All zero for non-durable (in-memory) deployments.
-    pub durability: bff_blobseer::DurabilityCounters,
+    /// wait. All zero for non-durable (in-memory) deployments; `None`
+    /// when the server state lives in other processes.
+    pub durability: Option<bff_blobseer::DurabilityCounters>,
 }
 
 /// Output of [`Cloud::storage_report`].

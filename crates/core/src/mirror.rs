@@ -16,7 +16,7 @@
 
 use crate::chunkmap::ChunkMap;
 use crate::localstore::LocalStore;
-use bff_blobseer::{BlobId, BlobResult, Client, Version};
+use bff_blobseer::{BlobId, BlobResult, Client, ReadAhead, Version};
 use bff_data::{ByteRange, Payload};
 use bff_net::{Fabric, NodeId};
 use std::sync::Arc;
@@ -343,10 +343,12 @@ impl MirroredImage {
     /// prefetching pipeline (§3.1.3: co-deployed VMs touch nearly
     /// identical chunk sequences, so the module pulls what the cohort's
     /// PatternBoard predicts while the guest computes). The hypervisor
-    /// pokes this at every guest compute burst: if the board predicts
-    /// unconsumed chunks and no step is already in flight, one bounded
-    /// step ([`bff_blobseer::BlobConfig::prefetch_window`] chunks) is
-    /// handed to [`Fabric::spawn_detached`]. On the simulator that is a
+    /// pokes this at open and at every guest compute burst: unless the
+    /// node's local decision ([`bff_blobseer::NodeContext::read_ahead`])
+    /// is to do nothing or a step is already in flight, one bounded step
+    /// ([`bff_blobseer::BlobConfig::prefetch_window`] chunks), which
+    /// sends the poll if there is one, is handed to
+    /// [`Fabric::spawn_detached`]. On the simulator that is a
     /// concurrent process: the guest's timeline continues at once, and
     /// the prefetch transfers contend with (and hide behind) its compute
     /// and demand I/O instead of extending them. On
@@ -355,17 +357,14 @@ impl MirroredImage {
     /// its window.
     ///
     /// Returns whether a step was started. `false` — starting nothing
-    /// and charging nothing — when prefetching is off, no peer pattern
-    /// exists, the pattern is fully consumed, or a step is still in
-    /// flight; with `BFF_PREFETCH=0` the path is therefore
+    /// and charging nothing — when prefetching is off, the replica is
+    /// consumed with no reason to poll, or a step is still in flight;
+    /// with `BFF_PREFETCH=0` the path is therefore
     /// bit-identical to the pre-prefetch model.
     pub fn poke_prefetch(&mut self) -> bool {
-        if !self.client.has_prefetch_work(self.blob, self.base) {
-            return false;
-        }
         let ctx = Arc::clone(self.client.context());
-        if !ctx.try_begin_prefetch() {
-            return false; // a step is already in flight: budget of one
+        if ctx.read_ahead((self.blob, self.base)) == ReadAhead::Idle || !ctx.try_begin_prefetch() {
+            return false; // nothing to do, or a step in flight: budget of one
         }
         let client = self.client.clone();
         let (blob, base) = (self.blob, self.base);

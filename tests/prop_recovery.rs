@@ -17,7 +17,7 @@
 //! without a transport hop journals like one behind the codec, and
 //! recovers byte-identically.
 
-use bff::blobseer::durable::{Journal, SegmentStore};
+use bff::blobseer::durable::{Journal, SegmentStore, StoreLog};
 use bff::blobseer::{
     BlobConfig, BlobId, BlobStore, BlobTopology, ChunkId, Client, DurabilityStats, GroupCommit,
     NodeKey, Placement, RecoveryReport, ServerState, TransportMode, Version,
@@ -298,8 +298,10 @@ proptest! {
                 live.remove(pos);
             }
         }
-        for f in store.sync_handles().unwrap() {
-            f.sync_data().unwrap();
+        for log in StoreLog::ALL {
+            if let Some(f) = store.sync_handle(log).unwrap() {
+                f.sync_data().unwrap();
+            }
         }
         drop(store);
 

@@ -17,7 +17,7 @@ use bff_cloud::backend::ImageBackend;
 use bff_cloud::{Calibration, Cloud};
 use bff_data::Payload;
 use bff_net::transport::{
-    Role, RouteKey, RouteTable, SocketTransport, Transport, WireError, WireStats,
+    FrameServer, Role, RouteKey, RouteTable, SocketTransport, Transport, WireError, WireStats,
 };
 use bff_net::{Fabric, LocalFabric, NodeId};
 use std::collections::{HashMap, HashSet};
@@ -78,6 +78,75 @@ impl Transport for RoleCounting {
     }
 }
 
+/// A [`BlobStore::remote`] handle over loopback sockets to an
+/// in-process server, whose transport counts frames per role; the
+/// listeners serve only while they are held.
+struct Remote {
+    store: Arc<BlobStore>,
+    transport: Arc<RoleCounting>,
+    _listeners: Vec<(Role, FrameServer)>,
+}
+
+impl Remote {
+    /// Four compute nodes, each a provider and a metadata shard, with
+    /// the managers on a fifth node.
+    fn new(cfg: BlobConfig) -> (Self, Arc<LocalFabric>) {
+        const PROVIDERS: u32 = 4;
+        let fabric = LocalFabric::new(PROVIDERS as usize + 1);
+        let compute: Vec<NodeId> = (0..PROVIDERS).map(NodeId).collect();
+        let topo = BlobTopology::colocated(&compute, NodeId(PROVIDERS));
+        let state = Arc::new(ServerState::new(&cfg, &topo, Placement::RoundRobin));
+        let listeners = state.serve(&Role::ALL).expect("bind loopback listeners");
+        let addrs: HashMap<Role, _> = listeners.iter().map(|(r, s)| (*r, s.addr())).collect();
+        let transport = Arc::new(RoleCounting {
+            inner: SocketTransport::new(RouteTable::from_roles(&addrs).expect("every role served")),
+            frames: Default::default(),
+            round_trips: Default::default(),
+        });
+        let store = BlobStore::remote(
+            cfg,
+            topo,
+            Arc::clone(&fabric) as Arc<dyn Fabric>,
+            transport.clone() as Arc<dyn Transport>,
+        );
+        let remote = Self {
+            store,
+            transport,
+            _listeners: listeners,
+        };
+        (remote, fabric)
+    }
+
+    /// The benchmark's deployment (`bffbench`'s `BlobConfig`: dedup,
+    /// cluster dedup and prefetch on, two publishers confirm a chunk,
+    /// replication 1) as a [`Cloud`] on the four compute nodes.
+    fn bench_cloud() -> (Self, Cloud) {
+        let cfg = BlobConfig {
+            chunk_size: CHUNK,
+            replication: 1,
+            dedup: true,
+            cluster_dedup: true,
+            strong_digest: false,
+            prefetch: true,
+            prefetch_window: 8,
+            prefetch_min_publishers: 2,
+            chunk_cache_bytes: 64 << 20,
+            desc_cache_versions: 64,
+            ..Default::default()
+        };
+        let (remote, fabric) = Self::new(cfg);
+        let topo = remote.store.topology();
+        let cloud = Cloud::with_store(
+            Arc::clone(&remote.store),
+            fabric as Arc<dyn Fabric>,
+            topo.providers.clone(),
+            topo.pmanager,
+            Calibration::default(),
+        );
+        (remote, cloud)
+    }
+}
+
 /// The scatter-gather fixture of `BENCH_14.json`: one client, cold on
 /// its node, boots a 64-chunk image in sixteen 4-chunk reads over an
 /// in-process socket store with 4 providers and 4 metadata shards
@@ -95,31 +164,14 @@ impl Transport for RoleCounting {
 /// the snapshot's diff — against the 63 of the cold boot.
 #[test]
 fn cold_boot_pipelines_its_frames_and_a_diff_boot_fetches_the_diff() {
-    const PROVIDERS: u32 = 4;
-    let fabric = LocalFabric::new(PROVIDERS as usize + 1);
-    let compute: Vec<NodeId> = (0..PROVIDERS).map(NodeId).collect();
-    let topo = BlobTopology::colocated(&compute, NodeId(PROVIDERS));
-    let cfg = BlobConfig {
+    let (remote, _) = Remote::new(BlobConfig {
         chunk_size: CHUNK,
         dedup: false,
         cluster_dedup: false,
         prefetch: false,
         ..Default::default()
-    };
-    let state = Arc::new(ServerState::new(&cfg, &topo, Placement::RoundRobin));
-    let listeners = state.serve(&Role::ALL).expect("bind loopback listeners");
-    let addrs: HashMap<Role, _> = listeners.iter().map(|(r, s)| (*r, s.addr())).collect();
-    let transport = Arc::new(RoleCounting {
-        inner: SocketTransport::new(RouteTable::from_roles(&addrs).expect("every role served")),
-        frames: Default::default(),
-        round_trips: Default::default(),
     });
-    let store = BlobStore::remote(
-        cfg,
-        topo,
-        fabric as Arc<dyn Fabric>,
-        transport.clone() as Arc<dyn Transport>,
-    );
+    let (store, transport) = (Arc::clone(&remote.store), &remote.transport);
     let image = 64 * CHUNK;
     let (blob, version) = Client::new(Arc::clone(&store), NodeId(0))
         .upload(Payload::synth(0xB14, 0, image))
@@ -185,10 +237,9 @@ fn cold_boot_pipelines_its_frames_and_a_diff_boot_fetches_the_diff() {
     }
 }
 
-/// The control plane of the benchmark's deployment (`bffbench`'s
-/// `BlobConfig`: dedup, cluster dedup and prefetch on, two publishers
-/// confirm a chunk, replication 1) on its smallest fixture: a 64-chunk
-/// image, four compute nodes, one thread.
+/// The control plane of the benchmark's deployment
+/// ([`Remote::bench_cloud`]) on its smallest fixture: a 64-chunk image,
+/// four compute nodes, one thread.
 ///
 /// **Boots.** Each node in turn attaches an instance and reads the whole
 /// image in sixteen 256 KiB reads, as a benchmark boot does. The board
@@ -219,45 +270,8 @@ fn cold_boot_pipelines_its_frames_and_a_diff_boot_fetches_the_diff() {
 #[test]
 fn a_boot_with_nothing_to_learn_asks_the_board_nothing_and_a_dedup_hit_is_one_provider_round_trip()
 {
-    const PROVIDERS: u32 = 4;
-    let fabric = LocalFabric::new(PROVIDERS as usize + 1);
-    let compute: Vec<NodeId> = (0..PROVIDERS).map(NodeId).collect();
-    let service = NodeId(PROVIDERS);
-    let topo = BlobTopology::colocated(&compute, service);
-    let cfg = BlobConfig {
-        chunk_size: CHUNK,
-        replication: 1,
-        dedup: true,
-        cluster_dedup: true,
-        strong_digest: false,
-        prefetch: true,
-        prefetch_window: 8,
-        prefetch_min_publishers: 2,
-        chunk_cache_bytes: 64 << 20,
-        desc_cache_versions: 64,
-        ..Default::default()
-    };
-    let state = Arc::new(ServerState::new(&cfg, &topo, Placement::RoundRobin));
-    let listeners = state.serve(&Role::ALL).expect("bind loopback listeners");
-    let addrs: HashMap<Role, _> = listeners.iter().map(|(r, s)| (*r, s.addr())).collect();
-    let transport = Arc::new(RoleCounting {
-        inner: SocketTransport::new(RouteTable::from_roles(&addrs).expect("every role served")),
-        frames: Default::default(),
-        round_trips: Default::default(),
-    });
-    let store = BlobStore::remote(
-        cfg,
-        topo,
-        Arc::clone(&fabric) as Arc<dyn Fabric>,
-        transport.clone() as Arc<dyn Transport>,
-    );
-    let cloud = Cloud::with_store(
-        store,
-        fabric as Arc<dyn Fabric>,
-        compute.clone(),
-        service,
-        Calibration::default(),
-    );
+    let (remote, cloud) = Remote::bench_cloud();
+    let (transport, compute) = (&remote.transport, cloud.compute_nodes());
     let image = 64 * CHUNK;
     // Literal bytes, as a real image is: a chunk that travels costs its
     // length on the wire.
@@ -353,6 +367,79 @@ fn a_boot_with_nothing_to_learn_asks_the_board_nothing_and_a_dedup_hit_is_one_pr
     }
 }
 
+/// A boot of a converged pattern asks the board at most once, however
+/// many guest compute bursts it has. Nodes 0 and 1 boot the image and
+/// publish its first-touch order, which their two publishes confirm.
+/// Node 2 then boots it with a compute burst (`idle`) before each read,
+/// as a hypervisor runs a guest: the open-time poll brings the whole
+/// pattern, each burst reads a window ahead off the replica, and every
+/// read is served by read-ahead. No read misses, so no burst asks the
+/// board again, and a confirmed pattern has nothing to publish.
+#[test]
+fn a_boot_of_a_converged_pattern_polls_once_whatever_its_bursts() {
+    let (remote, cloud) = Remote::bench_cloud();
+    let image = 64 * CHUNK;
+    let base = Payload::from(Payload::synth(0xB19, 0, image).materialize());
+    let (blob, version) = cloud.upload_image(base.clone()).expect("upload");
+    let boot = |node: NodeId, bursts: bool| {
+        let before = remote.transport.seen(Role::Board).0;
+        let mut vm = cloud.add_instance(blob, version, node).expect("attach");
+        for offset in (0..image).step_by(BOOT_STRIDE as usize) {
+            if bursts {
+                vm.backend.idle(1_000).expect("compute burst");
+            }
+            let got = vm
+                .backend
+                .read(offset..offset + BOOT_STRIDE)
+                .expect("boot read");
+            assert!(got.content_eq(&base.slice(offset, offset + BOOT_STRIDE)));
+        }
+        remote.transport.seen(Role::Board).0 - before
+    };
+    assert_eq!([boot(NodeId(0), false), boot(NodeId(1), false)], [9, 9]);
+    assert_eq!(
+        boot(NodeId(2), true),
+        1,
+        "board frames of a boot with bursts"
+    );
+    let stats = cloud.node_context(NodeId(2)).prefetch_stats();
+    assert_eq!(
+        (
+            stats.board_polls,
+            stats.board_publishes,
+            stats.demand_fetch_steps
+        ),
+        (1, 0, 0)
+    );
+    assert_eq!(stats.hits, 64, "read-ahead served every chunk");
+}
+
+/// [`Cloud::metrics`] on a cloud whose server state lives behind
+/// sockets reads the client half (caches, prefetch, wire) and reports
+/// the server half (storage, durability) as absent.
+#[test]
+fn metrics_of_a_remote_cloud_read_the_client_half() {
+    let (remote, cloud) = Remote::bench_cloud();
+    let image = 8 * CHUNK;
+    let (blob, version) = cloud
+        .upload_image(Payload::synth(0xB1A, 0, image))
+        .expect("upload");
+    let mut vm = cloud
+        .add_instance(blob, version, NodeId(0))
+        .expect("attach");
+    vm.backend.read(0..image).expect("boot read");
+    let m = cloud.metrics();
+    assert_eq!((m.stored_bytes, m.durability), (None, None));
+    assert_eq!(m.wire, remote.transport.wire_stats());
+    // The open-time poll, then one read that fetched all eight chunks
+    // and published them.
+    let p = m.prefetch;
+    assert_eq!(
+        (p.board_polls, p.board_publishes, p.demand_fetch_steps),
+        (1, 1, 1)
+    );
+}
+
 /// What a collector read from a [`CountingIo`]: `rounds` is `fetch`
 /// calls (one metadata round trip each), `nodes` the keys it asked for,
 /// `distinct` how many of those were different — what a cold client
@@ -446,14 +533,15 @@ fn single_version_delete_reads_the_diff_not_every_live_tree() {
 
     io.take_cost();
     let mut walked: HashMap<u64, ChunkId> =
-        segtree::collect_leaves(&mut io, victim, SPAN, &(0..SPAN))
+        segtree::collect_leaves_multi(&mut io, victim, SPAN, std::slice::from_ref(&(0..SPAN)))
             .expect("walk the deleted tree")
             .into_iter()
             .map(|(i, desc)| (i, desc.id))
             .collect();
     for &root in &live {
         for (i, desc) in
-            segtree::collect_leaves(&mut io, root, SPAN, &(0..SPAN)).expect("walk a live tree")
+            segtree::collect_leaves_multi(&mut io, root, SPAN, std::slice::from_ref(&(0..SPAN)))
+                .expect("walk a live tree")
         {
             if walked.get(&i) == Some(&desc.id) {
                 walked.remove(&i);
