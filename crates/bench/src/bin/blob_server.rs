@@ -112,12 +112,13 @@ fn main() {
     let args = parse_args();
     let compute: Vec<NodeId> = (0..args.nodes).map(NodeId).collect();
     let topo = BlobTopology::colocated(&compute, NodeId(args.service));
-    let cfg = BlobConfig::builder()
-        .chunk_size(args.chunk_size)
-        .dedup(args.dedup)
-        .cluster_dedup(args.cluster_dedup)
-        .prefetch(args.prefetch)
-        .build();
+    let cfg = BlobConfig {
+        chunk_size: args.chunk_size,
+        dedup: args.dedup,
+        cluster_dedup: args.cluster_dedup,
+        prefetch: args.prefetch,
+        ..Default::default()
+    };
     let state = match &args.data_dir {
         None => ServerState::new(&cfg, &topo, Placement::RoundRobin),
         Some(dir) => {

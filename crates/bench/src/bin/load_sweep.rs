@@ -99,11 +99,6 @@ impl Measured {
         (self.wire.bytes_sent + self.wire.bytes_received) as f64 / 1e6
     }
 
-    /// Frames sent per exchange waited for (0 when nothing was framed).
-    fn frames_per_round_trip(&self) -> f64 {
-        self.wire.calls as f64 / self.wire.round_trips.max(1) as f64
-    }
-
     /// `count` per boot of the storm.
     fn per_boot(&self, count: u64) -> f64 {
         count as f64 / self.storm.boot_us.len().max(1) as f64
@@ -164,15 +159,12 @@ const TRANSPORT: Axis = Axis {
     rows: transport_rows,
     extra: &[
         ("wire_calls", |m| m.wire.calls.to_string()),
-        ("wire_round_trips", |m| m.wire.round_trips.to_string()),
-        ("frames_per_round_trip", |m| f3(m.frames_per_round_trip())),
         ("wire_mb", |m| f3(m.wire_mb())),
     ],
     summary_file: "transport_summary.json",
     // Only the codec/direct ratio is gated: both run in-process, so it
     // isolates encode/decode overhead from runner speed. The socket
-    // numbers and every row's frame economy ride along for the artifact
-    // trail.
+    // numbers ride along for the artifact trail.
     summary: |rows, clients| {
         let [direct, codec, socket] = [&rows[0], &rows[1], &rows[2]];
         let bps = |m: &Measured| m.storm.boots_per_s();
@@ -193,22 +185,6 @@ const TRANSPORT: Axis = Axis {
                 f3(socket.storm.percentile_ms(99.0)),
             ),
             ("transport_socket_wire_calls", socket.wire.calls.to_string()),
-            (
-                "transport_codec_wire_round_trips",
-                codec.wire.round_trips.to_string(),
-            ),
-            (
-                "transport_socket_wire_round_trips",
-                socket.wire.round_trips.to_string(),
-            ),
-            (
-                "transport_codec_frames_per_round_trip",
-                f3(codec.frames_per_round_trip()),
-            ),
-            (
-                "transport_socket_frames_per_round_trip",
-                f3(socket.frames_per_round_trip()),
-            ),
             ("transport_socket_wire_mb", f3(socket.wire_mb())),
             ("transport_threads", clients.to_string()),
         ]

@@ -58,29 +58,19 @@ pub enum TransportMode {
 }
 
 impl TransportMode {
+    /// Every mode, in the order `BFF_TRANSPORT` lists its values.
+    pub(crate) const ALL: [TransportMode; 3] = [
+        TransportMode::Direct,
+        TransportMode::Codec,
+        TransportMode::Socket,
+    ];
+
     /// Stable textual name (CLI flags, `BFF_TRANSPORT`).
     pub fn name(self) -> &'static str {
         match self {
             TransportMode::Direct => "direct",
             TransportMode::Codec => "codec",
             TransportMode::Socket => "socket",
-        }
-    }
-
-    /// Parse [`TransportMode::name`] back.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim() {
-            "direct" => Some(TransportMode::Direct),
-            "codec" => Some(TransportMode::Codec),
-            "socket" => Some(TransportMode::Socket),
-            _ => None,
-        }
-    }
-
-    fn from_env() -> Self {
-        match std::env::var("BFF_TRANSPORT") {
-            Ok(v) => Self::parse(&v).unwrap_or(TransportMode::Direct),
-            Err(_) => TransportMode::Direct,
         }
     }
 }
@@ -184,9 +174,9 @@ pub struct BlobConfig {
     /// 1(c)).
     pub coarse_cluster_probe: bool,
     /// How typed requests reach the server roles (see [`TransportMode`]).
-    /// Defaults to the `BFF_TRANSPORT` environment variable (unset or
-    /// unrecognized → [`TransportMode::Direct`]), which is how CI runs
-    /// the whole test suite over the codec transport.
+    /// Defaults to the `BFF_TRANSPORT` environment variable (unset →
+    /// [`TransportMode::Direct`]), which is how CI runs the whole test
+    /// suite over the codec transport.
     pub transport: TransportMode,
     /// Ignored: disk-backed deployments always group-commit (see
     /// [`crate::durable::GroupCommit`]). Kept only for the benchmark's
@@ -199,18 +189,73 @@ pub struct BlobConfig {
     pub flush_interval_us: u64,
 }
 
-/// Whether an on-by-default feature toggle (`BFF_DEDUP`,
-/// `BFF_PREFETCH`) asks to be disabled (CI toggles the whole test suite
-/// through these).
-fn env_default_on(var: &str) -> bool {
-    match std::env::var(var) {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | "no"),
-        Err(_) => true,
+/// The spellings an on/off `BFF_*` toggle accepts.
+const TOGGLE: [(&str, bool); 8] = [
+    ("1", true),
+    ("true", true),
+    ("on", true),
+    ("yes", true),
+    ("0", false),
+    ("false", false),
+    ("off", false),
+    ("no", false),
+];
+
+/// The value of the `BFF_*` variable `var` whose setting is `value`
+/// (`None` when unset, which reads as `unset`), looked up among the
+/// `accepted` spellings; surrounding whitespace is ignored. Any other
+/// setting is an error that names the variable and the accepted
+/// spellings: a mistyped toggle must not silently run the wrong
+/// configuration.
+fn setting<T: Copy>(
+    var: &str,
+    value: Option<&str>,
+    unset: T,
+    accepted: &[(&str, T)],
+) -> Result<T, String> {
+    let Some(value) = value else {
+        return Ok(unset);
+    };
+    match accepted.iter().find(|(name, _)| *name == value.trim()) {
+        Some(&(_, v)) => Ok(v),
+        None => {
+            let names: Vec<&str> = accepted.iter().map(|(name, _)| *name).collect();
+            Err(format!(
+                "{var}={value:?} is not one of {}",
+                names.join(", ")
+            ))
+        }
     }
 }
 
+/// [`setting`] of `var` as the environment sets it; panics on an
+/// unaccepted value.
+fn env_setting<T: Copy>(var: &str, unset: T, accepted: &[(&str, T)]) -> T {
+    let value = std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
+    setting(var, value.as_deref(), unset, accepted).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The defaults, with every `BFF_*` feature toggle read from the
+/// environment. This is the **single** place the service consults the
+/// environment; all other code receives a `BlobConfig`. A value outside
+/// the accepted spellings panics, naming the variable and the values it
+/// accepts.
+///
+/// | Variable | Effect | Default |
+/// |---|---|---|
+/// | `BFF_DEDUP` | node-level content dedup ([`BlobConfig::dedup`]): `1`/`true`/`on`/`yes` enables, `0`/`false`/`off`/`no` disables | on |
+/// | `BFF_CLUSTER_DEDUP` | cluster-wide dedup index ([`BlobConfig::cluster_dedup`]); same spellings | on |
+/// | `BFF_PREFETCH` | adaptive cross-VM prefetching ([`BlobConfig::prefetch`]); same spellings | on |
+/// | `BFF_TRANSPORT` | request transport ([`BlobConfig::transport`]): `direct`, `codec` or `socket` | `direct` |
+/// | `BFF_DATA_DIR` | durable state directory for `blob_server` processes (same as `--data-dir`): segment files + ref log for providers, mutation journal for managers, replayed on restart | off (volatile) |
+///
+/// The benchmark harness reads two more variables that are *not* part
+/// of the service configuration: `BFF_BENCH_FAST` (shrink sweep sizes
+/// for CI smoke runs) and `BFF_BENCH_JSON` (emit machine-readable
+/// results) — see the `bff-bench` crate.
 impl Default for BlobConfig {
     fn default() -> Self {
+        let transports = TransportMode::ALL.map(|mode| (mode.name(), mode));
         Self {
             chunk_size: 256 << 10,
             replication: 1,
@@ -219,12 +264,12 @@ impl Default for BlobConfig {
             provider_read_cache: true,
             node_bytes: 96,
             control_bytes: 64,
-            dedup: env_default_on("BFF_DEDUP"),
-            cluster_dedup: env_default_on("BFF_CLUSTER_DEDUP"),
+            dedup: env_setting("BFF_DEDUP", true, &TOGGLE),
+            cluster_dedup: env_setting("BFF_CLUSTER_DEDUP", true, &TOGGLE),
             cluster_index_chunks: 1 << 18,
             desc_cache_versions: 64,
             digest_index_chunks: 1 << 16,
-            prefetch: env_default_on("BFF_PREFETCH"),
+            prefetch: env_setting("BFF_PREFETCH", true, &TOGGLE),
             prefetch_window: 8,
             prefetch_min_publishers: 2,
             chunk_cache_bytes: 64 << 20,
@@ -232,104 +277,10 @@ impl Default for BlobConfig {
             coarse_board_lock: false,
             coarse_cache_locks: false,
             coarse_cluster_probe: false,
-            transport: TransportMode::from_env(),
+            transport: env_setting("BFF_TRANSPORT", TransportMode::Direct, &transports),
             group_commit: true,
             flush_interval_us: 500,
         }
-    }
-}
-
-impl BlobConfig {
-    /// The default configuration with every `BFF_*` feature toggle read
-    /// from the environment. This is the **single** place the service
-    /// consults the environment; all other code receives a `BlobConfig`.
-    ///
-    /// | Variable | Effect | Default |
-    /// |---|---|---|
-    /// | `BFF_DEDUP` | node-level content dedup ([`BlobConfig::dedup`]); `0`/`false`/`off`/`no` disables | on |
-    /// | `BFF_CLUSTER_DEDUP` | cluster-wide dedup index ([`BlobConfig::cluster_dedup`]); same disable spellings | on |
-    /// | `BFF_PREFETCH` | adaptive cross-VM prefetching ([`BlobConfig::prefetch`]); same disable spellings | on |
-    /// | `BFF_TRANSPORT` | request transport ([`BlobConfig::transport`]): `direct`, `codec` or `socket` | `direct` |
-    /// | `BFF_DATA_DIR` | durable state directory for `blob_server` processes (same as `--data-dir`): segment files + ref log for providers, mutation journal for managers, replayed on restart | off (volatile) |
-    ///
-    /// The benchmark harness reads two more variables that are *not*
-    /// part of the service configuration: `BFF_BENCH_FAST` (shrink sweep
-    /// sizes for CI smoke runs) and `BFF_BENCH_JSON` (emit
-    /// machine-readable results) — see the `bff-bench` crate.
-    pub fn from_env() -> Self {
-        Self::default()
-    }
-
-    /// Start a builder from the environment-derived defaults:
-    /// `BlobConfig::builder().dedup(false).prefetch_window(32).build()`.
-    pub fn builder() -> BlobConfigBuilder {
-        BlobConfigBuilder {
-            cfg: Self::default(),
-        }
-    }
-}
-
-/// Fluent construction of a [`BlobConfig`] (see [`BlobConfig::builder`]).
-#[derive(Debug, Clone)]
-pub struct BlobConfigBuilder {
-    cfg: BlobConfig,
-}
-
-macro_rules! builder_setters {
-    ($($(#[$doc:meta])* $field:ident: $ty:ty),* $(,)?) => {
-        $(
-            $(#[$doc])*
-            pub fn $field(mut self, v: $ty) -> Self {
-                self.cfg.$field = v;
-                self
-            }
-        )*
-    };
-}
-
-impl BlobConfigBuilder {
-    builder_setters! {
-        /// See [`BlobConfig::chunk_size`].
-        chunk_size: u64,
-        /// See [`BlobConfig::replication`].
-        replication: usize,
-        /// See [`BlobConfig::replication_mode`].
-        replication_mode: ReplicationMode,
-        /// See [`BlobConfig::async_writes`].
-        async_writes: bool,
-        /// See [`BlobConfig::node_bytes`].
-        node_bytes: u64,
-        /// See [`BlobConfig::control_bytes`].
-        control_bytes: u64,
-        /// See [`BlobConfig::dedup`].
-        dedup: bool,
-        /// See [`BlobConfig::cluster_dedup`].
-        cluster_dedup: bool,
-        /// See [`BlobConfig::cluster_index_chunks`].
-        cluster_index_chunks: usize,
-        /// See [`BlobConfig::desc_cache_versions`].
-        desc_cache_versions: usize,
-        /// See [`BlobConfig::digest_index_chunks`].
-        digest_index_chunks: usize,
-        /// See [`BlobConfig::prefetch`].
-        prefetch: bool,
-        /// See [`BlobConfig::prefetch_window`].
-        prefetch_window: usize,
-        /// See [`BlobConfig::prefetch_min_publishers`].
-        prefetch_min_publishers: usize,
-        /// See [`BlobConfig::chunk_cache_bytes`].
-        chunk_cache_bytes: u64,
-        /// See [`BlobConfig::strong_digest`].
-        strong_digest: bool,
-        /// See [`BlobConfig::transport`].
-        transport: TransportMode,
-        /// See [`BlobConfig::flush_interval_us`].
-        flush_interval_us: u64,
-    }
-
-    /// Finish: the accumulated configuration.
-    pub fn build(self) -> BlobConfig {
-        self.cfg
     }
 }
 
@@ -377,29 +328,35 @@ mod tests {
         assert_eq!(t.metadata.len(), 4);
     }
 
+    /// A `BFF_*` setting is one of its documented spellings or an error
+    /// naming the variable and what it accepts — never a silent default.
     #[test]
-    fn builder_overrides_defaults() {
-        let cfg = BlobConfig::builder()
-            .dedup(false)
-            .prefetch_window(32)
-            .transport(TransportMode::Codec)
-            .build();
-        assert!(!cfg.dedup);
-        assert_eq!(cfg.prefetch_window, 32);
-        assert_eq!(cfg.transport, TransportMode::Codec);
-        // Untouched fields keep their defaults.
-        assert_eq!(cfg.chunk_size, BlobConfig::default().chunk_size);
-    }
-
-    #[test]
-    fn transport_mode_names_roundtrip() {
-        for mode in [
-            TransportMode::Direct,
-            TransportMode::Codec,
-            TransportMode::Socket,
-        ] {
-            assert_eq!(TransportMode::parse(mode.name()), Some(mode));
+    fn settings_accept_only_the_documented_spellings() {
+        let toggle = |value| setting("BFF_DEDUP", value, true, &TOGGLE);
+        for on in [None, Some("1"), Some("true"), Some("on"), Some("yes")] {
+            assert_eq!(toggle(on), Ok(true), "{on:?}");
         }
-        assert_eq!(TransportMode::parse("carrier-pigeon"), None);
+        for off in ["0", "false", "off", " no\n"] {
+            assert_eq!(toggle(Some(off)), Ok(false), "{off:?}");
+        }
+        for typo in ["of", "", "On", "disabled"] {
+            assert_eq!(
+                toggle(Some(typo)),
+                Err(format!(
+                    "BFF_DEDUP={typo:?} is not one of 1, true, on, yes, 0, false, off, no"
+                ))
+            );
+        }
+        let transports = TransportMode::ALL.map(|mode| (mode.name(), mode));
+        let transport = |value| setting("BFF_TRANSPORT", value, TransportMode::Direct, &transports);
+        assert_eq!(transport(None), Ok(TransportMode::Direct));
+        for mode in TransportMode::ALL {
+            assert_eq!(transport(Some(mode.name())), Ok(mode));
+        }
+        assert_eq!(transport(Some("socket ")), Ok(TransportMode::Socket));
+        assert_eq!(
+            transport(Some("Socket")),
+            Err("BFF_TRANSPORT=\"Socket\" is not one of direct, codec, socket".to_string())
+        );
     }
 }

@@ -36,10 +36,10 @@
 //! ascending order), decide per destination whether to ask it, pay each
 //! request's before-send price from the cost book (`crate::cost`), send
 //! every request in one
-//! [`BlobStore::call_many`](crate::service::BlobStore) (one frame and
-//! one wait for the step), and settle each destination's reply once its
-//! charge is paid — validated: one answer per item, or that destination
-//! failed. The replication push is the one exception: each
+//! [`BlobStore::call_many`](crate::service::BlobStore) (the destinations
+//! of a step are all of one server role, so the step is one frame and
+//! one wait), and settle each destination's reply once its charge is
+//! paid — validated: one answer per item, or that destination failed. The replication push is the one exception: each
 //! destination's `Put` is its own request in its own task, so its
 //! transfer, store and disk write run in that order per destination,
 //! overlapping the others, which is what the simulated figures time.

@@ -6,10 +6,12 @@
 //! cannot reach — and pays each request's before-send price from the
 //! cost book (`crate::cost`), all before anything is sent. A request
 //! whose charge the fabric refuses is not sent. Then every request goes
-//! out in one [`BlobStore::call_many`] (behind a transport hop, one
-//! frame for the step: its destinations are all of one server role),
-//! and each group comes back with its reply, charged from the book and
-//! validated: one answer per item, or the destination counts as failed.
+//! out in one [`BlobStore::call_many`]: a step's destinations are all of
+//! one server role, so behind a transport hop the step is one frame and
+//! one `Transport::call` (a step spanning two roles panics in every
+//! deployment). Each group comes back with its reply, charged from the
+//! book and validated: one answer per item, or the destination counts
+//! as failed.
 
 use super::Client;
 use crate::api::{BlobError, BlobResult};

@@ -184,8 +184,8 @@ fn price(store: &BlobStore, req: &Req) -> Price {
         },
         Req::Cluster(ClusterReq::Get(_) | ClusterReq::Forget(_)) => Price::before(Charge::Free),
         Req::Cluster(ClusterReq::Record(_)) => Price::on_reply(OnReply::Filed),
-        // A carrier `call_many` builds from requests that each paid
-        // their own price.
+        // The one frame of a step with several requests for one role
+        // carries them; each request in it paid its own price.
         Req::Batch(_) => Price::before(Charge::Free),
     }
 }

@@ -49,8 +49,8 @@ pub mod service;
 pub mod vmanager;
 
 pub use api::{
-    BlobConfig, BlobConfigBuilder, BlobError, BlobId, BlobResult, BlobTopology, ChunkDesc, ChunkId,
-    NodeKey, ReplicationMode, TransportMode, TreeNode, Version,
+    BlobConfig, BlobError, BlobId, BlobResult, BlobTopology, ChunkDesc, ChunkId, NodeKey,
+    ReplicationMode, TransportMode, TreeNode, Version,
 };
 pub use board::{BoardService, PatternBoard};
 pub use client::{Client, GcReport};

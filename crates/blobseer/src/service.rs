@@ -28,6 +28,9 @@
 //!   external processes behind [`BlobStore::remote`]) — the request is
 //!   encoded, carried, decoded by [`ServerState::handle_frame`] on the
 //!   serving side, dispatched, and the reply travels back the same way.
+//!   A lone request and a step alike are one frame and one
+//!   [`Transport::call`]: a step's requests are all for one server role
+//!   and share a [`Req::Batch`], so both go through one frame sender.
 //!
 //! Lock granularity, journaling and replies are therefore the same by
 //! construction, and every *modelled* cost is paid at the same point of
@@ -46,8 +49,7 @@ use crate::provider::ProviderStore;
 use crate::server::ServerState;
 use bff_data::{ContentKey, FastMap, FastSet, Payload};
 use bff_net::transport::{
-    CodecTransport, FrameServer, Role, RouteKey, RouteTable, SocketTransport, Transport, WireError,
-    WireStats,
+    CodecTransport, FrameServer, Role, RouteKey, RouteTable, SocketTransport, Transport, WireStats,
 };
 use bff_net::{Fabric, NodeId};
 use bff_wire::msg::{
@@ -220,85 +222,83 @@ impl BlobStore {
         let Some(transport) = &self.transport else {
             return Ok(self.local().dispatch(req)?);
         };
-        let frame = bff_wire::encode(&req);
-        let reply = transport.call(req.route(), &frame)?;
-        Ok(bff_wire::decode_owned::<Resp>(reply)?)
+        let route = req.route();
+        send_frame(&**transport, route, vec![req])
+            .pop()
+            .expect("one outcome per request")
     }
 
     /// [`BlobStore::call`] for one protocol step that addresses several
-    /// destinations. `steps` yields each destination's tag with its
-    /// request — `None` for a destination the step does not ask — and
-    /// `sink` gets every tag back, in order, with its outcome (`None`
-    /// when not asked). It pays no price: the client's step has paid
-    /// every request's before-send charge when it gets here, and pays
-    /// each reply's charge as it settles.
+    /// destinations of one server role. `steps` yields each
+    /// destination's tag with its request — `None` for a destination the
+    /// step does not ask — and `sink` gets every tag back, in order, with
+    /// its outcome (`None` when not asked). It pays no price: the
+    /// client's step has paid every request's before-send charge when it
+    /// gets here, and pays each reply's charge as it settles.
     ///
-    /// Behind a transport hop the step sends one frame per server role:
-    /// two or more requests for one role travel as one [`Req::Batch`]
-    /// (a role's listener serves every destination of its class), a
-    /// lone request as its own frame, and all of the step's frames go
-    /// out in one [`Transport::call_many`] — one wait for the step, not
-    /// one per destination. A batch reply is decoded once, so the chunks
-    /// it carries are views into its one buffer. Without a hop there is
-    /// nothing to wait for, so each request is dispatched as `steps`
-    /// produces it and no request or reply is ever collected.
+    /// Behind a transport hop the step is one frame and one wait: two or
+    /// more requests travel as one [`Req::Batch`] (a role's listener
+    /// serves every destination of its class), a lone request as its own
+    /// frame, and a step that asks nobody sends nothing. A batch reply is
+    /// decoded once, so the chunks it carries are views into its one
+    /// buffer. Without a hop there is nothing to wait for, so each
+    /// request is dispatched as `steps` produces it and no request or
+    /// reply is ever collected.
+    ///
+    /// A step whose requests address two server roles is a programming
+    /// error, and panics in every [`TransportMode`] at the first request
+    /// of the second role, before that request is served (a hop has sent
+    /// nothing by then).
     pub(crate) fn call_many<T>(
         &self,
         steps: impl Iterator<Item = (T, Option<Req>)>,
         mut sink: impl FnMut(T, Option<BlobResult<Resp>>),
     ) {
+        let mut route = None;
+        let mut one_role = |req: &Req| {
+            let this = req.route();
+            let first = *route.get_or_insert(this);
+            assert!(
+                first.role() == this.role(),
+                "a protocol step addresses one server role, not {} and {}",
+                first.role().name(),
+                this.role().name()
+            );
+        };
         let Some(transport) = &self.transport else {
             let srv = self.local();
             steps.for_each(|(tag, req)| {
-                sink(tag, req.map(|req| srv.dispatch(req).map_err(Into::into)))
+                sink(
+                    tag,
+                    req.map(|req| {
+                        one_role(&req);
+                        srv.dispatch(req).map_err(Into::into)
+                    }),
+                )
             });
             return;
         };
-        // Each asked tag remembers its role's group; a group's requests
-        // and outcomes keep the order of its tags.
-        let mut groups: Vec<(RouteKey, Vec<Req>)> = Vec::new();
-        let steps: Vec<(T, Option<usize>)> = steps
+        let mut reqs = Vec::new();
+        let tags: Vec<(T, bool)> = steps
             .map(|(tag, req)| {
-                let group = req.map(|req| {
-                    let route = req.route();
-                    let at = match groups.iter().position(|(r, _)| r.role() == route.role()) {
-                        Some(at) => at,
-                        None => {
-                            groups.push((route, Vec::new()));
-                            groups.len() - 1
-                        }
-                    };
-                    groups[at].1.push(req);
-                    at
-                });
-                (tag, group)
+                let asked = req.is_some();
+                if let Some(req) = req {
+                    one_role(&req);
+                    reqs.push(req);
+                }
+                (tag, asked)
             })
             .collect();
-        let frames: Vec<(RouteKey, usize, Vec<u8>)> = groups
-            .into_iter()
-            .map(|(route, reqs)| {
-                let n = reqs.len();
-                let frame = if n == 1 {
-                    bff_wire::encode(&reqs[0])
-                } else {
-                    bff_wire::encode(&Req::Batch(Flat(reqs)))
-                };
-                (route, n, frame)
-            })
-            .collect();
-        let calls: Vec<(RouteKey, &[u8])> = frames
-            .iter()
-            .map(|(route, _, frame)| (*route, frame.as_slice()))
-            .collect();
-        let replies = transport.call_many(&calls);
-        let mut outcomes: Vec<_> = frames
-            .iter()
-            .zip(replies)
-            .map(|((_, n, _), reply)| unbatch(reply, *n).into_iter())
-            .collect();
-        for (tag, group) in steps {
-            let outcome = group.map(|at| outcomes[at].next().expect("one outcome per request"));
-            sink(tag, outcome);
+        let mut outcomes = match route {
+            Some(route) => send_frame(&**transport, route, reqs),
+            None => Vec::new(),
+        }
+        .into_iter();
+        for (tag, asked) in tags {
+            sink(
+                tag,
+                asked.then(|| outcomes.next().expect("one outcome per request")),
+            );
         }
     }
 
@@ -442,8 +442,7 @@ impl BlobStore {
 
     // -----------------------------------------------------------------
     // Chunk providers. A batched message holds the provider's shard lock
-    // once; the per-destination batches of a step go through
-    // `call_many`.
+    // once; a step's per-provider batches go through `call_many`.
     // -----------------------------------------------------------------
 
     pub(crate) fn provider_put(
@@ -700,14 +699,21 @@ impl BlobStore {
     }
 }
 
-/// The `n` outcomes carried by the reply to one frame of a step: the
-/// reply itself when the frame held one request, else the entries of
-/// its batch reply. A transport or decoding failure fails every request
-/// the frame held; a batch reply of the wrong shape is unexpected for
-/// each of them.
-fn unbatch(reply: Result<Vec<u8>, WireError>, n: usize) -> Vec<BlobResult<Resp>> {
-    let resp = reply.and_then(bff_wire::decode_owned::<Resp>);
-    match resp {
+/// Send `reqs`, all for the server role behind `route`, as one frame
+/// through `transport` — a lone request bare, several as one
+/// [`Req::Batch`] — and return their outcomes in request order. A
+/// transport or decoding failure fails every request the frame held; a
+/// batch reply of the wrong shape is unexpected for each of them.
+fn send_frame(transport: &dyn Transport, route: RouteKey, reqs: Vec<Req>) -> Vec<BlobResult<Resp>> {
+    let n = reqs.len();
+    let frame = match <[Req; 1]>::try_from(reqs) {
+        Ok([req]) => bff_wire::encode(&req),
+        Err(reqs) => bff_wire::encode(&Req::Batch(Flat(reqs))),
+    };
+    match transport
+        .call(route, &frame)
+        .and_then(bff_wire::decode_owned::<Resp>)
+    {
         Ok(resp) if n == 1 => vec![Ok(resp)],
         Ok(Resp::Batch(Flat(resps))) if resps.len() == n => resps
             .into_iter()
@@ -722,6 +728,7 @@ fn unbatch(reply: Result<Vec<u8>, WireError>, n: usize) -> Vec<BlobResult<Resp>>
 mod tests {
     use super::*;
     use crate::api::TreeNode;
+    use bff_net::transport::WireError;
     use bff_net::{LocalFabric, NodeId};
     use bff_wire::msg::{MetaReq, MetaResp, RetainOutcome};
 
@@ -782,6 +789,18 @@ mod tests {
         Some(Req::Provider { node, req })
     }
 
+    /// A two-shard, two-provider deployment under `transport`.
+    fn deploy(transport: TransportMode) -> Arc<BlobStore> {
+        let fabric = LocalFabric::new(3);
+        let nodes: Vec<NodeId> = (0..2).map(NodeId).collect();
+        let topo = BlobTopology::colocated(&nodes, NodeId(2));
+        let cfg = BlobConfig {
+            transport,
+            ..Default::default()
+        };
+        BlobStore::new(cfg, topo, fabric)
+    }
+
     /// Error-path calls answer the same with and without a transport
     /// hop: addressing errors are `Err`, unknown providers degrade, and
     /// in a step that mixes a good and a bad address only the bad one
@@ -789,14 +808,7 @@ mod tests {
     #[test]
     fn error_paths_agree_across_transports() {
         let outcomes = |transport| {
-            let fabric = LocalFabric::new(3);
-            let nodes: Vec<NodeId> = (0..2).map(NodeId).collect();
-            let topo = BlobTopology::colocated(&nodes, NodeId(2));
-            let cfg = BlobConfig {
-                transport,
-                ..Default::default()
-            };
-            let store = BlobStore::new(cfg, topo, fabric);
+            let store = deploy(transport);
             let stranger = NodeId(99);
             let key = (64, bff_data::ContentDigest::Weak(bff_data::Digest(1)));
             (
@@ -805,6 +817,11 @@ mod tests {
                     vec![
                         meta(99, MetaReq::ReadNodes(vec![NodeKey(1)])),
                         meta(99, MetaReq::WriteNodes(Vec::new())),
+                    ],
+                ),
+                step(
+                    &store,
+                    vec![
                         provider(stranger, ProviderReq::Retain(vec![(ChunkId(1), key)])),
                         provider(stranger, ProviderReq::ReleaseCounted(vec![ChunkId(1)])),
                     ],
@@ -823,7 +840,7 @@ mod tests {
         let direct = outcomes(TransportMode::Direct);
         assert_eq!(direct, outcomes(TransportMode::Codec));
         assert_eq!(direct, outcomes(TransportMode::Socket));
-        let (answers, mixed, fetched, latest) = direct;
+        let (shards, providers, mixed, fetched, latest) = direct;
         let missing = Err(crate::api::BlobError::MetadataMissing(NodeKey(1)));
         assert_eq!(
             mixed,
@@ -833,12 +850,13 @@ mod tests {
             ],
             "shard 0 answers, shard 99 is an addressing error"
         );
-        let [read, write, retained, released] = answers.try_into().expect("four outcomes");
+        let [read, write] = shards.try_into().expect("two outcomes");
         assert!(matches!(read, Some(Err(_))), "out-of-range shard: {read:?}");
         assert!(
             matches!(write, Some(Err(_))),
             "out-of-range shard: {write:?}"
         );
+        let [retained, released] = providers.try_into().expect("two outcomes");
         assert_eq!(
             retained,
             Some(Ok(Resp::Provider(ProviderResp::Retained(vec![
@@ -855,25 +873,45 @@ mod tests {
         assert_eq!(latest, Err(crate::api::BlobError::NoSuchBlob(BlobId(7))));
     }
 
+    /// A step that addresses two server roles is rejected alike under
+    /// every transport: the same panic, raised before a hop sends
+    /// anything.
+    #[test]
+    fn a_step_spanning_two_roles_fails_alike_under_every_transport() {
+        for transport in TransportMode::ALL {
+            let store = deploy(transport);
+            let key = (64, bff_data::ContentDigest::Weak(bff_data::Digest(1)));
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                step(
+                    &store,
+                    vec![
+                        meta(0, MetaReq::ReadNodes(vec![NodeKey(1)])),
+                        None,
+                        provider(NodeId(0), ProviderReq::Retain(vec![(ChunkId(1), key)])),
+                    ],
+                )
+            }))
+            .expect_err("a two-role step must not run");
+            let message = panicked
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert_eq!(
+                message, "a protocol step addresses one server role, not meta and provider",
+                "under {transport:?}"
+            );
+            assert_eq!(store.wire_stats().calls, 0, "under {transport:?}");
+        }
+    }
+
     /// A step over several shards is one frame and one round trip behind
     /// a hop (and no frame at all without one), with the same answers
     /// either way; a destination the step does not ask sends nothing and
-    /// gets nothing.
+    /// gets nothing, and a step that asks nobody sends no frame.
     #[test]
     fn a_batch_step_is_one_round_trip() {
-        for (transport, frames, waits) in [
-            (TransportMode::Direct, 0, 0),
-            (TransportMode::Codec, 2, 2),
-            (TransportMode::Socket, 2, 2),
-        ] {
-            let fabric = LocalFabric::new(3);
-            let nodes: Vec<NodeId> = (0..2).map(NodeId).collect();
-            let topo = BlobTopology::colocated(&nodes, NodeId(2));
-            let cfg = BlobConfig {
-                transport,
-                ..Default::default()
-            };
-            let store = BlobStore::new(cfg, topo, fabric);
+        for (transport, frames) in TransportMode::ALL.into_iter().zip([0, 2, 2]) {
+            let store = deploy(transport);
             let leaf = |id| TreeNode::Leaf {
                 chunk: ChunkDesc {
                     id: ChunkId(id),
@@ -902,8 +940,8 @@ mod tests {
             );
             let nodes = |n| Some(Ok(Resp::Meta(MetaResp::Nodes(Ok(n)))));
             assert_eq!(read, [nodes(vec![leaf(1)]), nodes(vec![leaf(3), leaf(2)])]);
-            let stats = store.wire_stats();
-            assert_eq!((stats.calls, stats.round_trips), (frames, waits));
+            assert_eq!(step(&store, vec![None, None]), [None, None]);
+            assert_eq!(store.wire_stats().calls, frames, "under {transport:?}");
         }
     }
 

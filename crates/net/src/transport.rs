@@ -19,12 +19,11 @@
 //! * [`SocketTransport`] — real TCP over loopback (or any address):
 //!   length-prefixed frames, blocking I/O, one pooled connection set per
 //!   server address. With [`FrameServer`] listeners on the other side
-//!   the cluster runs as genuinely separate processes. A batch of frames
-//!   ([`Transport::call_many`]) overlaps its listeners: each address's
-//!   first frame leaves before any reply is awaited, and a connection
-//!   carries one frame at a time. A protocol step sends at most one
-//!   frame per server role (its requests for one role share a frame),
-//!   so the step waits once, not once per destination.
+//!   the cluster runs as genuinely separate processes. A call is one
+//!   exchange — one frame out, its reply back — on a connection that
+//!   carries nothing else meanwhile. A protocol step sends its requests
+//!   for one server role as one frame, so the step waits once, not once
+//!   per destination.
 //!
 //! Frames are `u32` little-endian length followed by that many bytes of
 //! codec payload. The codec itself lives in `bff-wire`; this layer only
@@ -172,16 +171,13 @@ impl RouteKey {
 /// represent).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireStats {
-    /// Request frames issued.
+    /// Request frames answered. A frame whose exchange failed is not
+    /// counted, and neither are its bytes.
     pub calls: u64,
     /// Encoded request bytes (frame payloads, excluding length prefixes).
     pub bytes_sent: u64,
     /// Encoded response bytes.
     pub bytes_received: u64,
-    /// Exchanges the caller waited for: one per [`Transport::call`] and
-    /// one per non-empty [`Transport::call_many`], however many frames
-    /// it carried, so `calls ÷ round_trips` is the mean batch width.
-    pub round_trips: u64,
 }
 
 #[derive(Default)]
@@ -189,7 +185,6 @@ struct WireCounters {
     calls: AtomicU64,
     sent: AtomicU64,
     received: AtomicU64,
-    round_trips: AtomicU64,
 }
 
 impl WireCounters {
@@ -199,16 +194,11 @@ impl WireCounters {
         self.received.fetch_add(received as u64, Ordering::Relaxed);
     }
 
-    fn note_round_trip(&self) {
-        self.round_trips.fetch_add(1, Ordering::Relaxed);
-    }
-
     fn snapshot(&self) -> WireStats {
         WireStats {
             calls: self.calls.load(Ordering::Relaxed),
             bytes_sent: self.sent.load(Ordering::Relaxed),
             bytes_received: self.received.load(Ordering::Relaxed),
-            round_trips: self.round_trips.load(Ordering::Relaxed),
         }
     }
 }
@@ -228,21 +218,6 @@ pub trait Transport: Send + Sync {
     /// Carry one encoded request frame to the role behind `route` and
     /// return the encoded response frame.
     fn call(&self, route: RouteKey, frame: &[u8]) -> Result<Vec<u8>, WireError>;
-
-    /// Carry a batch of independent request frames and return one result
-    /// per frame, in request order — in content exactly what mapping
-    /// [`Transport::call`] over the batch returns (which is the default).
-    /// A transport with a real wait per exchange overrides this to put
-    /// its frames to different listeners in flight together, so the
-    /// batch costs one round trip. The caller sends one frame per server
-    /// role and step, so a batch rarely holds two frames for one
-    /// listener; when it does, they are exchanged one after another.
-    fn call_many(&self, calls: &[(RouteKey, &[u8])]) -> Vec<Result<Vec<u8>, WireError>> {
-        calls
-            .iter()
-            .map(|&(route, frame)| self.call(route, frame))
-            .collect()
-    }
 
     /// Real serialized bytes moved so far.
     fn wire_stats(&self) -> WireStats {
@@ -269,28 +244,11 @@ impl CodecTransport {
     }
 }
 
-impl CodecTransport {
-    fn serve(&self, route: RouteKey, frame: &[u8]) -> Result<Vec<u8>, WireError> {
+impl Transport for CodecTransport {
+    fn call(&self, route: RouteKey, frame: &[u8]) -> Result<Vec<u8>, WireError> {
         let reply = (self.handler)(route, frame)?;
         self.counters.note(frame.len(), reply.len());
         Ok(reply)
-    }
-}
-
-impl Transport for CodecTransport {
-    fn call(&self, route: RouteKey, frame: &[u8]) -> Result<Vec<u8>, WireError> {
-        self.counters.note_round_trip();
-        self.serve(route, frame)
-    }
-
-    /// Nothing to overlap in-process; overridden only so that a batch
-    /// counts as the one round trip it is on a socket, keeping
-    /// [`WireStats`] identical across the framed transports.
-    fn call_many(&self, calls: &[(RouteKey, &[u8])]) -> Vec<Result<Vec<u8>, WireError>> {
-        if !calls.is_empty() {
-            self.counters.note_round_trip();
-        }
-        calls.iter().map(|&(r, f)| self.serve(r, f)).collect()
     }
 
     fn wire_stats(&self) -> WireStats {
@@ -342,15 +300,6 @@ impl RouteTable {
     }
 }
 
-/// One address's share of a batch: its frames are exchanged on one
-/// connection, one after another, in request order.
-struct Lane<'a> {
-    addr: SocketAddr,
-    /// `(slot in the batch, frame)`, in request order.
-    frames: Vec<(usize, &'a [u8])>,
-    conn: Option<TcpStream>,
-}
-
 /// Real framed TCP: blocking I/O, per-address connection pool, one
 /// frame in flight per connection.
 ///
@@ -399,113 +348,43 @@ impl SocketTransport {
         self.pool.lock().entry(addr).or_default().push(conn);
     }
 
-    /// The one exchange routine ([`Transport::call`] is its batch of
-    /// one). The frames are grouped by listener address into lanes.
-    /// Scatter: every lane's first frame is written before any reply is
-    /// read, so lanes to different listeners overlap. Gather: each
-    /// lane's frames are exchanged one after another on its connection,
-    /// so no connection ever carries more than one unanswered frame.
-    ///
-    /// A connection is returned to the pool only with nothing owed on
-    /// it: a failed exchange drops its connection.
-    fn exchange(&self, calls: &[(RouteKey, &[u8])]) -> Vec<Result<Vec<u8>, WireError>> {
-        let mut replies: Vec<Result<Vec<u8>, WireError>> =
-            calls.iter().map(|_| Err(WireError::Closed)).collect();
-        let mut lanes: Vec<Lane<'_>> = Vec::new();
-        {
-            let routes = self.routes.read();
-            for (slot, &(route, frame)) in calls.iter().enumerate() {
-                if frame.len() > MAX_FRAME as usize {
-                    replies[slot] = Err(WireError::BadFrame);
-                    continue;
-                }
-                let addr = routes.addr_of(route);
-                let at = lanes
-                    .iter()
-                    .position(|l| l.addr == addr)
-                    .unwrap_or_else(|| {
-                        lanes.push(Lane {
-                            addr,
-                            frames: Vec::new(),
-                            conn: None,
-                        });
-                        lanes.len() - 1
-                    });
-                lanes[at].frames.push((slot, frame));
-            }
-        }
-        if !calls.is_empty() {
-            self.counters.note_round_trip();
-        }
-        let firsts: Vec<Result<(), WireError>> =
-            lanes.iter_mut().map(|lane| self.send(lane, 0)).collect();
-        for (lane, first) in lanes.iter_mut().zip(firsts) {
-            let mut sent = first;
-            for k in 0..lane.frames.len() {
-                if k > 0 {
-                    sent = self.send(lane, k);
-                }
-                let (slot, frame) = lane.frames[k];
-                let reply = sent
-                    .and_then(|()| {
-                        read_frame(lane.conn.as_mut().expect("a sent frame's connection"))
-                    })
-                    .or_else(|e| self.retry(lane, frame, e));
-                if let Ok(reply) = &reply {
-                    self.counters.note(frame.len(), reply.len());
-                }
-                replies[slot] = reply;
-            }
-            if let Some(conn) = lane.conn.take() {
-                self.checkin(lane.addr, conn);
-            }
-        }
-        replies
-    }
-
-    /// Write frame `k` of `lane` on the lane's connection, checking one
-    /// out first when the lane has none.
-    fn send(&self, lane: &mut Lane<'_>, k: usize) -> Result<(), WireError> {
-        let conn = match &mut lane.conn {
-            Some(conn) => conn,
-            None => lane.conn.insert(self.checkout(lane.addr)?),
-        };
-        write_frame(conn, lane.frames[k].1)
-    }
-
-    /// `frame`'s exchange on `lane` failed with `e`, and the lane's
-    /// connection is dropped with it.
-    ///
-    /// A dead connection — typically one pooled across a server restart
-    /// — is indistinguishable from a dead server until a fresh connect
-    /// is tried: everything pooled for the address is evicted and the
-    /// frame gets one more exchange, on a new connection that the lane
-    /// keeps for its next frame. Codec-level errors
-    /// (Truncated/BadTag/BadFrame) are NOT retried: the bytes arrived
-    /// fine and the reply was garbage, so resending cannot help.
-    fn retry(&self, lane: &mut Lane<'_>, frame: &[u8], e: WireError) -> Result<Vec<u8>, WireError> {
-        lane.conn = None;
-        if !matches!(e, WireError::Closed | WireError::Io(_)) {
-            return Err(e);
-        }
-        self.pool.lock().remove(&lane.addr);
-        let mut conn = Self::connect(lane.addr)?;
-        write_frame(&mut conn, frame)?;
-        let reply = read_frame(&mut conn)?;
-        lane.conn = Some(conn);
-        Ok(reply)
+    /// One frame out on `conn`, its reply back.
+    fn exchange(conn: &mut TcpStream, frame: &[u8]) -> Result<Vec<u8>, WireError> {
+        write_frame(conn, frame)?;
+        read_frame(conn)
     }
 }
 
 impl Transport for SocketTransport {
+    /// Check a connection out of the pool, exchange `frame` on it, and
+    /// check it back in with nothing owed on it; a failed exchange drops
+    /// its connection.
+    ///
+    /// A dead connection — typically one pooled across a server restart
+    /// — is indistinguishable from a dead server until a fresh connect
+    /// is tried: after a `Closed` or `Io` failure everything pooled for
+    /// the address is evicted and the frame gets one more exchange, on a
+    /// new connection. Codec-level errors (Truncated/BadTag/BadFrame)
+    /// are NOT retried: the bytes arrived fine and the reply was
+    /// garbage, so resending cannot help.
     fn call(&self, route: RouteKey, frame: &[u8]) -> Result<Vec<u8>, WireError> {
-        self.exchange(&[(route, frame)])
-            .pop()
-            .expect("one reply per frame")
-    }
-
-    fn call_many(&self, calls: &[(RouteKey, &[u8])]) -> Vec<Result<Vec<u8>, WireError>> {
-        self.exchange(calls)
+        let addr = self.routes.read().addr_of(route);
+        let first = self.checkout(addr).and_then(|mut conn| {
+            let reply = Self::exchange(&mut conn, frame)?;
+            Ok((conn, reply))
+        });
+        let (conn, reply) = match first {
+            Err(WireError::Closed | WireError::Io(_)) => {
+                self.pool.lock().remove(&addr);
+                let mut conn = Self::connect(addr)?;
+                let reply = Self::exchange(&mut conn, frame)?;
+                (conn, reply)
+            }
+            done => done?,
+        };
+        self.checkin(addr, conn);
+        self.counters.note(frame.len(), reply.len());
+        Ok(reply)
     }
 
     fn wire_stats(&self) -> WireStats {
@@ -513,31 +392,19 @@ impl Transport for SocketTransport {
     }
 }
 
-/// Write one `u32`-LE length-prefixed frame.
+/// Write one `u32`-LE length-prefixed frame as **one** vectored write:
+/// the prefix and the payload are two `IoSlice`s, so nothing is staged or
+/// copied, and on an unbuffered `TcpStream` the frame leaves in one
+/// syscall (prefix-then-payload `write_all`s would be two, and with Nagle
+/// off the 4-byte prefix its own packet). A partial write resumes where
+/// the kernel stopped.
 pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> Result<(), WireError> {
-    write_frames(w, std::iter::once(frame))
-}
-
-/// Write `u32`-LE length-prefixed frames back to back as **one** vectored
-/// write: each prefix and payload is its own `IoSlice`, so nothing is
-/// staged or copied, and on an unbuffered `TcpStream` the whole run
-/// leaves in one syscall (prefix-then-payload `write_all`s would be two
-/// per frame, and with Nagle off every 4-byte prefix its own packet). A
-/// partial write resumes where the kernel stopped.
-fn write_frames<'a>(
-    w: &mut impl Write,
-    frames: impl Iterator<Item = &'a [u8]>,
-) -> Result<(), WireError> {
-    let frames: Vec<([u8; 4], &[u8])> = frames
-        .map(|f| {
-            let len = u32::try_from(f.len()).ok().filter(|&len| len <= MAX_FRAME);
-            Ok((len.ok_or(WireError::BadFrame)?.to_le_bytes(), f))
-        })
-        .collect::<Result<_, WireError>>()?;
-    let mut slices: Vec<IoSlice<'_>> = frames
-        .iter()
-        .flat_map(|(prefix, f)| [IoSlice::new(prefix), IoSlice::new(f)])
-        .collect();
+    let len = u32::try_from(frame.len())
+        .ok()
+        .filter(|&len| len <= MAX_FRAME)
+        .ok_or(WireError::BadFrame)?;
+    let prefix = len.to_le_bytes();
+    let mut slices = [IoSlice::new(&prefix), IoSlice::new(frame)];
     let mut rest = &mut slices[..];
     while !rest.is_empty() {
         match w.write_vectored(rest) {
@@ -739,20 +606,18 @@ mod tests {
     #[test]
     fn prefix_and_payload_leave_in_one_vectored_write() {
         let mut sink = CountingSink::new(usize::MAX);
-        write_frame(&mut sink, b"hello").unwrap();
-        assert_eq!(
-            (sink.vectored_writes, sink.plain_writes),
-            (1, 0),
-            "prefix and payload must go out together"
-        );
-        // A run of frames (one of them empty) is still one syscall.
-        let run: [&[u8]; 3] = [b"worlds!", b"", b"x"];
-        write_frames(&mut sink, run.into_iter()).unwrap();
-        assert_eq!((sink.vectored_writes, sink.plain_writes), (2, 0));
-        // All frames decode back, reusing one read buffer.
+        for (k, frame) in [&b"hello"[..], b"", b"x"].into_iter().enumerate() {
+            write_frame(&mut sink, frame).unwrap();
+            assert_eq!(
+                (sink.vectored_writes, sink.plain_writes),
+                (k + 1, 0),
+                "prefix and payload must go out together"
+            );
+        }
+        // The frames decode back, reusing one read buffer.
         let mut r = &sink.bytes[..];
         let mut buf = Vec::new();
-        for want in [&b"hello"[..], b"worlds!", b"", b"x"] {
+        for want in [&b"hello"[..], b"", b"x"] {
             read_frame_into(&mut r, &mut buf).unwrap();
             assert_eq!(buf, want);
         }
@@ -763,8 +628,10 @@ mod tests {
     fn partial_vectored_writes_resume_where_the_kernel_stopped() {
         // 3 bytes per call splits every prefix and every payload.
         let mut sink = CountingSink::new(3);
-        let run: [&[u8]; 3] = [b"hello", b"", b"pipelined"];
-        write_frames(&mut sink, run.into_iter()).unwrap();
+        let run: [&[u8]; 3] = [b"hello", b"", b"resumed"];
+        for frame in run {
+            write_frame(&mut sink, frame).unwrap();
+        }
         assert_eq!(sink.plain_writes, 0);
         let mut r = &sink.bytes[..];
         for want in run {
@@ -812,6 +679,19 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap_err(), WireError::Closed);
     }
 
+    /// A table sending every role to `server`.
+    fn table(server: &FrameServer) -> RouteTable {
+        let addr = server.addr();
+        RouteTable {
+            vm: addr,
+            pm: addr,
+            board: addr,
+            cluster: addr,
+            meta: addr,
+            provider: addr,
+        }
+    }
+
     #[test]
     fn socket_echo_end_to_end() {
         let handler: FrameHandler = Arc::new(|route, frame| {
@@ -821,15 +701,7 @@ mod tests {
             Ok(out)
         });
         let server = FrameServer::start(RouteKey::Vm, handler).unwrap();
-        let table = RouteTable {
-            vm: server.addr(),
-            pm: server.addr(),
-            board: server.addr(),
-            cluster: server.addr(),
-            meta: server.addr(),
-            provider: server.addr(),
-        };
-        let t = SocketTransport::new(table);
+        let t = SocketTransport::new(table(&server));
         let reply = t.call(RouteKey::Vm, b"abc").unwrap();
         assert_eq!(reply, b"cba");
         // The pooled connection serves a second call.
@@ -852,35 +724,8 @@ mod tests {
                 calls: 1,
                 bytes_sent: 3,
                 bytes_received: 3,
-                round_trips: 1
             }
         );
-    }
-
-    /// A table sending the manager roles to `a` and the data roles to `b`.
-    fn split_table(a: &FrameServer, b: &FrameServer) -> RouteTable {
-        RouteTable {
-            vm: a.addr(),
-            pm: a.addr(),
-            board: a.addr(),
-            cluster: a.addr(),
-            meta: b.addr(),
-            provider: b.addr(),
-        }
-    }
-
-    /// Replies carry the serving route and the request, so a reply that
-    /// reached the wrong request is visible.
-    fn tagging_server(route: RouteKey) -> FrameServer {
-        let handler: FrameHandler = Arc::new(|route, frame| {
-            if frame == b"poison" {
-                return Err(WireError::BadFrame); // the server drops the connection
-            }
-            let mut out = format!("{:?}:", route.role()).into_bytes();
-            out.extend_from_slice(frame);
-            Ok(out)
-        });
-        FrameServer::start(route, handler).unwrap()
     }
 
     /// Run `f` on its own thread and fail (instead of hanging the suite)
@@ -893,148 +738,56 @@ mod tests {
     }
 
     #[test]
-    fn batches_larger_than_the_socket_buffers_cannot_deadlock() {
-        let echo: FrameHandler = Arc::new(|_route, frame| Ok(frame.to_vec()));
+    fn frames_larger_than_the_socket_buffers_cannot_deadlock() {
+        // The reply is the request, repeated as often as its first byte
+        // says.
+        let echo: FrameHandler = Arc::new(|_route, frame| Ok(frame.repeat(usize::from(frame[0]))));
         let server = FrameServer::start(RouteKey::Provider(NodeId(0)), echo).unwrap();
-        let t = SocketTransport::new(split_table(&server, &server));
+        let t = SocketTransport::new(table(&server));
         finishes(move || {
-            // 16 MiB each way, on one connection.
-            let big: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 1 << 20]).collect();
-            let calls: Vec<(RouteKey, &[u8])> = big
-                .iter()
-                .map(|f| (RouteKey::Provider(NodeId(0)), f.as_slice()))
-                .collect();
-            for (reply, frame) in t.call_many(&calls).into_iter().zip(&big) {
-                assert!(reply.unwrap() == *frame);
-            }
-            // Small requests with large replies: 2000 replies would
-            // overflow any socket buffer if they were all owed at once.
-            let echo_big: FrameHandler = Arc::new(|_route, frame| Ok(frame.repeat(600)));
-            let server = FrameServer::start(RouteKey::Vm, echo_big).unwrap();
-            let t = SocketTransport::new(split_table(&server, &server));
-            let small: Vec<Vec<u8>> = (0..2000u32).map(|i| i.to_le_bytes().repeat(25)).collect();
-            let calls: Vec<(RouteKey, &[u8])> =
-                small.iter().map(|f| (RouteKey::Vm, f.as_slice())).collect();
-            for (reply, frame) in t.call_many(&calls).into_iter().zip(&small) {
-                assert!(reply.unwrap() == frame.repeat(600));
-            }
-            assert_eq!(t.wire_stats().calls, 2000);
-            assert_eq!(t.wire_stats().round_trips, 1);
+            // 16 MiB each way.
+            let big = vec![1u8; 16 << 20];
+            assert!(t.call(RouteKey::Provider(NodeId(0)), &big).unwrap() == big);
+            // A small request with a large reply: 64 KiB out, 16 MiB back.
+            let small = vec![255u8; 64 << 10];
+            let reply = t.call(RouteKey::Vm, &small).unwrap();
+            assert!(reply.len() == 255 * small.len() && reply.iter().all(|&b| b == 255));
+            let stats = t.wire_stats();
+            assert_eq!(stats.calls, 2);
+            assert_eq!(stats.bytes_received, (16 << 20) + 255 * (64 << 10));
         });
     }
 
     #[test]
-    fn peer_closing_mid_batch_loses_no_reply_and_pools_no_dirty_connection() {
-        let server = tagging_server(RouteKey::Meta(0));
-        let t = SocketTransport::new(split_table(&server, &server));
-        let route = RouteKey::Meta(0);
-        let frames: [&[u8]; 5] = [b"a", b"b", b"poison", b"c", b"d"];
-        let calls: Vec<(RouteKey, &[u8])> = frames.iter().map(|&f| (route, f)).collect();
-        let replies = finishes({
-            let calls: Vec<(RouteKey, Vec<u8>)> =
-                calls.iter().map(|&(r, f)| (r, f.to_vec())).collect();
-            move || {
-                let borrowed: Vec<(RouteKey, &[u8])> =
-                    calls.iter().map(|(r, f)| (*r, f.as_slice())).collect();
-                let replies = t.call_many(&borrowed);
-                // The next caller on the address gets a connection with
-                // nothing owed on it: its own reply, not a leftover.
-                let next = t.call(route, b"next");
-                (replies, next, t.wire_stats())
+    fn a_peer_closing_mid_exchange_fails_that_call_alone_and_pools_no_dirty_connection() {
+        // Replies carry the serving route and the request, so a reply
+        // that reached the wrong request is visible.
+        let tagging: FrameHandler = Arc::new(|route, frame| {
+            if frame == b"poison" {
+                return Err(WireError::BadFrame); // the server drops the connection
             }
+            let mut out = format!("{:?}:", route.role()).into_bytes();
+            out.extend_from_slice(frame);
+            Ok(out)
         });
-        let (replies, next, stats) = replies;
-        // The two replies read before the close are kept; the frame that
-        // kills its connection fails alone (its retry dies the same
-        // way); the frames behind it go out on a fresh connection.
+        let server = FrameServer::start(RouteKey::Meta(0), tagging).unwrap();
+        let t = SocketTransport::new(table(&server));
+        let (replies, stats) = finishes(move || {
+            let frames: [&[u8]; 5] = [b"a", b"b", b"poison", b"c", b"d"];
+            let replies: Vec<_> = frames
+                .iter()
+                .map(|f| t.call(RouteKey::Meta(0), f))
+                .collect();
+            (replies, t.wire_stats())
+        });
+        // The frame that kills its connection fails alone (its retry
+        // dies the same way); every call around it gets its own reply on
+        // a connection with nothing owed on it.
         assert_eq!(replies[0].as_deref(), Ok(&b"Meta:a"[..]));
         assert_eq!(replies[1].as_deref(), Ok(&b"Meta:b"[..]));
         assert_eq!(replies[2], Err(WireError::Closed));
         assert_eq!(replies[3].as_deref(), Ok(&b"Meta:c"[..]));
         assert_eq!(replies[4].as_deref(), Ok(&b"Meta:d"[..]));
-        assert_eq!(next.as_deref(), Ok(&b"Meta:next"[..]));
-        assert_eq!(stats.calls, 5, "failed frames are not counted");
-        assert_eq!(stats.round_trips, 2);
-        drop(calls);
-    }
-
-    #[test]
-    fn call_many_equals_mapped_call_in_content_order_and_counters() {
-        let a = tagging_server(RouteKey::Vm);
-        let b = tagging_server(RouteKey::Provider(NodeId(0)));
-        let batched = SocketTransport::new(split_table(&a, &b));
-        let single = SocketTransport::new(split_table(&a, &b));
-        let routes = [
-            RouteKey::Vm,
-            RouteKey::Pm,
-            RouteKey::Board,
-            RouteKey::Cluster,
-            RouteKey::Meta(3),
-            RouteKey::Provider(NodeId(2)),
-        ];
-        // xorshift: the batches repeat exactly from run to run.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move |below: u64| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % below
-        };
-        let mut batches = 0;
-        // Sizes 0 and 1 first, then random ones.
-        for round in 0..40 {
-            let n = if round < 2 { round } else { next(12) };
-            let frames: Vec<(RouteKey, Vec<u8>)> = (0..n)
-                .map(|_| {
-                    // Mostly small; some past a socket buffer.
-                    let len = if next(8) == 0 {
-                        next(40 << 10)
-                    } else {
-                        next(64)
-                    };
-                    let frame = (0..len).map(|_| next(256) as u8).collect();
-                    (routes[next(6) as usize], frame)
-                })
-                .collect();
-            let calls: Vec<(RouteKey, &[u8])> =
-                frames.iter().map(|(r, f)| (*r, f.as_slice())).collect();
-            let many = batched.call_many(&calls);
-            let mapped: Vec<_> = calls.iter().map(|&(r, f)| single.call(r, f)).collect();
-            assert_eq!(many, mapped, "round {round}");
-            assert!(many.iter().all(Result::is_ok));
-            batches += u64::from(n > 0);
-        }
-        let (many, mapped) = (batched.wire_stats(), single.wire_stats());
-        assert_eq!(many.calls, mapped.calls);
-        assert_eq!(many.bytes_sent, mapped.bytes_sent);
-        assert_eq!(many.bytes_received, mapped.bytes_received);
-        assert_eq!(mapped.round_trips, mapped.calls, "one wait per call");
-        assert_eq!(many.round_trips, batches, "one wait per non-empty batch");
-    }
-
-    #[test]
-    fn default_call_many_is_the_mapped_call() {
-        /// Implements `call` only, like a wrapper written before
-        /// `call_many` existed.
-        struct CallOnly;
-        impl Transport for CallOnly {
-            fn call(&self, _route: RouteKey, frame: &[u8]) -> Result<Vec<u8>, WireError> {
-                if frame.is_empty() {
-                    Err(WireError::Truncated)
-                } else {
-                    Ok(frame.to_vec())
-                }
-            }
-        }
-        let calls: [(RouteKey, &[u8]); 3] = [
-            (RouteKey::Vm, b"one"),
-            (RouteKey::Pm, b""),
-            (RouteKey::Board, b"three"),
-        ];
-        let replies = CallOnly.call_many(&calls);
-        assert_eq!(replies[0].as_deref(), Ok(&b"one"[..]));
-        assert_eq!(replies[1], Err(WireError::Truncated));
-        assert_eq!(replies[2].as_deref(), Ok(&b"three"[..]));
-        assert!(CallOnly.call_many(&[]).is_empty());
+        assert_eq!(stats.calls, 4, "a failed frame is not counted");
     }
 }

@@ -4,9 +4,9 @@
 //! schedule: every count repeats exactly, so any change is a protocol
 //! change and must be made here on purpose.
 //!
-//! A protocol step sends one frame per server role (its requests for
-//! one role share a `Req::Batch`), so per role the frames a client sends
-//! equal the round trips it waits for.
+//! A protocol step addresses one server role and sends one frame (its
+//! requests share a `Req::Batch`), so every frame counted here is one
+//! round trip the client waits for.
 
 use bff_blobseer::segtree::{self, NodeIo};
 use bff_blobseer::{
@@ -29,48 +29,25 @@ const CHUNK: u64 = 64 << 10;
 /// Boot reads are guest-sized: 4 chunks each.
 const BOOT_STRIDE: u64 = 256 << 10;
 
-/// Counts, per server role, the frames a client sends and the exchanges
-/// it waits for, and forwards both call forms untouched.
+/// Counts, per server role, the frames a client sends, and forwards
+/// every call untouched.
 struct RoleCounting {
     inner: SocketTransport,
     frames: [AtomicU64; Role::ALL.len()],
-    round_trips: [AtomicU64; Role::ALL.len()],
 }
 
 impl RoleCounting {
-    /// `Role::ALL` lists the roles in declaration order.
-    fn slot(role: Role) -> usize {
-        role as usize
-    }
-
-    /// `(frames, round trips)` addressed to `role` so far.
-    fn seen(&self, role: Role) -> (u64, u64) {
-        let at = Self::slot(role);
-        (
-            self.frames[at].load(Ordering::Relaxed),
-            self.round_trips[at].load(Ordering::Relaxed),
-        )
+    /// Frames addressed to `role` so far (`Role::ALL` lists the roles in
+    /// declaration order).
+    fn seen(&self, role: Role) -> u64 {
+        self.frames[role as usize].load(Ordering::Relaxed)
     }
 }
 
 impl Transport for RoleCounting {
     fn call(&self, route: RouteKey, frame: &[u8]) -> Result<Vec<u8>, WireError> {
-        let at = Self::slot(route.role());
-        self.frames[at].fetch_add(1, Ordering::Relaxed);
-        self.round_trips[at].fetch_add(1, Ordering::Relaxed);
+        self.frames[route.role() as usize].fetch_add(1, Ordering::Relaxed);
         self.inner.call(route, frame)
-    }
-
-    fn call_many(&self, calls: &[(RouteKey, &[u8])]) -> Vec<Result<Vec<u8>, WireError>> {
-        let mut waited = [false; Role::ALL.len()];
-        for (route, _) in calls {
-            let at = Self::slot(route.role());
-            self.frames[at].fetch_add(1, Ordering::Relaxed);
-            if !std::mem::replace(&mut waited[at], true) {
-                self.round_trips[at].fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.inner.call_many(calls)
     }
 
     fn wire_stats(&self) -> WireStats {
@@ -101,7 +78,6 @@ impl Remote {
         let transport = Arc::new(RoleCounting {
             inner: SocketTransport::new(RouteTable::from_roles(&addrs).expect("every role served")),
             frames: Default::default(),
-            round_trips: Default::default(),
         });
         let store = BlobStore::remote(
             cfg,
@@ -160,8 +136,10 @@ impl Remote {
 /// changes chunks 32–34 and snapshots (CLONE + COMMIT), and the node
 /// that just booted the base boots that snapshot through a fresh handle,
 /// in the same sixteen reads. Its tree shares all but ten nodes with
-/// the base's, which the node has, so the boot's metadata frames are
-/// the snapshot's diff — against the 63 of the cold boot.
+/// the base's, which the node has, so the boot fetches those ten tree
+/// nodes and no other — at most the three changed paths times the
+/// tree's depth of seven — in metadata frames that are the snapshot's
+/// diff, against the 63 of the cold boot.
 #[test]
 fn cold_boot_pipelines_its_frames_and_a_diff_boot_fetches_the_diff() {
     let (remote, _) = Remote::new(BlobConfig {
@@ -189,23 +167,19 @@ fn cold_boot_pipelines_its_frames_and_a_diff_boot_fetches_the_diff() {
     };
     let reader = Client::new(Arc::clone(&store), NodeId(1));
     boot(&reader, blob, version, &base);
-    let delta = |role, (frames0, trips0): (u64, u64)| {
-        let (frames, trips) = transport.seen(role);
-        (frames - frames0, trips - trips0)
-    };
+    let delta = |role, frames0: u64| transport.seen(role) - frames0;
     assert_eq!(
         delta(Role::Provider, before.0),
-        (16, 16),
+        16,
         "64 Fetches in 16 frames, one per read (64 frames before batches)"
     );
-    let (meta_frames, meta_trips) = delta(Role::Meta, before.1);
+    let meta_frames = delta(Role::Meta, before.1);
     assert_eq!(
-        (meta_frames, meta_trips),
-        (63, 63),
+        meta_frames, 63,
         "ReadNodes frames (103 in 63 waits before batches)"
     );
     assert!(
-        meta_trips <= reader.meta_fetch_calls(),
+        meta_frames <= reader.meta_fetch_calls(),
         "a descent level waits at most once"
     );
 
@@ -217,24 +191,35 @@ fn cold_boot_pipelines_its_frames_and_a_diff_boot_fetches_the_diff() {
         .write(snapshot, Version(1), 32 * CHUNK, patch.clone())
         .expect("commit");
     let changed = base.overwrite(32 * CHUNK, patch);
-    let reader = Client::new(store, NodeId(1));
-    let before = (transport.seen(Role::Meta), transport.seen(Role::Vm));
+    let fetched_nodes = || store.node_context(NodeId(1)).stats().node_misses;
+    let reader = Client::new(Arc::clone(&store), NodeId(1));
+    let before = (
+        transport.seen(Role::Meta),
+        transport.seen(Role::Vm),
+        fetched_nodes(),
+    );
     reader.snapshot_size(blob, version).expect("open base");
-    let (known_vm_frames, _) = delta(Role::Vm, before.1);
-    assert_eq!(known_vm_frames, 0, "opening a known version asks nobody");
+    assert_eq!(
+        delta(Role::Vm, before.1),
+        0,
+        "opening a known version asks nobody"
+    );
     reader.snapshot_size(snapshot, committed).expect("open");
     boot(&reader, snapshot, committed, &changed);
-    let (diff_meta_frames, _) = delta(Role::Meta, before.0);
-    let (diff_vm_frames, _) = delta(Role::Vm, before.1);
+    let (changed_paths, depth) = (3, 7);
+    let diff_nodes = fetched_nodes() - before.2;
+    assert_eq!(diff_nodes, 10, "the tree nodes v+1 does not share with v");
+    assert!(diff_nodes <= changed_paths * depth);
     assert_eq!(
-        diff_meta_frames, 7,
+        delta(Role::Meta, before.0),
+        7,
         "the changed paths, not the tree (9 before batches)"
     );
-    assert_eq!(diff_vm_frames, 1, "a new version costs one lookup");
-    for role in Role::ALL {
-        let (frames, trips) = transport.seen(role);
-        assert_eq!(frames, trips, "frames = round trips for {}", role.name());
-    }
+    assert_eq!(
+        delta(Role::Vm, before.1),
+        1,
+        "a new version costs one lookup"
+    );
 }
 
 /// The control plane of the benchmark's deployment
@@ -279,7 +264,7 @@ fn a_boot_with_nothing_to_learn_asks_the_board_nothing_and_a_dedup_hit_is_one_pr
     let (blob, version) = cloud.upload_image(base.clone()).expect("upload");
 
     let boot = |(blob, version), node: NodeId, want: &Payload| {
-        let before = transport.seen(Role::Board).0;
+        let before = transport.seen(Role::Board);
         let mut vm = cloud.add_instance(blob, version, node).expect("attach");
         for offset in (0..image).step_by(BOOT_STRIDE as usize) {
             let got = vm
@@ -288,7 +273,7 @@ fn a_boot_with_nothing_to_learn_asks_the_board_nothing_and_a_dedup_hit_is_one_pr
                 .expect("boot read");
             assert!(got.content_eq(&want.slice(offset, offset + BOOT_STRIDE)));
         }
-        (vm, transport.seen(Role::Board).0 - before)
+        (vm, transport.seen(Role::Board) - before)
     };
     let first_boots: Vec<u64> = compute
         .iter()
@@ -300,20 +285,16 @@ fn a_boot_with_nothing_to_learn_asks_the_board_nothing_and_a_dedup_hit_is_one_pr
     assert_eq!(first_boots, [9, 9, 1, 1], "board frames per first boot");
     assert_eq!(repeat_boot, 0, "a boot with nothing to learn or to say");
 
-    // (frames, round trips) per role and bytes received, since `mark`.
+    // Frames per role and bytes received, since `mark`.
     let mark = || {
         (
             [Role::Provider, Role::Cluster, Role::Vm].map(|role| transport.seen(role)),
             transport.wire_stats().bytes_received,
         )
     };
-    let since = |(roles, bytes): ([(u64, u64); 3], u64)| {
+    let since = |(roles, bytes): ([u64; 3], u64)| {
         let (now, now_bytes) = mark();
-        let delta: Vec<(u64, u64)> = now
-            .iter()
-            .zip(roles)
-            .map(|(n, o)| (n.0 - o.0, n.1 - o.1))
-            .collect();
+        let delta: Vec<u64> = now.iter().zip(roles).map(|(n, o)| n - o).collect();
         (delta, now_bytes - bytes)
     };
     // Two chunks the base image stores elsewhere, two nobody stores.
@@ -337,19 +318,18 @@ fn a_boot_with_nothing_to_learn_asks_the_board_nothing_and_a_dedup_hit_is_one_pr
         }
         (cost, snap, got)
     };
-    // Per role (frames, round trips): provider, cluster index, version
-    // manager; then the bytes the client received during the snapshot.
-    // Before: provider (6, 6) — a `Peek` and a `Retain` per reused chunk
-    // — cluster (3, 3), version manager (4, 4) then (2, 2), and 131 189
-    // bytes: the two reused chunks, downloaded to be compared. Before
-    // batches: provider (4, 3) and 62 then 58 bytes; a batch reply costs
-    // its tag, its count and one outcome tag per entry, so the `Retain`
-    // frame's two entries add 4 bytes and the `WriteNodes` frame's four
-    // shards 6.
+    // Frames per role: provider, cluster index, version manager; then
+    // the bytes the client received during the snapshot. Before: provider
+    // 6 — a `Peek` and a `Retain` per reused chunk — cluster 3, version
+    // manager 4 then 2, and 131 189 bytes: the two reused chunks,
+    // downloaded to be compared. Before batches: provider 4 frames in 3
+    // waits, and 62 then 58 bytes; a batch reply costs its tag, its count
+    // and one outcome tag per entry, so the `Retain` frame's two entries
+    // add 4 bytes and the `WriteNodes` frame's four shards 6.
     let (first, ..) = snapshot(0, 32, 0xD1);
     let (second, published, content) = snapshot(8 * CHUNK, 40, 0xD2);
-    assert_eq!(first, (vec![(3, 3), (2, 2), (3, 3)], 72), "CLONE + COMMIT");
-    assert_eq!(second, (vec![(3, 3), (2, 2), (2, 2)], 68), "COMMIT");
+    assert_eq!(first, (vec![3, 2, 3], 72), "CLONE + COMMIT");
+    assert_eq!(second, (vec![3, 2, 2], 68), "COMMIT");
 
     // The published snapshot, booted on the nodes that booted its base:
     // 60 of its chunks are the base's, resident on every node, and the
@@ -361,10 +341,6 @@ fn a_boot_with_nothing_to_learn_asks_the_board_nothing_and_a_dedup_hit_is_one_pr
         .map(|&node| boot(published, node, &content).1)
         .collect();
     assert_eq!(snapshot_boots, [1, 1, 1, 1], "board frames per warm boot");
-    for role in Role::ALL {
-        let (frames, trips) = transport.seen(role);
-        assert_eq!(frames, trips, "frames = round trips for {}", role.name());
-    }
 }
 
 /// A boot of a converged pattern asks the board at most once, however
@@ -382,7 +358,7 @@ fn a_boot_of_a_converged_pattern_polls_once_whatever_its_bursts() {
     let base = Payload::from(Payload::synth(0xB19, 0, image).materialize());
     let (blob, version) = cloud.upload_image(base.clone()).expect("upload");
     let boot = |node: NodeId, bursts: bool| {
-        let before = remote.transport.seen(Role::Board).0;
+        let before = remote.transport.seen(Role::Board);
         let mut vm = cloud.add_instance(blob, version, node).expect("attach");
         for offset in (0..image).step_by(BOOT_STRIDE as usize) {
             if bursts {
@@ -394,7 +370,7 @@ fn a_boot_of_a_converged_pattern_polls_once_whatever_its_bursts() {
                 .expect("boot read");
             assert!(got.content_eq(&base.slice(offset, offset + BOOT_STRIDE)));
         }
-        remote.transport.seen(Role::Board).0 - before
+        remote.transport.seen(Role::Board) - before
     };
     assert_eq!([boot(NodeId(0), false), boot(NodeId(1), false)], [9, 9]);
     assert_eq!(
