@@ -35,7 +35,7 @@ use super::step::{self, Step};
 use super::{Client, VersionMeta};
 use crate::api::{BlobError, BlobId, BlobResult, ChunkDesc, ChunkId, Version};
 use crate::segtree;
-use bff_data::{chunk_cover, chunk_range, intersect, ContentKey, FastMap, Payload};
+use bff_data::{chunk_cover, chunk_range, intersect, ContentKey, FastMap, FastSet, Payload};
 use bff_net::NodeId;
 use bff_wire::msg::{ProviderReq, Req, RetainOutcome};
 
@@ -113,7 +113,8 @@ impl Client {
     /// Publish a snapshot from whole-chunk updates (the COMMIT fast path:
     /// the mirroring module gap-fills chunks locally, so every modified
     /// chunk arrives complete). `updates` maps chunk index → full chunk
-    /// payload.
+    /// payload; an index past the blob's end is out of bounds, and one
+    /// listed twice is bad input.
     ///
     /// With [`crate::BlobConfig::dedup`] on, identical payloads within
     /// the commit collapse to one stored chunk and payloads already
@@ -146,7 +147,21 @@ impl Client {
         if updates.is_empty() {
             return Err(BlobError::BadInput("empty update set"));
         }
+        let chunks = meta.size.div_ceil(meta.chunk_size);
+        let mut indices = FastSet::default();
         for (idx, data) in &updates {
+            if *idx >= chunks {
+                return Err(BlobError::OutOfBounds {
+                    offset: idx.saturating_mul(meta.chunk_size),
+                    len: data.len(),
+                    size: meta.size,
+                });
+            }
+            // A snapshot has one leaf per index: a second payload for it
+            // would be stored or retained, and never released.
+            if !indices.insert(*idx) {
+                return Err(BlobError::BadInput("duplicate chunk index"));
+            }
             let cr = chunk_range(*idx, meta.chunk_size, meta.size);
             if data.len() != cr.end - cr.start {
                 return Err(BlobError::BadInput("update is not a full chunk"));
@@ -393,11 +408,8 @@ impl Client {
                     commit.retained.push((prov, desc.id));
                 }
             }
-            let fresh_updates = fresh
-                .iter()
-                .map(|u| commit.updates[u.first_slot].clone())
-                .collect();
-            pushed = self.push_chunks(fresh_updates, descs)?.into_iter();
+            let payloads = fresh.iter().map(|u| &commit.updates[u.first_slot].1);
+            pushed = self.push_chunks(payloads.collect(), descs)?.into_iter();
         }
         Ok(commit
             .uniques
@@ -568,6 +580,49 @@ mod tests {
             .write(blob, v1, 0, Payload::from(vec![2u8; 10]))
             .unwrap_err();
         assert!(matches!(err, BlobError::Conflict { .. }));
+    }
+
+    #[test]
+    fn an_out_of_range_chunk_index_is_an_error_not_a_panic() {
+        let (_f, client) = setup(4);
+        let (blob, v) = client.upload(Payload::synth(3, 0, 512)).unwrap(); // 4 chunks
+        for idx in [4, 9, u64::MAX] {
+            let err = client
+                .write_chunks(blob, v, vec![(idx, Payload::synth(4, 0, 128))])
+                .unwrap_err();
+            assert!(
+                matches!(err, BlobError::OutOfBounds { .. }),
+                "{idx}: {err:?}"
+            );
+        }
+        assert_eq!(client.store().total_stored_bytes(), 512);
+    }
+
+    #[test]
+    fn a_duplicate_chunk_index_is_bad_input_and_takes_nothing() {
+        // Two payloads for one index: the snapshot could keep one leaf,
+        // so the other would be stored (dedup off) or retained (dedup
+        // on, when both carry one content) and never released.
+        let (a, b) = (Payload::synth(5, 0, 128), Payload::synth(6, 0, 128));
+        for dedup in [false, true] {
+            let (_f, client) = setup_dedup(4, 1, dedup);
+            let (blob, v) = client.upload(Payload::synth(7, 0, 512)).unwrap();
+            let stored = client.store().total_stored_bytes();
+            for dup in [
+                vec![(1, a.clone()), (1, b.clone())],
+                vec![(1, a.clone()); 2],
+            ] {
+                let err = client.write_chunks(blob, v, dup).unwrap_err();
+                assert!(
+                    matches!(err, BlobError::BadInput(_)),
+                    "dedup={dedup}: {err:?}"
+                );
+            }
+            assert_eq!(client.store().total_stored_bytes(), stored, "dedup={dedup}");
+            // Nothing was taken: deleting the base frees all it stored.
+            client.delete_snapshot(blob, v).unwrap();
+            assert_eq!(client.store().total_stored_bytes(), 0, "dedup={dedup}");
+        }
     }
 
     #[test]

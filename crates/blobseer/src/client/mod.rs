@@ -30,19 +30,21 @@
 //!
 //! An operation is a short sequence of steps, and every step that
 //! addresses several destinations — a read's provider fetches, a
-//! descent level's shard reads, a commit's node writes, its dedup
-//! `Retain`s and extra retains, a rollback's or a collection's releases
-//! — is one `step::Step`: build the batch grouped by destination (in
-//! ascending order), decide per destination whether to ask it, pay each
-//! request's before-send price from the cost book (`crate::cost`), send
-//! every request in one
+//! descent level's shard reads, a commit's replicated push, node writes,
+//! dedup `Retain`s and extra retains, a rollback's or a collection's
+//! releases — is one `step::Step`: build the batch grouped by
+//! destination (in ascending order), decide per destination whether to
+//! ask it, pay each request's before-send price from the cost book
+//! (`crate::cost`), send every request in one
 //! [`BlobStore::call_many`](crate::service::BlobStore) (the destinations
 //! of a step are all of one server role, so the step is one frame and
 //! one wait), and settle each destination's reply once its charge is
-//! paid — validated: one answer per item, or that destination failed. The replication push is the one exception: each
-//! destination's `Put` is its own request in its own task, so its
-//! transfer, store and disk write run in that order per destination,
-//! overlapping the others, which is what the simulated figures time.
+//! paid — validated: one answer per item, or that destination failed.
+//! Without a transport hop, a step whose replies carry charges (the
+//! fetches, the push) runs each destination's whole exchange as its own
+//! task, so a `Put`'s transfer, store and disk write run in that order
+//! per destination, overlapping the others, which is what the simulated
+//! figures time.
 //!
 //! No code here prices a request or charges the fabric: what a request
 //! costs is decided in the cost book alone.

@@ -1,173 +1,110 @@
-//! The replication push: the update set of a commit reaches its
-//! replicas according to [`ReplicationMode`] — fan-out (one batched
-//! push per destination provider) or the sequential reference (one push
-//! per chunk and replica).
+//! The replication push: a commit's fresh chunks reach their replicas
+//! as one [`Step`] of `Put`s, whose destinations [`ReplicationMode`]
+//! picks — one per provider (fan-out: each provider gets its chunks in
+//! one `Put`) or one per chunk and replica (the sequential reference).
 //!
 //! Both modes have *per-replica failover*: a replica that cannot take its
 //! batch (down node, mid-transfer failure) is dropped from the published
 //! chunk descriptor rather than failing the write; the write only errors
-//! if a chunk retains no replica at all. The push is deliberately not a
-//! `Step`: each destination's `Put` is its own request in its own task,
-//! so the transfer, store and disk write its price charges run in that
-//! order per destination, overlapping the other destinations' — what
-//! the simulated figures time.
+//! if a chunk retains no replica at all.
+//!
+//! The push runs as [`Step::run_joined`]. Without a transport hop each
+//! destination's `Put` is one task: its transfer, store and disk write
+//! run in that order, overlapping the other destinations' — what the
+//! simulated figures time. Behind a hop every `Put` of the commit shares
+//! one frame.
 
+use super::step::{self, Step};
 use super::Client;
 use crate::api::{BlobError, BlobResult, ChunkDesc, ReplicationMode};
-use crate::service::BlobStore;
 use bff_data::Payload;
 use bff_net::NodeId;
+use bff_wire::msg::{ProviderReq, Req};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 impl Client {
-    /// Push the update set through the configured replication pipeline
-    /// and reduce each descriptor to the replicas that acknowledged
-    /// (in allocation order, so all modes publish identical replica
-    /// sets when nothing fails). Errors only if a chunk retains no
-    /// replica.
+    /// Push `payloads` to the replicas of `descs` (one descriptor per
+    /// payload) and reduce each descriptor to the replicas that
+    /// acknowledged, in allocation order, so both modes publish
+    /// identical replica sets when nothing fails. Errors only if a chunk
+    /// retains no replica. Each replica's `Put` clones exactly one
+    /// payload rope (the copy that provider stores).
     ///
-    /// The update set and descriptors are shared with the push tasks by
-    /// refcount; each replica push clones exactly one payload rope (the
-    /// copy that provider stores).
+    /// Behind a transport hop the whole push is one frame, so
+    /// `bff_net::transport::MAX_FRAME` (256 MiB) bounds all of a
+    /// commit's fresh bytes times their replicas, not one provider's
+    /// share of them.
     pub(super) fn push_chunks(
         &self,
-        updates: Vec<(u64, Payload)>,
+        payloads: Vec<&Payload>,
         descs: Vec<ChunkDesc>,
     ) -> BlobResult<Vec<ChunkDesc>> {
-        use ReplicationMode::*;
         let mode = self.cfg().replication_mode;
-        // What one task pushes, in a deterministic task order: each
-        // destination provider's slots (fan-out), each chunk on its own
-        // (sequential).
-        let groups: Vec<(Arc<[NodeId]>, Vec<usize>)> = match mode {
-            Fanout => {
-                let mut by_prov: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
-                for (slot, desc) in descs.iter().enumerate() {
-                    for &prov in desc.replicas.iter() {
-                        by_prov.entry(prov).or_default().push(slot);
+        let mut push = Step::new();
+        for (slot, desc) in descs.iter().enumerate() {
+            for &prov in desc.replicas.iter() {
+                let group = match mode {
+                    ReplicationMode::Fanout => 0,
+                    ReplicationMode::Sequential => slot,
+                };
+                push.add((group, prov), slot);
+            }
+        }
+        // Per chunk: the replicas that acknowledged it, and the last
+        // failure seen.
+        let none: (Vec<NodeId>, Option<BlobError>) = (Vec::new(), None);
+        let outcome = Arc::new(Mutex::new(vec![none; descs.len()]));
+        let sink = Arc::clone(&outcome);
+        push.run_joined(
+            self,
+            |(_, prov), slots| {
+                let chunks = slots.iter().map(|&s| (descs[s].id, payloads[s].clone()));
+                self.store.is_provider(prov).then(|| Req::Provider {
+                    node: prov,
+                    req: ProviderReq::Put(chunks.collect()),
+                })
+            },
+            step::stored,
+            move |(_, prov), slots, reply| {
+                let mut outcome = sink.lock();
+                for slot in slots {
+                    match &reply {
+                        Some(Ok(_)) => outcome[slot].0.push(prov),
+                        Some(Err(e)) => outcome[slot].1 = Some(e.clone()),
+                        None => {}
                     }
                 }
-                by_prov
-                    .into_iter()
-                    .map(|(prov, slots)| (Arc::from([prov]), slots))
-                    .collect()
-            }
-            Sequential => descs
-                .iter()
-                .enumerate()
-                .map(|(slot, desc)| (Arc::clone(&desc.replicas), vec![slot]))
-                .collect(),
-        };
-        let push = Arc::new(Push {
-            store: Arc::clone(&self.store),
-            outcome: Mutex::new(PushOutcome::new(descs.len())),
-            updates,
-            descs,
-        });
-        let me = self.node;
-        let tasks: Vec<Box<dyn FnOnce() + Send + 'static>> = groups
+            },
+        );
+        let outcome = outcome.lock();
+        descs
             .into_iter()
-            .map(|(route, slots)| {
-                let push = Arc::clone(&push);
-                Box::new(move || push.each(me, &route, &slots))
-                    as Box<dyn FnOnce() + Send + 'static>
+            .zip(outcome.iter())
+            .map(|(desc, (acked, error))| {
+                let survivors: Vec<NodeId> = desc
+                    .replicas
+                    .iter()
+                    .copied()
+                    .filter(|p| acked.contains(p))
+                    .collect();
+                if survivors.is_empty() {
+                    return Err(error
+                        .clone()
+                        .unwrap_or(BlobError::ChunkUnavailable(desc.id)));
+                }
+                Ok(ChunkDesc {
+                    id: desc.id,
+                    replicas: survivors.into(),
+                })
             })
-            .collect();
-        self.store.fabric.par_join(tasks);
-        let outcome = push.outcome.lock();
-        let mut out = Vec::with_capacity(push.descs.len());
-        for (slot, desc) in push.descs.iter().enumerate() {
-            let acked = &outcome.acked[slot];
-            let survivors: Vec<NodeId> = desc
-                .replicas
-                .iter()
-                .copied()
-                .filter(|p| acked.contains(p))
-                .collect();
-            if survivors.is_empty() {
-                return Err(outcome.errors[slot]
-                    .clone()
-                    .unwrap_or(BlobError::ChunkUnavailable(desc.id)));
-            }
-            out.push(ChunkDesc {
-                id: desc.id,
-                replicas: survivors.into(),
-            });
-        }
-        Ok(out)
-    }
-}
-
-/// One commit's push: what every push task shares.
-struct Push {
-    store: Arc<BlobStore>,
-    updates: Vec<(u64, Payload)>,
-    descs: Vec<ChunkDesc>,
-    outcome: Mutex<PushOutcome>,
-}
-
-/// Per-chunk push results, indexed like the update set.
-#[derive(Debug, Default)]
-struct PushOutcome {
-    /// Replicas that acknowledged each chunk (completion order; reduced
-    /// against the descriptor's allocation order afterwards).
-    acked: Vec<Vec<NodeId>>,
-    /// Last push failure seen per chunk.
-    errors: Vec<Option<BlobError>>,
-}
-
-impl PushOutcome {
-    fn new(n: usize) -> Self {
-        Self {
-            acked: vec![Vec::new(); n],
-            errors: vec![None; n],
-        }
-    }
-}
-
-impl Push {
-    /// Push the chunks at `slots` from `src` to provider `prov` as one
-    /// `Put`, stored under a single shard acquisition — the per-message
-    /// savings mirroring the batched read path. The cost book charges it
-    /// one transfer before it is sent and one (write-back) disk write
-    /// once the provider has it. The payload rope is cloned once per
-    /// stored replica (the copy the provider keeps).
-    fn to(&self, src: NodeId, prov: NodeId, slots: &[usize]) -> BlobResult<()> {
-        if !self.store.is_provider(prov) {
-            return Err(BlobError::ChunkUnavailable(self.descs[slots[0]].id));
-        }
-        let items = slots
-            .iter()
-            .map(|&s| (self.descs[s].id, self.updates[s].1.clone()));
-        self.store.provider_put(src, prov, items.collect())?;
-        Ok(())
-    }
-
-    /// Record a push outcome at `prov` for every chunk it carried.
-    fn record(&self, prov: NodeId, slots: &[usize], res: BlobResult<()>) {
-        let mut o = self.outcome.lock();
-        for &slot in slots {
-            match &res {
-                Ok(()) => o.acked[slot].push(prov),
-                Err(e) => o.errors[slot] = Some(e.clone()),
-            }
-        }
-    }
-
-    /// Fan-out and the sequential reference: the slots go from the
-    /// client to every provider of `route` in turn, one batched transfer
-    /// + disk write each.
-    fn each(&self, me: NodeId, route: &[NodeId], slots: &[usize]) {
-        for &prov in route {
-            self.record(prov, slots, self.to(me, prov, slots));
-        }
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::api::{ReplicationMode, TransportMode};
     use crate::client::testkit::*;
 
     /// A fabric with a *stale failure detector*: operations against down
@@ -217,7 +154,7 @@ mod tests {
     fn setup_mode(
         nodes: u32,
         replication: usize,
-        mode: crate::api::ReplicationMode,
+        mode: ReplicationMode,
     ) -> (Arc<LocalFabric>, Client) {
         let cfg = BlobConfig {
             chunk_size: 128,
@@ -262,7 +199,7 @@ mod tests {
     fn replication_modes_equivalent_to_sequential_reference() {
         // Fan-out must produce byte-identical blob contents and identical
         // replica sets vs the sequential-push reference.
-        use crate::api::ReplicationMode::*;
+        use ReplicationMode::*;
         let image = Payload::synth(70, 0, 2048); // 16 chunks of 128
         let patch: Vec<(u64, Payload)> = vec![
             (0, Payload::synth(71, 0, 128)),
@@ -294,7 +231,7 @@ mod tests {
 
     #[test]
     fn fanout_batches_one_transfer_per_provider() {
-        use crate::api::ReplicationMode::*;
+        use ReplicationMode::*;
         let updates: Vec<(u64, Payload)> = (0..16)
             .map(|i| (i, Payload::synth(80 + i, 0, 128)))
             .collect();
@@ -360,56 +297,70 @@ mod tests {
     fn per_replica_failover_publishes_surviving_replicas() {
         // A provider dies between the failure detector's last sweep and
         // the push (stale view): allocation still targets it, so the
-        // pipeline must drop that replica and publish the survivors.
-        for mode in [
-            crate::api::ReplicationMode::Sequential,
-            crate::api::ReplicationMode::Fanout,
-        ] {
-            let inner = LocalFabric::new(4);
-            let fabric: Arc<dyn Fabric> = Arc::new(StaleViewFabric {
-                inner: Arc::clone(&inner),
-            });
-            let cfg = BlobConfig {
-                chunk_size: 128,
-                replication: 3,
-                replication_mode: mode,
-                ..Default::default()
-            };
-            let store = BlobStore::new(cfg, topo_service_meta(3, 3), fabric);
-            let client = Client::new(store, NodeId(3));
-            inner.fail_node(NodeId(1));
-            let data = Payload::synth(61, 0, 512);
-            let (blob, v) = client.upload(data.clone()).unwrap();
-            // The dead replica stored nothing; the others hold everything.
-            let loads = client.store().provider_loads();
-            assert_eq!(loads[1], 0, "{mode:?}: dead replica must hold nothing");
-            assert_eq!(loads[0], 512, "{mode:?}");
-            assert_eq!(loads[2], 512, "{mode:?}");
-            // Reads succeed off the surviving replicas.
-            let got = client.read(blob, v, 0..512).unwrap();
-            assert!(got.content_eq(&data), "{mode:?}");
+        // pipeline must drop that replica and publish the survivors. The
+        // fabric refuses the dead replica's transfer, so its `Put` is
+        // not sent — behind a hop it never joins the push's frame.
+        for transport in TransportMode::ALL {
+            for mode in [ReplicationMode::Sequential, ReplicationMode::Fanout] {
+                let inner = LocalFabric::new(4);
+                let fabric: Arc<dyn Fabric> = Arc::new(StaleViewFabric {
+                    inner: Arc::clone(&inner),
+                });
+                let cfg = BlobConfig {
+                    chunk_size: 128,
+                    replication: 3,
+                    replication_mode: mode,
+                    transport,
+                    ..Default::default()
+                };
+                let store = BlobStore::new(cfg, topo_service_meta(3, 3), fabric);
+                let client = Client::new(store, NodeId(3));
+                inner.fail_node(NodeId(1));
+                let data = Payload::synth(61, 0, 512);
+                let (blob, v) = client.upload(data.clone()).unwrap();
+                // The dead replica stored nothing; the others hold everything.
+                let loads = client.store().provider_loads();
+                let case = format!("{mode:?} under {transport:?}");
+                assert_eq!(loads[1], 0, "{case}: dead replica must hold nothing");
+                assert_eq!(loads[0], 512, "{case}");
+                assert_eq!(loads[2], 512, "{case}");
+                // Reads succeed off the surviving replicas.
+                let got = client.read(blob, v, 0..512).unwrap();
+                assert!(got.content_eq(&data), "{case}");
+            }
         }
     }
 
     #[test]
     fn write_fails_only_when_no_replica_survives() {
-        let inner = LocalFabric::new(3);
-        let fabric: Arc<dyn Fabric> = Arc::new(StaleViewFabric {
-            inner: Arc::clone(&inner),
-        });
-        let cfg = BlobConfig {
-            chunk_size: 128,
-            replication: 2,
-            ..Default::default()
-        };
-        let store = BlobStore::new(cfg, topo_service_meta(2, 2), fabric);
-        let client = Client::new(store, NodeId(2));
-        let blob = client.create_blob(128).unwrap();
-        inner.fail_node(NodeId(0));
-        inner.fail_node(NodeId(1));
-        let err = client
-            .write_chunks(blob, Version(0), vec![(0, Payload::zeros(128))])
-            .unwrap_err();
-        assert!(matches!(err, BlobError::Net(NetError::NodeDown(_))));
+        for transport in TransportMode::ALL {
+            let inner = LocalFabric::new(3);
+            let fabric: Arc<dyn Fabric> = Arc::new(StaleViewFabric {
+                inner: Arc::clone(&inner),
+            });
+            let cfg = BlobConfig {
+                chunk_size: 128,
+                replication: 2,
+                transport,
+                ..Default::default()
+            };
+            let store = BlobStore::new(cfg, topo_service_meta(2, 2), fabric);
+            let client = Client::new(store, NodeId(2));
+            let blob = client.create_blob(128).unwrap();
+            inner.fail_node(NodeId(0));
+            inner.fail_node(NodeId(1));
+            let err = client
+                .write_chunks(blob, Version(0), vec![(0, Payload::zeros(128))])
+                .unwrap_err();
+            assert!(
+                matches!(err, BlobError::Net(NetError::NodeDown(_))),
+                "under {transport:?}: {err:?}"
+            );
+            assert_eq!(
+                client.store().provider_loads(),
+                [0, 0],
+                "under {transport:?}"
+            );
+        }
     }
 }

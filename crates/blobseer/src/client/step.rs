@@ -1,22 +1,24 @@
 //! The one shape of a protocol step that addresses several destinations.
 //!
 //! A [`Step`] gathers a batch of items by destination (ascending, so
-//! requests, charges and settles run in a deterministic order), asks
+//! requests, charges and settles run in a deterministic order) and asks
 //! each destination once for its request — or skips a destination it
-//! cannot reach — and pays each request's before-send price from the
-//! cost book (`crate::cost`), all before anything is sent. A request
-//! whose charge the fabric refuses is not sent. Then every request goes
-//! out in one [`BlobStore::call_many`]: a step's destinations are all of
-//! one server role, so behind a transport hop the step is one frame and
-//! one `Transport::call` (a step spanning two roles panics in every
-//! deployment). Each group comes back with its reply, charged from the
+//! cannot reach. A step's destinations are all of one server role (a
+//! step spanning two roles panics in every deployment, before anything
+//! is charged or sent), so behind a transport hop the step is one frame
+//! and one `Transport::call`: each request's before-send price from the
+//! cost book (`crate::cost`) is paid, in ascending order, before
+//! anything is sent, and a request whose charge the fabric refuses is
+//! not sent. Each group comes back with its reply, charged from the
 //! book and validated: one answer per item, or the destination counts
-//! as failed.
+//! as failed. Without a hop a step whose replies carry charges runs
+//! each destination's whole exchange as one task of a `par_join`
+//! ([`Step::run_joined`]).
 
 use super::Client;
 use crate::api::{BlobError, BlobResult};
 use crate::cost::{self, OnReply};
-use crate::service::{BlobStore, Fetched};
+use crate::service::{self, BlobStore, Fetched};
 use bff_net::NodeId;
 use bff_wire::msg::{unexpected_resp, MetaResp, ProviderResp, Req, Resp, RetainOutcome};
 use std::collections::BTreeMap;
@@ -33,9 +35,7 @@ pub(super) type Answers<X> = fn(Resp, usize) -> BlobResult<Vec<X>>;
 
 /// One protocol step: items grouped by destination.
 pub(super) struct Step<D, T> {
-    /// Each destination's items and, once asked, where it stands and
-    /// its request.
-    groups: BTreeMap<D, (Vec<T>, Due, Option<Req>)>,
+    groups: BTreeMap<D, Vec<T>>,
 }
 
 /// Where one destination stands once the step has asked it.
@@ -58,23 +58,19 @@ impl<D: Ord + Copy, T> Step<D, T> {
 
     /// Add `item` to `dest`'s group.
     pub(super) fn add(&mut self, dest: D, item: T) {
-        self.groups
-            .entry(dest)
-            .or_insert_with(|| (Vec::new(), Due::Skipped, None))
-            .0
-            .push(item);
+        self.groups.entry(dest).or_default().push(item);
     }
 
     /// Run the step. `ask` is called once per destination, in ascending
     /// order, and returns its request — moving the items into it when
     /// `settle` needs nothing of them back — or `None` to skip the
-    /// destination; each request's charge is paid as it is returned.
-    /// Then every request goes out in one `call_many`; `answers` unpacks
-    /// a reply to a group of `n` items, and `settle` gets every group
-    /// back — asked or not, in the same order — with its [`Reply`],
-    /// whose charge is paid first. Settles run inline, one after the
-    /// other: a step whose replies carry charges uses
-    /// [`Step::run_joined`].
+    /// destination; each request's charge is paid once every
+    /// destination has been asked. Then every request goes out in one
+    /// `call_many`; `answers` unpacks a reply to a group of `n` items,
+    /// and `settle` gets every group back — asked or not, in the same
+    /// order — with its [`Reply`], whose charge is paid first. Settles
+    /// run inline, one after the other: a step whose replies carry
+    /// charges uses [`Step::run_joined`].
     pub(super) fn run<X>(
         self,
         client: &Client,
@@ -83,15 +79,21 @@ impl<D: Ord + Copy, T> Step<D, T> {
         mut settle: impl FnMut(D, Vec<T>, Reply<X>),
     ) {
         let (store, me) = (&*client.store, client.node);
-        store.call_many(self.ask(client, ask), |(dest, items, due), resp| {
+        store.call_many(self.prepaid(client, ask), |(dest, items, due), resp| {
             settle(dest, items, due.settle(store, me, resp, answers));
         });
     }
 
     /// [`Step::run`] for a step whose replies carry charges (a fetch's
-    /// disk reads and transfers): each destination's reply charge and
-    /// settle run as one task of one `par_join`, so the providers'
-    /// disks and links overlap as the simulated figures time them.
+    /// disk reads and transfers, a put's disk write): the destinations
+    /// run as the tasks of one `par_join`, so the providers' disks and
+    /// links overlap as the simulated figures time them. Without a
+    /// transport hop nothing shares a frame, so a task is a
+    /// destination's whole exchange — before-send charge, dispatch,
+    /// reply charge and settle — and a `Put`'s transfer, store and disk
+    /// write run in that order per destination. Behind a hop the step is
+    /// one frame as in [`Step::run`], and a task is one reply's charge
+    /// and settle.
     pub(super) fn run_joined<X: 'static>(
         self,
         client: &Client,
@@ -102,47 +104,82 @@ impl<D: Ord + Copy, T> Step<D, T> {
         D: Send + 'static,
         T: Send + 'static,
     {
-        let settle = Arc::new(settle);
+        let (store, me, settle) = (&client.store, client.node, Arc::new(settle));
         let mut tasks: Vec<Box<dyn FnOnce() + Send + 'static>> = Vec::new();
-        client
-            .store
-            .call_many(self.ask(client, ask), |(dest, items, due), resp| {
-                let (store, me, settle) =
-                    (Arc::clone(&client.store), client.node, Arc::clone(&settle));
+        if store.has_hop() {
+            store.call_many(self.prepaid(client, ask), |(dest, items, due), resp| {
+                let (store, settle) = (Arc::clone(store), Arc::clone(&settle));
                 tasks.push(Box::new(move || {
                     settle(dest, items, due.settle(&store, me, resp, answers));
                 }));
             });
-        client.store.fabric.par_join(tasks);
-    }
-
-    /// Ask every destination and pay the before-send charges, in
-    /// ascending order; nothing is sent yet.
-    fn ask(
-        mut self,
-        client: &Client,
-        mut ask: impl FnMut(D, &mut Vec<T>) -> Option<Req>,
-    ) -> impl Iterator<Item = ((D, Vec<T>, Due), Option<Req>)> {
-        let (store, me) = (&*client.store, client.node);
-        for (&dest, (items, due, sent)) in self.groups.iter_mut() {
-            let n = items.len();
-            let Some(req) = ask(dest, items) else {
-                continue;
-            };
-            match cost::prepay(store, me, &req) {
-                Ok(reply) => (*due, *sent) = (Due::Sent(n, reply), Some(req)),
-                Err(e) => *due = Due::Refused(e.into()),
+        } else {
+            for (dest, items, req) in self.requests(ask) {
+                let (store, settle) = (Arc::clone(store), Arc::clone(&settle));
+                tasks.push(Box::new(move || {
+                    let (due, req) = Due::prepay(&store, me, items.len(), req);
+                    let resp = req.map(|req| store.send(req));
+                    settle(dest, items, due.settle(&store, me, resp, answers));
+                }));
             }
         }
+        store.fabric.par_join(tasks);
+    }
+
+    /// Ask every destination for its request, in ascending order; a
+    /// step whose requests address two server roles panics here.
+    fn requests(
+        self,
+        mut ask: impl FnMut(D, &mut Vec<T>) -> Option<Req>,
+    ) -> Vec<(D, Vec<T>, Option<Req>)> {
+        let mut route = None;
         self.groups
             .into_iter()
-            .map(|(dest, (items, due, req))| ((dest, items, due), req))
+            .map(|(dest, mut items)| {
+                let req = ask(dest, &mut items);
+                if let Some(req) = &req {
+                    service::one_role(&mut route, req);
+                }
+                (dest, items, req)
+            })
+            .collect()
+    }
+
+    /// Ask every destination, then pay the before-send charges in
+    /// ascending order; nothing is sent yet.
+    fn prepaid(
+        self,
+        client: &Client,
+        ask: impl FnMut(D, &mut Vec<T>) -> Option<Req>,
+    ) -> impl Iterator<Item = ((D, Vec<T>, Due), Option<Req>)> {
+        let (store, me) = (&*client.store, client.node);
+        let requests = self.requests(ask).into_iter();
+        let paid: Vec<_> = requests
+            .map(|(dest, items, req)| {
+                let (due, req) = Due::prepay(store, me, items.len(), req);
+                ((dest, items, due), req)
+            })
+            .collect();
+        paid.into_iter()
     }
 }
 
 impl Due {
-    /// The destination's [`Reply`], given what `call_many` brought back
-    /// for it, once a client on `me` has paid the reply's charge.
+    /// Pay the before-send charge of a group of `n` items' request as a
+    /// client on `me`: where the group stands, and the request when it
+    /// may go out.
+    fn prepay(store: &BlobStore, me: NodeId, n: usize, req: Option<Req>) -> (Self, Option<Req>) {
+        let Some(req) = req else {
+            return (Due::Skipped, None);
+        };
+        match cost::prepay(store, me, &req) {
+            Ok(reply) => (Due::Sent(n, reply), Some(req)),
+            Err(e) => (Due::Refused(e.into()), None),
+        }
+    }
+
+    /// The destination's [`Reply`], given what came back for it, once a
+    /// client on `me` has paid the reply's charge.
     fn settle<X>(
         self,
         store: &BlobStore,
@@ -171,6 +208,15 @@ impl Due {
 pub(super) fn fetched(resp: Resp, _: usize) -> BlobResult<Fetched> {
     match resp {
         Resp::Provider(ProviderResp::Fetched(r)) => Ok(r),
+        _ => Err(unexpected_resp()),
+    }
+}
+
+/// A provider's acknowledgement of a `Put`, which covers every chunk of
+/// the batch.
+pub(super) fn stored(resp: Resp, n: usize) -> BlobResult<Vec<()>> {
+    match resp {
+        Resp::Provider(ProviderResp::Put(_)) => Ok(vec![(); n]),
         _ => Err(unexpected_resp()),
     }
 }
@@ -227,6 +273,59 @@ mod tests {
         );
         s.reset();
         seen
+    }
+
+    /// A joined step — the push's and the fetch's shape — that addresses
+    /// two server roles panics under every transport before it charges,
+    /// sends or stores anything, as a plain step does.
+    #[test]
+    fn a_joined_step_spanning_two_roles_panics_before_it_charges() {
+        use super::{stored, Step};
+        use crate::api::TransportMode;
+        use bff_wire::msg::{MetaReq, ProviderReq, Req};
+        for transport in TransportMode::ALL {
+            let cfg = BlobConfig {
+                chunk_size: 128,
+                transport,
+                ..Default::default()
+            };
+            let (fabric, store) = deploy(2, cfg);
+            let client = Client::new(Arc::clone(&store), NodeId(0));
+            let mut step = Step::new();
+            step.add(0u8, ());
+            step.add(1u8, ());
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                step.run_joined(
+                    &client,
+                    |dest, _| {
+                        Some(match dest {
+                            0 => Req::Provider {
+                                node: NodeId(1),
+                                req: ProviderReq::Put(vec![(ChunkId(1), Payload::zeros(128))]),
+                            },
+                            _ => Req::Meta {
+                                shard: 0,
+                                req: MetaReq::ReadNodes(Vec::new()),
+                            },
+                        })
+                    },
+                    stored,
+                    |_, _, _| {},
+                )
+            }))
+            .expect_err("a two-role step must not run");
+            let message = panicked
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert_eq!(
+                message, "a protocol step addresses one server role, not provider and meta",
+                "under {transport:?}"
+            );
+            assert_eq!(charged(&fabric), (0, 0, 0, 0, 0), "under {transport:?}");
+            assert_eq!(store.provider_loads(), [0, 0], "under {transport:?}");
+            assert_eq!(store.wire_stats().calls, 0, "under {transport:?}");
+        }
     }
 
     /// The scatter-gather request path moves waits, never modelled cost:

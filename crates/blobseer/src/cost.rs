@@ -20,8 +20,12 @@
 //! `BlobStore::call` applies both halves to one request. A client step
 //! (`client/step.rs`) pays each destination's first half in ascending
 //! order before it sends anything, and each reply's half as it settles
-//! that destination — for a fetch, one `par_join` task per provider, so
-//! the providers' disks and links overlap as the figures time them.
+//! that destination. A step whose replies carry charges — a fetch, a
+//! replicated push — settles each provider in one `par_join` task, so
+//! the providers' disks and links overlap as the figures time them;
+//! without a transport hop that task also pays the first half and
+//! sends, so a `Put`'s transfer, store and disk write run in that order
+//! per provider.
 //!
 //! Sizes are nominal — `control_bytes` for a control message,
 //! `node_bytes` per tree node, 8 bytes per id, 24 per allocated

@@ -14,13 +14,16 @@
 //! through a typed accessor here (`vm_*`, `pm_*`, `provider_*`,
 //! `board_*`, `cluster_*`), which builds a [`bff_wire::Req`], hands it to
 //! `BlobStore::call` and unpacks the [`bff_wire::Resp`]; a protocol step
-//! that addresses several destinations goes through
-//! `BlobStore::call_many`, driven by the client's one step helper
-//! (`client/step.rs`). Each takes the caller's node, because what a
-//! request costs the model is decided in one place: the cost book
-//! (`cost.rs`), which `call` and the step apply to every request they
-//! send. Every request is served by [`ServerState::dispatch`]; the only
-//! thing a deployment chooses is whether a hop sits in front of it:
+//! that addresses several destinations is driven by the client's one
+//! step helper (`client/step.rs`), which sends it through
+//! `BlobStore::call_many` — or, without a hop, a step whose replies
+//! carry charges (a fetch, a replicated push) one request per
+//! `par_join` task through `BlobStore::send`. Each takes the caller's
+//! node, because what a request costs the model is decided in one
+//! place: the cost book (`cost.rs`), which `call` and the step apply to
+//! every request they send. Every request is served by
+//! [`ServerState::dispatch`]; the only thing a deployment chooses is
+//! whether a hop sits in front of it:
 //!
 //! * no hop ([`TransportMode::Direct`]) — the typed value is handed to
 //!   the in-process `dispatch` as is; no frame ever exists;
@@ -216,9 +219,14 @@ impl BlobStore {
         Ok(resp)
     }
 
+    /// Whether a transport hop sits in front of the server roles.
+    pub(crate) fn has_hop(&self) -> bool {
+        self.transport.is_some()
+    }
+
     /// Serve `req` with [`ServerState::dispatch`], behind the transport
-    /// hop when the deployment has one.
-    fn send(&self, req: Req) -> BlobResult<Resp> {
+    /// hop when the deployment has one. It pays no price.
+    pub(crate) fn send(&self, req: Req) -> BlobResult<Resp> {
         let Some(transport) = &self.transport else {
             return Ok(self.local().dispatch(req)?);
         };
@@ -255,23 +263,13 @@ impl BlobStore {
         mut sink: impl FnMut(T, Option<BlobResult<Resp>>),
     ) {
         let mut route = None;
-        let mut one_role = |req: &Req| {
-            let this = req.route();
-            let first = *route.get_or_insert(this);
-            assert!(
-                first.role() == this.role(),
-                "a protocol step addresses one server role, not {} and {}",
-                first.role().name(),
-                this.role().name()
-            );
-        };
         let Some(transport) = &self.transport else {
             let srv = self.local();
             steps.for_each(|(tag, req)| {
                 sink(
                     tag,
                     req.map(|req| {
-                        one_role(&req);
+                        one_role(&mut route, &req);
                         srv.dispatch(req).map_err(Into::into)
                     }),
                 )
@@ -283,7 +281,7 @@ impl BlobStore {
             .map(|(tag, req)| {
                 let asked = req.is_some();
                 if let Some(req) = req {
-                    one_role(&req);
+                    one_role(&mut route, &req);
                     reqs.push(req);
                 }
                 (tag, asked)
@@ -444,24 +442,6 @@ impl BlobStore {
     // Chunk providers. A batched message holds the provider's shard lock
     // once; a step's per-provider batches go through `call_many`.
     // -----------------------------------------------------------------
-
-    pub(crate) fn provider_put(
-        &self,
-        from: NodeId,
-        prov: NodeId,
-        items: Vec<(ChunkId, Payload)>,
-    ) -> BlobResult<bool> {
-        match self.call(
-            from,
-            Req::Provider {
-                node: prov,
-                req: ProviderReq::Put(items),
-            },
-        )? {
-            Resp::Provider(ProviderResp::Put(ok)) => Ok(ok),
-            _ => Err(unexpected_resp()),
-        }
-    }
 
     /// The per-chunk failover path's fetch: one provider, one round.
     pub(crate) fn provider_fetch(
@@ -697,6 +677,20 @@ impl BlobStore {
     pub fn drop_provider_caches(&self) {
         self.providers().drop_caches();
     }
+}
+
+/// Note `req` as one of a protocol step's requests, whose route so far
+/// is `route`: a step addresses one server role, and one that addresses
+/// two is a programming error that panics here.
+pub(crate) fn one_role(route: &mut Option<RouteKey>, req: &Req) {
+    let this = req.route();
+    let first = *route.get_or_insert(this);
+    assert!(
+        first.role() == this.role(),
+        "a protocol step addresses one server role, not {} and {}",
+        first.role().name(),
+        this.role().name()
+    );
 }
 
 /// Send `reqs`, all for the server role behind `route`, as one frame

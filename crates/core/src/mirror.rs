@@ -250,31 +250,10 @@ impl MirroredImage {
 
     /// Read `range`, fetching missing content on demand (§3.1.2: reads on
     /// regions not available locally mirror the content first, then serve
-    /// locally).
+    /// locally): [`MirroredImage::read_multi`] of one range.
     pub fn read(&mut self, range: ByteRange) -> BlobResult<Payload> {
-        assert!(range.end <= self.len(), "read beyond image");
-        self.stats.reads += 1;
-        let plan = self.map.plan_read(&range, self.cfg.prefetch_whole_chunks);
-        if plan.is_empty() {
-            // Locally cached: served by the kernel VFS cache.
-            let mut cost = self.cfg.read_syscall_us;
-            if self.cfg.read_bw > 0.0 {
-                cost += ((range.end - range.start) as f64 / self.cfg.read_bw).ceil() as u64;
-            }
-            if cost > 0 {
-                self.fabric.compute(self.node, cost);
-            }
-        } else {
-            // Like the paper's FUSE module, the per-node context only
-            // *observes* reads that miss locally (cached reads never
-            // cross into userspace, §4.1): exactly the planned fetch runs
-            // reach the repository as a hinted read, and of their chunks
-            // the ones that read moves feed the first-touch order
-            // published to the cluster PatternBoard.
-            self.charge_fuse_op();
-            self.fetch_and_merge(plan, false)?;
-        }
-        Ok(self.store.read(&range))
+        let mut got = self.read_multi(std::slice::from_ref(&range))?;
+        Ok(got.pop().expect("one payload per range"))
     }
 
     /// Vectored read: serve several ranges as one request, fetching all
@@ -284,7 +263,7 @@ impl MirroredImage {
     /// would), handed to [`Client::read_multi`] in one call, and each
     /// range is then served from the local mirror. Content and
     /// paper-accounting stats (`remote_bytes`, `remote_fetches`, `reads`)
-    /// are identical to calling [`MirroredImage::read`] per range.
+    /// are identical to reading each range on its own.
     pub fn read_multi(&mut self, ranges: &[ByteRange]) -> BlobResult<Vec<Payload>> {
         let mut plan: Vec<ByteRange> = Vec::new();
         let mut planned = bff_data::RangeSet::new();
@@ -302,6 +281,13 @@ impl MirroredImage {
                     self.fabric.compute(self.node, cost);
                 }
             } else {
+                // Like the paper's FUSE module, the per-node context only
+                // *observes* reads that miss locally (cached reads never
+                // cross into userspace, §4.1): exactly the planned fetch
+                // runs reach the repository as a hinted read, and of
+                // their chunks the ones that read moves feed the
+                // first-touch order published to the cluster
+                // PatternBoard.
                 self.charge_fuse_op();
                 for run in runs {
                     // Later ranges may re-plan chunks an earlier range
@@ -311,7 +297,6 @@ impl MirroredImage {
                 }
             }
         }
-        // The miss plan is the hinted read (see [`MirroredImage::read`]).
         self.fetch_and_merge(plan, false)?;
         Ok(ranges.iter().map(|r| self.store.read(r)).collect())
     }

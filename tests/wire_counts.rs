@@ -243,10 +243,10 @@ fn cold_boot_pipelines_its_frames_and_a_diff_boot_fetches_the_diff() {
 /// and snapshots (CLONE + COMMIT), then does it again elsewhere
 /// (COMMIT). A reused chunk is verified and retained where it is stored,
 /// in the one `Retain` batch its provider gets, so the commit's provider
-/// frames are one frame carrying both providers' `Retain`s and two
-/// `Put`s, and no chunk travels back; the cluster index is asked once
-/// and told once; the version manager hears CLONE, the key reservation
-/// and the publish.
+/// frames are one frame carrying both providers' `Retain`s and one
+/// carrying both providers' `Put`s, and no chunk travels back; the
+/// cluster index is asked once and told once; the version manager hears
+/// CLONE, the key reservation and the publish.
 ///
 /// **Warm boots of the snapshot.** Each node then boots the published
 /// snapshot. It holds all but the four chunks the snapshots wrote, so a
@@ -325,11 +325,13 @@ fn a_boot_with_nothing_to_learn_asks_the_board_nothing_and_a_dedup_hit_is_one_pr
     // downloaded to be compared. Before batches: provider 4 frames in 3
     // waits, and 62 then 58 bytes; a batch reply costs its tag, its count
     // and one outcome tag per entry, so the `Retain` frame's two entries
-    // add 4 bytes and the `WriteNodes` frame's four shards 6.
+    // add 4 bytes and the `WriteNodes` frame's four shards 6. Before the
+    // push was a step: provider 3 frames, a `Put` frame per provider, and
+    // 72 then 68 bytes; the one `Put` frame's two entries add 4.
     let (first, ..) = snapshot(0, 32, 0xD1);
     let (second, published, content) = snapshot(8 * CHUNK, 40, 0xD2);
-    assert_eq!(first, (vec![3, 2, 3], 72), "CLONE + COMMIT");
-    assert_eq!(second, (vec![3, 2, 2], 68), "COMMIT");
+    assert_eq!(first, (vec![2, 2, 3], 76), "CLONE + COMMIT");
+    assert_eq!(second, (vec![2, 2, 2], 72), "COMMIT");
 
     // The published snapshot, booted on the nodes that booted its base:
     // 60 of its chunks are the base's, resident on every node, and the
